@@ -126,6 +126,7 @@ class FiniteQuotient:
         self.params = dict(params) if params else None
         self._transversal = None
         self._nontree = None
+        self._crossing = None
 
     @property
     def order(self):
@@ -178,15 +179,19 @@ class FiniteQuotient:
 
     def transversal_word(self, index):
         """Shortlex-minimal word carrying coset 0 to the given coset."""
-        if self._transversal is None:
-            self._transversal = [None] * self.order
-            self._transversal[0] = Word.identity(self.rank)
-        if self._transversal[index] is None:
-            parent, letter = self.tree_parent[index]
-            self._transversal[index] = self.transversal_word(parent) * Word(
-                self.rank, (letter,)
-            )
-        return self._transversal[index]
+        cache = self._transversal
+        if cache is None:
+            cache = self._transversal = [None] * self.order
+            cache[0] = Word.identity(self.rank)
+        path = []
+        c = index
+        while cache[c] is None:
+            path.append(c)
+            c = self.tree_parent[c][0]
+        for c in reversed(path):
+            parent, letter = self.tree_parent[c]
+            cache[c] = cache[parent] * Word(self.rank, (letter,))
+        return cache[index]
 
     def transversal(self):
         return [self.transversal_word(i) for i in range(self.order)]
@@ -208,6 +213,39 @@ class FiniteQuotient:
                         labels.append((c, g))
             self._nontree = tuple(labels)
         return self._nontree
+
+    def edge_crossings(self, w):
+        """Walk w from coset 0 through the coset graph, noting non-tree edges.
+
+        Returns ``(end, crossings)``: the coset the walk ends at, and one
+        ``(position, exp)`` per non-tree edge crossed, in walk order, where
+        ``position`` indexes :meth:`schreier_generators` and ``exp`` is +1
+        for a forward crossing and -1 for a backward one.  Tree edges
+        contribute nothing.  The walk closes (``end == 0``) iff w lies in
+        the kernel, and then the crossings spell w over the Schreier
+        generators.
+        """
+        self._check_word(w)
+        rank = self.rank
+        if self._crossing is None:
+            # entry c*rank + g-1: position of the edge (c, g), None on the tree
+            table = [None] * (self.order * rank)
+            for position, (c, g) in enumerate(self.schreier_generators()):
+                table[c * rank + g - 1] = position
+            self._crossing = table
+        table, mult, inv_mult = self._crossing, self.mult, self.inv_mult
+        crossings = []
+        c = 0
+        for gen, exp in w.letters:
+            if exp == 1:
+                at = table[c * rank + gen - 1]
+                c = mult[c][gen - 1]
+            else:
+                c = inv_mult[c][gen - 1]
+                at = table[c * rank + gen - 1]
+            if at is not None:
+                crossings.append((at, exp))
+        return c, crossings
 
     def schreier_generator_word(self, label):
         """The subgroup element t_c * a_g * t_{c.g}^-1 of a non-tree edge."""
@@ -326,15 +364,19 @@ def lemma0_conjugates(quotient, base, q):
         subgroup.append(c)
         for gen, exp in base.letters:
             c = quotient.step(c, gen, exp)
+    # the coset <g>N * x is marked by walking x's transversal word from each
+    # vertex h of <g>N: the walk ends at h * x, with no group products
     reps = []
     seen = [False] * quotient.order
     for idx in range(quotient.order):
         if seen[idx]:
             continue
         reps.append(idx)
-        x = quotient.elements[idx]
-        for h_idx in subgroup:
-            seen[quotient._index[quotient.elements[h_idx] * x]] = True
+        letters = quotient.transversal_word(idx).letters
+        for c in subgroup:
+            for gen, exp in letters:
+                c = quotient.step(c, gen, exp)
+            seen[c] = True
     t_words = [quotient.transversal_word(i) for i in reps]
     gq = base ** q
     z_words = [gq.conjugate(t) for t in t_words]
@@ -385,24 +427,12 @@ def reidemeister_schreier(quotient, relators):
     1 + (r-1)*[F:N] generators and one rewritten relator per input word.
     """
     labels = quotient.schreier_generators()
-    label_index = {lab: i + 1 for i, lab in enumerate(labels)}
     rewritten = []
     for w in relators:
-        if not quotient.kernel_contains(w):
+        end, crossings = quotient.edge_crossings(w)
+        if end != 0:
             raise ValueError(f"relator {w} is not in the kernel")
-        out = []
-        c = 0
-        for gen, exp in w.letters:
-            if exp == 1:
-                edge = (c, gen)
-                nxt = quotient.mult[c][gen - 1]
-            else:
-                nxt = quotient.inv_mult[c][gen - 1]
-                edge = (nxt, gen)
-            at = label_index.get(edge)
-            if at is not None:
-                out.append((at, exp))
-            c = nxt
+        out = [(at + 1, exp) for at, exp in crossings]
         rewritten.append(Word(len(labels) or 1, out) if labels else Word(1, ()))
     gen_words = tuple(quotient.schreier_generator_word(lab) for lab in labels)
     return SubgroupPresentation(

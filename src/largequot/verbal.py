@@ -159,26 +159,15 @@ class VerbalLevel:
         """
         self._require_materialized()
         quotient = self.parent_quotient
-        labels = quotient.schreier_generators()
-        label_index = {lab: i for i, lab in enumerate(labels)}
-        counts = [0] * len(labels)
-        c = 0
-        for gen, exp in u.letters:
-            if exp == 1:
-                edge = (c, gen)
-                nxt = quotient.mult[c][gen - 1]
-            else:
-                nxt = quotient.inv_mult[c][gen - 1]
-                edge = (nxt, gen)
-            at = label_index.get(edge)
-            if at is not None:
-                counts[at] += exp
-            c = nxt
-        if c != 0:
+        end, crossings = quotient.edge_crossings(u)
+        if end != 0:
             raise ValueError(
                 f"word is not in gamma_{self.depth - 1}; its level-{self.depth} "
                 "vector is undefined"
             )
+        counts = [0] * len(quotient.schreier_generators())
+        for at, exp in crossings:
+            counts[at] += exp
         return tuple(v % self.prime for v in counts)
 
     def representative(self, vector):

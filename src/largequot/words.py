@@ -1,11 +1,20 @@
 """Freely reduced words over a free group of finite rank.
 
 A word is a tuple of letters, each letter a pair ``(generator, exponent)``
-with ``generator`` in ``1..rank`` and ``exponent`` +1 or -1.  Construction
-always freely reduces, so letter tuples are canonical: two ``Word`` objects
-represent the same group element iff they compare equal, and hashing is
-structural.  Words are treated as immutable; nothing in the package mutates
-``letters`` after construction.
+with ``generator`` in ``1..rank`` and ``exponent`` +1 or -1.  Every ``Word``
+holds freely reduced letters, so letter tuples are canonical: two ``Word``
+objects represent the same group element iff they compare equal, and hashing
+is structural.  Words are treated as immutable; nothing in the package
+mutates ``letters`` after construction.
+
+The public constructor ``Word(rank, letters)`` (and :func:`parse_word` on top
+of it) takes letters from outside the package, so it validates every letter
+and freely reduces.  Products, inverses, powers and cyclic decompositions are
+reduced by construction: ``*`` cancels only at the seam between its two
+reduced operands, an inverse of a reduced word is reduced, and
+``t * c^n * t^-1`` with ``c`` cyclically reduced is reduced as written.  These
+build their result through ``Word._reduced``, which neither checks nor
+reduces, so each word is built once in time linear in its length.
 
 Two textual forms are supported:
 
@@ -55,6 +64,18 @@ class Word:
         self.letters = _reduce_letters(letters)
 
     @classmethod
+    def _reduced(cls, rank, letters):
+        """Wrap a letter tuple that is already freely reduced and in range.
+
+        No validation and no reduction: only for letters built by this
+        module's own operations from reduced words of the same rank.
+        """
+        word = object.__new__(cls)
+        word.rank = rank
+        word.letters = letters
+        return word
+
+    @classmethod
     def identity(cls, rank):
         return cls(rank)
 
@@ -87,16 +108,17 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         self._check_rank(other)
-        out = list(self.letters)
-        for gen, exp in other.letters:
-            if out and out[-1][0] == gen and out[-1][1] == -exp:
-                out.pop()
-            else:
-                out.append((gen, exp))
-        return Word(self.rank, out)
+        a, b = self.letters, other.letters
+        i, k, n = len(a), 0, len(b)
+        while i and k < n and a[i - 1][0] == b[k][0] and a[i - 1][1] == -b[k][1]:
+            i -= 1
+            k += 1
+        return Word._reduced(self.rank, a[:i] + b[k:])
 
     def inverse(self):
-        return Word(self.rank, [(g, -e) for g, e in reversed(self.letters)])
+        return Word._reduced(
+            self.rank, tuple([(g, -e) for g, e in reversed(self.letters)])
+        )
 
     def __invert__(self):
         return self.inverse()
@@ -123,7 +145,8 @@ class Word:
                 and letters[i][1] == -letters[j - 1][1]:
             i += 1
             j -= 1
-        return Word(self.rank, letters[:i]), Word(self.rank, letters[i:j])
+        return (Word._reduced(self.rank, letters[:i]),
+                Word._reduced(self.rank, letters[i:j]))
 
     def __str__(self):
         if self.rank <= 26:
@@ -159,33 +182,20 @@ class Word:
         return "*".join(parts)
 
 
-def reduce(letters, rank):
-    """Build the freely reduced Word over ``rank`` from raw letters."""
-    return Word(rank, letters)
-
-
-def mul(u, v):
-    return u * v
-
-
-def inv(u):
-    return u.inverse()
-
-
-def conjugate(g, t):
-    return g.conjugate(t)
-
-
 def power(g, n):
-    """g**n for any integer n, via cyclic decomposition (O(output) letters)."""
+    """g**n for any integer n, via cyclic decomposition (O(output) letters).
+
+    With base = t * c * t^-1 and c cyclically reduced, t * c^|n| * t^-1 is
+    freely reduced as written, so the letters are assembled in one pass.
+    """
     if not isinstance(n, int):
         raise ValueError(f"exponent must be an integer, got {n!r}")
     if n == 0 or g.is_identity:
         return Word.identity(g.rank)
     base = g if n > 0 else g.inverse()
     t, core = base.cyclic_decomposition()
-    repeated = core.letters * abs(n)
-    return t * Word(g.rank, repeated) * t.inverse()
+    letters = t.letters + core.letters * abs(n) + t.inverse().letters
+    return Word._reduced(g.rank, letters)
 
 
 _INDEXED_TOKEN = re.compile(r"g(\d+)(?:\^(-?\d+))?")

@@ -171,6 +171,20 @@ def test_construct_periodic_and_jsonl(capsys):
     assert all(isinstance(json.loads(line), dict) for line in lines)
 
 
+def test_construct_periodic_rank_one_deep_tree(capsys):
+    # the rank-1 levels are cyclic of order up to 30030, so their Schreier
+    # trees are far deeper than the interpreter's recursion limit
+    code, doc = run_doc(
+        capsys,
+        ["construct-periodic", "--primes", "2,3,5,7,11,13", "--steps", "3",
+         "--rank", "1"],
+    )
+    assert code == 0
+    assert doc["command"] == "construct-periodic"
+    assert doc["steps_completed"] == 3
+    assert doc["steps"][2]["relator"] == {"base": "aa", "exponent": 30030}
+
+
 def test_construct_periodic_halt_is_exit_two(capsys):
     code, doc = run_doc(
         capsys, ["construct-periodic", "--primes", "2,3,5,7", "--steps", "2"]

@@ -119,6 +119,16 @@ def test_transversal_words_are_shortlex_minimal():
     assert lengths == sorted(lengths)
 
 
+def test_transversal_word_deeper_than_recursion_limit():
+    # BFS over Z/5000 alternates a and A, so index 4999 is the residue 2500,
+    # reached by a^2500 at depth 2500 of the Schreier tree
+    q = mod_abelianization(1, 5000)
+    t = q.transversal_word(4999)
+    assert t.letters == ((1, 1),) * 2500
+    assert q.coset_of(t) == 4999
+    assert q.transversal_word(4998).letters == ((1, -1),) * 2499
+
+
 def test_coset_walk_and_kernel():
     q = mod_abelianization(2, 2)
     assert q.kernel_contains(parse_word("aa", 2))

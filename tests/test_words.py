@@ -2,14 +2,81 @@ import random
 from itertools import islice
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from largequot.words import (
     Word,
+    _reduce_letters,
     parse_word,
     power,
     random_reduced_word,
     shortlex_words,
 )
+
+
+# -- differential tests: each operation against the reducing constructor ----
+
+
+@st.composite
+def raw_words(draw, count):
+    """A rank in 1..3 and ``count`` unreduced letter lists over it."""
+    rank = draw(st.integers(1, 3))
+    letter = st.tuples(st.integers(1, rank), st.sampled_from((1, -1)))
+    return rank, [draw(st.lists(letter, max_size=12)) for _ in range(count)]
+
+
+def raw_inverse(letters):
+    return [(g, -e) for g, e in reversed(letters)]
+
+
+def assert_reduced(w):
+    assert type(w.letters) is tuple
+    assert _reduce_letters(w.letters) == w.letters
+
+
+@given(raw_words(2))
+def test_mul_matches_reducing_constructor(case):
+    rank, (u_raw, v_raw) = case
+    u, v = Word(rank, u_raw), Word(rank, v_raw)
+    product = u * v
+    assert product == Word(rank, u.letters + v.letters)
+    assert product == Word(rank, u_raw + v_raw)
+    assert_reduced(product)
+
+
+@given(raw_words(1), st.integers(-6, 6))
+def test_power_matches_reducing_constructor(case, n):
+    rank, (g_raw,) = case
+    g = Word(rank, g_raw)
+    base = g.letters if n >= 0 else tuple(raw_inverse(g.letters))
+    p = power(g, n)
+    assert p == Word(rank, base * abs(n))
+    assert_reduced(p)
+
+
+@given(raw_words(2))
+def test_inverse_and_conjugate_match_reducing_constructor(case):
+    rank, (g_raw, t_raw) = case
+    g, t = Word(rank, g_raw), Word(rank, t_raw)
+    inv = g.inverse()
+    assert inv == Word(rank, raw_inverse(g_raw))
+    assert_reduced(inv)
+    conj = g.conjugate(t)
+    assert conj == Word(rank, raw_inverse(t_raw) + g_raw + t_raw)
+    assert_reduced(conj)
+
+
+@given(raw_words(1))
+def test_cyclic_decomposition_recomposes(case):
+    rank, (g_raw,) = case
+    g = Word(rank, g_raw)
+    t, c = g.cyclic_decomposition()
+    assert Word(rank, t.letters + c.letters + tuple(raw_inverse(t.letters))) == g
+    assert_reduced(t)
+    assert_reduced(c)
+    if len(c) > 1:
+        assert c.letters[0] != (c.letters[-1][0], -c.letters[-1][1])
 
 
 def test_reduction_cancels_adjacent_inverses():
@@ -38,6 +105,12 @@ def test_generator_index_out_of_range():
         Word.generator(2, 3)
     with pytest.raises(ValueError):
         Word(2, [(0, 1)])
+
+
+def test_constructor_rejects_bad_exponents():
+    for exp in (0, 2, -2):
+        with pytest.raises(ValueError):
+            Word(2, [(1, exp)])
 
 
 def test_mul_cancels_across_boundary():
