@@ -55,9 +55,6 @@ from .verbal import (
     VerbalLevel,
     build_series,
     levi_bound,
-    member,
-    normal_form,
-    order_mod,
     quotient_order,
     quotient_order_factors,
 )
@@ -100,11 +97,8 @@ __all__ = [
     "lemma_fi_bound",
     "levi_bound",
     "load_config",
-    "member",
     "mod_abelianization",
     "next_step",
-    "normal_form",
-    "order_mod",
     "parse_order",
     "parse_word",
     "quotient_order",

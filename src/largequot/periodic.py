@@ -208,9 +208,11 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
             "distinct primes"
         )
     level_orders = [lvl.quotient_order for lvl in levels]
-    assert all(a < b for a, b in zip(level_orders, level_orders[1:]))
+    if any(a >= b for a, b in zip(level_orders, level_orders[1:])):
+        raise AssertionError("level orders must strictly grow along the series")
     new_order = level_orders[-1]
-    assert new_order > state.quotient_order, "quotient order must strictly grow"
+    if new_order <= state.quotient_order:
+        raise AssertionError("quotient order must strictly grow")
 
     step_index = state.step + 1
     new_assumptions = (

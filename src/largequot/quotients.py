@@ -3,13 +3,20 @@
 A quotient is materialized by breadth-first closure of the generator images
 inside a concrete finite group.  Element numbering is deterministic: the
 identity is 0, BFS processes vertices in discovery order and edges in the
-alphabet order a_1, .., a_r, a_1^-1, .., a_r^-1, so the Schreier tree and the
-prefix-closed shortlex transversal are unique.  Concrete elements only need
+order a_1, a_1^-1, a_2, a_2^-1, .., a_r, a_r^-1, so the Schreier tree and
+the prefix-closed transversal are unique: each transversal word is the
+shortlex-least word reaching its coset over the alphabet order
+a_1 < a_1^-1 < a_2 < a_2^-1 < ...  Concrete elements only need
 multiplication, ``inverse()``, equality and hashing; the kinds shipped here
 are residue vectors (:class:`ModVector`), truncated-series units
 (:class:`largequot.series.TruncSeries`) and layered verbal cosets
 (:class:`largequot.verbal.LayeredCoset`), each registered with a canonical
 serialization so quotients can travel inside certificate documents.
+
+:func:`homology_cover` builds a quotient without concrete elements: the
+mod-q homology cover of another quotient's coset graph, whose vertices are
+pairs (coset, edge-crossing chain mod q).  It numbers its vertices exactly
+as :func:`build_quotient` would number the group they form.
 
 On top of the coset graph this module implements the two presentation-level
 tools the largeness pipeline needs: conjugate sets that convert a normal
@@ -144,13 +151,17 @@ class FiniteQuotient:
         table = self.mult if exp == 1 else self.inv_mult
         return table[index][gen - 1]
 
+    def _walk(self, c, letters):
+        """The coset reached by walking the letters from coset c."""
+        mult, inv_mult = self.mult, self.inv_mult
+        for gen, exp in letters:
+            c = mult[c][gen - 1] if exp == 1 else inv_mult[c][gen - 1]
+        return c
+
     def coset_of(self, w):
         """BFS index of the image of w (the coset of the kernel containing w)."""
         self._check_word(w)
-        c = 0
-        for gen, exp in w.letters:
-            c = self.step(c, gen, exp)
-        return c
+        return self._walk(0, w.letters)
 
     def kernel_contains(self, w):
         return self.coset_of(w) == 0
@@ -164,8 +175,7 @@ class FiniteQuotient:
         c = start
         n = 1
         while c != 0:
-            for gen, exp in w.letters:
-                c = self.step(c, gen, exp)
+            c = self._walk(c, w.letters)
             n += 1
         return n
 
@@ -183,14 +193,16 @@ class FiniteQuotient:
         if cache is None:
             cache = self._transversal = [None] * self.order
             cache[0] = Word.identity(self.rank)
-        path = []
-        c = index
-        while cache[c] is None:
-            path.append(c)
-            c = self.tree_parent[c][0]
-        for c in reversed(path):
-            parent, letter = self.tree_parent[c]
-            cache[c] = cache[parent] * Word(self.rank, (letter,))
+        if cache[index] is None:
+            # only the requested word is cached: caching every ancestor on
+            # the way would cost memory quadratic in the tree depth
+            letters = []
+            c = index
+            while cache[c] is None:
+                c, letter = self.tree_parent[c]
+                letters.append(letter)
+            letters.reverse()
+            cache[index] = cache[c] * Word(self.rank, letters)
         return cache[index]
 
     def transversal(self):
@@ -214,28 +226,36 @@ class FiniteQuotient:
             self._nontree = tuple(labels)
         return self._nontree
 
-    def edge_crossings(self, w):
-        """Walk w from coset 0 through the coset graph, noting non-tree edges.
+    def crossing_table(self):
+        """Flat non-tree edge table, built once per quotient.
+
+        Entry ``c*rank + g-1`` is the position in :meth:`schreier_generators`
+        of the edge (c, g) from coset c to c*a_g, or None on the tree.
+        """
+        if self._crossing is None:
+            rank = self.rank
+            table = [None] * (self.order * rank)
+            for position, (c, g) in enumerate(self.schreier_generators()):
+                table[c * rank + g - 1] = position
+            self._crossing = table
+        return self._crossing
+
+    def edge_crossings(self, w, start=0):
+        """Walk w from coset ``start`` through the coset graph, noting non-tree edges.
 
         Returns ``(end, crossings)``: the coset the walk ends at, and one
         ``(position, exp)`` per non-tree edge crossed, in walk order, where
         ``position`` indexes :meth:`schreier_generators` and ``exp`` is +1
         for a forward crossing and -1 for a backward one.  Tree edges
-        contribute nothing.  The walk closes (``end == 0``) iff w lies in
-        the kernel, and then the crossings spell w over the Schreier
-        generators.
+        contribute nothing.  From coset 0 the walk closes (``end == 0``)
+        iff w lies in the kernel, and then the crossings spell w over the
+        Schreier generators.
         """
         self._check_word(w)
         rank = self.rank
-        if self._crossing is None:
-            # entry c*rank + g-1: position of the edge (c, g), None on the tree
-            table = [None] * (self.order * rank)
-            for position, (c, g) in enumerate(self.schreier_generators()):
-                table[c * rank + g - 1] = position
-            self._crossing = table
-        table, mult, inv_mult = self._crossing, self.mult, self.inv_mult
+        table, mult, inv_mult = self.crossing_table(), self.mult, self.inv_mult
         crossings = []
-        c = 0
+        c = start
         for gen, exp in w.letters:
             if exp == 1:
                 at = table[c * rank + gen - 1]
@@ -329,6 +349,72 @@ def build_quotient(rank, gen_images, cap=DEFAULT_ENUM_CAP, kind=None, params=Non
     )
 
 
+def homology_cover(base, q, gen_images=(), cap=DEFAULT_ENUM_CAP, kind=None,
+                   params=None):
+    """The mod-q homology cover of the coset graph of ``base``.
+
+    With N the kernel of ``base``, this is the quotient F/[N,N]N^q: a vertex
+    is a pair (v, x) of a coset v of N and a chain x in (Z/q)^m, one entry
+    per non-tree edge, m = 1 + (r-1)|base|.  The letter a_g^{+-1} moves v
+    along ``base.mult`` / ``base.inv_mult`` and adds +-1 to the entry of the
+    edge it crosses when that edge is off the Schreier tree.  The walk of a
+    word w from (0, 0) ends at (coset of w, crossing counts of w mod q), and
+    two words end at the same vertex iff they agree modulo [N,N]N^q.
+
+    Vertices are numbered by BFS in the edge order of :func:`build_quotient`,
+    so ``mult``, ``inv_mult`` and ``tree_parent`` equal those that
+    :func:`build_quotient` gives for any generator images of that group.
+    ``elements`` holds the vertices packed as ints, x * |base| + v with x
+    read in base q.  ``gen_images``, ``kind`` and ``params`` are carried
+    for :meth:`FiniteQuotient.serialize` only.  Raises :class:`CapExceeded`
+    when the cover passes ``cap`` vertices.
+    """
+    rank, n = base.rank, base.order
+    mult, inv_mult = base.mult, base.inv_mult
+    crossing = base.crossing_table()
+    # unit[pos]: the packed vertex of the chain e_pos at coset 0
+    unit = [n * q**pos for pos in range(len(base.schreier_generators()))]
+    elements = [0]
+    index = {0: 0}
+    cover_mult = []
+    cover_inv_mult = []
+    tree_parent = [None]
+    head = 0
+    while head < len(elements):
+        key = elements[head]
+        v = key % n
+        row = []
+        inv_row = []
+        for g in range(rank):
+            for exp, target_row in ((1, row), (-1, inv_row)):
+                if exp == 1:
+                    w = mult[v][g]
+                    at = crossing[v * rank + g]
+                else:
+                    w = inv_mult[v][g]
+                    at = crossing[w * rank + g]
+                y = key - v + w
+                if at is not None:
+                    digit = key // unit[at] % q
+                    y += ((digit + exp) % q - digit) * unit[at]
+                target = index.get(y)
+                if target is None:
+                    target = len(elements)
+                    if target >= cap:
+                        raise CapExceeded("quotient enumeration", target + 1, cap)
+                    elements.append(y)
+                    index[y] = target
+                    tree_parent.append((head, (g + 1, exp)))
+                target_row.append(target)
+        cover_mult.append(row)
+        cover_inv_mult.append(inv_row)
+        head += 1
+    return FiniteQuotient(
+        rank, gen_images, elements, index, cover_mult, cover_inv_mult,
+        tree_parent, kind=kind, params=params,
+    )
+
+
 def mod_abelianization(rank, modulus, cap=DEFAULT_ENUM_CAP):
     """The mod-q abelianized quotient F_r -> (Z/q)^r."""
     images = [
@@ -362,8 +448,7 @@ def lemma0_conjugates(quotient, base, q):
     c = base_image_index
     while c != 0:
         subgroup.append(c)
-        for gen, exp in base.letters:
-            c = quotient.step(c, gen, exp)
+        c = quotient._walk(c, base.letters)
     # the coset <g>N * x is marked by walking x's transversal word from each
     # vertex h of <g>N: the walk ends at h * x, with no group products
     reps = []
@@ -374,9 +459,7 @@ def lemma0_conjugates(quotient, base, q):
         reps.append(idx)
         letters = quotient.transversal_word(idx).letters
         for c in subgroup:
-            for gen, exp in letters:
-                c = quotient.step(c, gen, exp)
-            seen[c] = True
+            seen[quotient._walk(c, letters)] = True
     t_words = [quotient.transversal_word(i) for i in reps]
     gq = base ** q
     z_words = [gq.conjugate(t) for t in t_words]

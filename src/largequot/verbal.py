@@ -1,23 +1,32 @@
 """Iterated verbal quotients gamma_0 = F, gamma_d = [H,H]H^{q_d} for H = gamma_{d-1}.
 
-Each level factor H/[H,H]H^q is elementary abelian of exponent q over the
-Schreier basis of H, so membership and normal forms reduce to exponent
-vectors: a word u in gamma_{d-1} lies in gamma_d iff its exponent vector over
-the Schreier generators of gamma_{d-1} vanishes mod q_d.  The vector is read
-off by walking u through the coset graph of F/gamma_{d-1} and counting signed
-crossings of non-tree edges; no rewriting or free reduction is needed for the
-abelianized count.
+H = gamma_{d-1} is the fundamental group of the coset graph of F/gamma_{d-1},
+a free group on the Schreier generators (the non-tree edges), and the level
+factor H/[H,H]H^q = H_1(gamma_{d-1}; Z/q) is the cycle space of that graph
+mod q.  So a word u in gamma_{d-1} lies in gamma_d iff its walk through the
+coset graph of F/gamma_{d-1}, which closes up, crosses every non-tree edge a
+net multiple of q_d times; no rewriting or free reduction is needed.
 
-The layered normal form of a coset w*gamma_d is one vector per level,
-computed by repeatedly subtracting the canonical representative (the product
-of Schreier basis words raised to the vector's entries).  F/gamma_d is only
-materialized as an explicit group (via :class:`LayeredCoset` elements) while
-its order fits the materialization cap; deeper levels still know their order
-and Schreier rank through the closed product formula
+The same picture builds the groups: F/gamma_d is the mod-q_d homology cover
+of the coset graph of F/gamma_{d-1} (:func:`largequot.quotients.homology_cover`),
+whose vertices are pairs (coset of gamma_{d-1}, crossing counts mod q_d).
+Each level keeps the coset table of F/gamma_{d-1}; ``member`` and
+``order_mod`` walk the word through the deepest such table and sum its
+crossings mod the prime.  F/gamma_d is only materialized while its order
+fits the materialization cap; deeper levels still know their order and
+Schreier rank through the closed product formula
 
     |F/gamma_d| = |F/gamma_{d-1}| * q_d ^ (1 + (r-1)|F/gamma_{d-1}|),
 
-but raise :class:`NotMaterializedError` for membership queries.
+but raise :class:`NotMaterializedError` for queries that need their tables.
+
+The layered normal form of a coset w*gamma_d is one vector per level,
+computed by repeatedly subtracting the canonical representative (the product
+of Schreier basis words raised to the vector's entries).  It is a complete
+coset invariant, which :class:`LayeredCoset` uses to give the groups
+concrete elements: they are the serialized generator images of F/gamma_d,
+and :func:`largequot.quotients.build_quotient` over them rebuilds the group
+from a document independently of the cover.
 """
 
 from __future__ import annotations
@@ -27,7 +36,12 @@ from itertools import islice
 import sympy
 
 from .errors import CapExceeded, NotMaterializedError
-from .quotients import ModVector, build_quotient, register_element_kind
+from .quotients import (
+    ModVector,
+    build_quotient,
+    homology_cover,
+    register_element_kind,
+)
 from .words import Word, parse_word, power
 
 DEFAULT_COSET_CAP = 10**4
@@ -87,25 +101,35 @@ class VerbalLevel:
 
     ``parent_quotient`` is the finite quotient F/gamma_{d-1} (``None`` when
     the materialization cap was passed) and ``basis_words`` its Schreier
-    generators as words of F, i.e. a free basis of gamma_{d-1}.
+    generators as words of F, i.e. a free basis of gamma_{d-1}, built on
+    first use.
     ``schreier_rank`` and ``quotient_order`` outlive materialization, but
     once they pass ORDER_EXPONENT_CAP digits-wise they stop being stored and
     accessing them raises :class:`CapExceeded`.
     """
 
     def __init__(self, rank, depth, prime, primes_prefix, parent_level,
-                 parent_quotient, basis_words, parent_order, schreier_rank,
-                 quotient_order):
+                 parent_quotient, parent_order, schreier_rank, quotient_order):
         self.rank = rank
         self.depth = depth
         self.prime = prime
         self.primes_prefix = primes_prefix
         self.parent_level = parent_level
         self.parent_quotient = parent_quotient
-        self.basis_words = basis_words
+        self._basis_words = None
         self.parent_order = parent_order
         self._schreier_rank = schreier_rank
         self._quotient_order = quotient_order
+
+    @property
+    def basis_words(self):
+        if self._basis_words is None and self.materialized:
+            quotient = self.parent_quotient
+            self._basis_words = tuple(
+                quotient.schreier_generator_word(label)
+                for label in quotient.schreier_generators()
+            )
+        return self._basis_words
 
     @property
     def schreier_rank(self):
@@ -142,6 +166,22 @@ class VerbalLevel:
                 f"= {_order_repr(self.parent_order)} exceeded the "
                 "materialization cap"
             )
+
+    def _first_unmaterialized(self):
+        """The lowest level of the chain up to this one without coset data."""
+        first = None
+        lvl = self
+        while not lvl.materialized:
+            first, lvl = lvl, lvl.parent_level
+        return first
+
+    def _add_crossings(self, w, start, counts):
+        """Walk w from ``start`` through F/gamma_{d-1}, adding its signed
+        non-tree crossings into ``counts``; returns the end coset."""
+        end, crossings = self.parent_quotient.edge_crossings(w, start)
+        for at, exp in crossings:
+            counts[at] = counts.get(at, 0) + exp
+        return end
 
     def _chain(self):
         levels = []
@@ -191,30 +231,46 @@ class VerbalLevel:
         return tuple(vectors)
 
     def member(self, w):
-        """Whether w lies in gamma_d (short-circuits on the first level)."""
-        u = w
-        for lvl in self._chain():
-            if any(lvl.component_vector(u)):
-                return False
-            if lvl.depth == self.depth:
-                return True
-        raise AssertionError("unreachable")
+        """Whether w lies in gamma_d.
+
+        One walk through the deepest materialized table F/gamma_{k-1},
+        k <= d: w lies in gamma_k iff the walk closes and every crossing
+        count vanishes mod q_k.  A word outside gamma_k is outside gamma_d;
+        a word inside it needs the next, unmaterialized, level, which raises.
+        """
+        first = self._first_unmaterialized()
+        deepest = self if first is None else first.parent_level
+        counts = {}
+        if deepest._add_crossings(w, 0, counts) != 0 or any(
+            c % deepest.prime for c in counts.values()
+        ):
+            return False
+        if first is not None:
+            first._require_materialized()
+        return True
 
     def order_mod(self, w):
-        """Order of the coset w*gamma_d in F/gamma_d, level by level.
+        """Order of the coset w*gamma_d in F/gamma_d.
 
-        Each level factor is elementary abelian of exponent q, so the order
-        gains a factor q exactly at the levels where the running power of w
-        has a nonzero component vector.
+        Walking w again and again through F/gamma_{d-1}, each walk starting
+        where the last one ended, closes after k passes, the order of w
+        modulo gamma_{d-1}.  Then w^k lies in gamma_{d-1}, whose factor
+        modulo gamma_d is elementary abelian of exponent q_d, so the order
+        is k*q_d when the crossings summed over the k passes are nonzero
+        mod q_d, and k otherwise.
         """
-        n = 1
-        u = w
-        for lvl in self._chain():
-            v = lvl.component_vector(u)
-            if any(v):
-                n *= lvl.prime
-                u = power(u, lvl.prime)
-        return n
+        first = self._first_unmaterialized()
+        if first is not None:
+            first._require_materialized()
+        counts = {}
+        k = 1
+        end = self._add_crossings(w, 0, counts)
+        while end != 0:
+            end = self._add_crossings(w, end, counts)
+            k += 1
+        if any(c % self.prime for c in counts.values()):
+            return k * self.prime
+        return k
 
 
 class LayeredCoset:
@@ -223,7 +279,7 @@ class LayeredCoset:
     Multiplication concatenates representatives; equality and hashing use
     the layered normal form, which is a complete coset invariant.  This is
     what lets :func:`largequot.quotients.build_quotient` enumerate F/gamma_d
-    without a multiplication table for the extension.
+    from serialized generator images, without the cover's tables.
     """
 
     __slots__ = ("level", "word", "nf")
@@ -272,7 +328,6 @@ def _iter_levels(primes, rank, coset_cap):
     """
     primes = _as_primeseq(primes)
     parent_quotient = build_quotient(rank, [ModVector(1, (0,))] * rank)
-    basis = tuple(Word.generator(rank, g) for g in range(1, rank + 1))
     parent_order = 1
     parent_level = None
     for d in range(1, len(primes) + 1):
@@ -287,8 +342,9 @@ def _iter_levels(primes, rank, coset_cap):
                     LayeredCoset(parent_level, Word.generator(rank, g))
                     for g in range(1, rank + 1)
                 ]
-                parent_quotient = build_quotient(
-                    rank,
+                parent_quotient = homology_cover(
+                    parent_level.parent_quotient,
+                    parent_level.prime,
                     images,
                     cap=coset_cap,
                     kind="verbal",
@@ -298,13 +354,8 @@ def _iter_levels(primes, rank, coset_cap):
                         "depth": parent_level.depth,
                     },
                 )
-                basis = tuple(
-                    parent_quotient.schreier_generator_word(lab)
-                    for lab in parent_quotient.schreier_generators()
-                )
             else:
                 parent_quotient = None
-                basis = None
         q = primes[d - 1]
         if parent_order is None:
             schreier_rank = None
@@ -322,7 +373,6 @@ def _iter_levels(primes, rank, coset_cap):
             primes_prefix=tuple(primes[i] for i in range(d)),
             parent_level=parent_level,
             parent_quotient=parent_quotient,
-            basis_words=basis,
             parent_order=parent_order,
             schreier_rank=schreier_rank,
             quotient_order=quotient_order,
@@ -391,18 +441,6 @@ def quotient_order_factors(primes, rank, depth):
     return factors
 
 
-def member(level, w):
-    return level.member(w)
-
-
-def normal_form(level, w):
-    return level.normal_form(w)
-
-
-def order_mod(level, w):
-    return level.order_mod(w)
-
-
 def levi_bound(words, primes, depth_cap=DEFAULT_DEPTH_CAP,
                coset_cap=DEFAULT_COSET_CAP):
     """Least D <= depth_cap with no word of S in gamma_D.
@@ -444,19 +482,8 @@ def _serialize_coset(coset):
     return str(coset.word)
 
 
-_LEVEL_CACHE = {}
-
-
-def _level_for(params):
-    key = (tuple(params["primes"]), params["rank"], params["depth"])
-    if key not in _LEVEL_CACHE:
-        levels = build_series(list(key[0]), key[1], key[2])
-        _LEVEL_CACHE[key] = levels[-1]
-    return _LEVEL_CACHE[key]
-
-
 def _deserialize_coset(params, payload):
-    level = _level_for(params)
+    level = build_series(params["primes"], params["rank"], params["depth"])[-1]
     return LayeredCoset(level, parse_word(payload, params["rank"]))
 
 

@@ -247,8 +247,9 @@ def parse_word(text, rank):
 def shortlex_words(rank, include_identity=False):
     """Yield reduced words in shortlex order over a1 < .. < ar < a1^-1 < ..
 
-    The alphabet order matches the BFS edge order used for coset enumeration,
-    so transversal words and this enumeration agree on "smaller".
+    This alphabet order is not the BFS edge order of coset enumeration
+    (a1, a1^-1, a2, a2^-1, ..), so two words of one length can compare
+    differently here and in a Schreier transversal.
     """
     alphabet = [(g, 1) for g in range(1, rank + 1)]
     alphabet += [(g, -1) for g in range(1, rank + 1)]

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import largequot
 from largequot.errors import CapExceeded
 from largequot.periodic import (
     ASSUMPTION_MARGIN,
@@ -142,6 +146,36 @@ def test_next_step_input_validation():
         next_step(deep, parse_word("b", 2))  # primes too short to scan on
     with pytest.raises(CapExceeded):
         next_step(state, parse_word("a", 2), depth_cap=0)
+
+
+ORDER_GROWTH_UNDER_O = """
+from largequot.periodic import ConstructionState, next_step
+from largequot.verbal import PrimeSeq, VerbalLevel
+from largequot.words import parse_word
+
+VerbalLevel.quotient_order = property(lambda self: 4)
+try:
+    next_step(ConstructionState(rank=2, pi=PrimeSeq([2, 3, 5, 7])),
+              parse_word("a", 2))
+except AssertionError as exc:
+    print("refused:", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_order_growth_is_checked_under_python_O():
+    # with every level order the same, strict growth fails; the check must
+    # not be an assert statement, which python -O strips
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(largequot.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", ORDER_GROWTH_UNDER_O],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert out.strip() == "refused: level orders must strictly grow along the series"
 
 
 def test_run_construction_validates_steps():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from sympy import Matrix
@@ -108,6 +109,19 @@ def test_bfs_numbering_is_deterministic():
     del a
 
 
+def _first_words_by_brute_force(q):
+    """For every coset, the first word reaching it in shortlex order over
+    a_1 < a_1^-1 < a_2 < a_2^-1 < .., the BFS edge order."""
+    alphabet = [(g, e) for g in range(1, q.rank + 1) for e in (1, -1)]
+    first = {0: ()}
+    layer = [()]
+    while len(first) < q.order:
+        layer = [w + (x,) for w in layer for x in alphabet]
+        for letters in layer:
+            first.setdefault(q.coset_of(Word(q.rank, letters)), letters)
+    return [first[i] for i in range(q.order)]
+
+
 def test_transversal_words_are_shortlex_minimal():
     q = mod_abelianization(2, 3)
     words = q.transversal()
@@ -117,6 +131,10 @@ def test_transversal_words_are_shortlex_minimal():
         assert len(t) <= max(len(w) for w in words)
     lengths = [len(w) for w in words]
     assert lengths == sorted(lengths)
+    for q in (q, mod_abelianization(3, 2), mod_abelianization(2, 4),
+              unit_image_quotient(2, 2, 3)):
+        assert [t.letters for t in q.transversal()] == \
+            _first_words_by_brute_force(q)
 
 
 def test_transversal_word_deeper_than_recursion_limit():
@@ -127,6 +145,19 @@ def test_transversal_word_deeper_than_recursion_limit():
     assert t.letters == ((1, 1),) * 2500
     assert q.coset_of(t) == 4999
     assert q.transversal_word(4998).letters == ((1, -1),) * 2499
+
+
+def test_transversal_word_memory_is_linear_in_depth():
+    q = mod_abelianization(1, 5000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        t = q.transversal_word(4999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(t) == 2500
+    assert peak < 2 * 10**6
 
 
 def test_coset_walk_and_kernel():
