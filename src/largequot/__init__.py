@@ -42,8 +42,6 @@ from .quotients import (
 from .series import (
     TruncSeries,
     embed,
-    series_inv,
-    series_mul,
     unit_image_quotient,
     unit_order,
 )
@@ -107,8 +105,6 @@ __all__ = [
     "reidemeister_schreier",
     "replay_matches",
     "run_construction",
-    "series_inv",
-    "series_mul",
     "shortlex_words",
     "smith_diagonal",
     "trace_to_jsonl",

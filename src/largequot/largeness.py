@@ -158,7 +158,8 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
         j = quotient.order
         jp = 0
         while j > 1:
-            assert j % p == 0, "unit image quotient must be a p-group"
+            if j % p:
+                raise AssertionError("unit image quotient must be a p-group")
             j //= p
             jp += 1
         exponents[p] = jp
@@ -301,13 +302,17 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
     gens = presentation.generator_count
     rels = len(relators)
     deficiency = gens - rels
-    assert gens == 1 + (rank - 1) * j
-    assert rels == sum(j // o for o in orders)
+    # explicit raises, not assert statements, which python -O strips
+    if gens != 1 + (rank - 1) * j:
+        raise AssertionError("generator count must be 1 + (r-1)j")
+    if rels != sum(j // o for o in orders):
+        raise AssertionError("relator count must be the sum of j / image order")
     # with every image order >= k+1 the relator count stays under kj/(k+1),
     # which for rank >= 2 pins the deficiency above j/(k+1)
-    assert rels * (k + 1) <= k * j
-    if rank >= 2:
-        assert (deficiency - 1) * (k + 1) >= j
+    if rels * (k + 1) > k * j:
+        raise AssertionError("relator count must stay at most kj/(k+1)")
+    if rank >= 2 and (deficiency - 1) * (k + 1) < j:
+        raise AssertionError("deficiency must be at least 1 + j/(k+1)")
     return {
         "schema": CERTIFICATE_SCHEMA,
         "target": {

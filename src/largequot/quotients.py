@@ -11,7 +11,10 @@ multiplication, ``inverse()``, equality and hashing; the kinds shipped here
 are residue vectors (:class:`ModVector`), truncated-series units
 (:class:`largequot.series.TruncSeries`) and layered verbal cosets
 (:class:`largequot.verbal.LayeredCoset`), each registered with a canonical
-serialization so quotients can travel inside certificate documents.
+serialization so quotients can travel inside certificate documents.  A kind
+may also register a packed action, which lets the BFS run on int keys with
+one step function per edge instead of multiplying elements; magnus units
+over a modulus do (see :mod:`largequot.series`).
 
 :func:`homology_cover` builds a quotient without concrete elements: the
 mod-q homology cover of another quotient's coset graph, whose vertices are
@@ -78,15 +81,30 @@ _KIND_OF_TYPE = {}
 
 @dataclass(frozen=True)
 class ElementKind:
+    """A registered element type and its canonical serialization.
+
+    ``packed_action``, when set, is called by :func:`build_quotient` as
+    ``packed_action(gen_images, inverses)`` and returns ``(identity, steps)``
+    or None.  ``identity`` is a hashable key standing for the identity and
+    ``steps`` holds one function per edge, in the order a_1, a_1^-1, a_2, ..,
+    mapping the key of x to the key of x * image(edge).  Keys must be equal
+    exactly when the elements they stand for are, so the BFS numbering does
+    not depend on the path taken.  None means the images are not ones the
+    action handles, and the BFS multiplies the elements themselves.
+    """
+
     name: str
     element_type: type
     serialize: callable
     deserialize: callable
     params_of: callable
+    packed_action: callable = None
 
 
-def register_element_kind(name, element_type, serialize, deserialize, params_of):
-    kind = ElementKind(name, element_type, serialize, deserialize, params_of)
+def register_element_kind(name, element_type, serialize, deserialize, params_of,
+                          packed_action=None):
+    kind = ElementKind(name, element_type, serialize, deserialize, params_of,
+                       packed_action)
     _KINDS[name] = kind
     _KIND_OF_TYPE[element_type] = kind
     return kind
@@ -113,8 +131,11 @@ register_element_kind(
 class FiniteQuotient:
     """A finite quotient F_r -> Q with its coset graph and Schreier tree.
 
-    Built through :func:`build_quotient`; the fields are read-only in
-    practice.  ``elements[i]`` is the concrete element with BFS index i,
+    Built through :func:`build_quotient` or :func:`homology_cover`; the
+    fields are read-only in practice.  ``elements[i]`` is the element with
+    BFS index i: the concrete element, or its packed int key where one
+    stands in for it (magnus units over a modulus, see
+    :mod:`largequot.series`, and the vertices of homology covers).
     ``mult[i][g-1]`` / ``inv_mult[i][g-1]`` are the indices of
     elements[i] * image(a_g^{+-1}), and ``tree_parent[i]`` is
     ``(parent_index, (g, exp))`` for the tree edge that discovered i.
@@ -179,12 +200,6 @@ class FiniteQuotient:
             n += 1
         return n
 
-    def cyclic_index(self, w):
-        """Index [F : <w> ker] = order / image_order(w)."""
-        o = self.image_order(w)
-        assert self.order % o == 0
-        return self.order // o
-
     # -- Schreier tree and transversal -----------------------------------
 
     def transversal_word(self, index):
@@ -204,9 +219,6 @@ class FiniteQuotient:
             letters.reverse()
             cache[index] = cache[c] * Word(self.rank, letters)
         return cache[index]
-
-    def transversal(self):
-        return [self.transversal_word(i) for i in range(self.order)]
 
     def schreier_generators(self):
         """Non-tree edges (coset, gen), sorted by coset index then generator."""
@@ -302,21 +314,31 @@ def build_quotient(rank, gen_images, cap=DEFAULT_ENUM_CAP, kind=None, params=Non
     """BFS closure of the generator images into a FiniteQuotient.
 
     ``gen_images`` must be r elements of one concrete group.  The element
-    protocol is duck-typed: ``*``, ``inverse()``, ``==`` and ``hash``.
+    protocol is duck-typed: ``*``, ``inverse()``, ``==`` and ``hash``.  When
+    the images' registered kind has a packed action that takes them, the BFS
+    runs over its keys instead, and ``elements`` holds those keys.
     Raises :class:`CapExceeded` when the closure passes ``cap`` elements.
     """
     gen_images = list(gen_images)
     if len(gen_images) != rank:
         raise ValueError(f"expected {rank} generator images, got {len(gen_images)}")
-    if kind is None and params is None and gen_images:
-        registered = _KIND_OF_TYPE.get(type(gen_images[0]))
-        if registered is not None:
-            kind = registered.name
-            params = registered.params_of(gen_images[0])
-    inverses = [img.inverse() for img in gen_images]
-    identity = gen_images[0] * inverses[0] if gen_images else None
-    if identity is None:
+    if not gen_images:
         raise ValueError("rank must be at least 1")
+    registered = _KIND_OF_TYPE.get(type(gen_images[0]))
+    if kind is None and params is None and registered is not None:
+        kind = registered.name
+        params = registered.params_of(gen_images[0])
+    inverses = [img.inverse() for img in gen_images]
+    packed = None
+    if registered is not None and registered.packed_action is not None:
+        packed = registered.packed_action(gen_images, inverses)
+    if packed is not None:
+        identity, steps = packed
+    else:
+        identity = gen_images[0] * inverses[0]
+        steps = [(lambda x, img=img: x * img)
+                 for pair in zip(gen_images, inverses) for img in pair]
+    edges = [(g, exp) for g in range(1, rank + 1) for exp in (1, -1)]
     elements = [identity]
     index = {identity: 0}
     mult = []
@@ -325,23 +347,20 @@ def build_quotient(rank, gen_images, cap=DEFAULT_ENUM_CAP, kind=None, params=Non
     head = 0
     while head < len(elements):
         x = elements[head]
-        row = []
-        inv_row = []
-        for g in range(rank):
-            for exp, img, target_row in ((1, gen_images[g], row),
-                                         (-1, inverses[g], inv_row)):
-                y = x * img
-                at = index.get(y)
-                if at is None:
-                    at = len(elements)
-                    if at >= cap:
-                        raise CapExceeded("quotient enumeration", at + 1, cap)
-                    elements.append(y)
-                    index[y] = at
-                    tree_parent.append((head, (g + 1, exp)))
-                target_row.append(at)
-        mult.append(row)
-        inv_mult.append(inv_row)
+        targets = []
+        for edge, step in zip(edges, steps):
+            y = step(x)
+            at = index.get(y)
+            if at is None:
+                at = len(elements)
+                if at >= cap:
+                    raise CapExceeded("quotient enumeration", at + 1, cap)
+                elements.append(y)
+                index[y] = at
+                tree_parent.append((head, edge))
+            targets.append(at)
+        mult.append(targets[0::2])
+        inv_mult.append(targets[1::2])
         head += 1
     return FiniteQuotient(
         rank, gen_images, elements, index, mult, inv_mult, tree_parent,
@@ -474,13 +493,13 @@ class SubgroupPresentation:
     """Presentation of N/<<relators>>^N on the Schreier generators of N.
 
     ``relators`` are words of rank ``generator_count`` over the Schreier
-    generators, in the order of ``generator_labels``.  ``generator_words``
-    are the same generators written in the ambient free group.
+    generators, in the order of ``generator_labels``; the generator of a
+    label, written in the ambient free group, is
+    ``source_quotient.schreier_generator_word(label)``.
     """
 
     generator_count: int
     generator_labels: tuple
-    generator_words: tuple
     relators: tuple
     source_quotient: FiniteQuotient = field(repr=False, default=None)
     source_relators: tuple = ()
@@ -517,11 +536,9 @@ def reidemeister_schreier(quotient, relators):
             raise ValueError(f"relator {w} is not in the kernel")
         out = [(at + 1, exp) for at, exp in crossings]
         rewritten.append(Word(len(labels) or 1, out) if labels else Word(1, ()))
-    gen_words = tuple(quotient.schreier_generator_word(lab) for lab in labels)
     return SubgroupPresentation(
         generator_count=len(labels),
         generator_labels=tuple(labels),
-        generator_words=gen_words,
         relators=tuple(rewritten),
         source_quotient=quotient,
         source_relators=tuple(relators),

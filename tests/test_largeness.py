@@ -217,3 +217,27 @@ def test_witness_survives_serialization():
     again = FiniteQuotient.from_spec(quotient.serialize())
     assert again.order == 25
     assert again.image_order(a) == 5
+
+
+P_GROUP_UNDER_O = """
+from largequot import largeness
+from largequot.quotients import mod_abelianization
+from largequot.words import parse_word
+
+# an order-3 quotient posing as the unit image mod 2
+largeness._unit_quotient = (
+    lambda p, rank, l, cap, term_cap: mod_abelianization(rank, 3))
+try:
+    largeness.lemma_fi_bound([parse_word("a", 1)], 1)
+except AssertionError as exc:
+    print("refused:", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_p_group_order_is_checked_under_python_O(run_under_O):
+    # the bound reads j(p) off the unit image order, which must be a power
+    # of p; the check must survive python -O
+    out = run_under_O(P_GROUP_UNDER_O)
+    assert out.strip() == "refused: unit image quotient must be a p-group"

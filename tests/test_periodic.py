@@ -1,11 +1,7 @@
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-import largequot
 from largequot.errors import CapExceeded
 from largequot.periodic import (
     ASSUMPTION_MARGIN,
@@ -164,17 +160,10 @@ else:
 """
 
 
-def test_order_growth_is_checked_under_python_O():
+def test_order_growth_is_checked_under_python_O(run_under_O):
     # with every level order the same, strict growth fails; the check must
     # not be an assert statement, which python -O strips
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(largequot.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", ORDER_GROWTH_UNDER_O],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    ).stdout
+    out = run_under_O(ORDER_GROWTH_UNDER_O)
     assert out.strip() == "refused: level orders must strictly grow along the series"
 
 
