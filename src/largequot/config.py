@@ -1,4 +1,4 @@
-"""Runtime configuration: caps, seed, output plumbing.
+"""Runtime configuration: caps and seed, all integers.
 
 Settings come from (later wins): built-in defaults, a key=value config file
 named by the ``LARGEQUOT_CONFIG`` environment variable or ``--config``, and
@@ -13,15 +13,6 @@ from dataclasses import dataclass, fields
 
 ENV_CONFIG_PATH = "LARGEQUOT_CONFIG"
 
-_INT_FIELDS = {
-    "enumeration_cap",
-    "term_cap",
-    "coset_cap",
-    "depth_cap",
-    "truncation_cap",
-    "seed",
-    "verbosity",
-}
 _CAP_FIELDS = {
     "enumeration_cap",
     "term_cap",
@@ -39,8 +30,6 @@ class Config:
     depth_cap: int = 16
     truncation_cap: int = 64
     seed: int = 0
-    verbosity: int = 0
-    output: str | None = None
 
     def __post_init__(self):
         for name in _CAP_FIELDS:
@@ -81,15 +70,12 @@ def parse_config_text(text, source="<config>"):
             raise ValueError(f"{source}:{lineno}: expected key=value, got {raw!r}")
         if key not in _FIELD_NAMES:
             raise ValueError(f"{source}:{lineno}: unknown setting {key!r}")
-        if key in _INT_FIELDS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"{source}:{lineno}: {key} needs an integer, got {value!r}"
-                ) from None
-        else:
-            values[key] = value
+        try:
+            values[key] = int(value)
+        except ValueError:
+            raise ValueError(
+                f"{source}:{lineno}: {key} needs an integer, got {value!r}"
+            ) from None
     return values
 
 

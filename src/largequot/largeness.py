@@ -1,13 +1,16 @@
 """Largeness certificates for power quotients F / <<g_1^q, .., g_k^q>>.
 
 The pipeline: pick a finite quotient F -> F/N in which no g_i^s dies for
-s <= k but every g_i^q does; convert each normal closure <<g_i^q>> over F
-into a closure over N via conjugate sets; rewrite the conjugates onto the
-Schreier generators of N.  The resulting presentation of N/<<..>> has
-1 + (r-1)j generators and sum_i j/order(g_i) relators, and whenever every
+s <= k but every g_i^q does.  Over N, the normal closure of g_i^q is the
+closure of one conjugate per coset of <g_i>N, so N/<<..>> has a
+presentation with 1 + (r-1)j generators and sum_i j/order(g_i) relators.
+Both counts are read off the coset graph of the witness: the generators
+are its non-tree edges, the relators its cosets of <g_i>N.  Whenever every
 image order exceeds k the relator count stays below j while the generator
 count grows linearly in j, so the deficiency criterion (n generators and at
-most n-2 relators) certifies largeness.
+most n-2 relators) certifies largeness.  The presentation itself (conjugate
+sets and Reidemeister-Schreier rewriting in :mod:`largequot.quotients`) is
+never built here; it stays library API and the tests' oracle.
 
 The avoiding quotients come from the truncated series units: any word with a
 nonzero integer coefficient below the truncation keeps it mod p for p past
@@ -23,12 +26,7 @@ from __future__ import annotations
 import sympy
 
 from .errors import BelowBoundError, CapExceeded
-from .quotients import (
-    DEFAULT_ENUM_CAP,
-    FiniteQuotient,
-    lemma0_conjugates,
-    reidemeister_schreier,
-)
+from .quotients import DEFAULT_ENUM_CAP, FiniteQuotient, coset_representatives
 from .series import DEFAULT_TERM_CAP, embed, unit_image_quotient
 from .words import Word, parse_word
 
@@ -127,7 +125,8 @@ def _unit_quotient(p, rank, l, cap, term_cap):
     hit = _UNIT_QUOTIENT_MEMO.get(key)
     if hit is not None:
         if hit.order > cap:
-            raise CapExceeded("quotient enumeration", hit.order, cap)
+            # the text a fresh BFS gives, whatever ran before
+            raise CapExceeded("quotient enumeration", cap + 1, cap)
         return hit
     q = unit_image_quotient(p, rank, l, cap=cap, term_cap=term_cap)
     _UNIT_QUOTIENT_MEMO[key] = q
@@ -294,13 +293,9 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
         if q % o:
             raise ValueError(f"{w}^{q} is not in the witness kernel")
     j = witness.order
-    relators = []
-    for w in words:
-        _, z = lemma0_conjugates(witness, w, q)
-        relators.extend(z)
-    presentation = reidemeister_schreier(witness, relators)
-    gens = presentation.generator_count
-    rels = len(relators)
+    # one generator per non-tree edge, one relator per coset of <g_i>N
+    gens = len(witness.schreier_generators())
+    rels = sum(len(coset_representatives(witness, w)) for w in words)
     deficiency = gens - rels
     # explicit raises, not assert statements, which python -O strips
     if gens != 1 + (rank - 1) * j:
@@ -336,15 +331,28 @@ def verify_certificate(doc, enum_cap=DEFAULT_ENUM_CAP):
     """Recompute a certificate's counts and verdict from its witness.
 
     Works from the serialized document alone: rebuilds the quotient,
-    re-derives the conjugate counts from the coset graph (not from the
-    recorded numbers) and compares bit-exactly.  Returns a report dict with
-    ``ok``, the recomputed counts and the list of mismatching fields.
+    re-derives the generator and relator counts from its coset graph (not
+    from the recorded numbers) and compares bit-exactly.  Returns a report
+    dict with ``ok``, the recomputed counts, the list of mismatching fields
+    and the list of problems; a wrong schema, an exponent that is not an
+    integer >= 1 or a ``counts`` that is not an object is a problem.
     """
     problems = []
     target = doc["target"]
+    if doc.get("schema") != CERTIFICATE_SCHEMA:
+        problems.append(
+            f"schema is {doc.get('schema')!r}, expected {CERTIFICATE_SCHEMA!r}"
+        )
     rank = target["rank"]
     words = [parse_word(text, rank) for text in target["base_words"]]
     q = target["exponent"]
+    q_ok = type(q) is int and q >= 1
+    if not q_ok:
+        problems.append(f"exponent must be an integer >= 1, got {q!r}")
+    recorded = doc.get("counts")
+    if not isinstance(recorded, dict):
+        problems.append(f"counts must be an object, got {recorded!r}")
+        recorded = {}
     k = len(words)
     quotient = FiniteQuotient.from_spec(doc["witness"], cap=enum_cap)
     j = quotient.order
@@ -356,10 +364,12 @@ def verify_certificate(doc, enum_cap=DEFAULT_ENUM_CAP):
             problems.append(
                 f"image order of {w} is {o}, not above the word count {k}"
             )
+        if not q_ok:
+            continue
         if q % o:
             problems.append(f"{w}^{q} is not in the witness kernel")
-        t_words, _ = lemma0_conjugates(quotient, w, q) if q % o == 0 else ([], [])
-        rels += len(t_words)
+        else:
+            rels += len(coset_representatives(quotient, w))
     computed = {
         "j": j,
         "gens": gens,
@@ -367,16 +377,14 @@ def verify_certificate(doc, enum_cap=DEFAULT_ENUM_CAP):
         "deficiency": gens - rels,
     }
     verdict = bp_certify(gens, rels)
-    mismatches = [
-        key for key in computed if computed[key] != doc["counts"].get(key)
-    ]
+    mismatches = [key for key in computed if computed[key] != recorded.get(key)]
     if verdict != doc.get("verdict"):
         mismatches.append("verdict")
     ok = not mismatches and not problems
     return {
         "ok": ok,
         "computed": {**computed, "verdict": verdict},
-        "recorded": {**doc.get("counts", {}), "verdict": doc.get("verdict")},
+        "recorded": {**recorded, "verdict": doc.get("verdict")},
         "mismatches": mismatches,
         "problems": problems,
     }

@@ -87,17 +87,7 @@ def format_order(n):
     """
     if n < 1:
         raise ValueError(f"orders are positive, got {n}")
-    if n == 1:
-        factored = "1"
-    else:
-        parts = []
-        for p, e in sorted(sympy.factorint(n).items()):
-            parts.append(f"{p}^{e}" if e > 1 else str(p))
-        factored = " * ".join(parts)
-    doc = {"factored": factored}
-    if n < 2**64:
-        doc["decimal"] = n
-    return doc
+    return format_factors(sympy.factorint(n))
 
 
 def format_factors(factors):

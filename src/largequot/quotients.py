@@ -21,10 +21,12 @@ mod-q homology cover of another quotient's coset graph, whose vertices are
 pairs (coset, edge-crossing chain mod q).  It numbers its vertices exactly
 as :func:`build_quotient` would number the group they form.
 
-On top of the coset graph this module implements the two presentation-level
-tools the largeness pipeline needs: conjugate sets that convert a normal
-closure over F into a normal closure over a finite-index subgroup, and
-Reidemeister-Schreier rewriting onto the Schreier generators.
+On top of the coset graph this module counts the cosets of <g>N that the
+largeness certificates need (:func:`coset_representatives`), and keeps the
+two presentation-level tools those counts stand for, as library API and
+test oracle: conjugate sets that convert a normal closure over F into a
+normal closure over a finite-index subgroup, and Reidemeister-Schreier
+rewriting onto the Schreier generators.
 """
 
 from __future__ import annotations
@@ -446,25 +448,15 @@ def mod_abelianization(rank, modulus, cap=DEFAULT_ENUM_CAP):
 # -- conjugate sets (normal closure over F as closure over the kernel) -------
 
 
-def lemma0_conjugates(quotient, base, q):
-    """Coset representatives T of <base>*ker and the conjugate set Z.
+def coset_representatives(quotient, base):
+    """BFS indices of the least element of each right coset <base>N x.
 
-    For g = base with g^q in the kernel N, the normal closure of g^q over
-    the whole free group equals the normal closure over N of
-    Z = { t^-1 g^q t : t in T }, where T is a right-coset transversal of
-    <g>N in F.  T is read off the Schreier transversal in BFS order, so the
-    representatives are shortlex-minimal and the output is deterministic.
-    Returns ``(T, Z)`` as lists of words.
+    N is the kernel, so there are [F:N] / order(base) such cosets; the
+    indices come out increasing.  Only the coset graph is walked: no power
+    of ``base`` and no conjugate is built.
     """
-    quotient._check_word(base)
-    order = quotient.image_order(base)
-    if q % order:
-        raise ValueError(
-            f"base^{q} is not in the kernel (image order {order} does not divide {q})"
-        )
-    base_image_index = quotient.coset_of(base)
     subgroup = [0]
-    c = base_image_index
+    c = quotient.coset_of(base)
     while c != 0:
         subgroup.append(c)
         c = quotient._walk(c, base.letters)
@@ -479,7 +471,27 @@ def lemma0_conjugates(quotient, base, q):
         letters = quotient.transversal_word(idx).letters
         for c in subgroup:
             seen[quotient._walk(c, letters)] = True
-    t_words = [quotient.transversal_word(i) for i in reps]
+    return reps
+
+
+def lemma0_conjugates(quotient, base, q):
+    """Coset representatives T of <base>*ker and the conjugate set Z.
+
+    For g = base with g^q in the kernel N, the normal closure of g^q over
+    the whole free group equals the normal closure over N of
+    Z = { t^-1 g^q t : t in T }, where T is a right-coset transversal of
+    <g>N in F.  T is read off the Schreier transversal at the indices of
+    :func:`coset_representatives`, so the representatives are
+    shortlex-minimal and the output is deterministic.  Returns ``(T, Z)``
+    as lists of words.
+    """
+    order = quotient.image_order(base)
+    if q % order:
+        raise ValueError(
+            f"base^{q} is not in the kernel (image order {order} does not divide {q})"
+        )
+    t_words = [quotient.transversal_word(i)
+               for i in coset_representatives(quotient, base)]
     gq = base ** q
     z_words = [gq.conjugate(t) for t in t_words]
     return t_words, z_words
@@ -502,7 +514,6 @@ class SubgroupPresentation:
     generator_labels: tuple
     relators: tuple
     source_quotient: FiniteQuotient = field(repr=False, default=None)
-    source_relators: tuple = ()
 
     @property
     def relator_count(self):
@@ -541,7 +552,6 @@ def reidemeister_schreier(quotient, relators):
         generator_labels=tuple(labels),
         relators=tuple(rewritten),
         source_quotient=quotient,
-        source_relators=tuple(relators),
     )
 
 

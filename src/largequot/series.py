@@ -217,7 +217,7 @@ class TruncSeries:
         """Inverse of a series with constant term 1 (truncated Neumann sum)."""
         if self.constant_term != 1:
             raise ValueError(
-                f"series_inv requires constant term 1, got {self.constant_term}"
+                f"series inverse requires constant term 1, got {self.constant_term}"
             )
         u = self - TruncSeries.one(self.rank, self.degree_bound, self.modulus)
         result = TruncSeries.one(self.rank, self.degree_bound, self.modulus)

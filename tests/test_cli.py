@@ -71,6 +71,46 @@ def test_verify_roundtrip_and_tamper(capsys, tmp_path):
     assert doc["mismatches"] == ["rels"]
 
 
+def _verify_probe(capsys, tmp_path, field, value):
+    cert_path = tmp_path / "cert.json"
+    code, _ = run(
+        capsys, ["certify-large", "-g", "a,b", "-q", "4", "-o", str(cert_path)]
+    )
+    assert code == 0
+    cert = json.loads(cert_path.read_text())
+    if field == "exponent":
+        cert["target"]["exponent"] = value
+    else:
+        cert[field] = value
+    cert_path.write_text(json.dumps(cert))
+    code, doc = run_doc(capsys, ["verify", str(cert_path)])
+    assert code == 2
+    assert doc["ok"] is False
+    return doc["problems"]
+
+
+def test_verify_rejects_a_foreign_schema(capsys, tmp_path):
+    problems = _verify_probe(capsys, tmp_path, "schema", "bogus/9")
+    assert problems == [
+        "schema is 'bogus/9', expected 'largeness-certificate/1'"
+    ]
+
+
+def test_verify_rejects_exponent_zero(capsys, tmp_path):
+    problems = _verify_probe(capsys, tmp_path, "exponent", 0)
+    assert problems == ["exponent must be an integer >= 1, got 0"]
+
+
+def test_verify_rejects_a_negative_exponent(capsys, tmp_path):
+    problems = _verify_probe(capsys, tmp_path, "exponent", -4)
+    assert problems == ["exponent must be an integer >= 1, got -4"]
+
+
+def test_verify_reports_null_counts(capsys, tmp_path):
+    problems = _verify_probe(capsys, tmp_path, "counts", None)
+    assert problems == ["counts must be an object, got None"]
+
+
 def test_verify_unreadable_and_malformed(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(SystemExit) as err:
@@ -225,6 +265,16 @@ def test_config_env_var(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert doc["config"]["caps"]["depth"] == 1
     assert "error" in doc
+
+
+def test_config_file_rejects_removed_settings(capsys, tmp_path):
+    for line in ("verbosity = 1\n", "output = out.json\n"):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(line)
+        with pytest.raises(SystemExit) as err:
+            main(["magnus", "-w", "a", "-l", "2", "--config", str(cfg)])
+        assert err.value.code == 1
+        assert "unknown setting" in capsys.readouterr().err
 
 
 def test_seed_is_recorded(capsys):

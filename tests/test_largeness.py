@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+from largequot import largeness, quotients
 from largequot.errors import BelowBoundError, CapExceeded
 from largequot.largeness import (
     VERDICT_LARGE,
@@ -13,7 +16,7 @@ from largequot.largeness import (
     verify_certificate,
 )
 from largequot.quotients import FiniteQuotient, mod_abelianization
-from largequot.series import unit_image_quotient
+from largequot.series import DEFAULT_TERM_CAP, unit_image_quotient
 from largequot.words import Word, parse_word
 
 
@@ -209,6 +212,64 @@ def test_verify_certificate_roundtrip_and_tamper():
     report3 = verify_certificate(tampered3)
     assert not report3["ok"]
     assert "verdict" in report3["mismatches"]
+
+
+def _digest(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the sorted-key JSON of each certificate and its verify report,
+# frozen from the pipeline that still built and rewrote the conjugates
+NO_BUILD_CASES = [
+    ("a", 4, None,
+     "4b474266821f17f60b05dfc0cecd1c7af1916bcd96ce3fb135c45bf6189c45ee",
+     "1c7d445b29de5b0446030a1747e1b7891d7c12e1c9f6a55691e7b843a1ad4f61"),
+    ("a,b", 4, None,
+     "7c3eea315fa02dd0b103da69b4370b31c07041319c3cbdb57648485821c769dc",
+     "8db48d29d4b374488bf3f45eba730eb29101192a6a30c1d2fffc768a3671c1bc"),
+    ("a,b", 8, (2, 2, 5),
+     "c9e01e9353391b32ba9ff39ec112280e194923b42ddebc279ca08afb39e657b9",
+     "2f0f15cca53bba58803c15102c2567881494b40a20df5026b8383d1c3d1be1fc"),
+    ("ab,aBAb", 8, (2, 2, 5),
+     "2d1bc79d3ed7940f1e8ffa404e15e6309b8f8c831dacb9f8f4689a9d8bbbd7da",
+     "fbd790dba0f2fa9337aba3ec9de92ce07f8385aecbe046c0de7bd7bb9d66c1d4"),
+]
+
+
+@pytest.mark.parametrize("texts,q,unit,cert_digest,report_digest",
+                         NO_BUILD_CASES,
+                         ids=[f"{c[0]}^{c[1]}" for c in NO_BUILD_CASES])
+def test_certify_and_verify_build_no_conjugates_or_rewrites(
+        monkeypatch, texts, q, unit, cert_digest, report_digest):
+    base = [parse_word(t, 2) for t in texts.split(",")]
+    # the witness search builds powers g^s, so it runs before the patches
+    if unit is None:
+        searched = certify_power_quotient(base, q)["witness"]
+        witness = FiniteQuotient.from_spec(searched)
+    else:
+        witness = unit_image_quotient(*unit)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify and verify must only count")
+
+    monkeypatch.setattr(quotients, "lemma0_conjugates", refuse)
+    monkeypatch.setattr(quotients, "reidemeister_schreier", refuse)
+    monkeypatch.setattr(Word, "__pow__", refuse)
+    cert = certify_power_quotient(base, q, witness=witness)
+    report = verify_certificate(cert)
+    assert report["ok"]
+    assert _digest(cert) == cert_digest
+    assert _digest(report) == report_digest
+
+
+def test_memo_hit_over_the_cap_gives_the_fresh_error(monkeypatch):
+    monkeypatch.setattr(largeness, "_UNIT_QUOTIENT_MEMO", {})
+    largeness._unit_quotient(2, 2, 5, 10**4, DEFAULT_TERM_CAP)
+    with pytest.raises(CapExceeded) as memo:
+        largeness._unit_quotient(2, 2, 5, 100, DEFAULT_TERM_CAP)
+    with pytest.raises(CapExceeded) as fresh:
+        unit_image_quotient(2, 2, 5, cap=100)
+    assert str(memo.value) == str(fresh.value)
 
 
 def test_witness_survives_serialization():

@@ -201,6 +201,7 @@ def test_from_spec_non_unit_image_raises_the_series_error():
     with pytest.raises(ValueError) as generic:
         generic_quotient(images, doc["params"])
     assert str(packed.value) == str(generic.value)
+    assert str(packed.value) == "series inverse requires constant term 1, got 2"
 
 
 def test_hand_built_magnus_quotient_takes_the_packed_action(series_products):

@@ -1,6 +1,8 @@
 import json
+import random
 
 import pytest
+import sympy
 
 from largequot.errors import CapExceeded
 from largequot.periodic import (
@@ -30,6 +32,30 @@ def test_format_order_shapes():
     assert "decimal" in format_order(2**64 - 1)
     with pytest.raises(ValueError):
         format_order(0)
+
+
+def _format_order_reference(n):
+    # format_order's former body, which factored and formatted on its own
+    if n == 1:
+        factored = "1"
+    else:
+        parts = []
+        for p, e in sorted(sympy.factorint(n).items()):
+            parts.append(f"{p}^{e}" if e > 1 else str(p))
+        factored = " * ".join(parts)
+    doc = {"factored": factored}
+    if n < 2**64:
+        doc["decimal"] = n
+    return doc
+
+
+def test_format_order_matches_its_reference():
+    rng = random.Random(64)
+    values = list(range(1, 20001))
+    values += [2**64 - 1, 2**64, 2**64 + 1, sympy.prevprime(2**64)]
+    values += [rng.randrange(2**60, 2**68) for _ in range(40)]
+    for n in values:
+        assert format_order(n) == _format_order_reference(n), n
 
 
 def test_parse_order_inverts_format():

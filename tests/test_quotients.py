@@ -12,6 +12,7 @@ from largequot.quotients import (
     SubgroupPresentation,
     abelian_invariants,
     build_quotient,
+    coset_representatives,
     element_kind,
     lemma0_conjugates,
     mod_abelianization,
@@ -268,6 +269,30 @@ def test_lemma0_transversal_covers_group():
         assert covered == set(range(q.order))
         for z in z_words:
             assert q.kernel_contains(z)
+
+
+def test_coset_count_and_schreier_rank_match_the_rewriting():
+    # the counts a certificate reads off the coset graph, against the
+    # conjugate set and the rewritten presentation they stand for
+    rng = random.Random(2029)
+    quotients = [mod_abelianization(2, m) for m in (2, 3, 4)] + [
+        unit_image_quotient(p, 2, l)
+        for p, l in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4),
+                     (5, 2), (5, 3), (7, 2)]
+    ]
+    for q in quotients:
+        assert q.order <= 2**13
+        for _ in range(3):
+            w = random_reduced_word(rng, 2, rng.randint(1, 6))
+            if w.is_identity:
+                continue
+            o = q.image_order(w)
+            reps = coset_representatives(q, w)
+            t_words, z_words = lemma0_conjugates(q, w, o * rng.randint(1, 2))
+            assert len(reps) == len(t_words) == q.order // o
+            assert [q.coset_of(t) for t in t_words] == reps
+            pres = reidemeister_schreier(q, z_words)
+            assert len(q.schreier_generators()) == pres.generator_count
 
 
 def test_lemma0_rejects_exponent_outside_kernel():
