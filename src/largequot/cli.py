@@ -192,7 +192,8 @@ def _cmd_verify(args, cfg):
         raise ValueError(f"certificate is not valid JSON: {exc}") from exc
     try:
         report = verify_certificate(certificate, enum_cap=cfg.enumeration_cap)
-    except (KeyError, TypeError, CapExceeded) as exc:
+    except (KeyError, TypeError, ValueError, CapExceeded) as exc:
+        # a witness that cannot be rebuilt; target-side faults are problems
         doc = {
             "command": "verify",
             "config": cfg.to_doc(),

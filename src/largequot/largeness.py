@@ -334,8 +334,12 @@ def verify_certificate(doc, enum_cap=DEFAULT_ENUM_CAP):
     re-derives the generator and relator counts from its coset graph (not
     from the recorded numbers) and compares bit-exactly.  Returns a report
     dict with ``ok``, the recomputed counts, the list of mismatching fields
-    and the list of problems; a wrong schema, an exponent that is not an
-    integer >= 1 or a ``counts`` that is not an object is a problem.
+    and the list of problems.  A problem is a wrong schema, ``base_words``
+    that is not a list of strings, a base word that does not parse, a
+    target rank other than the witness's, an exponent that is not an
+    integer >= 1 or a ``counts`` that is not an object; no image order is
+    taken for base words that have a problem.  A witness that cannot be
+    rebuilt raises.
     """
     problems = []
     target = doc["target"]
@@ -344,7 +348,16 @@ def verify_certificate(doc, enum_cap=DEFAULT_ENUM_CAP):
             f"schema is {doc.get('schema')!r}, expected {CERTIFICATE_SCHEMA!r}"
         )
     rank = target["rank"]
-    words = [parse_word(text, rank) for text in target["base_words"]]
+    texts = target["base_words"]
+    words = []
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        problems.append(f"base_words must be a list of strings, got {texts!r}")
+    else:
+        for text in texts:
+            try:
+                words.append(parse_word(text, rank))
+            except ValueError as exc:
+                problems.append(f"base word {text!r} does not parse: {exc}")
     q = target["exponent"]
     q_ok = type(q) is int and q >= 1
     if not q_ok:
@@ -355,6 +368,11 @@ def verify_certificate(doc, enum_cap=DEFAULT_ENUM_CAP):
         recorded = {}
     k = len(words)
     quotient = FiniteQuotient.from_spec(doc["witness"], cap=enum_cap)
+    if rank != quotient.rank:
+        problems.append(
+            f"rank mismatch: target has rank {rank!r}, witness has {quotient.rank}"
+        )
+        words = []
     j = quotient.order
     gens = len(quotient.schreier_generators())
     rels = 0

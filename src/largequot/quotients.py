@@ -16,6 +16,13 @@ may also register a packed action, which lets the BFS run on int keys with
 one step function per edge instead of multiplying elements; magnus units
 over a modulus do (see :mod:`largequot.series`).
 
+Words are walked through the coset graph by :meth:`FiniteQuotient.walk`.
+A power t * u^n * t^-1 built by :func:`largequot.words.power` is walked by
+the period of u: walking a word permutes the cosets, so passes of u return
+to the coset where they started after at most the order of u's image, and
+only n mod that period further passes are needed.  The result is the coset
+the letter-by-letter walk reaches, without stepping n * |u| letters.
+
 :func:`homology_cover` builds a quotient without concrete elements: the
 mod-q homology cover of another quotient's coset graph, whose vertices are
 pairs (coset, edge-crossing chain mod q).  It numbers its vertices exactly
@@ -181,10 +188,34 @@ class FiniteQuotient:
             c = mult[c][gen - 1] if exp == 1 else inv_mult[c][gen - 1]
         return c
 
+    def walk(self, c, w):
+        """The coset reached by walking the word w from coset c.
+
+        A power t * u^n * t^-1 built by :func:`largequot.words.power` is
+        walked by the period of its core u: walk t, then passes of u until
+        the walk is back where the first pass started (after at most the
+        order of u's image, since walking a word permutes the cosets), then
+        n mod that period further passes, then t^-1.  This lands where the
+        letter-by-letter walk does, in time bounded by the quotient and not
+        by n.  Any other word is walked letter by letter.
+        """
+        record = w.power_record
+        if record is None:
+            return self._walk(c, w.letters)
+        t, core, n = record
+        start = c = self._walk(c, t)
+        for passes in range(1, n + 1):
+            c = self._walk(c, core)
+            if c == start:
+                for _ in range(n % passes):
+                    c = self._walk(c, core)
+                break
+        return self._walk(c, [(g, -e) for g, e in reversed(t)])
+
     def coset_of(self, w):
         """BFS index of the image of w (the coset of the kernel containing w)."""
         self._check_word(w)
-        return self._walk(0, w.letters)
+        return self.walk(0, w)
 
     def kernel_contains(self, w):
         return self.coset_of(w) == 0
@@ -198,7 +229,7 @@ class FiniteQuotient:
         c = start
         n = 1
         while c != 0:
-            c = self._walk(c, w.letters)
+            c = self.walk(c, w)
             n += 1
         return n
 
@@ -459,7 +490,7 @@ def coset_representatives(quotient, base):
     c = quotient.coset_of(base)
     while c != 0:
         subgroup.append(c)
-        c = quotient._walk(c, base.letters)
+        c = quotient.walk(c, base)
     # the coset <g>N * x is marked by walking x's transversal word from each
     # vertex h of <g>N: the walk ends at h * x, with no group products
     reps = []
@@ -468,9 +499,9 @@ def coset_representatives(quotient, base):
         if seen[idx]:
             continue
         reps.append(idx)
-        letters = quotient.transversal_word(idx).letters
+        x = quotient.transversal_word(idx)
         for c in subgroup:
-            seen[quotient._walk(c, letters)] = True
+            seen[quotient.walk(c, x)] = True
     return reps
 
 

@@ -259,6 +259,8 @@ class TruncSeries:
     @classmethod
     def parse(cls, text, rank, degree_bound, modulus=None):
         """Parse the printed form back into a series (round-trip exact)."""
+        if not isinstance(text, str):
+            raise ValueError(f"a series is given as a string, got {text!r}")
         cleaned = text.strip()
         if cleaned == "0":
             return cls.zero(rank, degree_bound, modulus)

@@ -16,6 +16,14 @@ reduced operands, an inverse of a reduced word is reduced, and
 build their result through ``Word._reduced``, which neither checks nor
 reduces, so each word is built once in time linear in its length.
 
+A word built by :func:`power` also remembers how it was built:
+``power_record`` is ``(t, c, n)``, the letters of t and of c and the count
+n >= 1 with the word equal to t * c^n * t^-1.  Walks through a finite
+coset graph use it to step c^n by the period of c's image instead of
+letter by letter (see :meth:`largequot.quotients.FiniteQuotient.walk`).
+Every other word has ``power_record = None``; equality and hashing read
+only the letters.
+
 Two textual forms are supported:
 
 * letter form, for rank <= 26: generators 1..26 print as ``a``..``z`` and
@@ -46,7 +54,7 @@ def _reduce_letters(letters):
 class Word:
     """A freely reduced word in the free group of the given rank."""
 
-    __slots__ = ("rank", "letters")
+    __slots__ = ("rank", "letters", "power_record")
 
     def __init__(self, rank, letters=()):
         if not isinstance(rank, int) or rank < 1:
@@ -62,6 +70,7 @@ class Word:
                 raise ValueError(f"letter exponent must be +1 or -1, got {exp!r}")
         self.rank = rank
         self.letters = _reduce_letters(letters)
+        self.power_record = None
 
     @classmethod
     def _reduced(cls, rank, letters):
@@ -73,6 +82,7 @@ class Word:
         word = object.__new__(cls)
         word.rank = rank
         word.letters = letters
+        word.power_record = None
         return word
 
     @classmethod
@@ -187,6 +197,9 @@ def power(g, n):
 
     With base = t * c * t^-1 and c cyclically reduced, t * c^|n| * t^-1 is
     freely reduced as written, so the letters are assembled in one pass.
+    base is g for n > 0 and g^-1 for n < 0.  The result keeps
+    ``(t.letters, c.letters, |n|)`` as its ``power_record``, so a coset walk
+    can take c^|n| by the period of c instead of letter by letter.
     """
     if not isinstance(n, int):
         raise ValueError(f"exponent must be an integer, got {n!r}")
@@ -195,7 +208,9 @@ def power(g, n):
     base = g if n > 0 else g.inverse()
     t, core = base.cyclic_decomposition()
     letters = t.letters + core.letters * abs(n) + t.inverse().letters
-    return Word._reduced(g.rank, letters)
+    word = Word._reduced(g.rank, letters)
+    word.power_record = (t.letters, core.letters, abs(n))
+    return word
 
 
 _INDEXED_TOKEN = re.compile(r"g(\d+)(?:\^(-?\d+))?")

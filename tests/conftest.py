@@ -9,16 +9,28 @@ import pytest
 import largequot
 
 
-def _run_under_O(code):
-    """Run ``code`` in a fresh ``python -O`` on this package; return stdout."""
+def _package_env():
+    """The environment with this package's source tree on PYTHONPATH."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(largequot.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _run_under_O(code):
+    """Run ``code`` in a fresh ``python -O`` on this package; return stdout."""
     return subprocess.run(
         [sys.executable, "-O", "-c", code],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=_package_env(), capture_output=True, text=True, timeout=120,
+        check=True,
     ).stdout
+
+
+@pytest.fixture
+def package_env():
+    """Environment for a subprocess that imports this package."""
+    return _package_env()
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -71,22 +73,30 @@ def test_verify_roundtrip_and_tamper(capsys, tmp_path):
     assert doc["mismatches"] == ["rels"]
 
 
-def _verify_probe(capsys, tmp_path, field, value):
+def _verify_mutated(capsys, tmp_path, mutate):
+    """Verify a fresh ``-g a,b -q 4`` certificate after ``mutate(cert)``;
+    it must fail as a JSON report with exit 2."""
     cert_path = tmp_path / "cert.json"
     code, _ = run(
         capsys, ["certify-large", "-g", "a,b", "-q", "4", "-o", str(cert_path)]
     )
     assert code == 0
     cert = json.loads(cert_path.read_text())
-    if field == "exponent":
-        cert["target"]["exponent"] = value
-    else:
-        cert[field] = value
+    mutate(cert)
     cert_path.write_text(json.dumps(cert))
     code, doc = run_doc(capsys, ["verify", str(cert_path)])
     assert code == 2
     assert doc["ok"] is False
-    return doc["problems"]
+    return doc
+
+
+def _verify_probe(capsys, tmp_path, field, value):
+    def mutate(cert):
+        if field == "exponent":
+            cert["target"]["exponent"] = value
+        else:
+            cert[field] = value
+    return _verify_mutated(capsys, tmp_path, mutate)["problems"]
 
 
 def test_verify_rejects_a_foreign_schema(capsys, tmp_path):
@@ -109,6 +119,75 @@ def test_verify_rejects_a_negative_exponent(capsys, tmp_path):
 def test_verify_reports_null_counts(capsys, tmp_path):
     problems = _verify_probe(capsys, tmp_path, "counts", None)
     assert problems == ["counts must be an object, got None"]
+
+
+def _target_problems(capsys, tmp_path, field, value):
+    return _verify_mutated(
+        capsys, tmp_path, lambda cert: cert["target"].__setitem__(field, value)
+    )["problems"]
+
+
+def test_verify_reports_a_rank_mismatch(capsys, tmp_path):
+    problems = _target_problems(capsys, tmp_path, "rank", 3)
+    assert problems == ["rank mismatch: target has rank 3, witness has 2"]
+
+
+def test_verify_reports_an_unparsable_base_word(capsys, tmp_path):
+    problems = _target_problems(capsys, tmp_path, "base_words", ["a%", "b"])
+    assert problems == [
+        "base word 'a%' does not parse: cannot parse word at '%'"
+    ]
+
+
+def test_verify_reports_base_words_that_are_not_a_list(capsys, tmp_path):
+    # a string would otherwise be read one character, one word, at a time
+    problems = _target_problems(capsys, tmp_path, "base_words", "ab")
+    assert problems == ["base_words must be a list of strings, got 'ab'"]
+
+
+def _malformed_witness(capsys, tmp_path, mutate):
+    doc = _verify_mutated(capsys, tmp_path, lambda cert: mutate(cert["witness"]))
+    assert doc["error"].startswith("malformed certificate: ")
+    return doc["error"]
+
+
+def test_verify_reports_an_unknown_witness_kind(capsys, tmp_path):
+    error = _malformed_witness(
+        capsys, tmp_path, lambda w: w.__setitem__("kind", "nope"))
+    assert "unregistered element kind 'nope'" in error
+
+
+def test_verify_reports_a_non_integer_modulus(capsys, tmp_path):
+    error = _malformed_witness(
+        capsys, tmp_path, lambda w: w["params"].__setitem__("modulus", "x"))
+    assert "modulus must be None or an integer >= 2, got 'x'" in error
+
+
+def test_verify_reports_a_non_unit_image(capsys, tmp_path):
+    error = _malformed_witness(
+        capsys, tmp_path, lambda w: w["gen_images"].__setitem__(0, "0"))
+    assert "series inverse requires constant term 1" in error
+
+
+def test_verify_reports_integer_images(capsys, tmp_path):
+    error = _malformed_witness(
+        capsys, tmp_path, lambda w: w.__setitem__("gen_images", [1, 2]))
+    assert "a series is given as a string, got 1" in error
+
+
+def test_python_m_largequot_verifies_a_fresh_certificate(
+        capsys, tmp_path, package_env):
+    cert_path = tmp_path / "cert.json"
+    code, _ = run(capsys, ["certify-large", "-g", "a", "-q", "4", "-o", str(cert_path)])
+    assert code == 0
+    result = subprocess.run(
+        [sys.executable, "-m", "largequot", "verify", str(cert_path)],
+        env=package_env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert doc["command"] == "verify"
+    assert doc["ok"] is True
 
 
 def test_verify_unreadable_and_malformed(capsys, tmp_path):
