@@ -192,7 +192,8 @@ def _cmd_verify(args, cfg):
         raise ValueError(f"certificate is not valid JSON: {exc}") from exc
     try:
         report = verify_certificate(certificate, enum_cap=cfg.enumeration_cap)
-    except (KeyError, TypeError, ValueError, CapExceeded) as exc:
+    except (KeyError, TypeError, ValueError, CapExceeded,
+            NotMaterializedError) as exc:
         # a witness that cannot be rebuilt; target-side faults are problems
         doc = {
             "command": "verify",
@@ -213,10 +214,6 @@ def _add_common(subparser):
     subparser.add_argument(
         "--output", "-o", metavar="PATH", default=None,
         help="write the JSON document here instead of stdout",
-    )
-    subparser.add_argument(
-        "--seed", type=int, default=None,
-        help="seed recorded in the document (for replayable sampling)",
     )
 
 
@@ -325,7 +322,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, overrides={"seed": args.seed})
+        cfg = load_config(args.config)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     try:

@@ -1,9 +1,9 @@
-"""Runtime configuration: caps and seed, all integers.
+"""Runtime configuration: caps, all positive integers.
 
 Settings come from (later wins): built-in defaults, a key=value config file
 named by the ``LARGEQUOT_CONFIG`` environment variable or ``--config``, and
-explicit overrides.  The seed is recorded in every emitted document so runs
-can be replayed byte for byte.
+explicit overrides.  Every emitted document records them, with a fixed
+``seed`` of 0: no command samples, so the document format keeps the key.
 """
 
 from __future__ import annotations
@@ -13,15 +13,6 @@ from dataclasses import dataclass, fields
 
 ENV_CONFIG_PATH = "LARGEQUOT_CONFIG"
 
-_CAP_FIELDS = {
-    "enumeration_cap",
-    "term_cap",
-    "coset_cap",
-    "depth_cap",
-    "truncation_cap",
-}
-
-
 @dataclass(frozen=True)
 class Config:
     enumeration_cap: int = 10**6
@@ -29,20 +20,17 @@ class Config:
     coset_cap: int = 10**4
     depth_cap: int = 16
     truncation_cap: int = 64
-    seed: int = 0
 
     def __post_init__(self):
-        for name in _CAP_FIELDS:
-            value = getattr(self, name)
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     def to_doc(self):
         """The slice of the configuration every output document records."""
         return {
-            "seed": self.seed,
+            "seed": 0,
             "caps": {
                 "enumeration": self.enumeration_cap,
                 "term": self.term_cap,

@@ -13,8 +13,10 @@ are residue vectors (:class:`ModVector`), truncated-series units
 (:class:`largequot.verbal.LayeredCoset`), each registered with a canonical
 serialization so quotients can travel inside certificate documents.  A kind
 may also register a packed action, which lets the BFS run on int keys with
-one step function per edge instead of multiplying elements; magnus units
-over a modulus do (see :mod:`largequot.series`).
+one expansion per vertex instead of multiplying elements: magnus units over
+a modulus (see :mod:`largequot.series`) and verbal cosets, whose keys are
+the vertices of a mod-q homology cover (see :mod:`largequot.verbal`).
+:func:`build_quotient` holds the one BFS loop every quotient goes through.
 
 Words are walked through the coset graph by :meth:`FiniteQuotient.walk`.
 A power t * u^n * t^-1 built by :func:`largequot.words.power` is walked by
@@ -22,11 +24,6 @@ the period of u: walking a word permutes the cosets, so passes of u return
 to the coset where they started after at most the order of u's image, and
 only n mod that period further passes are needed.  The result is the coset
 the letter-by-letter walk reaches, without stepping n * |u| letters.
-
-:func:`homology_cover` builds a quotient without concrete elements: the
-mod-q homology cover of another quotient's coset graph, whose vertices are
-pairs (coset, edge-crossing chain mod q).  It numbers its vertices exactly
-as :func:`build_quotient` would number the group they form.
 
 On top of the coset graph this module counts the cosets of <g>N that the
 largeness certificates need (:func:`coset_representatives`), and keeps the
@@ -93,12 +90,12 @@ class ElementKind:
     """A registered element type and its canonical serialization.
 
     ``packed_action``, when set, is called by :func:`build_quotient` as
-    ``packed_action(gen_images, inverses)`` and returns ``(identity, steps)``
+    ``packed_action(gen_images, inverses)`` and returns ``(identity, expand)``
     or None.  ``identity`` is a hashable key standing for the identity and
-    ``steps`` holds one function per edge, in the order a_1, a_1^-1, a_2, ..,
-    mapping the key of x to the key of x * image(edge).  Keys must be equal
-    exactly when the elements they stand for are, so the BFS numbering does
-    not depend on the path taken.  None means the images are not ones the
+    ``expand`` maps the key of x to the list of the 2r keys of
+    x * image(edge), in the edge order a_1, a_1^-1, a_2, ...  Keys must be
+    equal exactly when the elements they stand for are, so the BFS
+    numbering does not depend on the path taken.  None means the images are not ones the
     action handles, and the BFS multiplies the elements themselves.
     """
 
@@ -140,11 +137,11 @@ register_element_kind(
 class FiniteQuotient:
     """A finite quotient F_r -> Q with its coset graph and Schreier tree.
 
-    Built through :func:`build_quotient` or :func:`homology_cover`; the
-    fields are read-only in practice.  ``elements[i]`` is the element with
-    BFS index i: the concrete element, or its packed int key where one
-    stands in for it (magnus units over a modulus, see
-    :mod:`largequot.series`, and the vertices of homology covers).
+    Built through :func:`build_quotient`; the fields are read-only in
+    practice.  ``elements[i]`` is the element with BFS index i: the
+    concrete element, or its packed int key where one stands in for it
+    (magnus units over a modulus, see :mod:`largequot.series`, and verbal
+    cosets, see :mod:`largequot.verbal`).
     ``mult[i][g-1]`` / ``inv_mult[i][g-1]`` are the indices of
     elements[i] * image(a_g^{+-1}), and ``tree_parent[i]`` is
     ``(parent_index, (g, exp))`` for the tree edge that discovered i.
@@ -176,10 +173,6 @@ class FiniteQuotient:
             raise ValueError(f"expected a Word, got {w!r}")
         if w.rank != self.rank:
             raise ValueError(f"rank mismatch: word has {w.rank}, quotient has {self.rank}")
-
-    def step(self, index, gen, exp):
-        table = self.mult if exp == 1 else self.inv_mult
-        return table[index][gen - 1]
 
     def _walk(self, c, letters):
         """The coset reached by walking the letters from coset c."""
@@ -366,11 +359,13 @@ def build_quotient(rank, gen_images, cap=DEFAULT_ENUM_CAP, kind=None, params=Non
     if registered is not None and registered.packed_action is not None:
         packed = registered.packed_action(gen_images, inverses)
     if packed is not None:
-        identity, steps = packed
+        identity, expand = packed
     else:
         identity = gen_images[0] * inverses[0]
-        steps = [(lambda x, img=img: x * img)
-                 for pair in zip(gen_images, inverses) for img in pair]
+        images = [img for pair in zip(gen_images, inverses) for img in pair]
+
+        def expand(x):
+            return [x * img for img in images]
     edges = [(g, exp) for g in range(1, rank + 1) for exp in (1, -1)]
     elements = [identity]
     index = {identity: 0}
@@ -379,10 +374,8 @@ def build_quotient(rank, gen_images, cap=DEFAULT_ENUM_CAP, kind=None, params=Non
     tree_parent = [None]
     head = 0
     while head < len(elements):
-        x = elements[head]
         targets = []
-        for edge, step in zip(edges, steps):
-            y = step(x)
+        for edge, y in zip(edges, expand(elements[head])):
             at = index.get(y)
             if at is None:
                 at = len(elements)
@@ -398,72 +391,6 @@ def build_quotient(rank, gen_images, cap=DEFAULT_ENUM_CAP, kind=None, params=Non
     return FiniteQuotient(
         rank, gen_images, elements, index, mult, inv_mult, tree_parent,
         kind=kind, params=params,
-    )
-
-
-def homology_cover(base, q, gen_images=(), cap=DEFAULT_ENUM_CAP, kind=None,
-                   params=None):
-    """The mod-q homology cover of the coset graph of ``base``.
-
-    With N the kernel of ``base``, this is the quotient F/[N,N]N^q: a vertex
-    is a pair (v, x) of a coset v of N and a chain x in (Z/q)^m, one entry
-    per non-tree edge, m = 1 + (r-1)|base|.  The letter a_g^{+-1} moves v
-    along ``base.mult`` / ``base.inv_mult`` and adds +-1 to the entry of the
-    edge it crosses when that edge is off the Schreier tree.  The walk of a
-    word w from (0, 0) ends at (coset of w, crossing counts of w mod q), and
-    two words end at the same vertex iff they agree modulo [N,N]N^q.
-
-    Vertices are numbered by BFS in the edge order of :func:`build_quotient`,
-    so ``mult``, ``inv_mult`` and ``tree_parent`` equal those that
-    :func:`build_quotient` gives for any generator images of that group.
-    ``elements`` holds the vertices packed as ints, x * |base| + v with x
-    read in base q.  ``gen_images``, ``kind`` and ``params`` are carried
-    for :meth:`FiniteQuotient.serialize` only.  Raises :class:`CapExceeded`
-    when the cover passes ``cap`` vertices.
-    """
-    rank, n = base.rank, base.order
-    mult, inv_mult = base.mult, base.inv_mult
-    crossing = base.crossing_table()
-    # unit[pos]: the packed vertex of the chain e_pos at coset 0
-    unit = [n * q**pos for pos in range(len(base.schreier_generators()))]
-    elements = [0]
-    index = {0: 0}
-    cover_mult = []
-    cover_inv_mult = []
-    tree_parent = [None]
-    head = 0
-    while head < len(elements):
-        key = elements[head]
-        v = key % n
-        row = []
-        inv_row = []
-        for g in range(rank):
-            for exp, target_row in ((1, row), (-1, inv_row)):
-                if exp == 1:
-                    w = mult[v][g]
-                    at = crossing[v * rank + g]
-                else:
-                    w = inv_mult[v][g]
-                    at = crossing[w * rank + g]
-                y = key - v + w
-                if at is not None:
-                    digit = key // unit[at] % q
-                    y += ((digit + exp) % q - digit) * unit[at]
-                target = index.get(y)
-                if target is None:
-                    target = len(elements)
-                    if target >= cap:
-                        raise CapExceeded("quotient enumeration", target + 1, cap)
-                    elements.append(y)
-                    index[y] = target
-                    tree_parent.append((head, (g + 1, exp)))
-                target_row.append(target)
-        cover_mult.append(row)
-        cover_inv_mult.append(inv_row)
-        head += 1
-    return FiniteQuotient(
-        rank, gen_images, elements, index, cover_mult, cover_inv_mult,
-        tree_parent, kind=kind, params=params,
     )
 
 

@@ -388,8 +388,9 @@ def _packed_unit_action(images, inverses):
 
     The ``packed_action`` of the ``magnus_unit`` kind (see
     :class:`largequot.quotients.ElementKind`).  Returns the packed identity
-    and one step per edge, a_1, a_1^-1, a_2, .., or None when the images
-    are over Z or are not units of one shape.
+    and the expansion of a key into its successors along the edges a_1,
+    a_1^-1, a_2, .., or None when the images are over Z or are not units
+    of one shape.
     """
     first = images[0]
     rank, bound, modulus = first.rank, first.degree_bound, first.modulus
@@ -418,7 +419,7 @@ def _packed_unit_action(images, inverses):
         # x_{i1}..x_{id} sits at the degree-then-lex slot of x_{id}..x_{i1}
         return offsets[len(mono)] + sum((v - 1) * rank**k for k, v in enumerate(mono))
 
-    def make_step(g):
+    def blocks_of(g):
         # x * u moves the whole degree-d block of x by one shift, so the
         # block times G_d = sum_u g_u 2^(shift of block d under u) is what
         # that block adds to x * (g - 1), in one product
@@ -434,17 +435,21 @@ def _packed_unit_action(images, inverses):
                 blocks.append(
                     (width * offsets[d], (1 << (width * rank**d)) - 1, factor)
                 )
+        return blocks
 
-        def step(x):
+    edges = [blocks_of(g) for pair in zip(images, inverses) for g in pair]
+
+    def expand(x):
+        out = []
+        for blocks in edges:
             y = x
             for at, mask, factor in blocks:
                 y += ((x >> at) & mask) * factor
-            return y - (((y * mu) >> s) & low) * modulus
-
-        return step
+            out.append(y - (((y * mu) >> s) & low) * modulus)
+        return out
 
     # the identity is the constant 1, in field 0
-    return 1, [make_step(g) for pair in zip(images, inverses) for g in pair]
+    return 1, expand
 
 
 def _register():

@@ -8,8 +8,11 @@ coset graph of F/gamma_{d-1}, which closes up, crosses every non-tree edge a
 net multiple of q_d times; no rewriting or free reduction is needed.
 
 The same picture builds the groups: F/gamma_d is the mod-q_d homology cover
-of the coset graph of F/gamma_{d-1} (:func:`largequot.quotients.homology_cover`),
-whose vertices are pairs (coset of gamma_{d-1}, crossing counts mod q_d).
+of the coset graph of F/gamma_{d-1} (the voltage-graph picture of
+Gross-Tucker), whose vertices are pairs (coset of gamma_{d-1}, crossing
+counts mod q_d).  That cover is the packed action of the ``verbal`` element
+kind, so :func:`largequot.quotients.build_quotient` enumerates it on int
+keys, whether the images come from the series or from a document.
 Each level keeps the coset table of F/gamma_{d-1}; ``member`` and
 ``order_mod`` walk the word through the deepest such table and sum its
 crossings mod the prime.  F/gamma_d is only materialized while its order
@@ -24,9 +27,9 @@ The layered normal form of a coset w*gamma_d is one vector per level,
 computed by repeatedly subtracting the canonical representative (the product
 of Schreier basis words raised to the vector's entries).  It is a complete
 coset invariant, which :class:`LayeredCoset` uses to give the groups
-concrete elements: they are the serialized generator images of F/gamma_d,
-and :func:`largequot.quotients.build_quotient` over them rebuilds the group
-from a document independently of the cover.
+concrete elements.  They carry the serialized generator images of F/gamma_d,
+and multiplied as they are, without the packed action, they are the test
+oracle of the cover.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .errors import CapExceeded, NotMaterializedError
 from .quotients import (
     ModVector,
     build_quotient,
-    homology_cover,
     register_element_kind,
 )
 from .words import Word, parse_word, power
@@ -277,17 +279,23 @@ class LayeredCoset:
     """A coset of gamma_d carried by a representative word.
 
     Multiplication concatenates representatives; equality and hashing use
-    the layered normal form, which is a complete coset invariant.  This is
-    what lets :func:`largequot.quotients.build_quotient` enumerate F/gamma_d
-    from serialized generator images, without the cover's tables.
+    the layered normal form ``nf``, a complete coset invariant computed on
+    first use.  The ``verbal`` kind's packed action reads only the words,
+    so a quotient built from these images never computes it.
     """
 
-    __slots__ = ("level", "word", "nf")
+    __slots__ = ("level", "word", "_nf")
 
-    def __init__(self, level, word, nf=None):
+    def __init__(self, level, word):
         self.level = level
         self.word = word
-        self.nf = nf if nf is not None else level.normal_form(word)
+        self._nf = None
+
+    @property
+    def nf(self):
+        if self._nf is None:
+            self._nf = self.level.normal_form(self.word)
+        return self._nf
 
     def _same_series(self, other):
         return (
@@ -342,18 +350,7 @@ def _iter_levels(primes, rank, coset_cap):
                     LayeredCoset(parent_level, Word.generator(rank, g))
                     for g in range(1, rank + 1)
                 ]
-                parent_quotient = homology_cover(
-                    parent_level.parent_quotient,
-                    parent_level.prime,
-                    images,
-                    cap=coset_cap,
-                    kind="verbal",
-                    params={
-                        "primes": list(parent_level.primes_prefix),
-                        "rank": rank,
-                        "depth": parent_level.depth,
-                    },
-                )
+                parent_quotient = build_quotient(rank, images, cap=coset_cap)
             else:
                 parent_quotient = None
         q = primes[d - 1]
@@ -483,7 +480,10 @@ def _serialize_coset(coset):
 
 
 def _deserialize_coset(params, payload):
-    level = build_series(params["primes"], params["rank"], params["depth"])[-1]
+    depth = params["depth"]
+    if not isinstance(depth, int) or depth < 1:
+        raise ValueError(f"verbal depth must be a positive integer, got {depth!r}")
+    level = build_series(params["primes"], params["rank"], depth)[-1]
     return LayeredCoset(level, parse_word(payload, params["rank"]))
 
 
@@ -495,10 +495,63 @@ def _coset_params(coset):
     }
 
 
+def _packed_cover_action(images, inverses):
+    """Right multiplication by the images on the vertices of the cover.
+
+    The ``packed_action`` of the ``verbal`` kind (see
+    :class:`largequot.quotients.ElementKind`).  For images in F/gamma_d,
+    a key is x * |F/gamma_{d-1}| + v: a coset v of gamma_{d-1} and a chain
+    x over the non-tree edges of its coset graph, read in base q_d.  An
+    image word u acts on (v, x) by walking from v: the walk's end replaces
+    v and its crossings, summed mod q_d, add into the digits of x.  Both
+    are tabulated once per base coset and image, so any image words work,
+    not only the generators.  Returns None unless every image is a
+    :class:`LayeredCoset` of one series, and raises the
+    :class:`NotMaterializedError` of :meth:`VerbalLevel.normal_form` when
+    the series has no table for F/gamma_{d-1}.
+    """
+    first = images[0]
+    if any(type(u) is not LayeredCoset or not first._same_series(u)
+           for u in images + inverses):
+        return None
+    level = first.level
+    missing = level._first_unmaterialized()
+    if missing is not None:
+        missing._require_materialized()
+    base, q = level.parent_quotient, level.prime
+    n = base.order
+    unit = [n * q**pos for pos in range(len(base.schreier_generators()))]
+    words = [u.word for pair in zip(images, inverses) for u in pair]
+    # moves[v]: per image, the coset shift and the (digit unit, count) adds
+    moves = []
+    for v in range(n):
+        row = []
+        for w in words:
+            counts = {}
+            end = level._add_crossings(w, v, counts)
+            row.append((end - v, [(unit[at], c % q)
+                                  for at, c in counts.items() if c % q]))
+        moves.append(row)
+
+    def expand(key):
+        row = moves[key % n]
+        out = []
+        for shift, adds in row:
+            y = key + shift
+            for u, c in adds:
+                y += c * u if key // u % q + c < q else (c - q) * u
+            out.append(y)
+        return out
+
+    # the identity is coset 0 with the zero chain
+    return 0, expand
+
+
 register_element_kind(
     "verbal",
     LayeredCoset,
     serialize=_serialize_coset,
     deserialize=_deserialize_coset,
     params_of=_coset_params,
+    packed_action=_packed_cover_action,
 )

@@ -6,6 +6,7 @@ import pytest
 
 from largequot.cli import main
 from largequot.series import unit_image_quotient
+from largequot.verbal import build_series
 
 
 def run(capsys, argv):
@@ -51,6 +52,66 @@ def test_certify_large_with_witness_file(capsys, tmp_path):
     )
     assert code == 0
     assert doc["counts"]["j"] == 9
+
+
+@pytest.fixture
+def verbal_certificate(capsys, tmp_path):
+    """A certificate over the verbal witness F/gamma_2 over (2,3,5)."""
+    level = build_series((2, 3, 5), 2, 3)[2]
+    spec = tmp_path / "witness.json"
+    spec.write_text(json.dumps(level.parent_quotient.serialize()))
+    cert = tmp_path / "cert.json"
+    code, _ = run(capsys, ["certify-large", "-g", "a", "-q", "6",
+                           "--witness", str(spec), "-o", str(cert)])
+    assert code == 0
+    return spec, cert
+
+
+def test_verbal_witness_round_trip(capsys, verbal_certificate):
+    _, cert = verbal_certificate
+    doc = json.loads(cert.read_text())
+    assert doc["verdict"] == "certified-large"
+    assert (doc["counts"]["j"], doc["counts"]["gens"], doc["counts"]["rels"]) == (
+        972, 973, 162)
+    code, report = run_doc(capsys, ["verify", str(cert)])
+    assert code == 0
+    assert report["ok"] is True
+
+
+def _set_witness_params(path, **params):
+    doc = json.loads(path.read_text())
+    witness = doc.get("witness", doc)
+    witness["params"].update(params)
+    path.write_text(json.dumps(doc))
+
+
+def test_verify_reports_a_verbal_witness_of_depth_zero(capsys, verbal_certificate):
+    _, cert = verbal_certificate
+    _set_witness_params(cert, depth=0)
+    code, doc = run_doc(capsys, ["verify", str(cert)])
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"].startswith("malformed certificate: ValueError(")
+
+
+def test_certify_large_rejects_a_verbal_witness_of_depth_zero(
+        capsys, verbal_certificate):
+    spec, _ = verbal_certificate
+    _set_witness_params(spec, depth=0)
+    with pytest.raises(SystemExit) as err:
+        main(["certify-large", "-g", "a", "-q", "6", "--witness", str(spec)])
+    assert err.value.code == 1
+    assert "verbal depth must be a positive integer" in capsys.readouterr().err
+
+
+def test_verify_reports_a_verbal_witness_without_tables(capsys, verbal_certificate):
+    _, cert = verbal_certificate
+    _set_witness_params(cert, primes=[2, 3, 5, 7], depth=4)
+    code, doc = run_doc(capsys, ["verify", str(cert)])
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"].startswith(
+        "malformed certificate: NotMaterializedError('level 4 has no coset data")
 
 
 def test_verify_roundtrip_and_tamper(capsys, tmp_path):
@@ -356,10 +417,23 @@ def test_config_file_rejects_removed_settings(capsys, tmp_path):
         assert "unknown setting" in capsys.readouterr().err
 
 
-def test_seed_is_recorded(capsys):
-    code, doc = run_doc(capsys, ["magnus", "-w", "a", "-l", "2", "--seed", "7"])
+def test_documents_record_seed_zero(capsys):
+    code, doc = run_doc(capsys, ["magnus", "-w", "a", "-l", "2"])
     assert code == 0
-    assert doc["config"]["seed"] == 7
+    assert doc["config"]["seed"] == 0
+    assert list(doc["config"]) == ["caps", "seed"]
+
+
+def test_seed_is_no_setting(capsys, tmp_path):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 7\n")
+    with pytest.raises(SystemExit) as err:
+        main(["magnus", "-w", "a", "-l", "2", "--config", str(cfg)])
+    assert err.value.code == 1
+    assert "unknown setting 'seed'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["magnus", "-w", "a", "-l", "2", "--seed", "7"])
+    assert err.value.code == 1
 
 
 def test_usage_errors_exit_one():

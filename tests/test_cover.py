@@ -1,15 +1,17 @@
-"""The homology-cover build of F/gamma_d and the single-table verbal queries,
-checked against the layered-coset enumeration and a level-by-level oracle."""
+"""The cover build of F/gamma_d, the verbal kind's packed action, and the
+single-table verbal queries, checked against the layered-coset enumeration
+and a level-by-level oracle."""
 
 import functools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from largequot.errors import NotMaterializedError
-from largequot.quotients import build_quotient, homology_cover, mod_abelianization
+from largequot.errors import CapExceeded, NotMaterializedError
+from largequot.quotients import FiniteQuotient, build_quotient, mod_abelianization
 from largequot.verbal import LayeredCoset, build_series
-from largequot.words import Word, power
+from largequot.words import Word, parse_word, power
 
 SERIES = [
     ((2, 3, 5), 2),
@@ -27,40 +29,133 @@ def _levels(primes, rank, cap):
     return build_series(primes, rank, len(primes), coset_cap=cap)
 
 
-def _layered_enumeration(level, rank):
-    """F/gamma_d enumerated over layered cosets of the level below it."""
-    images = [LayeredCoset(level, Word.generator(rank, g))
-              for g in range(1, rank + 1)]
-    return build_quotient(rank, images)
+class Opaque:
+    """A layered coset the registry does not know: the BFS multiplies it
+    and hashes its normal form, without the packed action."""
+
+    __slots__ = ("coset", "word")
+
+    def __init__(self, coset):
+        self.coset = coset
+        self.word = coset.word
+
+    def __mul__(self, other):
+        return Opaque(self.coset * other.coset)
+
+    def inverse(self):
+        return Opaque(self.coset.inverse())
+
+    def __eq__(self, other):
+        return isinstance(other, Opaque) and self.coset == other.coset
+
+    def __hash__(self):
+        return hash(self.coset)
+
+
+def _images(level, texts):
+    return [LayeredCoset(level, parse_word(t, level.rank)) for t in texts]
+
+
+def _generators(level):
+    return [chr(ord("a") + g) for g in range(level.rank)]
+
+
+def _outcomes(level, texts, cap):
+    """The packed build and the multiply-and-hash build of one image set,
+    each as the quotient or the text of the CapExceeded it raised."""
+    def build(images, **kwargs):
+        try:
+            return build_quotient(level.rank, images, cap=cap, **kwargs)
+        except CapExceeded as exc:
+            return str(exc)
+    images = _images(level, texts)
+    ref = build([Opaque(img) for img in images], kind="verbal",
+                params={"primes": list(level.primes_prefix),
+                        "rank": level.rank, "depth": level.depth})
+    return build(images), ref
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(primes, rank, depth):
+    level = _levels(primes, rank, 10**4)[depth - 1]
+    return _outcomes(level, _generators(level), 10**6)[1]
+
+
+def _assert_same_quotient(packed, ref):
+    assert packed.order == ref.order
+    assert packed.mult == ref.mult
+    assert packed.inv_mult == ref.inv_mult
+    assert packed.tree_parent == ref.tree_parent
+    assert packed.schreier_generators() == ref.schreier_generators()
+    assert [packed.schreier_generator_word(lab)
+            for lab in packed.schreier_generators()] == [
+        ref.schreier_generator_word(lab) for lab in ref.schreier_generators()]
+    assert packed.serialize() == ref.serialize()
 
 
 def test_cover_equals_layered_coset_enumeration():
+    covers = 0
     for primes, rank in SERIES:
-        levels = _levels(primes, rank, 10**4)
-        covers = 0
-        for below, level in zip(levels, levels[1:]):
-            cover = level.parent_quotient
-            if cover is None:
-                break
-            ref = _layered_enumeration(below, rank)
-            assert cover.order == ref.order == level.parent_order
-            assert cover.mult == ref.mult
-            assert cover.inv_mult == ref.inv_mult
-            assert cover.tree_parent == ref.tree_parent
-            assert cover.schreier_generators() == ref.schreier_generators()
-            assert [cover.schreier_generator_word(lab)
-                    for lab in cover.schreier_generators()] == [
-                ref.schreier_generator_word(lab)
-                for lab in ref.schreier_generators()]
-            assert cover.serialize() == ref.serialize()
-            covers += 1
-        assert covers >= 1, (primes, rank)
+        for cap in CAPS:
+            levels = _levels(primes, rank, cap)
+            for below, level in zip(levels, levels[1:]):
+                cover = level.parent_quotient
+                if cover is None:
+                    break
+                assert cover.order == level.parent_order
+                _assert_same_quotient(cover, _oracle(primes, rank, below.depth))
+                covers += 1
+    assert covers >= 2 * len(SERIES)
+
+
+@pytest.mark.parametrize("texts, order", [(("ab", "b"), 972),
+                                          (("aba", "bbb"), 18)])
+def test_packed_action_takes_any_image_words(texts, order):
+    level = _levels((2, 3), 2, 10**4)[1]
+    packed, ref = _outcomes(level, texts, 10**6)
+    assert packed.order == order
+    _assert_same_quotient(packed, ref)
+    for cap in (100, order - 1):
+        packed, ref = _outcomes(level, texts, cap)
+        if isinstance(ref, str):
+            assert packed == ref
+        else:
+            _assert_same_quotient(packed, ref)
+    assert packed == f"quotient enumeration: reached {order} with cap {order - 1}"
+
+
+def test_from_spec_rebuilds_the_cover_without_multiplying(monkeypatch):
+    level = build_series((2, 3, 5), 2, 3)[2]
+    doc = level.parent_quotient.serialize()
+
+    def refuse(self, other):
+        raise AssertionError("layered cosets multiplied")
+
+    monkeypatch.setattr(LayeredCoset, "__mul__", refuse)
+    again = FiniteQuotient.from_spec(doc)
+    assert (again.elements, again.mult, again.inv_mult, again.tree_parent) == (
+        level.parent_quotient.elements, level.parent_quotient.mult,
+        level.parent_quotient.inv_mult, level.parent_quotient.tree_parent)
+
+
+def test_from_spec_of_a_level_without_tables_raises_as_normal_form():
+    doc = {"kind": "verbal", "params": {"primes": [2, 3, 5, 7], "rank": 2,
+                                        "depth": 4}, "gen_images": ["a", "b"]}
+    level = build_series((2, 3, 5, 7), 2, 4)[3]
+    with pytest.raises(NotMaterializedError) as expected:
+        level.normal_form(Word.generator(2, 1))
+    with pytest.raises(NotMaterializedError) as got:
+        FiniteQuotient.from_spec(doc)
+    assert str(got.value) == str(expected.value)
 
 
 def test_cover_of_a_cyclic_table_is_cyclic():
-    # the Z/q cover of Z/n (one loop edge off the tree) is Z/nq
-    for n, q in ((1, 5), (3, 2), (4, 3)):
-        cover = homology_cover(mod_abelianization(1, n), q)
+    # over rank 1, F/gamma_d is the Z/q cover of Z/n (one loop edge off the
+    # tree), with n = |F/gamma_{d-1}| and q the last prime: it is Z/nq
+    for primes in ((5,), (3, 2), (2, 2, 3)):
+        level = build_series(primes, 1, len(primes))[-1]
+        n, q = level.parent_order, level.prime
+        cover = build_quotient(1, _images(level, ["a"]))
         ref = mod_abelianization(1, n * q)
         assert (cover.mult, cover.inv_mult, cover.tree_parent) == (
             ref.mult, ref.inv_mult, ref.tree_parent)

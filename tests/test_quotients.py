@@ -197,7 +197,7 @@ def test_image_order_and_cyclic_index_against_brute_force():
             while c != 0:
                 orbit.append(c)
                 for gen, exp in w.letters:
-                    c = q.step(c, gen, exp)
+                    c = q._walk(c, [(gen, exp)])
             assert q.image_order(w) == len(orbit)
             subgroup = [elements[i] for i in orbit]
             cosets = set()
@@ -263,7 +263,7 @@ def test_lemma0_transversal_covers_group():
             while c != 0:
                 members.append(c)
                 for gen, exp in w.letters:
-                    c = q.step(c, gen, exp)
+                    c = q._walk(c, [(gen, exp)])
             for m in members:
                 covered.add(q._index[q.elements[m] * q.elements[t_idx]])
         assert covered == set(range(q.order))

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from largequot.quotients import homology_cover, mod_abelianization
+from largequot.quotients import mod_abelianization
 from largequot.series import unit_image_quotient
+from largequot.verbal import build_series
 from largequot.words import Word, parse_word, power
 
 # every start coset is walked for these; orders 8 to 512
@@ -19,7 +20,8 @@ SMALL = {
     "unit(2,2,4)": lambda: unit_image_quotient(2, 2, 4),
     "unit(3,2,3)": lambda: unit_image_quotient(3, 2, 3),
     "unit(2,3,3)": lambda: unit_image_quotient(2, 3, 3),
-    "cover(mod_ab(2,2),2)": lambda: homology_cover(mod_abelianization(2, 2), 2),
+    # F/gamma_2 over (2, 2): the mod-2 cover of (Z/2)^2, order 128
+    "gamma_2(2,2)": lambda: build_series((2, 2, 2), 2, 3)[2].parent_quotient,
 }
 
 
