@@ -18,7 +18,8 @@ that coefficient, and mod-p units of the truncated algebra have p-power
 order, so a single bound M (product of small-prime contributions) makes
 every exponent q >= M reachable by one of two branches: q divisible by the
 full small-prime unit-group order p^{j(p)}, or q owning a prime factor
-p > M0 where truncation l already works.
+p > M0 where truncation l already works.  Jennings' formula gives every
+unit-group order, so only the witness that is returned is enumerated.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sympy
 
 from .errors import BelowBoundError, CapExceeded
 from .quotients import DEFAULT_ENUM_CAP, FiniteQuotient, coset_representatives
-from .series import DEFAULT_TERM_CAP, embed, unit_image_quotient
+from .series import DEFAULT_TERM_CAP, embed, unit_image_exponent, unit_image_quotient
 from .words import Word, parse_word
 
 CERTIFICATE_SCHEMA = "largeness-certificate/1"
@@ -67,7 +68,7 @@ class LemmaFiBound:
     ``l`` is the least truncation where every g_i^s (s <= m) has a nontrivial
     integer series image; ``M0 = max(l, 1 + max witness coefficient)``;
     ``small_prime_exponents[p] = j(p)`` is log_p of the unit-image quotient
-    order at the per-prime least truncation ``small_prime_truncations[p]``;
+    order (Jennings) at the least truncation ``small_prime_truncations[p]``;
     ``M`` is the product of the p^{j(p)}.
     """
 
@@ -120,22 +121,34 @@ def _least_faithful_truncation(powers, modulus, truncation_cap, term_cap):
 _UNIT_QUOTIENT_MEMO = {}
 
 
-def _unit_quotient(p, rank, l, cap, term_cap):
+def _over_cap(p, e, cap):
+    """Whether p^e > cap, without building p^e for a huge exponent e."""
+    return e >= cap.bit_length() or p**e > cap
+
+
+def _unit_quotient(p, rank, l, cap):
     key = (p, rank, l)
-    hit = _UNIT_QUOTIENT_MEMO.get(key)
-    if hit is not None:
-        if hit.order > cap:
-            # the text a fresh BFS gives, whatever ran before
-            raise CapExceeded("quotient enumeration", cap + 1, cap)
-        return hit
-    q = unit_image_quotient(p, rank, l, cap=cap, term_cap=term_cap)
-    _UNIT_QUOTIENT_MEMO[key] = q
-    return q
+    quotient = _UNIT_QUOTIENT_MEMO.get(key)
+    if quotient is None:
+        e = unit_image_exponent(p, rank, l)
+        if not _over_cap(p, e, cap):
+            quotient = unit_image_quotient(p, rank, l, cap=cap)
+            # an explicit raise, not an assert statement, which python -O strips
+            if quotient.order != p**e:
+                raise AssertionError("unit image quotient must be a p-group")
+            _UNIT_QUOTIENT_MEMO[key] = quotient
+    if quotient is None or quotient.order > cap:
+        # the text a fresh BFS would give, memo hit or not
+        raise CapExceeded("quotient enumeration", cap + 1, cap)
+    return quotient
 
 
 def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
                    enum_cap=DEFAULT_ENUM_CAP, term_cap=DEFAULT_TERM_CAP):
-    """Compute the avoidance bound record for S = {g_i^s : 1 <= s <= m}."""
+    """Compute the avoidance bound record for S = {g_i^s : 1 <= s <= m}.
+
+    A p^{j(p)} over ``enum_cap`` raises the error its enumeration would.
+    """
     words, rank = _check_base_words(words)
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
@@ -153,14 +166,9 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
     M = 1
     for p in sympy.primerange(2, M0 + 1):
         l_p = _least_faithful_truncation(powers, p, truncation_cap, term_cap)
-        quotient = _unit_quotient(p, rank, l_p, enum_cap, term_cap)
-        j = quotient.order
-        jp = 0
-        while j > 1:
-            if j % p:
-                raise AssertionError("unit image quotient must be a p-group")
-            j //= p
-            jp += 1
+        jp = unit_image_exponent(p, rank, l_p)
+        if _over_cap(p, jp, enum_cap):
+            raise CapExceeded("quotient enumeration", enum_cap + 1, enum_cap)
         exponents[p] = jp
         truncations[p] = l_p
         M *= p**jp
@@ -177,7 +185,8 @@ def find_avoiding_quotient(words, m, q, bound=None,
     the mod-p unit quotient at that prime's truncation works outright; else
     q has a prime factor p > M0, and the unit quotient mod p at the least
     truncation keeping S alive works because every unit there has order p.
-    Among admissible branches the smallest quotient wins.  Both postcondition
+    Among admissible branches the smallest quotient wins, ranked by the
+    closed-form orders; only the winner is enumerated.  Both postcondition
     halves are machine-checked before returning.
     """
     words, rank = _check_base_words(words)
@@ -187,36 +196,24 @@ def find_avoiding_quotient(words, m, q, bound=None,
     if q < bound.M:
         raise BelowBoundError(q, bound.M)
     powers = _power_set(words, m)
-    candidates = []  # (prime, truncation, quotient order)
+    candidates = []  # (quotient order, prime, truncation)
     for p, jp in bound.small_prime_exponents.items():
         if q % p**jp == 0:
-            candidates.append((p, bound.small_prime_truncations[p], p**jp))
-    large_primes = [p for p in sympy.factorint(q) if p > bound.M0]
-    for p in large_primes:
+            candidates.append((p**jp, p, bound.small_prime_truncations[p]))
+    for p in [p for p in sympy.factorint(q) if p > bound.M0]:
         l_p = _least_faithful_truncation(powers, p, truncation_cap, term_cap)
-        if l_p == 2:
-            # at truncation 2 the unit image is exactly the mod-p
-            # abelianization, of order p^rank
-            candidates.append((p, 2, p**rank))
-        else:
-            try:
-                quotient = _unit_quotient(p, rank, l_p, enum_cap, term_cap)
-            except CapExceeded:
-                continue
-            candidates.append((p, l_p, quotient.order))
+        e = unit_image_exponent(p, rank, l_p)
+        # an over-cap candidate past truncation 2 is dropped; one at
+        # truncation 2 stays, and building it reports the cap
+        if l_p > 2 and _over_cap(p, e, enum_cap):
+            continue
+        candidates.append((p**e, p, l_p))
     if not candidates:
         raise CapExceeded("avoiding quotient enumeration", q, enum_cap)
-    candidates.sort(key=lambda c: (c[2], c[0]))
-    errors = []
-    for p, l_p, _ in candidates:
-        try:
-            quotient = _unit_quotient(p, rank, l_p, enum_cap, term_cap)
-        except CapExceeded as exc:
-            errors.append(exc)
-            continue
-        _check_avoidance(quotient, words, m, q)
-        return quotient
-    raise errors[-1]
+    _, p, l_p = min(candidates)
+    quotient = _unit_quotient(p, rank, l_p, enum_cap)
+    _check_avoidance(quotient, words, m, q)
+    return quotient
 
 
 def _check_avoidance(quotient, words, m, q):
@@ -233,7 +230,7 @@ def _check_avoidance(quotient, words, m, q):
             )
 
 
-def _direct_witness_search(words, k, q, truncation_cap, enum_cap, term_cap):
+def _direct_witness_search(words, k, q, truncation_cap, enum_cap):
     """Scan mod-p unit quotients (p | q) for a witness, smallest first.
 
     The bound M is sufficient, not necessary: exponents below it can still
@@ -246,7 +243,7 @@ def _direct_witness_search(words, k, q, truncation_cap, enum_cap, term_cap):
         p_part = p**e
         for l in range(2, truncation_cap + 1):
             try:
-                quotient = _unit_quotient(p, rank, l, enum_cap, term_cap)
+                quotient = _unit_quotient(p, rank, l, enum_cap)
             except CapExceeded:
                 break
             orders = [quotient.image_order(w) for w in words]
@@ -279,9 +276,7 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
                 term_cap=term_cap,
             )
         except BelowBoundError:
-            witness = _direct_witness_search(
-                words, k, q, truncation_cap, enum_cap, term_cap
-            )
+            witness = _direct_witness_search(words, k, q, truncation_cap, enum_cap)
             if witness is None:
                 raise
     orders = [witness.image_order(w) for w in words]

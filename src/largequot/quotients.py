@@ -147,12 +147,11 @@ class FiniteQuotient:
     ``(parent_index, (g, exp))`` for the tree edge that discovered i.
     """
 
-    def __init__(self, rank, gen_images, elements, index, mult, inv_mult,
-                 tree_parent, kind=None, params=None):
+    def __init__(self, rank, gen_images, elements, mult, inv_mult, tree_parent,
+                 kind=None, params=None):
         self.rank = rank
         self.gen_images = tuple(gen_images)
         self.elements = elements
-        self._index = index
         self.mult = mult
         self.inv_mult = inv_mult
         self.tree_parent = tree_parent
@@ -389,7 +388,7 @@ def build_quotient(rank, gen_images, cap=DEFAULT_ENUM_CAP, kind=None, params=Non
         inv_mult.append(targets[1::2])
         head += 1
     return FiniteQuotient(
-        rank, gen_images, elements, index, mult, inv_mult, tree_parent,
+        rank, gen_images, elements, mult, inv_mult, tree_parent,
         kind=kind, params=params,
     )
 

@@ -10,7 +10,8 @@ ordered by degree then lexicographically, and printing follows that order.
 The group embedding sends the i-th free generator to 1 + x_i and its inverse
 to the truncated geometric series sum_{k<l} (-x_i)^k.  Over F_p every series
 with constant term 1 is a unit of p-power order, which is what the avoiding
-quotients in :mod:`largequot.largeness` are built from.
+quotients in :mod:`largequot.largeness` are built from; Jennings' formula
+gives the order of the group the 1 + x_i generate (:func:`unit_image_exponent`).
 
 Enumerating such a unit group (the ``magnus_unit`` element kind) does not
 multiply series.  Over a modulus m, a series with N = sum_{d<l} r^d
@@ -52,7 +53,7 @@ class TruncSeries:
 
     __slots__ = ("rank", "degree_bound", "modulus", "_terms", "_key")
 
-    def __init__(self, rank, degree_bound, modulus, terms=None, term_cap=None):
+    def __init__(self, rank, degree_bound, modulus, terms=None):
         if not isinstance(rank, int) or rank < 1:
             raise ValueError(f"rank must be a positive integer, got {rank!r}")
         if not isinstance(degree_bound, int) or degree_bound < 1:
@@ -77,8 +78,6 @@ class TruncSeries:
             c = _normalize_coeff(coeff, modulus)
             if c:
                 stored[mono] = c
-        if term_cap is not None and len(stored) > term_cap:
-            raise CapExceeded("series term count", len(stored), term_cap)
         self._terms = stored
         self._key = tuple(sorted(stored.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
@@ -287,13 +286,13 @@ class TruncSeries:
 # -- group-side operations --------------------------------------------------
 
 
-def generator_image(rank, degree_bound, modulus, gen, exp, term_cap=DEFAULT_TERM_CAP):
+def generator_image(rank, degree_bound, modulus, gen, exp):
     """Series image of a single letter: 1+x_i, or sum_{k<l} (-x_i)^k."""
-    one = TruncSeries.one(rank, degree_bound, modulus)
-    xi = TruncSeries.variable(rank, degree_bound, modulus, gen)
     if exp == 1:
-        return one + xi
-    return (one + xi).inverse(term_cap=term_cap)
+        terms = {(): 1, (gen,): 1}
+    else:
+        terms = {(gen,) * k: (-1) ** k for k in range(degree_bound)}
+    return TruncSeries(rank, degree_bound, modulus, terms)
 
 
 def embed(word, degree_bound, modulus=None, term_cap=DEFAULT_TERM_CAP):
@@ -307,12 +306,10 @@ def embed(word, degree_bound, modulus=None, term_cap=DEFAULT_TERM_CAP):
     result = TruncSeries.one(word.rank, degree_bound, modulus)
     images = {}
     for gen, exp in word.letters:
-        key = (gen, exp)
-        if key not in images:
-            images[key] = generator_image(
-                word.rank, degree_bound, modulus, gen, exp, term_cap=term_cap
-            )
-        result = result.mul(images[key], term_cap=term_cap)
+        if (gen, exp) not in images:
+            images[gen, exp] = generator_image(
+                word.rank, degree_bound, modulus, gen, exp)
+        result = result.mul(images[gen, exp], term_cap=term_cap)
     return result
 
 
@@ -340,7 +337,22 @@ def unit_order(s, term_cap=DEFAULT_TERM_CAP):
     raise RuntimeError("unit order did not stabilize below the degree bound")
 
 
-def unit_image_quotient(modulus, rank, degree_bound, cap=None, term_cap=DEFAULT_TERM_CAP):
+def unit_image_exponent(p, rank, l):
+    """log_p of the order of the group the 1 + x_i generate in F_p<x>/X^l.
+
+    Jennings (Trans. AMS 50, 1941): sum_{n<l} sum_{p^k | n} M_r(n/p^k), with
+    Witt's necklace count n M_r(n) = r^n - sum_{d | n, d < n} d M_r(d).
+    """
+    necklaces = [0]
+    for n in range(1, l):
+        divided = sum(d * necklaces[d] for d in range(1, n) if n % d == 0)
+        necklaces.append((rank**n - divided) // n)
+    # p^k <= n < l, so k < l.bit_length()
+    return sum(necklaces[n // p**k] for n in range(1, l)
+               for k in range(l.bit_length()) if n % p**k == 0)
+
+
+def unit_image_quotient(modulus, rank, degree_bound, cap=None):
     """Finite quotient of the free group by the kernel of the 1+x_i map.
 
     Enumerates the subgroup of units generated by the images 1 + x_i in
@@ -353,7 +365,7 @@ def unit_image_quotient(modulus, rank, degree_bound, cap=None, term_cap=DEFAULT_
     if modulus is None or modulus < 2:
         raise ValueError("unit image quotients need a prime modulus")
     images = [
-        generator_image(rank, degree_bound, modulus, g, 1, term_cap=term_cap)
+        generator_image(rank, degree_bound, modulus, g, 1)
         for g in range(1, rank + 1)
     ]
     params = {"modulus": modulus, "rank": rank, "degree_bound": degree_bound}

@@ -328,6 +328,37 @@ class LayeredCoset:
         return f"LayeredCoset(depth={self.level.depth}, word={self.word})"
 
 
+def _schreier_rank(rank, order):
+    """Rank of a subgroup of index ``order`` in the free group of ``rank``."""
+    return 1 + (rank - 1) * order
+
+
+def _level_orders(primes, rank):
+    """Yield (d, q_d, Schreier rank of gamma_{d-1}, |F/gamma_d|) for d = 1, 2, ..
+
+    The order is None once its exponent passes ORDER_EXPONENT_CAP, and both
+    are None after that level.
+    """
+    order = 1
+    for d, q in enumerate(primes, 1):
+        exponent = None if order is None else _schreier_rank(rank, order)
+        if order is not None:
+            order = None if exponent > ORDER_EXPONENT_CAP else order * q**exponent
+        yield d, q, exponent, order
+
+
+def _depth_checked(primes, depth):
+    """The primes as a PrimeSeq whose series reaches the given depth."""
+    primes = _as_primeseq(primes)
+    if not isinstance(depth, int) or depth < 0:
+        raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
+    if depth > len(primes):
+        raise ValueError(
+            f"prime sequence has {len(primes)} terms, cannot build depth {depth}"
+        )
+    return primes
+
+
 def _iter_levels(primes, rank, coset_cap):
     """Yield levels 1, 2, .. lazily.
 
@@ -338,36 +369,19 @@ def _iter_levels(primes, rank, coset_cap):
     parent_quotient = build_quotient(rank, [ModVector(1, (0,))] * rank)
     parent_order = 1
     parent_level = None
-    for d in range(1, len(primes) + 1):
+    for d, q, schreier_rank, quotient_order in _level_orders(primes, rank):
         if d > 1:
-            parent_order = parent_level._quotient_order
-            if (
-                parent_order is not None
-                and parent_order <= coset_cap
-                and parent_level.materialized
-            ):
-                images = [
-                    LayeredCoset(parent_level, Word.generator(rank, g))
-                    for g in range(1, rank + 1)
-                ]
+            parent_quotient = None
+            fits = parent_order is not None and parent_order <= coset_cap
+            if fits and parent_level.materialized:
+                images = [LayeredCoset(parent_level, Word.generator(rank, g))
+                          for g in range(1, rank + 1)]
                 parent_quotient = build_quotient(rank, images, cap=coset_cap)
-            else:
-                parent_quotient = None
-        q = primes[d - 1]
-        if parent_order is None:
-            schreier_rank = None
-            quotient_order = None
-        else:
-            schreier_rank = 1 + (rank - 1) * parent_order
-            if schreier_rank > ORDER_EXPONENT_CAP:
-                quotient_order = None
-            else:
-                quotient_order = parent_order * q**schreier_rank
         level = VerbalLevel(
             rank=rank,
             depth=d,
             prime=q,
-            primes_prefix=tuple(primes[i] for i in range(d)),
+            primes_prefix=primes.primes[:d],
             parent_level=parent_level,
             parent_quotient=parent_quotient,
             parent_order=parent_order,
@@ -376,6 +390,7 @@ def _iter_levels(primes, rank, coset_cap):
         )
         yield level
         parent_level = level
+        parent_order = quotient_order
 
 
 def build_series(primes, rank, depth, coset_cap=DEFAULT_COSET_CAP):
@@ -385,13 +400,7 @@ def build_series(primes, rank, depth, coset_cap=DEFAULT_COSET_CAP):
     Levels stay usable for order/size queries past the materialization cap,
     but membership needs |F/gamma_{d-1}| <= coset_cap.
     """
-    primes = _as_primeseq(primes)
-    if not isinstance(depth, int) or depth < 0:
-        raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
-    if depth > len(primes):
-        raise ValueError(
-            f"prime sequence has {len(primes)} terms, cannot build depth {depth}"
-        )
+    primes = _depth_checked(primes, depth)
     return list(islice(_iter_levels(primes, rank, coset_cap), depth))
 
 
@@ -401,16 +410,12 @@ def quotient_order(primes, rank, depth):
     Raises :class:`CapExceeded` once the running exponent passes
     ORDER_EXPONENT_CAP; by then the value is an exponent tower.
     """
-    primes = _as_primeseq(primes)
+    primes = _depth_checked(primes, depth)
     order = 1
-    for d in range(1, depth + 1):
-        exponent = 1 + (rank - 1) * order
-        if exponent > ORDER_EXPONENT_CAP:
-            raise CapExceeded(
-                f"depth-{d} quotient order exponent", _order_repr(exponent),
-                ORDER_EXPONENT_CAP,
-            )
-        order *= primes[d - 1] ** exponent
+    for d, _, exponent, order in islice(_level_orders(primes, rank), depth):
+        if order is None:
+            raise CapExceeded(f"depth-{d} quotient order exponent",
+                              _order_repr(exponent), ORDER_EXPONENT_CAP)
     return order
 
 
@@ -421,20 +426,19 @@ def quotient_order_factors(primes, rank, depth):
     exponents are the Schreier ranks, which stay representable until the
     order itself already is not.
     """
-    primes = _as_primeseq(primes)
-    factors = {}
-    order = 1
-    for d in range(1, depth + 1):
-        exponent = 1 + (rank - 1) * order
-        q = primes[d - 1]
+    primes = _depth_checked(primes, depth)
+    if depth == 0:
+        return {}
+    # the deepest level's order is never read, and can be a power of
+    # hundreds of thousands of digits: stop the recurrence one level short
+    factors, order = {}, 1
+    for d, q, exponent, order in islice(_level_orders(primes, rank), depth - 1):
         factors[q] = factors.get(q, 0) + exponent
-        if d < depth:
-            if exponent > ORDER_EXPONENT_CAP:
-                raise CapExceeded(
-                    f"depth-{d} quotient order exponent", _order_repr(exponent),
-                    ORDER_EXPONENT_CAP,
-                )
-            order *= q**exponent
+        if order is None:
+            raise CapExceeded(f"depth-{d} quotient order exponent",
+                              _order_repr(exponent), ORDER_EXPONENT_CAP)
+    q = primes[depth - 1]
+    factors[q] = factors.get(q, 0) + _schreier_rank(rank, order)
     return factors
 
 

@@ -16,7 +16,7 @@ from largequot.largeness import (
     verify_certificate,
 )
 from largequot.quotients import FiniteQuotient, mod_abelianization
-from largequot.series import DEFAULT_TERM_CAP, unit_image_quotient
+from largequot.series import unit_image_quotient
 from largequot.words import Word, parse_word
 
 
@@ -264,12 +264,63 @@ def test_certify_and_verify_build_no_conjugates_or_rewrites(
 
 def test_memo_hit_over_the_cap_gives_the_fresh_error(monkeypatch):
     monkeypatch.setattr(largeness, "_UNIT_QUOTIENT_MEMO", {})
-    largeness._unit_quotient(2, 2, 5, 10**4, DEFAULT_TERM_CAP)
+    largeness._unit_quotient(2, 2, 5, 10**4)
     with pytest.raises(CapExceeded) as memo:
-        largeness._unit_quotient(2, 2, 5, 100, DEFAULT_TERM_CAP)
+        largeness._unit_quotient(2, 2, 5, 100)
     with pytest.raises(CapExceeded) as fresh:
         unit_image_quotient(2, 2, 5, cap=100)
     assert str(memo.value) == str(fresh.value)
+
+
+FROZEN_BOUNDS = [
+    ("a", 1, {"base_words": ["a"], "rank": 2, "m": 1, "l": 2, "M0": 2,
+              "small_prime_exponents": {"2": 2},
+              "small_prime_truncations": {"2": 2}, "M": 4}),
+    ("ab", 1, {"base_words": ["ab"], "rank": 2, "m": 1, "l": 2, "M0": 2,
+               "small_prime_exponents": {"2": 2},
+               "small_prime_truncations": {"2": 2}, "M": 4}),
+    ("a,ab", 2, {"base_words": ["a", "ab"], "rank": 2, "m": 2, "l": 2,
+                 "M0": 3, "small_prime_exponents": {"2": 5, "3": 2},
+                 "small_prime_truncations": {"2": 3, "3": 2}, "M": 288}),
+]
+
+
+def test_bound_and_ranking_run_no_bfs(monkeypatch):
+    monkeypatch.setattr(largeness, "_UNIT_QUOTIENT_MEMO", {})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bound and the ranking must not enumerate")
+
+    monkeypatch.setattr(quotients, "build_quotient", refuse)
+    for texts, m, doc in FROZEN_BOUNDS:
+        words = [parse_word(t, 2) for t in texts.split(",")]
+        assert lemma_fi_bound(words, m).to_doc() == doc
+    # over the cap, with the texts a BFS would reach them by
+    with pytest.raises(CapExceeded) as bound:
+        lemma_fi_bound([parse_word("abAB", 2)], 3)
+    assert str(bound.value) == \
+        "quotient enumeration: reached 1000001 with cap 1000000"
+    with pytest.raises(CapExceeded) as search:
+        find_avoiding_quotient([parse_word("a", 2)], 1, 5, enum_cap=10)
+    assert str(search.value) == "quotient enumeration: reached 11 with cap 10"
+
+
+def test_only_the_returned_witness_is_enumerated(monkeypatch):
+    monkeypatch.setattr(largeness, "_UNIT_QUOTIENT_MEMO", {})
+    built = []
+    original = quotients.build_quotient
+
+    def counted(*args, **kwargs):
+        quotient = original(*args, **kwargs)
+        built.append(quotient.order)
+        return quotient
+
+    monkeypatch.setattr(quotients, "build_quotient", counted)
+    # q = 2016 = 2^5 3^2 7 admits the 2-, 3- and 7-branches (orders 32, 9
+    # and 49); only the smallest is built
+    a, ab = parse_word("a", 2), parse_word("ab", 2)
+    assert find_avoiding_quotient([a, ab], 2, 2016).order == 9
+    assert built == [9]
 
 
 def test_witness_survives_serialization():
@@ -286,10 +337,10 @@ from largequot.quotients import mod_abelianization
 from largequot.words import parse_word
 
 # an order-3 quotient posing as the unit image mod 2
-largeness._unit_quotient = (
-    lambda p, rank, l, cap, term_cap: mod_abelianization(rank, 3))
+largeness.unit_image_quotient = (
+    lambda p, rank, l, cap=None: mod_abelianization(rank, 3))
 try:
-    largeness.lemma_fi_bound([parse_word("a", 1)], 1)
+    largeness.find_avoiding_quotient([parse_word("a", 1)], 1, 4)
 except AssertionError as exc:
     print("refused:", exc)
 else:
@@ -298,7 +349,7 @@ else:
 
 
 def test_p_group_order_is_checked_under_python_O(run_under_O):
-    # the bound reads j(p) off the unit image order, which must be a power
-    # of p; the check must survive python -O
+    # every unit quotient built is checked against Jennings' order p^j(p);
+    # the check must survive python -O
     out = run_under_O(P_GROUP_UNDER_O)
     assert out.strip() == "refused: unit image quotient must be a p-group"

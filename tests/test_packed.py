@@ -15,10 +15,12 @@ from largequot.series import (
     TruncSeries,
     embed,
     generator_image,
+    unit_image_exponent,
     unit_image_quotient,
 )
 
 ORDER_LIMIT = 10**4
+EXPONENT_ORDER_LIMIT = 10**5
 
 
 class Opaque:
@@ -74,8 +76,8 @@ def closed_form_order(p, r, l):
     return p**exponent
 
 
-def small_cases():
-    """(p, r, l), p in {2,3,5,7}, r in {1,2,3}, for every l of order <= 10^4.
+def small_cases(limit=ORDER_LIMIT):
+    """(p, r, l), p in {2,3,5,7}, r in {1,2,3}, for every l of order <= limit.
 
     Rank 1 orders p^ceil(log_p l) stay small far out, so there l stops at
     p + 2, past the jump from p to p^2.
@@ -87,13 +89,23 @@ def small_cases():
                 cases += [(p, 1, l) for l in range(1, p + 3)]
                 continue
             l = 1
-            while closed_form_order(p, r, l) <= ORDER_LIMIT:
+            while closed_form_order(p, r, l) <= limit:
                 cases.append((p, r, l))
                 l += 1
     return cases
 
 
 CASES = small_cases()
+
+
+@pytest.mark.parametrize("p, r, l", small_cases(EXPONENT_ORDER_LIMIT))
+def test_unit_image_exponent_matches_bfs_and_mobius(p, r, l):
+    # two oracles: the BFS order, and the Mobius form of the necklace count
+    e = unit_image_exponent(p, r, l)
+    assert type(e) is int
+    assert p**e == closed_form_order(p, r, l)
+    assert p**e == unit_image_quotient(p, r, l,
+                                       cap=EXPONENT_ORDER_LIMIT).order
 
 
 def assert_same_quotient(packed, generic):

@@ -265,7 +265,7 @@ def test_lemma0_transversal_covers_group():
                 for gen, exp in w.letters:
                     c = q._walk(c, [(gen, exp)])
             for m in members:
-                covered.add(q._index[q.elements[m] * q.elements[t_idx]])
+                covered.add(q.elements.index(q.elements[m] * q.elements[t_idx]))
         assert covered == set(range(q.order))
         for z in z_words:
             assert q.kernel_contains(z)

@@ -6,6 +6,7 @@ from largequot.errors import CapExceeded
 from largequot.series import (
     TruncSeries,
     embed,
+    generator_image,
     unit_image_quotient,
     unit_order,
 )
@@ -126,6 +127,18 @@ def test_embed_generator_and_inverse():
     # over the integers the inverse image carries alternating signs
     u = embed(a.inverse(), 4)
     assert [u.coefficient(m) for m in [(), (1,), (1, 1), (1, 1, 1)]] == [1, -1, 1, -1]
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 3, 4, 5])
+def test_inverse_generator_image_is_the_neumann_inverse(modulus):
+    # the geometric series is built directly; the Neumann sum is its oracle
+    for r in (1, 2, 3):
+        for l in range(1, 13):
+            for g in range(1, r + 1):
+                forward = generator_image(r, l, modulus, g, 1)
+                backward = generator_image(r, l, modulus, g, -1)
+                assert backward == forward.inverse()
+                assert (forward * backward).is_one
 
 
 def test_embed_commutator():

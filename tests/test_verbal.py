@@ -37,6 +37,17 @@ def test_build_series_argument_checks():
     assert build_series([2, 3], 2, 0) == []
 
 
+@pytest.mark.parametrize("read", [build_series, quotient_order,
+                                  quotient_order_factors])
+def test_order_formulas_check_the_depth_as_build_series_does(read):
+    with pytest.raises(ValueError) as deep:
+        read([2, 3], 2, 3)
+    assert str(deep.value) == "prime sequence has 2 terms, cannot build depth 3"
+    with pytest.raises(ValueError) as negative:
+        read([2, 3], 2, -1)
+    assert str(negative.value) == "depth must be a nonnegative integer, got -1"
+
+
 def test_order_formula_matches_bfs_enumeration():
     # |F_2/gamma_2| over (2, 3): 4 * 3^(1+4) = 972, and the coset graph of
     # F/gamma_2 (the parent of level 3) must enumerate to the same count.
@@ -186,6 +197,15 @@ def test_factored_order_survives_one_more_level():
         for p, e in f.items():
             n *= p ** e
         assert n == quotient_order([2, 3, 5, 7], 2, depth)
+
+
+def test_factored_order_with_a_huge_deepest_level():
+    # |F/gamma_3| over (3, 3, 7) is 3^12 * 7^531442; the factors need only
+    # the Schreier ranks, and a repeated prime sums its exponents
+    assert quotient_order_factors([3, 3, 7], 2, 3) == {3: 12, 7: 531442}
+    assert quotient_order_factors([3, 3, 3], 2, 3) == {3: 12 + 531442}
+    assert quotient_order_factors([3, 3], 1, 2) == {3: 2}
+    assert quotient_order_factors([3, 3], 2, 0) == {}
     with pytest.raises(CapExceeded):
         quotient_order_factors([2, 3, 5, 7, 11], 2, 5)
 
