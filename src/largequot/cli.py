@@ -85,14 +85,10 @@ def _cmd_certify_large(args, cfg):
 
 def _cmd_lemma_fi(args, cfg):
     words = _parse_words(args.words, _check_rank(args.rank))
-    try:
-        bound = lemma_fi_bound(
-            words, args.m, truncation_cap=cfg.truncation_cap,
-            enum_cap=cfg.enumeration_cap, term_cap=cfg.term_cap,
-        )
-    except CapExceeded as exc:
-        doc = {"command": "lemma-fi", "config": cfg.to_doc(), "error": str(exc)}
-        return doc, EXIT_NEGATIVE
+    bound = lemma_fi_bound(
+        words, args.m, truncation_cap=cfg.truncation_cap,
+        enum_cap=cfg.enumeration_cap, term_cap=cfg.term_cap,
+    )
     doc = {"command": "lemma-fi", "config": cfg.to_doc(), **bound.to_doc()}
     doc["M"] = format_order(bound.M)
     return doc, EXIT_OK

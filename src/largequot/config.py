@@ -1,8 +1,8 @@
 """Runtime configuration: caps, all positive integers.
 
-Settings come from (later wins): built-in defaults, a key=value config file
-named by the ``LARGEQUOT_CONFIG`` environment variable or ``--config``, and
-explicit overrides.  Every emitted document records them, with a fixed
+Settings come from (later wins): built-in defaults and a key=value config
+file named by the ``LARGEQUOT_CONFIG`` environment variable or
+``--config``.  Every emitted document records them, with a fixed
 ``seed`` of 0: no command samples, so the document format keeps the key.
 """
 
@@ -67,8 +67,8 @@ def parse_config_text(text, source="<config>"):
     return values
 
 
-def load_config(path=None, overrides=None):
-    """Build a :class:`Config` from defaults, file and overrides, in order.
+def load_config(path=None):
+    """Build a :class:`Config` from defaults and file, in order.
 
     When ``path`` is None the ``LARGEQUOT_CONFIG`` environment variable is
     consulted; a missing explicit path is an error, a missing variable is
@@ -80,6 +80,4 @@ def load_config(path=None, overrides=None):
     if path:
         with open(path, encoding="utf-8") as handle:
             values.update(parse_config_text(handle.read(), source=path))
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
     return Config(**values)

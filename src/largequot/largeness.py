@@ -183,8 +183,10 @@ def find_avoiding_quotient(words, m, q, bound=None,
 
     Requires q >= M.  Branches: if p^{j(p)} divides q for a small prime p,
     the mod-p unit quotient at that prime's truncation works outright; else
-    q has a prime factor p > M0, and the unit quotient mod p at the least
-    truncation keeping S alive works because every unit there has order p.
+    q has a prime factor p > M0, and the unit quotient mod p at the bound's
+    truncation l keeps S alive (every witness coefficient is below p) and
+    works because every unit there has order p.  A ``bound`` computed for
+    other words or another m raises ``ValueError``.
     Among admissible branches the smallest quotient wins, ranked by the
     closed-form orders; only the winner is enumerated.  Both postcondition
     halves are machine-checked before returning.
@@ -193,21 +195,24 @@ def find_avoiding_quotient(words, m, q, bound=None,
     if bound is None:
         bound = lemma_fi_bound(words, m, truncation_cap=truncation_cap,
                                enum_cap=enum_cap, term_cap=term_cap)
+    elif bound.words != tuple(words) or bound.m != m:
+        raise ValueError("bound is for other base words or another m")
     if q < bound.M:
         raise BelowBoundError(q, bound.M)
-    powers = _power_set(words, m)
     candidates = []  # (quotient order, prime, truncation)
     for p, jp in bound.small_prime_exponents.items():
         if q % p**jp == 0:
             candidates.append((p**jp, p, bound.small_prime_truncations[p]))
+    # past M0 every witness coefficient survives mod p, and a truncation
+    # below l already kills some power over Z, so l is the least one mod p
+    l = bound.l
     for p in [p for p in sympy.factorint(q) if p > bound.M0]:
-        l_p = _least_faithful_truncation(powers, p, truncation_cap, term_cap)
-        e = unit_image_exponent(p, rank, l_p)
+        e = unit_image_exponent(p, rank, l)
         # an over-cap candidate past truncation 2 is dropped; one at
         # truncation 2 stays, and building it reports the cap
-        if l_p > 2 and _over_cap(p, e, enum_cap):
+        if l > 2 and _over_cap(p, e, enum_cap):
             continue
-        candidates.append((p**e, p, l_p))
+        candidates.append((p**e, p, l))
     if not candidates:
         raise CapExceeded("avoiding quotient enumeration", q, enum_cap)
     _, p, l_p = min(candidates)

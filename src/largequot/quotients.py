@@ -18,12 +18,14 @@ a modulus (see :mod:`largequot.series`) and verbal cosets, whose keys are
 the vertices of a mod-q homology cover (see :mod:`largequot.verbal`).
 :func:`build_quotient` holds the one BFS loop every quotient goes through.
 
-Words are walked through the coset graph by :meth:`FiniteQuotient.walk`.
+Every coset question is answered by one walk, :meth:`FiniteQuotient.walk`.
 A power t * u^n * t^-1 built by :func:`largequot.words.power` is walked by
 the period of u: walking a word permutes the cosets, so passes of u return
 to the coset where they started after at most the order of u's image, and
 only n mod that period further passes are needed.  The result is the coset
-the letter-by-letter walk reaches, without stepping n * |u| letters.
+the letter-by-letter walk reaches, without stepping n * |u| letters.  The
+walk can also sum its signed non-tree crossings, the exponent sums of a
+kernel word over the Schreier generators that :mod:`largequot.verbal` reads.
 
 On top of the coset graph this module counts the cosets of <g>N that the
 largeness certificates need (:func:`coset_representatives`), and keeps the
@@ -173,57 +175,83 @@ class FiniteQuotient:
         if w.rank != self.rank:
             raise ValueError(f"rank mismatch: word has {w.rank}, quotient has {self.rank}")
 
-    def _walk(self, c, letters):
-        """The coset reached by walking the letters from coset c."""
+    def _walk(self, c, letters, counts=None):
+        """The coset reached by walking the letters from coset c.
+
+        With a dict ``counts``, each non-tree edge crossed adds +1 (forward)
+        or -1 (backward) at its position in :meth:`schreier_generators`;
+        tree edges add nothing.
+        """
         mult, inv_mult = self.mult, self.inv_mult
+        if counts is None:
+            for gen, exp in letters:
+                c = mult[c][gen - 1] if exp == 1 else inv_mult[c][gen - 1]
+            return c
+        rank, table = self.rank, self.crossing_table()
         for gen, exp in letters:
-            c = mult[c][gen - 1] if exp == 1 else inv_mult[c][gen - 1]
+            if exp == 1:
+                at = table[c * rank + gen - 1]
+                c = mult[c][gen - 1]
+            else:
+                c = inv_mult[c][gen - 1]
+                at = table[c * rank + gen - 1]
+            if at is not None:
+                counts[at] = counts.get(at, 0) + exp
         return c
 
-    def walk(self, c, w):
+    def walk(self, c, w, counts=None):
         """The coset reached by walking the word w from coset c.
 
         A power t * u^n * t^-1 built by :func:`largequot.words.power` is
         walked by the period of its core u: walk t, then passes of u until
-        the walk is back where the first pass started (after at most the
-        order of u's image, since walking a word permutes the cosets), then
-        n mod that period further passes, then t^-1.  This lands where the
-        letter-by-letter walk does, in time bounded by the quotient and not
-        by n.  Any other word is walked letter by letter.
+        the walk is back where the first pass started after P passes (at
+        most the order of u's image, since walking a word permutes the
+        cosets), then n mod P further passes, then t^-1; the crossings of
+        the P passes are counted once and added n // P times.  This lands
+        where the letter-by-letter walk does, with the same counts, in time
+        bounded by the quotient and not by n.  Any other word is walked
+        letter by letter.
         """
         record = w.power_record
         if record is None:
-            return self._walk(c, w.letters)
+            return self._walk(c, w.letters, counts)
         t, core, n = record
-        start = c = self._walk(c, t)
-        for passes in range(1, n + 1):
-            c = self._walk(c, core)
+        start = c = self._walk(c, t, counts)
+        period = None if counts is None else {}
+        passes = 0
+        while passes < n:
+            c = self._walk(c, core, period)
+            passes += 1
             if c == start:
-                for _ in range(n % passes):
-                    c = self._walk(c, core)
                 break
-        return self._walk(c, [(g, -e) for g, e in reversed(t)])
+        laps, rest = divmod(n, passes)
+        if counts is not None:
+            for at, k in period.items():
+                counts[at] = counts.get(at, 0) + laps * k
+        for _ in range(rest):
+            c = self._walk(c, core, counts)
+        return self._walk(c, [(g, -e) for g, e in reversed(t)], counts)
 
-    def coset_of(self, w):
-        """BFS index of the image of w (the coset of the kernel containing w)."""
+    def coset_of(self, w, counts=None):
+        """BFS index of the image of w (the coset of the kernel containing w).
+
+        A dict ``counts`` gets the walk's crossings, as in :meth:`walk`."""
         self._check_word(w)
-        return self.walk(0, w)
+        return self.walk(0, w, counts)
 
     def kernel_contains(self, w):
         return self.coset_of(w) == 0
 
-    def image_order(self, w):
-        """Order of the image of w in the quotient group."""
-        self._check_word(w)
-        start = self.coset_of(w)
-        if start == 0:
-            return 1
-        c = start
-        n = 1
+    def image_order(self, w, counts=None):
+        """Order k of the image of w in the quotient group.
+
+        A dict ``counts`` gets the crossings of the closed walk of w^k."""
+        c = self.coset_of(w, counts)
+        k = 1
         while c != 0:
-            c = self.walk(c, w)
-            n += 1
-        return n
+            c = self.walk(c, w, counts)
+            k += 1
+        return k
 
     # -- Schreier tree and transversal -----------------------------------
 
@@ -276,33 +304,6 @@ class FiniteQuotient:
                 table[c * rank + g - 1] = position
             self._crossing = table
         return self._crossing
-
-    def edge_crossings(self, w, start=0):
-        """Walk w from coset ``start`` through the coset graph, noting non-tree edges.
-
-        Returns ``(end, crossings)``: the coset the walk ends at, and one
-        ``(position, exp)`` per non-tree edge crossed, in walk order, where
-        ``position`` indexes :meth:`schreier_generators` and ``exp`` is +1
-        for a forward crossing and -1 for a backward one.  Tree edges
-        contribute nothing.  From coset 0 the walk closes (``end == 0``)
-        iff w lies in the kernel, and then the crossings spell w over the
-        Schreier generators.
-        """
-        self._check_word(w)
-        rank = self.rank
-        table, mult, inv_mult = self.crossing_table(), self.mult, self.inv_mult
-        crossings = []
-        c = start
-        for gen, exp in w.letters:
-            if exp == 1:
-                at = table[c * rank + gen - 1]
-                c = mult[c][gen - 1]
-            else:
-                c = inv_mult[c][gen - 1]
-                at = table[c * rank + gen - 1]
-            if at is not None:
-                crossings.append((at, exp))
-        return c, crossings
 
     def schreier_generator_word(self, label):
         """The subgroup element t_c * a_g * t_{c.g}^-1 of a non-tree edge."""
@@ -409,25 +410,27 @@ def coset_representatives(quotient, base):
     """BFS indices of the least element of each right coset <base>N x.
 
     N is the kernel, so there are [F:N] / order(base) such cosets; the
-    indices come out increasing.  Only the coset graph is walked: no power
-    of ``base`` and no conjugate is built.
+    indices come out increasing.  The coset <g>N x is the orbit of x under
+    left multiplication by the image of g, read off the Schreier tree: if
+    x = y * a then g x = (g y) * a, one table step from g y.  No word is
+    built, and none is walked but g.
     """
-    subgroup = [0]
-    c = quotient.coset_of(base)
-    while c != 0:
-        subgroup.append(c)
-        c = quotient.walk(c, base)
-    # the coset <g>N * x is marked by walking x's transversal word from each
-    # vertex h of <g>N: the walk ends at h * x, with no group products
+    # left[x] is the BFS index of g x, filled in tree order
+    left = [quotient.coset_of(base)]
+    for x in range(1, quotient.order):
+        y, (gen, exp) = quotient.tree_parent[x]
+        table = quotient.mult if exp == 1 else quotient.inv_mult
+        left.append(table[left[y]][gen - 1])
     reps = []
     seen = [False] * quotient.order
     for idx in range(quotient.order):
         if seen[idx]:
             continue
         reps.append(idx)
-        x = quotient.transversal_word(idx)
-        for c in subgroup:
-            seen[quotient.walk(c, x)] = True
+        c = idx
+        while not seen[c]:
+            seen[c] = True
+            c = left[c]
     return reps
 
 
@@ -499,10 +502,15 @@ def reidemeister_schreier(quotient, relators):
     labels = quotient.schreier_generators()
     rewritten = []
     for w in relators:
-        end, crossings = quotient.edge_crossings(w)
-        if end != 0:
+        quotient._check_word(w)
+        # the crossings in walk order spell w over the Schreier generators
+        c, out = 0, []
+        for letter in w.letters:
+            crossed = {}
+            c = quotient._walk(c, (letter,), crossed)
+            out.extend((at + 1, exp) for at, exp in crossed.items())
+        if c != 0:
             raise ValueError(f"relator {w} is not in the kernel")
-        out = [(at + 1, exp) for at, exp in crossings]
         rewritten.append(Word(len(labels) or 1, out) if labels else Word(1, ()))
     return SubgroupPresentation(
         generator_count=len(labels),

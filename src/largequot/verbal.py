@@ -13,11 +13,14 @@ Gross-Tucker), whose vertices are pairs (coset of gamma_{d-1}, crossing
 counts mod q_d).  That cover is the packed action of the ``verbal`` element
 kind, so :func:`largequot.quotients.build_quotient` enumerates it on int
 keys, whether the images come from the series or from a document.
-Each level keeps the coset table of F/gamma_{d-1}; ``member`` and
-``order_mod`` walk the word through the deepest such table and sum its
-crossings mod the prime.  F/gamma_d is only materialized while its order
-fits the materialization cap; deeper levels still know their order and
-Schreier rank through the closed product formula
+Each level keeps the coset table of F/gamma_{d-1}; ``member``,
+``order_mod``, ``component_vector`` and the cover's move table walk the
+word through such a table with :meth:`largequot.quotients.FiniteQuotient.walk`
+and reduce its crossing sums mod the prime, so a power built by
+:func:`largequot.words.power` is walked by the period of its core.
+F/gamma_d is only materialized while its order fits the materialization
+cap; deeper levels still know their order and Schreier rank through the
+closed product formula
 
     |F/gamma_d| = |F/gamma_{d-1}| * q_d ^ (1 + (r-1)|F/gamma_{d-1}|),
 
@@ -77,12 +80,6 @@ class PrimeSeq:
     @property
     def distinct(self):
         return len(set(self.primes)) == len(self.primes)
-
-    def shift(self, k):
-        """The tail sequence q_{k+1}, q_{k+2}, .."""
-        if k >= len(self.primes):
-            raise ValueError(f"cannot shift a {len(self.primes)}-term sequence by {k}")
-        return PrimeSeq(self.primes[k:])
 
     def __len__(self):
         return len(self.primes)
@@ -177,14 +174,6 @@ class VerbalLevel:
             first, lvl = lvl, lvl.parent_level
         return first
 
-    def _add_crossings(self, w, start, counts):
-        """Walk w from ``start`` through F/gamma_{d-1}, adding its signed
-        non-tree crossings into ``counts``; returns the end coset."""
-        end, crossings = self.parent_quotient.edge_crossings(w, start)
-        for at, exp in crossings:
-            counts[at] = counts.get(at, 0) + exp
-        return end
-
     def _chain(self):
         levels = []
         lvl = self
@@ -201,16 +190,14 @@ class VerbalLevel:
         """
         self._require_materialized()
         quotient = self.parent_quotient
-        end, crossings = quotient.edge_crossings(u)
-        if end != 0:
+        counts = {}
+        if quotient.coset_of(u, counts) != 0:
             raise ValueError(
                 f"word is not in gamma_{self.depth - 1}; its level-{self.depth} "
                 "vector is undefined"
             )
-        counts = [0] * len(quotient.schreier_generators())
-        for at, exp in crossings:
-            counts[at] += exp
-        return tuple(v % self.prime for v in counts)
+        return tuple(counts.get(at, 0) % self.prime
+                     for at in range(len(quotient.schreier_generators())))
 
     def representative(self, vector):
         """Canonical preimage of a level vector: product of basis powers."""
@@ -243,7 +230,7 @@ class VerbalLevel:
         first = self._first_unmaterialized()
         deepest = self if first is None else first.parent_level
         counts = {}
-        if deepest._add_crossings(w, 0, counts) != 0 or any(
+        if deepest.parent_quotient.coset_of(w, counts) != 0 or any(
             c % deepest.prime for c in counts.values()
         ):
             return False
@@ -254,22 +241,17 @@ class VerbalLevel:
     def order_mod(self, w):
         """Order of the coset w*gamma_d in F/gamma_d.
 
-        Walking w again and again through F/gamma_{d-1}, each walk starting
-        where the last one ended, closes after k passes, the order of w
-        modulo gamma_{d-1}.  Then w^k lies in gamma_{d-1}, whose factor
-        modulo gamma_d is elementary abelian of exponent q_d, so the order
-        is k*q_d when the crossings summed over the k passes are nonzero
-        mod q_d, and k otherwise.
+        The order k of w modulo gamma_{d-1} comes from walking w through
+        F/gamma_{d-1} until the walk closes.  Then w^k lies in gamma_{d-1},
+        whose factor modulo gamma_d is elementary abelian of exponent q_d,
+        so the order is k*q_d when the crossings summed over the k passes
+        are nonzero mod q_d, and k otherwise.
         """
         first = self._first_unmaterialized()
         if first is not None:
             first._require_materialized()
         counts = {}
-        k = 1
-        end = self._add_crossings(w, 0, counts)
-        while end != 0:
-            end = self._add_crossings(w, end, counts)
-            k += 1
+        k = self.parent_quotient.image_order(w, counts)
         if any(c % self.prime for c in counts.values()):
             return k * self.prime
         return k
@@ -532,7 +514,7 @@ def _packed_cover_action(images, inverses):
         row = []
         for w in words:
             counts = {}
-            end = level._add_crossings(w, v, counts)
+            end = base.walk(v, w, counts)
             row.append((end - v, [(unit[at], c % q)
                                   for at, c in counts.items() if c % q]))
         moves.append(row)

@@ -278,6 +278,22 @@ def test_lemma_fi_document(capsys):
     assert doc["M"] == {"factored": "2^2", "decimal": 4}
 
 
+def test_lemma_fi_over_the_cap_is_an_honest_negative(capsys, tmp_path):
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("enumeration_cap = 10\n")
+    code, doc = run_doc(
+        capsys, ["lemma-fi", "-g", "a,ab", "-m", "2", "--config", str(cfg)]
+    )
+    assert code == 2
+    assert doc == {
+        "command": "lemma-fi",
+        "config": {"seed": 0, "caps": {
+            "enumeration": 10, "term": 10**6, "coset": 10**4, "depth": 16,
+            "truncation": 64}},
+        "error": "quotient enumeration: reached 11 with cap 10",
+    }
+
+
 def test_magnus_integer_and_mod_p(capsys):
     code, doc = run_doc(capsys, ["magnus", "-w", "ABab", "-l", "3", "-p", "2"])
     assert code == 0

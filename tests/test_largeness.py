@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+import sympy
 
 from largequot import largeness, quotients
 from largequot.errors import BelowBoundError, CapExceeded
@@ -17,7 +18,7 @@ from largequot.largeness import (
 )
 from largequot.quotients import FiniteQuotient, mod_abelianization
 from largequot.series import unit_image_quotient
-from largequot.words import Word, parse_word
+from largequot.words import Word, parse_word, random_reduced_word
 
 
 def test_bp_certify_threshold():
@@ -255,6 +256,8 @@ def test_certify_and_verify_build_no_conjugates_or_rewrites(
     monkeypatch.setattr(quotients, "lemma0_conjugates", refuse)
     monkeypatch.setattr(quotients, "reidemeister_schreier", refuse)
     monkeypatch.setattr(Word, "__pow__", refuse)
+    # coset counts follow the Schreier tree, with no transversal word
+    monkeypatch.setattr(FiniteQuotient, "transversal_word", refuse)
     cert = certify_power_quotient(base, q, witness=witness)
     report = verify_certificate(cert)
     assert report["ok"]
@@ -321,6 +324,64 @@ def test_only_the_returned_witness_is_enumerated(monkeypatch):
     a, ab = parse_word("a", 2), parse_word("ab", 2)
     assert find_avoiding_quotient([a, ab], 2, 2016).order == 9
     assert built == [9]
+
+
+def test_large_prime_branch_takes_the_bound_truncation(monkeypatch):
+    a, ab, c = parse_word("a", 2), parse_word("ab", 2), parse_word("abAB", 2)
+    # M is 4, 4, 288 and 864; the commutator's truncation l is 3
+    cases = [([a], 1, 5), ([a], 1, 4 * 7), ([ab], 1, 4 * 11 + 1),
+             ([a, ab], 2, 288 * 5 + 1), ([c], 1, 864 + 1)]
+    bounds = [lemma_fi_bound(words, m) for words, m, _ in cases]
+    expected = [find_avoiding_quotient(words, m, q, bound=bound).serialize()
+                for (words, m, q), bound in zip(cases, bounds)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("past M0 the truncation is the bound's l")
+
+    monkeypatch.setattr(largeness, "_least_faithful_truncation", refuse)
+    for (words, m, q), bound, doc in zip(cases, bounds, expected):
+        assert any(p > bound.M0 for p in sympy.factorint(q))
+        quotient = find_avoiding_quotient(words, m, q, bound=bound)
+        assert quotient.serialize() == doc
+
+
+def test_bound_truncation_is_least_for_every_prime_past_m0():
+    # the brute-force search the large-prime branch no longer runs
+    rng = random.Random(2053)
+    # commutators need truncations 3 and 4; random short words mostly 2
+    sets = [[parse_word(t, 2) for t in texts.split(",")] for texts in
+            ("abAB", "aabAAB", "abABaaBAbA", "abABAbaB", "abAB,a", "abAB,baBA")]
+    for _ in range(12):
+        k, words = rng.randint(1, 2), []
+        while len(words) < k:
+            w = random_reduced_word(rng, 2, rng.randint(1, 4))
+            if not w.is_identity and w not in words:
+                words.append(w)
+        sets.append(words)
+    checked = 0
+    for words in sets:
+        m = rng.randint(1, 2)
+        # the bound's orders are closed-form, so no cap is ever met here
+        bound = lemma_fi_bound(words, m, enum_cap=10**400)
+        powers = largeness._power_set(words, m)
+        for p in sympy.primerange(bound.M0 + 1, bound.M0 + 40):
+            least = largeness._least_faithful_truncation(
+                powers, p, largeness.DEFAULT_TRUNCATION_CAP,
+                largeness.DEFAULT_TERM_CAP)
+            assert least == bound.l, ([str(w) for w in words], m, p)
+            checked += 1
+    assert checked >= 100
+
+
+def test_a_bound_for_other_words_is_refused():
+    a, ab = parse_word("a", 2), parse_word("ab", 2)
+    bound = lemma_fi_bound([a], 1)
+    with pytest.raises(ValueError, match="bound is for"):
+        find_avoiding_quotient([ab], 1, 5, bound=bound)
+    with pytest.raises(ValueError, match="bound is for"):
+        find_avoiding_quotient([a], 2, 5, bound=bound)
+    with pytest.raises(ValueError, match="bound is for"):
+        find_avoiding_quotient([a, ab], 1, 5, bound=bound)
 
 
 def test_witness_survives_serialization():

@@ -295,6 +295,44 @@ def test_coset_count_and_schreier_rank_match_the_rewriting():
             assert len(q.schreier_generators()) == pres.generator_count
 
 
+def _transversal_coset_representatives(quotient, base):
+    """Oracle: mark each coset <base>N x by walking x's transversal word
+    from every vertex of <base>N."""
+    subgroup = [0]
+    c = quotient.coset_of(base)
+    while c != 0:
+        subgroup.append(c)
+        c = quotient.walk(c, base)
+    reps = []
+    seen = [False] * quotient.order
+    for idx in range(quotient.order):
+        if seen[idx]:
+            continue
+        reps.append(idx)
+        x = quotient.transversal_word(idx)
+        for c in subgroup:
+            seen[quotient.walk(c, x)] = True
+    return reps
+
+
+def test_coset_representatives_match_the_transversal_walk():
+    rng = random.Random(2039)
+    # S_4 from a transposition and a 4-cycle: cosets of a non-normal <g>
+    s4 = build_quotient(2, [Perm((1, 0, 2, 3)), Perm((1, 2, 3, 0))])
+    quotients = [s4, mod_abelianization(1, 12), mod_abelianization(3, 2)] + [
+        unit_image_quotient(p, r, l)
+        for p, r, l in [(2, 2, 3), (2, 2, 4), (3, 2, 3), (2, 3, 3), (5, 2, 2)]
+    ]
+    for q in quotients:
+        bases = [Word.identity(q.rank)] + [
+            random_reduced_word(rng, q.rank, rng.randint(1, 7)) for _ in range(6)
+        ]
+        bases += [w ** rng.randint(2, 40) for w in bases[1:3]]
+        for w in bases:
+            assert coset_representatives(q, w) == \
+                _transversal_coset_representatives(q, w), (q.order, str(w))
+
+
 def test_lemma0_rejects_exponent_outside_kernel():
     q = mod_abelianization(2, 2)
     with pytest.raises(ValueError):

@@ -24,9 +24,6 @@ def test_primeseq_validation():
     seq = PrimeSeq([2, 3, 5, 3])
     assert not seq.distinct
     assert PrimeSeq([2, 3, 5]).distinct
-    assert seq.shift(2).primes == (5, 3)
-    with pytest.raises(ValueError):
-        seq.shift(4)
 
 
 def test_build_series_argument_checks():

@@ -1,5 +1,8 @@
 """The period walk of recorded powers, checked against the letter-by-letter
-walk it replaces, which stays as ``FiniteQuotient._walk``."""
+walk it replaces, which stays as ``FiniteQuotient._walk``: the coset it
+reaches, the non-tree crossings it counts (checked also against
+Reidemeister-Schreier rewriting), and the verbal queries built on it, which
+must answer for a long power without reading its letters."""
 
 import functools
 
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from largequot.quotients import mod_abelianization
+from largequot.quotients import mod_abelianization, reidemeister_schreier
 from largequot.series import unit_image_quotient
 from largequot.verbal import build_series
 from largequot.words import Word, parse_word, power
@@ -146,3 +149,114 @@ def test_long_powers_are_walked_without_reading_their_letters(make, n):
     assert q.coset_of(p) == coset
     assert q.kernel_contains(p) == (coset == 0)
     assert q.image_order(p) == order
+
+
+def _period(q, w, n):
+    """Passes of the recorded core of power(w, n) before the walk returns.
+
+    The quotients are groups, so this is the core's image order from every
+    start coset."""
+    _, core, _ = power(w, n).power_record
+    return q.image_order(Word(q.rank, core)) if core else 1
+
+
+def _exponents_around_the_period(q, w):
+    period = _period(q, w, 1)
+    return sorted({n for k in (period - 1, period, period + 1, 2 * period + 3, 1)
+                   for n in (k, -k) if n})
+
+
+COUNTED_CASES = [
+    ([], [(1, 1)], 1),
+    ([(2, 1)], [(1, 1), (2, 1)], 2),
+    ([(1, -1), (3, 1)], [(2, 1), (1, 1), (3, -1)], 1),
+]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+@pytest.mark.parametrize("case", COUNTED_CASES)
+def test_period_walk_counts_match_letter_walk_counts(name, case):
+    q = _quotient(name)
+    w = _word(q.rank, case)
+    for n in _exponents_around_the_period(q, w):
+        p = power(w, n)
+        for c in range(q.order):
+            fast, slow = {}, {}
+            assert q.walk(c, p, fast) == q._walk(c, p.letters, slow)
+            assert fast == slow, (name, case, n, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SMALL)), CONJUGATED_POWERS, st.integers(-40, 40))
+def test_period_walk_counts_match_letter_walk_counts_drawn(name, case, n):
+    q = _quotient(name)
+    p = power(_word(q.rank, case), n)
+    for c in range(q.order):
+        fast, slow = {}, {}
+        assert q.walk(c, p, fast) == q._walk(c, p.letters, slow)
+        assert fast == slow
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+@pytest.mark.parametrize("case", COUNTED_CASES)
+def test_kernel_word_counts_are_rewritten_exponent_sums(name, case):
+    q = _quotient(name)
+    w = _word(q.rank, case)
+    order = q.image_order(w)
+    for n in (order, 2 * order + order * _period(q, w, 1), -order):
+        p = power(w, n)
+        counts = {}
+        assert q.walk(0, p, counts) == 0
+        relator, = reidemeister_schreier(q, [p]).relators
+        sums = relator.exponent_sums()
+        assert len(sums) == len(q.schreier_generators())
+        assert [counts.get(i, 0) for i in range(len(sums))] == list(sums)
+        # image_order threads the counts of its one closed walk
+        counted = {}
+        assert q.image_order(p, counted) == 1
+        assert counted == counts
+
+
+# levels whose parent tables are F/gamma_1 over (2, 3), order 4, and
+# F/gamma_2 over (2, 2, 2), order 128
+def _levels():
+    return [build_series((2, 3), 2, 2)[1], build_series((2, 2, 2), 2, 3)[2]]
+
+
+def _answers(level, w):
+    try:
+        vector = level.component_vector(w)
+    except ValueError:
+        vector = "outside"
+    return level.member(w), level.order_mod(w), vector
+
+
+@pytest.mark.parametrize("text", ["a", "ab", "babaB", "aabAb"])
+def test_verbal_queries_agree_on_powers_and_plain_words(text):
+    for level in _levels():
+        w = parse_word(text, 2)
+        for n in (1, 2, 3, 4, 6, 8, 12, 16, 24, -2, -6, -9):
+            p = power(w, n)
+            assert p.power_record is not None
+            assert _answers(level, p) == _answers(level, Word(2, p.letters)), \
+                (level.depth, text, n)
+
+
+@pytest.mark.parametrize("n", [10**5, -(10**5 + 1)])
+def test_verbal_queries_on_long_powers_read_no_letters(n):
+    for level in _levels():
+        p = power(parse_word("babaB", 2), n)
+        expected = _answers(level, Word(2, p.letters))
+        p.letters = _Unreadable(p.letters)
+        assert _answers(level, p) == expected
+
+
+def test_verbal_queries_reject_a_word_of_another_rank():
+    for level in _levels():
+        for w in (parse_word("ab", 3), power(parse_word("abc", 3), 4)):
+            with pytest.raises(ValueError, match="rank mismatch"):
+                level.member(w)
+            with pytest.raises(ValueError, match="rank mismatch"):
+                level.order_mod(w)
+            with pytest.raises(ValueError, match="rank mismatch"):
+                level.component_vector(w)
