@@ -3,14 +3,23 @@
 The pipeline: pick a finite quotient F -> F/N in which no g_i^s dies for
 s <= k but every g_i^q does.  Over N, the normal closure of g_i^q is the
 closure of one conjugate per coset of <g_i>N, so N/<<..>> has a
-presentation with 1 + (r-1)j generators and sum_i j/order(g_i) relators.
-Both counts are read off the coset graph of the witness: the generators
-are its non-tree edges, the relators its cosets of <g_i>N.  Whenever every
+presentation with 1 + (r-1)j generators (Schreier's index formula) and
+sum_i j/o(g_i) relators, one per coset of <g_i>N (Lemma 0).  Whenever every
 image order exceeds k the relator count stays below j while the generator
 count grows linearly in j, so the deficiency criterion (n generators and at
-most n-2 relators) certifies largeness.  The presentation itself (conjugate
-sets and Reidemeister-Schreier rewriting in :mod:`largequot.quotients`) is
-never built here; it stays library API and the tests' oracle.
+most n-2 relators) certifies largeness.
+
+The counts need only j and the image orders.  For a standard unit witness,
+the 1 + x_i in F_p<x>/X^l over a prime p, both come from closed forms: j is
+p^e by Jennings' formula (:func:`largequot.series.unit_image_exponent`) and
+o(g) is the order of g's series, so no quotient is enumerated.  Every other
+witness (residue vectors, verbal cosets, composite moduli, other images) is
+counted on its coset graph: the generators are its non-tree edges, the
+relators its cosets of <g_i>N.  Certify and verify pick the route from the
+witness spec alone, so a certificate is recounted by the route that made
+it.  The presentation itself (conjugate sets and Reidemeister-Schreier
+rewriting in :mod:`largequot.quotients`) is never built here; it stays
+library API and the tests' oracle.
 
 The avoiding quotients come from the truncated series units: any word with a
 nonzero integer coefficient below the truncation keeps it mod p for p past
@@ -19,16 +28,34 @@ order, so a single bound M (product of small-prime contributions) makes
 every exponent q >= M reachable by one of two branches: q divisible by the
 full small-prime unit-group order p^{j(p)}, or q owning a prime factor
 p > M0 where truncation l already works.  Jennings' formula gives every
-unit-group order, so only the witness that is returned is enumerated.
+unit-group order, so candidates are ranked without enumeration, and only
+:func:`find_avoiding_quotient`, whose callers walk words through the
+witness, builds the one it returns.
 """
 
 from __future__ import annotations
 
+import math
+
 import sympy
 
 from .errors import BelowBoundError, CapExceeded
-from .quotients import DEFAULT_ENUM_CAP, FiniteQuotient, coset_representatives
-from .series import DEFAULT_TERM_CAP, embed, unit_image_exponent, unit_image_quotient
+from .quotients import (
+    DEFAULT_ENUM_CAP,
+    FiniteQuotient,
+    coset_representatives,
+    element_kind,
+)
+from .series import (
+    DEFAULT_TERM_CAP,
+    embed,
+    generator_image,
+    power_over_cap,
+    unit_image_exponent,
+    unit_image_quotient,
+    unit_image_spec,
+    unit_order,
+)
 from .words import Word, parse_word
 
 CERTIFICATE_SCHEMA = "largeness-certificate/1"
@@ -121,17 +148,12 @@ def _least_faithful_truncation(powers, modulus, truncation_cap, term_cap):
 _UNIT_QUOTIENT_MEMO = {}
 
 
-def _over_cap(p, e, cap):
-    """Whether p^e > cap, without building p^e for a huge exponent e."""
-    return e >= cap.bit_length() or p**e > cap
-
-
 def _unit_quotient(p, rank, l, cap):
     key = (p, rank, l)
     quotient = _UNIT_QUOTIENT_MEMO.get(key)
     if quotient is None:
-        e = unit_image_exponent(p, rank, l)
-        if not _over_cap(p, e, cap):
+        e = unit_image_exponent(p, rank, l, cap=cap)
+        if not power_over_cap(p, e, cap):
             quotient = unit_image_quotient(p, rank, l, cap=cap)
             # an explicit raise, not an assert statement, which python -O strips
             if quotient.order != p**e:
@@ -141,6 +163,102 @@ def _unit_quotient(p, rank, l, cap):
         # the text a fresh BFS would give, memo hit or not
         raise CapExceeded("quotient enumeration", cap + 1, cap)
     return quotient
+
+
+# -- counting a witness --------------------------------------------------
+
+
+class _UnitCounts:
+    """The counts of the standard unit witness (p, r, l), from closed forms.
+
+    j = p^e by Jennings' formula, o(g) is the order of g's series, and each
+    coset of <g>N holds o elements.  At rank 1 the group is cyclic, so a^n
+    has order j / gcd(n, j) and no series is formed: there l may be as
+    large as the cap, and the series of a^-1 has l terms.  With a ``cap``,
+    a p^e past it raises the error the witness's BFS would, before any
+    series work.
+    """
+
+    def __init__(self, p, rank, l, cap):
+        e = unit_image_exponent(p, rank, l, cap=cap)
+        if cap is not None and power_over_cap(p, e, cap):
+            raise CapExceeded("quotient enumeration", cap + 1, cap)
+        self.p, self.rank, self.l = p, rank, l
+        self.order = p**e
+        self.gens = 1 + (rank - 1) * self.order
+
+    def image_order(self, w):
+        if w.rank != self.rank:
+            raise ValueError(
+                f"rank mismatch: word has {w.rank}, quotient has {self.rank}")
+        if self.rank == 1:
+            return self.order // math.gcd(w.exponent_sums()[0], self.order)
+        return unit_order(embed(w, self.l, self.p))
+
+    def cosets(self, w, o):
+        return self.order // o
+
+
+class _GraphCounts:
+    """The counts of any witness, read off its coset graph."""
+
+    def __init__(self, quotient):
+        self.quotient = quotient
+        self.rank, self.order = quotient.rank, quotient.order
+        # one generator per non-tree edge
+        self.gens = len(quotient.schreier_generators())
+        # explicit raises, not assert statements, which python -O strips
+        if self.gens != 1 + (self.rank - 1) * self.order:
+            raise AssertionError("generator count must be 1 + (r-1)j")
+
+    def image_order(self, w):
+        return self.quotient.image_order(w)
+
+    def cosets(self, w, o):
+        count = len(coset_representatives(self.quotient, w))
+        if count != self.order // o:
+            raise AssertionError("relator count must be the sum of j / image order")
+        return count
+
+
+def _standard_unit(params, images):
+    """(p, r, l) when the magnus images are the 1 + x_i over a prime p."""
+    if not images:
+        return None
+    p, l = params["modulus"], params["degree_bound"]
+    if (not isinstance(p, int) or not sympy.isprime(p)
+            or len(images) != params["rank"]):
+        return None
+    rank = len(images)
+    for i, image in enumerate(images, 1):
+        if image != generator_image(rank, l, p, i, 1):
+            return None
+    return p, rank, l
+
+
+def _spec_counts(spec, cap):
+    """Count a serialized witness by the route its spec picks.
+
+    Magnus payloads are parsed by the kind's own deserializer, so a
+    malformed spec raises what :meth:`FiniteQuotient.from_spec` raises.
+    """
+    kind = element_kind(spec["kind"])
+    if kind.name == "magnus_unit":
+        params = spec["params"]
+        images = [kind.deserialize(params, payload) for payload in spec["gen_images"]]
+        unit = _standard_unit(params, images)
+        if unit is not None:
+            return _UnitCounts(*unit, cap)
+    return _GraphCounts(FiniteQuotient.from_spec(spec, cap=cap))
+
+
+def _quotient_counts(quotient):
+    """Count a witness that is already built, by the route of its spec."""
+    if quotient.kind == "magnus_unit" and quotient.params:
+        unit = _standard_unit(quotient.params, quotient.gen_images)
+        if unit is not None:
+            return _UnitCounts(*unit, None)
+    return _GraphCounts(quotient)
 
 
 def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
@@ -166,8 +284,8 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
     M = 1
     for p in sympy.primerange(2, M0 + 1):
         l_p = _least_faithful_truncation(powers, p, truncation_cap, term_cap)
-        jp = unit_image_exponent(p, rank, l_p)
-        if _over_cap(p, jp, enum_cap):
+        jp = unit_image_exponent(p, rank, l_p, cap=enum_cap)
+        if power_over_cap(p, jp, enum_cap):
             raise CapExceeded("quotient enumeration", enum_cap + 1, enum_cap)
         exponents[p] = jp
         truncations[p] = l_p
@@ -175,23 +293,11 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
     return LemmaFiBound(words, m, l, M0, exponents, truncations, M)
 
 
-def find_avoiding_quotient(words, m, q, bound=None,
-                           truncation_cap=DEFAULT_TRUNCATION_CAP,
-                           enum_cap=DEFAULT_ENUM_CAP,
-                           term_cap=DEFAULT_TERM_CAP):
-    """A finite quotient N with g_i^s outside N for s <= m and g_i^q inside.
+def _avoiding_unit(words, rank, m, q, bound, truncation_cap, enum_cap, term_cap):
+    """(p, l) of the smallest admissible unit witness, by closed-form order.
 
-    Requires q >= M.  Branches: if p^{j(p)} divides q for a small prime p,
-    the mod-p unit quotient at that prime's truncation works outright; else
-    q has a prime factor p > M0, and the unit quotient mod p at the bound's
-    truncation l keeps S alive (every witness coefficient is below p) and
-    works because every unit there has order p.  A ``bound`` computed for
-    other words or another m raises ``ValueError``.
-    Among admissible branches the smallest quotient wins, ranked by the
-    closed-form orders; only the winner is enumerated.  Both postcondition
-    halves are machine-checked before returning.
+    The ranking half of :func:`find_avoiding_quotient`: nothing is built.
     """
-    words, rank = _check_base_words(words)
     if bound is None:
         bound = lemma_fi_bound(words, m, truncation_cap=truncation_cap,
                                enum_cap=enum_cap, term_cap=term_cap)
@@ -207,16 +313,39 @@ def find_avoiding_quotient(words, m, q, bound=None,
     # below l already kills some power over Z, so l is the least one mod p
     l = bound.l
     for p in [p for p in sympy.factorint(q) if p > bound.M0]:
-        e = unit_image_exponent(p, rank, l)
+        e = unit_image_exponent(p, rank, l, cap=enum_cap)
         # an over-cap candidate past truncation 2 is dropped; one at
-        # truncation 2 stays, and building it reports the cap
-        if l > 2 and _over_cap(p, e, enum_cap):
+        # truncation 2 stays, and counting or building it reports the cap
+        if l > 2 and power_over_cap(p, e, enum_cap):
             continue
         candidates.append((p**e, p, l))
     if not candidates:
         raise CapExceeded("avoiding quotient enumeration", q, enum_cap)
     _, p, l_p = min(candidates)
-    quotient = _unit_quotient(p, rank, l_p, enum_cap)
+    return p, l_p
+
+
+def find_avoiding_quotient(words, m, q, bound=None,
+                           truncation_cap=DEFAULT_TRUNCATION_CAP,
+                           enum_cap=DEFAULT_ENUM_CAP,
+                           term_cap=DEFAULT_TERM_CAP):
+    """A finite quotient N with g_i^s outside N for s <= m and g_i^q inside.
+
+    Requires q >= M.  Branches: if p^{j(p)} divides q for a small prime p,
+    the mod-p unit quotient at that prime's truncation works outright; else
+    q has a prime factor p > M0, and the unit quotient mod p at the bound's
+    truncation l keeps S alive (every witness coefficient is below p) and
+    works because every unit there has order p.  A ``bound`` computed for
+    other words or another m raises ``ValueError``.
+    Among admissible branches the smallest quotient wins, ranked by the
+    closed-form orders; only the winner is enumerated, and memoized, since
+    callers walk words through it.  Both postcondition halves are
+    machine-checked before returning.
+    """
+    words, rank = _check_base_words(words)
+    p, l = _avoiding_unit(words, rank, m, q, bound, truncation_cap, enum_cap,
+                          term_cap)
+    quotient = _unit_quotient(p, rank, l, enum_cap)
     _check_avoidance(quotient, words, m, q)
     return quotient
 
@@ -236,24 +365,27 @@ def _check_avoidance(quotient, words, m, q):
 
 
 def _direct_witness_search(words, k, q, truncation_cap, enum_cap):
-    """Scan mod-p unit quotients (p | q) for a witness, smallest first.
+    """Scan mod-p unit witnesses (p | q) for one, smallest first.
 
     The bound M is sufficient, not necessary: exponents below it can still
     have avoiding quotients (q=2 for g=a does).  Unit image orders are
     p-powers that only grow with the truncation, so per prime the scan can
-    stop as soon as some order outgrows the p-part of q.
+    stop as soon as some order outgrows the p-part of q, or the witness
+    outgrows the cap.  Orders come from the series and the cap from
+    Jennings' formula, so nothing is enumerated.  Returns (p, l) with the
+    image orders, so certify need not take them again, or None.
     """
     rank = words[0].rank
     for p, e in sorted(sympy.factorint(q).items()):
         p_part = p**e
         for l in range(2, truncation_cap + 1):
             try:
-                quotient = _unit_quotient(p, rank, l, enum_cap)
+                counts = _spec_counts(unit_image_spec(p, rank, l), enum_cap)
             except CapExceeded:
                 break
-            orders = [quotient.image_order(w) for w in words]
+            orders = [counts.image_order(w) for w in words]
             if all(o > k and p_part % o == 0 for o in orders):
-                return quotient
+                return p, l, orders
             if any(p_part % o for o in orders):
                 break
     return None
@@ -266,25 +398,31 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
 
     ``witness`` is an optional user-supplied FiniteQuotient; by default the
     avoiding quotient comes from the bound machinery with m = k, falling
-    back to a direct search when q sits below the bound M.  The certificate
-    is a plain JSON-ready dict; `verify_certificate` recomputes it from the
-    serialized witness alone.
+    back to a direct search when q sits below the bound M, and is counted
+    from its spec without being built.  The certificate is a plain
+    JSON-ready dict; `verify_certificate` recomputes it from the serialized
+    witness alone.
     """
     words, rank = _check_base_words(words)
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"exponent must be a positive integer, got {q!r}")
     k = len(words)
+    orders = None
     if witness is None:
         try:
-            witness = find_avoiding_quotient(
-                words, k, q, truncation_cap=truncation_cap, enum_cap=enum_cap,
-                term_cap=term_cap,
-            )
+            p, l = _avoiding_unit(words, rank, k, q, None, truncation_cap,
+                                  enum_cap, term_cap)
         except BelowBoundError:
-            witness = _direct_witness_search(words, k, q, truncation_cap, enum_cap)
-            if witness is None:
+            found = _direct_witness_search(words, k, q, truncation_cap, enum_cap)
+            if found is None:
                 raise
-    orders = [witness.image_order(w) for w in words]
+            p, l, orders = found
+        spec = unit_image_spec(p, rank, l)
+        counts = _spec_counts(spec, enum_cap)
+    else:
+        counts = _quotient_counts(witness)
+    if orders is None:
+        orders = [counts.image_order(w) for w in words]
     for w, o in zip(words, orders):
         if o <= k:
             raise ValueError(
@@ -292,17 +430,12 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
             )
         if q % o:
             raise ValueError(f"{w}^{q} is not in the witness kernel")
-    j = witness.order
-    # one generator per non-tree edge, one relator per coset of <g_i>N
-    gens = len(witness.schreier_generators())
-    rels = sum(len(coset_representatives(witness, w)) for w in words)
+    j = counts.order
+    gens = counts.gens
+    rels = sum(counts.cosets(w, o) for w, o in zip(words, orders))
     deficiency = gens - rels
-    # explicit raises, not assert statements, which python -O strips
-    if gens != 1 + (rank - 1) * j:
-        raise AssertionError("generator count must be 1 + (r-1)j")
-    if rels != sum(j // o for o in orders):
-        raise AssertionError("relator count must be the sum of j / image order")
-    # with every image order >= k+1 the relator count stays under kj/(k+1),
+    # explicit raises, not assert statements, which python -O strips: with
+    # every image order >= k+1 the relator count stays under kj/(k+1),
     # which for rank >= 2 pins the deficiency above j/(k+1)
     if rels * (k + 1) > k * j:
         raise AssertionError("relator count must stay at most kj/(k+1)")
@@ -315,7 +448,7 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
             "base_words": [str(w) for w in words],
             "exponent": q,
         },
-        "witness": witness.serialize(),
+        "witness": spec if witness is None else witness.serialize(),
         "counts": {
             "j": j,
             "gens": gens,
@@ -330,16 +463,19 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
 def verify_certificate(doc, enum_cap=DEFAULT_ENUM_CAP):
     """Recompute a certificate's counts and verdict from its witness.
 
-    Works from the serialized document alone: rebuilds the quotient,
-    re-derives the generator and relator counts from its coset graph (not
-    from the recorded numbers) and compares bit-exactly.  Returns a report
-    dict with ``ok``, the recomputed counts, the list of mismatching fields
-    and the list of problems.  A problem is a wrong schema, ``base_words``
-    that is not a list of strings, a base word that does not parse, a
-    target rank other than the witness's, an exponent that is not an
-    integer >= 1 or a ``counts`` that is not an object; no image order is
-    taken for base words that have a problem.  A witness that cannot be
-    rebuilt raises.
+    Works from the serialized document alone: re-derives the generator and
+    relator counts from the witness (not from the recorded numbers), by the
+    route its spec picks: closed forms for a standard unit witness, the
+    coset graph of the rebuilt quotient for any other, and compares
+    bit-exactly.  Returns a report dict with ``ok``, the recomputed counts,
+    the list of mismatching fields and the list of problems.  A problem is
+    a wrong schema, ``base_words`` that is not a list of strings, a base
+    word that does not parse, a target rank other than the witness's, an
+    exponent that is not an integer >= 1, a ``counts`` that is not an object
+    or a recorded count that is not an integer; no image order is taken for
+    base words that have a problem.  A witness that cannot be counted
+    raises: a malformed spec, or one past ``enum_cap``, with the error its
+    enumeration would give.
     """
     problems = []
     target = doc["target"]
@@ -367,17 +503,17 @@ def verify_certificate(doc, enum_cap=DEFAULT_ENUM_CAP):
         problems.append(f"counts must be an object, got {recorded!r}")
         recorded = {}
     k = len(words)
-    quotient = FiniteQuotient.from_spec(doc["witness"], cap=enum_cap)
-    if rank != quotient.rank:
+    counts = _spec_counts(doc["witness"], enum_cap)
+    if rank != counts.rank:
         problems.append(
-            f"rank mismatch: target has rank {rank!r}, witness has {quotient.rank}"
+            f"rank mismatch: target has rank {rank!r}, witness has {counts.rank}"
         )
         words = []
-    j = quotient.order
-    gens = len(quotient.schreier_generators())
+    j = counts.order
+    gens = counts.gens
     rels = 0
     for w in words:
-        o = quotient.image_order(w)
+        o = counts.image_order(w)
         if o <= k:
             problems.append(
                 f"image order of {w} is {o}, not above the word count {k}"
@@ -387,13 +523,17 @@ def verify_certificate(doc, enum_cap=DEFAULT_ENUM_CAP):
         if q % o:
             problems.append(f"{w}^{q} is not in the witness kernel")
         else:
-            rels += len(coset_representatives(quotient, w))
+            rels += counts.cosets(w, o)
     computed = {
         "j": j,
         "gens": gens,
         "rels": rels,
         "deficiency": gens - rels,
     }
+    for key in computed:
+        if key in recorded and type(recorded[key]) is not int:
+            problems.append(
+                f"counts.{key} must be an integer, got {recorded[key]!r}")
     verdict = bp_certify(gens, rels)
     mismatches = [key for key in computed if computed[key] != recorded.get(key)]
     if verdict != doc.get("verdict"):

@@ -6,12 +6,19 @@ identically zero.  A series is stored sparsely as a map from monomials
 (tuples of variable indices, so ``(1, 2, 1)`` is x1*x2*x1) to nonzero
 coefficients; the constant term has the empty monomial.  Monomials are
 ordered by degree then lexicographically, and printing follows that order.
+That sorted key is built on first use (``terms()``, ``hash``, ``str``), not
+with the series: the products certify takes orders from are mostly read
+only through ``is_one`` or another product.  A product keeps the monomials
+it forms without validating them again; it only reduces the coefficients
+and drops the zeros.
 
 The group embedding sends the i-th free generator to 1 + x_i and its inverse
 to the truncated geometric series sum_{k<l} (-x_i)^k.  Over F_p every series
 with constant term 1 is a unit of p-power order, which is what the avoiding
 quotients in :mod:`largequot.largeness` are built from; Jennings' formula
-gives the order of the group the 1 + x_i generate (:func:`unit_image_exponent`).
+gives the order of the group the 1 + x_i generate (:func:`unit_image_exponent`),
+and :func:`unit_image_spec` the serialized witness, so certificates over
+such a witness need no enumeration.
 
 Enumerating such a unit group (the ``magnus_unit`` element kind) does not
 multiply series.  Over a modulus m, a series with N = sum_{d<l} r^d
@@ -31,6 +38,7 @@ Over Z the BFS multiplies series as before.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .errors import CapExceeded
@@ -79,7 +87,25 @@ class TruncSeries:
             if c:
                 stored[mono] = c
         self._terms = stored
-        self._key = tuple(sorted(stored.items(), key=lambda kv: (len(kv[0]), kv[0])))
+        self._key = None
+
+    @classmethod
+    def _trusted(cls, rank, degree_bound, modulus, terms):
+        """A series from monomials already in range for its shape.
+
+        Only reduces the coefficients and drops the zeros: the products and
+        sums of valid series need no other check."""
+        self = object.__new__(cls)
+        self.rank = rank
+        self.degree_bound = degree_bound
+        self.modulus = modulus
+        if modulus is not None:
+            terms = {mono: r for mono, c in terms.items() if (r := c % modulus)}
+        else:
+            terms = {mono: c for mono, c in terms.items() if c}
+        self._terms = terms
+        self._key = None
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -99,6 +125,9 @@ class TruncSeries:
 
     def terms(self):
         """Sorted (monomial, coefficient) pairs in degree-then-lex order."""
+        if self._key is None:
+            self._key = tuple(sorted(self._terms.items(),
+                                     key=lambda kv: (len(kv[0]), kv[0])))
         return self._key
 
     def coefficient(self, mono):
@@ -145,7 +174,7 @@ class TruncSeries:
         )
 
     def __hash__(self):
-        return hash((self.rank, self.degree_bound, self.modulus, self._key))
+        return hash((self.rank, self.degree_bound, self.modulus, self.terms()))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -156,10 +185,10 @@ class TruncSeries:
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
             terms[mono] = terms.get(mono, 0) + coeff
-        return TruncSeries(self.rank, self.degree_bound, self.modulus, terms)
+        return TruncSeries._trusted(self.rank, self.degree_bound, self.modulus, terms)
 
     def __neg__(self):
-        return TruncSeries(
+        return TruncSeries._trusted(
             self.rank,
             self.degree_bound,
             self.modulus,
@@ -174,19 +203,23 @@ class TruncSeries:
     def mul(self, other, term_cap=DEFAULT_TERM_CAP):
         self._check_compatible(other)
         bound = self.degree_bound
+        # the right factor's terms by degree, so each row stops at its room
+        right = sorted(other._terms.items(), key=lambda kv: len(kv[0]))
         terms = {}
+        get = terms.get
         for m1, c1 in self._terms.items():
-            if len(m1) >= bound:
-                continue
             room = bound - len(m1)
-            for m2, c2 in other._terms.items():
+            for m2, c2 in right:
                 if len(m2) >= room:
-                    continue
+                    break
                 mono = m1 + m2
-                terms[mono] = terms.get(mono, 0) + c1 * c2
-                if term_cap is not None and len(terms) > term_cap:
-                    raise CapExceeded("series term count", len(terms), term_cap)
-        return TruncSeries(self.rank, self.degree_bound, self.modulus, terms)
+                terms[mono] = get(mono, 0) + c1 * c2
+            # the term count grows one at a time, so it first passes the
+            # cap at cap + 1, whichever row takes it there
+            if term_cap is not None and len(terms) > term_cap:
+                raise CapExceeded("series term count", term_cap + 1, term_cap)
+        # stored monomials are below the bound, so the products kept are too
+        return TruncSeries._trusted(self.rank, bound, self.modulus, terms)
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
@@ -231,10 +264,10 @@ class TruncSeries:
     # -- text form ---------------------------------------------------------
 
     def __str__(self):
-        if not self._key:
+        if not self._terms:
             return "0"
         parts = []
-        for mono, coeff in self._key:
+        for mono, coeff in self.terms():
             body = "".join(f"x{v}" for v in mono)
             mag = abs(coeff)
             if not body:
@@ -286,8 +319,12 @@ class TruncSeries:
 # -- group-side operations --------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def generator_image(rank, degree_bound, modulus, gen, exp):
-    """Series image of a single letter: 1+x_i, or sum_{k<l} (-x_i)^k."""
+    """Series image of a single letter: 1+x_i, or sum_{k<l} (-x_i)^k.
+
+    Series are immutable, so each image is built once and shared.
+    """
     if exp == 1:
         terms = {(): 1, (gen,): 1}
     else:
@@ -304,12 +341,9 @@ def embed(word, degree_bound, modulus=None, term_cap=DEFAULT_TERM_CAP):
     if not isinstance(word, Word):
         raise ValueError(f"embed expects a Word, got {word!r}")
     result = TruncSeries.one(word.rank, degree_bound, modulus)
-    images = {}
     for gen, exp in word.letters:
-        if (gen, exp) not in images:
-            images[gen, exp] = generator_image(
-                word.rank, degree_bound, modulus, gen, exp)
-        result = result.mul(images[gen, exp], term_cap=term_cap)
+        image = generator_image(word.rank, degree_bound, modulus, gen, exp)
+        result = result.mul(image, term_cap=term_cap)
     return result
 
 
@@ -337,19 +371,49 @@ def unit_order(s, term_cap=DEFAULT_TERM_CAP):
     raise RuntimeError("unit order did not stabilize below the degree bound")
 
 
-def unit_image_exponent(p, rank, l):
+def power_over_cap(p, e, cap):
+    """Whether p^e > cap, without building p^e for a huge exponent e."""
+    return e >= cap.bit_length() or p**e > cap
+
+
+def unit_image_exponent(p, rank, l, cap=None):
     """log_p of the order of the group the 1 + x_i generate in F_p<x>/X^l.
 
     Jennings (Trans. AMS 50, 1941): sum_{n<l} sum_{p^k | n} M_r(n/p^k), with
     Witt's necklace count n M_r(n) = r^n - sum_{d | n, d < n} d M_r(d).
+    With a ``cap``, the sum stops as soon as p^e passes it and returns that
+    partial e, so the work depends on the cap and not on l: each degree
+    adds at least one for rank >= 2, and rank 1 takes the closed form.
     """
+    if rank == 1:
+        # M_1(n) is 1 at n = 1 and 0 past it, so e counts the p^k below l
+        e, pk = 0, 1
+        while pk < l and (cap is None or pk <= cap):
+            e, pk = e + 1, pk * p
+        return e
     necklaces = [0]
+    e = 0
     for n in range(1, l):
         divided = sum(d * necklaces[d] for d in range(1, n) if n % d == 0)
         necklaces.append((rank**n - divided) // n)
-    # p^k <= n < l, so k < l.bit_length()
-    return sum(necklaces[n // p**k] for n in range(1, l)
-               for k in range(l.bit_length()) if n % p**k == 0)
+        pk = 1
+        while n % pk == 0:
+            e += necklaces[n // pk]
+            pk *= p
+        if cap is not None and power_over_cap(p, e, cap):
+            break
+    return e
+
+
+def unit_image_spec(modulus, rank, degree_bound):
+    """The serialized :func:`unit_image_quotient`, built without its BFS."""
+    images = [generator_image(rank, degree_bound, modulus, g, 1)
+              for g in range(1, rank + 1)]
+    return {
+        "kind": "magnus_unit",
+        "params": {"modulus": modulus, "rank": rank, "degree_bound": degree_bound},
+        "gen_images": [_serialize_unit(img) for img in images],
+    }
 
 
 def unit_image_quotient(modulus, rank, degree_bound, cap=None):
@@ -357,22 +421,17 @@ def unit_image_quotient(modulus, rank, degree_bound, cap=None):
 
     Enumerates the subgroup of units generated by the images 1 + x_i in
     F_p<x_1..x_r>/X^l.  Returns a :class:`largequot.quotients.FiniteQuotient`
-    whose generator images are series.  The BFS runs on packed coefficient
-    ints (see the module docstring), which are its ``elements``.
+    whose generator images are series, read from :func:`unit_image_spec`,
+    so it serializes to that spec.  The BFS runs on packed coefficient ints
+    (see the module docstring), which are its ``elements``.
     """
     from . import quotients
 
     if modulus is None or modulus < 2:
         raise ValueError("unit image quotients need a prime modulus")
-    images = [
-        generator_image(rank, degree_bound, modulus, g, 1)
-        for g in range(1, rank + 1)
-    ]
-    params = {"modulus": modulus, "rank": rank, "degree_bound": degree_bound}
+    spec = unit_image_spec(modulus, rank, degree_bound)
     kwargs = {} if cap is None else {"cap": cap}
-    return quotients.build_quotient(
-        rank, images, kind="magnus_unit", params=params, **kwargs
-    )
+    return quotients.FiniteQuotient.from_spec(spec, **kwargs)
 
 
 def _serialize_unit(series):

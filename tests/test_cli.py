@@ -182,6 +182,40 @@ def test_verify_reports_null_counts(capsys, tmp_path):
     assert problems == ["counts must be an object, got None"]
 
 
+@pytest.mark.parametrize("key,value", [("j", "32"), ("rels", True)])
+def test_verify_reports_a_count_that_is_not_an_integer(
+        capsys, tmp_path, key, value):
+    doc = _verify_mutated(
+        capsys, tmp_path, lambda cert: cert["counts"].__setitem__(key, value))
+    assert doc["problems"] == [
+        f"counts.{key} must be an integer, got {value!r}"]
+    assert doc["mismatches"] == [key]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-large", "-g", "a,b", "-q", "4"],
+    ["certify-large", "-r", "1", "-g", "a", "-q", "4"],
+], ids=["rank2", "rank1"])
+def test_verify_refuses_a_huge_degree_bound_at_once(
+        capsys, tmp_path, package_env, argv):
+    # the witness's order passes the cap, which its closed form tells
+    # before any series is multiplied or any coset enumerated
+    cert_path = tmp_path / "cert.json"
+    run(capsys, argv + ["-o", str(cert_path)])
+    cert = json.loads(cert_path.read_text())
+    cert["witness"]["params"]["degree_bound"] = 10**6
+    cert_path.write_text(json.dumps(cert))
+    result = subprocess.run(
+        [sys.executable, "-m", "largequot", "verify", str(cert_path)],
+        env=package_env, capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 2, result.stderr
+    doc = json.loads(result.stdout)
+    assert doc["ok"] is False
+    assert doc["error"] == ("malformed certificate: CapExceeded('quotient "
+                            "enumeration: reached 1000001 with cap 1000000')")
+
+
 def _target_problems(capsys, tmp_path, field, value):
     return _verify_mutated(
         capsys, tmp_path, lambda cert: cert["target"].__setitem__(field, value)

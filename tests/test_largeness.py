@@ -4,6 +4,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from largequot import largeness, quotients
 from largequot.errors import BelowBoundError, CapExceeded
@@ -17,7 +19,13 @@ from largequot.largeness import (
     verify_certificate,
 )
 from largequot.quotients import FiniteQuotient, mod_abelianization
-from largequot.series import unit_image_quotient
+from largequot.series import (
+    TruncSeries,
+    unit_image_exponent,
+    unit_image_quotient,
+    unit_image_spec,
+)
+from largequot.verbal import build_series
 from largequot.words import Word, parse_word, random_reduced_word
 
 
@@ -237,11 +245,22 @@ NO_BUILD_CASES = [
 ]
 
 
+def _graph_only(params, images):
+    """No witness is standard: every count is read off the coset graph,
+    the oracle of the closed forms."""
+    return None
+
+
+@pytest.fixture
+def graph_route(monkeypatch):
+    monkeypatch.setattr(largeness, "_standard_unit", _graph_only)
+
+
 @pytest.mark.parametrize("texts,q,unit,cert_digest,report_digest",
                          NO_BUILD_CASES,
                          ids=[f"{c[0]}^{c[1]}" for c in NO_BUILD_CASES])
 def test_certify_and_verify_build_no_conjugates_or_rewrites(
-        monkeypatch, texts, q, unit, cert_digest, report_digest):
+        monkeypatch, graph_route, texts, q, unit, cert_digest, report_digest):
     base = [parse_word(t, 2) for t in texts.split(",")]
     # the witness search builds powers g^s, so it runs before the patches
     if unit is None:
@@ -260,6 +279,79 @@ def test_certify_and_verify_build_no_conjugates_or_rewrites(
     monkeypatch.setattr(FiniteQuotient, "transversal_word", refuse)
     cert = certify_power_quotient(base, q, witness=witness)
     report = verify_certificate(cert)
+    assert report["ok"]
+    assert _digest(cert) == cert_digest
+    assert _digest(report) == report_digest
+
+
+@pytest.mark.parametrize("texts,q,unit,cert_digest,report_digest",
+                         NO_BUILD_CASES,
+                         ids=[f"{c[0]}^{c[1]}" for c in NO_BUILD_CASES])
+def test_standard_unit_witnesses_are_counted_without_a_quotient(
+        monkeypatch, texts, q, unit, cert_digest, report_digest):
+    base = [parse_word(t, 2) for t in texts.split(",")]
+    witness = None if unit is None else unit_image_quotient(*unit)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a standard unit witness is counted by closed forms")
+
+    monkeypatch.setattr(largeness, "_UNIT_QUOTIENT_MEMO", {})
+    monkeypatch.setattr(quotients, "build_quotient", refuse)
+    monkeypatch.setattr(quotients, "coset_representatives", refuse)
+    monkeypatch.setattr(largeness, "coset_representatives", refuse)
+    monkeypatch.setattr(FiniteQuotient, "schreier_generators", refuse)
+    cert = certify_power_quotient(base, q, witness=witness)
+    report = verify_certificate(json.loads(json.dumps(cert)))
+    assert report["ok"]
+    assert _digest(cert) == cert_digest
+    assert _digest(report) == report_digest
+
+
+def _magnus(p, l, images):
+    return FiniteQuotient.from_spec({
+        "kind": "magnus_unit",
+        "params": {"modulus": p, "rank": 2, "degree_bound": l},
+        "gen_images": images,
+    })
+
+
+# sha256 of the sorted-key JSON of the certificate and its verify report for
+# witnesses that are not standard unit witnesses, frozen from the pipeline
+# that counted every witness on its coset graph
+GRAPH_CASES = [
+    ("x1+x2", lambda: _magnus(2, 3, ["1 + x1 + x2", "1 + x2"]), "a", 4,
+     "a72a7f3f1cf11c8566a843da1aacd285ad74e45803088c786f5d51bd64020898",
+     "c549507879db6d78ea2e6119464636e11ae68248e10e399b739148ec68b7ee6f"),
+    ("mod4", lambda: _magnus(4, 2, ["1 + x1", "1 + x2"]), "a,b", 4,
+     "9416d92a6b64515ad29d4a1344f26b85d06b6f0b3970307962d7ddde2c50553e",
+     "e73b96c8ad57a401ce988d8c4c77e73aa0bbbe09bf1a39dcc09d3fd6de831da6"),
+    ("abelian", lambda: mod_abelianization(2, 3), "a,b", 3,
+     "8479828950eea45bfc7c967a11bbe50f61f43c2c910e3f69086d754b8c91680a",
+     "5ceae615ff604304e3ef2dd447b29917160308c428ae0b5864637f9c8b9819e4"),
+    ("verbal", lambda: build_series((2, 3, 5), 2, 3)[2].parent_quotient, "a", 6,
+     "57b885b07bfae16ba1734e6a8df2a0dd7a694bf6c8fbf7d2fde62683c0080065",
+     "277f39a8b371e5f736151d7fb068b15ce031fd838205a6353be71463332b04f3"),
+]
+
+
+@pytest.mark.parametrize("name,build,texts,q,cert_digest,report_digest",
+                         GRAPH_CASES, ids=[c[0] for c in GRAPH_CASES])
+def test_other_witnesses_are_counted_on_their_coset_graph(
+        monkeypatch, name, build, texts, q, cert_digest, report_digest):
+    witness = build()
+    base = [parse_word(t, 2) for t in texts.split(",")]
+    cert = certify_power_quotient(base, q, witness=witness)
+    built = []
+    original = quotients.build_quotient
+
+    def counted(*args, **kwargs):
+        quotient = original(*args, **kwargs)
+        built.append(quotient.order)
+        return quotient
+
+    monkeypatch.setattr(quotients, "build_quotient", counted)
+    report = verify_certificate(json.loads(json.dumps(cert)))
+    assert built == [witness.order]
     assert report["ok"]
     assert _digest(cert) == cert_digest
     assert _digest(report) == report_digest
@@ -414,3 +506,180 @@ def test_p_group_order_is_checked_under_python_O(run_under_O):
     # the check must survive python -O
     out = run_under_O(P_GROUP_UNDER_O)
     assert out.strip() == "refused: unit image quotient must be a p-group"
+
+
+# -- closed-form counts against the coset graph -----------------------------
+
+
+def _outcome(call):
+    """A call's result, or the type and text of the error it raises."""
+    try:
+        return call()
+    except (ValueError, CapExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _on_both_routes(call):
+    """The outcome by the closed forms, then with every witness counted on
+    its coset graph."""
+    fast = _outcome(call)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(largeness, "_standard_unit", _graph_only)
+        slow = _outcome(call)
+    return fast, slow
+
+
+def unit_witnesses(limit):
+    """(p, r, l), p in {2,3,5,7} and r in {1,2,3}, with p^e <= limit.
+
+    Rank-1 orders p^ceil(log_p l) stay small far out, so there l stops at
+    p + 2, past the jump from p to p^2.
+    """
+    cases = []
+    for p in (2, 3, 5, 7):
+        for r in (1, 2, 3):
+            l = 1
+            while (l <= p + 2 if r == 1
+                   else p**unit_image_exponent(p, r, l) <= limit):
+                cases.append((p, r, l))
+                l += 1
+    return cases
+
+
+def _word_sets(rank):
+    if rank == 1:
+        return [["a"], ["a", "aa"], ["A", "aaa"]]
+    return [["a"], ["ab", "aB"], ["a", "abAB"]]
+
+
+@pytest.mark.parametrize("p,r,l", unit_witnesses(10**5))
+def test_closed_form_counts_match_the_coset_graph(p, r, l):
+    witness = unit_image_quotient(p, r, l, cap=10**5)
+    j = witness.order
+    for texts in _word_sets(r):
+        words = [parse_word(t, r) for t in texts]
+        for q in (j, p):
+            fast, slow = _on_both_routes(
+                lambda: certify_power_quotient(words, q, witness=witness))
+            assert fast == slow, (texts, q)
+    # reports, on a certificate as made and on one whose words and exponent
+    # make problems
+    cert = {
+        "schema": largeness.CERTIFICATE_SCHEMA,
+        "target": {"rank": r, "base_words": ["a"], "exponent": j},
+        "witness": witness.serialize(),
+        "counts": {"j": j, "gens": 1 + (r - 1) * j, "rels": 1, "deficiency": 0},
+        "verdict": VERDICT_LARGE,
+    }
+    other = {**cert, "target": {"rank": r, "base_words": _word_sets(r)[1],
+                                "exponent": p}}
+    for doc in (cert, other):
+        fast, slow = _on_both_routes(
+            lambda: verify_certificate(doc, enum_cap=10**5))
+        assert fast == slow
+
+
+WORDS = st.lists(st.text("aAbB", min_size=1, max_size=4), min_size=1,
+                 max_size=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(WORDS, st.integers(1, 400))
+def test_chosen_witnesses_count_as_their_coset_graph(texts, q):
+    words = [parse_word(t, 2) for t in texts]
+    if any(w.is_identity for w in words) or len(set(words)) < len(words):
+        return
+    cap = 2000
+    fast, slow = _on_both_routes(
+        lambda: certify_power_quotient(words, q, enum_cap=cap))
+    assert fast == slow
+    if isinstance(fast, dict):
+        report, oracle = _on_both_routes(
+            lambda: verify_certificate(fast, enum_cap=cap))
+        assert report == oracle
+        assert report["ok"]
+
+
+@pytest.mark.parametrize("texts,q,cap,error", [
+    ("a", 5, 10, "quotient enumeration: reached 11 with cap 10"),
+    ("a,b", 2, 10**6, "exponent 2 is below the avoidance bound M=288"),
+    ("a,ab", 7, 20, "quotient enumeration: reached 21 with cap 20"),
+    ("a", 2, 3, "quotient enumeration: reached 4 with cap 3"),
+    ("abAB", 1000, 100, "avoiding quotient enumeration: reached 1000 with cap 100"),
+])
+def test_negative_texts_match_the_coset_graph(texts, q, cap, error):
+    words = [parse_word(t, 2) for t in texts.split(",")]
+    fast, slow = _on_both_routes(
+        lambda: certify_power_quotient(words, q, enum_cap=cap))
+    assert fast == slow
+    assert fast[1] == error
+
+
+def test_verify_is_refused_at_the_cap_before_any_series_work(monkeypatch):
+    cert = certify_power_quotient([parse_word("a", 2)], 4)
+    cert["witness"]["params"]["degree_bound"] = 10**6
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("past the cap nothing is multiplied")
+
+    monkeypatch.setattr(largeness, "embed", refuse)
+    monkeypatch.setattr(TruncSeries, "inverse", refuse)
+    with pytest.raises(CapExceeded) as err:
+        verify_certificate(cert)
+    assert str(err.value) == \
+        "quotient enumeration: reached 1000001 with cap 1000000"
+
+
+def test_rank_one_orders_take_no_series(monkeypatch):
+    # l = 2^12 at rank 1 is a cyclic witness of order 4096, and a^-1 there
+    # is a series of 4096 terms with monomials up to degree 4095
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cyclic witness needs no series")
+
+    monkeypatch.setattr(largeness, "embed", refuse)
+    monkeypatch.setattr(TruncSeries, "inverse", refuse)
+    report = verify_certificate({
+        "schema": largeness.CERTIFICATE_SCHEMA,
+        "target": {"rank": 1, "base_words": ["A", "aaa"], "exponent": 2**12},
+        "witness": unit_image_spec(2, 1, 2**12),
+        "counts": {"j": 4096, "gens": 1, "rels": 2, "deficiency": -1},
+        "verdict": VERDICT_UNKNOWN,
+    })
+    assert report["ok"], report
+
+
+LOW_ORDER_UNDER_O = """
+from largequot import largeness, quotients
+from largequot.series import unit_image_quotient, unit_image_spec
+from largequot.words import parse_word
+
+witness = unit_image_quotient(2, 2, 2)
+def refuse(*args, **kwargs):
+    raise RuntimeError("built a quotient")
+quotients.build_quotient = refuse
+words = [parse_word("a", 2), parse_word("b", 2)]
+try:
+    largeness.certify_power_quotient(words, 2, witness=witness)
+except ValueError as exc:
+    print("refused:", exc)
+else:
+    print("accepted")
+report = largeness.verify_certificate({
+    "schema": largeness.CERTIFICATE_SCHEMA,
+    "target": {"rank": 2, "base_words": ["a", "b"], "exponent": 2},
+    "witness": unit_image_spec(2, 2, 2),
+    "counts": {"j": 4, "gens": 5, "rels": 4, "deficiency": 1},
+    "verdict": "not-certified",
+})
+print(report["ok"], report["problems"])
+"""
+
+
+def test_low_image_orders_are_refused_under_python_O(run_under_O):
+    # the closed-form route keeps the order checks as explicit raises
+    out = run_under_O(LOW_ORDER_UNDER_O).splitlines()
+    assert out == [
+        "refused: image order of a is 2, needs to exceed the word count 2",
+        "False ['image order of a is 2, not above the word count 2', "
+        "'image order of b is 2, not above the word count 2']",
+    ]

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from largequot.errors import CapExceeded
 from largequot.series import (
@@ -263,3 +265,48 @@ def test_valuation():
     assert TruncSeries.one(2, 5, None).valuation() == 0
     x = TruncSeries.variable(2, 5, None, 1)
     assert x.mul(x).valuation() == 2
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series of one shape, with room for cancellation mod p."""
+    rank = draw(st.integers(1, 3))
+    bound = draw(st.integers(1, 5))
+    modulus = draw(st.sampled_from([None, 2, 3, 4, 5]))
+    monomials = st.lists(st.integers(1, rank), max_size=bound - 1).map(tuple)
+
+    def series():
+        terms = draw(st.dictionaries(monomials, st.integers(-6, 6), max_size=8))
+        return TruncSeries(rank, bound, modulus, terms)
+
+    return series(), series()
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pairs())
+def test_product_matches_the_eagerly_built_series(pair):
+    s, t = pair
+    product = s.mul(t)
+    eager = naive_mul(s, t)
+    # hash first: the product has not sorted its terms yet
+    assert hash(product) == hash(eager)
+    assert product == eager
+    assert str(product) == str(eager)
+    assert product.terms() == eager.terms()
+    assert {eager: 1}[product] == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pairs(), st.integers(0, 12))
+def test_term_cap_fires_past_the_distinct_monomial_count(pair, cap):
+    s, t = pair
+    # every monomial the product forms, zero coefficient or not
+    formed = {m1 + m2 for m1, _ in s.terms() for m2, _ in t.terms()
+              if len(m1) + len(m2) < s.degree_bound}
+    if len(formed) > cap:
+        with pytest.raises(CapExceeded) as err:
+            s.mul(t, term_cap=cap)
+        assert str(err.value) == \
+            f"series term count: reached {cap + 1} with cap {cap}"
+    else:
+        assert s.mul(t, term_cap=cap) == naive_mul(s, t)
