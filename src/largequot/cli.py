@@ -14,9 +14,13 @@ import sys
 
 from .config import ENV_CONFIG_PATH, load_config
 from .errors import BelowBoundError, CapExceeded, NotMaterializedError
-from .largeness import certify_power_quotient, lemma_fi_bound, verify_certificate
+from .largeness import (
+    _spec_counts,
+    certify_power_quotient,
+    lemma_fi_bound,
+    verify_certificate,
+)
 from .periodic import format_factors, format_order, run_construction, trace_to_jsonl
-from .quotients import FiniteQuotient
 from .series import embed, unit_order
 from .verbal import PrimeSeq, build_series, levi_bound, quotient_order_factors
 from .words import parse_word
@@ -61,9 +65,10 @@ def _cmd_certify_large(args, cfg):
     witness = None
     if args.witness:
         with open(args.witness, encoding="utf-8") as handle:
-            witness = FiniteQuotient.from_spec(
-                json.load(handle), cap=cfg.enumeration_cap
-            )
+            # counted by the route its spec picks, so a standard unit
+            # witness is never enumerated; one past the cap is an error
+            # here, not a verdict
+            witness = _spec_counts(json.load(handle), cfg.enumeration_cap)
     try:
         certificate = certify_power_quotient(
             words, args.exponent, witness=witness,

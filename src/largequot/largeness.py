@@ -12,14 +12,15 @@ most n-2 relators) certifies largeness.
 The counts need only j and the image orders.  For a standard unit witness,
 the 1 + x_i in F_p<x>/X^l over a prime p, both come from closed forms: j is
 p^e by Jennings' formula (:func:`largequot.series.unit_image_exponent`) and
-o(g) is the order of g's series, so no quotient is enumerated.  Every other
-witness (residue vectors, verbal cosets, composite moduli, other images) is
-counted on its coset graph: the generators are its non-tree edges, the
-relators its cosets of <g_i>N.  Certify and verify pick the route from the
-witness spec alone, so a certificate is recounted by the route that made
-it.  The presentation itself (conjugate sets and Reidemeister-Schreier
-rewriting in :mod:`largequot.quotients`) is never built here; it stays
-library API and the tests' oracle.
+o(g) is the least p^k with p^k v_p(g) >= l, where v_p(g) is g's mod-p
+Magnus valuation (below), so no quotient is enumerated and no series is
+powered.  Every other witness (residue vectors, verbal cosets, composite
+moduli, other images) is counted on its coset graph: the generators are its
+non-tree edges, the relators its cosets of <g_i>N.  Certify and verify pick
+the route from the witness spec alone, so a certificate is recounted by the
+route that made it.  The presentation itself (conjugate sets and
+Reidemeister-Schreier rewriting in :mod:`largequot.quotients`) is never
+built here; it stays library API and the tests' oracle.
 
 The avoiding quotients come from the truncated series units: any word with a
 nonzero integer coefficient below the truncation keeps it mod p for p past
@@ -31,6 +32,15 @@ p > M0 where truncation l already works.  Jennings' formula gives every
 unit-group order, so candidates are ranked without enumeration, and only
 :func:`find_avoiding_quotient`, whose callers walk words through the
 witness, builds the one it returns.
+
+Every truncation and order is read off one valuation per base word.  v_R(g)
+is the least degree of a nonconstant term of g's Magnus image over R = Z or
+F_p.  Both power series rings have no zero divisors, so leading homogeneous
+parts multiply (Magnus 1935; Jennings, Trans. AMS 50, 1941): over Z the
+leading part of g^s is s times g's, so v_Z(g^s) = v_Z(g) and g^s's least
+monomial carries s c_g; over F_p, (1 + u)^(p^a) = 1 + u^(p^a), so
+v_p(g^s) = p^a v_p(g) for s = p^a t with p not dividing t.  No power g^s
+is built or embedded.
 """
 
 from __future__ import annotations
@@ -54,7 +64,6 @@ from .series import (
     unit_image_exponent,
     unit_image_quotient,
     unit_image_spec,
-    unit_order,
 )
 from .words import Word, parse_word
 
@@ -96,11 +105,12 @@ class LemmaFiBound:
     integer series image; ``M0 = max(l, 1 + max witness coefficient)``;
     ``small_prime_exponents[p] = j(p)`` is log_p of the unit-image quotient
     order (Jennings) at the least truncation ``small_prime_truncations[p]``;
-    ``M`` is the product of the p^{j(p)}.
+    ``M`` is the product of the p^{j(p)}.  ``valuations[R]`` holds the
+    v_R(g_i), for R = None (the integers) and every prime up to M0.
     """
 
     def __init__(self, words, m, l, M0, small_prime_exponents,
-                 small_prime_truncations, M):
+                 small_prime_truncations, M, valuations=None):
         self.words = tuple(words)
         self.m = m
         self.rank = words[0].rank
@@ -109,6 +119,15 @@ class LemmaFiBound:
         self.small_prime_exponents = dict(small_prime_exponents)
         self.small_prime_truncations = dict(small_prime_truncations)
         self.M = M
+        self.valuations = dict(valuations or {})
+
+    def valuations_mod(self, p):
+        """The v_p(g_i) of the base words, for any prime p.
+
+        Past M0 each g_i's least integer coefficient c_g survives mod p
+        (|c_g| < M0), so there v_p(g_i) = v_Z(g_i).
+        """
+        return self.valuations[p if p <= self.M0 else None]
 
     def to_doc(self):
         return {
@@ -133,16 +152,46 @@ class LemmaFiBound:
         )
 
 
-def _power_set(words, m):
-    return [w**s for w in words for s in range(1, m + 1)]
+def _leading_degree(image, p):
+    """Least degree of a nonconstant term of ``image`` whose coefficient p
+    does not divide (any nonzero one for p None); the truncation if none."""
+    return next((len(mono) for mono, c in image.terms()
+                 if mono and (p is None or c % p)), image.degree_bound)
 
 
-def _least_faithful_truncation(powers, modulus, truncation_cap, term_cap):
-    """Least l with every power's series image nontrivial over the domain."""
-    for l in range(2, truncation_cap + 1):
-        if all(not embed(w, l, modulus, term_cap=term_cap).is_one for w in powers):
-            return l
-    raise CapExceeded("series truncation", truncation_cap, truncation_cap)
+def _valuation(w, p, limit, term_cap, images=None):
+    """min(v_p(w), limit), where v_None is v_Z.
+
+    w alone is embedded at truncations 2, 3, .. up to ``limit`` until a
+    nonconstant term shows, so no image is deeper than the valuation needs.
+    ``images`` (one dict per call) keeps the deepest image of each (word,
+    modulus): an integer image answers for every prime that leaves one of
+    its nonconstant coefficients nonzero, and an image that is still
+    trivial is deepened from its truncation on.
+    """
+    images = {} if images is None else images
+    start = 2  # v >= 1, and v >= L for an image trivial at truncation L
+    for key in ((w, None), (w, p)):
+        image = images.get(key)
+        if image is not None:
+            v = _leading_degree(image, p)
+            if v < image.degree_bound:
+                return min(v, limit)
+            start = max(start, image.degree_bound + 1)
+    for L in range(start, limit + 1):
+        image = images[w, p] = embed(w, L, p, term_cap=term_cap)
+        if not image.is_one:
+            return _leading_degree(image, p)
+    return limit
+
+
+def _order_of_valuation(p, v, l):
+    """Order in F_p<x>/X^l of a unit of mod-p valuation v: the least p^k
+    with p^k v >= l, since (1 + u)^(p^k) = 1 + u^(p^k)."""
+    order = 1
+    while v < l:
+        v, order = v * p, order * p
+    return order
 
 
 _UNIT_QUOTIENT_MEMO = {}
@@ -171,21 +220,23 @@ def _unit_quotient(p, rank, l, cap):
 class _UnitCounts:
     """The counts of the standard unit witness (p, r, l), from closed forms.
 
-    j = p^e by Jennings' formula, o(g) is the order of g's series, and each
-    coset of <g>N holds o elements.  At rank 1 the group is cyclic, so a^n
-    has order j / gcd(n, j) and no series is formed: there l may be as
-    large as the cap, and the series of a^-1 has l terms.  With a ``cap``,
-    a p^e past it raises the error the witness's BFS would, before any
-    series work.
+    j = p^e by Jennings' formula, o(g) is the least p^k with p^k v_p(g) >= l,
+    and each coset of <g>N holds o elements.  At rank 1 the group is
+    cyclic, so a^n has order j / gcd(n, j) and no series is formed: there l
+    may be as large as the cap, and the series of a^-1 has l terms.  With a
+    ``cap``, a p^e past it raises the error the witness's BFS would, before
+    any series work.  ``serialize``, when given, returns the witness as
+    serialized in place of :func:`unit_image_spec`.
     """
 
-    def __init__(self, p, rank, l, cap):
+    def __init__(self, p, rank, l, cap, serialize=None):
         e = unit_image_exponent(p, rank, l, cap=cap)
         if cap is not None and power_over_cap(p, e, cap):
             raise CapExceeded("quotient enumeration", cap + 1, cap)
         self.p, self.rank, self.l = p, rank, l
         self.order = p**e
         self.gens = 1 + (rank - 1) * self.order
+        self._serialize = serialize
 
     def image_order(self, w):
         if w.rank != self.rank:
@@ -193,10 +244,16 @@ class _UnitCounts:
                 f"rank mismatch: word has {w.rank}, quotient has {self.rank}")
         if self.rank == 1:
             return self.order // math.gcd(w.exponent_sums()[0], self.order)
-        return unit_order(embed(w, self.l, self.p))
+        v = _valuation(w, self.p, self.l, DEFAULT_TERM_CAP)
+        return _order_of_valuation(self.p, v, self.l)
 
     def cosets(self, w, o):
         return self.order // o
+
+    def serialize(self):
+        if self._serialize is None:
+            return unit_image_spec(self.p, self.rank, self.l)
+        return self._serialize()
 
 
 class _GraphCounts:
@@ -220,6 +277,9 @@ class _GraphCounts:
             raise AssertionError("relator count must be the sum of j / image order")
         return count
 
+    def serialize(self):
+        return self.quotient.serialize()
+
 
 def _standard_unit(params, images):
     """(p, r, l) when the magnus images are the 1 + x_i over a prime p."""
@@ -240,7 +300,8 @@ def _spec_counts(spec, cap):
     """Count a serialized witness by the route its spec picks.
 
     Magnus payloads are parsed by the kind's own deserializer, so a
-    malformed spec raises what :meth:`FiniteQuotient.from_spec` raises.
+    malformed spec raises what :meth:`FiniteQuotient.from_spec` raises, and
+    the counts serialize to what the rebuilt quotient would.
     """
     kind = element_kind(spec["kind"])
     if kind.name == "magnus_unit":
@@ -248,7 +309,15 @@ def _spec_counts(spec, cap):
         images = [kind.deserialize(params, payload) for payload in spec["gen_images"]]
         unit = _standard_unit(params, images)
         if unit is not None:
-            return _UnitCounts(*unit, cap)
+            return _UnitCounts(*unit, cap, lambda: {
+                "kind": spec["kind"], "params": dict(params),
+                "gen_images": [kind.serialize(g) for g in images]})
+        if (params["modulus"] is None
+                and all(g.constant_term == 1 for g in images)
+                and not all(g.is_one for g in images)):
+            # over Z, 1 + u with u != 0 has infinite order (the leading part
+            # of (1 + u)^n is n u_v), so the BFS could only end at the cap
+            raise CapExceeded("quotient enumeration", cap + 1, cap)
     return _GraphCounts(FiniteQuotient.from_spec(spec, cap=cap))
 
 
@@ -257,7 +326,7 @@ def _quotient_counts(quotient):
     if quotient.kind == "magnus_unit" and quotient.params:
         unit = _standard_unit(quotient.params, quotient.gen_images)
         if unit is not None:
-            return _UnitCounts(*unit, None)
+            return _UnitCounts(*unit, None, quotient.serialize)
     return _GraphCounts(quotient)
 
 
@@ -265,32 +334,54 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
                    enum_cap=DEFAULT_ENUM_CAP, term_cap=DEFAULT_TERM_CAP):
     """Compute the avoidance bound record for S = {g_i^s : 1 <= s <= m}.
 
-    A p^{j(p)} over ``enum_cap`` raises the error its enumeration would.
+    Every truncation and witness coefficient comes from the valuations of
+    the base words alone (see the module docstring).  Words are taken in
+    order and primes in increasing order, each prime's truncation before
+    its j(p), so the first failure is the one a search over the powers
+    would meet: a power past ``truncation_cap`` raises as soon as its
+    valuation shows it, and a p^{j(p)} over ``enum_cap`` raises the error
+    its enumeration would.
     """
     words, rank = _check_base_words(words)
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
-    powers = _power_set(words, m)
-    l = _least_faithful_truncation(powers, None, truncation_cap, term_cap)
-    max_coeff = 0
-    for w in powers:
-        image = embed(w, l, None, term_cap=term_cap)
-        # witness: the coefficient of the least non-constant monomial
-        witness = next(c for mono, c in image.terms() if mono)
-        max_coeff = max(max_coeff, abs(witness))
+    images = {}
+
+    def valuations(p, limit):
+        found = []
+        for w in words:
+            v = _valuation(w, p, limit, term_cap, images)
+            if v >= limit:
+                raise CapExceeded("series truncation", truncation_cap,
+                                  truncation_cap)
+            found.append(v)
+        return tuple(found)
+
+    # v_Z(g^s) = v_Z(g), so every power is nontrivial from truncation v + 1
+    found = {None: valuations(None, truncation_cap)}
+    l = 1 + max(found[None])
+    # witness: the coefficient s c_g of g^s's least non-constant monomial
+    max_coeff = m * max(abs(next(c for mono, c in images[w, None].terms() if mono))
+                        for w in words)
     M0 = max(l, 1 + max_coeff)
     exponents = {}
     truncations = {}
     M = 1
     for p in sympy.primerange(2, M0 + 1):
-        l_p = _least_faithful_truncation(powers, p, truncation_cap, term_cap)
+        # v_p(g^s) = p^a v_p(g) for s = p^a t, so the largest power P of p
+        # up to m sets the truncation; P v_p(g) < cap iff v_p(g) < ceil(cap/P)
+        P = 1
+        while P * p <= m:
+            P *= p
+        found[p] = valuations(p, -(-truncation_cap // P))
+        l_p = 1 + P * max(found[p])
         jp = unit_image_exponent(p, rank, l_p, cap=enum_cap)
         if power_over_cap(p, jp, enum_cap):
             raise CapExceeded("quotient enumeration", enum_cap + 1, enum_cap)
         exponents[p] = jp
         truncations[p] = l_p
         M *= p**jp
-    return LemmaFiBound(words, m, l, M0, exponents, truncations, M)
+    return LemmaFiBound(words, m, l, M0, exponents, truncations, M, found)
 
 
 def _avoiding_unit(words, rank, m, q, bound, truncation_cap, enum_cap, term_cap):
@@ -364,28 +455,28 @@ def _check_avoidance(quotient, words, m, q):
             )
 
 
-def _direct_witness_search(words, k, q, truncation_cap, enum_cap):
+def _direct_witness_search(bound, k, q, truncation_cap, enum_cap):
     """Scan mod-p unit witnesses (p | q) for one, smallest first.
 
     The bound M is sufficient, not necessary: exponents below it can still
     have avoiding quotients (q=2 for g=a does).  Unit image orders are
     p-powers that only grow with the truncation, so per prime the scan can
     stop as soon as some order outgrows the p-part of q, or the witness
-    outgrows the cap.  Orders come from the series and the cap from
-    Jennings' formula, so nothing is enumerated.  Returns (p, l) with the
-    image orders, so certify need not take them again, or None.
+    outgrows the cap.  Orders come from the bound's valuations and the cap
+    from Jennings' formula, so nothing is embedded or enumerated.  Returns
+    the counts of the witness found, or None.
     """
-    rank = words[0].rank
     for p, e in sorted(sympy.factorint(q).items()):
         p_part = p**e
+        valuations = bound.valuations_mod(p)
         for l in range(2, truncation_cap + 1):
             try:
-                counts = _spec_counts(unit_image_spec(p, rank, l), enum_cap)
+                counts = _UnitCounts(p, bound.rank, l, enum_cap)
             except CapExceeded:
                 break
-            orders = [counts.image_order(w) for w in words]
+            orders = [_order_of_valuation(p, v, l) for v in valuations]
             if all(o > k and p_part % o == 0 for o in orders):
-                return p, l, orders
+                return counts
             if any(p_part % o for o in orders):
                 break
     return None
@@ -396,32 +487,38 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
                            term_cap=DEFAULT_TERM_CAP):
     """Build a largeness certificate for F/<<g_1^q, .., g_k^q>>.
 
-    ``witness`` is an optional user-supplied FiniteQuotient; by default the
+    ``witness`` is an optional user-supplied FiniteQuotient, or a witness
+    spec already counted by :func:`_spec_counts` (so a spec read from a file
+    is never enumerated when closed forms count it); by default the
     avoiding quotient comes from the bound machinery with m = k, falling
     back to a direct search when q sits below the bound M, and is counted
-    from its spec without being built.  The certificate is a plain
-    JSON-ready dict; `verify_certificate` recomputes it from the serialized
-    witness alone.
+    without being built, its image orders read off the bound's valuations.
+    The certificate is a plain JSON-ready dict; `verify_certificate`
+    recomputes it from the serialized witness alone.
     """
     words, rank = _check_base_words(words)
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"exponent must be a positive integer, got {q!r}")
     k = len(words)
-    orders = None
     if witness is None:
+        bound = lemma_fi_bound(words, k, truncation_cap=truncation_cap,
+                               enum_cap=enum_cap, term_cap=term_cap)
         try:
-            p, l = _avoiding_unit(words, rank, k, q, None, truncation_cap,
+            p, l = _avoiding_unit(words, rank, k, q, bound, truncation_cap,
                                   enum_cap, term_cap)
         except BelowBoundError:
-            found = _direct_witness_search(words, k, q, truncation_cap, enum_cap)
-            if found is None:
+            counts = _direct_witness_search(bound, k, q, truncation_cap,
+                                            enum_cap)
+            if counts is None:
                 raise
-            p, l, orders = found
-        spec = unit_image_spec(p, rank, l)
-        counts = _spec_counts(spec, enum_cap)
+        else:
+            counts = _UnitCounts(p, rank, l, enum_cap)
+        orders = [_order_of_valuation(counts.p, v, counts.l)
+                  for v in bound.valuations_mod(counts.p)]
     else:
-        counts = _quotient_counts(witness)
-    if orders is None:
+        if isinstance(witness, FiniteQuotient):
+            witness = _quotient_counts(witness)
+        counts = witness
         orders = [counts.image_order(w) for w in words]
     for w, o in zip(words, orders):
         if o <= k:
@@ -448,7 +545,7 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
             "base_words": [str(w) for w in words],
             "exponent": q,
         },
-        "witness": spec if witness is None else witness.serialize(),
+        "witness": counts.serialize(),
         "counts": {
             "j": j,
             "gens": gens,

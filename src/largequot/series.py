@@ -32,8 +32,9 @@ one Barrett step, ``y -= (((y * mu) >> s) & low) * m``, reduces every field
 mod m at once.  Packing is canonical, so the BFS numbering is the one that
 multiplying series gives.  A vertex costs N fields however sparse its
 series, yet on every truncation tried (N up to 8,191, caps 100 to 3,000)
-that was faster and smaller than series products, so every size takes it.
-Over Z the BFS multiplies series as before.
+that was faster and smaller than series products, so every size takes it
+up to ``DEFAULT_TERM_CAP`` monomials.  Past that, and over Z, the BFS
+multiplies series.
 """
 
 from __future__ import annotations
@@ -460,8 +461,8 @@ def _packed_unit_action(images, inverses):
     The ``packed_action`` of the ``magnus_unit`` kind (see
     :class:`largequot.quotients.ElementKind`).  Returns the packed identity
     and the expansion of a key into its successors along the edges a_1,
-    a_1^-1, a_2, .., or None when the images are over Z or are not units
-    of one shape.
+    a_1^-1, a_2, .., or None when the images are over Z, are not units of
+    one shape, or have more than ``DEFAULT_TERM_CAP`` monomials.
     """
     first = images[0]
     rank, bound, modulus = first.rank, first.degree_bound, first.modulus
@@ -476,6 +477,10 @@ def _packed_unit_action(images, inverses):
     offsets = [0]  # offsets[d]: slot of the first monomial of degree d
     for d in range(bound):
         offsets.append(offsets[-1] + rank**d)
+        # a vertex of more fields than a series product may have terms is
+        # no gain (a rank of 10^18 would be a vertex of 10^18 fields)
+        if offsets[-1] > DEFAULT_TERM_CAP:
+            return None
     # a field of x * g sums at most `bound` products of two residues; with
     # 2^s > top * modulus the Barrett quotient floor(v * mu / 2^s) is exactly
     # floor(v / modulus) for every field value v <= top, and no field of

@@ -1,11 +1,20 @@
+import contextlib
+import functools
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from largequot.cli import main
-from largequot.series import unit_image_quotient
+from largequot.quotients import FiniteQuotient
+from largequot.series import unit_image_quotient, unit_image_spec
 from largequot.verbal import build_series
 
 
@@ -52,6 +61,47 @@ def test_certify_large_with_witness_file(capsys, tmp_path):
     )
     assert code == 0
     assert doc["counts"]["j"] == 9
+
+
+def test_certify_large_witness_file_keeps_its_serialization(capsys, tmp_path):
+    # counted from its spec, the witness still reads back as the quotient
+    # the spec builds: canonical images, and the params as given
+    spec = unit_image_spec(3, 2, 2)
+    spec["params"]["note"] = "kept"
+    spec["gen_images"] = ["x1 + 1", "x2+1"]
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(spec))
+    code, doc = run_doc(
+        capsys, ["certify-large", "-g", "a", "-q", "3", "--witness", str(path)])
+    assert code == 0
+    assert doc["witness"] == FiniteQuotient.from_spec(spec).serialize()
+    assert doc["witness"]["params"]["note"] == "kept"
+
+
+def test_certify_large_witness_past_the_cap_is_an_error(capsys, tmp_path):
+    # j = 2^e for (2, 2, 20) passes 10^6: the error of the witness's own
+    # enumeration, with no verdict, as when the witness was built first
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(unit_image_spec(2, 2, 20)))
+    code, doc = run_doc(
+        capsys, ["certify-large", "-g", "a,b", "-q", "4", "--witness", str(path)])
+    assert code == 2
+    assert "verdict" not in doc
+    assert doc["error"] == "quotient enumeration: reached 1000001 with cap 1000000"
+
+
+def test_certify_large_refuses_a_huge_witness_file_at_once(tmp_path, package_env):
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(unit_image_spec(2, 2, 10**6)))
+    result = subprocess.run(
+        [sys.executable, "-m", "largequot", "certify-large", "-g", "a,b",
+         "-q", "4", "--witness", str(path)],
+        env=package_env, capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 2, result.stderr
+    doc = json.loads(result.stdout)
+    assert "verdict" not in doc
+    assert doc["error"] == "quotient enumeration: reached 1000001 with cap 1000000"
 
 
 @pytest.fixture
@@ -268,6 +318,29 @@ def test_verify_reports_integer_images(capsys, tmp_path):
     error = _malformed_witness(
         capsys, tmp_path, lambda w: w.__setitem__("gen_images", [1, 2]))
     assert "a series is given as a string, got 1" in error
+
+
+def test_verify_refuses_an_integer_unit_witness_at_once(capsys, tmp_path):
+    # over Z every 1 + u != 1 has infinite order: the cap's text at once,
+    # not after enumerating 10^6 integer series
+    error = _malformed_witness(
+        capsys, tmp_path, lambda w: w["params"].__setitem__("modulus", None))
+    assert error == ("malformed certificate: CapExceeded('quotient "
+                     "enumeration: reached 1000001 with cap 1000000')")
+
+
+def test_verify_counts_a_witness_of_huge_series_rank(capsys, tmp_path):
+    # the images live in a rank-10^18 algebra, where a packed vertex would
+    # need 10^18 fields; the BFS multiplies the sparse series instead
+    cert_path = tmp_path / "cert.json"
+    run(capsys, ["certify-large", "-g", "a,b", "-q", "4", "-o", str(cert_path)])
+    cert = json.loads(cert_path.read_text())
+    cert["witness"]["params"]["rank"] = 10**18
+    cert_path.write_text(json.dumps(cert))
+    code, doc = run_doc(capsys, ["verify", str(cert_path)])
+    assert code == 0
+    assert doc["ok"] is True
+    assert doc["computed"]["j"] == 32
 
 
 def test_python_m_largequot_verifies_a_fresh_certificate(
@@ -501,3 +574,77 @@ def test_usage_errors_exit_one():
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 1, argv
+
+
+# -- fuzzing the verifier's front door ----------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_certificate_text():
+    """A ``certify-large -g a,b -q 4`` certificate, as the CLI writes it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["certify-large", "-g", "a,b", "-q", "4", "-o", path]) == 0
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+
+
+_PATHS = [(), ("schema",), ("target",), ("target", "rank"),
+          ("target", "base_words"), ("target", "base_words", 0),
+          ("target", "exponent"), ("witness",), ("witness", "kind"),
+          ("witness", "params"), ("witness", "params", "modulus"),
+          ("witness", "params", "rank"), ("witness", "params", "degree_bound"),
+          ("witness", "gen_images"), ("witness", "gen_images", 0), ("counts",),
+          ("counts", "j"), ("counts", "rels"), ("verdict",)]
+# no ints here: an int modulus could be composite, whose degree_bound work
+# is still unbounded (a known open case); ints come from _INTS
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6), st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+_HUGE = st.sampled_from([0, -1, -2, -10**20, 10**6, 10**18, 2**200, 10**1000])
+# zero, negative, or prime: never a composite modulus
+_MODULI = st.sampled_from([0, 1, -1, -7, 1000003, 2**61 - 1, 2**127 - 1])
+_INTS = st.one_of(
+    st.tuples(st.sampled_from([("witness", "params", "degree_bound"),
+                               ("witness", "params", "rank"),
+                               ("target", "rank"), ("target", "exponent")]),
+              _HUGE),
+    st.tuples(st.just(("witness", "params", "modulus")), _MODULI))
+_WORD_TEXTS = st.lists(st.text("aAbBcC1g^-*() %0123", max_size=8), max_size=3)
+
+
+def _put(doc, path, value):
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(st.one_of(st.tuples(st.sampled_from(_PATHS), _JUNK), _INTS),
+       st.none() | _WORD_TEXTS)
+def test_verify_front_door_is_total(mutation, word_texts):
+    doc = _put(json.loads(_fresh_certificate_text()), *mutation)
+    if word_texts is not None and isinstance(doc, dict) \
+            and isinstance(doc.get("target"), dict):
+        doc["target"]["base_words"] = word_texts
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["verify", path])
+        except SystemExit as exc:
+            pytest.fail(f"verify exited {exc.code}: {err.getvalue()}")
+    assert code in (0, 2)
+    report = json.loads(out.getvalue())
+    assert report["command"] == "verify"
+    assert isinstance(report["ok"], bool)

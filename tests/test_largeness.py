@@ -4,10 +4,10 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from largequot import largeness, quotients
+from largequot import largeness, quotients, series
 from largequot.errors import BelowBoundError, CapExceeded
 from largequot.largeness import (
     VERDICT_LARGE,
@@ -21,12 +21,57 @@ from largequot.largeness import (
 from largequot.quotients import FiniteQuotient, mod_abelianization
 from largequot.series import (
     TruncSeries,
+    embed,
+    power_over_cap,
     unit_image_exponent,
     unit_image_quotient,
     unit_image_spec,
+    unit_order,
 )
 from largequot.verbal import build_series
-from largequot.words import Word, parse_word, random_reduced_word
+from largequot.words import Word, parse_word, random_reduced_word, shortlex_words
+
+
+# -- the search over powers, kept as the oracle of the valuations ------------
+
+
+def _power_set(words, m):
+    return [w**s for w in words for s in range(1, m + 1)]
+
+
+def _least_faithful_truncation(powers, modulus,
+                               truncation_cap=largeness.DEFAULT_TRUNCATION_CAP,
+                               term_cap=largeness.DEFAULT_TERM_CAP):
+    """Least l with every power's series image nontrivial over the domain."""
+    for l in range(2, truncation_cap + 1):
+        if all(not embed(w, l, modulus, term_cap=term_cap).is_one
+               for w in powers):
+            return l
+    raise CapExceeded("series truncation", truncation_cap, truncation_cap)
+
+
+def _oracle_bound(words, m, truncation_cap=largeness.DEFAULT_TRUNCATION_CAP,
+                  enum_cap=quotients.DEFAULT_ENUM_CAP,
+                  term_cap=largeness.DEFAULT_TERM_CAP):
+    """The bound document, from every power embedded at every truncation."""
+    powers = _power_set(words, m)
+    l = _least_faithful_truncation(powers, None, truncation_cap, term_cap)
+    max_coeff = 0
+    for w in powers:
+        image = embed(w, l, None, term_cap=term_cap)
+        witness = next(c for mono, c in image.terms() if mono)
+        max_coeff = max(max_coeff, abs(witness))
+    M0 = max(l, 1 + max_coeff)
+    exponents, truncations, M = {}, {}, 1
+    for p in sympy.primerange(2, M0 + 1):
+        l_p = _least_faithful_truncation(powers, p, truncation_cap, term_cap)
+        jp = unit_image_exponent(p, words[0].rank, l_p, cap=enum_cap)
+        if power_over_cap(p, jp, enum_cap):
+            raise CapExceeded("quotient enumeration", enum_cap + 1, enum_cap)
+        exponents[p], truncations[p] = jp, l_p
+        M *= p**jp
+    return largeness.LemmaFiBound(words, m, l, M0, exponents, truncations,
+                                  M).to_doc()
 
 
 def test_bp_certify_threshold():
@@ -418,6 +463,36 @@ def test_only_the_returned_witness_is_enumerated(monkeypatch):
     assert built == [9]
 
 
+def test_bounds_and_certificates_embed_only_base_words(monkeypatch):
+    monkeypatch.setattr(largeness, "_UNIT_QUOTIENT_MEMO", {})
+    original = series.embed
+    longest = 0
+
+    def base_words_only(word, *args, **kwargs):
+        if len(word) > longest:
+            raise AssertionError(f"embedded {word}, longer than every base word")
+        return original(word, *args, **kwargs)
+
+    monkeypatch.setattr(series, "embed", base_words_only)
+    monkeypatch.setattr(largeness, "embed", base_words_only)
+    for texts, m, doc in FROZEN_BOUNDS:
+        words = [parse_word(t, 2) for t in texts.split(",")]
+        longest = max(map(len, words))
+        assert lemma_fi_bound(words, m).to_doc() == doc
+    for texts, q, unit, cert_digest, report_digest in NO_BUILD_CASES:
+        base = [parse_word(t, 2) for t in texts.split(",")]
+        longest = max(map(len, base))
+        witnesses = [None] if unit is None else [unit_image_quotient(*unit)]
+        if unit is None:
+            witnesses.append(FiniteQuotient.from_spec(
+                certify_power_quotient(base, q)["witness"]))
+        for witness in witnesses:
+            cert = certify_power_quotient(base, q, witness=witness)
+            report = verify_certificate(json.loads(json.dumps(cert)))
+            assert _digest(cert) == cert_digest
+            assert _digest(report) == report_digest
+
+
 def test_large_prime_branch_takes_the_bound_truncation(monkeypatch):
     a, ab, c = parse_word("a", 2), parse_word("ab", 2), parse_word("abAB", 2)
     # M is 4, 4, 288 and 864; the commutator's truncation l is 3
@@ -430,11 +505,18 @@ def test_large_prime_branch_takes_the_bound_truncation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("past M0 the truncation is the bound's l")
 
-    monkeypatch.setattr(largeness, "_least_faithful_truncation", refuse)
+    monkeypatch.setattr(largeness, "embed", refuse)
     for (words, m, q), bound, doc in zip(cases, bounds, expected):
-        assert any(p > bound.M0 for p in sympy.factorint(q))
+        large = [p for p in sympy.factorint(q) if p > bound.M0]
+        assert large
         quotient = find_avoiding_quotient(words, m, q, bound=bound)
         assert quotient.serialize() == doc
+        # the oracle's least truncation mod that prime, searched over powers
+        # (the oracle embeds through series, which stays unpatched)
+        p = quotient.params["modulus"]
+        if p in large:
+            least = _least_faithful_truncation(_power_set(words, m), p)
+            assert quotient.params["degree_bound"] == least == bound.l
 
 
 def test_bound_truncation_is_least_for_every_prime_past_m0():
@@ -455,11 +537,9 @@ def test_bound_truncation_is_least_for_every_prime_past_m0():
         m = rng.randint(1, 2)
         # the bound's orders are closed-form, so no cap is ever met here
         bound = lemma_fi_bound(words, m, enum_cap=10**400)
-        powers = largeness._power_set(words, m)
+        powers = _power_set(words, m)
         for p in sympy.primerange(bound.M0 + 1, bound.M0 + 40):
-            least = largeness._least_faithful_truncation(
-                powers, p, largeness.DEFAULT_TRUNCATION_CAP,
-                largeness.DEFAULT_TERM_CAP)
+            least = _least_faithful_truncation(powers, p)
             assert least == bound.l, ([str(w) for w in words], m, p)
             checked += 1
     assert checked >= 100
@@ -519,12 +599,22 @@ def _outcome(call):
         return type(exc).__name__, str(exc)
 
 
+class _GraphUnitCounts(largeness._GraphCounts):
+    """Certify's own unit witness (p, r, l), counted on its rebuilt coset
+    graph; its relator count checks the image orders certify passes in."""
+
+    def __init__(self, p, rank, l, cap, serialize=None):
+        super().__init__(unit_image_quotient(p, rank, l, cap=cap))
+        self.p, self.l = p, l
+
+
 def _on_both_routes(call):
     """The outcome by the closed forms, then with every witness counted on
     its coset graph."""
     fast = _outcome(call)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(largeness, "_standard_unit", _graph_only)
+        mp.setattr(largeness, "_UnitCounts", _GraphUnitCounts)
         slow = _outcome(call)
     return fast, slow
 
@@ -598,6 +688,16 @@ def test_chosen_witnesses_count_as_their_coset_graph(texts, q):
             lambda: verify_certificate(fast, enum_cap=cap))
         assert report == oracle
         assert report["ok"]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rank_one_orders_from_valuations_match_the_coset_graph(n):
+    # certify's own witness takes a^n's order from v_p(a^n) = p^nu_p(n)
+    words = [parse_word("a" * n, 1)]
+    for q in (2, 3, 4, 6, 8, 9, 12, 16, 27, 35):
+        fast, slow = _on_both_routes(
+            lambda: certify_power_quotient(words, q, enum_cap=2000))
+        assert fast == slow, q
 
 
 @pytest.mark.parametrize("texts,q,cap,error", [
@@ -683,3 +783,83 @@ def test_low_image_orders_are_refused_under_python_O(run_under_O):
         "False ['image order of a is 2, not above the word count 2', "
         "'image order of b is 2, not above the word count 2']",
     ]
+
+
+# -- valuations against the powers they stand for ---------------------------
+
+
+def _nu(p, s):
+    a = 0
+    while s % p == 0:
+        s, a = s // p, a + 1
+    return a
+
+
+@st.composite
+def _base_word_sets(draw):
+    """Rank 1-3 word sets: words of length <= 5, some raised to a power or
+    made a commutator with another short word, and m <= 3."""
+    rank = draw(st.integers(1, 3))
+    letters = "aAbBcC"[:2 * rank]
+
+    def short():
+        return parse_word(draw(st.text(letters, min_size=1, max_size=5)), rank)
+
+    words = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = short()
+        shape = draw(st.sampled_from(("word", "power", "commutator")))
+        if shape == "power":
+            w = w ** draw(st.integers(2, 3))
+        elif shape == "commutator":
+            u = short()
+            w = w * u * w.inverse() * u.inverse()
+        words.append(w)
+    assume(not any(w.is_identity for w in words))
+    return words, draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_base_word_sets(), st.integers(1, 12) | st.just(64),
+       st.sampled_from((30, 10**4, 10**6)))
+def test_bound_matches_the_search_over_powers(case, truncation_cap, enum_cap):
+    words, m = case
+    caps = {"truncation_cap": truncation_cap, "enum_cap": enum_cap}
+    fast = _outcome(lambda: lemma_fi_bound(words, m, **caps).to_doc())
+    slow = _outcome(lambda: _oracle_bound(words, m, **caps))
+    assert fast == slow, ([str(w) for w in words], m, caps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2), st.text("aAbB", min_size=1, max_size=5),
+       st.integers(1, 12), st.sampled_from((None, 2, 3, 5)))
+def test_valuations_of_powers(rank, text, s, p):
+    g = parse_word(text if rank == 2 else text.replace("b", "a").replace("B", "A"),
+                   rank)
+    assume(not g.is_identity)
+    v = largeness._valuation(g, p, 8, largeness.DEFAULT_TERM_CAP)
+    # v_Z(g^s) = v_Z(g); v_p(g^s) = p^a v_p(g) for s = p^a t, p not dividing t
+    expected = v if p is None else p**_nu(p, s) * v
+    assume(expected < 8)
+    image = embed(g**s, expected + 1, p)
+    assert largeness._leading_degree(image, p) == expected
+    if p is None:
+        # g^s's least monomial carries s times g's coefficient
+        lead = next((mono, c) for mono, c in embed(g, v + 1).terms() if mono)
+        assert next((mono, c) for mono, c in image.terms() if mono) == \
+            (lead[0], s * lead[1])
+
+
+def test_order_formula_is_the_unit_order():
+    words = []
+    for w in shortlex_words(2):
+        if len(w) > 5:
+            break
+        words.append(w)
+    assert len(words) == 4 + 12 + 36 + 108 + 324
+    for p in (2, 3, 5):
+        for l in range(1, 7):
+            counts = largeness._UnitCounts(p, 2, l, None)
+            for w in words:
+                assert counts.image_order(w) == unit_order(embed(w, l, p)), \
+                    (str(w), p, l)
