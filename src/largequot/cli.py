@@ -2,8 +2,10 @@
 
 Exit codes: 0 for success (certificate granted, query answered), 2 for an
 honest negative (not certified, cap exceeded, failed verification), 1 for
-usage errors.  Documents are emitted with sorted keys and fixed indentation
-so identical invocations are byte-identical.
+usage errors.  Each handler returns a document body and an exit code, and
+:func:`main` adds the ``command`` and ``config`` keys to every body.
+Documents are emitted with sorted keys and fixed indentation so identical
+invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -76,16 +78,9 @@ def _cmd_certify_large(args, cfg):
             term_cap=cfg.term_cap,
         )
     except (BelowBoundError, CapExceeded) as exc:
-        doc = {
-            "command": "certify-large",
-            "config": cfg.to_doc(),
-            "error": str(exc),
-            "verdict": "not-certified",
-        }
-        return doc, EXIT_NEGATIVE
-    doc = {"command": "certify-large", "config": cfg.to_doc(), **certificate}
+        return {"error": str(exc), "verdict": "not-certified"}, EXIT_NEGATIVE
     code = EXIT_OK if certificate["verdict"] == "certified-large" else EXIT_NEGATIVE
-    return doc, code
+    return certificate, code
 
 
 def _cmd_lemma_fi(args, cfg):
@@ -94,9 +89,7 @@ def _cmd_lemma_fi(args, cfg):
         words, args.m, truncation_cap=cfg.truncation_cap,
         enum_cap=cfg.enumeration_cap, term_cap=cfg.term_cap,
     )
-    doc = {"command": "lemma-fi", "config": cfg.to_doc(), **bound.to_doc()}
-    doc["M"] = format_order(bound.M)
-    return doc, EXIT_OK
+    return {**bound.to_doc(), "M": format_order(bound.M)}, EXIT_OK
 
 
 def _cmd_magnus(args, cfg):
@@ -104,8 +97,6 @@ def _cmd_magnus(args, cfg):
     modulus = args.prime if args.prime else None
     image = embed(word, args.truncation, modulus, term_cap=cfg.term_cap)
     doc = {
-        "command": "magnus",
-        "config": cfg.to_doc(),
         "word": str(word),
         "rank": args.rank,
         "modulus": modulus,
@@ -114,7 +105,7 @@ def _cmd_magnus(args, cfg):
         "is_one": image.is_one,
     }
     if modulus is not None:
-        doc["unit_order"] = unit_order(image, term_cap=cfg.term_cap)
+        doc["unit_order"] = unit_order(image)
     return doc, EXIT_OK
 
 
@@ -126,8 +117,6 @@ def _cmd_gamma(args, cfg):
             f"depth must be between 0 and {len(primes)}, got {args.depth}"
         )
     doc = {
-        "command": "gamma",
-        "config": cfg.to_doc(),
         "primes": list(primes.primes),
         "rank": args.rank,
         "depth": args.depth,
@@ -157,8 +146,6 @@ def _cmd_levi(args, cfg):
     words = _parse_words(args.set, _check_rank(args.rank))
     primes = _parse_primes(args.primes)
     doc = {
-        "command": "levi",
-        "config": cfg.to_doc(),
         "set": [str(w) for w in words],
         "primes": list(primes.primes),
     }
@@ -179,8 +166,7 @@ def _cmd_construct_periodic(args, cfg):
         primes, args.steps, rank=args.rank,
         coset_cap=cfg.coset_cap, depth_cap=cfg.depth_cap,
     )
-    doc = {"command": "construct-periodic", "config": cfg.to_doc(), **trace}
-    return doc, EXIT_NEGATIVE if trace["halted"] else EXIT_OK
+    return trace, EXIT_NEGATIVE if trace["halted"] else EXIT_OK
 
 
 def _cmd_verify(args, cfg):
@@ -196,15 +182,9 @@ def _cmd_verify(args, cfg):
     except (KeyError, TypeError, ValueError, CapExceeded,
             NotMaterializedError) as exc:
         # a witness that cannot be rebuilt; target-side faults are problems
-        doc = {
-            "command": "verify",
-            "config": cfg.to_doc(),
-            "ok": False,
-            "error": f"malformed certificate: {exc!r}",
-        }
-        return doc, EXIT_NEGATIVE
-    doc = {"command": "verify", "config": cfg.to_doc(), **report}
-    return doc, EXIT_OK if report["ok"] else EXIT_NEGATIVE
+        body = {"ok": False, "error": f"malformed certificate: {exc!r}"}
+        return body, EXIT_NEGATIVE
+    return report, EXIT_OK if report["ok"] else EXIT_NEGATIVE
 
 
 def _add_common(subparser):
@@ -327,13 +307,13 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     try:
-        doc, code = args.handler(args, cfg)
+        body, code = args.handler(args, cfg)
     except ValueError as exc:
         parser.error(str(exc))
     except (CapExceeded, BelowBoundError, NotMaterializedError) as exc:
-        doc = {"command": args.command, "config": cfg.to_doc(), "error": str(exc)}
-        code = EXIT_NEGATIVE
-    _emit(doc, args)
+        body, code = {"error": str(exc)}, EXIT_NEGATIVE
+    # every document, answer or honest negative, carries one envelope
+    _emit({"command": args.command, "config": cfg.to_doc(), **body}, args)
     return code
 
 

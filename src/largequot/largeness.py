@@ -9,13 +9,15 @@ image order exceeds k the relator count stays below j while the generator
 count grows linearly in j, so the deficiency criterion (n generators and at
 most n-2 relators) certifies largeness.
 
-The counts need only j and the image orders.  For a standard unit witness,
-the 1 + x_i in F_p<x>/X^l over a prime p, both come from closed forms: j is
-p^e by Jennings' formula (:func:`largequot.series.unit_image_exponent`) and
-o(g) is the least p^k with p^k v_p(g) >= l, where v_p(g) is g's mod-p
-Magnus valuation (below), so no quotient is enumerated and no series is
-powered.  Every other witness (residue vectors, verbal cosets, composite
-moduli, other images) is counted on its coset graph: the generators are its
+The counts need only j and the image orders.  A unit witness is r units
+g_i of F_p<x_1..x_r>/X^l, p prime, with linear parts invertible mod p:
+x_i -> g_i - 1 then extends to an automorphism taking each 1 + x_i to g_i,
+so F -> <g_i> has the kernel of a_i -> 1 + x_i.  For it j is p^e by
+Jennings' formula (:func:`largequot.series.unit_image_exponent`) and o(g)
+the least p^k with p^k v_p(g) >= l, v_p(g) being g's mod-p Magnus valuation
+(below); :class:`_UnitCounts` holds these, and nothing is enumerated.  Every
+other witness (residue vectors, verbal cosets, composite moduli, singular
+linear parts) is counted on its coset graph: the generators are its
 non-tree edges, the relators its cosets of <g_i>N.  Certify and verify pick
 the route from the witness spec alone, so a certificate is recounted by the
 route that made it.  The presentation itself (conjugate sets and
@@ -60,6 +62,7 @@ from .series import (
     DEFAULT_TERM_CAP,
     embed,
     generator_image,
+    order_of_valuation,
     power_over_cap,
     unit_image_exponent,
     unit_image_quotient,
@@ -122,12 +125,12 @@ class LemmaFiBound:
         self.valuations = dict(valuations or {})
 
     def valuations_mod(self, p):
-        """The v_p(g_i) of the base words, for any prime p.
+        """The v_p(g_i) of the base words, keyed by word, for any prime p.
 
         Past M0 each g_i's least integer coefficient c_g survives mod p
         (|c_g| < M0), so there v_p(g_i) = v_Z(g_i).
         """
-        return self.valuations[p if p <= self.M0 else None]
+        return dict(zip(self.words, self.valuations[p if p <= self.M0 else None]))
 
     def to_doc(self):
         return {
@@ -185,58 +188,35 @@ def _valuation(w, p, limit, term_cap, images=None):
     return limit
 
 
-def _order_of_valuation(p, v, l):
-    """Order in F_p<x>/X^l of a unit of mod-p valuation v: the least p^k
-    with p^k v >= l, since (1 + u)^(p^k) = 1 + u^(p^k)."""
-    order = 1
-    while v < l:
-        v, order = v * p, order * p
-    return order
-
-
-_UNIT_QUOTIENT_MEMO = {}
-
-
-def _unit_quotient(p, rank, l, cap):
-    key = (p, rank, l)
-    quotient = _UNIT_QUOTIENT_MEMO.get(key)
-    if quotient is None:
-        e = unit_image_exponent(p, rank, l, cap=cap)
-        if not power_over_cap(p, e, cap):
-            quotient = unit_image_quotient(p, rank, l, cap=cap)
-            # an explicit raise, not an assert statement, which python -O strips
-            if quotient.order != p**e:
-                raise AssertionError("unit image quotient must be a p-group")
-            _UNIT_QUOTIENT_MEMO[key] = quotient
-    if quotient is None or quotient.order > cap:
-        # the text a fresh BFS would give, memo hit or not
-        raise CapExceeded("quotient enumeration", cap + 1, cap)
-    return quotient
-
-
 # -- counting a witness --------------------------------------------------
 
 
 class _UnitCounts:
-    """The counts of the standard unit witness (p, r, l), from closed forms.
+    """Everything known about the unit witness (p, r, l), from closed forms.
 
     j = p^e by Jennings' formula, o(g) is the least p^k with p^k v_p(g) >= l,
     and each coset of <g>N holds o elements.  At rank 1 the group is
     cyclic, so a^n has order j / gcd(n, j) and no series is formed: there l
     may be as large as the cap, and the series of a^-1 has l terms.  With a
     ``cap``, a p^e past it raises the error the witness's BFS would, before
-    any series work.  ``serialize``, when given, returns the witness as
-    serialized in place of :func:`unit_image_spec`.
+    any series work.  ``valuations`` maps words to their known v_p, such as
+    a bound's; any other word is embedded.  ``serialize``, when given,
+    returns the witness as serialized in place of :func:`unit_image_spec`.
     """
 
-    def __init__(self, p, rank, l, cap, serialize=None):
-        e = unit_image_exponent(p, rank, l, cap=cap)
-        if cap is not None and power_over_cap(p, e, cap):
+    __slots__ = ("exponent", "p", "rank", "l", "order", "gens", "_serialize",
+                 "_valuations")
+    _QUOTIENTS = {}  # (p, r, l) -> coset graph, built once per process
+
+    def __init__(self, p, rank, l, cap, serialize=None, valuations=None):
+        self.exponent = unit_image_exponent(p, rank, l, cap=cap)
+        if cap is not None and power_over_cap(p, self.exponent, cap):
             raise CapExceeded("quotient enumeration", cap + 1, cap)
         self.p, self.rank, self.l = p, rank, l
-        self.order = p**e
+        self.order = p**self.exponent
         self.gens = 1 + (rank - 1) * self.order
         self._serialize = serialize
+        self._valuations = valuations or {}
 
     def image_order(self, w):
         if w.rank != self.rank:
@@ -244,8 +224,9 @@ class _UnitCounts:
                 f"rank mismatch: word has {w.rank}, quotient has {self.rank}")
         if self.rank == 1:
             return self.order // math.gcd(w.exponent_sums()[0], self.order)
-        v = _valuation(w, self.p, self.l, DEFAULT_TERM_CAP)
-        return _order_of_valuation(self.p, v, self.l)
+        v = (self._valuations.get(w)
+             or _valuation(w, self.p, self.l, DEFAULT_TERM_CAP))
+        return order_of_valuation(self.p, v, self.l)
 
     def cosets(self, w, o):
         return self.order // o
@@ -254,6 +235,17 @@ class _UnitCounts:
         if self._serialize is None:
             return unit_image_spec(self.p, self.rank, self.l)
         return self._serialize()
+
+    def quotient(self):
+        """The standard witness's coset graph, built once per process."""
+        key = (self.p, self.rank, self.l)
+        if key not in self._QUOTIENTS:
+            quotient = unit_image_quotient(*key, cap=self.order)
+            # an explicit raise, not an assert statement, which python -O strips
+            if quotient.order != self.order:
+                raise AssertionError("unit image quotient must be a p-group")
+            self._QUOTIENTS[key] = quotient
+        return self._QUOTIENTS[key]
 
 
 class _GraphCounts:
@@ -281,18 +273,35 @@ class _GraphCounts:
         return self.quotient.serialize()
 
 
+def _invertible_mod(p, rows):
+    """Whether the square matrix ``rows`` is invertible mod the prime p."""
+    while rows:
+        # clear the first column by a row whose entry there is a unit
+        at = next((i for i, row in enumerate(rows) if row[0] % p), None)
+        if at is None:
+            return False
+        pivot = rows.pop(at)
+        f = pow(pivot[0], -1, p)
+        rows = [[(c - row[0] * f * d) % p for c, d in zip(row[1:], pivot[1:])]
+                for row in rows]
+    return True
+
+
 def _standard_unit(params, images):
-    """(p, r, l) when the magnus images are the 1 + x_i over a prime p."""
-    if not images:
+    """(p, r, l) when the magnus images form a unit witness (see the module
+    docstring), so their kernel is that of the 1 + x_i.  At l = 1 every
+    image is 1, and the linear parts are not looked at."""
+    p, rank, l = params["modulus"], params["rank"], params["degree_bound"]
+    if (not images or not isinstance(p, int) or not sympy.isprime(p)
+            or len(images) != rank):
         return None
-    p, l = params["modulus"], params["degree_bound"]
-    if (not isinstance(p, int) or not sympy.isprime(p)
-            or len(images) != params["rank"]):
+    # the 1 + x_i themselves, which certify writes, skip the elimination:
+    # it adds about 5 % to a verify
+    if all(g == generator_image(rank, l, p, i, 1) for i, g in enumerate(images, 1)):
+        return p, rank, l
+    if any(g.constant_term != 1 for g in images) or l > 1 and not _invertible_mod(
+            p, [[g.coefficient((i,)) for i in range(1, rank + 1)] for g in images]):
         return None
-    rank = len(images)
-    for i, image in enumerate(images, 1):
-        if image != generator_image(rank, l, p, i, 1):
-            return None
     return p, rank, l
 
 
@@ -374,18 +383,15 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
         while P * p <= m:
             P *= p
         found[p] = valuations(p, -(-truncation_cap // P))
-        l_p = 1 + P * max(found[p])
-        jp = unit_image_exponent(p, rank, l_p, cap=enum_cap)
-        if power_over_cap(p, jp, enum_cap):
-            raise CapExceeded("quotient enumeration", enum_cap + 1, enum_cap)
-        exponents[p] = jp
-        truncations[p] = l_p
-        M *= p**jp
+        counts = _UnitCounts(p, rank, 1 + P * max(found[p]), enum_cap)
+        exponents[p], truncations[p] = counts.exponent, counts.l
+        M *= counts.order
     return LemmaFiBound(words, m, l, M0, exponents, truncations, M, found)
 
 
 def _avoiding_unit(words, rank, m, q, bound, truncation_cap, enum_cap, term_cap):
-    """(p, l) of the smallest admissible unit witness, by closed-form order.
+    """The counts of the smallest admissible unit witness, by closed-form
+    order, with the bound's valuations.
 
     The ranking half of :func:`find_avoiding_quotient`: nothing is built.
     """
@@ -413,7 +419,8 @@ def _avoiding_unit(words, rank, m, q, bound, truncation_cap, enum_cap, term_cap)
     if not candidates:
         raise CapExceeded("avoiding quotient enumeration", q, enum_cap)
     _, p, l_p = min(candidates)
-    return p, l_p
+    return _UnitCounts(p, rank, l_p, enum_cap,
+                       valuations=bound.valuations_mod(p))
 
 
 def find_avoiding_quotient(words, m, q, bound=None,
@@ -429,14 +436,13 @@ def find_avoiding_quotient(words, m, q, bound=None,
     works because every unit there has order p.  A ``bound`` computed for
     other words or another m raises ``ValueError``.
     Among admissible branches the smallest quotient wins, ranked by the
-    closed-form orders; only the winner is enumerated, and memoized, since
-    callers walk words through it.  Both postcondition halves are
-    machine-checked before returning.
+    closed-form orders; only the winner is enumerated, once per process
+    (:meth:`_UnitCounts.quotient`), since callers walk words through it.
+    Both postcondition halves are machine-checked before returning.
     """
     words, rank = _check_base_words(words)
-    p, l = _avoiding_unit(words, rank, m, q, bound, truncation_cap, enum_cap,
-                          term_cap)
-    quotient = _unit_quotient(p, rank, l, enum_cap)
+    quotient = _avoiding_unit(words, rank, m, q, bound, truncation_cap,
+                              enum_cap, term_cap).quotient()
     _check_avoidance(quotient, words, m, q)
     return quotient
 
@@ -471,10 +477,11 @@ def _direct_witness_search(bound, k, q, truncation_cap, enum_cap):
         valuations = bound.valuations_mod(p)
         for l in range(2, truncation_cap + 1):
             try:
-                counts = _UnitCounts(p, bound.rank, l, enum_cap)
+                counts = _UnitCounts(p, bound.rank, l, enum_cap,
+                                     valuations=valuations)
             except CapExceeded:
                 break
-            orders = [_order_of_valuation(p, v, l) for v in valuations]
+            orders = [counts.image_order(w) for w in bound.words]
             if all(o > k and p_part % o == 0 for o in orders):
                 return counts
             if any(p_part % o for o in orders):
@@ -504,22 +511,18 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
         bound = lemma_fi_bound(words, k, truncation_cap=truncation_cap,
                                enum_cap=enum_cap, term_cap=term_cap)
         try:
-            p, l = _avoiding_unit(words, rank, k, q, bound, truncation_cap,
-                                  enum_cap, term_cap)
+            counts = _avoiding_unit(words, rank, k, q, bound, truncation_cap,
+                                    enum_cap, term_cap)
         except BelowBoundError:
             counts = _direct_witness_search(bound, k, q, truncation_cap,
                                             enum_cap)
             if counts is None:
                 raise
-        else:
-            counts = _UnitCounts(p, rank, l, enum_cap)
-        orders = [_order_of_valuation(counts.p, v, counts.l)
-                  for v in bound.valuations_mod(counts.p)]
+    elif isinstance(witness, FiniteQuotient):
+        counts = _quotient_counts(witness)
     else:
-        if isinstance(witness, FiniteQuotient):
-            witness = _quotient_counts(witness)
         counts = witness
-        orders = [counts.image_order(w) for w in words]
+    orders = [counts.image_order(w) for w in words]
     for w, o in zip(words, orders):
         if o <= k:
             raise ValueError(

@@ -37,6 +37,7 @@ rewriting onto the Schreier generators.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded
@@ -162,6 +163,7 @@ class FiniteQuotient:
         self._transversal = None
         self._nontree = None
         self._crossing = None
+        self._payload = None
 
     @property
     def order(self):
@@ -318,13 +320,17 @@ class FiniteQuotient:
     # -- serialization ----------------------------------------------------
 
     def serialize(self):
+        """The spec; payloads are formed once, and each result gets copies
+        of the params and payloads, lists included."""
         if self.kind is None:
             raise ValueError("quotient has no registered element kind to serialize")
-        kind = element_kind(self.kind)
+        if self._payload is None:
+            kind = element_kind(self.kind)
+            self._payload = tuple(kind.serialize(img) for img in self.gen_images)
         return {
             "kind": self.kind,
-            "params": dict(self.params),
-            "gen_images": [kind.serialize(img) for img in self.gen_images],
+            "params": {key: copy.copy(value) for key, value in self.params.items()},
+            "gen_images": [copy.copy(payload) for payload in self._payload],
         }
 
     @classmethod

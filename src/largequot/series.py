@@ -14,11 +14,12 @@ and drops the zeros.
 
 The group embedding sends the i-th free generator to 1 + x_i and its inverse
 to the truncated geometric series sum_{k<l} (-x_i)^k.  Over F_p every series
-with constant term 1 is a unit of p-power order, which is what the avoiding
-quotients in :mod:`largequot.largeness` are built from; Jennings' formula
-gives the order of the group the 1 + x_i generate (:func:`unit_image_exponent`),
-and :func:`unit_image_spec` the serialized witness, so certificates over
-such a witness need no enumeration.
+with constant term 1 is a unit of p-power order (:func:`unit_order`, read
+off the valuation of s - 1), which is what the avoiding quotients in
+:mod:`largequot.largeness` are built from; Jennings' formula gives the
+order of the group the 1 + x_i generate (:func:`unit_image_exponent`), and
+:func:`unit_image_spec` the serialized witness, so certificates over such a
+witness need no enumeration.
 
 Enumerating such a unit group (the ``magnus_unit`` element kind) does not
 multiply series.  Over a modulus m, a series with N = sum_{d<l} r^d
@@ -41,6 +42,8 @@ from __future__ import annotations
 
 import functools
 import re
+
+import sympy
 
 from .errors import CapExceeded
 from .words import Word
@@ -348,28 +351,27 @@ def embed(word, degree_bound, modulus=None, term_cap=DEFAULT_TERM_CAP):
     return result
 
 
-def unit_order(s, term_cap=DEFAULT_TERM_CAP):
-    """Multiplicative order of a constant-term-1 series over F_p.
+def order_of_valuation(p, v, l):
+    """Order in F_p<x>/X^l of 1 + u, u of valuation v >= 1: the least p^k
+    with p^k v >= l, as (1 + u)^(p^k) = 1 + u^(p^k) over F_p and the free
+    algebra has no zero divisors, so u^(p^k) has valuation p^k v."""
+    order = 1
+    while v < l:
+        v, order = v * p, order * p
+    return order
 
-    Such a unit has p-power order because (1+u)^p = 1 + u^p over F_p and
-    powering strictly raises the valuation of u, which the truncation kills
-    after at most ceil(log_p l) rounds.
-    """
-    if s.modulus is None:
+
+def unit_order(s):
+    """Order of a constant-term-1 series over F_p, by :func:`order_of_valuation`.
+
+    Another modulus raises ``ValueError``: over Z/4 the middle binomial
+    terms of (1 + u)^p need not vanish, so no p-power formula applies."""
+    if s.modulus is None or not sympy.isprime(s.modulus):
         raise ValueError("unit_order requires a prime modulus")
     if s.constant_term != 1:
         raise ValueError(f"unit_order requires constant term 1, got {s.constant_term}")
-    p = s.modulus
-    order = 1
-    current = s
-    # The loop is bounded: each p-th power at least multiplies the valuation
-    # of (current - 1) by p, and valuations >= degree_bound mean current == 1.
-    for _ in range(s.degree_bound + 1):
-        if current.is_one:
-            return order
-        current = current.power(p, term_cap=term_cap)
-        order *= p
-    raise RuntimeError("unit order did not stabilize below the degree bound")
+    one = TruncSeries.one(s.rank, s.degree_bound, s.modulus)
+    return order_of_valuation(s.modulus, (s - one).valuation(), s.degree_bound)
 
 
 def power_over_cap(p, e, cap):
@@ -422,17 +424,18 @@ def unit_image_quotient(modulus, rank, degree_bound, cap=None):
 
     Enumerates the subgroup of units generated by the images 1 + x_i in
     F_p<x_1..x_r>/X^l.  Returns a :class:`largequot.quotients.FiniteQuotient`
-    whose generator images are series, read from :func:`unit_image_spec`,
-    so it serializes to that spec.  The BFS runs on packed coefficient ints
-    (see the module docstring), which are its ``elements``.
+    whose generator images are the series :func:`generator_image` builds, so
+    it serializes to :func:`unit_image_spec`.  The BFS runs on packed
+    coefficient ints (see the module docstring), which are its ``elements``.
     """
     from . import quotients
 
     if modulus is None or modulus < 2:
         raise ValueError("unit image quotients need a prime modulus")
-    spec = unit_image_spec(modulus, rank, degree_bound)
+    images = [generator_image(rank, degree_bound, modulus, g, 1)
+              for g in range(1, rank + 1)]
     kwargs = {} if cap is None else {"cap": cap}
-    return quotients.FiniteQuotient.from_spec(spec, **kwargs)
+    return quotients.build_quotient(rank, images, **kwargs)
 
 
 def _serialize_unit(series):

@@ -266,6 +266,27 @@ def test_verify_refuses_a_huge_degree_bound_at_once(
                             "enumeration: reached 1000001 with cap 1000000')")
 
 
+@pytest.mark.parametrize("degree_bound", [8, 10**6])
+def test_verify_refuses_an_invertible_non_standard_witness_at_once(
+        capsys, tmp_path, package_env, degree_bound):
+    # 1 + x1 + x2 and 1 + x2 have invertible linear parts mod 2, so the
+    # witness has the standard witness's kernel and its closed-form order
+    cert_path = tmp_path / "cert.json"
+    run(capsys, ["certify-large", "-g", "a,b", "-q", "4", "-o", str(cert_path)])
+    cert = json.loads(cert_path.read_text())
+    cert["witness"]["gen_images"][0] = "1 + x1 + x2"
+    cert["witness"]["params"]["degree_bound"] = degree_bound
+    cert_path.write_text(json.dumps(cert))
+    result = subprocess.run(
+        [sys.executable, "-m", "largequot", "verify", str(cert_path)],
+        env=package_env, capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 2, result.stderr
+    assert json.loads(result.stdout)["error"] == (
+        "malformed certificate: CapExceeded('quotient enumeration: reached "
+        "1000001 with cap 1000000')")
+
+
 def _target_problems(capsys, tmp_path, field, value):
     return _verify_mutated(
         capsys, tmp_path, lambda cert: cert["target"].__setitem__(field, value)
@@ -413,6 +434,16 @@ def test_magnus_integer_and_mod_p(capsys):
     assert doc["modulus"] is None
     assert doc["image"] == "1 + x1"
     assert "unit_order" not in doc
+
+
+@pytest.mark.parametrize("modulus", ["4", "6"])
+def test_magnus_composite_modulus_is_a_usage_error(capsys, modulus):
+    # 1 + x1 has order 8 over Z/4 and 12 over Z/6 at l = 3, which no
+    # p-power formula gives; the option takes a prime
+    with pytest.raises(SystemExit) as err:
+        main(["magnus", "-w", "a", "-p", modulus, "-l", "3"])
+    assert err.value.code == 1
+    assert "unit_order requires a prime modulus" in capsys.readouterr().err
 
 
 def test_gamma_order_document(capsys):
@@ -612,6 +643,21 @@ _INTS = st.one_of(
                                ("target", "rank"), ("target", "exponent")]),
               _HUGE),
     st.tuples(st.just(("witness", "params", "modulus")), _MODULI))
+
+
+@st.composite
+def _invertible_witnesses(draw):
+    """Rank-2 magnus witnesses over a prime whose images are not the
+    1 + x_i but have invertible linear parts: 1 + x1 + c x2 and 1 + x2, in
+    either order, plus a random square, at any degree bound."""
+    p = draw(st.sampled_from([2, 3, 5, 1000003]))
+    c = draw(st.integers(1, p - 1))
+    first = f"1 + x1 + {c}*x2 + " + draw(st.sampled_from(["x1x1", "x2x1", "x1x2"]))
+    images = draw(st.permutations([first, "1 + x2"]))
+    bound = draw(st.integers(1, 6) | _HUGE)
+    return ("witness",), {"kind": "magnus_unit", "gen_images": images,
+                          "params": {"modulus": p, "rank": 2,
+                                     "degree_bound": bound}}
 _WORD_TEXTS = st.lists(st.text("aAbBcC1g^-*() %0123", max_size=8), max_size=3)
 
 
@@ -626,7 +672,8 @@ def _put(doc, path, value):
 
 
 @settings(max_examples=150, deadline=timedelta(seconds=5))
-@given(st.one_of(st.tuples(st.sampled_from(_PATHS), _JUNK), _INTS),
+@given(st.one_of(st.tuples(st.sampled_from(_PATHS), _JUNK), _INTS,
+                 _invertible_witnesses()),
        st.none() | _WORD_TEXTS)
 def test_verify_front_door_is_total(mutation, word_texts):
     doc = _put(json.loads(_fresh_certificate_text()), *mutation)

@@ -340,7 +340,7 @@ def test_standard_unit_witnesses_are_counted_without_a_quotient(
     def refuse(*args, **kwargs):
         raise AssertionError("a standard unit witness is counted by closed forms")
 
-    monkeypatch.setattr(largeness, "_UNIT_QUOTIENT_MEMO", {})
+    monkeypatch.setattr(largeness._UnitCounts, "_QUOTIENTS", {})
     monkeypatch.setattr(quotients, "build_quotient", refuse)
     monkeypatch.setattr(quotients, "coset_representatives", refuse)
     monkeypatch.setattr(largeness, "coset_representatives", refuse)
@@ -361,8 +361,8 @@ def _magnus(p, l, images):
 
 
 # sha256 of the sorted-key JSON of the certificate and its verify report for
-# witnesses that are not standard unit witnesses, frozen from the pipeline
-# that counted every witness on its coset graph
+# witnesses whose images are not the 1 + x_i, frozen from the pipeline that
+# counted every such witness on its coset graph
 GRAPH_CASES = [
     ("x1+x2", lambda: _magnus(2, 3, ["1 + x1 + x2", "1 + x2"]), "a", 4,
      "a72a7f3f1cf11c8566a843da1aacd285ad74e45803088c786f5d51bd64020898",
@@ -396,17 +396,19 @@ def test_other_witnesses_are_counted_on_their_coset_graph(
 
     monkeypatch.setattr(quotients, "build_quotient", counted)
     report = verify_certificate(json.loads(json.dumps(cert)))
-    assert built == [witness.order]
+    # x1+x2 has invertible linear parts, so its kernel is the standard
+    # witness's: closed forms count it, to the digests its graph gave
+    assert built == ([] if name == "x1+x2" else [witness.order])
     assert report["ok"]
     assert _digest(cert) == cert_digest
     assert _digest(report) == report_digest
 
 
 def test_memo_hit_over_the_cap_gives_the_fresh_error(monkeypatch):
-    monkeypatch.setattr(largeness, "_UNIT_QUOTIENT_MEMO", {})
-    largeness._unit_quotient(2, 2, 5, 10**4)
+    monkeypatch.setattr(largeness._UnitCounts, "_QUOTIENTS", {})
+    largeness._UnitCounts(2, 2, 5, 10**4).quotient()
     with pytest.raises(CapExceeded) as memo:
-        largeness._unit_quotient(2, 2, 5, 100)
+        largeness._UnitCounts(2, 2, 5, 100).quotient()
     with pytest.raises(CapExceeded) as fresh:
         unit_image_quotient(2, 2, 5, cap=100)
     assert str(memo.value) == str(fresh.value)
@@ -426,7 +428,7 @@ FROZEN_BOUNDS = [
 
 
 def test_bound_and_ranking_run_no_bfs(monkeypatch):
-    monkeypatch.setattr(largeness, "_UNIT_QUOTIENT_MEMO", {})
+    monkeypatch.setattr(largeness._UnitCounts, "_QUOTIENTS", {})
 
     def refuse(*args, **kwargs):
         raise AssertionError("the bound and the ranking must not enumerate")
@@ -446,7 +448,7 @@ def test_bound_and_ranking_run_no_bfs(monkeypatch):
 
 
 def test_only_the_returned_witness_is_enumerated(monkeypatch):
-    monkeypatch.setattr(largeness, "_UNIT_QUOTIENT_MEMO", {})
+    monkeypatch.setattr(largeness._UnitCounts, "_QUOTIENTS", {})
     built = []
     original = quotients.build_quotient
 
@@ -464,7 +466,7 @@ def test_only_the_returned_witness_is_enumerated(monkeypatch):
 
 
 def test_bounds_and_certificates_embed_only_base_words(monkeypatch):
-    monkeypatch.setattr(largeness, "_UNIT_QUOTIENT_MEMO", {})
+    monkeypatch.setattr(largeness._UnitCounts, "_QUOTIENTS", {})
     original = series.embed
     longest = 0
 
@@ -601,11 +603,16 @@ def _outcome(call):
 
 class _GraphUnitCounts(largeness._GraphCounts):
     """Certify's own unit witness (p, r, l), counted on its rebuilt coset
-    graph; its relator count checks the image orders certify passes in."""
+    graph; its relator count checks the image orders certify passes in, and
+    its exponent is log_p of the enumerated order."""
 
-    def __init__(self, p, rank, l, cap, serialize=None):
+    def __init__(self, p, rank, l, cap, serialize=None, valuations=None):
         super().__init__(unit_image_quotient(p, rank, l, cap=cap))
         self.p, self.l = p, l
+        self.exponent = 0
+        while p**self.exponent < self.order:
+            self.exponent += 1
+        assert p**self.exponent == self.order
 
 
 def _on_both_routes(call):
@@ -850,6 +857,14 @@ def test_valuations_of_powers(rank, text, s, p):
             (lead[0], s * lead[1])
 
 
+def _order_by_multiplying(s):
+    """Oracle: the least n with s^n = 1, by repeated multiplication."""
+    power, n = s, 1
+    while not power.is_one:
+        power, n = power * s, n + 1
+    return n
+
+
 def test_order_formula_is_the_unit_order():
     words = []
     for w in shortlex_words(2):
@@ -861,5 +876,85 @@ def test_order_formula_is_the_unit_order():
         for l in range(1, 7):
             counts = largeness._UnitCounts(p, 2, l, None)
             for w in words:
-                assert counts.image_order(w) == unit_order(embed(w, l, p)), \
-                    (str(w), p, l)
+                assert counts.image_order(w) == \
+                    _order_by_multiplying(embed(w, l, p)), (str(w), p, l)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3), st.integers(1, 6),
+       st.data())
+def test_unit_order_matches_repeated_multiplication(p, rank, l, data):
+    # random nonconstant terms of degree < 6 on top of the constant 1
+    monomials = st.lists(st.integers(1, rank), min_size=1, max_size=5).map(tuple)
+    terms = data.draw(st.dictionaries(monomials, st.integers(-p, p), max_size=4))
+    s = TruncSeries(rank, l, p, {**terms, (): 1})
+    assert unit_order(s) == _order_by_multiplying(s)
+
+
+# -- unit witnesses recognised by their kernel -------------------------------
+
+
+@st.composite
+def _magnus_witnesses(draw):
+    """A magnus_unit spec over p in {2, 3, 5}: r images in r variables, each
+    1 + a row of a random r x r linear part + random terms of degree 2 to 3.
+    Returns the spec and whether the linear part is invertible mod p."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    r = draw(st.integers(1, 3))
+    l = draw(st.integers(1, 4))
+    rows = [[draw(st.integers(0, p - 1)) for _ in range(r)] for _ in range(r)]
+    higher = st.lists(st.integers(1, r), min_size=2, max_size=3).map(tuple)
+    images = []
+    for row in rows:
+        terms = {(): 1, **{(j,): c for j, c in enumerate(row, 1)}}
+        terms.update(draw(st.dictionaries(higher, st.integers(1, p - 1),
+                                          max_size=3)))
+        images.append(str(TruncSeries(r, l, p, terms)))
+    spec = {"kind": "magnus_unit",
+            "params": {"modulus": p, "rank": r, "degree_bound": l},
+            "gen_images": images}
+    return spec, l == 1 or sympy.Matrix(rows).det() % p != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_magnus_witnesses(), st.data())
+def test_kernel_recognised_witnesses_count_as_their_coset_graph(case, data):
+    spec, invertible = case
+    p, r = spec["params"]["modulus"], spec["params"]["rank"]
+    letters = "aAbBcC"[:2 * r]
+    texts = data.draw(st.lists(st.text(letters, min_size=1, max_size=4),
+                               min_size=1, max_size=2))
+    words = [parse_word(t, r) for t in texts]
+    assume(not any(w.is_identity for w in words))
+    q = data.draw(st.sampled_from([p, p**2, p**3, p**4, 6, 10]))
+    cap = 1000
+    built = []
+    original = quotients.build_quotient
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    def certify():
+        counts = largeness._spec_counts(spec, cap)
+        return certify_power_quotient(words, q, witness=counts, enum_cap=cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quotients, "build_quotient", counted)
+        fast = _outcome(certify)
+    # an invertible linear part is counted by closed forms; a singular one
+    # still goes to the BFS
+    assert bool(built) != invertible
+    slow = _on_both_routes(certify)[1]
+    assert fast == slow
+    doc = fast if isinstance(fast, dict) else {
+        "schema": largeness.CERTIFICATE_SCHEMA,
+        "target": {"rank": r, "base_words": texts, "exponent": q},
+        "witness": spec,
+        "counts": {"j": 1, "gens": 1, "rels": 0, "deficiency": 1},
+        "verdict": VERDICT_UNKNOWN,
+    }
+    report, oracle = _on_both_routes(lambda: verify_certificate(doc, enum_cap=cap))
+    assert report == oracle
+    if isinstance(fast, dict):
+        assert report["ok"]

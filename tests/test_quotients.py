@@ -436,6 +436,42 @@ def test_serialize_roundtrip_magnus_unit():
     assert again.mult == q.mult
 
 
+def test_serialize_forms_payloads_once_and_returns_fresh_containers(monkeypatch):
+    from largequot.series import TruncSeries
+
+    q = unit_image_quotient(2, 2, 3)
+    first = q.serialize()
+    calls = []
+    original = TruncSeries.__str__
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(TruncSeries, "__str__", counted)
+    second = q.serialize()
+    assert calls == []
+    assert second == first
+    first["gen_images"].append("1")
+    first["gen_images"][0] = "1 + x2"
+    first["params"]["rank"] = 3
+    first["kind"] = "modvec"
+    assert q.serialize() == second == {
+        "kind": "magnus_unit",
+        "params": {"modulus": 2, "rank": 2, "degree_bound": 3},
+        "gen_images": ["1 + x1", "1 + x2"],
+    }
+    # list payloads and list params are copied too
+    v = mod_abelianization(2, 3)
+    v.serialize()["gen_images"][0].append(7)
+    assert v.serialize()["gen_images"] == [[1, 0], [0, 1]]
+    from largequot.verbal import build_series
+
+    cover = build_series((2, 3), 2, 2)[1].parent_quotient
+    cover.serialize()["params"]["primes"].append(99)
+    assert cover.serialize()["params"]["primes"] == [2]
+
+
 def test_unknown_element_kind_rejected():
     with pytest.raises(ValueError):
         element_kind("no-such-kind")

@@ -199,6 +199,11 @@ def test_unit_order_requires_prime_modulus_and_unit():
         unit_order(embed(parse_word("a", 2), 3, None))
     with pytest.raises(ValueError):
         unit_order(TruncSeries(1, 3, 2, {(): 0}))
+    # 1 + x1 has order 8 over Z/4 and 12 over Z/6 at l = 3; neither the
+    # valuation formula nor p-th powering gives that, so both are refused
+    for modulus in (4, 6):
+        with pytest.raises(ValueError, match="prime modulus"):
+            unit_order(embed(parse_word("a", 2), 3, modulus))
 
 
 def test_unit_order_is_the_exact_order():
