@@ -75,7 +75,6 @@ def _cmd_certify_large(args, cfg):
         certificate = certify_power_quotient(
             words, args.exponent, witness=witness,
             enum_cap=cfg.enumeration_cap, truncation_cap=cfg.truncation_cap,
-            term_cap=cfg.term_cap,
         )
     except (BelowBoundError, CapExceeded) as exc:
         return {"error": str(exc), "verdict": "not-certified"}, EXIT_NEGATIVE
@@ -87,7 +86,7 @@ def _cmd_lemma_fi(args, cfg):
     words = _parse_words(args.words, _check_rank(args.rank))
     bound = lemma_fi_bound(
         words, args.m, truncation_cap=cfg.truncation_cap,
-        enum_cap=cfg.enumeration_cap, term_cap=cfg.term_cap,
+        enum_cap=cfg.enumeration_cap,
     )
     return {**bound.to_doc(), "M": format_order(bound.M)}, EXIT_OK
 
@@ -95,7 +94,7 @@ def _cmd_lemma_fi(args, cfg):
 def _cmd_magnus(args, cfg):
     word = parse_word(args.word, _check_rank(args.rank))
     modulus = args.prime if args.prime else None
-    image = embed(word, args.truncation, modulus, term_cap=cfg.term_cap)
+    image = embed(word, args.truncation, modulus)
     doc = {
         "word": str(word),
         "rank": args.rank,

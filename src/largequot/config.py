@@ -4,6 +4,8 @@ Settings come from (later wins): built-in defaults and a key=value config
 file named by the ``LARGEQUOT_CONFIG`` environment variable or
 ``--config``.  Every emitted document records them, with a fixed
 ``seed`` of 0: no command samples, so the document format keeps the key.
+It keeps ``term`` under ``caps`` the same way, as the fixed series term
+cap :data:`largequot.series.DEFAULT_TERM_CAP`, which is no setting.
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from .series import DEFAULT_TERM_CAP
+
 ENV_CONFIG_PATH = "LARGEQUOT_CONFIG"
 
 @dataclass(frozen=True)
 class Config:
     enumeration_cap: int = 10**6
-    term_cap: int = 10**6
     coset_cap: int = 10**4
     depth_cap: int = 16
     truncation_cap: int = 64
@@ -33,7 +36,7 @@ class Config:
             "seed": 0,
             "caps": {
                 "enumeration": self.enumeration_cap,
-                "term": self.term_cap,
+                "term": DEFAULT_TERM_CAP,
                 "coset": self.coset_cap,
                 "depth": self.depth_cap,
                 "truncation": self.truncation_cap,

@@ -18,8 +18,10 @@ the least p^k with p^k v_p(g) >= l, v_p(g) being g's mod-p Magnus valuation
 (below); :class:`_UnitCounts` holds these, and nothing is enumerated.  Every
 other witness (residue vectors, verbal cosets, composite moduli, singular
 linear parts) is counted on its coset graph: the generators are its
-non-tree edges, the relators its cosets of <g_i>N.  Certify and verify pick
-the route from the witness spec alone, so a certificate is recounted by the
+non-tree edges, the relators its cosets of <g_i>N; a composite modulus m
+whose images form a unit witness mod a prime p | m maps onto it, so one of
+p^e past the cap is refused before the BFS.  Certify and verify pick the
+route from the witness spec alone, so a certificate is recounted by the
 route that made it.  The presentation itself (conjugate sets and
 Reidemeister-Schreier rewriting in :mod:`largequot.quotients`) is never
 built here; it stays library API and the tests' oracle.
@@ -59,7 +61,7 @@ from .quotients import (
     element_kind,
 )
 from .series import (
-    DEFAULT_TERM_CAP,
+    TruncSeries,
     embed,
     generator_image,
     order_of_valuation,
@@ -162,7 +164,7 @@ def _leading_degree(image, p):
                  if mono and (p is None or c % p)), image.degree_bound)
 
 
-def _valuation(w, p, limit, term_cap, images=None):
+def _valuation(w, p, limit, images=None):
     """min(v_p(w), limit), where v_None is v_Z.
 
     w alone is embedded at truncations 2, 3, .. up to ``limit`` until a
@@ -182,7 +184,7 @@ def _valuation(w, p, limit, term_cap, images=None):
                 return min(v, limit)
             start = max(start, image.degree_bound + 1)
     for L in range(start, limit + 1):
-        image = images[w, p] = embed(w, L, p, term_cap=term_cap)
+        image = images[w, p] = embed(w, L, p)
         if not image.is_one:
             return _leading_degree(image, p)
     return limit
@@ -224,8 +226,7 @@ class _UnitCounts:
                 f"rank mismatch: word has {w.rank}, quotient has {self.rank}")
         if self.rank == 1:
             return self.order // math.gcd(w.exponent_sums()[0], self.order)
-        v = (self._valuations.get(w)
-             or _valuation(w, self.p, self.l, DEFAULT_TERM_CAP))
+        v = self._valuations.get(w) or _valuation(w, self.p, self.l)
         return order_of_valuation(self.p, v, self.l)
 
     def cosets(self, w, o):
@@ -321,12 +322,23 @@ def _spec_counts(spec, cap):
             return _UnitCounts(*unit, cap, lambda: {
                 "kind": spec["kind"], "params": dict(params),
                 "gen_images": [kind.serialize(g) for g in images]})
-        if (params["modulus"] is None
-                and all(g.constant_term == 1 for g in images)
-                and not all(g.is_one for g in images)):
-            # over Z, 1 + u with u != 0 has infinite order (the leading part
-            # of (1 + u)^n is n u_v), so the BFS could only end at the cap
-            raise CapExceeded("quotient enumeration", cap + 1, cap)
+        m = images[0].modulus if images else None  # None or an int >= 2
+        # any other constant term fails the BFS's inverse()
+        if all(g.constant_term == 1 for g in images):
+            if m is None and not all(g.is_one for g in images):
+                # over Z, 1 + u with u != 0 has infinite order (the leading
+                # part of (1 + u)^n is n u_v): the BFS can only end at the cap
+                raise CapExceeded("quotient enumeration", cap + 1, cap)
+            # mod a prime p | m the witness maps onto the group of the
+            # reduced images, raising if a unit witness past the cap.  Trial
+            # division only: fully factoring m can take longer than the BFS
+            for p in sympy.factorint(m or 1, limit=2**16, use_rho=False,
+                                     use_pm1=False):
+                reduced = [TruncSeries(g.rank, g.degree_bound, p, dict(g.terms()))
+                           for g in images]
+                unit = _standard_unit({**params, "modulus": p}, reduced)
+                if unit is not None:
+                    _UnitCounts(*unit, cap)
     return _GraphCounts(FiniteQuotient.from_spec(spec, cap=cap))
 
 
@@ -340,7 +352,7 @@ def _quotient_counts(quotient):
 
 
 def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
-                   enum_cap=DEFAULT_ENUM_CAP, term_cap=DEFAULT_TERM_CAP):
+                   enum_cap=DEFAULT_ENUM_CAP):
     """Compute the avoidance bound record for S = {g_i^s : 1 <= s <= m}.
 
     Every truncation and witness coefficient comes from the valuations of
@@ -359,7 +371,7 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
     def valuations(p, limit):
         found = []
         for w in words:
-            v = _valuation(w, p, limit, term_cap, images)
+            v = _valuation(w, p, limit, images)
             if v >= limit:
                 raise CapExceeded("series truncation", truncation_cap,
                                   truncation_cap)
@@ -389,17 +401,12 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
     return LemmaFiBound(words, m, l, M0, exponents, truncations, M, found)
 
 
-def _avoiding_unit(words, rank, m, q, bound, truncation_cap, enum_cap, term_cap):
-    """The counts of the smallest admissible unit witness, by closed-form
-    order, with the bound's valuations.
+def _avoiding_unit(bound, q, enum_cap):
+    """The counts of the smallest admissible unit witness for the bound's
+    words and m, by closed-form order, with the bound's valuations.
 
     The ranking half of :func:`find_avoiding_quotient`: nothing is built.
     """
-    if bound is None:
-        bound = lemma_fi_bound(words, m, truncation_cap=truncation_cap,
-                               enum_cap=enum_cap, term_cap=term_cap)
-    elif bound.words != tuple(words) or bound.m != m:
-        raise ValueError("bound is for other base words or another m")
     if q < bound.M:
         raise BelowBoundError(q, bound.M)
     candidates = []  # (quotient order, prime, truncation)
@@ -410,7 +417,7 @@ def _avoiding_unit(words, rank, m, q, bound, truncation_cap, enum_cap, term_cap)
     # below l already kills some power over Z, so l is the least one mod p
     l = bound.l
     for p in [p for p in sympy.factorint(q) if p > bound.M0]:
-        e = unit_image_exponent(p, rank, l, cap=enum_cap)
+        e = unit_image_exponent(p, bound.rank, l, cap=enum_cap)
         # an over-cap candidate past truncation 2 is dropped; one at
         # truncation 2 stays, and counting or building it reports the cap
         if l > 2 and power_over_cap(p, e, enum_cap):
@@ -419,14 +426,13 @@ def _avoiding_unit(words, rank, m, q, bound, truncation_cap, enum_cap, term_cap)
     if not candidates:
         raise CapExceeded("avoiding quotient enumeration", q, enum_cap)
     _, p, l_p = min(candidates)
-    return _UnitCounts(p, rank, l_p, enum_cap,
+    return _UnitCounts(p, bound.rank, l_p, enum_cap,
                        valuations=bound.valuations_mod(p))
 
 
 def find_avoiding_quotient(words, m, q, bound=None,
                            truncation_cap=DEFAULT_TRUNCATION_CAP,
-                           enum_cap=DEFAULT_ENUM_CAP,
-                           term_cap=DEFAULT_TERM_CAP):
+                           enum_cap=DEFAULT_ENUM_CAP):
     """A finite quotient N with g_i^s outside N for s <= m and g_i^q inside.
 
     Requires q >= M.  Branches: if p^{j(p)} divides q for a small prime p,
@@ -440,9 +446,13 @@ def find_avoiding_quotient(words, m, q, bound=None,
     (:meth:`_UnitCounts.quotient`), since callers walk words through it.
     Both postcondition halves are machine-checked before returning.
     """
-    words, rank = _check_base_words(words)
-    quotient = _avoiding_unit(words, rank, m, q, bound, truncation_cap,
-                              enum_cap, term_cap).quotient()
+    words, _ = _check_base_words(words)
+    if bound is None:
+        bound = lemma_fi_bound(words, m, truncation_cap=truncation_cap,
+                               enum_cap=enum_cap)
+    elif bound.words != tuple(words) or bound.m != m:
+        raise ValueError("bound is for other base words or another m")
+    quotient = _avoiding_unit(bound, q, enum_cap).quotient()
     _check_avoidance(quotient, words, m, q)
     return quotient
 
@@ -490,8 +500,7 @@ def _direct_witness_search(bound, k, q, truncation_cap, enum_cap):
 
 
 def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
-                           truncation_cap=DEFAULT_TRUNCATION_CAP,
-                           term_cap=DEFAULT_TERM_CAP):
+                           truncation_cap=DEFAULT_TRUNCATION_CAP):
     """Build a largeness certificate for F/<<g_1^q, .., g_k^q>>.
 
     ``witness`` is an optional user-supplied FiniteQuotient, or a witness
@@ -509,10 +518,9 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
     k = len(words)
     if witness is None:
         bound = lemma_fi_bound(words, k, truncation_cap=truncation_cap,
-                               enum_cap=enum_cap, term_cap=term_cap)
+                               enum_cap=enum_cap)
         try:
-            counts = _avoiding_unit(words, rank, k, q, bound, truncation_cap,
-                                    enum_cap, term_cap)
+            counts = _avoiding_unit(bound, q, enum_cap)
         except BelowBoundError:
             counts = _direct_witness_search(bound, k, q, truncation_cap,
                                             enum_cap)

@@ -26,6 +26,8 @@ only n mod that period further passes are needed.  The result is the coset
 the letter-by-letter walk reaches, without stepping n * |u| letters.  The
 walk can also sum its signed non-tree crossings, the exponent sums of a
 kernel word over the Schreier generators that :mod:`largequot.verbal` reads.
+The Schreier generators are the non-tree edges (Sims, *Computation with
+Finitely Presented Groups*, 1994, ch. 2), numbered in one pass over the tree.
 
 On top of the coset graph this module counts the cosets of <g>N that the
 largeness certificates need (:func:`coset_representatives`), and keeps the
@@ -277,34 +279,30 @@ class FiniteQuotient:
 
     def schreier_generators(self):
         """Non-tree edges (coset, gen), sorted by coset index then generator."""
-        if self._nontree is None:
-            tree_edges = set()
-            for child in range(1, self.order):
-                parent, (gen, exp) = self.tree_parent[child]
-                if exp == 1:
-                    tree_edges.add((parent, gen))
-                else:
-                    tree_edges.add((child, gen))
-            labels = []
-            for c in range(self.order):
-                for g in range(1, self.rank + 1):
-                    if (c, g) not in tree_edges:
-                        labels.append((c, g))
-            self._nontree = tuple(labels)
+        self.crossing_table()  # which keeps the labels
         return self._nontree
 
     def crossing_table(self):
         """Flat non-tree edge table, built once per quotient.
 
         Entry ``c*rank + g-1`` is the position in :meth:`schreier_generators`
-        of the edge (c, g) from coset c to c*a_g, or None on the tree.
+        of the edge (c, g) from coset c to c*a_g, or None on the tree.  A
+        tree edge takes the parent's slot when forward, the child's when
+        backward; the other slots are numbered in order, and their labels
+        kept as :meth:`schreier_generators`.
         """
         if self._crossing is None:
             rank = self.rank
-            table = [None] * (self.order * rank)
-            for position, (c, g) in enumerate(self.schreier_generators()):
-                table[c * rank + g - 1] = position
-            self._crossing = table
+            table = [0] * (self.order * rank)
+            for child in range(1, self.order):
+                parent, (gen, exp) = self.tree_parent[child]
+                table[(parent if exp == 1 else child) * rank + gen - 1] = None
+            labels = []
+            for slot, mark in enumerate(table):
+                if mark is not None:
+                    table[slot] = len(labels)
+                    labels.append((slot // rank, slot % rank + 1))
+            self._crossing, self._nontree = table, tuple(labels)
         return self._crossing
 
     def schreier_generator_word(self, label):

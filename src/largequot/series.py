@@ -220,7 +220,7 @@ class TruncSeries:
                 terms[mono] = get(mono, 0) + c1 * c2
             # the term count grows one at a time, so it first passes the
             # cap at cap + 1, whichever row takes it there
-            if term_cap is not None and len(terms) > term_cap:
+            if len(terms) > term_cap:
                 raise CapExceeded("series term count", term_cap + 1, term_cap)
         # stored monomials are below the bound, so the products kept are too
         return TruncSeries._trusted(self.rank, bound, self.modulus, terms)
@@ -230,26 +230,26 @@ class TruncSeries:
             return NotImplemented
         return self.mul(other)
 
-    def power(self, n, term_cap=DEFAULT_TERM_CAP):
+    def power(self, n):
         """self**n by square and multiply; n < 0 inverts first."""
         if not isinstance(n, int):
             raise ValueError(f"exponent must be an integer, got {n!r}")
         if n < 0:
-            return self.inverse(term_cap=term_cap).power(-n, term_cap=term_cap)
+            return self.inverse().power(-n)
         result = TruncSeries.one(self.rank, self.degree_bound, self.modulus)
         base = self
         while n:
             if n & 1:
-                result = result.mul(base, term_cap=term_cap)
+                result = result.mul(base)
             n >>= 1
             if n:
-                base = base.mul(base, term_cap=term_cap)
+                base = base.mul(base)
         return result
 
     def __pow__(self, n):
         return self.power(n)
 
-    def inverse(self, term_cap=DEFAULT_TERM_CAP):
+    def inverse(self):
         """Inverse of a series with constant term 1 (truncated Neumann sum)."""
         if self.constant_term != 1:
             raise ValueError(
@@ -259,7 +259,7 @@ class TruncSeries:
         result = TruncSeries.one(self.rank, self.degree_bound, self.modulus)
         piece = TruncSeries.one(self.rank, self.degree_bound, self.modulus)
         for _ in range(1, self.degree_bound):
-            piece = piece.mul(-u, term_cap=term_cap)
+            piece = piece.mul(-u)
             if piece.is_zero:
                 break
             result = result + piece
@@ -336,7 +336,7 @@ def generator_image(rank, degree_bound, modulus, gen, exp):
     return TruncSeries(rank, degree_bound, modulus, terms)
 
 
-def embed(word, degree_bound, modulus=None, term_cap=DEFAULT_TERM_CAP):
+def embed(word, degree_bound, modulus=None):
     """Multiplicative image of a word under a_i -> 1 + x_i.
 
     The result is exact in R<x_1..x_r>/X^l; over F_p this is the reduction
@@ -347,7 +347,7 @@ def embed(word, degree_bound, modulus=None, term_cap=DEFAULT_TERM_CAP):
     result = TruncSeries.one(word.rank, degree_bound, modulus)
     for gen, exp in word.letters:
         image = generator_image(word.rank, degree_bound, modulus, gen, exp)
-        result = result.mul(image, term_cap=term_cap)
+        result = result.mul(image)
     return result
 
 

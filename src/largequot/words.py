@@ -14,7 +14,9 @@ reduced by construction: ``*`` cancels only at the seam between its two
 reduced operands, an inverse of a reduced word is reduced, and
 ``t * c^n * t^-1`` with ``c`` cyclically reduced is reduced as written.  These
 build their result through ``Word._reduced``, which neither checks nor
-reduces, so each word is built once in time linear in its length.
+reduces, so each word is built once in time linear in its length.  So do
+:func:`shortlex_words` and :func:`random_reduced_word`, which extend words
+through one successor table per rank (``_alphabet``).
 
 A word built by :func:`power` also remembers how it was built:
 ``power_record`` is ``(t, c, n)``, the letters of t and of c and the count
@@ -37,6 +39,7 @@ Parsing accepts an optional ``^k`` exponent after any letter in either form
 
 from __future__ import annotations
 
+import functools
 import re
 
 
@@ -215,84 +218,71 @@ def power(g, n):
 
 _INDEXED_TOKEN = re.compile(r"g(\d+)(?:\^(-?\d+))?")
 _LETTER_TOKEN = re.compile(r"([a-zA-Z])(?:\^(-?\d+))?")
-
-
-def _letters_of_token(gen, exp_sign, count):
-    return [(gen, exp_sign)] * count
+# the generator and sign of each letter of the letter form
+_LETTERS = {chr(base + g): (g + 1, sign)
+            for base, sign in ((ord("a"), 1), (ord("A"), -1)) for g in range(26)}
 
 
 def parse_word(text, rank):
-    """Parse either textual form into a Word of the given rank."""
+    """Parse either textual form (indexed iff ``g<digit>`` occurs) into a Word."""
     stripped = re.sub(r"\s+", "", text)
     if stripped in ("", "1"):
         return Word.identity(rank)
-    letters = []
     if re.search(r"g\d", stripped):
-        body = stripped.replace("*", "")
-        pos = 0
-        while pos < len(body):
-            m = _INDEXED_TOKEN.match(body, pos)
-            if not m:
-                raise ValueError(f"cannot parse indexed word at {body[pos:]!r}")
-            gen = int(m.group(1))
-            exp = int(m.group(2)) if m.group(2) is not None else 1
-            if exp != 0:
-                sign = 1 if exp > 0 else -1
-                letters.extend(_letters_of_token(gen, sign, abs(exp)))
-            pos = m.end()
+        body, token, form = stripped.replace("*", ""), _INDEXED_TOKEN, "indexed word"
     else:
-        pos = 0
-        while pos < len(stripped):
-            m = _LETTER_TOKEN.match(stripped, pos)
-            if not m:
-                raise ValueError(f"cannot parse word at {stripped[pos:]!r}")
-            ch = m.group(1)
-            if ch.islower():
-                gen, sign = ord(ch) - ord("a") + 1, 1
-            else:
-                gen, sign = ord(ch) - ord("A") + 1, -1
-            exp = int(m.group(2)) if m.group(2) is not None else 1
-            if exp < 0:
-                sign, exp = -sign, -exp
-            letters.extend(_letters_of_token(gen, sign, exp))
-            pos = m.end()
+        body, token, form = stripped, _LETTER_TOKEN, "word"
+    letters = []
+    pos = 0
+    while pos < len(body):
+        m = token.match(body, pos)
+        if not m:
+            raise ValueError(f"cannot parse {form} at {body[pos:]!r}")
+        head, exp = m.groups()
+        gen, sign = _LETTERS.get(head) or (int(head), 1)
+        exp = int(exp or 1)
+        letters.extend([(gen, sign if exp > 0 else -sign)] * abs(exp))
+        pos = m.end()
     return Word(rank, letters)
 
 
-def shortlex_words(rank, include_identity=False):
+@functools.lru_cache(maxsize=64)
+def _alphabet(rank):
+    """The letters a1 < .. < ar < a1^-1 < .. < ar^-1, and for each letter
+    the letters that may follow it in a reduced word (all but its inverse),
+    in the same order: 2r entries of 2r - 1 letters, built once per rank."""
+    alphabet = tuple((g, e) for e in (1, -1) for g in range(1, rank + 1))
+    after = {(g, e): tuple(letter for letter in alphabet if letter != (g, -e))
+             for g, e in alphabet}
+    return alphabet, after
+
+
+def shortlex_words(rank):
     """Yield reduced words in shortlex order over a1 < .. < ar < a1^-1 < ..
 
     This alphabet order is not the BFS edge order of coset enumeration
     (a1, a1^-1, a2, a2^-1, ..), so two words of one length can compare
     differently here and in a Schreier transversal.
     """
-    alphabet = [(g, 1) for g in range(1, rank + 1)]
-    alphabet += [(g, -1) for g in range(1, rank + 1)]
-    if include_identity:
-        yield Word.identity(rank)
+    alphabet, after = _alphabet(rank)
     frontier = [()]
     while True:
         next_frontier = []
         for prefix in frontier:
-            for letter in alphabet:
-                if prefix and prefix[-1][0] == letter[0] \
-                        and prefix[-1][1] == -letter[1]:
-                    continue
+            for letter in after[prefix[-1]] if prefix else alphabet:
                 word = prefix + (letter,)
-                yield Word(rank, word)
+                yield Word._reduced(rank, word)
                 next_frontier.append(word)
         frontier = next_frontier
 
 
 def random_reduced_word(rng, rank, length):
-    """A uniformly random reduced word of exactly the given length."""
+    """A uniformly random reduced word of exactly the given length: one
+    ``rng.choice`` of the alphabet, then of each letter's successors."""
     if length == 0:
         return Word.identity(rank)
-    alphabet = [(g, 1) for g in range(1, rank + 1)]
-    alphabet += [(g, -1) for g in range(1, rank + 1)]
+    alphabet, after = _alphabet(rank)
     letters = [rng.choice(alphabet)]
-    while len(letters) < length:
-        prev = letters[-1]
-        choices = [l for l in alphabet if not (l[0] == prev[0] and l[1] == -prev[1])]
-        letters.append(rng.choice(choices))
-    return Word(rank, letters)
+    for _ in range(length - 1):
+        letters.append(rng.choice(after[letters[-1]]))
+    return Word._reduced(rank, tuple(letters))

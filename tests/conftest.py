@@ -37,3 +37,25 @@ def package_env():
 def run_under_O():
     """Checks that must hold under ``python -O``, which strips asserts."""
     return _run_under_O
+
+
+def _schreier_tables_oracle(quotient):
+    """Schreier generator labels and crossing table, from the set of tree
+    edges: the two-pass construction the one-pass table replaced."""
+    tree_edges = set()
+    for child in range(1, quotient.order):
+        parent, (gen, exp) = quotient.tree_parent[child]
+        tree_edges.add((parent, gen) if exp == 1 else (child, gen))
+    labels = tuple((c, g) for c in range(quotient.order)
+                   for g in range(1, quotient.rank + 1)
+                   if (c, g) not in tree_edges)
+    table = [None] * (quotient.order * quotient.rank)
+    for position, (c, g) in enumerate(labels):
+        table[c * quotient.rank + g - 1] = position
+    return labels, table
+
+
+@pytest.fixture
+def schreier_tables_oracle():
+    """``quotient -> (labels, crossing table)`` by the tree-edge set."""
+    return _schreier_tables_oracle

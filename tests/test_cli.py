@@ -287,6 +287,42 @@ def test_verify_refuses_an_invertible_non_standard_witness_at_once(
         "1000001 with cap 1000000')")
 
 
+_PAST_THE_CAP = ("malformed certificate: CapExceeded('quotient enumeration: "
+                 "reached 1000001 with cap 1000000')")
+
+
+@pytest.mark.parametrize("modulus, degree_bound, first, error", [
+    (4, 2, "1 + x1", None),
+    (4, 3000, "1 + x1", _PAST_THE_CAP),
+    (4, 10**6, "1 + x1", _PAST_THE_CAP),
+    (6, 10**6, "1 + x1", _PAST_THE_CAP),
+    (6, 10**6, "4 + x1", "malformed certificate: ValueError('series inverse "
+                         "requires constant term 1, got 4')"),
+])
+def test_verify_refuses_a_composite_modulus_witness_at_once(
+        capsys, tmp_path, package_env, modulus, degree_bound, first, error):
+    # mod 2 the images 1 + x_i are the standard witness, of 2^e elements,
+    # and the witness mod 4 or 6 maps onto it: past the cap it is refused
+    # unbuilt; at degree bound 2 (2^2 elements mod 2) the BFS counts it,
+    # j = 16, and an image that is no unit still fails the BFS's inverse
+    cert_path = tmp_path / "cert.json"
+    run(capsys, ["certify-large", "-g", "a,b", "-q", "4", "-o", str(cert_path)])
+    cert = json.loads(cert_path.read_text())
+    cert["witness"]["params"].update(modulus=modulus, degree_bound=degree_bound)
+    cert["witness"]["gen_images"][0] = first
+    cert_path.write_text(json.dumps(cert))
+    result = subprocess.run(
+        [sys.executable, "-m", "largequot", "verify", str(cert_path)],
+        env=package_env, capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 2, result.stderr
+    doc = json.loads(result.stdout)
+    if error is None:
+        assert doc["computed"]["j"] == 16
+    else:
+        assert doc["error"] == error
+
+
 def _target_problems(capsys, tmp_path, field, value):
     return _verify_mutated(
         capsys, tmp_path, lambda cert: cert["target"].__setitem__(field, value)
@@ -562,7 +598,7 @@ def test_config_env_var(capsys, tmp_path, monkeypatch):
 
 
 def test_config_file_rejects_removed_settings(capsys, tmp_path):
-    for line in ("verbosity = 1\n", "output = out.json\n"):
+    for line in ("verbosity = 1\n", "output = out.json\n", "term_cap = 3\n"):
         cfg = tmp_path / "old.cfg"
         cfg.write_text(line)
         with pytest.raises(SystemExit) as err:

@@ -108,6 +108,28 @@ def test_cover_equals_layered_coset_enumeration():
     assert covers >= 2 * len(SERIES)
 
 
+def test_schreier_tables_match_the_tree_edge_set_oracle(schreier_tables_oracle):
+    quotients = []
+    for primes, rank in SERIES:
+        for cap in CAPS:
+            levels = _levels(primes, rank, cap)
+            for below, level in zip(levels, levels[1:]):
+                if level.parent_quotient is None:
+                    break
+                quotients += [level.parent_quotient,
+                              _oracle(primes, rank, below.depth)]
+    level = _levels((2, 3), 2, 10**4)[1]
+    for texts in (("ab", "b"), ("aba", "bbb")):
+        quotients += _outcomes(level, texts, 10**6)
+    for primes in ((5,), (3, 2), (2, 2, 3)):
+        level = build_series(primes, 1, len(primes))[-1]
+        quotients += [build_quotient(1, _images(level, ["a"])),
+                      mod_abelianization(1, level.parent_order * level.prime)]
+    for q in quotients:
+        assert (q.schreier_generators(), q.crossing_table()) == \
+            schreier_tables_oracle(q)
+
+
 @pytest.mark.parametrize("texts, order", [(("ab", "b"), 972),
                                           (("aba", "bbb"), 18)])
 def test_packed_action_takes_any_image_words(texts, order):

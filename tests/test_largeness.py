@@ -40,31 +40,29 @@ def _power_set(words, m):
 
 
 def _least_faithful_truncation(powers, modulus,
-                               truncation_cap=largeness.DEFAULT_TRUNCATION_CAP,
-                               term_cap=largeness.DEFAULT_TERM_CAP):
+                               truncation_cap=largeness.DEFAULT_TRUNCATION_CAP):
     """Least l with every power's series image nontrivial over the domain."""
     for l in range(2, truncation_cap + 1):
-        if all(not embed(w, l, modulus, term_cap=term_cap).is_one
+        if all(not embed(w, l, modulus).is_one
                for w in powers):
             return l
     raise CapExceeded("series truncation", truncation_cap, truncation_cap)
 
 
 def _oracle_bound(words, m, truncation_cap=largeness.DEFAULT_TRUNCATION_CAP,
-                  enum_cap=quotients.DEFAULT_ENUM_CAP,
-                  term_cap=largeness.DEFAULT_TERM_CAP):
+                  enum_cap=quotients.DEFAULT_ENUM_CAP):
     """The bound document, from every power embedded at every truncation."""
     powers = _power_set(words, m)
-    l = _least_faithful_truncation(powers, None, truncation_cap, term_cap)
+    l = _least_faithful_truncation(powers, None, truncation_cap)
     max_coeff = 0
     for w in powers:
-        image = embed(w, l, None, term_cap=term_cap)
+        image = embed(w, l, None)
         witness = next(c for mono, c in image.terms() if mono)
         max_coeff = max(max_coeff, abs(witness))
     M0 = max(l, 1 + max_coeff)
     exponents, truncations, M = {}, {}, 1
     for p in sympy.primerange(2, M0 + 1):
-        l_p = _least_faithful_truncation(powers, p, truncation_cap, term_cap)
+        l_p = _least_faithful_truncation(powers, p, truncation_cap)
         jp = unit_image_exponent(p, words[0].rank, l_p, cap=enum_cap)
         if power_over_cap(p, jp, enum_cap):
             raise CapExceeded("quotient enumeration", enum_cap + 1, enum_cap)
@@ -844,7 +842,7 @@ def test_valuations_of_powers(rank, text, s, p):
     g = parse_word(text if rank == 2 else text.replace("b", "a").replace("B", "A"),
                    rank)
     assume(not g.is_identity)
-    v = largeness._valuation(g, p, 8, largeness.DEFAULT_TERM_CAP)
+    v = largeness._valuation(g, p, 8)
     # v_Z(g^s) = v_Z(g); v_p(g^s) = p^a v_p(g) for s = p^a t, p not dividing t
     expected = v if p is None else p**_nu(p, s) * v
     assume(expected < 8)

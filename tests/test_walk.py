@@ -35,6 +35,22 @@ def _quotient(name):
     return SMALL[name]()
 
 
+# the quotients of the long-power test below, by name
+LONG = {
+    "mod_ab(2,7)": lambda: mod_abelianization(2, 7),
+    "unit(3,2,4)": lambda: unit_image_quotient(3, 2, 4),
+    "unit(2,2,5)": lambda: unit_image_quotient(2, 2, 5),
+}
+
+
+@pytest.mark.parametrize("make", [*SMALL.values(), *LONG.values(),
+                                  lambda: _levels()[0].parent_quotient,
+                                  lambda: _levels()[1].parent_quotient])
+def test_schreier_tables_match_the_tree_edge_set_oracle(make, schreier_tables_oracle):
+    q = make()
+    assert (q.schreier_generators(), q.crossing_table()) == schreier_tables_oracle(q)
+
+
 def _letters(max_size):
     # generators 1..3, folded into the quotient's rank when the word is built
     return st.lists(
@@ -133,11 +149,7 @@ class _Unreadable(tuple):
         raise AssertionError("the walk read the power's letters")
 
 
-@pytest.mark.parametrize("make", [
-    lambda: mod_abelianization(2, 7),
-    lambda: unit_image_quotient(3, 2, 4),
-    lambda: unit_image_quotient(2, 2, 5),
-])
+@pytest.mark.parametrize("make", LONG.values())
 @pytest.mark.parametrize("n", [10**5, -(10**5 + 1)])
 def test_long_powers_are_walked_without_reading_their_letters(make, n):
     q = make()

@@ -1,8 +1,9 @@
 import random
+import re
 from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from largequot.words import (
@@ -236,11 +237,6 @@ def test_shortlex_order_and_completeness():
     assert len(by_len[2]) == 12
 
 
-def test_shortlex_can_include_identity():
-    first = next(iter(shortlex_words(2, include_identity=True)))
-    assert first.is_identity
-
-
 def test_random_reduced_word_is_reduced_and_has_length():
     rng = random.Random(0)
     for _ in range(200):
@@ -248,3 +244,136 @@ def test_random_reduced_word_is_reduced_and_has_length():
         w = random_reduced_word(rng, 2, n)
         assert len(w) == n
         assert Word(2, w.letters) == w  # re-reduction changes nothing
+
+
+# -- the successor table against the per-letter rules it replaced ----------
+# The oracles are the filtering sampler, the filtering shortlex generator and
+# the two-loop parser that the table and the single token loop replace.
+
+
+def _oracle_alphabet(rank):
+    return [(g, 1) for g in range(1, rank + 1)] + [(g, -1) for g in range(1, rank + 1)]
+
+
+def _oracle_random_reduced_word(rng, rank, length):
+    if length == 0:
+        return Word.identity(rank)
+    alphabet = _oracle_alphabet(rank)
+    letters = [rng.choice(alphabet)]
+    while len(letters) < length:
+        prev = letters[-1]
+        choices = [l for l in alphabet if not (l[0] == prev[0] and l[1] == -prev[1])]
+        letters.append(rng.choice(choices))
+    return Word(rank, letters)
+
+
+def _oracle_shortlex_words(rank):
+    alphabet = _oracle_alphabet(rank)
+    frontier = [()]
+    while True:
+        next_frontier = []
+        for prefix in frontier:
+            for letter in alphabet:
+                if prefix and prefix[-1][0] == letter[0] \
+                        and prefix[-1][1] == -letter[1]:
+                    continue
+                word = prefix + (letter,)
+                yield Word(rank, word)
+                next_frontier.append(word)
+        frontier = next_frontier
+
+
+_ORACLE_INDEXED = re.compile(r"g(\d+)(?:\^(-?\d+))?")
+_ORACLE_LETTER = re.compile(r"([a-zA-Z])(?:\^(-?\d+))?")
+
+
+def _oracle_parse_word(text, rank):
+    stripped = re.sub(r"\s+", "", text)
+    if stripped in ("", "1"):
+        return Word.identity(rank)
+    letters = []
+    if re.search(r"g\d", stripped):
+        body = stripped.replace("*", "")
+        pos = 0
+        while pos < len(body):
+            m = _ORACLE_INDEXED.match(body, pos)
+            if not m:
+                raise ValueError(f"cannot parse indexed word at {body[pos:]!r}")
+            gen = int(m.group(1))
+            exp = int(m.group(2)) if m.group(2) is not None else 1
+            if exp != 0:
+                letters.extend([(gen, 1 if exp > 0 else -1)] * abs(exp))
+            pos = m.end()
+    else:
+        pos = 0
+        while pos < len(stripped):
+            m = _ORACLE_LETTER.match(stripped, pos)
+            if not m:
+                raise ValueError(f"cannot parse word at {stripped[pos:]!r}")
+            ch = m.group(1)
+            if ch.islower():
+                gen, sign = ord(ch) - ord("a") + 1, 1
+            else:
+                gen, sign = ord(ch) - ord("A") + 1, -1
+            exp = int(m.group(2)) if m.group(2) is not None else 1
+            if exp < 0:
+                sign, exp = -sign, -exp
+            letters.extend([(gen, sign)] * exp)
+            pos = m.end()
+    return Word(rank, letters)
+
+
+@given(st.integers(0, 2**32), st.integers(1, 4),
+       st.lists(st.integers(0, 12), max_size=6))
+def test_sampler_matches_the_filtering_oracle(seed, rank, lengths):
+    fast, slow = random.Random(seed), random.Random(seed)
+    for n in lengths:
+        w = random_reduced_word(fast, rank, n)
+        assert w == _oracle_random_reduced_word(slow, rank, n)
+        assert_reduced(w)
+    # the same draws, so the generator is left in the same state
+    assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_shortlex_matches_the_filtering_oracle(rank):
+    # every reduced word of length 1 to 4, and the first of length 5
+    count = 1 + sum(2 * rank * (2 * rank - 1) ** (n - 1) for n in range(1, 5))
+    words = list(islice(shortlex_words(rank), count))
+    assert words == list(islice(_oracle_shortlex_words(rank), count))
+    assert [len(w) for w in words[-2:]] == [4, 5]
+    for w in words:
+        assert_reduced(w)
+
+
+def _parse_outcome(text, rank, parse):
+    try:
+        return parse(text, rank).letters
+    except ValueError as exc:
+        return str(exc)
+
+
+_EXPONENTS = st.sampled_from(["", "", "^0", "^1", "^2", "^-1", "^-3", "^12"])
+
+
+@st.composite
+def word_texts(draw):
+    """Text in either form: exponents 0 and negative, '*' and whitespace
+    between tokens, and now and then a malformed token."""
+    if draw(st.booleans()):
+        head = st.builds(lambda g: f"g{g}", st.integers(0, 5))
+    else:
+        head = st.sampled_from("abcdABCDgzZ")
+    token = st.builds(str.__add__, head, _EXPONENTS)
+    garbage = st.sampled_from(["^", "^-", "-", "1", "$", "g", "x1", "^a", "**"])
+    tokens = draw(st.lists(st.one_of(token, garbage), max_size=6))
+    seps = draw(st.lists(st.sampled_from(["", "", "*", " ", "\t", " * "]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    return "".join(sep + tok for sep, tok in zip(seps, tokens))
+
+
+@settings(max_examples=400)
+@given(word_texts(), st.integers(1, 4))
+def test_parse_matches_the_two_loop_oracle(text, rank):
+    assert _parse_outcome(text, rank, parse_word) == \
+        _parse_outcome(text, rank, _oracle_parse_word), text
