@@ -15,13 +15,16 @@ x_i -> g_i - 1 then extends to an automorphism taking each 1 + x_i to g_i,
 so F -> <g_i> has the kernel of a_i -> 1 + x_i.  For it j is p^e by
 Jennings' formula (:func:`largequot.series.unit_image_exponent`) and o(g)
 the least p^k with p^k v_p(g) >= l, v_p(g) being g's mod-p Magnus valuation
-(below); :class:`_UnitCounts` holds these, and nothing is enumerated.  Every
-other witness (residue vectors, verbal cosets, composite moduli, singular
+(below); :class:`_UnitCounts` holds these, and nothing is enumerated.  One
+test (:func:`_unit_witness`) recognises a unit witness, and one entry
+(:func:`_unit_counts`) asks it once per prime p dividing a magnus witness's
+modulus m, of the images reduced mod p.  For p = m the closed forms count
+the witness; for p < m the witness maps onto the unit witness mod p, so one
+whose p^e passes the cap is refused before any BFS.  Every other witness
+(residue vectors, verbal cosets, composite moduli under the cap, singular
 linear parts) is counted on its coset graph: the generators are its
-non-tree edges, the relators its cosets of <g_i>N; a composite modulus m
-whose images form a unit witness mod a prime p | m maps onto it, so one of
-p^e past the cap is refused before the BFS.  Certify and verify pick the
-route from the witness spec alone, so a certificate is recounted by the
+non-tree edges, the relators its cosets of <g_i>N.  Certify and verify pick
+the route from the witness spec alone, so a certificate is recounted by the
 route that made it.  The presentation itself (conjugate sets and
 Reidemeister-Schreier rewriting in :mod:`largequot.quotients`) is never
 built here; it stays library API and the tests' oracle.
@@ -63,7 +66,6 @@ from .quotients import (
 from .series import (
     TruncSeries,
     embed,
-    generator_image,
     order_of_valuation,
     power_over_cap,
     unit_image_exponent,
@@ -157,37 +159,17 @@ class LemmaFiBound:
         )
 
 
-def _leading_degree(image, p):
-    """Least degree of a nonconstant term of ``image`` whose coefficient p
-    does not divide (any nonzero one for p None); the truncation if none."""
-    return next((len(mono) for mono, c in image.terms()
-                 if mono and (p is None or c % p)), image.degree_bound)
-
-
-def _valuation(w, p, limit, images=None):
-    """min(v_p(w), limit), where v_None is v_Z.
-
-    w alone is embedded at truncations 2, 3, .. up to ``limit`` until a
-    nonconstant term shows, so no image is deeper than the valuation needs.
-    ``images`` (one dict per call) keeps the deepest image of each (word,
-    modulus): an integer image answers for every prime that leaves one of
-    its nonconstant coefficients nonzero, and an image that is still
-    trivial is deepened from its truncation on.
+def _valuation(w, p, limit, start=2):
+    """(min(v_p(w), limit), w's image at truncation v + 1 or None at the
+    limit), where v_None is v_Z.  w alone is embedded at truncations start,
+    start + 1, .. up to ``limit`` until it is not 1; as its image at start - 1
+    is 1 (v >= 1 for the default start), that first image has truncation v + 1.
     """
-    images = {} if images is None else images
-    start = 2  # v >= 1, and v >= L for an image trivial at truncation L
-    for key in ((w, None), (w, p)):
-        image = images.get(key)
-        if image is not None:
-            v = _leading_degree(image, p)
-            if v < image.degree_bound:
-                return min(v, limit)
-            start = max(start, image.degree_bound + 1)
     for L in range(start, limit + 1):
-        image = images[w, p] = embed(w, L, p)
+        image = embed(w, L, p)
         if not image.is_one:
-            return _leading_degree(image, p)
-    return limit
+            return L - 1, image
+    return limit, None
 
 
 # -- counting a witness --------------------------------------------------
@@ -226,7 +208,7 @@ class _UnitCounts:
                 f"rank mismatch: word has {w.rank}, quotient has {self.rank}")
         if self.rank == 1:
             return self.order // math.gcd(w.exponent_sums()[0], self.order)
-        v = self._valuations.get(w) or _valuation(w, self.p, self.l)
+        v = self._valuations.get(w) or _valuation(w, self.p, self.l)[0]
         return order_of_valuation(self.p, v, self.l)
 
     def cosets(self, w, o):
@@ -274,9 +256,17 @@ class _GraphCounts:
         return self.quotient.serialize()
 
 
-def _invertible_mod(p, rows):
-    """Whether the square matrix ``rows`` is invertible mod the prime p."""
-    while rows:
+def _unit_witness(images):
+    """Whether magnus images of constant term 1 over a prime p form a unit
+    witness (see the module docstring): r images in r variables whose linear
+    parts are invertible mod p.  At l = 1 every image is 1, and the linear
+    parts are not looked at."""
+    first = images[0]
+    p, rank = first.modulus, first.rank
+    if len(images) != rank:
+        return False
+    rows = [[g.coefficient((i,)) for i in range(1, rank + 1)] for g in images]
+    while rows and first.degree_bound > 1:
         # clear the first column by a row whose entry there is a unit
         at = next((i for i, row in enumerate(rows) if row[0] % p), None)
         if at is None:
@@ -288,67 +278,52 @@ def _invertible_mod(p, rows):
     return True
 
 
-def _standard_unit(params, images):
-    """(p, r, l) when the magnus images form a unit witness (see the module
-    docstring), so their kernel is that of the 1 + x_i.  At l = 1 every
-    image is 1, and the linear parts are not looked at."""
-    p, rank, l = params["modulus"], params["rank"], params["degree_bound"]
-    if (not images or not isinstance(p, int) or not sympy.isprime(p)
-            or len(images) != rank):
+def _unit_counts(images, cap, serialize):
+    """The closed-form counts of magnus images that form a unit witness, or
+    None when their coset graph counts them (see the module docstring).
+
+    Each prime p | m, m the modulus, is found by trial division only (fully
+    factoring m can take longer than the BFS) and asked once.  A witness
+    already built is counted with ``cap`` None.
+    """
+    # any other constant term fails the BFS's inverse()
+    if not images or any(g.constant_term != 1 for g in images):
         return None
-    # the 1 + x_i themselves, which certify writes, skip the elimination:
-    # it adds about 5 % to a verify
-    if all(g == generator_image(rank, l, p, i, 1) for i, g in enumerate(images, 1)):
-        return p, rank, l
-    if any(g.constant_term != 1 for g in images) or l > 1 and not _invertible_mod(
-            p, [[g.coefficient((i,)) for i in range(1, rank + 1)] for g in images]):
+    m, rank, l = images[0].modulus, images[0].rank, images[0].degree_bound
+    if m is None:
+        if not all(g.is_one for g in images):
+            # over Z, 1 + u with u != 0 has infinite order (the leading
+            # part of (1 + u)^n is n u_v): the BFS can only end at the cap
+            raise CapExceeded("quotient enumeration", cap + 1, cap)
         return None
-    return p, rank, l
+    # a cofactor that trial division leaves may be composite
+    primes = [m] if sympy.isprime(m) else [p for p in sympy.factorint(
+        m, limit=2**16, use_rho=False, use_pm1=False) if sympy.isprime(p)]
+    for p in primes:
+        reduced = images if p == m else [
+            TruncSeries(rank, l, p, dict(g.terms())) for g in images]
+        if _unit_witness(reduced):
+            if p == m:
+                return _UnitCounts(p, rank, l, cap, serialize)
+            _UnitCounts(p, rank, l, cap)
+    return None
 
 
 def _spec_counts(spec, cap):
-    """Count a serialized witness by the route its spec picks.
-
-    Magnus payloads are parsed by the kind's own deserializer, so a
-    malformed spec raises what :meth:`FiniteQuotient.from_spec` raises, and
-    the counts serialize to what the rebuilt quotient would.
-    """
+    """Count a serialized witness by the route its spec picks.  Magnus
+    payloads are parsed by the kind's own deserializer, so a malformed spec
+    raises what :meth:`FiniteQuotient.from_spec` raises, and the counts
+    serialize to what the rebuilt quotient would."""
     kind = element_kind(spec["kind"])
     if kind.name == "magnus_unit":
         params = spec["params"]
         images = [kind.deserialize(params, payload) for payload in spec["gen_images"]]
-        unit = _standard_unit(params, images)
-        if unit is not None:
-            return _UnitCounts(*unit, cap, lambda: {
-                "kind": spec["kind"], "params": dict(params),
-                "gen_images": [kind.serialize(g) for g in images]})
-        m = images[0].modulus if images else None  # None or an int >= 2
-        # any other constant term fails the BFS's inverse()
-        if all(g.constant_term == 1 for g in images):
-            if m is None and not all(g.is_one for g in images):
-                # over Z, 1 + u with u != 0 has infinite order (the leading
-                # part of (1 + u)^n is n u_v): the BFS can only end at the cap
-                raise CapExceeded("quotient enumeration", cap + 1, cap)
-            # mod a prime p | m the witness maps onto the group of the
-            # reduced images, raising if a unit witness past the cap.  Trial
-            # division only: fully factoring m can take longer than the BFS
-            for p in sympy.factorint(m or 1, limit=2**16, use_rho=False,
-                                     use_pm1=False):
-                reduced = [TruncSeries(g.rank, g.degree_bound, p, dict(g.terms()))
-                           for g in images]
-                unit = _standard_unit({**params, "modulus": p}, reduced)
-                if unit is not None:
-                    _UnitCounts(*unit, cap)
+        counts = _unit_counts(images, cap, lambda: {
+            "kind": spec["kind"], "params": dict(params),
+            "gen_images": [kind.serialize(g) for g in images]})
+        if counts is not None:
+            return counts
     return _GraphCounts(FiniteQuotient.from_spec(spec, cap=cap))
-
-
-def _quotient_counts(quotient):
-    """Count a witness that is already built, by the route of its spec."""
-    if quotient.kind == "magnus_unit" and quotient.params:
-        unit = _standard_unit(quotient.params, quotient.gen_images)
-        if unit is not None:
-            return _UnitCounts(*unit, None, quotient.serialize)
-    return _GraphCounts(quotient)
 
 
 def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
@@ -356,33 +331,39 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
     """Compute the avoidance bound record for S = {g_i^s : 1 <= s <= m}.
 
     Every truncation and witness coefficient comes from the valuations of
-    the base words alone (see the module docstring).  Words are taken in
-    order and primes in increasing order, each prime's truncation before
-    its j(p), so the first failure is the one a search over the powers
-    would meet: a power past ``truncation_cap`` raises as soon as its
-    valuation shows it, and a p^{j(p)} over ``enum_cap`` raises the error
-    its enumeration would.
+    the base words alone (see the module docstring).  Each word's integer
+    image at truncation v_Z + 1 gives c_g and, for each prime p, v_p: it is
+    v_Z unless p divides every nonconstant coefficient there, and then the
+    mod-p search starts at truncation v_Z + 2.  Words are taken in order and
+    primes in increasing order, each prime's truncation before its j(p): a
+    power past ``truncation_cap`` raises as soon as its valuation shows it,
+    and a p^{j(p)} over ``enum_cap`` raises the error its enumeration would.
+    No power is built, so the series term cap, which a search over the
+    powers can meet first, is never met here.
     """
     words, rank = _check_base_words(words)
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
-    images = {}
+    images = {}  # word -> its integer image at truncation v_Z + 1
 
-    def valuations(p, limit):
-        found = []
-        for w in words:
-            v = _valuation(w, p, limit, images)
-            if v >= limit:
-                raise CapExceeded("series truncation", truncation_cap,
-                                  truncation_cap)
-            found.append(v)
-        return tuple(found)
+    def valuation(w, p, limit):
+        if p is None:
+            v, images[w] = _valuation(w, None, limit)
+        elif any(c % p for mono, c in images[w].terms() if mono):
+            v = min(images[w].degree_bound - 1, limit)
+        else:
+            # the mod-p image is 1 through degree v_Z
+            v = _valuation(w, p, limit, images[w].degree_bound + 1)[0]
+        if v >= limit:
+            raise CapExceeded("series truncation", truncation_cap,
+                              truncation_cap)
+        return v
 
     # v_Z(g^s) = v_Z(g), so every power is nontrivial from truncation v + 1
-    found = {None: valuations(None, truncation_cap)}
+    found = {None: tuple(valuation(w, None, truncation_cap) for w in words)}
     l = 1 + max(found[None])
     # witness: the coefficient s c_g of g^s's least non-constant monomial
-    max_coeff = m * max(abs(next(c for mono, c in images[w, None].terms() if mono))
+    max_coeff = m * max(abs(next(c for mono, c in images[w].terms() if mono))
                         for w in words)
     M0 = max(l, 1 + max_coeff)
     exponents = {}
@@ -394,7 +375,8 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
         P = 1
         while P * p <= m:
             P *= p
-        found[p] = valuations(p, -(-truncation_cap // P))
+        limit = -(-truncation_cap // P)
+        found[p] = tuple(valuation(w, p, limit) for w in words)
         counts = _UnitCounts(p, rank, 1 + P * max(found[p]), enum_cap)
         exponents[p], truncations[p] = counts.exponent, counts.l
         M *= counts.order
@@ -527,7 +509,8 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
             if counts is None:
                 raise
     elif isinstance(witness, FiniteQuotient):
-        counts = _quotient_counts(witness)
+        counts = witness.kind == "magnus_unit" and _unit_counts(
+            witness.gen_images, None, witness.serialize) or _GraphCounts(witness)
     else:
         counts = witness
     orders = [counts.image_order(w) for w in words]

@@ -37,12 +37,14 @@ oracle of the cover.
 
 from __future__ import annotations
 
+import functools
 from itertools import islice
 
 import sympy
 
 from .errors import CapExceeded, NotMaterializedError
 from .quotients import (
+    FiniteQuotient,
     ModVector,
     build_quotient,
     register_element_kind,
@@ -348,7 +350,19 @@ def _iter_levels(primes, rank, coset_cap):
     consumers that stop early never pay for enumerations they do not use.
     """
     primes = _as_primeseq(primes)
-    parent_quotient = build_quotient(rank, [ModVector(1, (0,))] * rank)
+    if isinstance(rank, int) and rank < 1:
+        raise ValueError("rank must be at least 1")
+    if isinstance(rank, int) and rank > ORDER_EXPONENT_CAP:
+        # |F/gamma_1| = q_1^rank is already an exponent tower: refuse before
+        # F/gamma_0 allocates tables of rank entries
+        raise CapExceeded("depth-1 quotient order", "an exponent tower",
+                          ORDER_EXPONENT_CAP)
+    # F/gamma_0 is one coset, every edge a loop: what the BFS over trivial
+    # residue vectors builds, without its 2 * rank products
+    trivial = ModVector(1, (0,))
+    parent_quotient = FiniteQuotient(
+        rank, [trivial] * rank, [trivial], [[0] * rank], [[0] * rank], [None],
+        kind="modvec", params={"modulus": 1, "dim": 1})
     parent_order = 1
     parent_level = None
     for d, q, schreier_rank, quotient_order in _level_orders(primes, rank):
@@ -506,7 +520,9 @@ def _packed_cover_action(images, inverses):
         missing._require_materialized()
     base, q = level.parent_quotient, level.prime
     n = base.order
-    unit = [n * q**pos for pos in range(len(base.schreier_generators()))]
+    # digit units n q^pos, formed only for the non-tree edges a walk crosses:
+    # a base has 1 + (R - 1) n of them at rank R, their units ~(R n)^2 bits
+    unit = functools.cache(lambda pos: n * q**pos)
     words = [u.word for pair in zip(images, inverses) for u in pair]
     # moves[v]: per image, the coset shift and the (digit unit, count) adds
     moves = []
@@ -515,7 +531,7 @@ def _packed_cover_action(images, inverses):
         for w in words:
             counts = {}
             end = base.walk(v, w, counts)
-            row.append((end - v, [(unit[at], c % q)
+            row.append((end - v, [(unit(at), c % q)
                                   for at, c in counts.items() if c % q]))
         moves.append(row)
 

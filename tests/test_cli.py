@@ -164,6 +164,29 @@ def test_verify_reports_a_verbal_witness_without_tables(capsys, verbal_certifica
         "malformed certificate: NotMaterializedError('level 4 has no coset data")
 
 
+
+TOWER = "depth-1 quotient order: reached an exponent tower with cap 1000000"
+
+
+def test_verify_reports_a_verbal_witness_past_the_exponent_cap(
+        capsys, verbal_certificate):
+    _, cert = verbal_certificate
+    _set_witness_params(cert, primes=[2], depth=1, rank=10**18)
+    code, doc = run_doc(capsys, ["verify", str(cert)])
+    assert code == 2
+    assert doc["error"] == f"malformed certificate: CapExceeded({TOWER!r})"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--primes", "2", "--rank", str(10**18), "--depth", "1",
+     "--member", "a"],
+    ["levi", "--primes", "2,3", "--rank", str(10**18), "--set", "a"],
+], ids=["gamma", "levi"])
+def test_a_verbal_rank_past_the_exponent_cap_is_a_document(capsys, argv):
+    code, doc = run_doc(capsys, argv)
+    assert code == 2
+    assert doc["error"] == TOWER
+
 def test_verify_roundtrip_and_tamper(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     code, _ = run(
@@ -694,6 +717,25 @@ def _invertible_witnesses(draw):
     return ("witness",), {"kind": "magnus_unit", "gen_images": images,
                           "params": {"modulus": p, "rank": 2,
                                      "degree_bound": bound}}
+
+
+@st.composite
+def _verbal_witnesses(draw):
+    """Depth-1 verbal witnesses over [2] of the images a and b, at a rank from
+    _HUGE, with the depth or the primes mutated further or neither.  The
+    depth is not set to 2: a level-2 witness of order 3^12 is counted on its
+    coset graph, a BFS bounded by the cap that takes longer than 5 s."""
+    params = {"primes": [2], "rank": draw(_HUGE), "depth": 1}
+    field = draw(st.sampled_from([None, "depth", "primes"]))
+    if field == "primes":
+        params["primes"] = draw(_JUNK | st.lists(
+            st.sampled_from([-2, 0, 1, 2, 3, 4, 2**61 - 1]), max_size=3))
+    elif field == "depth":
+        params["depth"] = draw(_HUGE | _JUNK)
+    return ("witness",), {"kind": "verbal", "params": params,
+                          "gen_images": ["a", "b"]}
+
+
 _WORD_TEXTS = st.lists(st.text("aAbBcC1g^-*() %0123", max_size=8), max_size=3)
 
 
@@ -709,7 +751,7 @@ def _put(doc, path, value):
 
 @settings(max_examples=150, deadline=timedelta(seconds=5))
 @given(st.one_of(st.tuples(st.sampled_from(_PATHS), _JUNK), _INTS,
-                 _invertible_witnesses()),
+                 _invertible_witnesses(), _verbal_witnesses()),
        st.none() | _WORD_TEXTS)
 def test_verify_front_door_is_total(mutation, word_texts):
     doc = _put(json.loads(_fresh_certificate_text()), *mutation)

@@ -3,7 +3,12 @@ import random
 import pytest
 
 from largequot.errors import CapExceeded, NotMaterializedError
-from largequot.quotients import FiniteQuotient, build_quotient, mod_abelianization
+from largequot.quotients import (
+    FiniteQuotient,
+    ModVector,
+    build_quotient,
+    mod_abelianization,
+)
 from largequot.verbal import (
     ORDER_EXPONENT_CAP,
     LayeredCoset,
@@ -229,3 +234,34 @@ def test_levi_bound_examples_and_errors():
 
 def test_exponent_cap_is_sane():
     assert ORDER_EXPONENT_CAP >= 10 ** 3
+
+
+@pytest.mark.parametrize("rank", [1, 2, 5])
+def test_one_coset_base_is_the_bfs_over_trivial_vectors(rank):
+    # F/gamma_0 is built directly; the BFS it stands for is the oracle
+    bfs = build_quotient(rank, [ModVector(1, (0,))] * rank)
+    base = build_series([2], rank, 1)[0].parent_quotient
+    for field in ("rank", "gen_images", "elements", "mult", "inv_mult",
+                  "tree_parent", "kind", "params"):
+        assert getattr(base, field) == getattr(bfs, field), field
+    assert base.crossing_table() == bfs.crossing_table()
+    assert base.schreier_generators() == bfs.schreier_generators()
+    assert base.serialize() == bfs.serialize()
+
+
+@pytest.mark.parametrize("rank", [0, -1, -10**20])
+def test_a_rank_below_one_is_refused(rank):
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        build_series([2], rank, 1)
+
+
+def test_a_rank_past_the_exponent_cap_is_refused_before_any_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rank past the cap allocates no table")
+
+    monkeypatch.setattr(FiniteQuotient, "__init__", refuse)
+    for rank in (ORDER_EXPONENT_CAP + 1, 10**18, 10**1000):
+        with pytest.raises(CapExceeded) as err:
+            build_series([2, 3], rank, 1)
+        assert str(err.value) == ("depth-1 quotient order: reached an exponent "
+                                  "tower with cap 1000000")
