@@ -45,7 +45,6 @@ from .series import (
     unit_image_quotient,
     unit_order,
 )
-from .smith import smith_diagonal
 from .verbal import (
     ORDER_EXPONENT_CAP,
     LayeredCoset,
@@ -106,7 +105,6 @@ __all__ = [
     "replay_matches",
     "run_construction",
     "shortlex_words",
-    "smith_diagonal",
     "trace_to_jsonl",
     "unit_image_quotient",
     "unit_order",

@@ -13,16 +13,19 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from .largeness import DEFAULT_TRUNCATION_CAP
+from .quotients import DEFAULT_ENUM_CAP
 from .series import DEFAULT_TERM_CAP
+from .verbal import DEFAULT_COSET_CAP, DEFAULT_DEPTH_CAP
 
 ENV_CONFIG_PATH = "LARGEQUOT_CONFIG"
 
 @dataclass(frozen=True)
 class Config:
-    enumeration_cap: int = 10**6
-    coset_cap: int = 10**4
-    depth_cap: int = 16
-    truncation_cap: int = 64
+    enumeration_cap: int = DEFAULT_ENUM_CAP
+    coset_cap: int = DEFAULT_COSET_CAP
+    depth_cap: int = DEFAULT_DEPTH_CAP
+    truncation_cap: int = DEFAULT_TRUNCATION_CAP
 
     def __post_init__(self):
         for f in fields(self):

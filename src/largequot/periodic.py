@@ -7,8 +7,9 @@ enumerated word lying in the current verbal level gamma_r and n is the exact
 order of g modulo the next target level.  The target depth is r + D + 1:
 D is the least extra depth at which g escapes the series (iterating the
 series definition inside gamma_r identifies its depth-d level with the
-ambient gamma_{r+d}, so the escape scan runs in the ambient series), and the
-extra level is the headroom the largeness transfer needs.
+ambient gamma_{r+d}, so the escape scan runs in the ambient series: it is
+the scan of :func:`largequot.verbal.levi_bound`, started at depth r), and
+the extra level is the headroom the largeness transfer needs.
 
 Relator membership in the target level, square-freeness of the exponent and
 strict growth of the per-level quotient orders are machine-checked.  The two
@@ -37,8 +38,7 @@ from .verbal import (
     DEFAULT_DEPTH_CAP,
     PrimeSeq,
     _as_primeseq,
-    _iter_levels,
-    _order_repr,
+    _escape_level,
 )
 from .words import power, random_reduced_word, shortlex_words
 
@@ -140,51 +140,29 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
         )
     pi = state.pi
     r = state.depth
-    max_scan = min(depth_cap, len(pi))
-    if r + 1 > max_scan:
-        if len(pi) < depth_cap:
-            raise ValueError(
-                f"prime sequence has {len(pi)} terms, too short to scan past "
-                f"depth {r}"
-            )
-        raise CapExceeded("verbal depth", r + 1, depth_cap)
     prefix_exponent = prod(pi[i] for i in range(r))
-    g = power(f_word, prefix_exponent)
+    g = None
 
-    stream = _iter_levels(pi, state.rank, coset_cap)
-    levels = []
-    escape_depth = None
-    for level in stream:
-        levels.append(level)
-        if level.depth <= r:
-            continue
-        if not level.materialized:
-            raise CapExceeded(
-                "verbal materialization", _order_repr(level.parent_order),
-                coset_cap,
-            )
-        if not level.member(g):
-            escape_depth = level.depth
-            break
-        if level.depth >= max_scan:
-            if len(pi) < depth_cap:
-                raise ValueError(
-                    f"prime sequence exhausted at depth {max_scan} with "
-                    f"{f_word}^{prefix_exponent} still inside the series"
-                )
-            raise CapExceeded("verbal depth", max_scan, depth_cap)
+    def inside(level):
+        nonlocal g
+        if g is None:  # a state the scan refuses never spells out f^prefix
+            g = power(f_word, prefix_exponent)
+        return level.member(g)
+
+    escape, levels = _escape_level(
+        pi, state.rank, r, inside,
+        f"with {f_word}^{prefix_exponent} still inside the series",
+        depth_cap, coset_cap,
+    )
+    escape_depth = escape.depth
     levi_depth = escape_depth - r
     new_depth = escape_depth + 1
     if new_depth > len(pi):
         raise ValueError(
             f"prime sequence has {len(pi)} terms, cannot reach depth {new_depth}"
         )
-    target = next(stream)
-    levels.append(target)
-    if not target.materialized:
-        raise CapExceeded(
-            "verbal materialization", _order_repr(target.parent_order), coset_cap
-        )
+    target = next(levels)
+    target._require_fits(coset_cap)
 
     n = target.order_mod(g)
     relator_exponent = prefix_exponent * n
@@ -197,7 +175,7 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
             f"relator exponent {relator_exponent} not square-free despite "
             "distinct primes"
         )
-    level_orders = [lvl.quotient_order for lvl in levels]
+    level_orders = [lvl.quotient_order for lvl in target._chain()]
     if any(a >= b for a, b in zip(level_orders, level_orders[1:])):
         raise AssertionError("level orders must strictly grow along the series")
     new_order = level_orders[-1]
@@ -330,9 +308,10 @@ def check_pigraded_properties(level, words=None, sample_count=1000,
     for w in words:
         n = level.order_mod(w)
         order_counts[n] = order_counts.get(n, 0) + 1
-        if any(e > 1 for e in sympy.factorint(n).values()):
-            violations.append(f"order {n} of {w} is not square-free")
+        # a divisor of p_1 .. p_d, pairwise distinct, is square-free as it is
         if full_product % n:
+            if any(e > 1 for e in sympy.factorint(n).values()):
+                violations.append(f"order {n} of {w} is not square-free")
             violations.append(f"order {n} of {w} does not divide {full_product}")
         depth_reached = 0
         for lvl in chain:

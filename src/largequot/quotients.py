@@ -34,7 +34,8 @@ largeness certificates need (:func:`coset_representatives`), and keeps the
 two presentation-level tools those counts stand for, as library API and
 test oracle: conjugate sets that convert a normal closure over F into a
 normal closure over a finite-index subgroup, and Reidemeister-Schreier
-rewriting onto the Schreier generators.
+rewriting onto the Schreier generators.  The abelian invariants of a
+rewritten presentation are read off sympy's Smith normal form.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import copy
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded
-from .smith import smith_diagonal
 from .words import Word
 
 DEFAULT_ENUM_CAP = 10**6
@@ -489,10 +489,7 @@ class SubgroupPresentation:
 
     def exponent_matrix(self):
         """Relator-by-generator abelianized exponent matrix."""
-        rows = []
-        for rel in self.relators:
-            rows.append(list(rel.exponent_sums()))
-        return rows
+        return [list(rel.exponent_sums()) for rel in self.relators]
 
 
 def reidemeister_schreier(quotient, relators):
@@ -528,13 +525,14 @@ def abelian_invariants(presentation):
     """Elementary divisors of the abelianized presentation, 0 = free factor.
 
     The nonzero invariant factors come first in their divisibility order,
-    followed by one 0 per infinite cyclic factor.
+    followed by one 0 per infinite cyclic factor.  They are read off sympy's
+    Smith normal form, imported here to keep sympy's matrix code off the
+    import path.
     """
-    matrix = presentation.exponent_matrix()
-    n = presentation.generator_count
-    if not matrix:
-        return [0] * n
-    diag = smith_diagonal(matrix)
-    nonzero = [d for d in diag if d]
-    invariants = [d for d in nonzero if d > 1]
-    return invariants + [0] * (n - len(nonzero))
+    from sympy import Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    s = smith_normal_form(Matrix(presentation.exponent_matrix()))
+    nonzero = [abs(int(s[i, i])) for i in range(min(s.shape)) if s[i, i]]
+    return ([d for d in nonzero if d > 1]
+            + [0] * (presentation.generator_count - len(nonzero)))

@@ -168,6 +168,12 @@ class VerbalLevel:
                 "materialization cap"
             )
 
+    def _require_fits(self, coset_cap):
+        """Raise the materialization cap's text when the level has no coset data."""
+        if not self.materialized:
+            raise CapExceeded("verbal materialization",
+                              _order_repr(self.parent_order), coset_cap)
+
     def _first_unmaterialized(self):
         """The lowest level of the chain up to this one without coset data."""
         first = None
@@ -438,6 +444,33 @@ def quotient_order_factors(primes, rank, depth):
     return factors
 
 
+def _escape_level(primes, rank, start, inside, exhausted, depth_cap, coset_cap):
+    """The first level past depth ``start`` that ``inside`` rejects, and the
+    stream of the levels after it.
+
+    Levels start+1 .. min(depth_cap, len(primes)) are tested in order; none
+    is built when there is none to test.  Running out of primes raises a
+    ``ValueError`` whose text ends in ``exhausted``; running out of depth,
+    or a level past ``coset_cap``, raises :class:`CapExceeded`.
+    """
+    max_depth = min(depth_cap, len(primes))
+    if start >= max_depth:
+        if len(primes) < depth_cap:
+            raise ValueError(f"prime sequence has {len(primes)} terms, too short "
+                             f"to scan past depth {start}")
+        raise CapExceeded("verbal depth", start + 1, depth_cap)
+    levels = _iter_levels(primes, rank, coset_cap)
+    for level in islice(levels, max_depth):
+        if level.depth <= start:
+            continue
+        level._require_fits(coset_cap)
+        if not inside(level):
+            return level, levels
+    if len(primes) < depth_cap:
+        raise ValueError(f"prime sequence exhausted at depth {max_depth} {exhausted}")
+    raise CapExceeded("verbal depth", max_depth, depth_cap)
+
+
 def levi_bound(words, primes, depth_cap=DEFAULT_DEPTH_CAP,
                coset_cap=DEFAULT_COSET_CAP):
     """Least D <= depth_cap with no word of S in gamma_D.
@@ -457,22 +490,11 @@ def levi_bound(words, primes, depth_cap=DEFAULT_DEPTH_CAP,
             raise ValueError("the identity word lies in every verbal level")
         if w.rank != rank:
             raise ValueError("words of mixed rank")
-    if depth_cap < 1:
-        raise CapExceeded("verbal depth", 1, depth_cap)
-    max_depth = min(depth_cap, len(primes))
-    for level in islice(_iter_levels(primes, rank, coset_cap), max_depth):
-        if not level.materialized:
-            raise CapExceeded(
-                "verbal materialization", _order_repr(level.parent_order),
-                coset_cap,
-            )
-        if not any(level.member(w) for w in words):
-            return level.depth
-    if len(primes) < depth_cap:
-        raise ValueError(
-            f"prime sequence exhausted at depth {max_depth} before avoiding the set"
-        )
-    raise CapExceeded("verbal depth", max_depth, depth_cap)
+    level, _ = _escape_level(
+        primes, rank, 0, lambda level: any(level.member(w) for w in words),
+        "before avoiding the set", depth_cap, coset_cap,
+    )
+    return level.depth
 
 
 def _serialize_coset(coset):

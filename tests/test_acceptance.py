@@ -127,8 +127,9 @@ def _oracle_invariants(rows, gen_count):
 
 
 def test_rewriting_matches_abelianization_oracle(capsys):
-    # rewritten presentations, abelianized, against an independent route:
-    # raw edge-crossing exponent matrices put through sympy's Smith form
+    # rewritten presentations against an independent route, the raw
+    # edge-crossing exponent matrices: equal row for row, and with the same
+    # invariants once put through sympy's Smith form
     t0 = time.monotonic()
     problems = []
     witnesses = (
@@ -148,10 +149,14 @@ def test_rewriting_matches_abelianization_oracle(capsys):
             for mult in (1, 2):
                 _, z = lemma0_conjugates(q, w, o * mult)
                 pres = reidemeister_schreier(q, z)
-                expected = _oracle_invariants(
-                    _crossing_matrix(q, z), pres.generator_count
-                )
+                crossings = _crossing_matrix(q, z)
+                expected = _oracle_invariants(crossings, pres.generator_count)
                 instances += 1
+                if pres.exponent_matrix() != crossings:
+                    problems.append(
+                        f"exponent matrix mismatch: witness order {q.order}, "
+                        f"word {w}, exponent {o * mult}"
+                    )
                 if abelian_invariants(pres) != expected:
                     problems.append(
                         f"invariant mismatch: witness order {q.order}, "

@@ -4,6 +4,7 @@ import random
 import pytest
 import sympy
 
+from largequot import periodic
 from largequot.errors import CapExceeded
 from largequot.periodic import (
     ASSUMPTION_MARGIN,
@@ -168,6 +169,23 @@ def test_next_step_input_validation():
         next_step(deep, parse_word("b", 2))  # primes too short to scan on
     with pytest.raises(CapExceeded):
         next_step(state, parse_word("a", 2), depth_cap=0)
+
+
+
+def test_a_state_the_scan_refuses_builds_no_power(monkeypatch):
+    # f^(2 * 1000000007) would be two billion letters
+    def refuse(*args):
+        raise AssertionError("built a power")
+
+    monkeypatch.setattr(periodic, "power", refuse)
+    deep = ConstructionState(rank=2, pi=PrimeSeq([2, 1000000007]), depth=2)
+    with pytest.raises(ValueError) as short:
+        next_step(deep, parse_word("b", 2))
+    assert str(short.value) == \
+        "prime sequence has 2 terms, too short to scan past depth 2"
+    with pytest.raises(CapExceeded) as capped:
+        next_step(deep, parse_word("b", 2), depth_cap=1)
+    assert str(capped.value) == "verbal depth: reached 3 with cap 1"
 
 
 ORDER_GROWTH_UNDER_O = """

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -410,10 +412,50 @@ def test_abelian_invariants_match_sympy_oracle():
             o = q.image_order(base)
             _, z = lemma0_conjugates(q, base, o)
             pres = reidemeister_schreier(q, z)
-            expected = invariants_from_matrix(
-                crossing_matrix(q, z), pres.generator_count
-            )
+            crossings = crossing_matrix(q, z)
+            # rewriting checked without any Smith form: row for row, the
+            # abelianized relators are the raw signed edge crossings
+            assert pres.exponent_matrix() == crossings
+            expected = invariants_from_matrix(crossings, pres.generator_count)
             assert abelian_invariants(pres) == expected
+
+
+# A 7x7 exponent matrix on which a pivot-by-least-entry Smith form blows up:
+# its entries passed 700 bits within four pivots and it ran past a minute.
+WIDE_SMITH_MATRIX = [
+    [12, 0, 7, -8, -12, -6, 0],
+    [-7, -6, 9, 0, 10, 0, -1],
+    [-8, -2, 7, 7, 0, -3, -3],
+    [-2, 3, 0, -12, 0, 0, 1],
+    [6, 0, 10, -6, -5, 0, 0],
+    [-1, 0, 2, 11, 0, -3, -10],
+    [4, 0, 0, 10, -3, 0, -10],
+]
+
+WIDE_SMITH_INVARIANTS = f"""
+from largequot.quotients import SubgroupPresentation, abelian_invariants
+from largequot.words import Word
+
+rows = {WIDE_SMITH_MATRIX!r}
+relators = tuple(
+    Word(7, [(g, 1 if e > 0 else -1) for g, e in enumerate(row, 1)
+             for _ in range(abs(e))])
+    for row in rows)
+pres = SubgroupPresentation(generator_count=7,
+                            generator_labels=tuple((0, g) for g in range(1, 8)),
+                            relators=relators)
+assert pres.exponent_matrix() == rows
+print(abelian_invariants(pres))
+"""
+
+
+def test_abelian_invariants_finish_on_a_coefficient_growth_matrix(package_env):
+    result = subprocess.run(
+        [sys.executable, "-c", WIDE_SMITH_INVARIANTS],
+        env=package_env, capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[4, 741672]"
 
 
 def test_serialize_roundtrip_modvec():

@@ -1,6 +1,10 @@
 import random
+from itertools import islice
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from largequot.errors import CapExceeded, NotMaterializedError
 from largequot.quotients import (
@@ -13,6 +17,9 @@ from largequot.verbal import (
     ORDER_EXPONENT_CAP,
     LayeredCoset,
     PrimeSeq,
+    _escape_level,
+    _iter_levels,
+    _order_repr,
     build_series,
     levi_bound,
     quotient_order,
@@ -230,6 +237,116 @@ def test_levi_bound_examples_and_errors():
         levi_bound([aa], [2, 3], depth_cap=1)
     with pytest.raises(CapExceeded):
         levi_bound([aa], [2, 3], coset_cap=2)
+
+
+def _oracle_levi_bound(words, primes, depth_cap, coset_cap):
+    """levi_bound's own escape scan, from before the driver shared it."""
+    primes = PrimeSeq(primes)
+    rank = words[0].rank
+    if depth_cap < 1:
+        raise CapExceeded("verbal depth", 1, depth_cap)
+    max_depth = min(depth_cap, len(primes))
+    for level in islice(_iter_levels(primes, rank, coset_cap), max_depth):
+        if not level.materialized:
+            raise CapExceeded(
+                "verbal materialization", _order_repr(level.parent_order),
+                coset_cap,
+            )
+        if not any(level.member(w) for w in words):
+            return level.depth
+    if len(primes) < depth_cap:
+        raise ValueError(
+            f"prime sequence exhausted at depth {max_depth} before avoiding the set"
+        )
+    raise CapExceeded("verbal depth", max_depth, depth_cap)
+
+
+def _oracle_driver_scan(pi, rank, r, f_word, depth_cap, coset_cap):
+    """next_step's own escape scan, from before it shared levi_bound's.
+
+    Returns the escape depth and the depth of the level the stream yields
+    next, the driver's target."""
+    pi = PrimeSeq(pi)
+    max_scan = min(depth_cap, len(pi))
+    if r + 1 > max_scan:
+        if len(pi) < depth_cap:
+            raise ValueError(
+                f"prime sequence has {len(pi)} terms, too short to scan past "
+                f"depth {r}"
+            )
+        raise CapExceeded("verbal depth", r + 1, depth_cap)
+    prefix_exponent = prod(pi[i] for i in range(r))
+    g = power(f_word, prefix_exponent)
+    stream = _iter_levels(pi, rank, coset_cap)
+    for level in stream:
+        if level.depth <= r:
+            continue
+        if not level.materialized:
+            raise CapExceeded(
+                "verbal materialization", _order_repr(level.parent_order),
+                coset_cap,
+            )
+        if not level.member(g):
+            target = next(stream, None)
+            return level.depth, target and target.depth
+        if level.depth >= max_scan:
+            if len(pi) < depth_cap:
+                raise ValueError(
+                    f"prime sequence exhausted at depth {max_scan} with "
+                    f"{f_word}^{prefix_exponent} still inside the series"
+                )
+            raise CapExceeded("verbal depth", max_scan, depth_cap)
+
+
+def _driver_scan(pi, rank, r, f_word, depth_cap, coset_cap):
+    """The shared scan, called as next_step calls it."""
+    prefix_exponent = prod(pi[:r])
+    g = power(f_word, prefix_exponent)
+    level, levels = _escape_level(
+        PrimeSeq(pi), rank, r, lambda level: level.member(g),
+        f"with {f_word}^{prefix_exponent} still inside the series",
+        depth_cap, coset_cap,
+    )
+    target = next(levels, None)
+    return level.depth, target and target.depth
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except (CapExceeded, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _scan_inputs(draw):
+    rank = draw(st.integers(1, 2))
+    letters = "aA" if rank == 1 else "aAbB"
+    words = []
+    for _ in range(draw(st.integers(1, 3))):
+        base = parse_word(draw(st.text(letters, min_size=1, max_size=5)), rank)
+        w = base ** draw(st.sampled_from((6, 12, 4, 3, 2, 1)))
+        if not w.is_identity:
+            words.append(w)
+    if not words:
+        words.append(Word.generator(rank, rank))
+    primes = draw(st.lists(st.sampled_from((2, 3, 5)), min_size=1, max_size=4))
+    return (rank, words, primes, draw(st.integers(0, len(primes) + 1)),
+            draw(st.sampled_from((16, 2, 1, 0))),
+            draw(st.sampled_from((10**4, 50, 2))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scan_inputs())
+def test_one_escape_scan_matches_both_former_scans(inputs):
+    rank, words, primes, start, depth_cap, coset_cap = inputs
+    assert _outcome(levi_bound, words, primes, depth_cap, coset_cap) == \
+        _outcome(_oracle_levi_bound, words, primes, depth_cap, coset_cap)
+    f_word = words[0]
+    assert _outcome(_driver_scan, primes, rank, start, f_word, depth_cap,
+                    coset_cap) == \
+        _outcome(_oracle_driver_scan, primes, rank, start, f_word, depth_cap,
+                 coset_cap)
 
 
 def test_exponent_cap_is_sane():
