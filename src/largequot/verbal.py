@@ -26,6 +26,13 @@ closed product formula
 
 but raise :class:`NotMaterializedError` for queries that need their tables.
 
+Each F/gamma_d is a pure function of the rank and q_1..q_d, so its cover
+BFS runs once per process while the table of built quotients keeps it:
+every level request goes through that table, consulted only where the build
+would run, with |F/gamma_d| within the caller's cap.  The table holds at most
+``LEVEL_TABLE_COSETS`` cosets in all, evicts the least recently used
+quotient first, and never stores one larger than that.
+
 The layered normal form of a coset w*gamma_d is one vector per level,
 computed by repeatedly subtracting the canonical representative (the product
 of Schreier basis words raised to the vector's entries).  It is a complete
@@ -57,6 +64,9 @@ DEFAULT_DEPTH_CAP = 16
 # Orders double-exponentiate along the series; past this exponent the value
 # is an exponent tower nothing downstream could store or print anyway.
 ORDER_EXPONENT_CAP = 10**6
+
+# The most cosets the process-level table of built F/gamma_d holds in all.
+LEVEL_TABLE_COSETS = 10 * DEFAULT_COSET_CAP
 
 
 def _order_repr(n):
@@ -318,6 +328,46 @@ class LayeredCoset:
         return f"LayeredCoset(depth={self.level.depth}, word={self.word})"
 
 
+class _LevelTable:
+    """The quotients F/gamma_d, d >= 1, built so far, keyed by (rank, q_1..q_d).
+
+    Holds at most ``cosets`` cosets in all and evicts the least recently
+    used quotient first; one larger than that is built and not stored.  A
+    stored quotient's images keep the levels below it alive, and their
+    tables have fewer cosets in all than its own, so what the table keeps
+    alive is under twice what it counts.  Not locked: the package runs
+    its requests on one thread.
+    """
+
+    def __init__(self, cosets):
+        self.cosets = cosets
+        self.quotients = {}
+        self.held = 0
+
+    def quotient(self, level, coset_cap):
+        """F/gamma_d for the materialized level d; ``coset_cap`` must admit it."""
+        key = (level.rank, level.primes_prefix)
+        quotient = self.quotients.pop(key, None)
+        if quotient is None:
+            images = [LayeredCoset(level, Word.generator(level.rank, g))
+                      for g in range(1, level.rank + 1)]
+            quotient = build_quotient(level.rank, images, cap=coset_cap)
+            if quotient.order > self.cosets:
+                return quotient
+            self.held += quotient.order
+            while self.held > self.cosets:
+                self.held -= self.quotients.pop(next(iter(self.quotients))).order
+        self.quotients[key] = quotient
+        return quotient
+
+    def clear(self):
+        self.quotients.clear()
+        self.held = 0
+
+
+_LEVELS = _LevelTable(LEVEL_TABLE_COSETS)
+
+
 def _schreier_rank(rank, order):
     """Rank of a subgroup of index ``order`` in the free group of ``rank``."""
     return 1 + (rank - 1) * order
@@ -353,7 +403,8 @@ def _iter_levels(primes, rank, coset_cap):
     """Yield levels 1, 2, .. lazily.
 
     The coset graph of F/gamma_d is built only when level d+1 is pulled, so
-    consumers that stop early never pay for enumerations they do not use.
+    consumers that stop early never pay for enumerations they do not use,
+    and it comes from the process-level table when it was built before.
     """
     primes = _as_primeseq(primes)
     if isinstance(rank, int) and rank < 1:
@@ -376,9 +427,7 @@ def _iter_levels(primes, rank, coset_cap):
             parent_quotient = None
             fits = parent_order is not None and parent_order <= coset_cap
             if fits and parent_level.materialized:
-                images = [LayeredCoset(parent_level, Word.generator(rank, g))
-                          for g in range(1, rank + 1)]
-                parent_quotient = build_quotient(rank, images, cap=coset_cap)
+                parent_quotient = _LEVELS.quotient(parent_level, coset_cap)
         level = VerbalLevel(
             rank=rank,
             depth=d,
@@ -502,11 +551,17 @@ def _serialize_coset(coset):
 
 
 def _deserialize_coset(params, payload):
-    depth = params["depth"]
-    if not isinstance(depth, int) or depth < 1:
+    # type() and not isinstance(): a bool is an int to isinstance, and True
+    # hashes equal to 1 in a level-table key
+    depth, rank, primes = params["depth"], params["rank"], params["primes"]
+    if type(depth) is not int or depth < 1:
         raise ValueError(f"verbal depth must be a positive integer, got {depth!r}")
-    level = build_series(params["primes"], params["rank"], depth)[-1]
-    return LayeredCoset(level, parse_word(payload, params["rank"]))
+    if type(rank) is not int or rank < 1:
+        raise ValueError(f"verbal rank must be a positive integer, got {rank!r}")
+    if type(primes) is not list or any(type(p) is not int for p in primes):
+        raise ValueError(f"verbal primes must be a list of integers, got {primes!r}")
+    level = build_series(primes, rank, depth)[-1]
+    return LayeredCoset(level, parse_word(payload, rank))
 
 
 def _coset_params(coset):
@@ -528,7 +583,8 @@ def _packed_cover_action(images, inverses):
     v and its crossings, summed mod q_d, add into the digits of x.  Both
     are tabulated once per base coset and image, so any image words work,
     not only the generators.  Returns None unless every image is a
-    :class:`LayeredCoset` of one series, and raises the
+    :class:`LayeredCoset` of one series.  Raises ``ValueError`` unless
+    there is one image per generator of the series' free group, and the
     :class:`NotMaterializedError` of :meth:`VerbalLevel.normal_form` when
     the series has no table for F/gamma_{d-1}.
     """
@@ -537,6 +593,9 @@ def _packed_cover_action(images, inverses):
            for u in images + inverses):
         return None
     level = first.level
+    if len(images) != level.rank:
+        raise ValueError(f"a verbal quotient over rank {level.rank} needs "
+                         f"{level.rank} generator images, got {len(images)}")
     missing = level._first_unmaterialized()
     if missing is not None:
         missing._require_materialized()

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import largequot
+from largequot import verbal
 
 
 def _package_env():
@@ -59,3 +60,12 @@ def _schreier_tables_oracle(quotient):
 def schreier_tables_oracle():
     """``quotient -> (labels, crossing table)`` by the tree-edge set."""
     return _schreier_tables_oracle
+
+
+@pytest.fixture
+def empty_level_table():
+    """The process-level table of verbal quotients, emptied before the test
+    and after it, for tests that count, refuse or evict builds."""
+    verbal._LEVELS.clear()
+    yield verbal._LEVELS
+    verbal._LEVELS.clear()

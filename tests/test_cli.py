@@ -165,6 +165,34 @@ def test_verify_reports_a_verbal_witness_without_tables(capsys, verbal_certifica
 
 
 
+_DEPTH = "verbal depth must be a positive integer, got "
+_RANK = "verbal rank must be a positive integer, got "
+_PRIMES = "verbal primes must be a list of integers, got "
+
+
+@pytest.mark.parametrize("params, error", [
+    ({"depth": True}, _DEPTH + "True"),
+    ({"rank": "2"}, _RANK + "'2'"),
+    ({"rank": 2.0}, _RANK + "2.0"),
+    ({"rank": None}, _RANK + "None"),
+    ({"rank": True}, _RANK + "True"),
+    ({"rank": 0}, _RANK + "0"),
+    ({"primes": "235"}, _PRIMES + "'235'"),
+    ({"primes": [2.0, 3, 5]}, _PRIMES + "[2.0, 3, 5]"),
+    ({"primes": ["2", "3", "5"]}, _PRIMES + "['2', '3', '5']"),
+    ({"primes": [True, 3]}, _PRIMES + "[True, 3]"),
+    ({"rank": 3}, "a verbal quotient over rank 3 needs 3 generator images, got 2"),
+])
+def test_verify_refuses_malformed_verbal_params(capsys, verbal_certificate,
+                                               params, error):
+    _, cert = verbal_certificate
+    _set_witness_params(cert, **params)
+    code, doc = run_doc(capsys, ["verify", str(cert)])
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"] == f"malformed certificate: ValueError({error!r})"
+
+
 TOWER = "depth-1 quotient order: reached an exponent tower with cap 1000000"
 
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from largequot import verbal
 from largequot.errors import CapExceeded, NotMaterializedError
+from largequot.periodic import run_construction
 from largequot.quotients import (
     FiniteQuotient,
     ModVector,
@@ -382,3 +384,135 @@ def test_a_rank_past_the_exponent_cap_is_refused_before_any_table(monkeypatch):
             build_series([2, 3], rank, 1)
         assert str(err.value) == ("depth-1 quotient order: reached an exponent "
                                   "tower with cap 1000000")
+
+
+# -- the process-level level table ------------------------------------------
+
+
+def _answer(fn, w):
+    try:
+        return ("value", fn(w))
+    except NotMaterializedError as exc:
+        return ("not materialized", str(exc))
+
+
+def _same_tables(a, b):
+    assert (a.elements, a.mult, a.inv_mult, a.tree_parent) == (
+        b.elements, b.mult, b.inv_mult, b.tree_parent)
+    assert a.crossing_table() == b.crossing_table()
+    assert a.serialize() == b.serialize()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("primes", [(2, 3, 5), (2, 2, 3), (3, 2, 5)])
+def test_levels_from_the_table_match_fresh_builds(empty_level_table, primes,
+                                                  rank):
+    first = build_series(primes, rank, len(primes))
+    served = build_series(primes, rank, len(primes))
+    empty_level_table.clear()
+    fresh = build_series(primes, rank, len(primes))
+    rng = random.Random(f"{primes}-{rank}")
+    words = [random_reduced_word(rng, rank, rng.randint(0, 8)) for _ in range(30)]
+    words += [power(w, e) for w, e in zip(words, (2, 3, 5, 6, 30))]
+    tabled = 0
+    for old, level, new in zip(first, served, fresh):
+        assert level.materialized == new.materialized
+        if level.depth > 1 and level.materialized:
+            # level 1's one-coset base is no BFS and is not tabled
+            assert level.parent_quotient is old.parent_quotient
+            assert new.parent_quotient is not level.parent_quotient
+            tabled += 1
+        if level.materialized:
+            _same_tables(level.parent_quotient, new.parent_quotient)
+        for query in ("member", "order_mod", "normal_form"):
+            assert [_answer(getattr(level, query), w) for w in words] == [
+                _answer(getattr(new, query), w) for w in words], query
+    assert tabled >= 1
+
+
+def test_a_level_is_built_once_per_process(empty_level_table, monkeypatch):
+    aa = parse_word("aa", 2)
+    build_series((2, 3, 5), 2, 3)
+    levels = build_series((2, 3, 5), 2, 3)
+    assert levi_bound([aa], (2, 3, 5)) == 2
+    assert set(empty_level_table.quotients) == {(2, (2,)), (2, (2, 3))}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tabled quotient was rebuilt")
+
+    monkeypatch.setattr(verbal, "build_quotient", refuse)
+    again = build_series((2, 3, 5, 7), 2, 3)
+    assert again[2].parent_quotient is levels[2].parent_quotient
+    assert levi_bound([aa], (2, 3, 5)) == 2
+    assert run_construction([2, 3, 5, 7], 1)["steps_completed"] == 1
+    # a witness over F/gamma_2 parses its images against the tabled levels
+    spec = FiniteQuotient.from_spec(levels[2].parent_quotient.serialize())
+    assert spec.order == 972
+
+
+def _refusal(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except (CapExceeded, NotMaterializedError) as exc:
+        return type(exc).__name__, str(exc)
+    raise AssertionError("no refusal")
+
+
+def test_a_smaller_cap_after_a_larger_one_refuses_as_before(empty_level_table):
+    a6 = power(Word.generator(2, 1), 6)
+
+    def refusals():
+        levels = build_series((2, 3, 5), 2, 3, coset_cap=100)
+        return [
+            [level.materialized for level in levels],
+            _refusal(levels[2]._require_fits, 100),
+            _refusal(levels[2].member, a6),
+            _refusal(levi_bound, [parse_word("aa", 2)], (2, 3), coset_cap=2),
+            run_construction([2, 3, 5, 7], 2, coset_cap=100)["halt_reason"],
+        ]
+
+    before = refusals()
+    build_series((2, 3, 5), 2, 3, coset_cap=10**4)
+    run_construction([2, 3, 5, 7], 1, coset_cap=10**4)
+    assert set(empty_level_table.quotients) == {(2, (2,)), (2, (2, 3))}
+    assert refusals() == before
+    assert before == [
+        [True, True, False],
+        ("CapExceeded", "verbal materialization: reached 972 with cap 100"),
+        ("NotMaterializedError", "level 3 has no coset data: |F/gamma_2| = 972 "
+         "exceeded the materialization cap"),
+        ("CapExceeded", "verbal materialization: reached 4 with cap 2"),
+        "verbal materialization: reached 972 with cap 100",
+    ]
+
+
+def _held(table):
+    return sum(q.order for q in table.quotients.values())
+
+
+def test_the_table_evicts_the_least_recently_used_past_its_bound(
+        empty_level_table, monkeypatch):
+    monkeypatch.setattr(empty_level_table, "cosets", 1000)
+    build_series((2, 3, 5), 2, 3)
+    evicted = empty_level_table.quotients[(2, (2, 3))]
+    assert empty_level_table.held == _held(empty_level_table) == 4 + 972
+    # (2,) is used again, so the 128 cosets over (2, 2) evict (2, 3)
+    build_series((2, 2, 3), 2, 3)
+    assert list(empty_level_table.quotients) == [(2, (2,)), (2, (2, 2))]
+    assert empty_level_table.held == _held(empty_level_table) == 4 + 128
+    rebuilt = build_series((2, 3, 5), 2, 3)[2].parent_quotient
+    assert rebuilt is not evicted
+    _same_tables(rebuilt, evicted)
+    assert list(empty_level_table.quotients) == [(2, (2,)), (2, (2, 3))]
+    assert empty_level_table.held == _held(empty_level_table) <= 1000
+
+
+def test_a_quotient_past_the_bound_is_never_stored(empty_level_table,
+                                                   monkeypatch):
+    monkeypatch.setattr(empty_level_table, "cosets", 500)
+    first = build_series((2, 3, 5), 2, 3)[2].parent_quotient
+    again = build_series((2, 3, 5), 2, 3)[2].parent_quotient
+    assert first.order == 972 and again is not first
+    _same_tables(again, first)
+    assert list(empty_level_table.quotients) == [(2, (2,))]
+    assert empty_level_table.held == 4
