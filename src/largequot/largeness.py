@@ -58,6 +58,7 @@ import sympy
 
 from .errors import BelowBoundError, CapExceeded
 from .quotients import (
+    BUILT_QUOTIENTS,
     DEFAULT_ENUM_CAP,
     FiniteQuotient,
     coset_representatives,
@@ -186,11 +187,11 @@ class _UnitCounts:
     any series work.  ``valuations`` maps words to their known v_p, such as
     a bound's; any other word is embedded.  ``serialize``, when given,
     returns the witness as serialized in place of :func:`unit_image_spec`.
+    Its coset graph comes from :data:`largequot.quotients.BUILT_QUOTIENTS`.
     """
 
     __slots__ = ("exponent", "p", "rank", "l", "order", "gens", "_serialize",
                  "_valuations")
-    _QUOTIENTS = {}  # (p, r, l) -> coset graph, built once per process
 
     def __init__(self, p, rank, l, cap, serialize=None, valuations=None):
         self.exponent = unit_image_exponent(p, rank, l, cap=cap)
@@ -220,15 +221,14 @@ class _UnitCounts:
         return self._serialize()
 
     def quotient(self):
-        """The standard witness's coset graph, built once per process."""
-        key = (self.p, self.rank, self.l)
-        if key not in self._QUOTIENTS:
-            quotient = unit_image_quotient(*key, cap=self.order)
+        """The standard witness's coset graph."""
+        def build():
+            quotient = unit_image_quotient(self.p, self.rank, self.l, cap=self.order)
             # an explicit raise, not an assert statement, which python -O strips
             if quotient.order != self.order:
                 raise AssertionError("unit image quotient must be a p-group")
-            self._QUOTIENTS[key] = quotient
-        return self._QUOTIENTS[key]
+            return quotient
+        return BUILT_QUOTIENTS.get(("magnus_unit", self.p, self.rank, self.l), build)
 
 
 class _GraphCounts:
@@ -561,7 +561,7 @@ def verify_certificate(doc, enum_cap=DEFAULT_ENUM_CAP):
     bit-exactly.  Returns a report dict with ``ok``, the recomputed counts,
     the list of mismatching fields and the list of problems.  A problem is
     a wrong schema, ``base_words`` that is not a list of strings, a base
-    word that does not parse, a target rank other than the witness's, an
+    word that does not parse, a target rank not the witness's (or a bool), an
     exponent that is not an integer >= 1, a ``counts`` that is not an object
     or a recorded count that is not an integer; no image order is taken for
     base words that have a problem.  A witness that cannot be counted
@@ -595,7 +595,7 @@ def verify_certificate(doc, enum_cap=DEFAULT_ENUM_CAP):
         recorded = {}
     k = len(words)
     counts = _spec_counts(doc["witness"], enum_cap)
-    if rank != counts.rank:
+    if type(rank) is not int or rank != counts.rank:
         problems.append(
             f"rank mismatch: target has rank {rank!r}, witness has {counts.rank}"
         )

@@ -47,6 +47,7 @@ from .errors import CapExceeded
 from .words import Word
 
 DEFAULT_ENUM_CAP = 10**6
+TABLE_COSETS = 10**5  # the most cosets BUILT_QUOTIENTS holds in all
 
 
 class ModVector:
@@ -396,6 +397,44 @@ def build_quotient(rank, gen_images, cap=DEFAULT_ENUM_CAP, kind=None, params=Non
         rank, gen_images, elements, mult, inv_mult, tree_parent,
         kind=kind, params=params,
     )
+
+
+class QuotientTable:
+    """The quotients built in this process, keyed by a tuple naming the kind first:
+    ``("verbal", rank, q_1, .., q_d)`` for F/gamma_d, ``("magnus_unit", p, r, l)``
+    for the unit witness.  Each is a pure function of its key, so its BFS runs
+    once while the table keeps it.  It holds at most ``cosets`` cosets in all,
+    evicts the least recently used quotient first, and never stores one larger
+    than that.  It checks no cap: callers ask it only where their own cap admits
+    the build, so a smaller cap after a larger one refuses with the same text.  A
+    verbal quotient's images keep the levels below it alive, with fewer cosets in
+    all, so under twice ``held`` stays alive.  Not locked: one thread.
+    """
+
+    def __init__(self, cosets):
+        self.cosets = cosets
+        self.quotients = {}
+        self.held = 0
+
+    def get(self, key, build):
+        """The quotient under ``key``, made by ``build()`` when not held."""
+        quotient = self.quotients.pop(key, None)
+        if quotient is None:
+            quotient = build()
+            if quotient.order > self.cosets:
+                return quotient
+            self.held += quotient.order
+            while self.held > self.cosets:
+                self.held -= self.quotients.pop(next(iter(self.quotients))).order
+        self.quotients[key] = quotient
+        return quotient
+
+    def clear(self):
+        self.quotients.clear()
+        self.held = 0
+
+
+BUILT_QUOTIENTS = QuotientTable(TABLE_COSETS)
 
 
 def mod_abelianization(rank, modulus, cap=DEFAULT_ENUM_CAP):

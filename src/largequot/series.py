@@ -465,10 +465,14 @@ def _packed_unit_action(images, inverses):
     :class:`largequot.quotients.ElementKind`).  Returns the packed identity
     and the expansion of a key into its successors along the edges a_1,
     a_1^-1, a_2, .., or None when the images are over Z, are not units of
-    one shape, or have more than ``DEFAULT_TERM_CAP`` monomials.
+    one shape, or have more than ``DEFAULT_TERM_CAP`` monomials.  Raises
+    ``ValueError`` unless there is one image per variable.
     """
     first = images[0]
     rank, bound, modulus = first.rank, first.degree_bound, first.modulus
+    if len(images) != rank:
+        raise ValueError(f"a magnus_unit quotient over rank {rank} needs "
+                         f"{rank} generator images, got {len(images)}")
     shape = (rank, bound, modulus)
     if modulus is None or any(
         type(g) is not TruncSeries

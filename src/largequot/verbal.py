@@ -25,13 +25,8 @@ closed product formula
     |F/gamma_d| = |F/gamma_{d-1}| * q_d ^ (1 + (r-1)|F/gamma_{d-1}|),
 
 but raise :class:`NotMaterializedError` for queries that need their tables.
-
-Each F/gamma_d is a pure function of the rank and q_1..q_d, so its cover
-BFS runs once per process while the table of built quotients keeps it:
-every level request goes through that table, consulted only where the build
-would run, with |F/gamma_d| within the caller's cap.  The table holds at most
-``LEVEL_TABLE_COSETS`` cosets in all, evicts the least recently used
-quotient first, and never stores one larger than that.
+Levels take F/gamma_d from :data:`largequot.quotients.BUILT_QUOTIENTS`, so
+each cover BFS runs once per process while that table keeps it.
 
 The layered normal form of a coset w*gamma_d is one vector per level,
 computed by repeatedly subtracting the canonical representative (the product
@@ -51,6 +46,7 @@ import sympy
 
 from .errors import CapExceeded, NotMaterializedError
 from .quotients import (
+    BUILT_QUOTIENTS,
     FiniteQuotient,
     ModVector,
     build_quotient,
@@ -64,9 +60,6 @@ DEFAULT_DEPTH_CAP = 16
 # Orders double-exponentiate along the series; past this exponent the value
 # is an exponent tower nothing downstream could store or print anyway.
 ORDER_EXPONENT_CAP = 10**6
-
-# The most cosets the process-level table of built F/gamma_d holds in all.
-LEVEL_TABLE_COSETS = 10 * DEFAULT_COSET_CAP
 
 
 def _order_repr(n):
@@ -328,46 +321,6 @@ class LayeredCoset:
         return f"LayeredCoset(depth={self.level.depth}, word={self.word})"
 
 
-class _LevelTable:
-    """The quotients F/gamma_d, d >= 1, built so far, keyed by (rank, q_1..q_d).
-
-    Holds at most ``cosets`` cosets in all and evicts the least recently
-    used quotient first; one larger than that is built and not stored.  A
-    stored quotient's images keep the levels below it alive, and their
-    tables have fewer cosets in all than its own, so what the table keeps
-    alive is under twice what it counts.  Not locked: the package runs
-    its requests on one thread.
-    """
-
-    def __init__(self, cosets):
-        self.cosets = cosets
-        self.quotients = {}
-        self.held = 0
-
-    def quotient(self, level, coset_cap):
-        """F/gamma_d for the materialized level d; ``coset_cap`` must admit it."""
-        key = (level.rank, level.primes_prefix)
-        quotient = self.quotients.pop(key, None)
-        if quotient is None:
-            images = [LayeredCoset(level, Word.generator(level.rank, g))
-                      for g in range(1, level.rank + 1)]
-            quotient = build_quotient(level.rank, images, cap=coset_cap)
-            if quotient.order > self.cosets:
-                return quotient
-            self.held += quotient.order
-            while self.held > self.cosets:
-                self.held -= self.quotients.pop(next(iter(self.quotients))).order
-        self.quotients[key] = quotient
-        return quotient
-
-    def clear(self):
-        self.quotients.clear()
-        self.held = 0
-
-
-_LEVELS = _LevelTable(LEVEL_TABLE_COSETS)
-
-
 def _schreier_rank(rank, order):
     """Rank of a subgroup of index ``order`` in the free group of ``rank``."""
     return 1 + (rank - 1) * order
@@ -404,7 +357,7 @@ def _iter_levels(primes, rank, coset_cap):
 
     The coset graph of F/gamma_d is built only when level d+1 is pulled, so
     consumers that stop early never pay for enumerations they do not use,
-    and it comes from the process-level table when it was built before.
+    and it comes from the table of built quotients when it was built before.
     """
     primes = _as_primeseq(primes)
     if isinstance(rank, int) and rank < 1:
@@ -425,9 +378,13 @@ def _iter_levels(primes, rank, coset_cap):
     for d, q, schreier_rank, quotient_order in _level_orders(primes, rank):
         if d > 1:
             parent_quotient = None
-            fits = parent_order is not None and parent_order <= coset_cap
-            if fits and parent_level.materialized:
-                parent_quotient = _LEVELS.quotient(parent_level, coset_cap)
+            # orders grow along the series, so every lower level fits too
+            if parent_order is not None and parent_order <= coset_cap:
+                parent_quotient = BUILT_QUOTIENTS.get(
+                    ("verbal", rank) + parent_level.primes_prefix,
+                    lambda: build_quotient(rank, [
+                        LayeredCoset(parent_level, Word.generator(rank, g))
+                        for g in range(1, rank + 1)], cap=coset_cap))
         level = VerbalLevel(
             rank=rank,
             depth=d,

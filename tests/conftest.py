@@ -3,11 +3,13 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
+from math import comb, gcd
 
 import pytest
 
 import largequot
-from largequot import verbal
+from largequot.quotients import BUILT_QUOTIENTS
 
 
 def _package_env():
@@ -63,9 +65,79 @@ def schreier_tables_oracle():
 
 
 @pytest.fixture
-def empty_level_table():
-    """The process-level table of verbal quotients, emptied before the test
+def empty_quotient_table():
+    """The process-level table of built quotients, emptied before the test
     and after it, for tests that count, refuse or evict builds."""
-    verbal._LEVELS.clear()
-    yield verbal._LEVELS
-    verbal._LEVELS.clear()
+    BUILT_QUOTIENTS.clear()
+    yield BUILT_QUOTIENTS
+    BUILT_QUOTIENTS.clear()
+
+
+def _det(m):
+    """Determinant of a square integer matrix, by fraction-free elimination."""
+    m = [list(row) for row in m]
+    sign, previous = 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
+    return sign * m[-1][-1]
+
+
+# the most k x k minors, over every k, the oracle takes gcds of: every matrix
+# of at most 7 rows and 7 columns (C(14, 7) = 3432 minors), and no 8 x 8
+MINOR_BUDGET = 10**4
+
+
+def _smith_invariants_oracle(rows, gen_count):
+    """Abelian invariants of Z^gen_count / (row span), by determinantal
+    divisors: d_k is the gcd of the k x k minors and the invariant factors
+    are s_k = d_k / d_{k-1} up to the rank, so no Smith form is run.
+
+    Zero rows and columns add no minors and are left out of them.  A matrix
+    whose minors would number past MINOR_BUDGET is first cut down by unit
+    pivots: a row with an entry +-1 at column c clears that column from the
+    other rows and leaves with it, a Z/1 factor.
+    """
+    rows = [list(row) for row in rows]
+    cols = list(range(gen_count))
+    while True:
+        rows = [row for row in rows if any(row[c] for c in cols)]
+        live = [c for c in cols if any(row[c] for row in rows)]
+        size = min(len(rows), len(live))
+        if comb(len(rows) + len(live), size) <= MINOR_BUDGET:
+            break
+        pivot, c = next(((row, c) for row in rows for c in live
+                         if abs(row[c]) == 1), (None, None))
+        if pivot is None:
+            raise AssertionError("no unit pivot to shrink the matrix by")
+        rows = [row for row in rows if row is not pivot]
+        for row in rows:
+            f = row[c] * pivot[c]
+            for k in cols:
+                row[k] -= f * pivot[k]
+        cols.remove(c)
+    invariants, previous = [], 1
+    for k in range(1, size + 1):
+        d = 0
+        for chosen in combinations(rows, k):
+            for at in combinations(live, k):
+                d = gcd(d, _det([[row[c] for c in at] for row in chosen]))
+        if d == 0:
+            break
+        invariants.append(d // previous)
+        previous = d
+    return [s for s in invariants if s > 1] + [0] * (len(cols) - len(invariants))
+
+
+@pytest.fixture
+def smith_invariants_oracle():
+    """``(rows, gen_count) -> abelian invariants``, by determinantal divisors."""
+    return _smith_invariants_oracle

@@ -12,8 +12,6 @@ import time
 from itertools import takewhile
 
 import sympy
-from sympy import Matrix
-from sympy.matrices.normalforms import smith_normal_form
 
 from largequot.cli import main
 from largequot.largeness import (
@@ -117,16 +115,7 @@ def _crossing_matrix(quotient, relators):
     return rows
 
 
-def _oracle_invariants(rows, gen_count):
-    if not rows:
-        return [0] * gen_count
-    s = smith_normal_form(Matrix(rows))
-    diag = [abs(s[i, i]) for i in range(min(s.rows, s.cols))]
-    nonzero = [d for d in diag if d]
-    return [d for d in nonzero if d > 1] + [0] * (gen_count - len(nonzero))
-
-
-def test_rewriting_matches_abelianization_oracle(capsys):
+def test_rewriting_matches_abelianization_oracle(capsys, smith_invariants_oracle):
     # rewritten presentations against an independent route, the raw
     # edge-crossing exponent matrices: equal row for row, and with the same
     # invariants once put through sympy's Smith form
@@ -150,7 +139,8 @@ def test_rewriting_matches_abelianization_oracle(capsys):
                 _, z = lemma0_conjugates(q, w, o * mult)
                 pres = reidemeister_schreier(q, z)
                 crossings = _crossing_matrix(q, z)
-                expected = _oracle_invariants(crossings, pres.generator_count)
+                expected = smith_invariants_oracle(crossings,
+                                                   pres.generator_count)
                 instances += 1
                 if pres.exponent_matrix() != crossings:
                     problems.append(

@@ -385,6 +385,23 @@ def test_verify_reports_a_rank_mismatch(capsys, tmp_path):
     assert problems == ["rank mismatch: target has rank 3, witness has 2"]
 
 
+def test_verify_reports_a_bool_target_rank(capsys, tmp_path):
+    # True == 1, and a word parses at rank True: only the type tells them apart
+    cert_path = tmp_path / "cert.json"
+    code, _ = run(capsys, ["certify-large", "-r", "1", "-g", "a", "-q", "4",
+                           "-o", str(cert_path)])
+    assert code == 2  # rank 1 is never large, and the certificate says so
+    assert run_doc(capsys, ["verify", str(cert_path)])[1]["ok"] is True
+    cert = json.loads(cert_path.read_text())
+    cert["target"]["rank"] = True
+    cert_path.write_text(json.dumps(cert))
+    code, doc = run_doc(capsys, ["verify", str(cert_path)])
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["problems"] == [
+        "rank mismatch: target has rank True, witness has 1"]
+
+
 def test_verify_reports_an_unparsable_base_word(capsys, tmp_path):
     problems = _target_problems(capsys, tmp_path, "base_words", ["a%", "b"])
     assert problems == [
@@ -437,18 +454,26 @@ def test_verify_refuses_an_integer_unit_witness_at_once(capsys, tmp_path):
                      "enumeration: reached 1000001 with cap 1000000')")
 
 
-def test_verify_counts_a_witness_of_huge_series_rank(capsys, tmp_path):
-    # the images live in a rank-10^18 algebra, where a packed vertex would
-    # need 10^18 fields; the BFS multiplies the sparse series instead
-    cert_path = tmp_path / "cert.json"
-    run(capsys, ["certify-large", "-g", "a,b", "-q", "4", "-o", str(cert_path)])
-    cert = json.loads(cert_path.read_text())
-    cert["witness"]["params"]["rank"] = 10**18
-    cert_path.write_text(json.dumps(cert))
-    code, doc = run_doc(capsys, ["verify", str(cert_path)])
-    assert code == 0
-    assert doc["ok"] is True
-    assert doc["computed"]["j"] == 32
+@pytest.mark.parametrize("rank,error", [
+    (1, "variable index 2 out of range for rank 1"),
+    (3, "a magnus_unit quotient over rank 3 needs 3 generator images, got 2"),
+])
+def test_verify_refuses_a_unit_witness_of_another_rank(capsys, tmp_path,
+                                                       rank, error):
+    # the two images would otherwise be counted on the coset graph of the
+    # rank-3 units they generate
+    assert _malformed_witness(
+        capsys, tmp_path, lambda w: w["params"].__setitem__("rank", rank)
+    ) == f"malformed certificate: ValueError({error!r})"
+
+
+def test_verify_refuses_a_witness_of_huge_series_rank(capsys, tmp_path):
+    # refused before a packed vertex of 10^18 fields or any BFS
+    big = 10**18
+    assert _malformed_witness(
+        capsys, tmp_path, lambda w: w["params"].__setitem__("rank", big)
+    ) == ("malformed certificate: ValueError('a magnus_unit quotient over rank "
+          f"{big} needs {big} generator images, got 2')")
 
 
 def test_python_m_largequot_verifies_a_fresh_certificate(

@@ -147,10 +147,11 @@ def test_packed_action_takes_any_image_words(texts, order):
 
 
 def test_from_spec_rebuilds_the_cover_without_multiplying(monkeypatch,
-                                                         empty_level_table):
+                                                         empty_quotient_table):
     level = build_series((2, 3, 5), 2, 3)[2]
     doc = level.parent_quotient.serialize()
-    empty_level_table.clear()  # so the levels the images parse against are built again
+    # so the levels the images parse against are built again
+    empty_quotient_table.clear()
 
     def refuse(self, other):
         raise AssertionError("layered cosets multiplied")

@@ -331,14 +331,14 @@ def test_certify_and_verify_build_no_conjugates_or_rewrites(
                          NO_BUILD_CASES,
                          ids=[f"{c[0]}^{c[1]}" for c in NO_BUILD_CASES])
 def test_standard_unit_witnesses_are_counted_without_a_quotient(
-        monkeypatch, texts, q, unit, cert_digest, report_digest):
+        monkeypatch, empty_quotient_table, texts, q, unit, cert_digest,
+        report_digest):
     base = [parse_word(t, 2) for t in texts.split(",")]
     witness = None if unit is None else unit_image_quotient(*unit)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a standard unit witness is counted by closed forms")
 
-    monkeypatch.setattr(largeness._UnitCounts, "_QUOTIENTS", {})
     monkeypatch.setattr(quotients, "build_quotient", refuse)
     monkeypatch.setattr(quotients, "coset_representatives", refuse)
     monkeypatch.setattr(largeness, "coset_representatives", refuse)
@@ -402,8 +402,7 @@ def test_other_witnesses_are_counted_on_their_coset_graph(
     assert _digest(report) == report_digest
 
 
-def test_memo_hit_over_the_cap_gives_the_fresh_error(monkeypatch):
-    monkeypatch.setattr(largeness._UnitCounts, "_QUOTIENTS", {})
+def test_memo_hit_over_the_cap_gives_the_fresh_error(empty_quotient_table):
     largeness._UnitCounts(2, 2, 5, 10**4).quotient()
     with pytest.raises(CapExceeded) as memo:
         largeness._UnitCounts(2, 2, 5, 100).quotient()
@@ -425,9 +424,7 @@ FROZEN_BOUNDS = [
 ]
 
 
-def test_bound_and_ranking_run_no_bfs(monkeypatch):
-    monkeypatch.setattr(largeness._UnitCounts, "_QUOTIENTS", {})
-
+def test_bound_and_ranking_run_no_bfs(monkeypatch, empty_quotient_table):
     def refuse(*args, **kwargs):
         raise AssertionError("the bound and the ranking must not enumerate")
 
@@ -445,8 +442,8 @@ def test_bound_and_ranking_run_no_bfs(monkeypatch):
     assert str(search.value) == "quotient enumeration: reached 11 with cap 10"
 
 
-def test_only_the_returned_witness_is_enumerated(monkeypatch):
-    monkeypatch.setattr(largeness._UnitCounts, "_QUOTIENTS", {})
+def test_only_the_returned_witness_is_enumerated(monkeypatch,
+                                                 empty_quotient_table):
     built = []
     original = quotients.build_quotient
 
@@ -463,8 +460,8 @@ def test_only_the_returned_witness_is_enumerated(monkeypatch):
     assert built == [9]
 
 
-def test_bounds_and_certificates_embed_only_base_words(monkeypatch):
-    monkeypatch.setattr(largeness._UnitCounts, "_QUOTIENTS", {})
+def test_bounds_and_certificates_embed_only_base_words(monkeypatch,
+                                                       empty_quotient_table):
     original = series.embed
     longest = 0
 

@@ -9,6 +9,7 @@ two enumerations must agree on every table, tree edge, document and error.
 import pytest
 from sympy import divisors, mobius
 
+from largequot import series
 from largequot.errors import CapExceeded
 from largequot.quotients import FiniteQuotient, build_quotient
 from largequot.series import (
@@ -223,3 +224,11 @@ def test_hand_built_magnus_quotient_takes_the_packed_action(series_products):
     assert not series_products
     assert q.kind == "magnus_unit"
     assert_same_quotient(q, generic_quotient(images, unit_params(3, 2, 4)))
+
+
+def test_a_vertex_past_the_term_cap_is_not_packed():
+    # at rank 1001 and truncation 3 a vertex would have 1 + 1001 + 1001^2
+    # fields, more than a series product may have terms
+    images = unit_images(2, 1001, 3)
+    inverses = [g.inverse() for g in images]
+    assert series._packed_unit_action(images, inverses) is None

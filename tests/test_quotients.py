@@ -4,9 +4,8 @@ import sys
 import tracemalloc
 
 import pytest
-from sympy import Matrix
-from sympy.matrices.normalforms import smith_normal_form
 
+from largequot import largeness
 from largequot.errors import CapExceeded
 from largequot.quotients import (
     FiniteQuotient,
@@ -21,6 +20,7 @@ from largequot.quotients import (
     reidemeister_schreier,
 )
 from largequot.series import embed, unit_image_quotient
+from largequot.verbal import build_series
 from largequot.words import Word, parse_word, random_reduced_word
 
 
@@ -73,16 +73,6 @@ def crossing_matrix(quotient, relators):
         assert c == 0, "oracle fed a relator outside the kernel"
         rows.append(row)
     return rows
-
-
-def invariants_from_matrix(rows, gen_count):
-    """Oracle: abelian invariants via sympy's Smith normal form."""
-    if not rows:
-        return [0] * gen_count
-    s = smith_normal_form(Matrix(rows))
-    diag = [abs(s[i, i]) for i in range(min(s.rows, s.cols))]
-    nonzero = [d for d in diag if d]
-    return [d for d in nonzero if d > 1] + [0] * (gen_count - len(nonzero))
 
 
 def test_modvector_group_laws():
@@ -397,7 +387,7 @@ def test_abelian_invariants_direct_presentations():
     assert abelian_invariants(free_two) == [0, 0]
 
 
-def test_abelian_invariants_match_sympy_oracle():
+def test_abelian_invariants_match_sympy_oracle(smith_invariants_oracle):
     rng = random.Random(83)
     quotients = [
         mod_abelianization(2, 2),
@@ -416,7 +406,7 @@ def test_abelian_invariants_match_sympy_oracle():
             # rewriting checked without any Smith form: row for row, the
             # abelianized relators are the raw signed edge crossings
             assert pres.exponent_matrix() == crossings
-            expected = invariants_from_matrix(crossings, pres.generator_count)
+            expected = smith_invariants_oracle(crossings, pres.generator_count)
             assert abelian_invariants(pres) == expected
 
 
@@ -456,6 +446,45 @@ def test_abelian_invariants_finish_on_a_coefficient_growth_matrix(package_env):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[4, 741672]"
+
+
+def _presentation(rows, gen_count):
+    """A presentation whose abelianized exponent matrix is ``rows``."""
+    relators = tuple(
+        Word(gen_count, [(g, 1 if e > 0 else -1) for g, e in enumerate(row, 1)
+                         for _ in range(abs(e))])
+        for row in rows)
+    return SubgroupPresentation(
+        generator_count=gen_count,
+        generator_labels=tuple((0, g) for g in range(1, gen_count + 1)),
+        relators=relators)
+
+
+def test_the_oracle_reads_the_wide_matrix(smith_invariants_oracle):
+    assert smith_invariants_oracle(WIDE_SMITH_MATRIX, 7) == [4, 741672]
+    assert abelian_invariants(_presentation(WIDE_SMITH_MATRIX, 7)) == [4, 741672]
+
+
+def test_abelian_invariants_match_determinantal_divisors(
+        smith_invariants_oracle):
+    # the Smith diagonal itself, against gcds of minors, up to 7 x 7; scaled
+    # rows and repeated rows give invariants past 1 and rank deficits
+    rng = random.Random(59)
+    torsion = free = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        spread = rng.choice([1, 3, 12])
+        rows = [[rng.randint(-spread, spread) if rng.random() < 0.6 else 0
+                 for _ in range(n)] for _ in range(m)]
+        for row in rng.sample(rows, rng.randint(0, m)):
+            row[:] = [rng.choice([2, 3, 4, 6]) * e for e in row]
+        if m > 1 and rng.random() < 0.3:
+            rows[-1] = list(rows[0])
+        expected = smith_invariants_oracle(rows, n)
+        assert abelian_invariants(_presentation(rows, n)) == expected, rows
+        torsion += any(d > 1 for d in expected)
+        free += 0 in expected
+    assert torsion >= 100 and free >= 100, (torsion, free)
 
 
 def test_serialize_roundtrip_modvec():
@@ -507,8 +536,6 @@ def test_serialize_forms_payloads_once_and_returns_fresh_containers(monkeypatch)
     v = mod_abelianization(2, 3)
     v.serialize()["gen_images"][0].append(7)
     assert v.serialize()["gen_images"] == [[1, 0], [0, 1]]
-    from largequot.verbal import build_series
-
     cover = build_series((2, 3), 2, 2)[1].parent_quotient
     cover.serialize()["params"]["primes"].append(99)
     assert cover.serialize()["params"]["primes"] == [2]
@@ -519,3 +546,65 @@ def test_unknown_element_kind_rejected():
         element_kind("no-such-kind")
     with pytest.raises(ValueError):
         FiniteQuotient.from_spec({"kind": "nope", "params": {}, "gen_images": []})
+
+
+# -- the process-level table of built quotients -----------------------------
+
+
+def _unit(p, r, l):
+    return largeness._UnitCounts(p, r, l, None).quotient()
+
+
+def _same_quotient(a, b):
+    assert (a.elements, a.mult, a.inv_mult, a.tree_parent) == (
+        b.elements, b.mult, b.inv_mult, b.tree_parent)
+    assert a.serialize() == b.serialize()
+
+
+@pytest.mark.parametrize("p, r, l", [(2, 2, 2), (3, 2, 3), (5, 2, 2), (2, 2, 5)])
+def test_unit_quotients_from_the_table_match_fresh_builds(empty_quotient_table,
+                                                          p, r, l):
+    first = _unit(p, r, l)
+    served = _unit(p, r, l)
+    assert served is first
+    assert list(empty_quotient_table.quotients) == [("magnus_unit", p, r, l)]
+    assert empty_quotient_table.held == served.order
+    fresh = unit_image_quotient(p, r, l)
+    assert fresh is not served
+    _same_quotient(served, fresh)
+
+
+def test_a_unit_quotient_past_the_budget_is_built_and_not_stored(
+        empty_quotient_table, monkeypatch):
+    monkeypatch.setattr(empty_quotient_table, "cosets", 100)
+    first, again = _unit(2, 2, 4), _unit(2, 2, 4)
+    assert first.order == 128 and again is not first
+    _same_quotient(again, first)
+    assert empty_quotient_table.quotients == {}
+    assert empty_quotient_table.held == 0
+    assert _unit(3, 2, 2) is _unit(3, 2, 2)
+    assert list(empty_quotient_table.quotients) == [("magnus_unit", 3, 2, 2)]
+    assert empty_quotient_table.held == 9
+
+
+def test_verbal_and_unit_quotients_share_one_budget(empty_quotient_table,
+                                                    monkeypatch):
+    table = empty_quotient_table
+    monkeypatch.setattr(table, "cosets", 1000)
+    build_series((2, 3, 5), 2, 3)  # F/gamma_1, 4 cosets, and F/gamma_2, 972
+    _unit(3, 2, 2)  # 9 cosets
+    build_series((2, 2), 2, 2)  # uses F/gamma_1 over (2,) again
+    assert list(table.quotients) == [
+        ("verbal", 2, 2, 3), ("magnus_unit", 3, 2, 2), ("verbal", 2, 2)]
+    assert table.held == 4 + 972 + 9
+    # 25 more cosets evict the least recently used, the verbal 972
+    _unit(5, 2, 2)
+    assert list(table.quotients) == [
+        ("magnus_unit", 3, 2, 2), ("verbal", 2, 2), ("magnus_unit", 5, 2, 2)]
+    assert table.held == 9 + 4 + 25
+    # and a verbal build evicts the least recently used unit quotient
+    _unit(3, 2, 2)
+    build_series((2, 3, 5), 2, 3)
+    assert list(table.quotients) == [
+        ("magnus_unit", 3, 2, 2), ("verbal", 2, 2), ("verbal", 2, 2, 3)]
+    assert table.held == sum(q.order for q in table.quotients.values()) == 985

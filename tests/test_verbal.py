@@ -386,7 +386,7 @@ def test_a_rank_past_the_exponent_cap_is_refused_before_any_table(monkeypatch):
                                   "tower with cap 1000000")
 
 
-# -- the process-level level table ------------------------------------------
+# -- levels from the table of built quotients -------------------------------
 
 
 def _answer(fn, w):
@@ -405,11 +405,11 @@ def _same_tables(a, b):
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
 @pytest.mark.parametrize("primes", [(2, 3, 5), (2, 2, 3), (3, 2, 5)])
-def test_levels_from_the_table_match_fresh_builds(empty_level_table, primes,
+def test_levels_from_the_table_match_fresh_builds(empty_quotient_table, primes,
                                                   rank):
     first = build_series(primes, rank, len(primes))
     served = build_series(primes, rank, len(primes))
-    empty_level_table.clear()
+    empty_quotient_table.clear()
     fresh = build_series(primes, rank, len(primes))
     rng = random.Random(f"{primes}-{rank}")
     words = [random_reduced_word(rng, rank, rng.randint(0, 8)) for _ in range(30)]
@@ -430,12 +430,13 @@ def test_levels_from_the_table_match_fresh_builds(empty_level_table, primes,
     assert tabled >= 1
 
 
-def test_a_level_is_built_once_per_process(empty_level_table, monkeypatch):
+def test_a_level_is_built_once_per_process(empty_quotient_table, monkeypatch):
     aa = parse_word("aa", 2)
     build_series((2, 3, 5), 2, 3)
     levels = build_series((2, 3, 5), 2, 3)
     assert levi_bound([aa], (2, 3, 5)) == 2
-    assert set(empty_level_table.quotients) == {(2, (2,)), (2, (2, 3))}
+    assert set(empty_quotient_table.quotients) == {("verbal", 2, 2),
+                                                   ("verbal", 2, 2, 3)}
 
     def refuse(*args, **kwargs):
         raise AssertionError("a tabled quotient was rebuilt")
@@ -458,7 +459,7 @@ def _refusal(fn, *args, **kwargs):
     raise AssertionError("no refusal")
 
 
-def test_a_smaller_cap_after_a_larger_one_refuses_as_before(empty_level_table):
+def test_a_smaller_cap_after_a_larger_one_refuses_as_before(empty_quotient_table):
     a6 = power(Word.generator(2, 1), 6)
 
     def refusals():
@@ -474,7 +475,8 @@ def test_a_smaller_cap_after_a_larger_one_refuses_as_before(empty_level_table):
     before = refusals()
     build_series((2, 3, 5), 2, 3, coset_cap=10**4)
     run_construction([2, 3, 5, 7], 1, coset_cap=10**4)
-    assert set(empty_level_table.quotients) == {(2, (2,)), (2, (2, 3))}
+    assert set(empty_quotient_table.quotients) == {("verbal", 2, 2),
+                                                   ("verbal", 2, 2, 3)}
     assert refusals() == before
     assert before == [
         [True, True, False],
@@ -491,28 +493,30 @@ def _held(table):
 
 
 def test_the_table_evicts_the_least_recently_used_past_its_bound(
-        empty_level_table, monkeypatch):
-    monkeypatch.setattr(empty_level_table, "cosets", 1000)
+        empty_quotient_table, monkeypatch):
+    monkeypatch.setattr(empty_quotient_table, "cosets", 1000)
     build_series((2, 3, 5), 2, 3)
-    evicted = empty_level_table.quotients[(2, (2, 3))]
-    assert empty_level_table.held == _held(empty_level_table) == 4 + 972
+    evicted = empty_quotient_table.quotients[("verbal", 2, 2, 3)]
+    assert empty_quotient_table.held == _held(empty_quotient_table) == 4 + 972
     # (2,) is used again, so the 128 cosets over (2, 2) evict (2, 3)
     build_series((2, 2, 3), 2, 3)
-    assert list(empty_level_table.quotients) == [(2, (2,)), (2, (2, 2))]
-    assert empty_level_table.held == _held(empty_level_table) == 4 + 128
+    assert list(empty_quotient_table.quotients) == [("verbal", 2, 2),
+                                                    ("verbal", 2, 2, 2)]
+    assert empty_quotient_table.held == _held(empty_quotient_table) == 4 + 128
     rebuilt = build_series((2, 3, 5), 2, 3)[2].parent_quotient
     assert rebuilt is not evicted
     _same_tables(rebuilt, evicted)
-    assert list(empty_level_table.quotients) == [(2, (2,)), (2, (2, 3))]
-    assert empty_level_table.held == _held(empty_level_table) <= 1000
+    assert list(empty_quotient_table.quotients) == [("verbal", 2, 2),
+                                                    ("verbal", 2, 2, 3)]
+    assert empty_quotient_table.held == _held(empty_quotient_table) <= 1000
 
 
-def test_a_quotient_past_the_bound_is_never_stored(empty_level_table,
+def test_a_quotient_past_the_bound_is_never_stored(empty_quotient_table,
                                                    monkeypatch):
-    monkeypatch.setattr(empty_level_table, "cosets", 500)
+    monkeypatch.setattr(empty_quotient_table, "cosets", 500)
     first = build_series((2, 3, 5), 2, 3)[2].parent_quotient
     again = build_series((2, 3, 5), 2, 3)[2].parent_quotient
     assert first.order == 972 and again is not first
     _same_tables(again, first)
-    assert list(empty_level_table.quotients) == [(2, (2,))]
-    assert empty_level_table.held == 4
+    assert list(empty_quotient_table.quotients) == [("verbal", 2, 2)]
+    assert empty_quotient_table.held == 4
