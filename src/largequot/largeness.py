@@ -398,7 +398,14 @@ def _avoiding_unit(bound, q, enum_cap):
     # past M0 every witness coefficient survives mod p, and a truncation
     # below l already kills some power over Z, so l is the least one mod p
     l = bound.l
-    for p in [p for p in sympy.factorint(q) if p > bound.M0]:
+    # the bound's small primes are every prime up to M0: only the cofactor
+    # they leave can hold a larger one
+    cofactor = q
+    for p in bound.small_prime_exponents:
+        while cofactor % p == 0:
+            cofactor //= p
+    large = sympy.factorint(cofactor) if cofactor > 1 else {}
+    for p in [p for p in large if p > bound.M0]:
         e = unit_image_exponent(p, bound.rank, l, cap=enum_cap)
         # an over-cap candidate past truncation 2 is dropped; one at
         # truncation 2 stays, and counting or building it reports the cap

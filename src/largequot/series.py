@@ -336,19 +336,32 @@ def generator_image(rank, degree_bound, modulus, gen, exp):
     return TruncSeries(rank, degree_bound, modulus, terms)
 
 
+def _embed_letters(rank, letters, degree_bound, modulus):
+    result = TruncSeries.one(rank, degree_bound, modulus)
+    for gen, exp in letters:
+        image = generator_image(rank, degree_bound, modulus, gen, exp)
+        result = result.mul(image)
+    return result
+
+
 def embed(word, degree_bound, modulus=None):
     """Multiplicative image of a word under a_i -> 1 + x_i.
 
     The result is exact in R<x_1..x_r>/X^l; over F_p this is the reduction
-    of the integer image, which the tests check explicitly.
+    of the integer image, which the tests check explicitly.  A power
+    t * c^n * t^-1 built by :func:`largequot.words.power` is embedded
+    through its record, as embed(t) * embed(c)^n * embed(t)^-1 with
+    square and multiply, without spelling out its letters.
     """
     if not isinstance(word, Word):
         raise ValueError(f"embed expects a Word, got {word!r}")
-    result = TruncSeries.one(word.rank, degree_bound, modulus)
-    for gen, exp in word.letters:
-        image = generator_image(word.rank, degree_bound, modulus, gen, exp)
-        result = result.mul(image)
-    return result
+    rank, record = word.rank, word.power_record
+    if record is None:
+        return _embed_letters(rank, word.letters, degree_bound, modulus)
+    t, core, n = record
+    head = _embed_letters(rank, t, degree_bound, modulus)
+    core = _embed_letters(rank, core, degree_bound, modulus)
+    return head.mul(core.power(n)).mul(head.inverse())
 
 
 def order_of_valuation(p, v, l):
@@ -443,9 +456,16 @@ def _serialize_unit(series):
 
 
 def _deserialize_unit(params, payload):
-    return TruncSeries.parse(
-        payload, params["rank"], params["degree_bound"], params["modulus"]
-    )
+    # type() and not isinstance(): a bool is an int to isinstance, and would
+    # be read as rank or degree bound 1; the texts are TruncSeries' own
+    rank, bound, modulus = params["rank"], params["degree_bound"], params["modulus"]
+    if type(rank) is not int:
+        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+    if type(bound) is not int:
+        raise ValueError(f"degree bound must be a positive integer, got {bound!r}")
+    if modulus is not None and type(modulus) is not int:
+        raise ValueError(f"modulus must be None or an integer >= 2, got {modulus!r}")
+    return TruncSeries.parse(payload, rank, bound, modulus)
 
 
 def _unit_params(series):

@@ -18,13 +18,18 @@ reduces, so each word is built once in time linear in its length.  So do
 :func:`shortlex_words` and :func:`random_reduced_word`, which extend words
 through one successor table per rank (``_alphabet``).
 
-A word built by :func:`power` also remembers how it was built:
-``power_record`` is ``(t, c, n)``, the letters of t and of c and the count
-n >= 1 with the word equal to t * c^n * t^-1.  Walks through a finite
-coset graph use it to step c^n by the period of c's image instead of
-letter by letter (see :meth:`largequot.quotients.FiniteQuotient.walk`).
-Every other word has ``power_record = None``; equality and hashing read
-only the letters.
+A word built by :func:`power` is symbolic: it holds its record
+``power_record = (t, c, n)``, the letters of t and of c and the count n >= 1
+with the word equal to t * c^n * t^-1, and spells out its letters only on
+the first read of ``letters``.  Its length comes from the record, and a
+power of a power composes records, (t, c, a) to (t, c, a*n), so g^(ab)
+stays as short as g^a.  Walks through a finite coset graph step c^n by the
+period of c's image and read no letter (see
+:meth:`largequot.quotients.FiniteQuotient.walk`), and so does
+:func:`largequot.series.embed`.  Every other word has ``power_record =
+None`` and keeps its letters in a slot.  Equality and hashing are those of
+the letters: ``==`` compares ranks and lengths, then equal records, and
+only then letters.
 
 Two textual forms are supported:
 
@@ -52,6 +57,10 @@ def _reduce_letters(letters):
         else:
             out.append((gen, exp))
     return tuple(out)
+
+
+def _inverse_letters(letters):
+    return tuple([(g, -e) for g, e in reversed(letters)])
 
 
 class Word:
@@ -106,7 +115,16 @@ class Word:
     def __eq__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
-        return self.rank == other.rank and self.letters == other.letters
+        if self.rank != other.rank:
+            return False
+        record = self.power_record
+        if record is None and other.power_record is None:
+            # tuple equality compares the lengths first
+            return self.letters == other.letters
+        # __len__() and not len(), which refuses lengths past sys.maxsize;
+        # equal records spell equal letters, and unequal ones may too
+        return self.__len__() == other.__len__() and (
+            record == other.power_record or self.letters == other.letters)
 
     def __hash__(self):
         return hash((self.rank, self.letters))
@@ -129,9 +147,7 @@ class Word:
         return Word._reduced(self.rank, a[:i] + b[k:])
 
     def inverse(self):
-        return Word._reduced(
-            self.rank, tuple([(g, -e) for g, e in reversed(self.letters)])
-        )
+        return Word._reduced(self.rank, _inverse_letters(self.letters))
 
     def __invert__(self):
         return self.inverse()
@@ -195,25 +211,57 @@ class Word:
         return "*".join(parts)
 
 
-def power(g, n):
-    """g**n for any integer n, via cyclic decomposition (O(output) letters).
+class _Power(Word):
+    """t * c^n * t^-1 held as its record; the letters are spelled out on
+    their first read and kept.  Only :func:`power` builds one."""
 
-    With base = t * c * t^-1 and c cyclically reduced, t * c^|n| * t^-1 is
-    freely reduced as written, so the letters are assembled in one pass.
-    base is g for n > 0 and g^-1 for n < 0.  The result keeps
-    ``(t.letters, c.letters, |n|)`` as its ``power_record``, so a coset walk
-    can take c^|n| by the period of c instead of letter by letter.
+    __slots__ = ("_letters",)
+
+    def __init__(self, rank, record):
+        self.rank = rank
+        self.power_record = record
+        self._letters = None
+
+    @property
+    def letters(self):
+        if self._letters is None:
+            t, core, n = self.power_record
+            # reduced as written, since c is cyclically reduced
+            self._letters = t + core * n + _inverse_letters(t)
+        return self._letters
+
+    def __len__(self):
+        t, core, n = self.power_record
+        return 2 * len(t) + n * len(core)
+
+    @property
+    def is_identity(self):
+        return False
+
+
+def power(g, n):
+    """g**n for any integer n, as a symbolic word built in time O(|g|).
+
+    With base = t * c * t^-1 and c cyclically reduced, base^|n| is
+    t * c^|n| * t^-1, freely reduced as written; base is g for n > 0 and
+    g^-1 for n < 0.  The result's ``power_record`` is
+    ``(t.letters, c.letters, |n|)``, so a coset walk can take c^|n| by the
+    period of c, and its letters are spelled out only when read.  A power
+    of a power composes records: g = t * c^a * t^-1 gives ``(t, c, a|n|)``,
+    with c inverted for n < 0.
     """
     if not isinstance(n, int):
         raise ValueError(f"exponent must be an integer, got {n!r}")
     if n == 0 or g.is_identity:
         return Word.identity(g.rank)
-    base = g if n > 0 else g.inverse()
-    t, core = base.cyclic_decomposition()
-    letters = t.letters + core.letters * abs(n) + t.inverse().letters
-    word = Word._reduced(g.rank, letters)
-    word.power_record = (t.letters, core.letters, abs(n))
-    return word
+    if g.power_record is None:
+        t, core = g.cyclic_decomposition()
+        t, core, count = t.letters, core.letters, 1
+    else:
+        t, core, count = g.power_record
+    if n < 0:
+        core = _inverse_letters(core)
+    return _Power(g.rank, (t, core, count * abs(n)))
 
 
 _INDEXED_TOKEN = re.compile(r"g(\d+)(?:\^(-?\d+))?")
@@ -228,6 +276,13 @@ def parse_word(text, rank):
     stripped = re.sub(r"\s+", "", text)
     if stripped in ("", "1"):
         return Word.identity(rank)
+    try:
+        # letter form without exponents: one lookup per character
+        letters = [_LETTERS[ch] for ch in stripped]
+    except KeyError:
+        pass
+    else:
+        return Word(rank, letters)
     if re.search(r"g\d", stripped):
         body, token, form = stripped.replace("*", ""), _INDEXED_TOKEN, "indexed word"
     else:

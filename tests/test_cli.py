@@ -467,6 +467,29 @@ def test_verify_refuses_a_unit_witness_of_another_rank(capsys, tmp_path,
     ) == f"malformed certificate: ValueError({error!r})"
 
 
+@pytest.mark.parametrize("key,value,error", [
+    # a bool is an int to isinstance: rank true verified ok, and degree_bound
+    # true was read as 1, an image-order problem
+    ("rank", True, "rank must be a positive integer, got True"),
+    ("degree_bound", True, "degree bound must be a positive integer, got True"),
+    ("modulus", True, "modulus must be None or an integer >= 2, got True"),
+    ("rank", False, "rank must be a positive integer, got False"),
+    ("degree_bound", 2.0, "degree bound must be a positive integer, got 2.0"),
+    ("modulus", 2.0, "modulus must be None or an integer >= 2, got 2.0"),
+])
+def test_verify_refuses_unit_witness_params_that_are_not_ints(
+        capsys, tmp_path, key, value, error):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, ["certify-large", "-r", "1", "-g", "a", "-q", "4",
+                 "-o", str(cert_path)])
+    cert = json.loads(cert_path.read_text())
+    cert["witness"]["params"][key] = value
+    cert_path.write_text(json.dumps(cert))
+    code, doc = run_doc(capsys, ["verify", str(cert_path)])
+    assert code == 2
+    assert doc["error"] == f"malformed certificate: ValueError({error!r})"
+
+
 def test_verify_refuses_a_witness_of_huge_series_rank(capsys, tmp_path):
     # refused before a packed vertex of 10^18 fields or any BFS
     big = 10**18

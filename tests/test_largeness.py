@@ -1220,3 +1220,51 @@ def test_bound_matches_the_image_store_route(case, repeat, truncation_cap,
     fast = _outcome(lambda: document(lemma_fi_bound(words, m, **caps)))
     slow = _outcome(lambda: document(_oracle_store_bound(words, m, **caps)))
     assert fast == slow, ([str(w) for w in words], m, caps)
+
+
+def _oracle_avoiding_unit(bound, q, enum_cap):
+    """The witness choice of find_avoiding_quotient with the primes past M0
+    read off the full factorization of q, as a (p, rank, l, exponent)."""
+    if q < bound.M:
+        raise BelowBoundError(q, bound.M)
+    candidates = [(p**jp, p, bound.small_prime_truncations[p])
+                  for p, jp in bound.small_prime_exponents.items()
+                  if q % p**jp == 0]
+    for p in [p for p in sympy.factorint(q) if p > bound.M0]:
+        e = unit_image_exponent(p, bound.rank, bound.l, cap=enum_cap)
+        if bound.l > 2 and power_over_cap(p, e, enum_cap):
+            continue
+        candidates.append((p**e, p, bound.l))
+    if not candidates:
+        raise CapExceeded("avoiding quotient enumeration", q, enum_cap)
+    _, p, l = min(candidates)
+    counts = largeness._UnitCounts(p, bound.rank, l, enum_cap)
+    return counts.p, counts.rank, counts.l, counts.exponent
+
+
+@settings(max_examples=80, deadline=None)
+@given(_base_word_sets(), st.integers(1, 40), st.integers(1, 50),
+       st.sampled_from((50, 10**4, 10**6)))
+def test_avoiding_unit_matches_the_full_factorization(case, t, r, enum_cap):
+    words, m = case
+    try:
+        bound = lemma_fi_bound(words, m)
+    except CapExceeded:
+        assume(False)
+    large = sympy.nextprime(bound.M0 + r)
+    over_cap = sympy.nextprime(max(bound.M0, enum_cap) + r)
+    # q = M*t; a prime past M0 to the first and second power; q below M;
+    # and a q whose only prime past M0 is over the cap
+    qs = [bound.M * t, bound.M * large, bound.M * t * large**2, large**2,
+          max(1, bound.M - t), over_cap, over_cap**2]
+    if bound.M > 1:
+        qs.append(over_cap * bound.M // 2)
+
+    def chosen(q):
+        counts = largeness._avoiding_unit(bound, q, enum_cap)
+        return counts.p, counts.rank, counts.l, counts.exponent
+
+    for q in qs:
+        fast = _outcome(lambda: chosen(q))
+        slow = _outcome(lambda: _oracle_avoiding_unit(bound, q, enum_cap))
+        assert fast == slow, ([str(w) for w in words], m, q, enum_cap)

@@ -12,7 +12,7 @@ from largequot.series import (
     unit_image_quotient,
     unit_order,
 )
-from largequot.words import parse_word
+from largequot.words import Word, parse_word, power
 
 
 def naive_mul(s, t):
@@ -160,6 +160,22 @@ def test_embed_is_multiplicative():
         v = random_reduced_word(rng, 2, rng.randint(0, 5))
         l, p = rng.choice([(3, None), (4, 2), (5, 3)])
         assert embed(u * v, l, p) == embed(u, l, p).mul(embed(v, l, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3),
+       st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1, -1))),
+                min_size=1, max_size=6),
+       st.integers(-12, 12), st.integers(1, 5),
+       st.sampled_from([None, 2, 3, 5, 4]))
+def test_embed_of_a_power_matches_the_letter_by_letter_embed(
+        rank, raw, n, l, modulus):
+    g = Word(rank, [((gen - 1) % rank + 1, e) for gen, e in raw])
+    p = power(g, n)
+    # the oracle embeds the spelled-out letters of a plain word
+    spelled = Word(rank, p.letters)
+    assert spelled.power_record is None
+    assert embed(power(g, n), l, modulus) == embed(spelled, l, modulus)
 
 
 def test_embed_word_inverse_gives_series_inverse():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from largequot.quotients import mod_abelianization, reidemeister_schreier
-from largequot.series import unit_image_quotient
+from largequot.series import embed, unit_image_quotient
 from largequot.verbal import build_series
 from largequot.words import Word, parse_word, power
 
@@ -140,7 +140,8 @@ def test_only_power_sets_the_record():
 
 
 class _Unreadable(tuple):
-    """Letters that fail the test when the walk reads them."""
+    """Letters that fail the test when the walk reads them, planted where a
+    power keeps its letters once they are spelled out."""
 
     def __iter__(self):
         raise AssertionError("the walk read the power's letters")
@@ -157,7 +158,7 @@ def test_long_powers_are_walked_without_reading_their_letters(make, n):
     p = power(w, n)
     coset = q._walk(0, p.letters)
     order = _letter_order(q, p.letters)
-    p.letters = _Unreadable(p.letters)
+    p._letters = _Unreadable(p.letters)
     assert q.coset_of(p) == coset
     assert q.kernel_contains(p) == (coset == 0)
     assert q.image_order(p) == order
@@ -259,7 +260,7 @@ def test_verbal_queries_on_long_powers_read_no_letters(n):
     for level in _levels():
         p = power(parse_word("babaB", 2), n)
         expected = _answers(level, Word(2, p.letters))
-        p.letters = _Unreadable(p.letters)
+        p._letters = _Unreadable(p.letters)
         assert _answers(level, p) == expected
 
 
@@ -272,3 +273,37 @@ def test_verbal_queries_reject_a_word_of_another_rank():
                 level.order_mod(w)
             with pytest.raises(ValueError, match="rank mismatch"):
                 level.component_vector(w)
+
+
+# a power whose letters could never be spelled out: 3 * 10^30 + 2 of them
+HUGE = 10**30
+
+
+@pytest.mark.parametrize("n", [HUGE, -HUGE - 1])
+def test_huge_powers_are_answered_without_spelling_their_letters(n):
+    w = parse_word("babaB", 2)
+    p = power(w, n)
+    # __len__() and not len(), which refuses lengths past sys.maxsize
+    assert p.__len__() == 2 + 3 * abs(n)
+    assert p == power(w, n) and p != power(w, n + 1)
+    assert len(power(w, 10**5)) == 2 + 3 * 10**5
+    t, _, count = p.power_record
+    for make in LONG.values():
+        q = make()
+        o = q.image_order(w)
+        # the image of w^n depends only on n mod o
+        small = Word(2, power(w, n % o).letters)
+        assert q.kernel_contains(p) == q.kernel_contains(small)
+        assert q.image_order(p) == q.image_order(small)
+        for k in (HUGE, -3):
+            nested = power(p, k)
+            assert nested.power_record[::2] == (t, count * abs(k))
+            assert q.coset_of(nested) == q.coset_of(power(small, k))
+            assert nested._letters is None
+    for level in _levels():
+        small = Word(2, power(w, n % level.order_mod(w)).letters)
+        assert level.member(p) == level.member(small)
+        assert level.order_mod(p) == level.order_mod(small)
+    for modulus in (None, 2, 5):
+        assert embed(p, 4, modulus) == embed(w, 4, modulus).power(n)
+    assert p._letters is None

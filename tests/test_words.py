@@ -1,11 +1,13 @@
+import functools
 import random
 import re
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from largequot.series import unit_image_quotient
 from largequot.words import (
     Word,
     _reduce_letters,
@@ -54,6 +56,54 @@ def test_power_matches_reducing_constructor(case, n):
     p = power(g, n)
     assert p == Word(rank, base * abs(n))
     assert_reduced(p)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_quotient(rank):
+    return unit_image_quotient(2, rank, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_words(2), st.integers(-8, 8).filter(bool), st.integers(-3, 3))
+def test_lazy_powers_agree_with_eager_words(case, n, k):
+    rank, (g_raw, other_raw) = case
+    g, other = Word(rank, g_raw), Word(rank, other_raw)
+    assume(not g.is_identity)
+
+    def lazy():
+        # a fresh power for every check, its letters not yet spelled out
+        p = power(g, n)
+        assert p._letters is None
+        return p
+
+    t, c, count = lazy().power_record
+    eager = Word(rank, t + c * count + tuple(raw_inverse(t)))
+    assert eager.power_record is None
+    base = g.letters if n > 0 else tuple(raw_inverse(g.letters))
+    assert eager == Word(rank, base * abs(n))
+    assert lazy() == eager and eager == lazy() and lazy() == lazy()
+    assert not lazy() != eager
+    assert hash(lazy()) == hash(eager)
+    assert len(lazy()) == len(eager)
+    assert str(lazy()) == str(eager) and repr(lazy()) == repr(eager)
+    assert lazy().letters == eager.letters
+    assert lazy().inverse() == eager.inverse()
+    assert lazy() * other == eager * other
+    assert other * lazy() == other * eager
+    assert lazy().cyclic_decomposition() == eager.cyclic_decomposition()
+    assert lazy().exponent_sums() == eager.exponent_sums()
+    assert lazy().is_identity == eager.is_identity is False
+    inner = lazy()
+    nested = power(inner, k)
+    assert nested == power(eager, k)
+    assert nested.letters == power(eager, k).letters
+    assert inner._letters is None
+    if k:
+        # composed records: (t, c, count * |k|), c inverted for k < 0
+        core = c if k > 0 else tuple(raw_inverse(c))
+        assert nested.power_record == (t, core, count * abs(k))
+    q = _unit_quotient(rank)
+    assert q.coset_of(lazy()) == q.coset_of(eager)
 
 
 @given(raw_words(2))
@@ -374,6 +424,12 @@ def word_texts(draw):
 
 @settings(max_examples=400)
 @given(word_texts(), st.integers(1, 4))
+# letter bodies without exponents take one lookup per character; any other
+# character sends the body to the token loop
+@example("abBAb", 2)
+@example("a bZ", 2)
+@example("ab\u00e9", 2)
+@example("ab^2", 2)
 def test_parse_matches_the_two_loop_oracle(text, rank):
     assert _parse_outcome(text, rank, parse_word) == \
         _parse_outcome(text, rank, _oracle_parse_word), text
