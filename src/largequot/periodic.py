@@ -290,6 +290,13 @@ def check_pigraded_properties(level, words=None, sample_count=1000,
     one verbatim entry per failed check; solvability of the quotient is
     structural (an iterated extension of elementary abelian layers) and is
     reported as such rather than re-proved.
+
+    Each distinct word is walked once, through F/gamma_{d-1}: the walk
+    gives its order, and its depth (the deepest i with w in gamma_i) is
+    read off the cover key of the coset it reaches, with no walk through
+    the levels below (:meth:`largequot.verbal.VerbalLevel._order_and_depth`).
+    A power's letters are never spelled out, and the checks run once per
+    distinct (order, depth) pair that passes them.
     """
     if len(set(level.primes_prefix)) != len(level.primes_prefix):
         raise ValueError("graded order properties need pairwise distinct primes")
@@ -301,29 +308,40 @@ def check_pigraded_properties(level, words=None, sample_count=1000,
         ]
     else:
         words = list(words)
-    chain = level._chain()
+    if words:
+        missing = level._first_unmaterialized()
+        if missing is not None:
+            missing._require_materialized()
+    quotient = level.parent_quotient
     full_product = prod(level.primes_prefix)
     violations = []
     order_counts = {}
+    answers = {}  # (order, depth) per distinct word
+    passing = set()  # the (order, depth) pairs that passed every check
     for w in words:
-        n = level.order_mod(w)
+        quotient._check_word(w)  # before the memo, whose keys hold no rank
+        key = w.power_record or w.letters
+        answer = answers.get(key)
+        if answer is None:
+            answer = answers[key] = level._order_and_depth(w)
+        n, depth_reached = answer
         order_counts[n] = order_counts.get(n, 0) + 1
+        if answer in passing:
+            continue
+        checked = len(violations)
         # a divisor of p_1 .. p_d, pairwise distinct, is square-free as it is
         if full_product % n:
             if any(e > 1 for e in sympy.factorint(n).values()):
                 violations.append(f"order {n} of {w} is not square-free")
             violations.append(f"order {n} of {w} does not divide {full_product}")
-        depth_reached = 0
-        for lvl in chain:
-            if not lvl.member(w):
-                break
-            depth_reached = lvl.depth
         blocked = prod(level.primes_prefix[:depth_reached])
         if gcd(n, blocked) != 1:
             violations.append(
                 f"{w} lies in gamma_{depth_reached} but its order {n} shares "
                 f"a factor with p_1..p_{depth_reached}"
             )
+        if len(violations) == checked:
+            passing.add(answer)
     return {
         "rank": level.rank,
         "depth": level.depth,

@@ -62,6 +62,10 @@ DEFAULT_DEPTH_CAP = 16
 ORDER_EXPONENT_CAP = 10**6
 
 
+# what a level's _quotient_order holds until its first read
+_UNREAD = object()
+
+
 def _order_repr(n):
     if n is None:
         return "beyond representation"
@@ -108,12 +112,17 @@ class VerbalLevel:
     generators as words of F, i.e. a free basis of gamma_{d-1}, built on
     first use.
     ``schreier_rank`` and ``quotient_order`` outlive materialization, but
-    once they pass ORDER_EXPONENT_CAP digits-wise they stop being stored and
-    accessing them raises :class:`CapExceeded`.
+    once they pass ORDER_EXPONENT_CAP digits-wise they are not represented
+    and accessing them raises :class:`CapExceeded`.  ``parent_order`` is
+    |F/gamma_{d-1}| (None past the cap).  The level's own order is computed
+    on its first read, or when level d+1 is pulled, and then kept in
+    ``_quotient_order``, which holds ``_UNREAD`` until then: the deepest
+    level of a series can be of hundreds of thousands of digits, and most
+    requests never read it.
     """
 
     def __init__(self, rank, depth, prime, primes_prefix, parent_level,
-                 parent_quotient, parent_order, schreier_rank, quotient_order):
+                 parent_quotient, parent_order):
         self.rank = rank
         self.depth = depth
         self.prime = prime
@@ -122,8 +131,7 @@ class VerbalLevel:
         self.parent_quotient = parent_quotient
         self._basis_words = None
         self.parent_order = parent_order
-        self._schreier_rank = schreier_rank
-        self._quotient_order = quotient_order
+        self._quotient_order = _UNREAD
 
     @property
     def basis_words(self):
@@ -137,26 +145,35 @@ class VerbalLevel:
 
     @property
     def schreier_rank(self):
-        if self._schreier_rank is None:
+        if self.parent_order is None:
             raise CapExceeded(
                 f"depth-{self.depth} basis rank", "an exponent tower",
                 ORDER_EXPONENT_CAP,
             )
-        return self._schreier_rank
+        return _schreier_rank(self.rank, self.parent_order)
+
+    def _order(self):
+        """|F/gamma_d|, or None once it is an exponent tower; kept once read."""
+        if self._quotient_order is _UNREAD:
+            self._quotient_order = _next_order(self.parent_order, self.prime,
+                                               self.rank)
+        return self._quotient_order
 
     @property
     def quotient_order(self):
-        if self._quotient_order is None:
+        order = self._order()
+        if order is None:
             raise CapExceeded(
                 f"depth-{self.depth} quotient order", "an exponent tower",
                 ORDER_EXPONENT_CAP,
             )
-        return self._quotient_order
+        return order
 
     def __repr__(self):
+        # a tower is never computed: _order() gives None for it
         return (
             f"VerbalLevel(depth={self.depth}, primes={list(self.primes_prefix)}, "
-            f"rank={self.rank}, order={_order_repr(self._quotient_order)})"
+            f"rank={self.rank}, order={_order_repr(self._order())})"
         )
 
     @property
@@ -258,14 +275,40 @@ class VerbalLevel:
         so the order is k*q_d when the crossings summed over the k passes
         are nonzero mod q_d, and k otherwise.
         """
+        return self._coset_and_order(w)[1]
+
+    def _coset_and_order(self, w):
+        """(c, n): the coset c of w in F/gamma_{d-1} and n = ``order_mod(w)``,
+        from one walk.  For c == 0 the walk is one pass, so n == 1 exactly
+        when w lies in gamma_d."""
         first = self._first_unmaterialized()
         if first is not None:
             first._require_materialized()
-        counts = {}
-        k = self.parent_quotient.image_order(w, counts)
-        if any(c % self.prime for c in counts.values()):
-            return k * self.prime
-        return k
+        quotient, counts = self.parent_quotient, {}
+        c = quotient.coset_of(w, counts)
+        k = quotient.image_order(w, counts, first=c)
+        if any(x % self.prime for x in counts.values()):
+            return c, k * self.prime
+        return c, k
+
+    def _order_and_depth(self, w):
+        """(``order_mod(w)``, the deepest i <= d with w in gamma_i), from
+        one walk of w through F/gamma_{d-1}.
+
+        When w's coset c there is trivial, w lies in gamma_d iff its order
+        is 1.  Otherwise c is projected down the series: in F/gamma_{k-1}
+        the key of c is x * |F/gamma_{k-2}| + v, with v its coset of
+        gamma_{k-2} (see :func:`_packed_cover_action`), until v is trivial.
+        """
+        c, n = self._coset_and_order(w)
+        if c == 0:
+            return n, (self.depth if n == 1 else self.depth - 1)
+        lvl = self
+        while c:
+            below = lvl.parent_level
+            c = lvl.parent_quotient.elements[c] % below.parent_quotient.order
+            lvl = below
+        return n, lvl.depth - 1
 
 
 class LayeredCoset:
@@ -326,6 +369,16 @@ def _schreier_rank(rank, order):
     return 1 + (rank - 1) * order
 
 
+def _next_order(order, q, rank):
+    """|F/gamma_d| = order * q ^ (Schreier rank of gamma_{d-1}), from
+    order = |F/gamma_{d-1}|; None once the exponent passes
+    ORDER_EXPONENT_CAP, and for order None."""
+    if order is None:
+        return None
+    exponent = _schreier_rank(rank, order)
+    return None if exponent > ORDER_EXPONENT_CAP else order * q**exponent
+
+
 def _level_orders(primes, rank):
     """Yield (d, q_d, Schreier rank of gamma_{d-1}, |F/gamma_d|) for d = 1, 2, ..
 
@@ -335,8 +388,7 @@ def _level_orders(primes, rank):
     order = 1
     for d, q in enumerate(primes, 1):
         exponent = None if order is None else _schreier_rank(rank, order)
-        if order is not None:
-            order = None if exponent > ORDER_EXPONENT_CAP else order * q**exponent
+        order = _next_order(order, q, rank)
         yield d, q, exponent, order
 
 
@@ -358,6 +410,7 @@ def _iter_levels(primes, rank, coset_cap):
     The coset graph of F/gamma_d is built only when level d+1 is pulled, so
     consumers that stop early never pay for enumerations they do not use,
     and it comes from the table of built quotients when it was built before.
+    Level d's order is computed then too, if nothing read it before.
     """
     primes = _as_primeseq(primes)
     if isinstance(rank, int) and rank < 1:
@@ -375,8 +428,9 @@ def _iter_levels(primes, rank, coset_cap):
         kind="modvec", params={"modulus": 1, "dim": 1})
     parent_order = 1
     parent_level = None
-    for d, q, schreier_rank, quotient_order in _level_orders(primes, rank):
+    for d, q in enumerate(primes.primes, 1):
         if d > 1:
+            parent_order = parent_level._order()
             parent_quotient = None
             # orders grow along the series, so every lower level fits too
             if parent_order is not None and parent_order <= coset_cap:
@@ -393,12 +447,9 @@ def _iter_levels(primes, rank, coset_cap):
             parent_level=parent_level,
             parent_quotient=parent_quotient,
             parent_order=parent_order,
-            schreier_rank=schreier_rank,
-            quotient_order=quotient_order,
         )
         yield level
         parent_level = level
-        parent_order = quotient_order
 
 
 def build_series(primes, rank, depth, coset_cap=DEFAULT_COSET_CAP):
@@ -535,7 +586,10 @@ def _packed_cover_action(images, inverses):
     The ``packed_action`` of the ``verbal`` kind (see
     :class:`largequot.quotients.ElementKind`).  For images in F/gamma_d,
     a key is x * |F/gamma_{d-1}| + v: a coset v of gamma_{d-1} and a chain
-    x over the non-tree edges of its coset graph, read in base q_d.  An
+    x over the non-tree edges of its coset graph, read in base q_d, so
+    key % |F/gamma_{d-1}| is the element's coset of gamma_{d-1}:
+    :meth:`VerbalLevel._order_and_depth` reads it for the graded sampler
+    of :func:`largequot.periodic.check_pigraded_properties`.  An
     image word u acts on (v, x) by walking from v: the walk's end replaces
     v and its crossings, summed mod q_d, add into the digits of x.  Both
     are tabulated once per base coset and image, so any image words work,

@@ -63,6 +63,17 @@ def _inverse_letters(letters):
     return tuple([(g, -e) for g, e in reversed(letters)])
 
 
+def _cyclic_split(letters):
+    """Reduced letters as (t, c) with letters == t + c + t^-1, c cyclically
+    reduced: t is the longest prefix cancelled by the matching suffix."""
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i][0] == letters[j - 1][0] \
+            and letters[i][1] == -letters[j - 1][1]:
+        i += 1
+        j -= 1
+    return letters[:i], letters[i:j]
+
+
 class Word:
     """A freely reduced word in the free group of the given rank."""
 
@@ -168,14 +179,8 @@ class Word:
 
     def cyclic_decomposition(self):
         """Split as (t, c) with self == t * c * t^-1 and c cyclically reduced."""
-        letters = self.letters
-        i, j = 0, len(letters)
-        while j - i >= 2 and letters[i][0] == letters[j - 1][0] \
-                and letters[i][1] == -letters[j - 1][1]:
-            i += 1
-            j -= 1
-        return (Word._reduced(self.rank, letters[:i]),
-                Word._reduced(self.rank, letters[i:j]))
+        t, core = _cyclic_split(self.letters)
+        return Word._reduced(self.rank, t), Word._reduced(self.rank, core)
 
     def __str__(self):
         if self.rank <= 26:
@@ -255,8 +260,7 @@ def power(g, n):
     if n == 0 or g.is_identity:
         return Word.identity(g.rank)
     if g.power_record is None:
-        t, core = g.cyclic_decomposition()
-        t, core, count = t.letters, core.letters, 1
+        (t, core), count = _cyclic_split(g.letters), 1
     else:
         t, core, count = g.power_record
     if n < 0:
@@ -333,11 +337,24 @@ def shortlex_words(rank):
 
 def random_reduced_word(rng, rank, length):
     """A uniformly random reduced word of exactly the given length: one
-    ``rng.choice`` of the alphabet, then of each letter's successors."""
+    uniform draw from the alphabet, then from each letter's successors.
+
+    A draw below n is the loop ``rng.choice`` runs, ``getrandbits`` of n's
+    bit length until the value is below n, inlined: the words and the
+    generator's state afterwards are exactly those of ``rng.choice``.
+    """
     if length == 0:
         return Word.identity(rank)
-    alphabet, after = _alphabet(rank)
-    letters = [rng.choice(alphabet)]
-    for _ in range(length - 1):
-        letters.append(rng.choice(after[letters[-1]]))
+    choices, after = _alphabet(rank)
+    bits = rng.getrandbits
+    letters = []
+    for _ in range(length):
+        n = len(choices)
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        letter = choices[r]
+        letters.append(letter)
+        choices = after[letter]
     return Word._reduced(rank, tuple(letters))

@@ -606,6 +606,26 @@ def test_gamma_tower_order_stays_factored(capsys):
     assert doc["quotient_order"]["factored"].startswith("2^2 * 3^5 * 5^973 * 7^")
 
 
+GAMMA_332_CONFIG = {"caps": {"coset": 10000, "depth": 16, "enumeration": 1000000,
+                              "term": 1000000, "truncation": 64}, "seed": 0}
+
+
+@pytest.mark.parametrize("query, extra, code", [
+    ([], {}, 0),
+    (["--order", "ab"], {"error": "level 3 has no coset data: |F/gamma_2| = "
+                                  "531441 exceeded the materialization cap"}, 2),
+    (["--member", "a"], {"member": {"result": False, "word": "a"}}, 0),
+])
+def test_gamma_document_over_a_deep_level_is_frozen(capsys, query, extra, code):
+    # the depth-3 order 3^12 * 2^531442 is printed factored and never computed
+    got = run(capsys, ["gamma", "--primes", "3,3,2", "--rank", "2", "--depth",
+                       "3", *query])
+    doc = {"command": "gamma", "config": GAMMA_332_CONFIG, "depth": 3,
+           "primes": [3, 3, 2], "quotient_order": {"factored": "2^531442 * 3^12"},
+           "rank": 2, **extra}
+    assert got == (code, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def test_gamma_membership_past_cap_is_honest(capsys):
     code, doc = run_doc(
         capsys,

@@ -1,11 +1,12 @@
 import json
 import random
+from math import gcd, prod
 
 import pytest
 import sympy
 
 from largequot import periodic
-from largequot.errors import CapExceeded
+from largequot.errors import CapExceeded, NotMaterializedError
 from largequot.periodic import (
     ASSUMPTION_MARGIN,
     ASSUMPTION_SURJECTION,
@@ -21,7 +22,7 @@ from largequot.periodic import (
     trace_to_jsonl,
 )
 from largequot.verbal import PrimeSeq, build_series
-from largequot.words import parse_word
+from largequot.words import Word, parse_word, power, random_reduced_word
 
 
 def test_format_order_shapes():
@@ -242,3 +243,151 @@ def test_graded_order_needs_distinct_primes():
     level = build_series([2, 2], 2, 2)[1]
     with pytest.raises(ValueError):
         check_pigraded_properties(level, sample_count=5)
+
+
+# -- the one-walk sampler against the per-level loop it replaced ------------
+
+
+def _oracle_graded_report(level, words=None, sample_count=1000, max_length=8,
+                          seed=0):
+    """check_pigraded_properties' former body: order_mod per word, then
+    member down the chain of levels for its depth."""
+    if len(set(level.primes_prefix)) != len(level.primes_prefix):
+        raise ValueError("graded order properties need pairwise distinct primes")
+    if words is None:
+        rng = random.Random(seed)
+        # test_words pins this stream to the rng.choice sampler it replaced
+        words = [
+            random_reduced_word(rng, level.rank, rng.randint(1, max_length))
+            for _ in range(sample_count)
+        ]
+    else:
+        words = list(words)
+    full_product = prod(level.primes_prefix)
+    violations = []
+    order_counts = {}
+    for w in words:
+        n = level.order_mod(w)
+        order_counts[n] = order_counts.get(n, 0) + 1
+        if full_product % n:
+            if any(e > 1 for e in sympy.factorint(n).values()):
+                violations.append(f"order {n} of {w} is not square-free")
+            violations.append(f"order {n} of {w} does not divide {full_product}")
+        depth_reached = _oracle_depth(level, w)
+        blocked = prod(level.primes_prefix[:depth_reached])
+        if gcd(n, blocked) != 1:
+            violations.append(
+                f"{w} lies in gamma_{depth_reached} but its order {n} shares "
+                f"a factor with p_1..p_{depth_reached}"
+            )
+    return {
+        "rank": level.rank,
+        "depth": level.depth,
+        "primes": list(level.primes_prefix),
+        "checked": len(words),
+        "order_histogram": {str(n): c for n, c in sorted(order_counts.items())},
+        "violations": violations,
+        "solvable": True,
+        "derived_length_bound": level.depth,
+    }
+
+
+def _oracle_depth(level, w):
+    depth_reached = 0
+    for lvl in level._chain():
+        if not lvl.member(w):
+            break
+        depth_reached = lvl.depth
+    return depth_reached
+
+
+SAMPLER_SPECS = [
+    ((2, 3), 2, 2), ((3, 2), 2, 2),
+    ((2, 3, 5), 2, 1), ((2, 3, 5), 2, 2), ((2, 3, 5), 2, 3),
+    ((2, 3), 1, 2), ((2, 3, 5), 1, 3), ((2, 3), 3, 2), ((2, 3, 5, 7), 1, 3),
+]
+
+
+@pytest.mark.parametrize("primes, rank, depth", SAMPLER_SPECS)
+def test_sampler_matches_the_per_level_loop(primes, rank, depth):
+    level = build_series(primes, rank, depth)[-1]
+    for seed in range(8):
+        got = check_pigraded_properties(level, sample_count=150, seed=seed)
+        assert got == _oracle_graded_report(level, sample_count=150, seed=seed)
+
+
+@pytest.mark.parametrize("primes, rank, depth", SAMPLER_SPECS + [
+    ((5, 2, 3), 2, 2), ((3, 2, 5), 2, 3)])
+def test_depth_from_the_cover_keys_matches_membership(primes, rank, depth):
+    level = build_series(primes, rank, depth)[-1]
+    rng = random.Random(f"{primes}-{rank}-{depth}")
+    p = prod(primes)
+    words = [random_reduced_word(rng, rank, rng.randint(0, 8))
+             for _ in range(300)]
+    # powers reach every depth, the identity the deepest
+    words += [power(w, e) for w in words[:60]
+              for e in (p // primes[-1], p, prod(primes[:depth - 1]))]
+    for w in words:
+        assert level._order_and_depth(w) == (
+            level.order_mod(w), _oracle_depth(level, w)), w
+
+
+def test_explicit_words_with_repeats_and_a_huge_power():
+    from test_walk import _Unreadable
+
+    one, a, b = Word.identity(2), parse_word("a", 2), parse_word("babaB", 2)
+    for primes, depth in (((2, 3), 2), ((2, 3, 5), 3), ((3, 2), 2)):
+        level = build_series(primes, 2, depth)[-1]
+        huge, again = power(b, 10**30), power(b, 10**30)
+        for w in (huge, again):
+            w._letters = _Unreadable(())  # read, they fail the test
+        # b^(10^30) is answered as b^(10^30 mod its order) would be
+        small = Word(2, power(b, 10**30 % level.order_mod(b)).letters)
+        words = [one, a, a, a**6, b, huge, a, one, again, huge, power(b, 6)]
+        plain = [one, a, a, a**6, b, small, a, one, small, small, b**6]
+        report = check_pigraded_properties(level, words=words)
+        assert report == _oracle_graded_report(level, words=plain)
+        assert report["checked"] == len(words)
+
+
+def test_every_failing_word_keeps_its_own_violations(monkeypatch):
+    # no level fails the checks, so a forged answer stands in for one: a
+    # failing (order, depth) pair is checked again for every word it answers
+    level = build_series([2, 3], 2, 2)[-1]
+    monkeypatch.setattr(level, "_order_and_depth", lambda w: (4, 1))
+    a, b = parse_word("a", 2), parse_word("b", 2)
+    report = check_pigraded_properties(level, words=[a, b, a])
+    assert report["order_histogram"] == {"4": 3}
+    assert report["violations"] == [
+        text.format(w=w) for w in ("a", "b", "a") for text in (
+            "order 4 of {w} is not square-free",
+            "order 4 of {w} does not divide 6",
+            "{w} lies in gamma_1 but its order 4 shares a factor with p_1..p_1",
+        )]
+
+
+def _refusal_text(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except (NotMaterializedError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    raise AssertionError("no refusal")
+
+
+def test_sampler_refuses_as_the_per_level_loop():
+    unbuilt = build_series([5, 2, 3], 2, 3)[-1]
+    assert not unbuilt.materialized
+    assert _refusal_text(check_pigraded_properties, unbuilt) == _refusal_text(
+        _oracle_graded_report, unbuilt) == (
+        "NotMaterializedError", "level 3 has no coset data: |F/gamma_2| = "
+        "1677721600 exceeded the materialization cap")
+    # an empty word list asks nothing of the tables
+    assert check_pigraded_properties(unbuilt, words=[]) == \
+        _oracle_graded_report(unbuilt, words=[])
+    repeated = build_series([2, 3, 2], 2, 3)[-1]
+    assert _refusal_text(check_pigraded_properties, repeated) == _refusal_text(
+        _oracle_graded_report, repeated)
+    level = build_series([2, 3], 2, 2)[-1]
+    for words in ([parse_word("ab", 3)], [parse_word("a", 2), "a"]):
+        assert _refusal_text(check_pigraded_properties, level, words=words) \
+            == _refusal_text(_oracle_graded_report, level, words=words)

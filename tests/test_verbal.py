@@ -195,6 +195,40 @@ def test_exponent_cap_cuts_off_tower_orders():
         quotient_order([2, 3, 5, 7], 2, 4)
 
 
+@pytest.mark.parametrize("primes", [(3, 3, 2), (5, 2, 3)])
+def test_a_level_order_is_computed_on_first_read(primes):
+    # |F/gamma_3| is 3^12 * 2^531442 over (3, 3, 2) and an exponent tower
+    # over (5, 2, 3); a request that never reads it never computes it
+    levels = build_series(primes, 2, 3)
+    deepest = levels[-1]
+    assert deepest._quotient_order is verbal._UNREAD
+    # pulling level 3 read level 2's order, which it needs for its own
+    assert levels[1]._quotient_order == quotient_order(primes, 2, 2)
+    assert deepest.parent_order == levels[1].quotient_order
+    try:
+        expected = quotient_order(primes, 2, 3)
+    except CapExceeded:
+        with pytest.raises(CapExceeded) as refused:
+            deepest.quotient_order
+        assert str(refused.value) == (
+            f"depth-3 quotient order: reached an exponent tower with cap "
+            f"{ORDER_EXPONENT_CAP}")
+        assert deepest._quotient_order is None
+        assert repr(deepest).endswith("order=beyond representation)")
+    else:
+        assert deepest.quotient_order == expected
+        assert deepest._quotient_order == expected
+        assert repr(deepest).endswith(f"order={_order_repr(expected)})")
+    assert deepest.schreier_rank == 1 + levels[1].quotient_order
+
+
+def test_repr_never_computes_a_tower():
+    deepest = build_series([2, 3, 5, 7], 2, 4)[-1]
+    assert repr(deepest) == ("VerbalLevel(depth=4, primes=[2, 3, 5, 7], rank=2, "
+                             "order=beyond representation)")
+    assert deepest._quotient_order is None
+
+
 def test_factored_order_survives_one_more_level():
     factors = quotient_order_factors([2, 3, 5, 7], 2, 4)
     assert factors[2] == 2

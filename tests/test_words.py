@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from largequot.series import unit_image_quotient
 from largequot.words import (
     Word,
+    _alphabet,
     _reduce_letters,
     parse_word,
     power,
@@ -383,6 +384,29 @@ def test_sampler_matches_the_filtering_oracle(seed, rank, lengths):
         assert_reduced(w)
     # the same draws, so the generator is left in the same state
     assert fast.getstate() == slow.getstate()
+
+
+def _choice_random_reduced_word(rng, rank, length):
+    # the former body, which drew through rng.choice
+    if length == 0:
+        return Word.identity(rank)
+    alphabet, after = _alphabet(rank)
+    letters = [rng.choice(alphabet)]
+    for _ in range(length - 1):
+        letters.append(rng.choice(after[letters[-1]]))
+    return Word._reduced(rank, tuple(letters))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_inlined_draws_pin_the_choice_stream(rank):
+    # the benchmark's pools and the frozen sampler histograms are built on
+    # this stream: every word and the generator's state must stay the same
+    for seed in range(60):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for n in list(range(11)) * 3:
+            assert random_reduced_word(fast, rank, n).letters == \
+                _choice_random_reduced_word(slow, rank, n).letters
+        assert fast.getstate() == slow.getstate()
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
