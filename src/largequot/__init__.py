@@ -33,10 +33,8 @@ from .quotients import (
     FiniteQuotient,
     ModVector,
     SubgroupPresentation,
-    abelian_invariants,
     build_quotient,
     lemma0_conjugates,
-    mod_abelianization,
     reidemeister_schreier,
 )
 from .series import (
@@ -80,7 +78,6 @@ __all__ = [
     "TruncSeries",
     "VerbalLevel",
     "Word",
-    "abelian_invariants",
     "bp_certify",
     "build_quotient",
     "build_series",
@@ -94,7 +91,6 @@ __all__ = [
     "lemma_fi_bound",
     "levi_bound",
     "load_config",
-    "mod_abelianization",
     "next_step",
     "parse_order",
     "parse_word",

@@ -62,15 +62,34 @@ def _check_rank(rank):
     return rank
 
 
+def _load_json(path, what):
+    """The JSON document in a file; an unreadable file or invalid JSON is a
+    usage error naming ``what`` the file should hold."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _cmd_certify_large(args, cfg):
     words = _parse_words(args.words, _check_rank(args.rank))
     witness = None
     if args.witness:
-        with open(args.witness, encoding="utf-8") as handle:
+        spec = _load_json(args.witness, "witness")
+        if not (isinstance(spec, dict)
+                and {"kind", "params", "gen_images"} <= spec.keys()):
+            raise ValueError("witness must be a JSON object with kind, params "
+                             "and gen_images")
+        try:
             # counted by the route its spec picks, so a standard unit
             # witness is never enumerated; one past the cap is an error
             # here, not a verdict
-            witness = _spec_counts(json.load(handle), cfg.enumeration_cap)
+            witness = _spec_counts(spec, cfg.enumeration_cap)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed witness: {exc!r}") from exc
     try:
         certificate = certify_power_quotient(
             words, args.exponent, witness=witness,
@@ -169,13 +188,7 @@ def _cmd_construct_periodic(args, cfg):
 
 
 def _cmd_verify(args, cfg):
-    try:
-        with open(args.certificate, encoding="utf-8") as handle:
-            certificate = json.load(handle)
-    except OSError as exc:
-        raise ValueError(f"cannot read certificate: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"certificate is not valid JSON: {exc}") from exc
+    certificate = _load_json(args.certificate, "certificate")
     try:
         report = verify_certificate(certificate, enum_cap=cfg.enumeration_cap)
     except (KeyError, TypeError, ValueError, CapExceeded,

@@ -27,7 +27,7 @@ non-tree edges, the relators its cosets of <g_i>N.  Certify and verify pick
 the route from the witness spec alone, so a certificate is recounted by the
 route that made it.  The presentation itself (conjugate sets and
 Reidemeister-Schreier rewriting in :mod:`largequot.quotients`) is never
-built here; it stays library API and the tests' oracle.
+built here; it stays library API, against which the tests check the counts.
 
 The avoiding quotients come from the truncated series units: any word with a
 nonzero integer coefficient below the truncation keeps it mod p for p past

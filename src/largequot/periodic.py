@@ -308,11 +308,7 @@ def check_pigraded_properties(level, words=None, sample_count=1000,
         ]
     else:
         words = list(words)
-    if words:
-        missing = level._first_unmaterialized()
-        if missing is not None:
-            missing._require_materialized()
-    quotient = level.parent_quotient
+    quotient = level._table() if words else level.parent_quotient
     full_product = prod(level.primes_prefix)
     violations = []
     order_counts = {}

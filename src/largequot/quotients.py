@@ -6,16 +6,17 @@ identity is 0, BFS processes vertices in discovery order and edges in the
 order a_1, a_1^-1, a_2, a_2^-1, .., a_r, a_r^-1, so the Schreier tree and
 the prefix-closed transversal are unique: each transversal word is the
 shortlex-least word reaching its coset over the alphabet order
-a_1 < a_1^-1 < a_2 < a_2^-1 < ...  Concrete elements only need
-multiplication, ``inverse()``, equality and hashing; the kinds shipped here
-are residue vectors (:class:`ModVector`), truncated-series units
-(:class:`largequot.series.TruncSeries`) and layered verbal cosets
+a_1 < a_1^-1 < a_2 < a_2^-1 < ...  The kinds shipped here are residue
+vectors (:class:`ModVector`), truncated-series units
+(:class:`largequot.series.TruncSeries`) and verbal cosets
 (:class:`largequot.verbal.LayeredCoset`), each registered with a canonical
 serialization so quotients can travel inside certificate documents.  A kind
-may also register a packed action, which lets the BFS run on int keys with
-one expansion per vertex instead of multiplying elements: magnus units over
-a modulus (see :mod:`largequot.series`) and verbal cosets, whose keys are
-the vertices of a mod-q homology cover (see :mod:`largequot.verbal`).
+may register a packed action, which lets the BFS run on int keys with one
+expansion per vertex: magnus units over a modulus (see
+:mod:`largequot.series`) and verbal cosets, whose keys are the vertices of
+a mod-q homology cover (see :mod:`largequot.verbal`).  Other elements need
+multiplication, ``inverse()``, equality and hashing; verbal cosets have
+none but ``inverse()``, and the cover is their only build.
 :func:`build_quotient` holds the one BFS loop every quotient goes through.
 
 Every coset question is answered by one walk, :meth:`FiniteQuotient.walk`.
@@ -31,11 +32,10 @@ Finitely Presented Groups*, 1994, ch. 2), numbered in one pass over the tree.
 
 On top of the coset graph this module counts the cosets of <g>N that the
 largeness certificates need (:func:`coset_representatives`), and keeps the
-two presentation-level tools those counts stand for, as library API and
-test oracle: conjugate sets that convert a normal closure over F into a
-normal closure over a finite-index subgroup, and Reidemeister-Schreier
-rewriting onto the Schreier generators.  The abelian invariants of a
-rewritten presentation are read off sympy's Smith normal form.
+two presentation-level tools those counts stand for, as library API:
+conjugate sets that convert a normal closure over F into a normal closure
+over a finite-index subgroup, and Reidemeister-Schreier rewriting onto the
+Schreier generators.
 """
 
 from __future__ import annotations
@@ -440,15 +440,6 @@ class QuotientTable:
 BUILT_QUOTIENTS = QuotientTable(TABLE_COSETS)
 
 
-def mod_abelianization(rank, modulus, cap=DEFAULT_ENUM_CAP):
-    """The mod-q abelianized quotient F_r -> (Z/q)^r."""
-    images = [
-        ModVector(modulus, [1 if i == g else 0 for i in range(rank)])
-        for g in range(rank)
-    ]
-    return build_quotient(rank, images, cap=cap)
-
-
 # -- conjugate sets (normal closure over F as closure over the kernel) -------
 
 
@@ -521,18 +512,6 @@ class SubgroupPresentation:
     relators: tuple
     source_quotient: FiniteQuotient = field(repr=False, default=None)
 
-    @property
-    def relator_count(self):
-        return len(self.relators)
-
-    @property
-    def deficiency(self):
-        return self.generator_count - len(self.relators)
-
-    def exponent_matrix(self):
-        """Relator-by-generator abelianized exponent matrix."""
-        return [list(rel.exponent_sums()) for rel in self.relators]
-
 
 def reidemeister_schreier(quotient, relators):
     """Rewrite relators of F lying in N onto the Schreier generators of N.
@@ -561,20 +540,3 @@ def reidemeister_schreier(quotient, relators):
         relators=tuple(rewritten),
         source_quotient=quotient,
     )
-
-
-def abelian_invariants(presentation):
-    """Elementary divisors of the abelianized presentation, 0 = free factor.
-
-    The nonzero invariant factors come first in their divisibility order,
-    followed by one 0 per infinite cyclic factor.  They are read off sympy's
-    Smith normal form, imported here to keep sympy's matrix code off the
-    import path.
-    """
-    from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_form
-
-    s = smith_normal_form(Matrix(presentation.exponent_matrix()))
-    nonzero = [abs(int(s[i, i])) for i in range(min(s.shape)) if s[i, i]]
-    return ([d for d in nonzero if d > 1]
-            + [0] * (presentation.generator_count - len(nonzero)))

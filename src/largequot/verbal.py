@@ -31,10 +31,9 @@ each cover BFS runs once per process while that table keeps it.
 The layered normal form of a coset w*gamma_d is one vector per level,
 computed by repeatedly subtracting the canonical representative (the product
 of Schreier basis words raised to the vector's entries).  It is a complete
-coset invariant, which :class:`LayeredCoset` uses to give the groups
-concrete elements.  They carry the serialized generator images of F/gamma_d,
-and multiplied as they are, without the packed action, they are the test
-oracle of the cover.
+coset invariant, read by no build: a :class:`LayeredCoset` only carries a
+serialized generator image of F/gamma_d, and the cover is the one way
+F/gamma_d is built from such images.
 """
 
 from __future__ import annotations
@@ -202,6 +201,13 @@ class VerbalLevel:
             first, lvl = lvl, lvl.parent_level
         return first
 
+    def _table(self):
+        """The coset table of F/gamma_{d-1}; raises the
+        :class:`NotMaterializedError` of the lowest level without one."""
+        if not self.materialized:
+            self._first_unmaterialized()._require_materialized()
+        return self.parent_quotient
+
     def _chain(self):
         levels = []
         lvl = self
@@ -281,10 +287,7 @@ class VerbalLevel:
         """(c, n): the coset c of w in F/gamma_{d-1} and n = ``order_mod(w)``,
         from one walk.  For c == 0 the walk is one pass, so n == 1 exactly
         when w lies in gamma_d."""
-        first = self._first_unmaterialized()
-        if first is not None:
-            first._require_materialized()
-        quotient, counts = self.parent_quotient, {}
+        quotient, counts = self._table(), {}
         c = quotient.coset_of(w, counts)
         k = quotient.image_order(w, counts, first=c)
         if any(x % self.prime for x in counts.values()):
@@ -312,26 +315,18 @@ class VerbalLevel:
 
 
 class LayeredCoset:
-    """A coset of gamma_d carried by a representative word.
+    """A coset of gamma_d carried by a representative word: a generator
+    image of F/gamma_d, which the ``verbal`` kind's packed action walks.
 
-    Multiplication concatenates representatives; equality and hashing use
-    the layered normal form ``nf``, a complete coset invariant computed on
-    first use.  The ``verbal`` kind's packed action reads only the words,
-    so a quotient built from these images never computes it.
+    It is neither multiplied nor compared; two of them are equal only when
+    they are the same object.
     """
 
-    __slots__ = ("level", "word", "_nf")
+    __slots__ = ("level", "word")
 
     def __init__(self, level, word):
         self.level = level
         self.word = word
-        self._nf = None
-
-    @property
-    def nf(self):
-        if self._nf is None:
-            self._nf = self.level.normal_form(self.word)
-        return self._nf
 
     def _same_series(self, other):
         return (
@@ -340,25 +335,8 @@ class LayeredCoset:
             and self.level.rank == other.level.rank
         )
 
-    def __mul__(self, other):
-        if not isinstance(other, LayeredCoset):
-            return NotImplemented
-        if not self._same_series(other):
-            raise ValueError("cosets of different verbal quotients")
-        return LayeredCoset(self.level, self.word * other.word)
-
     def inverse(self):
         return LayeredCoset(self.level, self.word.inverse())
-
-    def __eq__(self, other):
-        if not isinstance(other, LayeredCoset):
-            return NotImplemented
-        return self._same_series(other) and self.nf == other.nf
-
-    def __hash__(self):
-        return hash(
-            (self.level.depth, self.level.primes_prefix, self.level.rank, self.nf)
-        )
 
     def __repr__(self):
         return f"LayeredCoset(depth={self.level.depth}, word={self.word})"
@@ -593,24 +571,21 @@ def _packed_cover_action(images, inverses):
     image word u acts on (v, x) by walking from v: the walk's end replaces
     v and its crossings, summed mod q_d, add into the digits of x.  Both
     are tabulated once per base coset and image, so any image words work,
-    not only the generators.  Returns None unless every image is a
-    :class:`LayeredCoset` of one series.  Raises ``ValueError`` unless
-    there is one image per generator of the series' free group, and the
-    :class:`NotMaterializedError` of :meth:`VerbalLevel.normal_form` when
-    the series has no table for F/gamma_{d-1}.
+    not only the generators.  Raises ``ValueError`` unless every image is a
+    :class:`LayeredCoset` of one series, one per generator of the series'
+    free group, and the :class:`NotMaterializedError` of
+    :meth:`VerbalLevel._table` when the series has no table for
+    F/gamma_{d-1}.
     """
     first = images[0]
     if any(type(u) is not LayeredCoset or not first._same_series(u)
-           for u in images + inverses):
-        return None
+           for u in images):
+        raise ValueError("cosets of different verbal quotients")
     level = first.level
     if len(images) != level.rank:
         raise ValueError(f"a verbal quotient over rank {level.rank} needs "
                          f"{level.rank} generator images, got {len(images)}")
-    missing = level._first_unmaterialized()
-    if missing is not None:
-        missing._require_materialized()
-    base, q = level.parent_quotient, level.prime
+    base, q = level._table(), level.prime
     n = base.order
     # digit units n q^pos, formed only for the non-tree edges a walk crosses:
     # a base has 1 + (R - 1) n of them at rank R, their units ~(R n)^2 bits

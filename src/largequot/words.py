@@ -160,9 +160,6 @@ class Word:
     def inverse(self):
         return Word._reduced(self.rank, _inverse_letters(self.letters))
 
-    def __invert__(self):
-        return self.inverse()
-
     def __pow__(self, n):
         return power(self, n)
 

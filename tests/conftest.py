@@ -13,11 +13,13 @@ from largequot.quotients import BUILT_QUOTIENTS
 
 
 def _package_env():
-    """The environment with this package's source tree on PYTHONPATH."""
+    """The environment with this package's source tree on PYTHONPATH, and
+    beside it this directory, so a subprocess imports the oracles module."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(largequot.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+        p for p in (src, tests, env.get("PYTHONPATH")) if p)
     return env
 
 

@@ -1,0 +1,81 @@
+"""Test oracles the package does not ship: the mod-q abelianization, the
+abelian invariants of a rewritten presentation, and verbal cosets multiplied
+as words and compared by their layered normal form.
+
+Each is a slower or independent route to what the package computes another
+way, so the tests check the shipped path against it.  Subprocess tests
+import this module too: the test environment puts ``tests/`` on
+``PYTHONPATH`` beside the source tree.
+"""
+
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form
+
+from largequot.quotients import DEFAULT_ENUM_CAP, ModVector, build_quotient
+
+
+def mod_abelianization(rank, modulus, cap=DEFAULT_ENUM_CAP):
+    """The mod-q abelianized quotient F_r -> (Z/q)^r."""
+    images = [
+        ModVector(modulus, [1 if i == g else 0 for i in range(rank)])
+        for g in range(rank)
+    ]
+    return build_quotient(rank, images, cap=cap)
+
+
+def exponent_matrix(presentation):
+    """Relator-by-generator abelianized exponent matrix of a
+    :class:`largequot.quotients.SubgroupPresentation`."""
+    return [list(rel.exponent_sums()) for rel in presentation.relators]
+
+
+def abelian_invariants(presentation):
+    """Elementary divisors of the abelianized presentation, 0 = free factor.
+
+    The nonzero invariant factors come first in their divisibility order,
+    followed by one 0 per infinite cyclic factor.  They are read off sympy's
+    Smith normal form.
+    """
+    s = smith_normal_form(Matrix(exponent_matrix(presentation)))
+    nonzero = [abs(int(s[i, i])) for i in range(min(s.shape)) if s[i, i]]
+    return ([d for d in nonzero if d > 1]
+            + [0] * (presentation.generator_count - len(nonzero)))
+
+
+class VerbalCoset:
+    """A coset of gamma_d carried by a representative word, with no
+    registered kind: the BFS multiplies the words and hashes the layered
+    normal form, a complete coset invariant, instead of walking the cover.
+    """
+
+    __slots__ = ("level", "word", "_nf")
+
+    def __init__(self, level, word):
+        self.level = level
+        self.word = word
+        self._nf = None
+
+    @property
+    def nf(self):
+        if self._nf is None:
+            self._nf = self.level.normal_form(self.word)
+        return self._nf
+
+    def _series(self):
+        level = self.level
+        return level.depth, level.primes_prefix, level.rank
+
+    def __mul__(self, other):
+        if self._series() != other._series():
+            raise ValueError("cosets of different verbal quotients")
+        return VerbalCoset(self.level, self.word * other.word)
+
+    def inverse(self):
+        return VerbalCoset(self.level, self.word.inverse())
+
+    def __eq__(self, other):
+        return (isinstance(other, VerbalCoset)
+                and self._series() == other._series() and self.nf == other.nf)
+
+    def __hash__(self):
+        return hash(self._series() + (self.nf,))

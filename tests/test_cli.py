@@ -154,6 +154,27 @@ def test_certify_large_rejects_a_verbal_witness_of_depth_zero(
     assert "verbal depth must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, error", [
+    (None, "cannot read witness: [Errno 2] No such file or directory"),
+    ("{not json", "witness is not valid JSON: Expecting property name"),
+    ("{}", "witness must be a JSON object with kind, params and gen_images"),
+    ("[1]", "witness must be a JSON object with kind, params and gen_images"),
+    ('{"kind": "modvec", "params": {}, "gen_images": [[1]]}',
+     "malformed witness: KeyError('modulus')"),
+], ids=["missing", "not-json", "empty-object", "list", "no-modulus"])
+def test_certify_large_bad_witness_file_is_a_usage_error(
+        capsys, tmp_path, content, error):
+    path = tmp_path / "witness.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as err:
+        main(["certify-large", "-g", "a", "-q", "3", "--witness", str(path)])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"largequot: error: {error}" in captured.err
+
+
 def test_verify_reports_a_verbal_witness_without_tables(capsys, verbal_certificate):
     _, cert = verbal_certificate
     _set_witness_params(cert, primes=[2, 3, 5, 7], depth=4)

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from largequot.errors import CapExceeded, NotMaterializedError
-from largequot.quotients import FiniteQuotient, build_quotient, mod_abelianization
+from largequot.quotients import FiniteQuotient, ModVector, build_quotient
 from largequot.verbal import LayeredCoset, build_series
 from largequot.words import Word, parse_word, power
+from oracles import VerbalCoset, mod_abelianization
 
 SERIES = [
     ((2, 3, 5), 2),
@@ -27,29 +28,6 @@ CAPS = (10**4, 100, 2)
 @functools.lru_cache(maxsize=None)
 def _levels(primes, rank, cap):
     return build_series(primes, rank, len(primes), coset_cap=cap)
-
-
-class Opaque:
-    """A layered coset the registry does not know: the BFS multiplies it
-    and hashes its normal form, without the packed action."""
-
-    __slots__ = ("coset", "word")
-
-    def __init__(self, coset):
-        self.coset = coset
-        self.word = coset.word
-
-    def __mul__(self, other):
-        return Opaque(self.coset * other.coset)
-
-    def inverse(self):
-        return Opaque(self.coset.inverse())
-
-    def __eq__(self, other):
-        return isinstance(other, Opaque) and self.coset == other.coset
-
-    def __hash__(self):
-        return hash(self.coset)
 
 
 def _images(level, texts):
@@ -69,7 +47,7 @@ def _outcomes(level, texts, cap):
         except CapExceeded as exc:
             return str(exc)
     images = _images(level, texts)
-    ref = build([Opaque(img) for img in images], kind="verbal",
+    ref = build([VerbalCoset(level, img.word) for img in images], kind="verbal",
                 params={"primes": list(level.primes_prefix),
                         "rank": level.rank, "depth": level.depth})
     return build(images), ref
@@ -146,21 +124,37 @@ def test_packed_action_takes_any_image_words(texts, order):
     assert packed == f"quotient enumeration: reached {order} with cap {order - 1}"
 
 
-def test_from_spec_rebuilds_the_cover_without_multiplying(monkeypatch,
-                                                         empty_quotient_table):
+def test_from_spec_rebuilds_the_cover_without_multiplying(empty_quotient_table):
     level = build_series((2, 3, 5), 2, 3)[2]
     doc = level.parent_quotient.serialize()
     # so the levels the images parse against are built again
     empty_quotient_table.clear()
-
-    def refuse(self, other):
-        raise AssertionError("layered cosets multiplied")
-
-    monkeypatch.setattr(LayeredCoset, "__mul__", refuse)
+    # layered cosets cannot be multiplied: the cover's int keys are the
+    # only elements a quotient over them holds
+    assert not hasattr(LayeredCoset, "__mul__")
     again = FiniteQuotient.from_spec(doc)
+    assert all(type(key) is int for key in again.elements)
     assert (again.elements, again.mult, again.inv_mult, again.tree_parent) == (
         level.parent_quotient.elements, level.parent_quotient.mult,
         level.parent_quotient.inv_mult, level.parent_quotient.tree_parent)
+
+
+@pytest.mark.parametrize("other", [
+    lambda: LayeredCoset(build_series((2, 5), 2, 2)[1], parse_word("b", 2)),
+    lambda: LayeredCoset(build_series((2, 3), 2, 1)[0], parse_word("b", 2)),
+    lambda: LayeredCoset(build_series((2, 3), 3, 2)[1], parse_word("b", 3)),
+    lambda: ModVector(2, (0, 1)),
+])
+def test_cover_refuses_images_of_two_quotients(other):
+    # the second image is from another series (primes, depth or rank), or
+    # is not a layered coset at all; a level without tables (depth 4 over
+    # (2,3,5,7)) is refused by the same text, before its tables are asked
+    for level in (build_series((2, 3), 2, 2)[1],
+                  build_series((2, 3, 5, 7), 2, 4)[3]):
+        images = [LayeredCoset(level, parse_word("a", 2)), other()]
+        with pytest.raises(ValueError) as err:
+            build_quotient(2, images)
+        assert str(err.value) == "cosets of different verbal quotients"
 
 
 def test_from_spec_of_a_level_without_tables_raises_as_normal_form():

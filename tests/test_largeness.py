@@ -18,7 +18,7 @@ from largequot.largeness import (
     lemma_fi_bound,
     verify_certificate,
 )
-from largequot.quotients import FiniteQuotient, mod_abelianization
+from largequot.quotients import FiniteQuotient
 from largequot.series import (
     TruncSeries,
     embed,
@@ -30,6 +30,7 @@ from largequot.series import (
 )
 from largequot.verbal import build_series
 from largequot.words import Word, parse_word, random_reduced_word, shortlex_words
+from oracles import mod_abelianization
 
 
 # -- the search over powers, kept as the oracle of the valuations ------------
@@ -563,8 +564,8 @@ def test_witness_survives_serialization():
 
 P_GROUP_UNDER_O = """
 from largequot import largeness
-from largequot.quotients import mod_abelianization
 from largequot.words import parse_word
+from oracles import mod_abelianization
 
 # an order-3 quotient posing as the unit image mod 2
 largeness.unit_image_quotient = (

@@ -13,7 +13,6 @@ from largequot.quotients import (
     FiniteQuotient,
     ModVector,
     build_quotient,
-    mod_abelianization,
 )
 from largequot.verbal import (
     ORDER_EXPONENT_CAP,
@@ -28,6 +27,7 @@ from largequot.verbal import (
     quotient_order_factors,
 )
 from largequot.words import Word, parse_word, power, random_reduced_word
+from oracles import VerbalCoset, mod_abelianization
 
 
 def test_primeseq_validation():
@@ -157,10 +157,10 @@ def test_layered_cosets_generate_the_right_group():
     q = build_quotient(2, images)
     ref = mod_abelianization(2, 2)
     assert q.order == ref.order == 4
-    x = LayeredCoset(level1, parse_word("ab", 2))
-    y = LayeredCoset(level1, parse_word("ba", 2))
+    x = VerbalCoset(level1, parse_word("ab", 2))
+    y = VerbalCoset(level1, parse_word("ba", 2))
     assert x == y  # same coset despite different representatives
-    assert x * x.inverse() == LayeredCoset(level1, Word.identity(2))
+    assert x * x.inverse() == VerbalCoset(level1, Word.identity(2))
 
 
 def test_verbal_quotient_serialization_roundtrip():

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from largequot.quotients import mod_abelianization, reidemeister_schreier
+from largequot.quotients import reidemeister_schreier
 from largequot.series import embed, unit_image_quotient
 from largequot.verbal import build_series
 from largequot.words import Word, parse_word, power
+from oracles import mod_abelianization
 
 # every start coset is walked for these; orders 8 to 512
 SMALL = {

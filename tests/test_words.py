@@ -177,7 +177,6 @@ def test_inverse_reverses_and_flips():
     w = parse_word("abA", 2)
     assert str(w.inverse()) == "aBA"
     assert (w * w.inverse()).is_identity
-    assert ~w == w.inverse()
 
 
 def test_inverse_of_product_is_reversed_product():
