@@ -311,16 +311,16 @@ def _unit_counts(images, cap, serialize):
 
 def _spec_counts(spec, cap):
     """Count a serialized witness by the route its spec picks.  Magnus
-    payloads are parsed by the kind's own deserializer, so a malformed spec
+    payloads are parsed by :meth:`TruncSeries.from_payload`, so a malformed spec
     raises what :meth:`FiniteQuotient.from_spec` raises, and the counts
     serialize to what the rebuilt quotient would."""
-    kind = element_kind(spec["kind"])
-    if kind.name == "magnus_unit":
+    if element_kind(spec["kind"]) is TruncSeries:
         params = spec["params"]
-        images = [kind.deserialize(params, payload) for payload in spec["gen_images"]]
+        images = [TruncSeries.from_payload(params, payload)
+                  for payload in spec["gen_images"]]
         counts = _unit_counts(images, cap, lambda: {
             "kind": spec["kind"], "params": dict(params),
-            "gen_images": [kind.serialize(g) for g in images]})
+            "gen_images": [g.payload() for g in images]})
         if counts is not None:
             return counts
     return _GraphCounts(FiniteQuotient.from_spec(spec, cap=cap))

@@ -6,17 +6,19 @@ identity is 0, BFS processes vertices in discovery order and edges in the
 order a_1, a_1^-1, a_2, a_2^-1, .., a_r, a_r^-1, so the Schreier tree and
 the prefix-closed transversal are unique: each transversal word is the
 shortlex-least word reaching its coset over the alphabet order
-a_1 < a_1^-1 < a_2 < a_2^-1 < ...  The kinds shipped here are residue
-vectors (:class:`ModVector`), truncated-series units
+a_1 < a_1^-1 < a_2 < a_2^-1 < ...  An element kind is its own class,
+listed in :data:`KINDS` under its ``kind`` name: residue vectors
+(:class:`ModVector`), truncated-series units
 (:class:`largequot.series.TruncSeries`) and verbal cosets
-(:class:`largequot.verbal.LayeredCoset`), each registered with a canonical
-serialization so quotients can travel inside certificate documents.  A kind
-may register a packed action, which lets the BFS run on int keys with one
-expansion per vertex: magnus units over a modulus (see
-:mod:`largequot.series`) and verbal cosets, whose keys are the vertices of
-a mod-q homology cover (see :mod:`largequot.verbal`).  Other elements need
-multiplication, ``inverse()``, equality and hashing; verbal cosets have
-none but ``inverse()``, and the cover is their only build.
+(:class:`largequot.verbal.LayeredCoset`).  Each reads and writes its own
+serialization (``params()``, ``payload()`` and ``from_payload``), so
+quotients can travel inside certificate documents.  A kind may define a
+packed action, which lets the BFS run on int keys with one expansion per
+vertex: magnus units over a modulus (see :mod:`largequot.series`) and
+verbal cosets, whose keys are the vertices of a mod-q homology cover (see
+:mod:`largequot.verbal`).  Other elements need multiplication,
+``inverse()``, equality and hashing; verbal cosets have none but
+``inverse()``, and the cover is their only build.
 :func:`build_quotient` holds the one BFS loop every quotient goes through.
 
 Every coset question is answered by one walk, :meth:`FiniteQuotient.walk`.
@@ -54,6 +56,7 @@ class ModVector:
     """A residue vector, the element type of mod-q abelianized quotients."""
 
     __slots__ = ("modulus", "values")
+    kind = "modvec"
 
     def __init__(self, modulus, values):
         if not isinstance(modulus, int) or modulus < 1:
@@ -84,57 +87,43 @@ class ModVector:
     def __repr__(self):
         return f"ModVector({self.modulus}, {self.values})"
 
+    def params(self):
+        return {"modulus": self.modulus, "dim": len(self.values)}
 
-# -- element kind registry ---------------------------------------------------
+    def payload(self):
+        return list(self.values)
 
-_KINDS = {}
-_KIND_OF_TYPE = {}
-
-
-@dataclass(frozen=True)
-class ElementKind:
-    """A registered element type and its canonical serialization.
-
-    ``packed_action``, when set, is called by :func:`build_quotient` as
-    ``packed_action(gen_images, inverses)`` and returns ``(identity, expand)``
-    or None.  ``identity`` is a hashable key standing for the identity and
-    ``expand`` maps the key of x to the list of the 2r keys of
-    x * image(edge), in the edge order a_1, a_1^-1, a_2, ...  Keys must be
-    equal exactly when the elements they stand for are, so the BFS
-    numbering does not depend on the path taken.  None means the images are not ones the
-    action handles, and the BFS multiplies the elements themselves.
-    """
-
-    name: str
-    element_type: type
-    serialize: callable
-    deserialize: callable
-    params_of: callable
-    packed_action: callable = None
+    @classmethod
+    def from_payload(cls, params, payload):
+        # type() and not isinstance(): a bool is an int to isinstance
+        modulus = params["modulus"]
+        if type(modulus) is not int:
+            raise ValueError(f"modulus must be a positive integer, got {modulus!r}")
+        dim = params["dim"]
+        if type(dim) is not int:
+            raise ValueError(
+                f"residue vector dimension must be an integer, got {dim!r}")
+        if (type(payload) is not list or len(payload) != dim
+                or any(type(v) is not int for v in payload)):
+            raise ValueError(f"a residue vector is given as a list of {dim} "
+                             f"integers, got {payload!r}")
+        return cls(modulus, payload)
 
 
-def register_element_kind(name, element_type, serialize, deserialize, params_of,
-                          packed_action=None):
-    kind = ElementKind(name, element_type, serialize, deserialize, params_of,
-                       packed_action)
-    _KINDS[name] = kind
-    _KIND_OF_TYPE[element_type] = kind
-    return kind
+# Each element kind's class by its ``kind``; the other modules add theirs.
+# :func:`build_quotient` calls a kind's ``packed_action(images, inverses)``,
+# where it has one, for ``(identity, expand)`` or None: ``identity`` is a
+# hashable key for the identity, and ``expand`` maps the key of x to the
+# 2r keys of x * image(edge) in the edge order a_1, a_1^-1, a_2, ...  Keys
+# are equal exactly when their elements are, so the BFS numbering does not
+# depend on the path taken.  None leaves the BFS to multiply the elements.
+KINDS = {ModVector.kind: ModVector}
 
 
 def element_kind(name):
-    if name not in _KINDS:
+    if name not in KINDS:
         raise ValueError(f"unregistered element kind {name!r}")
-    return _KINDS[name]
-
-
-register_element_kind(
-    "modvec",
-    ModVector,
-    serialize=lambda v: list(v.values),
-    deserialize=lambda params, payload: ModVector(params["modulus"], payload),
-    params_of=lambda v: {"modulus": v.modulus, "dim": len(v.values)},
-)
+    return KINDS[name]
 
 
 # -- the quotient itself -----------------------------------------------------
@@ -328,7 +317,7 @@ class FiniteQuotient:
             raise ValueError("quotient has no registered element kind to serialize")
         if self._payload is None:
             kind = element_kind(self.kind)
-            self._payload = tuple(kind.serialize(img) for img in self.gen_images)
+            self._payload = tuple(kind.payload(img) for img in self.gen_images)
         return {
             "kind": self.kind,
             "params": {key: copy.copy(value) for key, value in self.params.items()},
@@ -339,7 +328,7 @@ class FiniteQuotient:
     def from_spec(cls, doc, cap=DEFAULT_ENUM_CAP):
         kind = element_kind(doc["kind"])
         params = doc["params"]
-        images = [kind.deserialize(params, payload) for payload in doc["gen_images"]]
+        images = [kind.from_payload(params, payload) for payload in doc["gen_images"]]
         rank = len(images)
         return build_quotient(rank, images, cap=cap, kind=doc["kind"], params=params)
 
@@ -349,8 +338,9 @@ def build_quotient(rank, gen_images, cap=DEFAULT_ENUM_CAP, kind=None, params=Non
 
     ``gen_images`` must be r elements of one concrete group.  The element
     protocol is duck-typed: ``*``, ``inverse()``, ``==`` and ``hash``.  When
-    the images' registered kind has a packed action that takes them, the BFS
-    runs over its keys instead, and ``elements`` holds those keys.
+    the images' kind has a packed action that takes them, the BFS runs over
+    its keys instead, and ``elements`` holds those keys.  ``kind`` and
+    ``params`` default to those of the first image's class.
     Raises :class:`CapExceeded` when the closure passes ``cap`` elements.
     """
     gen_images = list(gen_images)
@@ -358,17 +348,20 @@ def build_quotient(rank, gen_images, cap=DEFAULT_ENUM_CAP, kind=None, params=Non
         raise ValueError(f"expected {rank} generator images, got {len(gen_images)}")
     if not gen_images:
         raise ValueError("rank must be at least 1")
-    registered = _KIND_OF_TYPE.get(type(gen_images[0]))
-    if kind is None and params is None and registered is not None:
-        kind = registered.name
-        params = registered.params_of(gen_images[0])
+    first = type(gen_images[0])
+    if kind is None and params is None and hasattr(first, "kind"):
+        kind, params = first.kind, gen_images[0].params()
     inverses = [img.inverse() for img in gen_images]
     packed = None
-    if registered is not None and registered.packed_action is not None:
-        packed = registered.packed_action(gen_images, inverses)
+    if hasattr(first, "packed_action"):
+        packed = first.packed_action(gen_images, inverses)
     if packed is not None:
         identity, expand = packed
     else:
+        other = next((img for img in gen_images if type(img) is not first), None)
+        if other is not None:
+            raise ValueError(f"generator images of different types: {first.__name__} "
+                             f"and {type(other).__name__}")
         identity = gen_images[0] * inverses[0]
         images = [img for pair in zip(gen_images, inverses) for img in pair]
 

@@ -21,13 +21,15 @@ order of the group the 1 + x_i generate (:func:`unit_image_exponent`), and
 :func:`unit_image_spec` the serialized witness, so certificates over such a
 witness need no enumeration.
 
-Enumerating such a unit group (the ``magnus_unit`` element kind) does not
-multiply series.  Over a modulus m, a series with N = sum_{d<l} r^d
-monomials packs into one int with a fixed-width field per monomial, and
-x_{i1}..x_{id} is stored at the degree-then-lex slot of x_{id}..x_{i1}.
-Stored reversed, right multiplication by a monomial u moves each degree
-block of the vector by a single shift, so right multiplication by a fixed
-image g is sum_u g_u (shifted blocks): one product per degree block, with
+Enumerating such a unit group (the ``magnus_unit`` element kind, which is
+:class:`TruncSeries` itself) does not multiply series: its
+:meth:`TruncSeries.packed_action` runs the BFS on ints.  Over a modulus m,
+a series with N = sum_{d<l} r^d monomials packs into one int with a
+fixed-width field per monomial, and x_{i1}..x_{id} is stored at the
+degree-then-lex slot of x_{id}..x_{i1}.  Stored reversed, right
+multiplication by a monomial u moves each degree block of the vector by a
+single shift, so right multiplication by a fixed image g is sum_u g_u
+(shifted blocks): one product per degree block, with
 fields wide enough that the unreduced sums never carry into each other, and
 one Barrett step, ``y -= (((y * mu) >> s) & low) * m``, reduces every field
 mod m at once.  Packing is canonical, so the BFS numbering is the one that
@@ -45,6 +47,7 @@ import re
 
 import sympy
 
+from . import quotients
 from .errors import CapExceeded
 from .words import Word
 
@@ -319,6 +322,109 @@ class TruncSeries:
             terms[mono] = terms.get(mono, 0) + sign * coeff
         return cls(rank, degree_bound, modulus, terms)
 
+    # -- the magnus_unit element kind --------------------------------------
+
+    kind = "magnus_unit"
+
+    def params(self):
+        return {"modulus": self.modulus, "rank": self.rank,
+                "degree_bound": self.degree_bound}
+
+    def payload(self):
+        return str(self)
+
+    @classmethod
+    def from_payload(cls, params, payload):
+        # type() and not isinstance(): a bool is an int to isinstance, and would
+        # be read as rank or degree bound 1; the texts are the constructor's own
+        rank, bound, modulus = params["rank"], params["degree_bound"], params["modulus"]
+        if type(rank) is not int:
+            raise ValueError(f"rank must be a positive integer, got {rank!r}")
+        if type(bound) is not int:
+            raise ValueError(f"degree bound must be a positive integer, got {bound!r}")
+        if modulus is not None and type(modulus) is not int:
+            raise ValueError(
+                f"modulus must be None or an integer >= 2, got {modulus!r}")
+        return cls.parse(payload, rank, bound, modulus)
+
+    @staticmethod
+    def packed_action(images, inverses):
+        """Right multiplication by the images as maps on packed coefficient ints.
+
+        The packed action of the ``magnus_unit`` kind (see
+        :data:`largequot.quotients.KINDS`).  Returns the packed identity and
+        the expansion of a key into its successors along the edges a_1,
+        a_1^-1, a_2, .., or None when the images are over Z, are not units of
+        one shape, or have more than ``DEFAULT_TERM_CAP`` monomials.  Raises
+        ``ValueError`` unless there is one image per variable.
+        """
+        first = images[0]
+        rank, bound, modulus = first.rank, first.degree_bound, first.modulus
+        if len(images) != rank:
+            raise ValueError(f"a magnus_unit quotient over rank {rank} needs "
+                             f"{rank} generator images, got {len(images)}")
+        shape = (rank, bound, modulus)
+        if modulus is None or any(
+            type(g) is not TruncSeries
+            or (g.rank, g.degree_bound, g.modulus) != shape
+            or g.constant_term != 1
+            for g in images + inverses
+        ):
+            return None
+        offsets = [0]  # offsets[d]: slot of the first monomial of degree d
+        for d in range(bound):
+            offsets.append(offsets[-1] + rank**d)
+            # a vertex of more fields than a series product may have terms is
+            # no gain (a rank of 10^18 would be a vertex of 10^18 fields)
+            if offsets[-1] > DEFAULT_TERM_CAP:
+                return None
+        # a field of x * g sums at most `bound` products of two residues; with
+        # 2^s > top * modulus the Barrett quotient floor(v * mu / 2^s) is exactly
+        # floor(v / modulus) for every field value v <= top, and no field of
+        # v * mu carries into the next
+        top = bound * (modulus - 1) ** 2
+        s = (top * modulus).bit_length()
+        mu = -(-(1 << s) // modulus)
+        width = max((top * mu).bit_length(), s)
+        low = sum(((1 << (width - s)) - 1) << (width * k) for k in range(offsets[-1]))
+
+        def slot(mono):
+            # x_{i1}..x_{id} sits at the degree-then-lex slot of x_{id}..x_{i1}
+            return offsets[len(mono)] + sum(
+                (v - 1) * rank**k for k, v in enumerate(mono))
+
+        def blocks_of(g):
+            # x * u moves the whole degree-d block of x by one shift, so the
+            # block times G_d = sum_u g_u 2^(shift of block d under u) is what
+            # that block adds to x * (g - 1), in one product
+            blocks = []
+            for d in range(bound - 1):
+                factor = 0
+                for mono, c in g.terms():
+                    e = len(mono)
+                    if 0 < e < bound - d:
+                        j = slot(mono) - offsets[e]
+                        factor += c << (width * (offsets[d + e] + rank**d * j))
+                if factor:
+                    blocks.append(
+                        (width * offsets[d], (1 << (width * rank**d)) - 1, factor)
+                    )
+            return blocks
+
+        edges = [blocks_of(g) for pair in zip(images, inverses) for g in pair]
+
+        def expand(x):
+            out = []
+            for blocks in edges:
+                y = x
+                for at, mask, factor in blocks:
+                    y += ((x >> at) & mask) * factor
+                out.append(y - (((y * mu) >> s) & low) * modulus)
+            return out
+
+        # the identity is the constant 1, in field 0
+        return 1, expand
+
 
 # -- group-side operations --------------------------------------------------
 
@@ -426,9 +532,9 @@ def unit_image_spec(modulus, rank, degree_bound):
     images = [generator_image(rank, degree_bound, modulus, g, 1)
               for g in range(1, rank + 1)]
     return {
-        "kind": "magnus_unit",
+        "kind": TruncSeries.kind,
         "params": {"modulus": modulus, "rank": rank, "degree_bound": degree_bound},
-        "gen_images": [_serialize_unit(img) for img in images],
+        "gen_images": [img.payload() for img in images],
     }
 
 
@@ -441,8 +547,6 @@ def unit_image_quotient(modulus, rank, degree_bound, cap=None):
     it serializes to :func:`unit_image_spec`.  The BFS runs on packed
     coefficient ints (see the module docstring), which are its ``elements``.
     """
-    from . import quotients
-
     if modulus is None or modulus < 2:
         raise ValueError("unit image quotients need a prime modulus")
     images = [generator_image(rank, degree_bound, modulus, g, 1)
@@ -451,121 +555,4 @@ def unit_image_quotient(modulus, rank, degree_bound, cap=None):
     return quotients.build_quotient(rank, images, **kwargs)
 
 
-def _serialize_unit(series):
-    return str(series)
-
-
-def _deserialize_unit(params, payload):
-    # type() and not isinstance(): a bool is an int to isinstance, and would
-    # be read as rank or degree bound 1; the texts are TruncSeries' own
-    rank, bound, modulus = params["rank"], params["degree_bound"], params["modulus"]
-    if type(rank) is not int:
-        raise ValueError(f"rank must be a positive integer, got {rank!r}")
-    if type(bound) is not int:
-        raise ValueError(f"degree bound must be a positive integer, got {bound!r}")
-    if modulus is not None and type(modulus) is not int:
-        raise ValueError(f"modulus must be None or an integer >= 2, got {modulus!r}")
-    return TruncSeries.parse(payload, rank, bound, modulus)
-
-
-def _unit_params(series):
-    return {
-        "modulus": series.modulus,
-        "rank": series.rank,
-        "degree_bound": series.degree_bound,
-    }
-
-
-# -- packed action on dense coefficient vectors -------------------------------
-
-def _packed_unit_action(images, inverses):
-    """Right multiplication by the images as maps on packed coefficient ints.
-
-    The ``packed_action`` of the ``magnus_unit`` kind (see
-    :class:`largequot.quotients.ElementKind`).  Returns the packed identity
-    and the expansion of a key into its successors along the edges a_1,
-    a_1^-1, a_2, .., or None when the images are over Z, are not units of
-    one shape, or have more than ``DEFAULT_TERM_CAP`` monomials.  Raises
-    ``ValueError`` unless there is one image per variable.
-    """
-    first = images[0]
-    rank, bound, modulus = first.rank, first.degree_bound, first.modulus
-    if len(images) != rank:
-        raise ValueError(f"a magnus_unit quotient over rank {rank} needs "
-                         f"{rank} generator images, got {len(images)}")
-    shape = (rank, bound, modulus)
-    if modulus is None or any(
-        type(g) is not TruncSeries
-        or (g.rank, g.degree_bound, g.modulus) != shape
-        or g.constant_term != 1
-        for g in images + inverses
-    ):
-        return None
-    offsets = [0]  # offsets[d]: slot of the first monomial of degree d
-    for d in range(bound):
-        offsets.append(offsets[-1] + rank**d)
-        # a vertex of more fields than a series product may have terms is
-        # no gain (a rank of 10^18 would be a vertex of 10^18 fields)
-        if offsets[-1] > DEFAULT_TERM_CAP:
-            return None
-    # a field of x * g sums at most `bound` products of two residues; with
-    # 2^s > top * modulus the Barrett quotient floor(v * mu / 2^s) is exactly
-    # floor(v / modulus) for every field value v <= top, and no field of
-    # v * mu carries into the next
-    top = bound * (modulus - 1) ** 2
-    s = (top * modulus).bit_length()
-    mu = -(-(1 << s) // modulus)
-    width = max((top * mu).bit_length(), s)
-    low = sum(((1 << (width - s)) - 1) << (width * k) for k in range(offsets[-1]))
-
-    def slot(mono):
-        # x_{i1}..x_{id} sits at the degree-then-lex slot of x_{id}..x_{i1}
-        return offsets[len(mono)] + sum((v - 1) * rank**k for k, v in enumerate(mono))
-
-    def blocks_of(g):
-        # x * u moves the whole degree-d block of x by one shift, so the
-        # block times G_d = sum_u g_u 2^(shift of block d under u) is what
-        # that block adds to x * (g - 1), in one product
-        blocks = []
-        for d in range(bound - 1):
-            factor = 0
-            for mono, c in g.terms():
-                e = len(mono)
-                if 0 < e < bound - d:
-                    j = slot(mono) - offsets[e]
-                    factor += c << (width * (offsets[d + e] + rank**d * j))
-            if factor:
-                blocks.append(
-                    (width * offsets[d], (1 << (width * rank**d)) - 1, factor)
-                )
-        return blocks
-
-    edges = [blocks_of(g) for pair in zip(images, inverses) for g in pair]
-
-    def expand(x):
-        out = []
-        for blocks in edges:
-            y = x
-            for at, mask, factor in blocks:
-                y += ((x >> at) & mask) * factor
-            out.append(y - (((y * mu) >> s) & low) * modulus)
-        return out
-
-    # the identity is the constant 1, in field 0
-    return 1, expand
-
-
-def _register():
-    from . import quotients
-
-    quotients.register_element_kind(
-        "magnus_unit",
-        TruncSeries,
-        serialize=_serialize_unit,
-        deserialize=_deserialize_unit,
-        params_of=_unit_params,
-        packed_action=_packed_unit_action,
-    )
-
-
-_register()
+quotients.KINDS[TruncSeries.kind] = TruncSeries

@@ -10,9 +10,10 @@ net multiple of q_d times; no rewriting or free reduction is needed.
 The same picture builds the groups: F/gamma_d is the mod-q_d homology cover
 of the coset graph of F/gamma_{d-1} (the voltage-graph picture of
 Gross-Tucker), whose vertices are pairs (coset of gamma_{d-1}, crossing
-counts mod q_d).  That cover is the packed action of the ``verbal`` element
-kind, so :func:`largequot.quotients.build_quotient` enumerates it on int
-keys, whether the images come from the series or from a document.
+counts mod q_d).  That cover is :meth:`LayeredCoset.packed_action`, the
+packed action of the ``verbal`` element kind, so
+:func:`largequot.quotients.build_quotient` enumerates it on int keys,
+whether the images come from the series or from a document.
 Each level keeps the coset table of F/gamma_{d-1}; ``member``,
 ``order_mod``, ``component_vector`` and the cover's move table walk the
 word through such a table with :meth:`largequot.quotients.FiniteQuotient.walk`
@@ -46,10 +47,10 @@ import sympy
 from .errors import CapExceeded, NotMaterializedError
 from .quotients import (
     BUILT_QUOTIENTS,
+    KINDS,
     FiniteQuotient,
     ModVector,
     build_quotient,
-    register_element_kind,
 )
 from .words import Word, parse_word, power
 
@@ -301,7 +302,8 @@ class VerbalLevel:
         When w's coset c there is trivial, w lies in gamma_d iff its order
         is 1.  Otherwise c is projected down the series: in F/gamma_{k-1}
         the key of c is x * |F/gamma_{k-2}| + v, with v its coset of
-        gamma_{k-2} (see :func:`_packed_cover_action`), until v is trivial.
+        gamma_{k-2} (see :meth:`LayeredCoset.packed_action`), until v is
+        trivial.
         """
         c, n = self._coset_and_order(w)
         if c == 0:
@@ -323,6 +325,7 @@ class LayeredCoset:
     """
 
     __slots__ = ("level", "word")
+    kind = "verbal"
 
     def __init__(self, level, word):
         self.level = level
@@ -340,6 +343,88 @@ class LayeredCoset:
 
     def __repr__(self):
         return f"LayeredCoset(depth={self.level.depth}, word={self.word})"
+
+    # -- the verbal element kind -----------------------------------------
+
+    def params(self):
+        return {"primes": list(self.level.primes_prefix),
+                "rank": self.level.rank, "depth": self.level.depth}
+
+    def payload(self):
+        return str(self.word)
+
+    @classmethod
+    def from_payload(cls, params, payload):
+        # type() and not isinstance(): a bool is an int to isinstance, and True
+        # hashes equal to 1 in a level-table key
+        depth, rank, primes = params["depth"], params["rank"], params["primes"]
+        if type(depth) is not int or depth < 1:
+            raise ValueError(f"verbal depth must be a positive integer, got {depth!r}")
+        if type(rank) is not int or rank < 1:
+            raise ValueError(f"verbal rank must be a positive integer, got {rank!r}")
+        if type(primes) is not list or any(type(p) is not int for p in primes):
+            raise ValueError(
+                f"verbal primes must be a list of integers, got {primes!r}")
+        level = build_series(primes, rank, depth)[-1]
+        return cls(level, parse_word(payload, rank))
+
+    @staticmethod
+    def packed_action(images, inverses):
+        """Right multiplication by the images on the vertices of the cover.
+
+        The packed action of the ``verbal`` kind (see
+        :data:`largequot.quotients.KINDS`).  For images in F/gamma_d,
+        a key is x * |F/gamma_{d-1}| + v: a coset v of gamma_{d-1} and a chain
+        x over the non-tree edges of its coset graph, read in base q_d, so
+        key % |F/gamma_{d-1}| is the element's coset of gamma_{d-1}:
+        :meth:`VerbalLevel._order_and_depth` reads it for the graded sampler
+        of :func:`largequot.periodic.check_pigraded_properties`.  An
+        image word u acts on (v, x) by walking from v: the walk's end replaces
+        v and its crossings, summed mod q_d, add into the digits of x.  Both
+        are tabulated once per base coset and image, so any image words work,
+        not only the generators.  Raises ``ValueError`` unless every image is a
+        :class:`LayeredCoset` of one series, one per generator of the series'
+        free group, and the :class:`NotMaterializedError` of
+        :meth:`VerbalLevel._table` when the series has no table for
+        F/gamma_{d-1}.
+        """
+        first = images[0]
+        if any(type(u) is not LayeredCoset or not first._same_series(u)
+               for u in images):
+            raise ValueError("cosets of different verbal quotients")
+        level = first.level
+        if len(images) != level.rank:
+            raise ValueError(f"a verbal quotient over rank {level.rank} needs "
+                             f"{level.rank} generator images, got {len(images)}")
+        base, q = level._table(), level.prime
+        n = base.order
+        # digit units n q^pos, formed only for the non-tree edges a walk crosses:
+        # a base has 1 + (R - 1) n of them at rank R, their units ~(R n)^2 bits
+        unit = functools.cache(lambda pos: n * q**pos)
+        words = [u.word for pair in zip(images, inverses) for u in pair]
+        # moves[v]: per image, the coset shift and the (digit unit, count) adds
+        moves = []
+        for v in range(n):
+            row = []
+            for w in words:
+                counts = {}
+                end = base.walk(v, w, counts)
+                row.append((end - v, [(unit(at), c % q)
+                                      for at, c in counts.items() if c % q]))
+            moves.append(row)
+
+        def expand(key):
+            row = moves[key % n]
+            out = []
+            for shift, adds in row:
+                y = key + shift
+                for u, c in adds:
+                    y += c * u if key // u % q + c < q else (c - q) * u
+                out.append(y)
+            return out
+
+        # the identity is coset 0 with the zero chain
+        return 0, expand
 
 
 def _schreier_rank(rank, order):
@@ -532,95 +617,4 @@ def levi_bound(words, primes, depth_cap=DEFAULT_DEPTH_CAP,
     return level.depth
 
 
-def _serialize_coset(coset):
-    return str(coset.word)
-
-
-def _deserialize_coset(params, payload):
-    # type() and not isinstance(): a bool is an int to isinstance, and True
-    # hashes equal to 1 in a level-table key
-    depth, rank, primes = params["depth"], params["rank"], params["primes"]
-    if type(depth) is not int or depth < 1:
-        raise ValueError(f"verbal depth must be a positive integer, got {depth!r}")
-    if type(rank) is not int or rank < 1:
-        raise ValueError(f"verbal rank must be a positive integer, got {rank!r}")
-    if type(primes) is not list or any(type(p) is not int for p in primes):
-        raise ValueError(f"verbal primes must be a list of integers, got {primes!r}")
-    level = build_series(primes, rank, depth)[-1]
-    return LayeredCoset(level, parse_word(payload, rank))
-
-
-def _coset_params(coset):
-    return {
-        "primes": list(coset.level.primes_prefix),
-        "rank": coset.level.rank,
-        "depth": coset.level.depth,
-    }
-
-
-def _packed_cover_action(images, inverses):
-    """Right multiplication by the images on the vertices of the cover.
-
-    The ``packed_action`` of the ``verbal`` kind (see
-    :class:`largequot.quotients.ElementKind`).  For images in F/gamma_d,
-    a key is x * |F/gamma_{d-1}| + v: a coset v of gamma_{d-1} and a chain
-    x over the non-tree edges of its coset graph, read in base q_d, so
-    key % |F/gamma_{d-1}| is the element's coset of gamma_{d-1}:
-    :meth:`VerbalLevel._order_and_depth` reads it for the graded sampler
-    of :func:`largequot.periodic.check_pigraded_properties`.  An
-    image word u acts on (v, x) by walking from v: the walk's end replaces
-    v and its crossings, summed mod q_d, add into the digits of x.  Both
-    are tabulated once per base coset and image, so any image words work,
-    not only the generators.  Raises ``ValueError`` unless every image is a
-    :class:`LayeredCoset` of one series, one per generator of the series'
-    free group, and the :class:`NotMaterializedError` of
-    :meth:`VerbalLevel._table` when the series has no table for
-    F/gamma_{d-1}.
-    """
-    first = images[0]
-    if any(type(u) is not LayeredCoset or not first._same_series(u)
-           for u in images):
-        raise ValueError("cosets of different verbal quotients")
-    level = first.level
-    if len(images) != level.rank:
-        raise ValueError(f"a verbal quotient over rank {level.rank} needs "
-                         f"{level.rank} generator images, got {len(images)}")
-    base, q = level._table(), level.prime
-    n = base.order
-    # digit units n q^pos, formed only for the non-tree edges a walk crosses:
-    # a base has 1 + (R - 1) n of them at rank R, their units ~(R n)^2 bits
-    unit = functools.cache(lambda pos: n * q**pos)
-    words = [u.word for pair in zip(images, inverses) for u in pair]
-    # moves[v]: per image, the coset shift and the (digit unit, count) adds
-    moves = []
-    for v in range(n):
-        row = []
-        for w in words:
-            counts = {}
-            end = base.walk(v, w, counts)
-            row.append((end - v, [(unit(at), c % q)
-                                  for at, c in counts.items() if c % q]))
-        moves.append(row)
-
-    def expand(key):
-        row = moves[key % n]
-        out = []
-        for shift, adds in row:
-            y = key + shift
-            for u, c in adds:
-                y += c * u if key // u % q + c < q else (c - q) * u
-            out.append(y)
-        return out
-
-    # the identity is coset 0 with the zero chain
-    return 0, expand
-
-
-register_element_kind(
-    "verbal",
-    LayeredCoset,
-    serialize=_serialize_coset,
-    deserialize=_deserialize_coset,
-    params_of=_coset_params,
-    packed_action=_packed_cover_action,
-)
+KINDS[LayeredCoset.kind] = LayeredCoset

@@ -43,9 +43,9 @@ def abelian_invariants(presentation):
 
 
 class VerbalCoset:
-    """A coset of gamma_d carried by a representative word, with no
-    registered kind: the BFS multiplies the words and hashes the layered
-    normal form, a complete coset invariant, instead of walking the cover.
+    """A coset of gamma_d carried by a representative word, of no element
+    kind: the BFS multiplies the words and hashes the layered normal form,
+    a complete coset invariant, instead of walking the cover.
     """
 
     __slots__ = ("level", "word", "_nf")

@@ -511,6 +511,40 @@ def test_verify_refuses_unit_witness_params_that_are_not_ints(
     assert doc["error"] == f"malformed certificate: ValueError({error!r})"
 
 
+_VECTOR = "ValueError('a residue vector is given as a list of {} integers, got {}')"
+
+
+@pytest.mark.parametrize("mutate, error", [
+    # each of these verified: dim was never read, and a bool or a float was
+    # taken as the number it compares equal to
+    (lambda w: w["params"].__setitem__("dim", 7), _VECTOR.format(7, [1, 0])),
+    (lambda w: w["params"].pop("dim"), "KeyError('dim')"),
+    (lambda w: w["params"].__setitem__("modulus", True),
+     "ValueError('modulus must be a positive integer, got True')"),
+    (lambda w: w["gen_images"][0].__setitem__(0, True),
+     _VECTOR.format(2, [True, 0])),
+    (lambda w: w["gen_images"][0].__setitem__(0, 1.5),
+     _VECTOR.format(2, [1.5, 0])),
+], ids=["dim-7", "no-dim", "modulus-true", "bool-entry", "float-entry"])
+def test_verify_reads_modvec_witnesses_strictly(capsys, tmp_path, mutate, error):
+    spec = tmp_path / "witness.json"
+    spec.write_text(json.dumps({"kind": "modvec", "params": {"modulus": 4, "dim": 2},
+                                "gen_images": [[1, 0], [0, 1]]}))
+    cert_path = tmp_path / "cert.json"
+    code, _ = run(capsys, ["certify-large", "-g", "a", "-q", "4", "--witness",
+                           str(spec), "-o", str(cert_path)])
+    assert code == 0
+    code, doc = run_doc(capsys, ["verify", str(cert_path)])
+    assert (code, doc["ok"]) == (0, True)
+    cert = json.loads(cert_path.read_text())
+    mutate(cert["witness"])
+    cert_path.write_text(json.dumps(cert))
+    code, doc = run_doc(capsys, ["verify", str(cert_path)])
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"] == f"malformed certificate: {error}"
+
+
 def test_verify_refuses_a_witness_of_huge_series_rank(capsys, tmp_path):
     # refused before a packed vertex of 10^18 fields or any BFS
     big = 10**18

@@ -1024,14 +1024,14 @@ def _oracle_standard_unit(params, images):
 
 def _oracle_spec_counts(spec, cap):
     kind = quotients.element_kind(spec["kind"])
-    if kind.name == "magnus_unit":
+    if kind is TruncSeries:
         params = spec["params"]
-        images = [kind.deserialize(params, payload) for payload in spec["gen_images"]]
+        images = [kind.from_payload(params, payload) for payload in spec["gen_images"]]
         unit = _oracle_standard_unit(params, images)
         if unit is not None:
             return largeness._UnitCounts(*unit, cap, lambda: {
                 "kind": spec["kind"], "params": dict(params),
-                "gen_images": [kind.serialize(g) for g in images]})
+                "gen_images": [g.payload() for g in images]})
         m = images[0].modulus if images else None
         if all(g.constant_term == 1 for g in images):
             if m is None and not all(g.is_one for g in images):

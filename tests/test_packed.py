@@ -1,9 +1,10 @@
 """The packed magnus action against BFS over truncated-series products.
 
 ``build_quotient`` runs magnus units over a modulus on packed coefficient
-ints.  The oracle here wraps the same series in a class the element-kind
-registry does not know, which forces the BFS to multiply series, and the
-two enumerations must agree on every table, tree edge, document and error.
+ints.  The oracle here wraps the same series in a class that is no element
+kind and has no packed action, which forces the BFS to multiply series, and
+the two enumerations must agree on every table, tree edge, document and
+error.
 """
 
 import pytest
@@ -25,7 +26,7 @@ EXPONENT_ORDER_LIMIT = 10**5
 
 
 class Opaque:
-    """A series the registry does not know: the BFS multiplies it as is."""
+    """A series that is no element kind: the BFS multiplies it as is."""
 
     __slots__ = ("series",)
 
@@ -231,4 +232,4 @@ def test_a_vertex_past_the_term_cap_is_not_packed():
     # fields, more than a series product may have terms
     images = unit_images(2, 1001, 3)
     inverses = [g.inverse() for g in images]
-    assert series._packed_unit_action(images, inverses) is None
+    assert series.TruncSeries.packed_action(images, inverses) is None

@@ -17,8 +17,8 @@ from largequot.quotients import (
     lemma0_conjugates,
     reidemeister_schreier,
 )
-from largequot.series import embed, unit_image_quotient
-from largequot.verbal import build_series
+from largequot.series import embed, generator_image, unit_image_quotient
+from largequot.verbal import LayeredCoset, build_series
 from largequot.words import Word, parse_word, random_reduced_word
 from oracles import abelian_invariants, exponent_matrix, mod_abelianization
 
@@ -213,6 +213,34 @@ def test_build_quotient_duck_typing_with_permutations():
     assert q.image_order(parse_word("b", 2)) == 3
     with pytest.raises(ValueError):
         q.serialize()
+
+
+def _image_of_kind(name):
+    """A rank-2 generator image of each element kind."""
+    if name == "modvec":
+        return ModVector(2, (0, 1))
+    if name == "magnus_unit":
+        return generator_image(2, 3, 2, 1, 1)
+    return LayeredCoset(build_series((2, 3), 2, 2)[1], parse_word("a", 2))
+
+
+@pytest.mark.parametrize("first, second", [
+    ("modvec", "magnus_unit"), ("magnus_unit", "modvec"),
+    ("modvec", "verbal"), ("verbal", "modvec"),
+    ("magnus_unit", "verbal"), ("verbal", "magnus_unit"),
+])
+def test_images_of_two_kinds_are_refused_in_either_order(first, second):
+    images = [_image_of_kind(first), _image_of_kind(second)]
+    with pytest.raises(ValueError) as err:
+        build_quotient(2, images)
+    # the cover refuses first when it acts; otherwise the multiplying BFS
+    # refuses before its first product
+    if first == "verbal":
+        assert str(err.value) == "cosets of different verbal quotients"
+    else:
+        assert str(err.value) == (
+            "generator images of different types: "
+            f"{type(images[0]).__name__} and {type(images[1]).__name__}")
 
 
 def test_rank_identity_for_schreier_generators():
