@@ -9,25 +9,15 @@ image order exceeds k the relator count stays below j while the generator
 count grows linearly in j, so the deficiency criterion (n generators and at
 most n-2 relators) certifies largeness.
 
-The counts need only j and the image orders.  A unit witness is r units
-g_i of F_p<x_1..x_r>/X^l, p prime, with linear parts invertible mod p:
-x_i -> g_i - 1 then extends to an automorphism taking each 1 + x_i to g_i,
-so F -> <g_i> has the kernel of a_i -> 1 + x_i.  For it j is p^e by
-Jennings' formula (:func:`largequot.series.unit_image_exponent`) and o(g)
-the least p^k with p^k v_p(g) >= l, v_p(g) being g's mod-p Magnus valuation
-(below); :class:`_UnitCounts` holds these, and nothing is enumerated.  One
-test (:func:`_unit_witness`) recognises a unit witness, and one entry
-(:func:`_unit_counts`) asks it once per prime p dividing a magnus witness's
-modulus m, of the images reduced mod p.  For p = m the closed forms count
-the witness; for p < m the witness maps onto the unit witness mod p, so one
-whose p^e passes the cap is refused before any BFS.  Every other witness
-(residue vectors, verbal cosets, composite moduli under the cap, singular
-linear parts) is counted on its coset graph: the generators are its
-non-tree edges, the relators its cosets of <g_i>N.  Certify and verify pick
-the route from the witness spec alone, so a certificate is recounted by the
-route that made it.  The presentation itself (conjugate sets and
-Reidemeister-Schreier rewriting in :mod:`largequot.quotients`) is never
-built here; it stays library API, against which the tests check the counts.
+The counts need only j and the image orders.  One dispatch,
+:func:`_witness_counts`, picks their route for a spec and a built witness
+alike, so a certificate is recounted by the route that made it: closed
+forms where the images' kind has ``counts`` (:data:`largequot.quotients.KINDS`;
+the magnus kind's unit witnesses, see :mod:`largequot.series`), else the
+coset graph, whose non-tree edges are the generators and whose cosets of
+<g_i>N the relators.  The presentation itself (conjugate sets and
+Reidemeister-Schreier rewriting) stays library API in
+:mod:`largequot.quotients`, which the tests check the counts against.
 
 The avoiding quotients come from the truncated series units: any word with a
 nonzero integer coefficient below the truncation keeps it mod p for p past
@@ -52,26 +42,21 @@ is built or embedded.
 
 from __future__ import annotations
 
-import math
-
 import sympy
 
 from .errors import BelowBoundError, CapExceeded
 from .quotients import (
-    BUILT_QUOTIENTS,
     DEFAULT_ENUM_CAP,
     FiniteQuotient,
+    build_quotient,
     coset_representatives,
     element_kind,
 )
 from .series import (
-    TruncSeries,
-    embed,
-    order_of_valuation,
+    UnitCounts,
+    magnus_valuation,
     power_over_cap,
     unit_image_exponent,
-    unit_image_quotient,
-    unit_image_spec,
 )
 from .words import Word, parse_word
 
@@ -160,75 +145,7 @@ class LemmaFiBound:
         )
 
 
-def _valuation(w, p, limit, start=2):
-    """(min(v_p(w), limit), w's image at truncation v + 1 or None at the
-    limit), where v_None is v_Z.  w alone is embedded at truncations start,
-    start + 1, .. up to ``limit`` until it is not 1; as its image at start - 1
-    is 1 (v >= 1 for the default start), that first image has truncation v + 1.
-    """
-    for L in range(start, limit + 1):
-        image = embed(w, L, p)
-        if not image.is_one:
-            return L - 1, image
-    return limit, None
-
-
 # -- counting a witness --------------------------------------------------
-
-
-class _UnitCounts:
-    """Everything known about the unit witness (p, r, l), from closed forms.
-
-    j = p^e by Jennings' formula, o(g) is the least p^k with p^k v_p(g) >= l,
-    and each coset of <g>N holds o elements.  At rank 1 the group is
-    cyclic, so a^n has order j / gcd(n, j) and no series is formed: there l
-    may be as large as the cap, and the series of a^-1 has l terms.  With a
-    ``cap``, a p^e past it raises the error the witness's BFS would, before
-    any series work.  ``valuations`` maps words to their known v_p, such as
-    a bound's; any other word is embedded.  ``serialize``, when given,
-    returns the witness as serialized in place of :func:`unit_image_spec`.
-    Its coset graph comes from :data:`largequot.quotients.BUILT_QUOTIENTS`.
-    """
-
-    __slots__ = ("exponent", "p", "rank", "l", "order", "gens", "_serialize",
-                 "_valuations")
-
-    def __init__(self, p, rank, l, cap, serialize=None, valuations=None):
-        self.exponent = unit_image_exponent(p, rank, l, cap=cap)
-        if cap is not None and power_over_cap(p, self.exponent, cap):
-            raise CapExceeded("quotient enumeration", cap + 1, cap)
-        self.p, self.rank, self.l = p, rank, l
-        self.order = p**self.exponent
-        self.gens = 1 + (rank - 1) * self.order
-        self._serialize = serialize
-        self._valuations = valuations or {}
-
-    def image_order(self, w):
-        if w.rank != self.rank:
-            raise ValueError(
-                f"rank mismatch: word has {w.rank}, quotient has {self.rank}")
-        if self.rank == 1:
-            return self.order // math.gcd(w.exponent_sums()[0], self.order)
-        v = self._valuations.get(w) or _valuation(w, self.p, self.l)[0]
-        return order_of_valuation(self.p, v, self.l)
-
-    def cosets(self, w, o):
-        return self.order // o
-
-    def serialize(self):
-        if self._serialize is None:
-            return unit_image_spec(self.p, self.rank, self.l)
-        return self._serialize()
-
-    def quotient(self):
-        """The standard witness's coset graph."""
-        def build():
-            quotient = unit_image_quotient(self.p, self.rank, self.l, cap=self.order)
-            # an explicit raise, not an assert statement, which python -O strips
-            if quotient.order != self.order:
-                raise AssertionError("unit image quotient must be a p-group")
-            return quotient
-        return BUILT_QUOTIENTS.get(("magnus_unit", self.p, self.rank, self.l), build)
 
 
 class _GraphCounts:
@@ -256,74 +173,24 @@ class _GraphCounts:
         return self.quotient.serialize()
 
 
-def _unit_witness(images):
-    """Whether magnus images of constant term 1 over a prime p form a unit
-    witness (see the module docstring): r images in r variables whose linear
-    parts are invertible mod p.  At l = 1 every image is 1, and the linear
-    parts are not looked at."""
-    first = images[0]
-    p, rank = first.modulus, first.rank
-    if len(images) != rank:
-        return False
-    rows = [[g.coefficient((i,)) for i in range(1, rank + 1)] for g in images]
-    while rows and first.degree_bound > 1:
-        # clear the first column by a row whose entry there is a unit
-        at = next((i for i, row in enumerate(rows) if row[0] % p), None)
-        if at is None:
-            return False
-        pivot = rows.pop(at)
-        f = pow(pivot[0], -1, p)
-        rows = [[(c - row[0] * f * d) % p for c, d in zip(row[1:], pivot[1:])]
-                for row in rows]
-    return True
-
-
-def _unit_counts(images, cap, serialize):
-    """The closed-form counts of magnus images that form a unit witness, or
-    None when their coset graph counts them (see the module docstring).
-
-    Each prime p | m, m the modulus, is found by trial division only (fully
-    factoring m can take longer than the BFS) and asked once.  A witness
-    already built is counted with ``cap`` None.
-    """
-    # any other constant term fails the BFS's inverse()
-    if not images or any(g.constant_term != 1 for g in images):
-        return None
-    m, rank, l = images[0].modulus, images[0].rank, images[0].degree_bound
-    if m is None:
-        if not all(g.is_one for g in images):
-            # over Z, 1 + u with u != 0 has infinite order (the leading
-            # part of (1 + u)^n is n u_v): the BFS can only end at the cap
-            raise CapExceeded("quotient enumeration", cap + 1, cap)
-        return None
-    # a cofactor that trial division leaves may be composite
-    primes = [m] if sympy.isprime(m) else [p for p in sympy.factorint(
-        m, limit=2**16, use_rho=False, use_pm1=False) if sympy.isprime(p)]
-    for p in primes:
-        reduced = images if p == m else [
-            TruncSeries(rank, l, p, dict(g.terms())) for g in images]
-        if _unit_witness(reduced):
-            if p == m:
-                return _UnitCounts(p, rank, l, cap, serialize)
-            _UnitCounts(p, rank, l, cap)
-    return None
+def _witness_counts(images, cap, serialize, quotient):
+    """Closed-form counts where the images' kind has ``counts`` and it answers
+    (as ``build_quotient`` reads ``packed_action``), else ``quotient()``'s graph."""
+    kind = type(images[0]) if images else None
+    counts = hasattr(kind, "counts") and kind.counts(images, cap, serialize)
+    return counts or _GraphCounts(quotient())
 
 
 def _spec_counts(spec, cap):
-    """Count a serialized witness by the route its spec picks.  Magnus
-    payloads are parsed by :meth:`TruncSeries.from_payload`, so a malformed spec
-    raises what :meth:`FiniteQuotient.from_spec` raises, and the counts
-    serialize to what the rebuilt quotient would."""
-    if element_kind(spec["kind"]) is TruncSeries:
-        params = spec["params"]
-        images = [TruncSeries.from_payload(params, payload)
-                  for payload in spec["gen_images"]]
-        counts = _unit_counts(images, cap, lambda: {
-            "kind": spec["kind"], "params": dict(params),
-            "gen_images": [g.payload() for g in images]})
-        if counts is not None:
-            return counts
-    return _GraphCounts(FiniteQuotient.from_spec(spec, cap=cap))
+    """Count a serialized witness by :func:`_witness_counts`.  The payloads are
+    parsed once, so a malformed spec raises what :meth:`FiniteQuotient.from_spec`
+    raises, and the counts serialize to what the rebuilt quotient would."""
+    kind, params = element_kind(spec["kind"]), spec["params"]
+    images = [kind.from_payload(params, payload) for payload in spec["gen_images"]]
+    return _witness_counts(images, cap, lambda: {
+        "kind": spec["kind"], "params": dict(params),
+        "gen_images": [g.payload() for g in images]}, lambda: build_quotient(
+            len(images), images, cap=cap, kind=spec["kind"], params=params))
 
 
 def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
@@ -348,12 +215,12 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
 
     def valuation(w, p, limit):
         if p is None:
-            v, images[w] = _valuation(w, None, limit)
+            v, images[w] = magnus_valuation(w, None, limit)
         elif any(c % p for mono, c in images[w].terms() if mono):
             v = min(images[w].degree_bound - 1, limit)
         else:
             # the mod-p image is 1 through degree v_Z
-            v = _valuation(w, p, limit, images[w].degree_bound + 1)[0]
+            v = magnus_valuation(w, p, limit, images[w].degree_bound + 1)[0]
         if v >= limit:
             raise CapExceeded("series truncation", truncation_cap,
                               truncation_cap)
@@ -377,7 +244,7 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
             P *= p
         limit = -(-truncation_cap // P)
         found[p] = tuple(valuation(w, p, limit) for w in words)
-        counts = _UnitCounts(p, rank, 1 + P * max(found[p]), enum_cap)
+        counts = UnitCounts(p, rank, 1 + P * max(found[p]), enum_cap)
         exponents[p], truncations[p] = counts.exponent, counts.l
         M *= counts.order
     return LemmaFiBound(words, m, l, M0, exponents, truncations, M, found)
@@ -415,7 +282,7 @@ def _avoiding_unit(bound, q, enum_cap):
     if not candidates:
         raise CapExceeded("avoiding quotient enumeration", q, enum_cap)
     _, p, l_p = min(candidates)
-    return _UnitCounts(p, bound.rank, l_p, enum_cap,
+    return UnitCounts(p, bound.rank, l_p, enum_cap,
                        valuations=bound.valuations_mod(p))
 
 
@@ -432,8 +299,8 @@ def find_avoiding_quotient(words, m, q, bound=None,
     other words or another m raises ``ValueError``.
     Among admissible branches the smallest quotient wins, ranked by the
     closed-form orders; only the winner is enumerated, once per process
-    (:meth:`_UnitCounts.quotient`), since callers walk words through it.
-    Both postcondition halves are machine-checked before returning.
+    (:meth:`largequot.series.UnitCounts.quotient`), since callers walk
+    words through it.  Both postcondition halves are checked on return.
     """
     words, _ = _check_base_words(words)
     if bound is None:
@@ -476,7 +343,7 @@ def _direct_witness_search(bound, k, q, truncation_cap, enum_cap):
         valuations = bound.valuations_mod(p)
         for l in range(2, truncation_cap + 1):
             try:
-                counts = _UnitCounts(p, bound.rank, l, enum_cap,
+                counts = UnitCounts(p, bound.rank, l, enum_cap,
                                      valuations=valuations)
             except CapExceeded:
                 break
@@ -516,8 +383,8 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
             if counts is None:
                 raise
     elif isinstance(witness, FiniteQuotient):
-        counts = witness.kind == "magnus_unit" and _unit_counts(
-            witness.gen_images, None, witness.serialize) or _GraphCounts(witness)
+        counts = _witness_counts(witness.gen_images, None, witness.serialize,
+                                 lambda: witness)
     else:
         counts = witness
     orders = [counts.image_order(w) for w in words]
@@ -528,8 +395,7 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
             )
         if q % o:
             raise ValueError(f"{w}^{q} is not in the witness kernel")
-    j = counts.order
-    gens = counts.gens
+    j, gens = counts.order, counts.gens
     rels = sum(counts.cosets(w, o) for w, o in zip(words, orders))
     deficiency = gens - rels
     # explicit raises, not assert statements, which python -O strips: with
@@ -562,10 +428,8 @@ def verify_certificate(doc, enum_cap=DEFAULT_ENUM_CAP):
     """Recompute a certificate's counts and verdict from its witness.
 
     Works from the serialized document alone: re-derives the generator and
-    relator counts from the witness (not from the recorded numbers), by the
-    route its spec picks: closed forms for a standard unit witness, the
-    coset graph of the rebuilt quotient for any other, and compares
-    bit-exactly.  Returns a report dict with ``ok``, the recomputed counts,
+    relator counts from the witness (not from the recorded numbers), by
+    :func:`_spec_counts`, and compares bit-exactly.  Returns a report dict with ``ok``, the recomputed counts,
     the list of mismatching fields and the list of problems.  A problem is
     a wrong schema, ``base_words`` that is not a list of strings, a base
     word that does not parse, a target rank not the witness's (or a bool), an
@@ -607,8 +471,7 @@ def verify_certificate(doc, enum_cap=DEFAULT_ENUM_CAP):
             f"rank mismatch: target has rank {rank!r}, witness has {counts.rank}"
         )
         words = []
-    j = counts.order
-    gens = counts.gens
+    j, gens = counts.order, counts.gens
     rels = 0
     for w in words:
         o = counts.image_order(w)

@@ -117,6 +117,9 @@ class ModVector:
 # 2r keys of x * image(edge) in the edge order a_1, a_1^-1, a_2, ...  Keys
 # are equal exactly when their elements are, so the BFS numbering does not
 # depend on the path taken.  None leaves the BFS to multiply the elements.
+# Likewise :mod:`largequot.largeness` calls a kind's classmethod ``counts(images,
+# cap, serialize)``, where it has one, for a witness's closed-form counts (with
+# ``order``, ``gens``, ``image_order``, ``cosets``, ``serialize``) or None.
 KINDS = {ModVector.kind: ModVector}
 
 

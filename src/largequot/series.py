@@ -16,10 +16,18 @@ The group embedding sends the i-th free generator to 1 + x_i and its inverse
 to the truncated geometric series sum_{k<l} (-x_i)^k.  Over F_p every series
 with constant term 1 is a unit of p-power order (:func:`unit_order`, read
 off the valuation of s - 1), which is what the avoiding quotients in
-:mod:`largequot.largeness` are built from; Jennings' formula gives the
-order of the group the 1 + x_i generate (:func:`unit_image_exponent`), and
-:func:`unit_image_spec` the serialized witness, so certificates over such a
-witness need no enumeration.
+:mod:`largequot.largeness` are built from.
+
+A unit witness is r units g_i of F_p<x_1..x_r>/X^l, p prime, with linear
+parts invertible mod p: x_i -> g_i - 1 then extends to an automorphism
+taking each 1 + x_i to g_i, so F -> <g_i> has the kernel of a_i -> 1 + x_i.
+Its certificate counts are closed forms (:class:`UnitCounts`): j = p^e by
+Jennings' formula (:func:`unit_image_exponent`), o(g) the least p^k with
+p^k v_p(g) >= l for g's mod-p Magnus valuation (:func:`magnus_valuation`).
+:meth:`TruncSeries.counts` tests the images reduced mod each prime p | m,
+the modulus, once (:func:`_unit_witness`): for p = m the closed forms count
+it; for p < m it maps onto the unit witness mod p, so one whose p^e passes
+the cap is refused before any BFS.  Others are counted on their coset graph.
 
 Enumerating such a unit group (the ``magnus_unit`` element kind, which is
 :class:`TruncSeries` itself) does not multiply series: its
@@ -43,6 +51,7 @@ multiplies series.
 from __future__ import annotations
 
 import functools
+import math
 import re
 
 import sympy
@@ -425,6 +434,33 @@ class TruncSeries:
         # the identity is the constant 1, in field 0
         return 1, expand
 
+    @classmethod
+    def counts(cls, images, cap, serialize):
+        """The :class:`UnitCounts` of the witness the images generate, or None
+        for its coset graph (see the module docstring).  The primes p | m are
+        found by trial division only: fully factoring m can outlast the BFS."""
+        # any other constant term fails the BFS's inverse()
+        if any(g.constant_term != 1 for g in images):
+            return None
+        m, rank, l = images[0].modulus, images[0].rank, images[0].degree_bound
+        if m is None:
+            if not all(g.is_one for g in images):
+                # over Z, 1 + u with u != 0 has infinite order (the leading
+                # part of (1 + u)^n is n u_v): the BFS can only end at the cap
+                raise CapExceeded("quotient enumeration", cap + 1, cap)
+            return None
+        # a cofactor that trial division leaves may be composite
+        primes = [m] if sympy.isprime(m) else [p for p in sympy.factorint(
+            m, limit=2**16, use_rho=False, use_pm1=False) if sympy.isprime(p)]
+        for p in primes:
+            reduced = images if p == m else [
+                cls(rank, l, p, dict(g.terms())) for g in images]
+            if _unit_witness(reduced):
+                counts = UnitCounts(p, rank, l, cap, serialize)  # refuses past cap
+                if p == m:
+                    return counts
+        return None
+
 
 # -- group-side operations --------------------------------------------------
 
@@ -527,6 +563,19 @@ def unit_image_exponent(p, rank, l, cap=None):
     return e
 
 
+def magnus_valuation(w, p, limit, start=2):
+    """(min(v_p(w), limit), w's image at truncation v + 1 or None at the
+    limit), where v_None is v_Z.  w alone is embedded at truncations start,
+    start + 1, .. up to ``limit`` until it is not 1; as its image at start - 1
+    is 1 (v >= 1 for the default start), that first image has truncation v + 1.
+    """
+    for L in range(start, limit + 1):
+        image = embed(w, L, p)
+        if not image.is_one:
+            return L - 1, image
+    return limit, None
+
+
 def unit_image_spec(modulus, rank, degree_bound):
     """The serialized :func:`unit_image_quotient`, built without its BFS."""
     images = [generator_image(rank, degree_bound, modulus, g, 1)
@@ -553,6 +602,87 @@ def unit_image_quotient(modulus, rank, degree_bound, cap=None):
               for g in range(1, rank + 1)]
     kwargs = {} if cap is None else {"cap": cap}
     return quotients.build_quotient(rank, images, **kwargs)
+
+
+# -- counting a unit witness -------------------------------------------------
+
+
+class UnitCounts:
+    """Everything known about the unit witness (p, r, l), from closed forms.
+
+    j and o(g) are as in the module docstring, and each coset of <g>N holds
+    o(g) elements.  At rank 1 the group is cyclic, so a^n has order
+    j / gcd(n, j) and no series is formed: there l may be as large as the
+    cap, and the series of a^-1 has l terms.  With a ``cap``, a p^e past it
+    raises the error the witness's BFS would, before any series work.
+    ``valuations`` maps words to their known v_p, such as a bound's; any
+    other word is embedded.  ``serialize``, when given, returns the witness
+    as serialized in place of :func:`unit_image_spec`.  Its coset graph
+    comes from :data:`largequot.quotients.BUILT_QUOTIENTS`.
+    """
+
+    __slots__ = ("exponent", "p", "rank", "l", "order", "gens", "_serialize",
+                 "_valuations")
+
+    def __init__(self, p, rank, l, cap, serialize=None, valuations=None):
+        self.exponent = unit_image_exponent(p, rank, l, cap=cap)
+        if cap is not None and power_over_cap(p, self.exponent, cap):
+            raise CapExceeded("quotient enumeration", cap + 1, cap)
+        self.p, self.rank, self.l = p, rank, l
+        self.order = p**self.exponent
+        self.gens = 1 + (rank - 1) * self.order
+        self._serialize = serialize
+        self._valuations = valuations or {}
+
+    def image_order(self, w):
+        if w.rank != self.rank:
+            raise ValueError(
+                f"rank mismatch: word has {w.rank}, quotient has {self.rank}")
+        if self.rank == 1:
+            return self.order // math.gcd(w.exponent_sums()[0], self.order)
+        v = self._valuations.get(w) or magnus_valuation(w, self.p, self.l)[0]
+        return order_of_valuation(self.p, v, self.l)
+
+    def cosets(self, w, o):
+        return self.order // o
+
+    def serialize(self):
+        if self._serialize is None:
+            return unit_image_spec(self.p, self.rank, self.l)
+        return self._serialize()
+
+    def quotient(self):
+        """The standard witness's coset graph."""
+        def build():
+            quotient = unit_image_quotient(self.p, self.rank, self.l, cap=self.order)
+            # an explicit raise, not an assert statement, which python -O strips
+            if quotient.order != self.order:
+                raise AssertionError("unit image quotient must be a p-group")
+            return quotient
+        return quotients.BUILT_QUOTIENTS.get(
+            ("magnus_unit", self.p, self.rank, self.l), build)
+
+
+def _unit_witness(images):
+    """Whether magnus images of constant term 1 over a prime p form a unit
+    witness (see the module docstring): r images in r variables whose linear
+    parts are invertible mod p.  At l = 1 every image is 1, and the linear
+    parts are not looked at."""
+    first = images[0]
+    p, rank = first.modulus, first.rank
+    if len(images) != rank:
+        return False
+    rows = [[g.coefficient((i,)) for i in range(1, rank + 1)] for g in images]
+    while rows and first.degree_bound > 1:
+        # clear the first column by a row whose entry there is a unit
+        at = next((i for i, row in enumerate(rows) if row[0] % p), None)
+        if at is None:
+            return False
+        pivot = rows.pop(at)
+        f = pow(pivot[0], -1, p)
+        rows = [[(c - row[0] * f * d) % p for c, d in zip(row[1:], pivot[1:])]
+                for row in rows]
+    return True
 
 
 quotients.KINDS[TruncSeries.kind] = TruncSeries

@@ -16,7 +16,7 @@ reduced operands, an inverse of a reduced word is reduced, and
 build their result through ``Word._reduced``, which neither checks nor
 reduces, so each word is built once in time linear in its length.  So do
 :func:`shortlex_words` and :func:`random_reduced_word`, which extend words
-through one successor table per rank (``_alphabet``).
+by index over one letter tuple per rank (``_alphabet``).
 
 A word built by :func:`power` is symbolic: it holds its record
 ``power_record = (t, c, n)``, the letters of t and of c and the count n >= 1
@@ -304,13 +304,10 @@ def parse_word(text, rank):
 
 @functools.lru_cache(maxsize=64)
 def _alphabet(rank):
-    """The letters a1 < .. < ar < a1^-1 < .. < ar^-1, and for each letter
-    the letters that may follow it in a reduced word (all but its inverse),
-    in the same order: 2r entries of 2r - 1 letters, built once per rank."""
-    alphabet = tuple((g, e) for e in (1, -1) for g in range(1, rank + 1))
-    after = {(g, e): tuple(letter for letter in alphabet if letter != (g, -e))
-             for g, e in alphabet}
-    return alphabet, after
+    """The letters a1 < .. < ar < a1^-1 < .. < ar^-1, built once per rank.
+    In a reduced word the letter at index i is followed by any but its
+    inverse, at (i + r) mod 2r: the k-th of those is at k, or k + 1 from there."""
+    return tuple((g, e) for e in (1, -1) for g in range(1, rank + 1))
 
 
 def shortlex_words(rank):
@@ -320,12 +317,14 @@ def shortlex_words(rank):
     (a1, a1^-1, a2, a2^-1, ..), so two words of one length can compare
     differently here and in a Schreier transversal.
     """
-    alphabet, after = _alphabet(rank)
+    alphabet = _alphabet(rank)
     frontier = [()]
     while True:
         next_frontier = []
         for prefix in frontier:
-            for letter in after[prefix[-1]] if prefix else alphabet:
+            skip = (prefix[-1][0] - 1 + rank * (prefix[-1][1] == 1)
+                    if prefix else len(alphabet))
+            for letter in alphabet[:skip] + alphabet[skip + 1:]:
                 word = prefix + (letter,)
                 yield Word._reduced(rank, word)
                 next_frontier.append(word)
@@ -342,16 +341,20 @@ def random_reduced_word(rng, rank, length):
     """
     if length == 0:
         return Word.identity(rank)
-    choices, after = _alphabet(rank)
+    alphabet = _alphabet(rank)
     bits = rng.getrandbits
-    letters = []
-    for _ in range(length):
-        n = len(choices)
-        k = n.bit_length()
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        letter = choices[r]
-        letters.append(letter)
-        choices = after[letter]
+    n, k = len(alphabet), len(alphabet).bit_length()
+    i = bits(k)
+    while i >= n:
+        i = bits(k)
+    letters = [alphabet[i]]
+    n, k = n - 1, (n - 1).bit_length()
+    for _ in range(length - 1):
+        skip = i + rank if i < rank else i - rank
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        if i >= skip:
+            i += 1
+        letters.append(alphabet[i])
     return Word._reduced(rank, tuple(letters))

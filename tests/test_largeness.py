@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from largequot.largeness import (
     lemma_fi_bound,
     verify_certificate,
 )
-from largequot.quotients import FiniteQuotient
+from largequot.quotients import FiniteQuotient, ModVector
 from largequot.series import (
     TruncSeries,
     embed,
@@ -297,7 +298,7 @@ def _graph_only(images):
 
 @pytest.fixture
 def graph_route(monkeypatch):
-    monkeypatch.setattr(largeness, "_unit_witness", _graph_only)
+    monkeypatch.setattr(series, "_unit_witness", _graph_only)
 
 
 @pytest.mark.parametrize("texts,q,unit,cert_digest,report_digest",
@@ -341,6 +342,7 @@ def test_standard_unit_witnesses_are_counted_without_a_quotient(
         raise AssertionError("a standard unit witness is counted by closed forms")
 
     monkeypatch.setattr(quotients, "build_quotient", refuse)
+    monkeypatch.setattr(largeness, "build_quotient", refuse)
     monkeypatch.setattr(quotients, "coset_representatives", refuse)
     monkeypatch.setattr(largeness, "coset_representatives", refuse)
     monkeypatch.setattr(FiniteQuotient, "schreier_generators", refuse)
@@ -394,6 +396,7 @@ def test_other_witnesses_are_counted_on_their_coset_graph(
         return quotient
 
     monkeypatch.setattr(quotients, "build_quotient", counted)
+    monkeypatch.setattr(largeness, "build_quotient", counted)
     report = verify_certificate(json.loads(json.dumps(cert)))
     # x1+x2 has invertible linear parts, so its kernel is the standard
     # witness's: closed forms count it, to the digests its graph gave
@@ -404,9 +407,9 @@ def test_other_witnesses_are_counted_on_their_coset_graph(
 
 
 def test_memo_hit_over_the_cap_gives_the_fresh_error(empty_quotient_table):
-    largeness._UnitCounts(2, 2, 5, 10**4).quotient()
+    series.UnitCounts(2, 2, 5, 10**4).quotient()
     with pytest.raises(CapExceeded) as memo:
-        largeness._UnitCounts(2, 2, 5, 100).quotient()
+        series.UnitCounts(2, 2, 5, 100).quotient()
     with pytest.raises(CapExceeded) as fresh:
         unit_image_quotient(2, 2, 5, cap=100)
     assert str(memo.value) == str(fresh.value)
@@ -430,6 +433,7 @@ def test_bound_and_ranking_run_no_bfs(monkeypatch, empty_quotient_table):
         raise AssertionError("the bound and the ranking must not enumerate")
 
     monkeypatch.setattr(quotients, "build_quotient", refuse)
+    monkeypatch.setattr(largeness, "build_quotient", refuse)
     for texts, m, doc in FROZEN_BOUNDS:
         words = [parse_word(t, 2) for t in texts.split(",")]
         assert lemma_fi_bound(words, m).to_doc() == doc
@@ -454,6 +458,7 @@ def test_only_the_returned_witness_is_enumerated(monkeypatch,
         return quotient
 
     monkeypatch.setattr(quotients, "build_quotient", counted)
+    monkeypatch.setattr(largeness, "build_quotient", counted)
     # q = 2016 = 2^5 3^2 7 admits the 2-, 3- and 7-branches (orders 32, 9
     # and 49); only the smallest is built
     a, ab = parse_word("a", 2), parse_word("ab", 2)
@@ -472,7 +477,6 @@ def test_bounds_and_certificates_embed_only_base_words(monkeypatch,
         return original(word, *args, **kwargs)
 
     monkeypatch.setattr(series, "embed", base_words_only)
-    monkeypatch.setattr(largeness, "embed", base_words_only)
     for texts, m, doc in FROZEN_BOUNDS:
         words = [parse_word(t, 2) for t in texts.split(",")]
         longest = max(map(len, words))
@@ -503,7 +507,7 @@ def test_large_prime_branch_takes_the_bound_truncation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("past M0 the truncation is the bound's l")
 
-    monkeypatch.setattr(largeness, "embed", refuse)
+    monkeypatch.setattr(series, "embed", refuse)
     for (words, m, q), bound, doc in zip(cases, bounds, expected):
         large = [p for p in sympy.factorint(q) if p > bound.M0]
         assert large
@@ -563,12 +567,12 @@ def test_witness_survives_serialization():
 
 
 P_GROUP_UNDER_O = """
-from largequot import largeness
+from largequot import largeness, series
 from largequot.words import parse_word
 from oracles import mod_abelianization
 
 # an order-3 quotient posing as the unit image mod 2
-largeness.unit_image_quotient = (
+series.unit_image_quotient = (
     lambda p, rank, l, cap=None: mod_abelianization(rank, 3))
 try:
     largeness.find_avoiding_quotient([parse_word("a", 1)], 1, 4)
@@ -616,8 +620,9 @@ def _on_both_routes(call):
     its coset graph."""
     fast = _outcome(call)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(largeness, "_unit_witness", _graph_only)
-        mp.setattr(largeness, "_UnitCounts", _GraphUnitCounts)
+        mp.setattr(series, "_unit_witness", _graph_only)
+        mp.setattr(series, "UnitCounts", _GraphUnitCounts)
+        mp.setattr(largeness, "UnitCounts", _GraphUnitCounts)
         slow = _outcome(call)
     return fast, slow
 
@@ -725,7 +730,7 @@ def test_verify_is_refused_at_the_cap_before_any_series_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("past the cap nothing is multiplied")
 
-    monkeypatch.setattr(largeness, "embed", refuse)
+    monkeypatch.setattr(series, "embed", refuse)
     monkeypatch.setattr(TruncSeries, "inverse", refuse)
     with pytest.raises(CapExceeded) as err:
         verify_certificate(cert)
@@ -739,7 +744,7 @@ def test_rank_one_orders_take_no_series(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a cyclic witness needs no series")
 
-    monkeypatch.setattr(largeness, "embed", refuse)
+    monkeypatch.setattr(series, "embed", refuse)
     monkeypatch.setattr(TruncSeries, "inverse", refuse)
     report = verify_certificate({
         "schema": largeness.CERTIFICATE_SCHEMA,
@@ -759,7 +764,7 @@ from largequot.words import parse_word
 witness = unit_image_quotient(2, 2, 2)
 def refuse(*args, **kwargs):
     raise RuntimeError("built a quotient")
-quotients.build_quotient = refuse
+quotients.build_quotient = largeness.build_quotient = refuse
 words = [parse_word("a", 2), parse_word("b", 2)]
 try:
     largeness.certify_power_quotient(words, 2, witness=witness)
@@ -869,7 +874,7 @@ def test_valuations_of_powers(rank, text, s, p):
     g = parse_word(text if rank == 2 else text.replace("b", "a").replace("B", "A"),
                    rank)
     assume(not g.is_identity)
-    v = largeness._valuation(g, p, 8)[0]
+    v = series.magnus_valuation(g, p, 8)[0]
     # v_Z(g^s) = v_Z(g); v_p(g^s) = p^a v_p(g) for s = p^a t, p not dividing t
     expected = v if p is None else p**_nu(p, s) * v
     assume(expected < 8)
@@ -899,7 +904,7 @@ def test_order_formula_is_the_unit_order():
     assert len(words) == 4 + 12 + 36 + 108 + 324
     for p in (2, 3, 5):
         for l in range(1, 7):
-            counts = largeness._UnitCounts(p, 2, l, None)
+            counts = series.UnitCounts(p, 2, l, None)
             for w in words:
                 assert counts.image_order(w) == \
                     _order_by_multiplying(embed(w, l, p)), (str(w), p, l)
@@ -966,6 +971,7 @@ def test_kernel_recognised_witnesses_count_as_their_coset_graph(case, data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quotients, "build_quotient", counted)
+        mp.setattr(largeness, "build_quotient", counted)
         fast = _outcome(certify)
     # an invertible linear part is counted by closed forms; a singular one
     # still goes to the BFS
@@ -1029,7 +1035,7 @@ def _oracle_spec_counts(spec, cap):
         images = [kind.from_payload(params, payload) for payload in spec["gen_images"]]
         unit = _oracle_standard_unit(params, images)
         if unit is not None:
-            return largeness._UnitCounts(*unit, cap, lambda: {
+            return series.UnitCounts(*unit, cap, lambda: {
                 "kind": spec["kind"], "params": dict(params),
                 "gen_images": [g.payload() for g in images]})
         m = images[0].modulus if images else None
@@ -1042,7 +1048,7 @@ def _oracle_spec_counts(spec, cap):
                            for g in images]
                 unit = _oracle_standard_unit({**params, "modulus": p}, reduced)
                 if unit is not None:
-                    largeness._UnitCounts(*unit, cap)
+                    series.UnitCounts(*unit, cap)
     return largeness._GraphCounts(FiniteQuotient.from_spec(spec, cap=cap))
 
 
@@ -1050,7 +1056,7 @@ def _oracle_quotient_counts(quotient):
     if quotient.kind == "magnus_unit" and quotient.params:
         unit = _oracle_standard_unit(quotient.params, quotient.gen_images)
         if unit is not None:
-            return largeness._UnitCounts(*unit, None, quotient.serialize)
+            return series.UnitCounts(*unit, None, quotient.serialize)
     return largeness._GraphCounts(quotient)
 
 
@@ -1096,7 +1102,7 @@ def _oracle_store_bound(words, m, truncation_cap, enum_cap):
         while P * p <= m:
             P *= p
         found[p] = valuations(p, -(-truncation_cap // P))
-        counts = largeness._UnitCounts(p, rank, 1 + P * max(found[p]), enum_cap)
+        counts = series.UnitCounts(p, rank, 1 + P * max(found[p]), enum_cap)
         exponents[p], truncations[p] = counts.exponent, counts.l
         M *= counts.order
     return largeness.LemmaFiBound(words, m, l, M0, exponents, truncations, M,
@@ -1120,30 +1126,37 @@ _GRAPH_LIMIT = 2000
 
 class _Deferred(Exception):
     """A coset graph past _GRAPH_LIMIT elements, not built here: both
-    routes reaching it with the same spec and cap is the same outcome."""
+    routes reaching it with the same witness and cap is the same outcome."""
 
 
 @pytest.fixture
 def shared_graphs(monkeypatch):
-    """Coset graphs built once per spec and cap, for both routes."""
+    """Coset graphs built once per witness and cap, for both routes: the
+    builder is patched at every binding they read."""
     built = {}
-    real = FiniteQuotient.from_spec.__func__
+    real = quotients.build_quotient
 
-    def from_spec(cls, doc, cap=quotients.DEFAULT_ENUM_CAP):
-        key = (json.dumps(doc, sort_keys=True), min(cap, _GRAPH_LIMIT))
+    def build_quotient(rank, gen_images, cap=quotients.DEFAULT_ENUM_CAP,
+                       kind=None, params=None):
+        gen_images = list(gen_images)
+        witness = json.dumps([rank, kind, params, [repr(g) for g in gen_images]],
+                             sort_keys=True)
+        key = (witness, min(cap, _GRAPH_LIMIT))
         if key not in built:
             try:
-                built[key] = real(cls, doc, cap=key[1])
+                built[key] = real(rank, gen_images, cap=key[1], kind=kind,
+                                  params=params)
             except Exception as exc:
                 built[key] = exc
         found = built[key]
         if isinstance(found, CapExceeded) and cap > _GRAPH_LIMIT:
-            raise _Deferred(doc, cap)
+            raise _Deferred(witness, cap)
         if isinstance(found, Exception):
             raise found
         return found
 
-    monkeypatch.setattr(FiniteQuotient, "from_spec", classmethod(from_spec))
+    monkeypatch.setattr(quotients, "build_quotient", build_quotient)
+    monkeypatch.setattr(largeness, "build_quotient", build_quotient)
 
 
 _ROUTE_MODULI = [None, 2, 3, 4, 6, 9, 12, 1000003, 2**61 - 1, 2 * 1000003]
@@ -1191,9 +1204,9 @@ def test_one_route_counts_as_the_routes_it_replaced(shared_graphs, modulus):
                     except Exception:
                         continue
                     # certify's branch for a built witness, counted with no cap
-                    new = _route_outcome(lambda: largeness._unit_counts(
-                        built.gen_images, None, built.serialize)
-                        or largeness._GraphCounts(built), words)
+                    new = _route_outcome(lambda: largeness._witness_counts(
+                        built.gen_images, None, built.serialize,
+                        lambda: built), words)
                     old = _route_outcome(
                         lambda: _oracle_quotient_counts(built), words)
                     assert new == old, case
@@ -1202,6 +1215,76 @@ def test_one_route_counts_as_the_routes_it_replaced(shared_graphs, modulus):
                         words[:1], q, witness=built)) == _outcome(
                         lambda: certify_power_quotient(
                             words[:1], q, witness=_oracle_quotient_counts(built)))
+
+
+class _ClosedCounts:
+    """The counts of (Z/m)^r over the images e_1, .., e_r, from closed forms."""
+
+    def __init__(self, m, rank, serialize):
+        self.rank, self.order, self._serialize = rank, m**rank, serialize
+        self.gens = 1 + (rank - 1) * self.order
+        self.m = m
+
+    def image_order(self, w):
+        return self.m // math.gcd(self.m, *w.exponent_sums())
+
+    def cosets(self, w, o):
+        return self.order // o
+
+    def serialize(self):
+        return self._serialize()
+
+
+class _CountedVector(ModVector):
+    """A residue vector kind whose class counts its own witnesses when the
+    images are the standard basis, and leaves any other to the coset graph."""
+
+    __slots__ = ()
+    kind = "counted_modvec"
+    calls = []
+
+    @classmethod
+    def counts(cls, images, cap, serialize):
+        cls.calls.append(cap)
+        basis = [tuple(int(i == k) for i in range(len(images)))
+                 for k in range(len(images))]
+        if [g.values for g in images] != basis:
+            return None
+        return _ClosedCounts(images[0].modulus, len(images), serialize)
+
+
+def test_every_kind_with_counts_is_asked_for_them(monkeypatch):
+    monkeypatch.setitem(quotients.KINDS, _CountedVector.kind, _CountedVector)
+    monkeypatch.setattr(_CountedVector, "calls", [])
+    words, q, cap = [parse_word("a", 2), parse_word("ab", 2)], 5, 10**4
+    plain = {"kind": "modvec", "params": {"modulus": 5, "dim": 2},
+             "gen_images": [[1, 0], [0, 1]]}
+    counted = {**plain, "kind": _CountedVector.kind}
+    # a kind without counts, and one whose counts decline, go to the graph
+    assert type(largeness._spec_counts(plain, cap)) is largeness._GraphCounts
+    declined = {**counted, "gen_images": [[2, 0], [0, 1]]}
+    assert type(largeness._spec_counts(declined, cap)) is largeness._GraphCounts
+    assert _CountedVector.calls == [cap]
+    graph = certify_power_quotient(
+        words, q, witness=largeness._spec_counts(plain, cap))
+    built = quotients.build_quotient(
+        2, [_CountedVector(5, (1, 0)), _CountedVector(5, (0, 1))])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kind that counts its witness is not enumerated")
+
+    for name in ("build_quotient", "coset_representatives"):
+        monkeypatch.setattr(quotients, name, refuse)
+        monkeypatch.setattr(largeness, name, refuse)
+    from_spec = largeness._spec_counts(counted, cap)
+    assert type(from_spec) is _ClosedCounts
+    for witness in (from_spec, built):
+        cert = certify_power_quotient(words, q, witness=witness)
+        assert cert == {**graph, "witness": counted}
+    # the built witness is counted with no cap
+    assert _CountedVector.calls == [cap, cap, None]
+    report = verify_certificate(json.loads(json.dumps(cert)), enum_cap=cap)
+    assert report["ok"], report
 
 
 @settings(max_examples=150, deadline=None)
@@ -1239,7 +1322,7 @@ def _oracle_avoiding_unit(bound, q, enum_cap):
     if not candidates:
         raise CapExceeded("avoiding quotient enumeration", q, enum_cap)
     _, p, l = min(candidates)
-    counts = largeness._UnitCounts(p, bound.rank, l, enum_cap)
+    counts = series.UnitCounts(p, bound.rank, l, enum_cap)
     return counts.p, counts.rank, counts.l, counts.exponent
 
 

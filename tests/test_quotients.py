@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from largequot import largeness
+from largequot import series
 from largequot.errors import CapExceeded
 from largequot.quotients import (
     FiniteQuotient,
@@ -580,7 +580,7 @@ def test_unknown_element_kind_rejected():
 
 
 def _unit(p, r, l):
-    return largeness._UnitCounts(p, r, l, None).quotient()
+    return series.UnitCounts(p, r, l, None).quotient()
 
 
 def _same_quotient(a, b):

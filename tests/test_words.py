@@ -1,6 +1,7 @@
 import functools
 import random
 import re
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -386,10 +387,12 @@ def test_sampler_matches_the_filtering_oracle(seed, rank, lengths):
 
 
 def _choice_random_reduced_word(rng, rank, length):
-    # the former body, which drew through rng.choice
+    # the former body, which drew through rng.choice from a successor table
     if length == 0:
         return Word.identity(rank)
-    alphabet, after = _alphabet(rank)
+    alphabet = tuple(_oracle_alphabet(rank))
+    after = {(g, e): tuple(letter for letter in alphabet if letter != (g, -e))
+             for g, e in alphabet}
     letters = [rng.choice(alphabet)]
     for _ in range(length - 1):
         letters.append(rng.choice(after[letters[-1]]))
@@ -406,6 +409,20 @@ def test_inlined_draws_pin_the_choice_stream(rank):
             assert random_reduced_word(fast, rank, n).letters == \
                 _choice_random_reduced_word(slow, rank, n).letters
         assert fast.getstate() == slow.getstate()
+
+
+def test_a_large_rank_builds_no_successor_table():
+    # a (2r) x (2r - 1) table at r = 2000 holds 16 million entries
+    _alphabet.cache_clear()
+    tracemalloc.start()
+    try:
+        w = random_reduced_word(random.Random(0), 2000, 5)
+        first = next(shortlex_words(2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w) == 5 and first == Word(2000, [(1, 1)])
+    assert peak < 3 * 2**20, peak
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
