@@ -91,6 +91,14 @@ def _entries():
         "certify_config_flag": (["certify-large", "-g", "a", "-q", "4",
                                  "--config", "caps.txt"], None,
                                 {"caps.txt": "# caps\nenumeration_cap = 50\n"}),
+        # valuations past degree 1: v_3(abAB) = 2, v_2(aa) = 2 (the mod-2
+        # search starts at truncation 3), and the large-prime branch
+        "certify_commutator_mod3": (["certify-large", "-g", "abAB", "-q",
+                                     "864"], None, {}),
+        "certify_square_mod2": (["certify-large", "-g", "aa", "-q", "16"],
+                                None, {}),
+        "certify_commutator_large_prime": (["certify-large", "-g", "abAB",
+                                            "-q", "865"], None, {}),
         # certify-large --witness, one file per witness kind
         "witness_unit_standard": (witness + ["3", "--witness", "w.json"], None,
                                   {"w.json": _json(standard)}),
@@ -148,6 +156,8 @@ def _entries():
         "lemma_fi": (["lemma-fi", "-g", "a,bab", "-m", "2"], None, {}),
         "lemma_fi_rank_one": (["lemma-fi", "-r", "1", "-g", "a", "-m", "3"],
                               None, {}),
+        "lemma_fi_commutator": (["lemma-fi", "-g", "abAB", "-m", "1"], None,
+                                {}),
         "lemma_fi_truncation_cap": (["lemma-fi", "-g", "abAB", "-m", "2"],
                                     "truncation_cap = 2\n", {}),
         # magnus
@@ -202,6 +212,7 @@ def _entries():
     verified = {
         "verify_ok": ("certify_two_words", None),
         "verify_rank_one": ("certify_rank_one", None),
+        "verify_commutator_mod3": ("certify_commutator_mod3", None),
         "verify_unit_standard": ("witness_unit_standard", None),
         "verify_unit_invertible": ("witness_unit_invertible", None),
         "verify_unit_singular": ("witness_unit_singular", None),
