@@ -316,7 +316,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        parser.error(f"cannot read config: {exc}")
+    except ValueError as exc:
         parser.error(str(exc))
     try:
         body, code = args.handler(args, cfg)

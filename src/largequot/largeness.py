@@ -37,10 +37,13 @@ parts multiply (Magnus 1935; Jennings, Trans. AMS 50, 1941): over Z the
 leading part of g^s is s times g's, so v_Z(g^s) = v_Z(g) and g^s's least
 monomial carries s c_g; over F_p, (1 + u)^(p^a) = 1 + u^(p^a), so
 v_p(g^s) = p^a v_p(g) for s = p^a t with p not dividing t.  No power g^s
-is built or embedded.
+is built or embedded, and no base word is: its valuation is graded over
+its prefixes, one pass per degree up to v (see :mod:`largequot.series`).
 """
 
 from __future__ import annotations
+
+import itertools
 
 import sympy
 
@@ -115,12 +118,13 @@ class LemmaFiBound:
         self.valuations = dict(valuations or {})
 
     def valuations_mod(self, p):
-        """The v_p(g_i) of the base words, keyed by word, for any prime p.
+        """(g_i, v_p(g_i)) for the base words in order, for any prime p.
 
         Past M0 each g_i's least integer coefficient c_g survives mod p
         (|c_g| < M0), so there v_p(g_i) = v_Z(g_i).
         """
-        return dict(zip(self.words, self.valuations[p if p <= self.M0 else None]))
+        return tuple(zip(self.words,
+                         self.valuations[p if p <= self.M0 else None]))
 
     def to_doc(self):
         return {
@@ -187,10 +191,42 @@ def _spec_counts(spec, cap):
     raises, and the counts serialize to what the rebuilt quotient would."""
     kind, params = element_kind(spec["kind"]), spec["params"]
     images = [kind.from_payload(params, payload) for payload in spec["gen_images"]]
+    if not images:
+        raise ValueError("witness has no generator images")
     return _witness_counts(images, cap, lambda: {
         "kind": spec["kind"], "params": dict(params),
         "gen_images": [g.payload() for g in images]}, lambda: build_quotient(
             len(images), images, cap=cap, kind=spec["kind"], params=params))
+
+
+# the primes in increasing order, as far as any bound has read them
+_PRIMES = [2, 3]
+
+
+def _next_prime(primes):
+    """The least prime past the last of ``primes``, which are every prime
+    up to it, by trial division."""
+    n = primes[-1]
+    while True:
+        n += 2
+        for q in primes:
+            if q * q > n:
+                return n
+            if n % q == 0:
+                break
+
+
+def _primes_up_to(limit):
+    """The primes up to ``limit``, in increasing order, read off ``_PRIMES``
+    and extended one prime at a time past its end, so a caller that stops
+    early never lists the primes up to a huge limit."""
+    primes = _PRIMES
+    for i in itertools.count():
+        if i == len(primes):
+            primes.append(_next_prime(primes))
+        if primes[i] > limit:
+            return
+        yield primes[i]
 
 
 def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
@@ -211,39 +247,43 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
     words, rank = _check_base_words(words)
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
-    images = {}  # word -> its integer image at truncation v_Z + 1
+    # each word's integer image at truncation v_Z + 1, by position: a word
+    # is never a key, as hashing a power spells out its letters
+    images = [None] * len(words)
+    at = range(len(words))
 
-    def valuation(w, p, limit):
+    def valuation(i, p, limit):
+        image = images[i]
         if p is None:
-            v, images[w] = magnus_valuation(w, None, limit)
-        elif any(c % p for mono, c in images[w].terms() if mono):
-            v = min(images[w].degree_bound - 1, limit)
+            v, images[i] = magnus_valuation(words[i], None, limit)
+        elif any(c % p for mono, c in image.terms() if mono):
+            v = min(image.degree_bound - 1, limit)
         else:
             # the mod-p image is 1 through degree v_Z
-            v = magnus_valuation(w, p, limit, images[w].degree_bound + 1)[0]
+            v = magnus_valuation(words[i], p, limit, image.degree_bound + 1)[0]
         if v >= limit:
             raise CapExceeded("series truncation", truncation_cap,
                               truncation_cap)
         return v
 
     # v_Z(g^s) = v_Z(g), so every power is nontrivial from truncation v + 1
-    found = {None: tuple(valuation(w, None, truncation_cap) for w in words)}
+    found = {None: tuple(valuation(i, None, truncation_cap) for i in at)}
     l = 1 + max(found[None])
     # witness: the coefficient s c_g of g^s's least non-constant monomial
-    max_coeff = m * max(abs(next(c for mono, c in images[w].terms() if mono))
-                        for w in words)
+    max_coeff = m * max(abs(next(c for mono, c in image.terms() if mono))
+                        for image in images)
     M0 = max(l, 1 + max_coeff)
     exponents = {}
     truncations = {}
     M = 1
-    for p in sympy.primerange(2, M0 + 1):
+    for p in _primes_up_to(M0):
         # v_p(g^s) = p^a v_p(g) for s = p^a t, so the largest power P of p
         # up to m sets the truncation; P v_p(g) < cap iff v_p(g) < ceil(cap/P)
         P = 1
         while P * p <= m:
             P *= p
         limit = -(-truncation_cap // P)
-        found[p] = tuple(valuation(w, p, limit) for w in words)
+        found[p] = tuple(valuation(i, p, limit) for i in at)
         counts = UnitCounts(p, rank, 1 + P * max(found[p]), enum_cap)
         exponents[p], truncations[p] = counts.exponent, counts.l
         M *= counts.order

@@ -29,6 +29,18 @@ the modulus, once (:func:`_unit_witness`): for p = m the closed forms count
 it; for p < m it maps onto the unit witness mod p, so one whose p^e passes
 the cap is refused before any BFS.  Others are counted on their coset graph.
 
+Both closed forms are read, not rebuilt.  Jennings' exponent is a function
+of four ints, memoized, since the bound, the witness search, certify and
+verify ask for the same few.  A valuation is graded, not embedded: the
+homogeneous part C_k of the image of every prefix u of w follows from the
+parts of degree k - 1, as C_k(u a_i) = C_k(u) + C_{k-1}(u) x_i and, since
+u = (u a_i^-1) a_i, C_k(u a_i^-1) = C_k(u) - C_{k-1}(u a_i^-1) x_i
+(Magnus, Karrass and Solitar, Combinatorial Group Theory, ch. 5).  One pass
+over the letters per degree, up to v, finds v and the leading part; the
+degree-1 part is the exponent-sum vector, so a word of valuation 1 takes
+no pass at all.  Payloads are parsed through a small memo too, since
+verify reads the same few on every request.
+
 Enumerating such a unit group (the ``magnus_unit`` element kind, which is
 :class:`TruncSeries` itself) does not multiply series: its
 :meth:`TruncSeries.packed_action` runs the BFS on ints.  Over a modulus m,
@@ -354,7 +366,10 @@ class TruncSeries:
         if modulus is not None and type(modulus) is not int:
             raise ValueError(
                 f"modulus must be None or an integer >= 2, got {modulus!r}")
-        return cls.parse(payload, rank, bound, modulus)
+        # a payload that is no string gets parse's own refusal, where the
+        # memo would raise TypeError for a list
+        read = _parse_payload if isinstance(payload, str) else cls.parse
+        return read(payload, rank, bound, modulus)
 
     @staticmethod
     def packed_action(images, inverses):
@@ -462,6 +477,13 @@ class TruncSeries:
         return None
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _parse_payload(text, rank, degree_bound, modulus):
+    """:meth:`TruncSeries.parse`, once per payload: a witness's images are
+    read on every verify of it, and series are immutable."""
+    return TruncSeries.parse(text, rank, degree_bound, modulus)
+
+
 # -- group-side operations --------------------------------------------------
 
 
@@ -534,6 +556,7 @@ def power_over_cap(p, e, cap):
     return e >= cap.bit_length() or p**e > cap
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def unit_image_exponent(p, rank, l, cap=None):
     """log_p of the order of the group the 1 + x_i generate in F_p<x>/X^l.
 
@@ -563,16 +586,63 @@ def unit_image_exponent(p, rank, l, cap=None):
     return e
 
 
+def _next_parts(letters, lower, p):
+    """C_k of the image of each prefix of the letters, first to last, from
+    ``lower``, their C_{k-1} (see the module docstring); coefficients are
+    reduced mod p unless p is None.  Each part is a dict from monomial to
+    nonzero coefficient, shared with the previous prefix when equal."""
+    part = {}
+    parts = [part]
+    for i, (gen, exp) in enumerate(letters):
+        below = lower[i] if exp == 1 else lower[i + 1]
+        if below:
+            part = dict(part)
+            for mono, c in below.items():
+                mono += (gen,)
+                c = part.get(mono, 0) + (c if exp == 1 else -c)
+                if p is not None:
+                    c %= p
+                if c:
+                    part[mono] = c
+                else:
+                    del part[mono]
+        parts.append(part)
+    return parts
+
+
 def magnus_valuation(w, p, limit, start=2):
     """(min(v_p(w), limit), w's image at truncation v + 1 or None at the
-    limit), where v_None is v_Z.  w alone is embedded at truncations start,
-    start + 1, .. up to ``limit`` until it is not 1; as its image at start - 1
-    is 1 (v >= 1 for the default start), that first image has truncation v + 1.
+    limit), where v_None is v_Z.  The caller knows w's image at truncation
+    start - 1 to be 1 (v >= 1 for the default start), so v is read from
+    degree start - 1 on; the image returned is 1 + C_1 + .. + C_v.
+
+    The parts C_k are graded over w's prefixes (see the module docstring),
+    degree 1 first through the exponent sums.  A power t * c^n * t^-1 built
+    by :func:`largequot.words.power` keeps its record: it is embedded at
+    truncations start, start + 1, .. until its image is not 1.
     """
-    for L in range(start, limit + 1):
-        image = embed(w, L, p)
-        if not image.is_one:
-            return L - 1, image
+    rank = w.rank
+    if w.power_record is not None:
+        for L in range(start, limit + 1):
+            image = embed(w, L, p)
+            if not image.is_one:
+                return L - 1, image
+        return limit, None
+    letters = w.letters
+    if start <= 2 <= limit:
+        sums = {}
+        for gen, exp in letters:
+            sums[gen] = sums.get(gen, 0) + exp
+        if any(s if p is None else s % p for s in sums.values()):
+            linear = {(gen,): s for gen, s in sums.items()}
+            return 1, TruncSeries._trusted(rank, 2, p, {(): 1, **linear})
+    parts = [{(): 1}] * (len(letters) + 1)  # C_0 of every prefix
+    found = {(): 1}
+    for k in range(1, limit):
+        parts = _next_parts(letters, parts, p)
+        found.update(parts[-1])
+        if k >= start - 1 and len(found) > 1:
+            return k, TruncSeries._trusted(rank, k + 1, p, found)
     return limit, None
 
 
@@ -615,10 +685,12 @@ class UnitCounts:
     j / gcd(n, j) and no series is formed: there l may be as large as the
     cap, and the series of a^-1 has l terms.  With a ``cap``, a p^e past it
     raises the error the witness's BFS would, before any series work.
-    ``valuations`` maps words to their known v_p, such as a bound's; any
-    other word is embedded.  ``serialize``, when given, returns the witness
-    as serialized in place of :func:`unit_image_spec`.  Its coset graph
-    comes from :data:`largequot.quotients.BUILT_QUOTIENTS`.
+    ``valuations`` pairs words with their known v_p, such as a bound's, and
+    is searched by identity, so no word is hashed (a power's hash would
+    spell out its letters); any other word is valued afresh.  ``serialize``,
+    when given, returns the witness as serialized in place of
+    :func:`unit_image_spec`.  Its coset graph comes from
+    :data:`largequot.quotients.BUILT_QUOTIENTS`.
     """
 
     __slots__ = ("exponent", "p", "rank", "l", "order", "gens", "_serialize",
@@ -632,7 +704,7 @@ class UnitCounts:
         self.order = p**self.exponent
         self.gens = 1 + (rank - 1) * self.order
         self._serialize = serialize
-        self._valuations = valuations or {}
+        self._valuations = valuations or ()
 
     def image_order(self, w):
         if w.rank != self.rank:
@@ -640,7 +712,9 @@ class UnitCounts:
                 f"rank mismatch: word has {w.rank}, quotient has {self.rank}")
         if self.rank == 1:
             return self.order // math.gcd(w.exponent_sums()[0], self.order)
-        v = self._valuations.get(w) or magnus_valuation(w, self.p, self.l)[0]
+        v = next((v for u, v in self._valuations if u is w), None)
+        if v is None:
+            v = magnus_valuation(w, self.p, self.l)[0]
         return order_of_valuation(self.p, v, self.l)
 
     def cosets(self, w, o):

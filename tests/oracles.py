@@ -1,6 +1,7 @@
 """Test oracles the package does not ship: the mod-q abelianization, the
-abelian invariants of a rewritten presentation, and verbal cosets multiplied
-as words and compared by their layered normal form.
+abelian invariants of a rewritten presentation, verbal cosets multiplied
+as words and compared by their layered normal form, and Magnus valuations
+found by embedding a word at one truncation after another.
 
 Each is a slower or independent route to what the package computes another
 way, so the tests check the shipped path against it.  Subprocess tests
@@ -12,6 +13,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from largequot.quotients import DEFAULT_ENUM_CAP, ModVector, build_quotient
+from largequot.series import embed
 
 
 def mod_abelianization(rank, modulus, cap=DEFAULT_ENUM_CAP):
@@ -79,3 +81,13 @@ class VerbalCoset:
 
     def __hash__(self):
         return hash(self._series() + (self.nf,))
+
+
+def magnus_valuation(w, p, limit, start=2):
+    """:func:`largequot.series.magnus_valuation` by embedding: w's image at
+    truncations start, start + 1, .. up to ``limit`` until it is not 1."""
+    for L in range(start, limit + 1):
+        image = embed(w, L, p)
+        if not image.is_one:
+            return L - 1, image
+    return limit, None

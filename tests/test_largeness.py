@@ -8,7 +8,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from largequot import largeness, quotients, series
+from largequot import largeness, quotients, series, words
 from largequot.errors import BelowBoundError, CapExceeded
 from largequot.largeness import (
     VERDICT_LARGE,
@@ -30,7 +30,13 @@ from largequot.series import (
     unit_order,
 )
 from largequot.verbal import build_series
-from largequot.words import Word, parse_word, random_reduced_word, shortlex_words
+from largequot.words import (
+    Word,
+    parse_word,
+    power,
+    random_reduced_word,
+    shortlex_words,
+)
 from oracles import mod_abelianization
 
 
@@ -464,6 +470,52 @@ def test_only_the_returned_witness_is_enumerated(monkeypatch,
     a, ab = parse_word("a", 2), parse_word("ab", 2)
     assert find_avoiding_quotient([a, ab], 2, 2016).order == 9
     assert built == [9]
+
+
+def test_primes_up_to_match_sympy(monkeypatch):
+    monkeypatch.setattr(largeness, "_PRIMES", [2, 3])
+    for limit in (0, 1, 2, 3, 4, 10, 97):
+        assert list(largeness._primes_up_to(limit)) == \
+            list(sympy.primerange(1, limit + 1))
+    assert list(largeness._primes_up_to(10**5)) == \
+        list(sympy.primerange(1, 10**5 + 1))
+    # read again from the list
+    assert list(largeness._primes_up_to(10**5)) == \
+        list(sympy.primerange(1, 10**5 + 1))
+
+
+def test_bound_of_a_huge_power_hashes_no_word(monkeypatch):
+    def refuse(self):
+        raise AssertionError("spelled out the letters of a power")
+
+    monkeypatch.setattr(words._Power, "letters", property(refuse))
+    monkeypatch.setattr(largeness, "_PRIMES", [2, 3])
+    a = Word.generator(2, 1)
+    # M0 is 10^9 + 8, but 1009^2 passes the cap: the primes stop there
+    with pytest.raises(CapExceeded) as err:
+        lemma_fi_bound([power(a, 10**9 + 7)], 1)
+    assert str(err.value) == \
+        "quotient enumeration: reached 1000001 with cap 1000000"
+    assert max(largeness._PRIMES) == 1009
+
+
+def test_counts_read_the_bound_valuations_by_identity(monkeypatch):
+    g = [parse_word("abAB", 2), parse_word("ab", 2)]
+    bound = lemma_fi_bound(g, 2)
+    q = 2 * 3 * 5 * bound.M
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a base word was valued or hashed again")
+
+    monkeypatch.setattr(series, "magnus_valuation", refuse)
+    monkeypatch.setattr(Word, "__hash__", refuse)
+    counts = largeness._avoiding_unit(bound, q, quotients.DEFAULT_ENUM_CAP)
+    expected = [series.order_of_valuation(counts.p, v, counts.l)
+                for _, v in bound.valuations_mod(counts.p)]
+    assert [counts.image_order(w) for w in g] == expected
+    # an equal word that is not the bound's own is valued afresh
+    with pytest.raises(AssertionError):
+        counts.image_order(parse_word("ab", 2))
 
 
 def test_bounds_and_certificates_embed_only_base_words(monkeypatch,

@@ -4,15 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from largequot import series
 from largequot.errors import CapExceeded
 from largequot.series import (
     TruncSeries,
     embed,
     generator_image,
+    magnus_valuation,
     unit_image_quotient,
     unit_order,
 )
-from largequot.words import Word, parse_word, power
+from largequot.words import Word, parse_word, power, random_reduced_word
+from oracles import magnus_valuation as embedded_valuation
 
 
 def naive_mul(s, t):
@@ -331,3 +334,99 @@ def test_term_cap_fires_past_the_distinct_monomial_count(pair, cap):
             f"series term count: reached {cap + 1} with cap {cap}"
     else:
         assert s.mul(t, term_cap=cap) == naive_mul(s, t)
+
+
+# -- graded valuations -------------------------------------------------------
+
+
+def _commutator(x, y):
+    return x * y * x.inverse() * y.inverse()
+
+
+def _valuation_words(rank):
+    """Words of valuation 1 to 6 over Z or mod a small prime: random words,
+    left-normed commutators [[a, b], ..] (v_Z is their depth), their powers
+    (v_p of a p-th power is p times v_p), and products of those."""
+    rng = random.Random(rank)
+    gens = [Word.generator(rank, i) for i in range(1, rank + 1)]
+    found = [random_reduced_word(rng, rank, rng.randint(1, 6)) for _ in range(6)]
+    found += [gens[0] ** n for n in (2, 3, 4, 5)]
+    if rank >= 2:
+        c = gens[0]
+        for depth in range(2, 7):
+            c = _commutator(c, gens[(depth - 1) % rank])
+            found.append(c)
+        found += [found[-5] ** 2, found[-5] ** 3, found[-4] ** 2,
+                  found[-5] * found[-4], gens[0] * gens[-1] * gens[0].inverse()]
+    # each power again with its letters spelled out, so both routes are read
+    found += [parse_word(str(w), rank) for w in found if w.power_record]
+    return found
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+def test_graded_valuations_match_the_embedding_oracle(rank, p):
+    seen = set()
+    for w in _valuation_words(rank):
+        v = embedded_valuation(w, p, 8)[0]
+        seen.add(v)
+        # a caller's start says w's image at truncation start - 1 is 1
+        for start in range(2, min(v, 6) + 2):
+            for limit in sorted({1, 2, v, v + 1, 7}):
+                assert magnus_valuation(w, p, limit, start) == \
+                    embedded_valuation(w, p, limit, start), (str(w), limit, start)
+    # at rank 1, v_Z is 1 and v_p a power of p
+    assert seen >= (set(range(1, 7)) if rank > 1 else {1, p or 1})
+
+
+def test_graded_valuations_embed_no_parsed_word(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parsed word is graded, not embedded")
+
+    monkeypatch.setattr(series, "embed", refuse)
+    c = parse_word("abABaBAb", 2)  # [[a, b], a], of valuation 3
+    assert magnus_valuation(c, None, 8)[0] == 3
+    assert magnus_valuation(parse_word("aa", 2), 2, 8)[0] == 2
+    with pytest.raises(AssertionError):
+        magnus_valuation(power(c, 2), None, 8)
+
+
+def _read_payload(params, payload):
+    """The payload reader without the memo: the type checks, then parse."""
+    rank, bound, modulus = params["rank"], params["degree_bound"], params["modulus"]
+    if type(rank) is not int:
+        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+    if type(bound) is not int:
+        raise ValueError(f"degree bound must be a positive integer, got {bound!r}")
+    if modulus is not None and type(modulus) is not int:
+        raise ValueError(
+            f"modulus must be None or an integer >= 2, got {modulus!r}")
+    return TruncSeries.parse(payload, rank, bound, modulus)
+
+
+def _outcome(read, params, payload):
+    try:
+        s = read(params, payload)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return s, s.terms(), (s.rank, s.degree_bound, s.modulus)
+
+
+@pytest.mark.parametrize("params", [
+    {"rank": 2, "degree_bound": 3, "modulus": 3},
+    {"rank": 2, "degree_bound": 3, "modulus": None},
+    {"rank": 2, "degree_bound": 2, "modulus": 4},
+    {"rank": True, "degree_bound": 3, "modulus": 3},
+    {"rank": 2, "degree_bound": True, "modulus": 3},
+    {"rank": 2, "degree_bound": 3, "modulus": 3.0},
+    {"rank": 0, "degree_bound": 3, "modulus": 3}])
+def test_payload_memo_reads_what_parse_reads(params):
+    for payload in ["1 + x1", "x1 + 1", "1 + x1 + x2", "1 - 2*x1x2 + 3*x2x1",
+                    "0", "1", "1 + x0", "1 + x3", "1 + x1x1x1x1", "1 + y", "",
+                    ["1 + x1"], 1, None, {"1": 1}, ("1 + x1",)]:
+        expected = _outcome(_read_payload, params, payload)
+        # twice: the second read comes from the memo
+        assert _outcome(TruncSeries.from_payload, params, payload) == expected, \
+            payload
+        assert _outcome(TruncSeries.from_payload, params, payload) == expected, \
+            payload
