@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -40,7 +41,7 @@ from .verbal import (
     _as_primeseq,
     _escape_level,
 )
-from .words import power, random_reduced_word, shortlex_words
+from .words import indexed_word, power, random_reduced_indices, shortlex_words
 
 TRACE_SCHEMA = "periodic-construction-trace/1"
 
@@ -294,57 +295,94 @@ def check_pigraded_properties(level, words=None, sample_count=1000,
     Each distinct word is walked once, through F/gamma_{d-1}: the walk
     gives its order, and its depth (the deepest i with w in gamma_i) is
     read off the cover key of the coset it reaches, with no walk through
-    the levels below (:meth:`largequot.verbal.VerbalLevel._order_and_depth`).
-    A power's letters are never spelled out, and the checks run once per
-    distinct (order, depth) pair that passes them.
+    the levels below.  Sampled words are drawn as tuples of alphabet
+    indices, ``sample_count`` words of lengths ``rng.randint(1,
+    max_length)`` as :func:`largequot.words.random_reduced_word` draws
+    them, and walked over the step table
+    (:meth:`largequot.verbal.VerbalLevel._orders_and_depths`); a ``Word``
+    is built only to name a violation.  Explicit ``words`` go through
+    :meth:`largequot.verbal.VerbalLevel._order_and_depth`, so a power's
+    letters are never spelled out.  The checks run once per distinct
+    (order, depth) pair.
     """
     if len(set(level.primes_prefix)) != len(level.primes_prefix):
         raise ValueError("graded order properties need pairwise distinct primes")
     if words is None:
-        rng = random.Random(seed)
-        words = [
-            random_reduced_word(rng, level.rank, rng.randint(1, max_length))
-            for _ in range(sample_count)
-        ]
+        keys = _sample_indices(random.Random(seed), level.rank, sample_count,
+                               max_length)
+        found = level._orders_and_depths(keys)
+
+        def word(i):
+            return indexed_word(level.rank, keys[i])
     else:
         words = list(words)
-    quotient = level._table() if words else level.parent_quotient
+        quotient = level._table() if words else None
+        answers = {}  # (order, depth) per distinct word
+        found = []
+        for w in words:
+            quotient._check_word(w)  # before the memo, whose keys hold no rank
+            key = w.power_record or w.letters
+            answer = answers.get(key)
+            if answer is None:
+                answer = answers[key] = level._order_and_depth(w)
+            found.append(answer)
+        word = words.__getitem__
     full_product = prod(level.primes_prefix)
-    violations = []
-    order_counts = {}
-    answers = {}  # (order, depth) per distinct word
-    passing = set()  # the (order, depth) pairs that passed every check
-    for w in words:
-        quotient._check_word(w)  # before the memo, whose keys hold no rank
-        key = w.power_record or w.letters
-        answer = answers.get(key)
-        if answer is None:
-            answer = answers[key] = level._order_and_depth(w)
-        n, depth_reached = answer
-        order_counts[n] = order_counts.get(n, 0) + 1
-        if answer in passing:
-            continue
-        checked = len(violations)
-        # a divisor of p_1 .. p_d, pairwise distinct, is square-free as it is
-        if full_product % n:
-            if any(e > 1 for e in sympy.factorint(n).values()):
-                violations.append(f"order {n} of {w} is not square-free")
-            violations.append(f"order {n} of {w} does not divide {full_product}")
-        blocked = prod(level.primes_prefix[:depth_reached])
-        if gcd(n, blocked) != 1:
-            violations.append(
-                f"{w} lies in gamma_{depth_reached} but its order {n} shares "
-                f"a factor with p_1..p_{depth_reached}"
-            )
-        if len(violations) == checked:
-            passing.add(answer)
+    tally = Counter(found)  # words per distinct (order, depth)
+    order_counts = Counter()
+    for (n, _), count in tally.items():
+        order_counts[n] += count
+    failures = {answer: _graded_failures(*answer, level.primes_prefix,
+                                         full_product) for answer in tally}
+    violations = [text.format(w=word(i)) for i, answer in enumerate(found)
+                  for text in failures[answer]]
     return {
         "rank": level.rank,
         "depth": level.depth,
         "primes": list(level.primes_prefix),
-        "checked": len(words),
+        "checked": len(found),
         "order_histogram": {str(n): c for n, c in sorted(order_counts.items())},
         "violations": violations,
         "solvable": True,
         "derived_length_bound": level.depth,
     }
+
+
+def _graded_failures(n, depth, primes, full_product):
+    """The checks that order n at depth ``depth`` fails, as texts naming
+    the word by ``{w}``."""
+    failed = []
+    # a divisor of p_1 .. p_d, pairwise distinct, is square-free as it is
+    if full_product % n:
+        if any(e > 1 for e in sympy.factorint(n).values()):
+            failed.append(f"order {n} of {{w}} is not square-free")
+        failed.append(f"order {n} of {{w}} does not divide {full_product}")
+    if gcd(n, prod(primes[:depth])) != 1:
+        failed.append(f"{{w}} lies in gamma_{depth} but its order {n} shares "
+                      f"a factor with p_1..p_{depth}")
+    return failed
+
+
+def _sample_indices(rng, rank, count, max_length):
+    """The index tuples of ``count`` random reduced words, each of length
+    ``rng.randint(1, max_length)``.
+
+    That draw is randint's own loop, ``getrandbits`` of max_length's bit
+    length until the value is below max_length, inlined, so the tuples and
+    the generator's state afterwards are those of ``rng.randint`` and
+    :func:`largequot.words.random_reduced_word`.  A ``max_length`` that is
+    not a positive int goes through ``rng.randint`` itself, which raises
+    what it raises (``getrandbits(0)`` is always 0, so the inlined loop
+    would never end).
+    """
+    if type(max_length) is not int or max_length < 1:
+        return [random_reduced_indices(rng, rank, rng.randint(1, max_length))
+                for _ in range(count)]
+    bits, k = rng.getrandbits, max_length.bit_length()
+    keys = []
+    for _ in range(count):
+        length = bits(k)
+        while length >= max_length:
+            length = bits(k)
+        keys.append(random_reduced_indices(rng, rank, length + 1))
+    return keys

@@ -158,6 +158,7 @@ class FiniteQuotient:
         self._transversal = None
         self._nontree = None
         self._crossing = None
+        self._steps = None
         self._payload = None
 
     @property
@@ -301,6 +302,34 @@ class FiniteQuotient:
             self._crossing, self._nontree = table, tuple(labels)
         return self._crossing
 
+    def step_table(self):
+        """Flat table of single steps over alphabet indices, built once per
+        quotient.
+
+        Slot ``c*2r + i`` is for the letter at index i of the alphabet
+        a_1 < .. < a_r < a_1^-1 < .. < a_r^-1 (see
+        :func:`largequot.words.random_reduced_indices`) read from coset c.
+        It holds the pair ``(c'*2r, x)``: the slot base of the coset c' the
+        letter reaches, and x = pos + 1 when the step crosses the non-tree
+        edge at position pos of :meth:`schreier_generators` forward, -(pos
+        + 1) when backward, 0 on the tree.  So a walk over indices steps
+        ``c, x = table[c + i]`` from c = 0, as :meth:`_walk` steps the
+        letters.
+        """
+        if self._steps is None:
+            rank, width = self.rank, 2 * self.rank
+            crossing = self.crossing_table()
+            steps = []
+            for c in range(self.order):
+                for g, d in enumerate(self.mult[c]):
+                    at = crossing[c * rank + g]
+                    steps.append((d * width, 0 if at is None else at + 1))
+                for g, d in enumerate(self.inv_mult[c]):
+                    at = crossing[d * rank + g]
+                    steps.append((d * width, 0 if at is None else -at - 1))
+            self._steps = steps
+        return self._steps
+
     def schreier_generator_word(self, label):
         """The subgroup element t_c * a_g * t_{c.g}^-1 of a non-tree edge."""
         c, g = label
@@ -379,7 +408,8 @@ def build_quotient(rank, gen_images, cap=DEFAULT_ENUM_CAP, kind=None, params=Non
     head = 0
     while head < len(elements):
         targets = []
-        for edge, y in zip(edges, expand(elements[head])):
+        e = 0
+        for y in expand(elements[head]):
             at = index.get(y)
             if at is None:
                 at = len(elements)
@@ -387,8 +417,9 @@ def build_quotient(rank, gen_images, cap=DEFAULT_ENUM_CAP, kind=None, params=Non
                     raise CapExceeded("quotient enumeration", at + 1, cap)
                 elements.append(y)
                 index[y] = at
-                tree_parent.append((head, edge))
+                tree_parent.append((head, edges[e]))
             targets.append(at)
+            e += 1
         mult.append(targets[0::2])
         inv_mult.append(targets[1::2])
         head += 1

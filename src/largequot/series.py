@@ -25,7 +25,8 @@ Its certificate counts are closed forms (:class:`UnitCounts`): j = p^e by
 Jennings' formula (:func:`unit_image_exponent`), o(g) the least p^k with
 p^k v_p(g) >= l for g's mod-p Magnus valuation (:func:`magnus_valuation`).
 :meth:`TruncSeries.counts` tests the images reduced mod each prime p | m,
-the modulus, once (:func:`_unit_witness`): for p = m the closed forms count
+the modulus, once per tuple of images (:func:`_witness_primes`, by
+:func:`_unit_witness`): for p = m the closed forms count
 it; for p < m it maps onto the unit witness mod p, so one whose p^e passes
 the cap is refused before any BFS.  Others are counted on their coset graph.
 
@@ -464,17 +465,27 @@ class TruncSeries:
                 # part of (1 + u)^n is n u_v): the BFS can only end at the cap
                 raise CapExceeded("quotient enumeration", cap + 1, cap)
             return None
-        # a cofactor that trial division leaves may be composite
-        primes = [m] if sympy.isprime(m) else [p for p in sympy.factorint(
-            m, limit=2**16, use_rho=False, use_pm1=False) if sympy.isprime(p)]
-        for p in primes:
-            reduced = images if p == m else [
-                cls(rank, l, p, dict(g.terms())) for g in images]
-            if _unit_witness(reduced):
-                counts = UnitCounts(p, rank, l, cap, serialize)  # refuses past cap
-                if p == m:
-                    return counts
+        for p in _witness_primes(tuple(images)):
+            counts = UnitCounts(p, rank, l, cap, serialize)  # refuses past cap
+            if p == m:
+                return counts
         return None
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _witness_primes(images):
+    """The primes p | m, the images' modulus, over which the images reduced
+    mod p are a unit witness (:func:`_unit_witness`), for images of
+    constant term 1.  Once per tuple of images: verify reads the same
+    standard witness, with its images shared by :func:`_parse_payload`, on
+    every request."""
+    first = images[0]
+    m, rank, l = first.modulus, first.rank, first.degree_bound
+    # a cofactor that trial division leaves may be composite
+    primes = [m] if sympy.isprime(m) else [p for p in sympy.factorint(
+        m, limit=2**16, use_rho=False, use_pm1=False) if sympy.isprime(p)]
+    return tuple(p for p in primes if _unit_witness(images if p == m else [
+        TruncSeries(rank, l, p, dict(g.terms())) for g in images]))
 
 
 @functools.lru_cache(maxsize=256, typed=True)

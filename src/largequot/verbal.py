@@ -18,7 +18,11 @@ Each level keeps the coset table of F/gamma_{d-1}; ``member``,
 ``order_mod``, ``component_vector`` and the cover's move table walk the
 word through such a table with :meth:`largequot.quotients.FiniteQuotient.walk`
 and reduce its crossing sums mod the prime, so a power built by
-:func:`largequot.words.power` is walked by the period of its core.
+:func:`largequot.words.power` is walked by the period of its core.  The
+graded sampler of :func:`largequot.periodic.check_pigraded_properties`
+walks words given by their alphabet indices instead, all passes of each in
+one loop over the table's flat step table
+(:meth:`VerbalLevel._orders_and_depths`).
 F/gamma_d is only materialized while its order fits the materialization
 cap; deeper levels still know their order and Schreier rank through the
 closed product formula
@@ -52,7 +56,7 @@ from .quotients import (
     ModVector,
     build_quotient,
 )
-from .words import Word, parse_word, power
+from .words import Word, parse_word, power, word_indices
 
 DEFAULT_COSET_CAP = 10**4
 DEFAULT_DEPTH_CAP = 16
@@ -299,21 +303,78 @@ class VerbalLevel:
         """(``order_mod(w)``, the deepest i <= d with w in gamma_i), from
         one walk of w through F/gamma_{d-1}.
 
-        When w's coset c there is trivial, w lies in gamma_d iff its order
-        is 1.  Otherwise c is projected down the series: in F/gamma_{k-1}
-        the key of c is x * |F/gamma_{k-2}| + v, with v its coset of
-        gamma_{k-2} (see :meth:`LayeredCoset.packed_action`), until v is
-        trivial.
+        A plain word goes through :meth:`_orders_and_depths` by its
+        alphabet indices; a power is walked by its period
+        (:meth:`largequot.quotients.FiniteQuotient.walk`).
         """
+        quotient = self._table()
+        quotient._check_word(w)
+        if w.power_record is None:
+            return self._orders_and_depths([word_indices(w)])[0]
         c, n = self._coset_and_order(w)
+        return n, self._depth_of(c, n)
+
+    def _orders_and_depths(self, sequences):
+        """:meth:`_order_and_depth` of each word given by a tuple of its
+        alphabet indices (see :func:`largequot.words.random_reduced_indices`),
+        once per distinct tuple.
+
+        One loop over the step table of F/gamma_{d-1}
+        (:meth:`largequot.quotients.FiniteQuotient.step_table`) walks the
+        k passes of w that close up, counting the signed crossings; the
+        order is k * q_d when some crossing count is nonzero mod q_d, and k
+        otherwise, as in :meth:`order_mod`.  The coset the first pass
+        reaches gives the depth (:meth:`_depth_of`).  An empty list asks
+        nothing of the table.
+        """
+        if not sequences:
+            return []
+        steps = self._table().step_table()
+        width, q = 2 * self.rank, self.prime
+        answers, out = {}, []
+        for seq in sequences:
+            answer = answers.get(seq)
+            if answer is None:
+                counts = {}
+                get = counts.get
+                c = k = 0
+                while True:
+                    for i in seq:
+                        c, x = steps[c + i]
+                        if x:
+                            counts[x] = get(x, 0) + 1
+                    k += 1
+                    if k == 1:
+                        first = c // width
+                    if not c:
+                        break
+                # crossings are keyed +(pos + 1) forward, -(pos + 1) backward
+                for x, m in counts.items():
+                    if (m - get(-x, 0)) % q:
+                        k *= q
+                        break
+                answer = answers[seq] = (k, self._depth_of(first, k))
+            out.append(answer)
+        return out
+
+    def _depth_of(self, c, n):
+        """The deepest i <= d with w in gamma_i, for a word w of order n in
+        F/gamma_d whose walk from the trivial coset of F/gamma_{d-1} ends
+        at coset c.
+
+        When c is trivial, w lies in gamma_d iff n is 1.  Otherwise c is
+        projected down the series: in F/gamma_{k-1} the key of c is
+        x * |F/gamma_{k-2}| + v, with v its coset of gamma_{k-2} (see
+        :meth:`LayeredCoset.packed_action`), until v is trivial.
+        """
         if c == 0:
-            return n, (self.depth if n == 1 else self.depth - 1)
+            return self.depth if n == 1 else self.depth - 1
         lvl = self
         while c:
             below = lvl.parent_level
             c = lvl.parent_quotient.elements[c] % below.parent_quotient.order
             lvl = below
-        return n, lvl.depth - 1
+        return lvl.depth - 1
 
 
 class LayeredCoset:
@@ -377,8 +438,8 @@ class LayeredCoset:
         a key is x * |F/gamma_{d-1}| + v: a coset v of gamma_{d-1} and a chain
         x over the non-tree edges of its coset graph, read in base q_d, so
         key % |F/gamma_{d-1}| is the element's coset of gamma_{d-1}:
-        :meth:`VerbalLevel._order_and_depth` reads it for the graded sampler
-        of :func:`largequot.periodic.check_pigraded_properties`.  An
+        :meth:`VerbalLevel._depth_of` reads it for the depths of the graded
+        sampler of :func:`largequot.periodic.check_pigraded_properties`.  An
         image word u acts on (v, x) by walking from v: the walk's end replaces
         v and its crossings, summed mod q_d, add into the digits of x.  Both
         are tabulated once per base coset and image, so any image words work,

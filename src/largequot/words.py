@@ -16,7 +16,8 @@ reduced operands, an inverse of a reduced word is reduced, and
 build their result through ``Word._reduced``, which neither checks nor
 reduces, so each word is built once in time linear in its length.  So do
 :func:`shortlex_words` and :func:`random_reduced_word`, which extend words
-by index over one letter tuple per rank (``_alphabet``).
+by index over one letter tuple per rank (``_alphabet``); the index sequence
+itself is :func:`random_reduced_indices`.
 
 A word built by :func:`power` is symbolic: it holds its record
 ``power_record = (t, c, n)``, the letters of t and of c and the count n >= 1
@@ -331,23 +332,23 @@ def shortlex_words(rank):
         frontier = next_frontier
 
 
-def random_reduced_word(rng, rank, length):
-    """A uniformly random reduced word of exactly the given length: one
-    uniform draw from the alphabet, then from each letter's successors.
+def random_reduced_indices(rng, rank, length):
+    """The alphabet indices (see :func:`_alphabet`) of a uniformly random
+    reduced word of exactly the given length: one uniform draw from the
+    alphabet, then from each letter's successors.
 
     A draw below n is the loop ``rng.choice`` runs, ``getrandbits`` of n's
-    bit length until the value is below n, inlined: the words and the
+    bit length until the value is below n, inlined: the indices and the
     generator's state afterwards are exactly those of ``rng.choice``.
     """
     if length == 0:
-        return Word.identity(rank)
-    alphabet = _alphabet(rank)
+        return ()
     bits = rng.getrandbits
-    n, k = len(alphabet), len(alphabet).bit_length()
+    n, k = 2 * rank, (2 * rank).bit_length()
     i = bits(k)
     while i >= n:
         i = bits(k)
-    letters = [alphabet[i]]
+    indices = [i]
     n, k = n - 1, (n - 1).bit_length()
     for _ in range(length - 1):
         skip = i + rank if i < rank else i - rank
@@ -356,5 +357,26 @@ def random_reduced_word(rng, rank, length):
             i = bits(k)
         if i >= skip:
             i += 1
-        letters.append(alphabet[i])
-    return Word._reduced(rank, tuple(letters))
+        indices.append(i)
+    return tuple(indices)
+
+
+def indexed_word(rank, indices):
+    """The word spelled by alphabet indices of a reduced word, unchecked."""
+    alphabet = _alphabet(rank)
+    return Word._reduced(rank, tuple([alphabet[i] for i in indices]))
+
+
+def word_indices(w):
+    """The alphabet indices of a word's letters, inverse to :func:`indexed_word`."""
+    rank = w.rank
+    return tuple([g - 1 if e == 1 else g - 1 + rank for g, e in w.letters])
+
+
+def random_reduced_word(rng, rank, length):
+    """A uniformly random reduced word of exactly the given length, drawn
+    by :func:`random_reduced_indices`."""
+    if not isinstance(rank, int) or rank < 1:
+        # a draw below 2 * rank <= 0 would never end
+        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+    return indexed_word(rank, random_reduced_indices(rng, rank, length))

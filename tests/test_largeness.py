@@ -297,14 +297,16 @@ NO_BUILD_CASES = [
 
 
 def _graph_only(images):
-    """No witness is standard: every count is read off the coset graph,
-    the oracle of the closed forms."""
-    return False
+    """No witness is standard over any prime: every count is read off the
+    coset graph, the oracle of the closed forms.  It stands in for the
+    memoized classification, whose earlier answers a patch of
+    ``_unit_witness`` would not reach."""
+    return ()
 
 
 @pytest.fixture
 def graph_route(monkeypatch):
-    monkeypatch.setattr(series, "_unit_witness", _graph_only)
+    monkeypatch.setattr(series, "_witness_primes", _graph_only)
 
 
 @pytest.mark.parametrize("texts,q,unit,cert_digest,report_digest",
@@ -518,6 +520,36 @@ def test_counts_read_the_bound_valuations_by_identity(monkeypatch):
         counts.image_order(parse_word("ab", 2))
 
 
+def test_unit_witness_classification_is_kept_per_image_tuple(monkeypatch):
+    assert series._witness_primes.cache_parameters() == {
+        "maxsize": 256, "typed": True}
+    series._witness_primes.cache_clear()
+    calls = []
+    unit_witness, isprime = series._unit_witness, sympy.isprime
+    monkeypatch.setattr(series, "_unit_witness",
+                        lambda images: calls.append("rows") or unit_witness(images))
+    monkeypatch.setattr(sympy, "isprime",
+                        lambda n: calls.append("isprime") or isprime(n))
+    spec, cap = unit_image_spec(3, 2, 3), quotients.DEFAULT_ENUM_CAP
+    first = largeness._spec_counts(spec, cap)
+    assert calls == ["isprime", "rows"]
+    again = largeness._spec_counts(spec, cap)
+    assert calls == ["isprime", "rows"]
+    assert again is not first
+    assert (again.p, again.l, again.order) == (first.p, first.l, first.order)
+    # each call still checks its own cap
+    with pytest.raises(CapExceeded):
+        largeness._spec_counts(spec, first.order - 1)
+    # over a composite modulus each unit witness mod p | m is refused past
+    # the cap, and none is counted by the closed forms
+    images = [TruncSeries(2, 3, 6, {(): 1, (g,): 1}) for g in (1, 2)]
+    for _ in range(2):
+        assert TruncSeries.counts(images, cap, None) is None
+        with pytest.raises(CapExceeded):
+            TruncSeries.counts(images, 8, None)
+    assert calls.count("rows") == 3
+
+
 def test_bounds_and_certificates_embed_only_base_words(monkeypatch,
                                                        empty_quotient_table):
     original = series.embed
@@ -672,7 +704,7 @@ def _on_both_routes(call):
     its coset graph."""
     fast = _outcome(call)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_unit_witness", _graph_only)
+        mp.setattr(series, "_witness_primes", _graph_only)
         mp.setattr(series, "UnitCounts", _GraphUnitCounts)
         mp.setattr(largeness, "UnitCounts", _GraphUnitCounts)
         slow = _outcome(call)

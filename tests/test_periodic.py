@@ -22,7 +22,13 @@ from largequot.periodic import (
     trace_to_jsonl,
 )
 from largequot.verbal import PrimeSeq, build_series
-from largequot.words import Word, parse_word, power, random_reduced_word
+from largequot.words import (
+    Word,
+    indexed_word,
+    parse_word,
+    power,
+    random_reduced_word,
+)
 
 
 def test_format_order_shapes():
@@ -360,6 +366,102 @@ def test_every_failing_word_keeps_its_own_violations(monkeypatch):
     assert report["order_histogram"] == {"4": 3}
     assert report["violations"] == [
         text.format(w=w) for w in ("a", "b", "a") for text in (
+            "order 4 of {w} is not square-free",
+            "order 4 of {w} does not divide 6",
+            "{w} lies in gamma_1 but its order 4 shares a factor with p_1..p_1",
+        )]
+
+
+@pytest.mark.parametrize("primes, rank, depth", SAMPLER_SPECS)
+def test_step_table_matches_single_letter_walks(primes, rank, depth):
+    quotient = build_series(primes, rank, depth)[-1]._table()
+    steps, width = quotient.step_table(), 2 * rank
+    assert len(steps) == quotient.order * width
+    alphabet = [(g, 1) for g in range(1, rank + 1)] + \
+        [(g, -1) for g in range(1, rank + 1)]
+    for c in range(quotient.order):
+        for i, letter in enumerate(alphabet):
+            counts = {}
+            end = quotient._walk(c, (letter,), counts)
+            assert len(counts) <= 1
+            crossing = sum((at + 1) * e for at, e in counts.items())
+            assert steps[c * width + i] == (end * width, crossing)
+
+
+@pytest.mark.parametrize("primes, depth", [((2, 3), 2), ((2, 3, 5), 3)])
+@pytest.mark.parametrize("max_length", [1, 2, 3, 7, 8, 9, 16])
+def test_sampler_lengths_match_the_per_level_loop(primes, depth, max_length):
+    level = build_series(primes, 2, depth)[-1]
+    for count in (0, 1, 1000):
+        got = check_pigraded_properties(level, sample_count=count,
+                                        max_length=max_length, seed=max_length)
+        assert got == _oracle_graded_report(
+            level, sample_count=count, max_length=max_length, seed=max_length)
+        assert got["checked"] == count
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("max_length", [1, 2, 3, 7, 8, 9, 16, 100])
+def test_inlined_length_draw_pins_the_randint_stream(rank, max_length):
+    # the frozen sampler histograms are built on this stream, on every
+    # interpreter the package supports
+    for seed in range(20):
+        fast, slow = random.Random(seed), random.Random(seed)
+        keys = periodic._sample_indices(fast, rank, 50, max_length)
+        words = [random_reduced_word(slow, rank, slow.randint(1, max_length))
+                 for _ in range(50)]
+        assert [indexed_word(rank, key) for key in keys] == words
+        assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # randint(1, 2.5)
+@pytest.mark.parametrize("max_length", [0, -3, 2.5, True])
+def test_sampler_draws_odd_lengths_as_randint_does(max_length):
+    # getrandbits(0) is always 0: an inlined draw below 0 would never end
+    def outcome(call):
+        try:
+            return "returned", call()
+        # randint's refusal varies by version; True draws, and the
+        # unmaterialized level then refuses
+        except (NotMaterializedError, TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    for primes, rank, depth in (((2, 3), 2, 2), ((5, 2, 3), 2, 3)):
+        level = build_series(primes, rank, depth)[-1]
+        for count in (1, 3):
+            got = outcome(lambda: check_pigraded_properties(
+                level, sample_count=count, max_length=max_length))
+            expected = outcome(lambda: random.Random(0).randint(1, max_length))
+            if expected[0] == "returned":
+                assert got == outcome(lambda: _oracle_graded_report(
+                    level, sample_count=count, max_length=max_length))
+            else:
+                assert got == expected
+
+
+def test_an_empty_sample_touches_no_table(monkeypatch):
+    unbuilt = build_series([5, 2, 3], 2, 3)[-1]
+
+    def refuse(*args):
+        raise AssertionError("an empty sample reads no table")
+
+    monkeypatch.setattr(type(unbuilt), "_table", refuse)
+    for max_length in (8, 0, -3):
+        assert check_pigraded_properties(
+            unbuilt, sample_count=0, max_length=max_length) == \
+            _oracle_graded_report(unbuilt, words=[])
+
+
+def test_a_failing_sampled_word_is_named_by_its_letters(monkeypatch):
+    level = build_series([2, 3], 2, 2)[-1]
+    monkeypatch.setattr(level, "_orders_and_depths",
+                        lambda keys: [(4, 1)] * len(keys))
+    rng = random.Random(3)
+    words = [random_reduced_word(rng, 2, rng.randint(1, 8)) for _ in range(4)]
+    report = check_pigraded_properties(level, sample_count=4, seed=3)
+    assert report["order_histogram"] == {"4": 4}
+    assert report["violations"] == [
+        text.format(w=str(w)) for w in words for text in (
             "order 4 of {w} is not square-free",
             "order 4 of {w} does not divide 6",
             "{w} lies in gamma_1 but its order 4 shares a factor with p_1..p_1",

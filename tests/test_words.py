@@ -13,10 +13,13 @@ from largequot.words import (
     Word,
     _alphabet,
     _reduce_letters,
+    indexed_word,
     parse_word,
     power,
+    random_reduced_indices,
     random_reduced_word,
     shortlex_words,
+    word_indices,
 )
 
 
@@ -409,6 +412,26 @@ def test_inlined_draws_pin_the_choice_stream(rank):
             assert random_reduced_word(fast, rank, n).letters == \
                 _choice_random_reduced_word(slow, rank, n).letters
         assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_indices_spell_the_sampled_words(rank):
+    for seed in range(30):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for n in list(range(11)) * 2:
+            indices = random_reduced_indices(fast, rank, n)
+            w = random_reduced_word(slow, rank, n)
+            assert indexed_word(rank, indices) == w
+            assert word_indices(w) == indices
+        assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("length", [0, 3])
+def test_random_reduced_word_refuses_a_rank_below_one(length):
+    # a draw below 2 * rank = 0 never ends, so the rank is checked first
+    for rank in (0, -1):
+        with pytest.raises(ValueError, match="rank must be a positive integer"):
+            random_reduced_word(random.Random(0), rank, length)
 
 
 def test_a_large_rank_builds_no_successor_table():
