@@ -24,7 +24,13 @@ from .largeness import (
 )
 from .periodic import format_factors, format_order, run_construction, trace_to_jsonl
 from .series import embed, unit_order
-from .verbal import PrimeSeq, build_series, levi_bound, quotient_order_factors
+from .verbal import (
+    PrimeSeq,
+    _check_rank,
+    build_series,
+    levi_bound,
+    quotient_order_factors,
+)
 from .words import parse_word
 
 EXIT_OK = 0
@@ -54,12 +60,6 @@ def _parse_words(text, rank):
 
 def _parse_primes(text):
     return PrimeSeq([int(p) for p in _split_csv(text)])
-
-
-def _check_rank(rank):
-    if rank < 1:
-        raise ValueError(f"rank must be at least 1, got {rank}")
-    return rank
 
 
 def _load_json(path, what):

@@ -326,17 +326,16 @@ def _avoiding_unit(bound, q, enum_cap):
                        valuations=bound.valuations_mod(p))
 
 
-def find_avoiding_quotient(words, m, q, bound=None,
-                           truncation_cap=DEFAULT_TRUNCATION_CAP,
-                           enum_cap=DEFAULT_ENUM_CAP):
+def find_avoiding_quotient(words, m, q, bound=None, enum_cap=DEFAULT_ENUM_CAP):
     """A finite quotient N with g_i^s outside N for s <= m and g_i^q inside.
 
     Requires q >= M.  Branches: if p^{j(p)} divides q for a small prime p,
     the mod-p unit quotient at that prime's truncation works outright; else
     q has a prime factor p > M0, and the unit quotient mod p at the bound's
     truncation l keeps S alive (every witness coefficient is below p) and
-    works because every unit there has order p.  A ``bound`` computed for
-    other words or another m raises ``ValueError``.
+    works because every unit there has order p.  Without a ``bound`` the
+    default one is computed, under the default truncation cap; a ``bound``
+    computed for other words or another m raises ``ValueError``.
     Among admissible branches the smallest quotient wins, ranked by the
     closed-form orders; only the winner is enumerated, once per process
     (:meth:`largequot.series.UnitCounts.quotient`), since callers walk
@@ -344,8 +343,7 @@ def find_avoiding_quotient(words, m, q, bound=None,
     """
     words, _ = _check_base_words(words)
     if bound is None:
-        bound = lemma_fi_bound(words, m, truncation_cap=truncation_cap,
-                               enum_cap=enum_cap)
+        bound = lemma_fi_bound(words, m, enum_cap=enum_cap)
     elif bound.words != tuple(words) or bound.m != m:
         raise ValueError("bound is for other base words or another m")
     quotient = _avoiding_unit(bound, q, enum_cap).quotient()

@@ -48,6 +48,8 @@ TRACE_SCHEMA = "periodic-construction-trace/1"
 ASSUMPTION_SURJECTION = "free-image-surjection"
 ASSUMPTION_MARGIN = "depth-margin-c"
 
+SAMPLE_MAX_LENGTH = 8  # the graded sampler's words have lengths 1 .. 8
+
 
 @dataclass(frozen=True)
 class ConstructionState:
@@ -238,6 +240,7 @@ def run_construction(primes, steps, rank=2, coset_cap=DEFAULT_COSET_CAP,
     records = []
     halted = False
     halt_reason = None
+    # its first pull, before any step, refuses a rank that is no positive int
     word_stream = shortlex_words(rank)
     for _ in range(steps):
         f_word = next(word_stream)
@@ -280,8 +283,7 @@ def replay_matches(trace, coset_cap=DEFAULT_COSET_CAP,
     return again["states"] == trace["states"]
 
 
-def check_pigraded_properties(level, words=None, sample_count=1000,
-                              max_length=8, seed=0):
+def check_pigraded_properties(level, sample_count=1000, seed=0):
     """Check the graded order properties of F/gamma_d on sampled words.
 
     For each word w with image order n: n must be square-free and divide
@@ -292,41 +294,20 @@ def check_pigraded_properties(level, words=None, sample_count=1000,
     structural (an iterated extension of elementary abelian layers) and is
     reported as such rather than re-proved.
 
-    Each distinct word is walked once, through F/gamma_{d-1}: the walk
-    gives its order, and its depth (the deepest i with w in gamma_i) is
-    read off the cover key of the coset it reaches, with no walk through
-    the levels below.  Sampled words are drawn as tuples of alphabet
-    indices, ``sample_count`` words of lengths ``rng.randint(1,
-    max_length)`` as :func:`largequot.words.random_reduced_word` draws
-    them, and walked over the step table
-    (:meth:`largequot.verbal.VerbalLevel._orders_and_depths`); a ``Word``
-    is built only to name a violation.  Explicit ``words`` go through
-    :meth:`largequot.verbal.VerbalLevel._order_and_depth`, so a power's
-    letters are never spelled out.  The checks run once per distinct
-    (order, depth) pair.
+    The ``sample_count`` words are random reduced words of lengths
+    ``rng.randint(1, SAMPLE_MAX_LENGTH)``, drawn as
+    :func:`largequot.words.random_reduced_word` draws them but kept as
+    tuples of alphabet indices, each distinct one walked once through
+    F/gamma_{d-1} (:meth:`largequot.verbal.VerbalLevel._orders_and_depths`):
+    the walk gives its order, and its depth (the deepest i with w in
+    gamma_i) is read off the cover key of the coset it reaches, with no walk
+    through the levels below.  A ``Word`` is built only to name a violation,
+    and the checks run once per distinct (order, depth) pair.
     """
     if len(set(level.primes_prefix)) != len(level.primes_prefix):
         raise ValueError("graded order properties need pairwise distinct primes")
-    if words is None:
-        keys = _sample_indices(random.Random(seed), level.rank, sample_count,
-                               max_length)
-        found = level._orders_and_depths(keys)
-
-        def word(i):
-            return indexed_word(level.rank, keys[i])
-    else:
-        words = list(words)
-        quotient = level._table() if words else None
-        answers = {}  # (order, depth) per distinct word
-        found = []
-        for w in words:
-            quotient._check_word(w)  # before the memo, whose keys hold no rank
-            key = w.power_record or w.letters
-            answer = answers.get(key)
-            if answer is None:
-                answer = answers[key] = level._order_and_depth(w)
-            found.append(answer)
-        word = words.__getitem__
+    keys = _sample_indices(random.Random(seed), level.rank, sample_count)
+    found = level._orders_and_depths(keys)
     full_product = prod(level.primes_prefix)
     tally = Counter(found)  # words per distinct (order, depth)
     order_counts = Counter()
@@ -334,7 +315,8 @@ def check_pigraded_properties(level, words=None, sample_count=1000,
         order_counts[n] += count
     failures = {answer: _graded_failures(*answer, level.primes_prefix,
                                          full_product) for answer in tally}
-    violations = [text.format(w=word(i)) for i, answer in enumerate(found)
+    violations = [text.format(w=indexed_word(level.rank, keys[i]))
+                  for i, answer in enumerate(found)
                   for text in failures[answer]]
     return {
         "rank": level.rank,
@@ -363,26 +345,18 @@ def _graded_failures(n, depth, primes, full_product):
     return failed
 
 
-def _sample_indices(rng, rank, count, max_length):
+def _sample_indices(rng, rank, count):
     """The index tuples of ``count`` random reduced words, each of length
-    ``rng.randint(1, max_length)``.
-
-    That draw is randint's own loop, ``getrandbits`` of max_length's bit
-    length until the value is below max_length, inlined, so the tuples and
-    the generator's state afterwards are those of ``rng.randint`` and
-    :func:`largequot.words.random_reduced_word`.  A ``max_length`` that is
-    not a positive int goes through ``rng.randint`` itself, which raises
-    what it raises (``getrandbits(0)`` is always 0, so the inlined loop
-    would never end).
-    """
-    if type(max_length) is not int or max_length < 1:
-        return [random_reduced_indices(rng, rank, rng.randint(1, max_length))
-                for _ in range(count)]
-    bits, k = rng.getrandbits, max_length.bit_length()
+    ``rng.randint(1, SAMPLE_MAX_LENGTH)`` by randint's own loop, inlined:
+    ``getrandbits`` of the bound's bit length until the value is below the
+    bound.  So the tuples and the generator's state afterwards are those of
+    ``rng.randint`` and :func:`largequot.words.random_reduced_word`."""
+    bits, bound = rng.getrandbits, SAMPLE_MAX_LENGTH
+    k = bound.bit_length()
     keys = []
     for _ in range(count):
         length = bits(k)
-        while length >= max_length:
+        while length >= bound:
             length = bits(k)
         keys.append(random_reduced_indices(rng, rank, length + 1))
     return keys

@@ -240,14 +240,11 @@ class FiniteQuotient:
     def kernel_contains(self, w):
         return self.coset_of(w) == 0
 
-    def image_order(self, w, counts=None, first=None):
+    def image_order(self, w, counts=None):
         """Order k of the image of w in the quotient group.
 
-        A dict ``counts`` gets the crossings of the closed walk of w^k.  A
-        caller that has already walked w once from coset 0, into ``counts``,
-        passes the coset it reached as ``first``, and the walk goes on from
-        there."""
-        c = self.coset_of(w, counts) if first is None else first
+        A dict ``counts`` gets the crossings of the closed walk of w^k."""
+        c = self.coset_of(w, counts)
         k = 1
         while c != 0:
             c = self.walk(c, w, counts)

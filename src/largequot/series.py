@@ -229,8 +229,9 @@ class TruncSeries:
             return NotImplemented
         return self + (-other)
 
-    def mul(self, other, term_cap=DEFAULT_TERM_CAP):
+    def mul(self, other):
         self._check_compatible(other)
+        cap = DEFAULT_TERM_CAP
         bound = self.degree_bound
         # the right factor's terms by degree, so each row stops at its room
         right = sorted(other._terms.items(), key=lambda kv: len(kv[0]))
@@ -245,8 +246,8 @@ class TruncSeries:
                 terms[mono] = get(mono, 0) + c1 * c2
             # the term count grows one at a time, so it first passes the
             # cap at cap + 1, whichever row takes it there
-            if len(terms) > term_cap:
-                raise CapExceeded("series term count", term_cap + 1, term_cap)
+            if len(terms) > cap:
+                raise CapExceeded("series term count", cap + 1, cap)
         # stored monomials are below the bound, so the products kept are too
         return TruncSeries._trusted(self.rank, bound, self.modulus, terms)
 

@@ -20,8 +20,8 @@ word through such a table with :meth:`largequot.quotients.FiniteQuotient.walk`
 and reduce its crossing sums mod the prime, so a power built by
 :func:`largequot.words.power` is walked by the period of its core.  The
 graded sampler of :func:`largequot.periodic.check_pigraded_properties`
-walks words given by their alphabet indices instead, all passes of each in
-one loop over the table's flat step table
+draws its words as tuples of alphabet indices and walks all passes of each
+in one loop over the table's flat step table
 (:meth:`VerbalLevel._orders_and_depths`).
 F/gamma_d is only materialized while its order fits the materialization
 cap; deeper levels still know their order and Schreier rank through the
@@ -56,7 +56,7 @@ from .quotients import (
     ModVector,
     build_quotient,
 )
-from .words import Word, parse_word, power, word_indices
+from .words import Word, parse_word, power
 
 DEFAULT_COSET_CAP = 10**4
 DEFAULT_DEPTH_CAP = 16
@@ -82,10 +82,12 @@ class PrimeSeq:
     """A finite sequence of primes q_1, q_2, .. indexing the verbal levels."""
 
     def __init__(self, primes):
-        primes = tuple(int(p) for p in primes)
+        primes = tuple(primes)
         if not primes:
             raise ValueError("prime sequence must be nonempty")
         for p in primes:
+            if type(p) is not int:  # never converted; a bool is no int here
+                raise ValueError(f"primes must be integers, got {p!r}")
             if not sympy.isprime(p):
                 raise ValueError(f"{p} is not prime")
         self.primes = primes
@@ -286,38 +288,17 @@ class VerbalLevel:
         so the order is k*q_d when the crossings summed over the k passes
         are nonzero mod q_d, and k otherwise.
         """
-        return self._coset_and_order(w)[1]
-
-    def _coset_and_order(self, w):
-        """(c, n): the coset c of w in F/gamma_{d-1} and n = ``order_mod(w)``,
-        from one walk.  For c == 0 the walk is one pass, so n == 1 exactly
-        when w lies in gamma_d."""
         quotient, counts = self._table(), {}
-        c = quotient.coset_of(w, counts)
-        k = quotient.image_order(w, counts, first=c)
+        k = quotient.image_order(w, counts)
         if any(x % self.prime for x in counts.values()):
-            return c, k * self.prime
-        return c, k
-
-    def _order_and_depth(self, w):
-        """(``order_mod(w)``, the deepest i <= d with w in gamma_i), from
-        one walk of w through F/gamma_{d-1}.
-
-        A plain word goes through :meth:`_orders_and_depths` by its
-        alphabet indices; a power is walked by its period
-        (:meth:`largequot.quotients.FiniteQuotient.walk`).
-        """
-        quotient = self._table()
-        quotient._check_word(w)
-        if w.power_record is None:
-            return self._orders_and_depths([word_indices(w)])[0]
-        c, n = self._coset_and_order(w)
-        return n, self._depth_of(c, n)
+            return k * self.prime
+        return k
 
     def _orders_and_depths(self, sequences):
-        """:meth:`_order_and_depth` of each word given by a tuple of its
-        alphabet indices (see :func:`largequot.words.random_reduced_indices`),
-        once per distinct tuple.
+        """(:meth:`order_mod`, the deepest i <= d with w in gamma_i) of each
+        word w given by a tuple of its alphabet indices (see
+        :func:`largequot.words.random_reduced_indices`), once per distinct
+        tuple.
 
         One loop over the step table of F/gamma_{d-1}
         (:meth:`largequot.quotients.FiniteQuotient.step_table`) walks the
@@ -516,9 +497,17 @@ def _level_orders(primes, rank):
         yield d, q, exponent, order
 
 
-def _depth_checked(primes, depth):
-    """The primes as a PrimeSeq whose series reaches the given depth."""
+def _check_rank(rank):
+    """The rank, refused unless an int of at least 1; a bool is refused too."""
+    if type(rank) is not int or rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank!r}")
+    return rank
+
+
+def _depth_checked(primes, rank, depth):
+    """The primes as a PrimeSeq, with the rank and the depth checked."""
     primes = _as_primeseq(primes)
+    _check_rank(rank)
     if not isinstance(depth, int) or depth < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
     if depth > len(primes):
@@ -537,9 +526,8 @@ def _iter_levels(primes, rank, coset_cap):
     Level d's order is computed then too, if nothing read it before.
     """
     primes = _as_primeseq(primes)
-    if isinstance(rank, int) and rank < 1:
-        raise ValueError("rank must be at least 1")
-    if isinstance(rank, int) and rank > ORDER_EXPONENT_CAP:
+    _check_rank(rank)
+    if rank > ORDER_EXPONENT_CAP:
         # |F/gamma_1| = q_1^rank is already an exponent tower: refuse before
         # F/gamma_0 allocates tables of rank entries
         raise CapExceeded("depth-1 quotient order", "an exponent tower",
@@ -583,7 +571,7 @@ def build_series(primes, rank, depth, coset_cap=DEFAULT_COSET_CAP):
     Levels stay usable for order/size queries past the materialization cap,
     but membership needs |F/gamma_{d-1}| <= coset_cap.
     """
-    primes = _depth_checked(primes, depth)
+    primes = _depth_checked(primes, rank, depth)
     return list(islice(_iter_levels(primes, rank, coset_cap), depth))
 
 
@@ -593,7 +581,7 @@ def quotient_order(primes, rank, depth):
     Raises :class:`CapExceeded` once the running exponent passes
     ORDER_EXPONENT_CAP; by then the value is an exponent tower.
     """
-    primes = _depth_checked(primes, depth)
+    primes = _depth_checked(primes, rank, depth)
     order = 1
     for d, _, exponent, order in islice(_level_orders(primes, rank), depth):
         if order is None:
@@ -609,7 +597,7 @@ def quotient_order_factors(primes, rank, depth):
     exponents are the Schreier ranks, which stay representable until the
     order itself already is not.
     """
-    primes = _depth_checked(primes, depth)
+    primes = _depth_checked(primes, rank, depth)
     if depth == 0:
         return {}
     # the deepest level's order is never read, and can be a power of

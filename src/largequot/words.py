@@ -311,13 +311,21 @@ def _alphabet(rank):
     return tuple((g, e) for e in (1, -1) for g in range(1, rank + 1))
 
 
+def _check_rank(rank):
+    """Refuse a rank that is not an int of at least 1; a bool is refused too."""
+    if type(rank) is not int or rank < 1:
+        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+
+
 def shortlex_words(rank):
     """Yield reduced words in shortlex order over a1 < .. < ar < a1^-1 < ..
 
     This alphabet order is not the BFS edge order of coset enumeration
     (a1, a1^-1, a2, a2^-1, ..), so two words of one length can compare
-    differently here and in a Schreier transversal.
+    differently here and in a Schreier transversal.  A rank below 1 is
+    refused on the first pull: its frontier would stay empty forever.
     """
+    _check_rank(rank)
     alphabet = _alphabet(rank)
     frontier = [()]
     while True:
@@ -367,16 +375,9 @@ def indexed_word(rank, indices):
     return Word._reduced(rank, tuple([alphabet[i] for i in indices]))
 
 
-def word_indices(w):
-    """The alphabet indices of a word's letters, inverse to :func:`indexed_word`."""
-    rank = w.rank
-    return tuple([g - 1 if e == 1 else g - 1 + rank for g, e in w.letters])
-
-
 def random_reduced_word(rng, rank, length):
     """A uniformly random reduced word of exactly the given length, drawn
     by :func:`random_reduced_indices`."""
-    if not isinstance(rank, int) or rank < 1:
-        # a draw below 2 * rank <= 0 would never end
-        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+    # a draw below 2 * rank <= 0 would never end
+    _check_rank(rank)
     return indexed_word(rank, random_reduced_indices(rng, rank, length))

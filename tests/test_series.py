@@ -254,12 +254,13 @@ def test_unit_image_quotient_cap():
         unit_image_quotient(2, 2, 3, cap=16)
 
 
-def test_term_cap_on_mul():
+def test_term_cap_on_mul(monkeypatch):
     s = TruncSeries(
         2, 8, None, {(1,) * k + (2,) * j: 1 for k in range(4) for j in range(4)}
     )
+    monkeypatch.setattr(series, "DEFAULT_TERM_CAP", 10)
     with pytest.raises(CapExceeded):
-        s.mul(s, term_cap=10)
+        s.mul(s)
 
 
 def test_parse_print_roundtrip():
@@ -327,13 +328,16 @@ def test_term_cap_fires_past_the_distinct_monomial_count(pair, cap):
     # every monomial the product forms, zero coefficient or not
     formed = {m1 + m2 for m1, _ in s.terms() for m2, _ in t.terms()
               if len(m1) + len(m2) < s.degree_bound}
-    if len(formed) > cap:
-        with pytest.raises(CapExceeded) as err:
-            s.mul(t, term_cap=cap)
-        assert str(err.value) == \
-            f"series term count: reached {cap + 1} with cap {cap}"
-    else:
-        assert s.mul(t, term_cap=cap) == naive_mul(s, t)
+    # a hypothesis test takes no function-scoped fixture, so no monkeypatch
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "DEFAULT_TERM_CAP", cap)
+        if len(formed) > cap:
+            with pytest.raises(CapExceeded) as err:
+                s.mul(t)
+            assert str(err.value) == \
+                f"series term count: reached {cap + 1} with cap {cap}"
+        else:
+            assert s.mul(t) == naive_mul(s, t)
 
 
 # -- graded valuations -------------------------------------------------------

@@ -408,6 +408,27 @@ def test_a_rank_below_one_is_refused(rank):
         build_series([2], rank, 1)
 
 
+@pytest.mark.parametrize("rank", [0, -1, True, 2.0])
+def test_every_verbal_order_route_refuses_a_rank_that_is_no_positive_int(rank):
+    # -1 used to give the order 0.5, 2.0 the order 972.0, and True levels of
+    # rank True
+    for call in (lambda: quotient_order([2, 3], rank, 2),
+                 lambda: quotient_order_factors([2, 3], rank, 2),
+                 lambda: build_series([2, 3], rank, 2)):
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            call()
+
+
+@pytest.mark.parametrize("primes", [[2.9, 3.2], ["5"], [2.5, 3], [True, 3],
+                                    [2, 3.0]])
+def test_prime_entries_are_read_as_ints_only(primes):
+    # they used to be converted: [2.9, 3.2] read as (2, 3), "5" as 5
+    with pytest.raises(ValueError, match="primes must be integers"):
+        PrimeSeq(primes)
+    with pytest.raises(ValueError, match="primes must be integers"):
+        build_series(primes, 2, 1)
+
+
 def test_a_rank_past_the_exponent_cap_is_refused_before_any_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a rank past the cap allocates no table")

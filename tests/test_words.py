@@ -19,7 +19,6 @@ from largequot.words import (
     random_reduced_indices,
     random_reduced_word,
     shortlex_words,
-    word_indices,
 )
 
 
@@ -422,7 +421,6 @@ def test_indices_spell_the_sampled_words(rank):
             indices = random_reduced_indices(fast, rank, n)
             w = random_reduced_word(slow, rank, n)
             assert indexed_word(rank, indices) == w
-            assert word_indices(w) == indices
         assert fast.getstate() == slow.getstate()
 
 
@@ -432,6 +430,13 @@ def test_random_reduced_word_refuses_a_rank_below_one(length):
     for rank in (0, -1):
         with pytest.raises(ValueError, match="rank must be a positive integer"):
             random_reduced_word(random.Random(0), rank, length)
+
+
+@pytest.mark.parametrize("rank", [0, -1, True, 2.0])
+def test_shortlex_words_refuses_a_rank_below_one_or_not_an_int(rank):
+    # an empty alphabet leaves an empty frontier, walked forever
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        next(shortlex_words(rank))
 
 
 def test_a_large_rank_builds_no_successor_table():
