@@ -22,7 +22,7 @@ from .largeness import (
     lemma_fi_bound,
     verify_certificate,
 )
-from .periodic import format_factors, format_order, run_construction, trace_to_jsonl
+from .periodic import format_factors, run_construction, trace_to_jsonl
 from .series import embed, unit_order
 from .verbal import (
     PrimeSeq,
@@ -107,7 +107,9 @@ def _cmd_lemma_fi(args, cfg):
         words, args.m, truncation_cap=cfg.truncation_cap,
         enum_cap=cfg.enumeration_cap,
     )
-    return {**bound.to_doc(), "M": format_order(bound.M)}, EXIT_OK
+    # M is the product of the p^{j(p)}
+    return {**bound.to_doc(),
+            "M": format_factors(bound.small_prime_exponents)}, EXIT_OK
 
 
 def _cmd_magnus(args, cfg):

@@ -43,11 +43,8 @@ its prefixes, one pass per degree up to v (see :mod:`largequot.series`).
 
 from __future__ import annotations
 
-import itertools
-
-import sympy
-
 from .errors import BelowBoundError, CapExceeded
+from .primes import factor, primes_up_to
 from .quotients import (
     DEFAULT_ENUM_CAP,
     FiniteQuotient,
@@ -199,36 +196,6 @@ def _spec_counts(spec, cap):
             len(images), images, cap=cap, kind=spec["kind"], params=params))
 
 
-# the primes in increasing order, as far as any bound has read them
-_PRIMES = [2, 3]
-
-
-def _next_prime(primes):
-    """The least prime past the last of ``primes``, which are every prime
-    up to it, by trial division."""
-    n = primes[-1]
-    while True:
-        n += 2
-        for q in primes:
-            if q * q > n:
-                return n
-            if n % q == 0:
-                break
-
-
-def _primes_up_to(limit):
-    """The primes up to ``limit``, in increasing order, read off ``_PRIMES``
-    and extended one prime at a time past its end, so a caller that stops
-    early never lists the primes up to a huge limit."""
-    primes = _PRIMES
-    for i in itertools.count():
-        if i == len(primes):
-            primes.append(_next_prime(primes))
-        if primes[i] > limit:
-            return
-        yield primes[i]
-
-
 def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
                    enum_cap=DEFAULT_ENUM_CAP):
     """Compute the avoidance bound record for S = {g_i^s : 1 <= s <= m}.
@@ -276,7 +243,7 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
     exponents = {}
     truncations = {}
     M = 1
-    for p in _primes_up_to(M0):
+    for p in primes_up_to(M0):
         # v_p(g^s) = p^a v_p(g) for s = p^a t, so the largest power P of p
         # up to m sets the truncation; P v_p(g) < cap iff v_p(g) < ceil(cap/P)
         P = 1
@@ -311,8 +278,7 @@ def _avoiding_unit(bound, q, enum_cap):
     for p in bound.small_prime_exponents:
         while cofactor % p == 0:
             cofactor //= p
-    large = sympy.factorint(cofactor) if cofactor > 1 else {}
-    for p in [p for p in large if p > bound.M0]:
+    for p in [p for p in factor(cofactor) if p > bound.M0]:
         e = unit_image_exponent(p, bound.rank, l, cap=enum_cap)
         # an over-cap candidate past truncation 2 is dropped; one at
         # truncation 2 stays, and counting or building it reports the cap
@@ -376,7 +342,7 @@ def _direct_witness_search(bound, k, q, truncation_cap, enum_cap):
     from Jennings' formula, so nothing is embedded or enumerated.  Returns
     the counts of the witness found, or None.
     """
-    for p, e in sorted(sympy.factorint(q).items()):
+    for p, e in sorted(factor(q).items()):
         p_part = p**e
         valuations = bound.valuations_mod(p)
         for l in range(2, truncation_cap + 1):

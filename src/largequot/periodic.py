@@ -31,9 +31,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd, prod
 
-import sympy
-
 from .errors import CapExceeded
+from .primes import factor
 from .verbal import (
     DEFAULT_COSET_CAP,
     DEFAULT_DEPTH_CAP,
@@ -60,12 +59,13 @@ class ConstructionState:
     step: int = 0
     depth: int = 0
     relators: tuple = ()  # pairs (base word, exponent)
-    order_history: tuple = (1,)
+    # each quotient order so far as its (prime, exponent) pairs
+    order_history: tuple = ((),)
     assumptions: tuple = ()
 
     @property
     def quotient_order(self):
-        return self.order_history[-1]
+        return prod(p**e for p, e in self.order_history[-1])
 
     def to_doc(self):
         return {
@@ -76,7 +76,8 @@ class ConstructionState:
             "relators": [
                 {"base": str(base), "exponent": e} for base, e in self.relators
             ],
-            "order_history": [format_order(n) for n in self.order_history],
+            "order_history": [format_factors(dict(f))
+                              for f in self.order_history],
             "assumptions": list(self.assumptions),
         }
 
@@ -90,7 +91,7 @@ def format_order(n):
     """
     if n < 1:
         raise ValueError(f"orders are positive, got {n}")
-    return format_factors(sympy.factorint(n))
+    return format_factors(factor(n))
 
 
 def format_factors(factors):
@@ -171,19 +172,24 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
     relator_exponent = prefix_exponent * n
     if not target.member(power(g, n)):
         raise AssertionError("relator must lie in the target level")
-    if pi.distinct and any(
-        e > 1 for e in sympy.factorint(relator_exponent).values()
-    ):
+    if pi.distinct and any(e > 1 for e in factor(relator_exponent).values()):
         raise AssertionError(
             f"relator exponent {relator_exponent} not square-free despite "
             "distinct primes"
         )
-    level_orders = [lvl.quotient_order for lvl in target._chain()]
+    chain = target._chain()
+    level_orders = [lvl.quotient_order for lvl in chain]
     if any(a >= b for a, b in zip(level_orders, level_orders[1:])):
         raise AssertionError("level orders must strictly grow along the series")
-    new_order = level_orders[-1]
-    if new_order <= state.quotient_order:
+    if level_orders[-1] <= state.quotient_order:
         raise AssertionError("quotient order must strictly grow")
+    # the orders' factorizations by the product formula, never by factoring:
+    # |F/gamma_d| = |F/gamma_{d-1}| q_d^(Schreier rank of gamma_{d-1})
+    factors, level_factors = {}, []
+    for lvl in chain:
+        factors = {**factors,
+                   lvl.prime: factors.get(lvl.prime, 0) + lvl.schreier_rank}
+        level_factors.append(factors)
 
     step_index = state.step + 1
     new_assumptions = (
@@ -201,7 +207,7 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
         step=step_index,
         depth=new_depth,
         relators=state.relators + ((f_word, relator_exponent),),
-        order_history=state.order_history + (new_order,),
+        order_history=state.order_history + (tuple(sorted(factors.items())),),
         assumptions=state.assumptions + new_assumptions,
     )
     record = {
@@ -214,10 +220,10 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
         "order_at_level": n,
         "relator": {"base": str(f_word), "exponent": relator_exponent},
         "relator_in_level": True,
-        "level_orders": [format_order(o) for o in level_orders],
+        "level_orders": [format_factors(f) for f in level_factors],
         "growth": {
-            "from": format_order(state.quotient_order),
-            "to": format_order(new_order),
+            "from": format_factors(dict(state.order_history[-1])),
+            "to": format_factors(factors),
         },
         "assumptions_added": list(new_assumptions),
     }
@@ -336,7 +342,7 @@ def _graded_failures(n, depth, primes, full_product):
     failed = []
     # a divisor of p_1 .. p_d, pairwise distinct, is square-free as it is
     if full_product % n:
-        if any(e > 1 for e in sympy.factorint(n).values()):
+        if any(e > 1 for e in factor(n).values()):
             failed.append(f"order {n} of {{w}} is not square-free")
         failed.append(f"order {n} of {{w}} does not divide {full_product}")
     if gcd(n, prod(primes[:depth])) != 1:

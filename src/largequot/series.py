@@ -67,10 +67,9 @@ import functools
 import math
 import re
 
-import sympy
-
 from . import quotients
 from .errors import CapExceeded
+from .primes import TRIAL_LIMIT, is_prime, trial_division
 from .words import Word
 
 DEFAULT_TERM_CAP = 10**6
@@ -454,8 +453,8 @@ class TruncSeries:
     @classmethod
     def counts(cls, images, cap, serialize):
         """The :class:`UnitCounts` of the witness the images generate, or None
-        for its coset graph (see the module docstring).  The primes p | m are
-        found by trial division only: fully factoring m can outlast the BFS."""
+        for its coset graph (see the module docstring), over the primes
+        :func:`_modulus_primes` finds."""
         # any other constant term fails the BFS's inverse()
         if any(g.constant_term != 1 for g in images):
             return None
@@ -482,11 +481,24 @@ def _witness_primes(images):
     every request."""
     first = images[0]
     m, rank, l = first.modulus, first.rank, first.degree_bound
-    # a cofactor that trial division leaves may be composite
-    primes = [m] if sympy.isprime(m) else [p for p in sympy.factorint(
-        m, limit=2**16, use_rho=False, use_pm1=False) if sympy.isprime(p)]
-    return tuple(p for p in primes if _unit_witness(images if p == m else [
-        TruncSeries(rank, l, p, dict(g.terms())) for g in images]))
+    return tuple(p for p in _modulus_primes(m) if _unit_witness(
+        images if p == m else [TruncSeries(rank, l, p, dict(g.terms()))
+                               for g in images]))
+
+
+def _modulus_primes(m):
+    """The primes p | m found by trial division to TRIAL_LIMIT, in increasing
+    order, then the cofactor it leaves when that is a prime.  A composite
+    cofactor takes sympy's search over the same trial range, which past it
+    still finds perfect powers and factors close to the square root; fully
+    factoring m can outlast the BFS."""
+    found, cofactor = trial_division(m)
+    if cofactor > 1 and not is_prime(cofactor):
+        from sympy import factorint
+
+        return [p for p in factorint(m, limit=TRIAL_LIMIT, use_rho=False,
+                                     use_pm1=False) if is_prime(p)]
+    return list(found) + ([cofactor] if cofactor > 1 else [])
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -555,7 +567,7 @@ def unit_order(s):
 
     Another modulus raises ``ValueError``: over Z/4 the middle binomial
     terms of (1 + u)^p need not vanish, so no p-power formula applies."""
-    if s.modulus is None or not sympy.isprime(s.modulus):
+    if s.modulus is None or not is_prime(s.modulus):
         raise ValueError("unit_order requires a prime modulus")
     if s.constant_term != 1:
         raise ValueError(f"unit_order requires constant term 1, got {s.constant_term}")

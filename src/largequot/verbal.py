@@ -46,9 +46,8 @@ from __future__ import annotations
 import functools
 from itertools import islice
 
-import sympy
-
 from .errors import CapExceeded, NotMaterializedError
+from .primes import is_prime
 from .quotients import (
     BUILT_QUOTIENTS,
     KINDS,
@@ -88,7 +87,7 @@ class PrimeSeq:
         for p in primes:
             if type(p) is not int:  # never converted; a bool is no int here
                 raise ValueError(f"primes must be integers, got {p!r}")
-            if not sympy.isprime(p):
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
         self.primes = primes
 
@@ -508,7 +507,7 @@ def _depth_checked(primes, rank, depth):
     """The primes as a PrimeSeq, with the rank and the depth checked."""
     primes = _as_primeseq(primes)
     _check_rank(rank)
-    if not isinstance(depth, int) or depth < 0:
+    if type(depth) is not int or depth < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
     if depth > len(primes):
         raise ValueError(

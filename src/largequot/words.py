@@ -81,8 +81,7 @@ class Word:
     __slots__ = ("rank", "letters", "power_record")
 
     def __init__(self, rank, letters=()):
-        if not isinstance(rank, int) or rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {rank!r}")
+        _check_rank(rank)
         letters = tuple(letters)
         for letter in letters:
             gen, exp = letter
@@ -274,7 +273,23 @@ _LETTERS = {chr(base + g): (g + 1, sign)
 
 
 def parse_word(text, rank):
-    """Parse either textual form (indexed iff ``g<digit>`` occurs) into a Word."""
+    """Parse either textual form (indexed iff ``g<digit>`` occurs) into a Word.
+
+    A str and an int rank are parsed once per pair (:func:`_parse_cached`):
+    verify and the avoid search read the same few texts on every request,
+    and words are immutable.  Any other input takes the checks uncached.
+    """
+    if type(text) is str and type(rank) is int:
+        return _parse_cached(text, rank)
+    return _parse(text, rank)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _parse_cached(text, rank):
+    return _parse(text, rank)
+
+
+def _parse(text, rank):
     stripped = re.sub(r"\s+", "", text)
     if stripped in ("", "1"):
         return Word.identity(rank)

@@ -104,6 +104,37 @@ def test_certify_large_refuses_a_huge_witness_file_at_once(tmp_path, package_env
     assert doc["error"] == "quotient enumeration: reached 1000001 with cap 1000000"
 
 
+# runs one command line in process and reports its exit code and whether
+# sympy was imported on the way
+NO_SYMPY = """
+import contextlib, io, json, sys
+from largequot.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, "sympy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-large", "-r", "2", "-g", "a", "-q", "2"],
+    ["lemma-fi", "-g", "a,bab", "-m", "2"],
+    ["magnus", "-w", "ABab", "-p", "2", "-l", "3"],
+    ["gamma", "--primes", "2,3", "--rank", "2", "--depth", "2", "--order", "a"],
+    ["levi", "--set", "aa,ab", "--primes", "2,3"],
+    ["construct-periodic", "--primes", "2,3,5,7", "--steps", "1"],
+    ["verify", "cert.json"],
+], ids=lambda argv: argv[0])
+def test_the_readme_command_lines_never_import_sympy(capsys, tmp_path,
+                                                     package_env, argv):
+    run(capsys, ["certify-large", "-g", "a", "-q", "4",
+                 "-o", str(tmp_path / "cert.json")])
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY, *argv], cwd=tmp_path,
+        env=package_env, capture_output=True, text=True, timeout=60,
+    )
+    assert json.loads(result.stdout) == [0, False], result.stderr
+
+
 @pytest.fixture
 def verbal_certificate(capsys, tmp_path):
     """A certificate over the verbal witness F/gamma_2 over (2,3,5)."""
@@ -407,7 +438,7 @@ def test_verify_reports_a_rank_mismatch(capsys, tmp_path):
 
 
 def test_verify_reports_a_bool_target_rank(capsys, tmp_path):
-    # True == 1, and a word parses at rank True: only the type tells them apart
+    # True == 1: only the type tells them apart, and a word refuses rank True
     cert_path = tmp_path / "cert.json"
     code, _ = run(capsys, ["certify-large", "-r", "1", "-g", "a", "-q", "4",
                            "-o", str(cert_path)])
@@ -420,6 +451,7 @@ def test_verify_reports_a_bool_target_rank(capsys, tmp_path):
     assert code == 2
     assert doc["ok"] is False
     assert doc["problems"] == [
+        "base word 'a' does not parse: rank must be a positive integer, got True",
         "rank mismatch: target has rank True, witness has 1"]
 
 

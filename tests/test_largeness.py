@@ -8,7 +8,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from largequot import largeness, quotients, series, words
+from largequot import largeness, primes, quotients, series, words
 from largequot.errors import BelowBoundError, CapExceeded
 from largequot.largeness import (
     VERDICT_LARGE,
@@ -475,14 +475,14 @@ def test_only_the_returned_witness_is_enumerated(monkeypatch,
 
 
 def test_primes_up_to_match_sympy(monkeypatch):
-    monkeypatch.setattr(largeness, "_PRIMES", [2, 3])
+    monkeypatch.setattr(primes, "_PRIMES", [2, 3])
     for limit in (0, 1, 2, 3, 4, 10, 97):
-        assert list(largeness._primes_up_to(limit)) == \
+        assert list(primes.primes_up_to(limit)) == \
             list(sympy.primerange(1, limit + 1))
-    assert list(largeness._primes_up_to(10**5)) == \
+    assert list(primes.primes_up_to(10**5)) == \
         list(sympy.primerange(1, 10**5 + 1))
     # read again from the list
-    assert list(largeness._primes_up_to(10**5)) == \
+    assert list(primes.primes_up_to(10**5)) == \
         list(sympy.primerange(1, 10**5 + 1))
 
 
@@ -491,14 +491,14 @@ def test_bound_of_a_huge_power_hashes_no_word(monkeypatch):
         raise AssertionError("spelled out the letters of a power")
 
     monkeypatch.setattr(words._Power, "letters", property(refuse))
-    monkeypatch.setattr(largeness, "_PRIMES", [2, 3])
+    monkeypatch.setattr(primes, "_PRIMES", [2, 3])
     a = Word.generator(2, 1)
     # M0 is 10^9 + 8, but 1009^2 passes the cap: the primes stop there
     with pytest.raises(CapExceeded) as err:
         lemma_fi_bound([power(a, 10**9 + 7)], 1)
     assert str(err.value) == \
         "quotient enumeration: reached 1000001 with cap 1000000"
-    assert max(largeness._PRIMES) == 1009
+    assert max(primes._PRIMES) == 1009
 
 
 def test_counts_read_the_bound_valuations_by_identity(monkeypatch):
@@ -517,7 +517,7 @@ def test_counts_read_the_bound_valuations_by_identity(monkeypatch):
     assert [counts.image_order(w) for w in g] == expected
     # an equal word that is not the bound's own is valued afresh
     with pytest.raises(AssertionError):
-        counts.image_order(parse_word("ab", 2))
+        counts.image_order(Word(2, ((1, 1), (2, 1))))
 
 
 def test_unit_witness_classification_is_kept_per_image_tuple(monkeypatch):
@@ -525,11 +525,11 @@ def test_unit_witness_classification_is_kept_per_image_tuple(monkeypatch):
         "maxsize": 256, "typed": True}
     series._witness_primes.cache_clear()
     calls = []
-    unit_witness, isprime = series._unit_witness, sympy.isprime
+    unit_witness, is_prime = series._unit_witness, series.is_prime
     monkeypatch.setattr(series, "_unit_witness",
                         lambda images: calls.append("rows") or unit_witness(images))
-    monkeypatch.setattr(sympy, "isprime",
-                        lambda n: calls.append("isprime") or isprime(n))
+    monkeypatch.setattr(series, "is_prime",
+                        lambda n: calls.append("isprime") or is_prime(n))
     spec, cap = unit_image_spec(3, 2, 3), quotients.DEFAULT_ENUM_CAP
     first = largeness._spec_counts(spec, cap)
     assert calls == ["isprime", "rows"]

@@ -57,6 +57,10 @@ def test_order_formulas_check_the_depth_as_build_series_does(read):
     with pytest.raises(ValueError) as negative:
         read([2, 3], 2, -1)
     assert str(negative.value) == "depth must be a nonnegative integer, got -1"
+    # True == 1, and used to answer as depth 1
+    with pytest.raises(ValueError) as boolean:
+        read([2, 3], 2, True)
+    assert str(boolean.value) == "depth must be a nonnegative integer, got True"
 
 
 def test_order_formula_matches_bfs_enumeration():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from largequot import words
 from largequot.series import unit_image_quotient
 from largequot.words import (
     Word,
@@ -430,6 +431,31 @@ def test_random_reduced_word_refuses_a_rank_below_one(length):
     for rank in (0, -1):
         with pytest.raises(ValueError, match="rank must be a positive integer"):
             random_reduced_word(random.Random(0), rank, length)
+
+
+@pytest.mark.parametrize("rank", [0, -1, True, 2.0, [2]])
+def test_words_refuse_a_rank_below_one_or_not_an_int(rank):
+    # True used to parse "ab" into a word of rank True; the unhashable [2]
+    # must reach the same check, not the parse memo
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        Word(rank, ((1, 1),))
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        parse_word("ab", rank)
+
+
+def test_parse_word_keeps_one_word_per_text_and_rank():
+    assert words._parse_cached.cache_parameters() == {
+        "maxsize": 256, "typed": True}
+    w = parse_word("abA^2", 2)
+    assert parse_word("abA^2", 2) is w
+    assert parse_word("abA^2", 3) is not w
+
+    class Text(str):
+        pass
+
+    # any other type is parsed afresh, to the same word
+    again = parse_word(Text("abA^2"), 2)
+    assert again == w and again is not w
 
 
 @pytest.mark.parametrize("rank", [0, -1, True, 2.0])
