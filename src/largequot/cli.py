@@ -15,7 +15,7 @@ import json
 import sys
 
 from .config import ENV_CONFIG_PATH, load_config
-from .errors import BelowBoundError, CapExceeded, NotMaterializedError
+from .errors import BelowBoundError, CapExceeded, NotMaterializedError, check_int
 from .largeness import (
     _spec_counts,
     certify_power_quotient,
@@ -26,7 +26,6 @@ from .periodic import format_factors, run_construction, trace_to_jsonl
 from .series import embed, unit_order
 from .verbal import (
     PrimeSeq,
-    _check_rank,
     build_series,
     levi_bound,
     quotient_order_factors,
@@ -75,7 +74,7 @@ def _load_json(path, what):
 
 
 def _cmd_certify_large(args, cfg):
-    words = _parse_words(args.words, _check_rank(args.rank))
+    words = _parse_words(args.words, args.rank)
     witness = None
     if args.witness:
         spec = _load_json(args.witness, "witness")
@@ -102,7 +101,7 @@ def _cmd_certify_large(args, cfg):
 
 
 def _cmd_lemma_fi(args, cfg):
-    words = _parse_words(args.words, _check_rank(args.rank))
+    words = _parse_words(args.words, args.rank)
     bound = lemma_fi_bound(
         words, args.m, truncation_cap=cfg.truncation_cap,
         enum_cap=cfg.enumeration_cap,
@@ -113,7 +112,7 @@ def _cmd_lemma_fi(args, cfg):
 
 
 def _cmd_magnus(args, cfg):
-    word = parse_word(args.word, _check_rank(args.rank))
+    word = parse_word(args.word, args.rank)
     modulus = args.prime if args.prime else None
     image = embed(word, args.truncation, modulus)
     doc = {
@@ -130,7 +129,6 @@ def _cmd_magnus(args, cfg):
 
 
 def _cmd_gamma(args, cfg):
-    _check_rank(args.rank)
     primes = _parse_primes(args.primes)
     if args.depth < 0 or args.depth > len(primes):
         raise ValueError(
@@ -163,7 +161,7 @@ def _cmd_gamma(args, cfg):
 
 
 def _cmd_levi(args, cfg):
-    words = _parse_words(args.set, _check_rank(args.rank))
+    words = _parse_words(args.set, args.rank)
     primes = _parse_primes(args.primes)
     doc = {
         "set": [str(w) for w in words],
@@ -180,7 +178,6 @@ def _cmd_levi(args, cfg):
 
 
 def _cmd_construct_periodic(args, cfg):
-    _check_rank(args.rank)
     primes = _parse_primes(args.primes)
     trace = run_construction(
         primes, args.steps, rank=args.rank,
@@ -323,6 +320,10 @@ def main(argv=None):
     except ValueError as exc:
         parser.error(str(exc))
     try:
+        # every subcommand but verify takes a rank, checked before the
+        # handler reads anything else
+        if "rank" in vars(args):
+            check_int(args.rank, "rank must be at least 1", 1)
         body, code = args.handler(args, cfg)
     except ValueError as exc:
         parser.error(str(exc))

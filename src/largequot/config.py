@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from .errors import check_int
 from .largeness import DEFAULT_TRUNCATION_CAP
 from .quotients import DEFAULT_ENUM_CAP
 from .series import DEFAULT_TERM_CAP
@@ -29,9 +30,8 @@ class Config:
 
     def __post_init__(self):
         for f in fields(self):
-            name, value = f.name, getattr(self, f.name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            check_int(getattr(self, f.name),
+                      f"{f.name} must be a positive integer", 1)
 
     def to_doc(self):
         """The slice of the configuration every output document records."""

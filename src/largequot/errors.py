@@ -1,9 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer check.
 
 Plain ``ValueError`` is used for malformed input (bad letters, rank
 mismatches, words outside a required subgroup); the classes here exist for
-conditions callers are expected to catch and branch on.
+conditions callers are expected to catch and branch on.  Every entry point
+that takes an integer (a rank, a prime, an exponent, a cap) reads it
+through :func:`check_int`, with its own refusal text.
 """
+
+
+def check_int(value, text, low=None):
+    """Return ``value`` if its type is exactly ``int`` and, when ``low`` is
+    given, it is at least ``low``; else raise ``ValueError`` with ``text``
+    and the value.  A bool is refused: ``True`` is an int to isinstance,
+    and would be read as 1."""
+    if type(value) is not int or (low is not None and value < low):
+        raise ValueError(f"{text}, got {value!r}")
+    return value
 
 
 class CapExceeded(RuntimeError):

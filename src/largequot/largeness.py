@@ -43,7 +43,7 @@ its prefixes, one pass per degree up to v (see :mod:`largequot.series`).
 
 from __future__ import annotations
 
-from .errors import BelowBoundError, CapExceeded
+from .errors import BelowBoundError, CapExceeded, check_int
 from .primes import factor, primes_up_to
 from .quotients import (
     DEFAULT_ENUM_CAP,
@@ -80,15 +80,15 @@ def _check_base_words(words):
     words = list(words)
     if not words:
         raise ValueError("need at least one base word")
-    rank = words[0].rank
     for w in words:
+        # words[0] is checked on the first pass, before its rank is read
         if not isinstance(w, Word):
             raise ValueError(f"expected a Word, got {w!r}")
-        if w.rank != rank:
+        if w.rank != words[0].rank:
             raise ValueError("base words of mixed rank")
         if w.is_identity:
             raise ValueError("base words must be nontrivial")
-    return words, rank
+    return words, words[0].rank
 
 
 class LemmaFiBound:
@@ -212,8 +212,7 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
     powers can meet first, is never met here.
     """
     words, rank = _check_base_words(words)
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    check_int(m, "m must be a positive integer", 1)
     # each word's integer image at truncation v_Z + 1, by position: a word
     # is never a key, as hashing a power spells out its letters
     images = [None] * len(words)
@@ -373,8 +372,7 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
     recomputes it from the serialized witness alone.
     """
     words, rank = _check_base_words(words)
-    if not isinstance(q, int) or q < 1:
-        raise ValueError(f"exponent must be a positive integer, got {q!r}")
+    check_int(q, "exponent must be a positive integer", 1)
     k = len(words)
     if witness is None:
         bound = lemma_fi_bound(words, k, truncation_cap=truncation_cap,

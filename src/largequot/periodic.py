@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .errors import CapExceeded
+from .errors import CapExceeded, check_int
 from .primes import factor
 from .verbal import (
     DEFAULT_COSET_CAP,
@@ -89,9 +89,7 @@ def format_order(n):
     around, so the canonical form is ``{"factored": "2^2 * 3^5"}``; the
     ``decimal`` field is attached while the value stays below 2**64.
     """
-    if n < 1:
-        raise ValueError(f"orders are positive, got {n}")
-    return format_factors(factor(n))
+    return format_factors(factor(check_int(n, "orders are positive", 1)))
 
 
 def format_factors(factors):
@@ -239,8 +237,7 @@ def run_construction(primes, steps, rank=2, coset_cap=DEFAULT_COSET_CAP,
     steps completed so far, so a partial run is still a usable document.
     """
     pi = _as_primeseq(primes)
-    if not isinstance(steps, int) or steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps!r}")
+    check_int(steps, "steps must be a positive integer", 1)
     state = ConstructionState(rank=rank, pi=pi)
     states = [state.to_doc()]
     records = []
@@ -281,12 +278,16 @@ def trace_to_jsonl(trace):
 
 def replay_matches(trace, coset_cap=DEFAULT_COSET_CAP,
                    depth_cap=DEFAULT_DEPTH_CAP):
-    """Re-run a serialized trace and compare the state sequence exactly."""
+    """Re-run a serialized trace and compare the whole document exactly.
+
+    The primes, step count and rank are read as :func:`run_construction`
+    reads them, so a trace missing one is refused with ``ValueError``.
+    """
     again = run_construction(
-        PrimeSeq(trace["pi"]), trace["steps_requested"], rank=trace["rank"],
-        coset_cap=coset_cap, depth_cap=depth_cap,
+        trace.get("pi", ()), trace.get("steps_requested"),
+        rank=trace.get("rank"), coset_cap=coset_cap, depth_cap=depth_cap,
     )
-    return again["states"] == trace["states"]
+    return again == trace
 
 
 def check_pigraded_properties(level, sample_count=1000, seed=0):
@@ -308,8 +309,11 @@ def check_pigraded_properties(level, sample_count=1000, seed=0):
     the walk gives its order, and its depth (the deepest i with w in
     gamma_i) is read off the cover key of the coset it reaches, with no walk
     through the levels below.  A ``Word`` is built only to name a violation,
-    and the checks run once per distinct (order, depth) pair.
+    and the checks run once per distinct (order, depth) pair.  A
+    ``sample_count`` that is no int of at least 0 is refused; 0 checks
+    nothing.
     """
+    check_int(sample_count, "sample count must be a nonnegative integer", 0)
     if len(set(level.primes_prefix)) != len(level.primes_prefix):
         raise ValueError("graded order properties need pairwise distinct primes")
     keys = _sample_indices(random.Random(seed), level.rank, sample_count)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded
+from .errors import CapExceeded, check_int
 from .words import Word
 
 DEFAULT_ENUM_CAP = 10**6
@@ -59,9 +59,7 @@ class ModVector:
     kind = "modvec"
 
     def __init__(self, modulus, values):
-        if not isinstance(modulus, int) or modulus < 1:
-            raise ValueError(f"modulus must be a positive integer, got {modulus!r}")
-        self.modulus = modulus
+        self.modulus = check_int(modulus, "modulus must be a positive integer", 1)
         self.values = tuple(v % modulus for v in values)
 
     def __mul__(self, other):
@@ -95,14 +93,11 @@ class ModVector:
 
     @classmethod
     def from_payload(cls, params, payload):
-        # type() and not isinstance(): a bool is an int to isinstance
-        modulus = params["modulus"]
-        if type(modulus) is not int:
-            raise ValueError(f"modulus must be a positive integer, got {modulus!r}")
-        dim = params["dim"]
-        if type(dim) is not int:
-            raise ValueError(
-                f"residue vector dimension must be an integer, got {dim!r}")
+        # the types are checked before the payload; the constructor refuses
+        # a modulus below 1
+        modulus = check_int(params["modulus"], "modulus must be a positive integer")
+        dim = check_int(params["dim"],
+                        "residue vector dimension must be an integer")
         if (type(payload) is not list or len(payload) != dim
                 or any(type(v) is not int for v in payload)):
             raise ValueError(f"a residue vector is given as a list of {dim} "

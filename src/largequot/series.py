@@ -68,7 +68,7 @@ import math
 import re
 
 from . import quotients
-from .errors import CapExceeded
+from .errors import CapExceeded, check_int
 from .primes import TRIAL_LIMIT, is_prime, trial_division
 from .words import Word
 
@@ -90,14 +90,10 @@ class TruncSeries:
     __slots__ = ("rank", "degree_bound", "modulus", "_terms", "_key")
 
     def __init__(self, rank, degree_bound, modulus, terms=None):
-        if not isinstance(rank, int) or rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {rank!r}")
-        if not isinstance(degree_bound, int) or degree_bound < 1:
-            raise ValueError(
-                f"degree bound must be a positive integer, got {degree_bound!r}"
-            )
-        if modulus is not None and (not isinstance(modulus, int) or modulus < 2):
-            raise ValueError(f"modulus must be None or an integer >= 2, got {modulus!r}")
+        check_int(rank, "rank must be a positive integer", 1)
+        check_int(degree_bound, "degree bound must be a positive integer", 1)
+        if modulus is not None:
+            check_int(modulus, "modulus must be None or an integer >= 2", 2)
         self.rank = rank
         self.degree_bound = degree_bound
         self.modulus = modulus
@@ -257,9 +253,7 @@ class TruncSeries:
 
     def power(self, n):
         """self**n by square and multiply; n < 0 inverts first."""
-        if not isinstance(n, int):
-            raise ValueError(f"exponent must be an integer, got {n!r}")
-        if n < 0:
+        if check_int(n, "exponent must be an integer") < 0:
             return self.inverse().power(-n)
         result = TruncSeries.one(self.rank, self.degree_bound, self.modulus)
         base = self
@@ -357,16 +351,13 @@ class TruncSeries:
 
     @classmethod
     def from_payload(cls, params, payload):
-        # type() and not isinstance(): a bool is an int to isinstance, and would
-        # be read as rank or degree bound 1; the texts are the constructor's own
+        # the types are checked here, as the parse reads the payload before
+        # the constructor checks them; the texts are the constructor's own
         rank, bound, modulus = params["rank"], params["degree_bound"], params["modulus"]
-        if type(rank) is not int:
-            raise ValueError(f"rank must be a positive integer, got {rank!r}")
-        if type(bound) is not int:
-            raise ValueError(f"degree bound must be a positive integer, got {bound!r}")
-        if modulus is not None and type(modulus) is not int:
-            raise ValueError(
-                f"modulus must be None or an integer >= 2, got {modulus!r}")
+        check_int(rank, "rank must be a positive integer")
+        check_int(bound, "degree bound must be a positive integer")
+        if modulus is not None:
+            check_int(modulus, "modulus must be None or an integer >= 2")
         # a payload that is no string gets parse's own refusal, where the
         # memo would raise TypeError for a list
         read = _parse_payload if isinstance(payload, str) else cls.parse

@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 from itertools import islice
 
-from .errors import CapExceeded, NotMaterializedError
+from .errors import CapExceeded, NotMaterializedError, check_int
 from .primes import is_prime
 from .quotients import (
     BUILT_QUOTIENTS,
@@ -85,9 +85,7 @@ class PrimeSeq:
         if not primes:
             raise ValueError("prime sequence must be nonempty")
         for p in primes:
-            if type(p) is not int:  # never converted; a bool is no int here
-                raise ValueError(f"primes must be integers, got {p!r}")
-            if not is_prime(p):
+            if not is_prime(check_int(p, "primes must be integers")):
                 raise ValueError(f"{p} is not prime")
         self.primes = primes
 
@@ -396,13 +394,12 @@ class LayeredCoset:
 
     @classmethod
     def from_payload(cls, params, payload):
-        # type() and not isinstance(): a bool is an int to isinstance, and True
-        # hashes equal to 1 in a level-table key
-        depth, rank, primes = params["depth"], params["rank"], params["primes"]
-        if type(depth) is not int or depth < 1:
-            raise ValueError(f"verbal depth must be a positive integer, got {depth!r}")
-        if type(rank) is not int or rank < 1:
-            raise ValueError(f"verbal rank must be a positive integer, got {rank!r}")
+        # checked here with the verbal kind's own texts, before build_series
+        depth = check_int(params["depth"],
+                          "verbal depth must be a positive integer", 1)
+        rank = check_int(params["rank"],
+                         "verbal rank must be a positive integer", 1)
+        primes = params["primes"]
         if type(primes) is not list or any(type(p) is not int for p in primes):
             raise ValueError(
                 f"verbal primes must be a list of integers, got {primes!r}")
@@ -496,19 +493,11 @@ def _level_orders(primes, rank):
         yield d, q, exponent, order
 
 
-def _check_rank(rank):
-    """The rank, refused unless an int of at least 1; a bool is refused too."""
-    if type(rank) is not int or rank < 1:
-        raise ValueError(f"rank must be at least 1, got {rank!r}")
-    return rank
-
-
 def _depth_checked(primes, rank, depth):
     """The primes as a PrimeSeq, with the rank and the depth checked."""
     primes = _as_primeseq(primes)
-    _check_rank(rank)
-    if type(depth) is not int or depth < 0:
-        raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
+    check_int(rank, "rank must be at least 1", 1)
+    check_int(depth, "depth must be a nonnegative integer", 0)
     if depth > len(primes):
         raise ValueError(
             f"prime sequence has {len(primes)} terms, cannot build depth {depth}"
@@ -525,7 +514,7 @@ def _iter_levels(primes, rank, coset_cap):
     Level d's order is computed then too, if nothing read it before.
     """
     primes = _as_primeseq(primes)
-    _check_rank(rank)
+    check_int(rank, "rank must be at least 1", 1)
     if rank > ORDER_EXPONENT_CAP:
         # |F/gamma_1| = q_1^rank is already an exponent tower: refuse before
         # F/gamma_0 allocates tables of rank entries

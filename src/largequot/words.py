@@ -48,6 +48,8 @@ from __future__ import annotations
 import functools
 import re
 
+from .errors import check_int
+
 
 def _reduce_letters(letters):
     """Freely reduce a letter sequence with a cancellation stack."""
@@ -81,7 +83,7 @@ class Word:
     __slots__ = ("rank", "letters", "power_record")
 
     def __init__(self, rank, letters=()):
-        _check_rank(rank)
+        check_int(rank, "rank must be a positive integer", 1)
         letters = tuple(letters)
         for letter in letters:
             gen, exp = letter
@@ -140,16 +142,11 @@ class Word:
     def __hash__(self):
         return hash((self.rank, self.letters))
 
-    def _check_rank(self, other):
-        if self.rank != other.rank:
-            raise ValueError(
-                f"rank mismatch: {self.rank} vs {other.rank}"
-            )
-
     def __mul__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
-        self._check_rank(other)
+        if self.rank != other.rank:
+            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
         a, b = self.letters, other.letters
         i, k, n = len(a), 0, len(b)
         while i and k < n and a[i - 1][0] == b[k][0] and a[i - 1][1] == -b[k][1]:
@@ -252,8 +249,7 @@ def power(g, n):
     of a power composes records: g = t * c^a * t^-1 gives ``(t, c, a|n|)``,
     with c inverted for n < 0.
     """
-    if not isinstance(n, int):
-        raise ValueError(f"exponent must be an integer, got {n!r}")
+    check_int(n, "exponent must be an integer")
     if n == 0 or g.is_identity:
         return Word.identity(g.rank)
     if g.power_record is None:
@@ -326,12 +322,6 @@ def _alphabet(rank):
     return tuple((g, e) for e in (1, -1) for g in range(1, rank + 1))
 
 
-def _check_rank(rank):
-    """Refuse a rank that is not an int of at least 1; a bool is refused too."""
-    if type(rank) is not int or rank < 1:
-        raise ValueError(f"rank must be a positive integer, got {rank!r}")
-
-
 def shortlex_words(rank):
     """Yield reduced words in shortlex order over a1 < .. < ar < a1^-1 < ..
 
@@ -340,7 +330,7 @@ def shortlex_words(rank):
     differently here and in a Schreier transversal.  A rank below 1 is
     refused on the first pull: its frontier would stay empty forever.
     """
-    _check_rank(rank)
+    check_int(rank, "rank must be a positive integer", 1)
     alphabet = _alphabet(rank)
     frontier = [()]
     while True:
@@ -394,5 +384,5 @@ def random_reduced_word(rng, rank, length):
     """A uniformly random reduced word of exactly the given length, drawn
     by :func:`random_reduced_indices`."""
     # a draw below 2 * rank <= 0 would never end
-    _check_rank(rank)
+    check_int(rank, "rank must be a positive integer", 1)
     return indexed_word(rank, random_reduced_indices(rng, rank, length))

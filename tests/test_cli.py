@@ -234,6 +234,9 @@ _PRIMES = "verbal primes must be a list of integers, got "
     ({"primes": ["2", "3", "5"]}, _PRIMES + "['2', '3', '5']"),
     ({"primes": [True, 3]}, _PRIMES + "[True, 3]"),
     ({"rank": 3}, "a verbal quotient over rank 3 needs 3 generator images, got 2"),
+    ({"depth": 0}, _DEPTH + "0"),
+    ({"depth": 2.0}, _DEPTH + "2.0"),
+    ({"depth": "3"}, _DEPTH + "'3'"),
 ])
 def test_verify_refuses_malformed_verbal_params(capsys, verbal_certificate,
                                                params, error):

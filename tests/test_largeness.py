@@ -122,6 +122,19 @@ def test_lemma_fi_bound_rejects_bad_input():
         lemma_fi_bound([parse_word("a", 2)], 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda words: lemma_fi_bound(words, 1),
+    lambda words: certify_power_quotient(words, 2),
+    lambda words: find_avoiding_quotient(words, 1, 2),
+], ids=["lemma_fi_bound", "certify_power_quotient", "find_avoiding_quotient"])
+def test_base_words_that_are_not_words_are_refused(call):
+    # the first word's rank used to be read first: AttributeError on a str
+    for words in (["a"], ["a", parse_word("a", 2)], [parse_word("a", 2), "a"]):
+        with pytest.raises(ValueError) as err:
+            call(words)
+        assert str(err.value) == "expected a Word, got 'a'"
+
+
 def test_find_avoiding_quotient_small_prime_branch():
     a = parse_word("a", 2)
     q4 = find_avoiding_quotient([a], 1, 4)

@@ -145,10 +145,30 @@ def test_replay_matches_serialized_traces():
     assert replay_matches(one)
     halted = run_construction([2, 3, 5, 7], 2)
     assert replay_matches(halted)
-    # a doctored order must be caught
+    # a JSON round trip replays as the trace it was
+    assert replay_matches(json.loads(json.dumps(halted)))
+    # a doctored order must be caught, and so must any other doctored key:
+    # the whole document is compared, not only its states
     doctored = json.loads(json.dumps(one))
     doctored["states"][1]["order_history"][1]["decimal"] = 973
     assert not replay_matches(doctored)
+    for doctor in (lambda t: t["steps"][0].__setitem__("order_at_level", 7),
+                   lambda t: t.__setitem__("assumptions", []),
+                   lambda t: t.__setitem__("halted", not t["halted"]),
+                   lambda t: t.__setitem__("schema", "periodic-trace/0")):
+        doctored = json.loads(json.dumps(one))
+        doctor(doctored)
+        assert not replay_matches(doctored)
+    # a missing key is refused by the check that reads it
+    for key, error in (("rank", "rank must be a positive integer, got None"),
+                       ("pi", "prime sequence must be nonempty"),
+                       ("steps_requested",
+                        "steps must be a positive integer, got None")):
+        doctored = json.loads(json.dumps(one))
+        del doctored[key]
+        with pytest.raises(ValueError) as err:
+            replay_matches(doctored)
+        assert str(err.value) == error
 
 
 def test_replay_refuses_primes_that_are_not_ints():
@@ -232,7 +252,7 @@ def test_run_construction_validates_steps():
         run_construction([2, 3], "two")
 
 
-@pytest.mark.parametrize("rank", [0, -1, True, 2.0])
+@pytest.mark.parametrize("rank", [0, -1, True, 2.0, "3"])
 def test_run_construction_refuses_a_rank_below_one_or_not_an_int(rank):
     # rank 0 used to enumerate an empty alphabet forever, True to run as 1
     with pytest.raises(ValueError, match="rank must be a positive integer"):

@@ -412,7 +412,7 @@ def test_a_rank_below_one_is_refused(rank):
         build_series([2], rank, 1)
 
 
-@pytest.mark.parametrize("rank", [0, -1, True, 2.0])
+@pytest.mark.parametrize("rank", [0, -1, True, 2.0, "3"])
 def test_every_verbal_order_route_refuses_a_rank_that_is_no_positive_int(rank):
     # -1 used to give the order 0.5, 2.0 the order 972.0, and True levels of
     # rank True

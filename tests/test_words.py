@@ -433,7 +433,7 @@ def test_random_reduced_word_refuses_a_rank_below_one(length):
             random_reduced_word(random.Random(0), rank, length)
 
 
-@pytest.mark.parametrize("rank", [0, -1, True, 2.0, [2]])
+@pytest.mark.parametrize("rank", [0, -1, True, 2.0, [2], "3"])
 def test_words_refuse_a_rank_below_one_or_not_an_int(rank):
     # True used to parse "ab" into a word of rank True; the unhashable [2]
     # must reach the same check, not the parse memo
@@ -458,7 +458,7 @@ def test_parse_word_keeps_one_word_per_text_and_rank():
     assert again == w and again is not w
 
 
-@pytest.mark.parametrize("rank", [0, -1, True, 2.0])
+@pytest.mark.parametrize("rank", [0, -1, True, 2.0, "3"])
 def test_shortlex_words_refuses_a_rank_below_one_or_not_an_int(rank):
     # an empty alphabet leaves an empty frontier, walked forever
     with pytest.raises(ValueError, match="rank must be a positive integer"):
