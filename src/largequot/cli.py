@@ -25,6 +25,7 @@ from .largeness import (
 from .periodic import format_factors, run_construction, trace_to_jsonl
 from .series import embed, unit_order
 from .verbal import (
+    LEVEL_RANK_TEXT,
     PrimeSeq,
     build_series,
     levi_bound,
@@ -323,7 +324,7 @@ def main(argv=None):
         # every subcommand but verify takes a rank, checked before the
         # handler reads anything else
         if "rank" in vars(args):
-            check_int(args.rank, "rank must be at least 1", 1)
+            check_int(args.rank, LEVEL_RANK_TEXT, 1)
         body, code = args.handler(args, cfg)
     except ValueError as exc:
         parser.error(str(exc))

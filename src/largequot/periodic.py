@@ -276,18 +276,32 @@ def trace_to_jsonl(trace):
     return "\n".join(json.dumps(s, sort_keys=True) for s in trace["states"])
 
 
-def replay_matches(trace, coset_cap=DEFAULT_COSET_CAP,
-                   depth_cap=DEFAULT_DEPTH_CAP):
+def replay_matches(trace, coset_cap=None, depth_cap=None):
     """Re-run a serialized trace and compare the whole document exactly.
 
-    The primes, step count and rank are read as :func:`run_construction`
-    reads them, so a trace missing one is refused with ``ValueError``.
+    In the envelope ``largequot construct-periodic`` writes, ``command``
+    must name that command, it and ``config`` are left out of the comparison,
+    and a cap not given here is read from ``config``.  A trace missing its
+    primes, step count or rank is refused with ``ValueError``.
     """
+    body = dict(trace)
+    if body.pop("command", "construct-periodic") != "construct-periodic":
+        return False
+    config = body.pop("config", {})
+    caps = config.get("caps", {}) if isinstance(config, dict) else None
+    if not isinstance(caps, dict):
+        raise ValueError(f"trace config must hold a caps mapping, got {config!r}")
+    if coset_cap is None:
+        coset_cap = check_int(caps.get("coset", DEFAULT_COSET_CAP),
+                              "coset_cap must be a positive integer", 1)
+    if depth_cap is None:
+        depth_cap = check_int(caps.get("depth", DEFAULT_DEPTH_CAP),
+                              "depth_cap must be a positive integer", 1)
     again = run_construction(
-        trace.get("pi", ()), trace.get("steps_requested"),
-        rank=trace.get("rank"), coset_cap=coset_cap, depth_cap=depth_cap,
+        body.get("pi", ()), body.get("steps_requested"),
+        rank=body.get("rank"), coset_cap=coset_cap, depth_cap=depth_cap,
     )
-    return again == trace
+    return again == body
 
 
 def check_pigraded_properties(level, sample_count=1000, seed=0):

@@ -70,7 +70,7 @@ import re
 from . import quotients
 from .errors import CapExceeded, check_int
 from .primes import TRIAL_LIMIT, is_prime, trial_division
-from .words import Word
+from .words import RANK_TEXT, Word
 
 DEFAULT_TERM_CAP = 10**6
 
@@ -90,7 +90,7 @@ class TruncSeries:
     __slots__ = ("rank", "degree_bound", "modulus", "_terms", "_key")
 
     def __init__(self, rank, degree_bound, modulus, terms=None):
-        check_int(rank, "rank must be a positive integer", 1)
+        check_int(rank, RANK_TEXT, 1)
         check_int(degree_bound, "degree bound must be a positive integer", 1)
         if modulus is not None:
             check_int(modulus, "modulus must be None or an integer >= 2", 2)
@@ -354,7 +354,7 @@ class TruncSeries:
         # the types are checked here, as the parse reads the payload before
         # the constructor checks them; the texts are the constructor's own
         rank, bound, modulus = params["rank"], params["degree_bound"], params["modulus"]
-        check_int(rank, "rank must be a positive integer")
+        check_int(rank, RANK_TEXT)
         check_int(bound, "degree bound must be a positive integer")
         if modulus is not None:
             check_int(modulus, "modulus must be None or an integer >= 2")

@@ -60,6 +60,8 @@ from .words import Word, parse_word, power
 DEFAULT_COSET_CAP = 10**4
 DEFAULT_DEPTH_CAP = 16
 
+LEVEL_RANK_TEXT = "rank must be at least 1"
+
 # Orders double-exponentiate along the series; past this exponent the value
 # is an exponent tower nothing downstream could store or print anyway.
 ORDER_EXPONENT_CAP = 10**6
@@ -496,7 +498,7 @@ def _level_orders(primes, rank):
 def _depth_checked(primes, rank, depth):
     """The primes as a PrimeSeq, with the rank and the depth checked."""
     primes = _as_primeseq(primes)
-    check_int(rank, "rank must be at least 1", 1)
+    check_int(rank, LEVEL_RANK_TEXT, 1)
     check_int(depth, "depth must be a nonnegative integer", 0)
     if depth > len(primes):
         raise ValueError(
@@ -514,7 +516,7 @@ def _iter_levels(primes, rank, coset_cap):
     Level d's order is computed then too, if nothing read it before.
     """
     primes = _as_primeseq(primes)
-    check_int(rank, "rank must be at least 1", 1)
+    check_int(rank, LEVEL_RANK_TEXT, 1)
     if rank > ORDER_EXPONENT_CAP:
         # |F/gamma_1| = q_1^rank is already an exponent tower: refuse before
         # F/gamma_0 allocates tables of rank entries

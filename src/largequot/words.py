@@ -50,6 +50,8 @@ import re
 
 from .errors import check_int
 
+RANK_TEXT = "rank must be a positive integer"
+
 
 def _reduce_letters(letters):
     """Freely reduce a letter sequence with a cancellation stack."""
@@ -83,7 +85,7 @@ class Word:
     __slots__ = ("rank", "letters", "power_record")
 
     def __init__(self, rank, letters=()):
-        check_int(rank, "rank must be a positive integer", 1)
+        check_int(rank, RANK_TEXT, 1)
         letters = tuple(letters)
         for letter in letters:
             gen, exp = letter
@@ -330,7 +332,7 @@ def shortlex_words(rank):
     differently here and in a Schreier transversal.  A rank below 1 is
     refused on the first pull: its frontier would stay empty forever.
     """
-    check_int(rank, "rank must be a positive integer", 1)
+    check_int(rank, RANK_TEXT, 1)
     alphabet = _alphabet(rank)
     frontier = [()]
     while True:
@@ -384,5 +386,5 @@ def random_reduced_word(rng, rank, length):
     """A uniformly random reduced word of exactly the given length, drawn
     by :func:`random_reduced_indices`."""
     # a draw below 2 * rank <= 0 would never end
-    check_int(rank, "rank must be a positive integer", 1)
+    check_int(rank, RANK_TEXT, 1)
     return indexed_word(rank, random_reduced_indices(rng, rank, length))

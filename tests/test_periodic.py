@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from largequot import periodic
+from largequot.cli import main
 from largequot.errors import CapExceeded, NotMaterializedError
 from largequot.periodic import (
     ASSUMPTION_MARGIN,
@@ -168,6 +169,39 @@ def test_replay_matches_serialized_traces():
         del doctored[key]
         with pytest.raises(ValueError) as err:
             replay_matches(doctored)
+        assert str(err.value) == error
+
+
+def _cli_trace(capsys, *extra):
+    assert main(["construct-periodic", "--primes", "2,3,5,7", "--steps", "1",
+                 *extra]) in (0, 2)
+    return json.loads(capsys.readouterr().out)
+
+
+def test_replay_matches_cli_traces(capsys, tmp_path):
+    # the CLI wraps the trace in its command/config envelope
+    trace = _cli_trace(capsys)
+    assert trace["command"] == "construct-periodic" and "config" in trace
+    assert replay_matches(trace)
+    doctored = json.loads(json.dumps(trace))
+    doctored["steps"][0]["order_at_level"] = 7
+    assert not replay_matches(doctored)
+    assert not replay_matches({**trace, "command": "levi"})
+    # the caps a config file set are read back from the envelope
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("coset_cap = 2\n")
+    capped = _cli_trace(capsys, "--config", str(cfg))
+    assert capped["halted"] and capped["config"]["caps"]["coset"] == 2
+    assert replay_matches(capped)
+    bare = {k: v for k, v in capped.items() if k != "config"}
+    assert not replay_matches(bare)
+    assert replay_matches(bare, coset_cap=2)
+    for config, error in (
+            ({"caps": {"coset": True}}, "coset_cap must be a positive integer, got True"),
+            ({"caps": {"depth": 0}}, "depth_cap must be a positive integer, got 0"),
+            ([], "trace config must hold a caps mapping, got []")):
+        with pytest.raises(ValueError) as err:
+            replay_matches({**trace, "config": config})
         assert str(err.value) == error
 
 
