@@ -281,9 +281,13 @@ def replay_matches(trace, coset_cap=None, depth_cap=None):
 
     In the envelope ``largequot construct-periodic`` writes, ``command``
     must name that command, it and ``config`` are left out of the comparison,
-    and a cap not given here is read from ``config``.  A trace missing its
-    primes, step count or rank is refused with ``ValueError``.
+    and a cap not given here is read from ``config``.  A trace that is no
+    mapping, or whose primes, step count or rank are missing or of the wrong
+    type, is refused with ``ValueError``.
     """
+    if not isinstance(trace, dict):
+        raise ValueError(
+            f"a construction trace is a mapping, got {type(trace).__name__}")
     body = dict(trace)
     if body.pop("command", "construct-periodic") != "construct-periodic":
         return False
@@ -297,8 +301,11 @@ def replay_matches(trace, coset_cap=None, depth_cap=None):
     if depth_cap is None:
         depth_cap = check_int(caps.get("depth", DEFAULT_DEPTH_CAP),
                               "depth_cap must be a positive integer", 1)
+    pi = body.get("pi", [])
+    if type(pi) is not list:
+        raise ValueError(f"trace pi must be a list of primes, got {pi!r}")
     again = run_construction(
-        body.get("pi", ()), body.get("steps_requested"),
+        pi, body.get("steps_requested"),
         rank=body.get("rank"), coset_cap=coset_cap, depth_cap=depth_cap,
     )
     return again == body

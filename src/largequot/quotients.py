@@ -21,14 +21,16 @@ verbal cosets, whose keys are the vertices of a mod-q homology cover (see
 ``inverse()``, and the cover is their only build.
 :func:`build_quotient` holds the one BFS loop every quotient goes through.
 
-Every coset question is answered by one walk, :meth:`FiniteQuotient.walk`.
+Every coset question is answered by one walk, :meth:`CosetGraph.walk`,
+shared by the BFS tables and by the verbal homology covers whose rows are
+filled as walks reach them (see :mod:`largequot.verbal`).
 A power t * u^n * t^-1 built by :func:`largequot.words.power` is walked by
 the period of u: walking a word permutes the cosets, so passes of u return
 to the coset where they started after at most the order of u's image, and
 only n mod that period further passes are needed.  The result is the coset
-the letter-by-letter walk reaches, without stepping n * |u| letters.  The
-walk can also sum its signed non-tree crossings, the exponent sums of a
-kernel word over the Schreier generators that :mod:`largequot.verbal` reads.
+the letter-by-letter walk reaches, without stepping n * |u| letters.  On a
+BFS table the walk can also sum its signed non-tree crossings, the exponent
+sums of a kernel word over the Schreier generators.
 The Schreier generators are the non-tree edges (Sims, *Computation with
 Finitely Presented Groups*, 1994, ch. 2), numbered in one pass over the tree.
 
@@ -60,19 +62,30 @@ class ModVector:
 
     def __init__(self, modulus, values):
         self.modulus = check_int(modulus, "modulus must be a positive integer", 1)
-        self.values = tuple(v % modulus for v in values)
+        self.values = tuple(
+            check_int(v, "residue vector entries must be integers") % modulus
+            for v in values)
+
+    @classmethod
+    def _reduced(cls, modulus, values):
+        """Residues of int values mod a checked modulus, unchecked: only for
+        the products and inverses of checked vectors."""
+        vector = object.__new__(cls)
+        vector.modulus = modulus
+        vector.values = tuple(v % modulus for v in values)
+        return vector
 
     def __mul__(self, other):
         if not isinstance(other, ModVector):
             return NotImplemented
         if self.modulus != other.modulus or len(self.values) != len(other.values):
             raise ValueError("residue vector shape mismatch")
-        return ModVector(
+        return ModVector._reduced(
             self.modulus, [a + b for a, b in zip(self.values, other.values)]
         )
 
     def inverse(self):
-        return ModVector(self.modulus, [-v for v in self.values])
+        return ModVector._reduced(self.modulus, [-v for v in self.values])
 
     def __eq__(self, other):
         if not isinstance(other, ModVector):
@@ -124,76 +137,31 @@ def element_kind(name):
     return KINDS[name]
 
 
-# -- the quotient itself -----------------------------------------------------
+# -- walking a coset graph ---------------------------------------------------
 
 
-class FiniteQuotient:
-    """A finite quotient F_r -> Q with its coset graph and Schreier tree.
+def check_word(w, rank):
+    """Refuse anything but a Word of the given rank."""
+    if not isinstance(w, Word):
+        raise ValueError(f"expected a Word, got {w!r}")
+    if w.rank != rank:
+        raise ValueError(f"rank mismatch: word has {w.rank}, quotient has {rank}")
 
-    Built through :func:`build_quotient`; the fields are read-only in
-    practice.  ``elements[i]`` is the element with BFS index i: the
-    concrete element, or its packed int key where one stands in for it
-    (magnus units over a modulus, see :mod:`largequot.series`, and verbal
-    cosets, see :mod:`largequot.verbal`).
-    ``mult[i][g-1]`` / ``inv_mult[i][g-1]`` are the indices of
-    elements[i] * image(a_g^{+-1}), and ``tree_parent[i]`` is
-    ``(parent_index, (g, exp))`` for the tree edge that discovered i.
+
+class CosetGraph:
+    """A coset graph of F_r, walked from its identity vertex 0.
+
+    A subclass gives ``rank`` and ``_walk(c, letters, counts)``, the vertex
+    reached by stepping the letters from vertex c, which with a dict
+    ``counts`` also adds +1 or -1 per crossing of an edge under the edge's
+    own key: the position of a non-tree edge in
+    :meth:`FiniteQuotient.schreier_generators`, or the edge slot of a verbal
+    homology cover (see :mod:`largequot.verbal`).  Everything else, the
+    period walk of powers included, is shared.
     """
 
-    def __init__(self, rank, gen_images, elements, mult, inv_mult, tree_parent,
-                 kind=None, params=None):
-        self.rank = rank
-        self.gen_images = tuple(gen_images)
-        self.elements = elements
-        self.mult = mult
-        self.inv_mult = inv_mult
-        self.tree_parent = tree_parent
-        self.kind = kind
-        self.params = dict(params) if params else None
-        self._transversal = None
-        self._nontree = None
-        self._crossing = None
-        self._steps = None
-        self._payload = None
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    # -- walking the coset graph ----------------------------------------
-
-    def _check_word(self, w):
-        if not isinstance(w, Word):
-            raise ValueError(f"expected a Word, got {w!r}")
-        if w.rank != self.rank:
-            raise ValueError(f"rank mismatch: word has {w.rank}, quotient has {self.rank}")
-
-    def _walk(self, c, letters, counts=None):
-        """The coset reached by walking the letters from coset c.
-
-        With a dict ``counts``, each non-tree edge crossed adds +1 (forward)
-        or -1 (backward) at its position in :meth:`schreier_generators`;
-        tree edges add nothing.
-        """
-        mult, inv_mult = self.mult, self.inv_mult
-        if counts is None:
-            for gen, exp in letters:
-                c = mult[c][gen - 1] if exp == 1 else inv_mult[c][gen - 1]
-            return c
-        rank, table = self.rank, self.crossing_table()
-        for gen, exp in letters:
-            if exp == 1:
-                at = table[c * rank + gen - 1]
-                c = mult[c][gen - 1]
-            else:
-                c = inv_mult[c][gen - 1]
-                at = table[c * rank + gen - 1]
-            if at is not None:
-                counts[at] = counts.get(at, 0) + exp
-        return c
-
     def walk(self, c, w, counts=None):
-        """The coset reached by walking the word w from coset c.
+        """The vertex reached by walking the word w from vertex c.
 
         A power t * u^n * t^-1 built by :func:`largequot.words.power` is
         walked by the period of its core u: walk t, then passes of u until
@@ -226,10 +194,10 @@ class FiniteQuotient:
         return self._walk(c, [(g, -e) for g, e in reversed(t)], counts)
 
     def coset_of(self, w, counts=None):
-        """BFS index of the image of w (the coset of the kernel containing w).
+        """The vertex of the image of w (the coset of the kernel containing w).
 
         A dict ``counts`` gets the walk's crossings, as in :meth:`walk`."""
-        self._check_word(w)
+        check_word(w, self.rank)
         return self.walk(0, w, counts)
 
     def kernel_contains(self, w):
@@ -245,6 +213,68 @@ class FiniteQuotient:
             c = self.walk(c, w, counts)
             k += 1
         return k
+
+
+# -- the quotient itself -----------------------------------------------------
+
+
+class FiniteQuotient(CosetGraph):
+    """A finite quotient F_r -> Q with its coset graph and Schreier tree.
+
+    Built through :func:`build_quotient`; the fields are read-only in
+    practice.  ``elements[i]`` is the element with BFS index i: the
+    concrete element, or its packed int key where one stands in for it
+    (magnus units over a modulus, see :mod:`largequot.series`, and verbal
+    cosets, see :mod:`largequot.verbal`).
+    ``mult[i][g-1]`` / ``inv_mult[i][g-1]`` are the indices of
+    elements[i] * image(a_g^{+-1}), and ``tree_parent[i]`` is
+    ``(parent_index, (g, exp))`` for the tree edge that discovered i.
+    Its vertices are the BFS indices.
+    """
+
+    def __init__(self, rank, gen_images, elements, mult, inv_mult, tree_parent,
+                 kind=None, params=None):
+        self.rank = rank
+        self.gen_images = tuple(gen_images)
+        self.elements = elements
+        self.mult = mult
+        self.inv_mult = inv_mult
+        self.tree_parent = tree_parent
+        self.kind = kind
+        self.params = dict(params) if params else None
+        self._transversal = None
+        self._nontree = None
+        self._crossing = None
+        self._steps = None
+        self._payload = None
+
+    @property
+    def order(self):
+        return len(self.elements)
+
+    def _walk(self, c, letters, counts=None):
+        """The coset reached by walking the letters from coset c.
+
+        With a dict ``counts``, each non-tree edge crossed adds +1 (forward)
+        or -1 (backward) at its position in :meth:`schreier_generators`;
+        tree edges add nothing.
+        """
+        mult, inv_mult = self.mult, self.inv_mult
+        if counts is None:
+            for gen, exp in letters:
+                c = mult[c][gen - 1] if exp == 1 else inv_mult[c][gen - 1]
+            return c
+        rank, table = self.rank, self.crossing_table()
+        for gen, exp in letters:
+            if exp == 1:
+                at = table[c * rank + gen - 1]
+                c = mult[c][gen - 1]
+            else:
+                c = inv_mult[c][gen - 1]
+                at = table[c * rank + gen - 1]
+            if at is not None:
+                counts[at] = counts.get(at, 0) + exp
+        return c
 
     # -- Schreier tree and transversal -----------------------------------
 
@@ -423,9 +453,12 @@ def build_quotient(rank, gen_images, cap=DEFAULT_ENUM_CAP, kind=None, params=Non
 
 class QuotientTable:
     """The quotients built in this process, keyed by a tuple naming the kind first:
-    ``("verbal", rank, q_1, .., q_d)`` for F/gamma_d, ``("magnus_unit", p, r, l)``
-    for the unit witness.  Each is a pure function of its key, so its BFS runs
-    once while the table keeps it.  It holds at most ``cosets`` cosets in all,
+    ``("verbal", rank, q_1, .., q_d)`` for F/gamma_d, ``("verbal cover", rank,
+    q_1, .., q_d)`` for its homology cover walked on demand (see
+    :class:`largequot.verbal.HomologyCover`), ``("magnus_unit", p, r, l)`` for
+    the unit witness.  Each is a pure function of its key, so it is made
+    once while the table keeps it, and counts ``order`` cosets against the
+    budget.  It holds at most ``cosets`` cosets in all,
     evicts the least recently used quotient first, and never stores one larger
     than that.  It checks no cap: callers ask it only where their own cap admits
     the build, so a smaller cap after a larger one refuses with the same text.  A
@@ -543,7 +576,7 @@ def reidemeister_schreier(quotient, relators):
     labels = quotient.schreier_generators()
     rewritten = []
     for w in relators:
-        quotient._check_word(w)
+        check_word(w, quotient.rank)
         # the crossings in walk order spell w over the Schreier generators
         c, out = 0, []
         for letter in w.letters:

@@ -1,11 +1,13 @@
 """Iterated verbal quotients gamma_0 = F, gamma_d = [H,H]H^{q_d} for H = gamma_{d-1}.
 
 H = gamma_{d-1} is the fundamental group of the coset graph of F/gamma_{d-1},
-a free group on the Schreier generators (the non-tree edges), and the level
-factor H/[H,H]H^q = H_1(gamma_{d-1}; Z/q) is the cycle space of that graph
-mod q.  So a word u in gamma_{d-1} lies in gamma_d iff its walk through the
-coset graph of F/gamma_{d-1}, which closes up, crosses every non-tree edge a
-net multiple of q_d times; no rewriting or free reduction is needed.
+and the level factor H/[H,H]H^q = H_1(gamma_{d-1}; Z/q) is the first
+homology of that graph mod q, which is its cycle space.  So a word u of
+gamma_{d-1} lies in gamma_d iff its walk through the coset graph of
+F/gamma_{d-1}, which closes up, crosses every edge a net multiple of q_d
+times; no rewriting, free reduction, spanning tree or BFS numbering is
+needed.  Counted on the non-tree edges alone, the same sums are the
+exponents of u over the Schreier basis of gamma_{d-1}.
 
 The same picture builds the groups: F/gamma_d is the mod-q_d homology cover
 of the coset graph of F/gamma_{d-1} (the voltage-graph picture of
@@ -14,24 +16,32 @@ counts mod q_d).  That cover is :meth:`LayeredCoset.packed_action`, the
 packed action of the ``verbal`` element kind, so
 :func:`largequot.quotients.build_quotient` enumerates it on int keys,
 whether the images come from the series or from a document.
-Each level keeps the coset table of F/gamma_{d-1}; ``member``,
-``order_mod``, ``component_vector`` and the cover's move table walk the
-word through such a table with :meth:`largequot.quotients.FiniteQuotient.walk`
-and reduce its crossing sums mod the prime, so a power built by
-:func:`largequot.words.power` is walked by the period of its core.  The
-graded sampler of :func:`largequot.periodic.check_pigraded_properties`
-draws its words as tuples of alphabet indices and walks all passes of each
-in one loop over the table's flat step table
-(:meth:`VerbalLevel._orders_and_depths`).
-F/gamma_d is only materialized while its order fits the materialization
+
+``member`` and ``order_mod`` at level d walk a word through F/gamma_{d-1}
+without enumerating it: at depth 1 through F/gamma_0's one coset, deeper
+through the :class:`HomologyCover` of F/gamma_{d-2}'s table, whose rows are
+expanded from that packed action as the walk reaches them.  A power built
+by :func:`largequot.words.power` is walked by the period of its core.  At
+rank 1 they walk nothing: F/gamma_d is cyclic of order N = q_1 .. q_d, so w
+lies in gamma_d iff N divides its exponent sum m, and its order is
+N / gcd(m, N), with m read off a power's record.
+
+A level builds the BFS table of F/gamma_{d-1} (its ``parent_quotient``)
+only when something needs its numbering: the Schreier basis, component
+vectors and normal forms, the graded sampler of
+:func:`largequot.periodic.check_pigraded_properties` (which walks all passes
+of each word in one loop over the table's flat step table, see
+:meth:`VerbalLevel._orders_and_depths`), the cover of the level above, and
+witnesses serialized from it.  Tables and covers come from
+:data:`largequot.quotients.BUILT_QUOTIENTS`, so each is made once per
+process while that table keeps it, inside its one coset budget.
+F/gamma_{d-1} has coset data only while its order fits the materialization
 cap; deeper levels still know their order and Schreier rank through the
 closed product formula
 
     |F/gamma_d| = |F/gamma_{d-1}| * q_d ^ (1 + (r-1)|F/gamma_{d-1}|),
 
-but raise :class:`NotMaterializedError` for queries that need their tables.
-Levels take F/gamma_d from :data:`largequot.quotients.BUILT_QUOTIENTS`, so
-each cover BFS runs once per process while that table keeps it.
+but raise :class:`NotMaterializedError` for queries that need coset data.
 
 The layered normal form of a coset w*gamma_d is one vector per level,
 computed by repeatedly subtracting the canonical representative (the product
@@ -45,15 +55,18 @@ from __future__ import annotations
 
 import functools
 from itertools import islice
+from math import gcd, prod
 
 from .errors import CapExceeded, NotMaterializedError, check_int
 from .primes import is_prime
 from .quotients import (
     BUILT_QUOTIENTS,
     KINDS,
+    CosetGraph,
     FiniteQuotient,
     ModVector,
     build_quotient,
+    check_word,
 )
 from .words import Word, parse_word, power
 
@@ -112,10 +125,13 @@ def _as_primeseq(primes):
 class VerbalLevel:
     """Level d of the series, holding the coset data of F/gamma_{d-1}.
 
-    ``parent_quotient`` is the finite quotient F/gamma_{d-1} (``None`` when
-    the materialization cap was passed) and ``basis_words`` its Schreier
-    generators as words of F, i.e. a free basis of gamma_{d-1}, built on
-    first use.
+    ``parent_quotient`` is the finite quotient F/gamma_{d-1} with its BFS
+    numbering (``None`` when the materialization cap was passed), built on
+    its first read, and ``basis_words`` its Schreier generators as words of
+    F, i.e. a free basis of gamma_{d-1}, built on first use.  ``member`` and
+    ``order_mod`` read neither: see :meth:`_walker`.  ``materialized`` says
+    whether the level has coset data, |F/gamma_{d-1}| <= the coset cap,
+    without building any.
     ``schreier_rank`` and ``quotient_order`` outlive materialization, but
     once they pass ORDER_EXPONENT_CAP digits-wise they are not represented
     and accessing them raises :class:`CapExceeded`.  ``parent_order`` is
@@ -127,16 +143,43 @@ class VerbalLevel:
     """
 
     def __init__(self, rank, depth, prime, primes_prefix, parent_level,
-                 parent_quotient, parent_order):
+                 parent_order, coset_cap, parent_quotient=None):
         self.rank = rank
         self.depth = depth
         self.prime = prime
         self.primes_prefix = primes_prefix
         self.parent_level = parent_level
-        self.parent_quotient = parent_quotient
+        # level 1 is handed F/gamma_0; deeper tables are built on first read
+        self._parent_quotient = parent_quotient
+        self._coset_cap = coset_cap
+        # orders grow along the series, so every lower level fits too
+        self.materialized = depth == 1 or (
+            parent_order is not None and parent_order <= coset_cap)
         self._basis_words = None
+        self._graph = None
         self.parent_order = parent_order
         self._quotient_order = _UNREAD
+
+    @property
+    def parent_quotient(self):
+        """F/gamma_{d-1}, built by the BFS over the cover of the table below
+        on the first read, or taken from BUILT_QUOTIENTS; None past the cap.
+
+        Its readers are those that need the BFS numbering: the Schreier
+        basis and normal forms, the graded sampler's step table and depths,
+        and the witnesses serialized from it."""
+        if self._parent_quotient is None and self.materialized:
+            below, rank = self.parent_level, self.rank
+            self._parent_quotient = BUILT_QUOTIENTS.get(
+                ("verbal", rank) + below.primes_prefix,
+                lambda: build_quotient(rank, below._generator_cosets(),
+                                       cap=self._coset_cap))
+        return self._parent_quotient
+
+    def _generator_cosets(self):
+        """The images a_1 .. a_r of F/gamma_d, as cosets of this level."""
+        return [LayeredCoset(self, Word.generator(self.rank, g))
+                for g in range(1, self.rank + 1)]
 
     @property
     def basis_words(self):
@@ -181,10 +224,6 @@ class VerbalLevel:
             f"rank={self.rank}, order={_order_repr(self._order())})"
         )
 
-    @property
-    def materialized(self):
-        return self.parent_quotient is not None
-
     def _require_materialized(self):
         if not self.materialized:
             raise NotMaterializedError(
@@ -207,12 +246,53 @@ class VerbalLevel:
             first, lvl = lvl, lvl.parent_level
         return first
 
-    def _table(self):
-        """The coset table of F/gamma_{d-1}; raises the
-        :class:`NotMaterializedError` of the lowest level without one."""
+    def _require_chain(self):
+        """Raise the :class:`NotMaterializedError` of the lowest level of the
+        chain without coset data, if any."""
         if not self.materialized:
             self._first_unmaterialized()._require_materialized()
+
+    def _table(self):
+        """The coset table of F/gamma_{d-1}, with its BFS numbering; raises
+        as :meth:`_require_chain` does."""
+        self._require_chain()
         return self.parent_quotient
+
+    def _walker(self):
+        """F/gamma_{d-1} as the coset graph ``member`` and ``order_mod`` walk,
+        for a level of rank >= 2 with coset data.
+
+        At depth 1 it is F/gamma_0's one-coset table.  Deeper, it is the
+        :class:`HomologyCover` of level d-1, whose rows are filled as walks
+        reach them, held in BUILT_QUOTIENTS under ``("verbal cover", rank,
+        q_1, .., q_{d-1})`` and charged |F/gamma_{d-1}| cosets there, so no
+        BFS of F/gamma_{d-1} runs for them.
+        """
+        if self._graph is None:
+            below = self.parent_level
+            self._graph = self.parent_quotient if below is None else (
+                BUILT_QUOTIENTS.get(("verbal cover", self.rank) + below.primes_prefix,
+                                    lambda: HomologyCover(below)))
+        return self._graph
+
+    def _exponent_sum(self, w):
+        """At rank 1, where F/gamma_d is cyclic of order q_1 .. q_d: the
+        exponent sum of w, which alone decides its coset."""
+        check_word(w, 1)
+        return w.exponent_sums()[0]
+
+    def _holds(self, w):
+        """Whether w lies in gamma_d, at a level with coset data.
+
+        At rank 1, iff q_1 .. q_d divides its exponent sum.  Otherwise iff
+        the walk of w through F/gamma_{d-1} (:meth:`_walker`) closes and
+        crosses every edge a net multiple of q_d times.
+        """
+        if self.rank == 1:
+            return self._exponent_sum(w) % prod(self.primes_prefix) == 0
+        counts = {}
+        return self._walker().coset_of(w, counts) == 0 and not any(
+            c % self.prime for c in counts.values())
 
     def _chain(self):
         levels = []
@@ -262,17 +342,13 @@ class VerbalLevel:
     def member(self, w):
         """Whether w lies in gamma_d.
 
-        One walk through the deepest materialized table F/gamma_{k-1},
-        k <= d: w lies in gamma_k iff the walk closes and every crossing
-        count vanishes mod q_k.  A word outside gamma_k is outside gamma_d;
-        a word inside it needs the next, unmaterialized, level, which raises.
+        Decided at the deepest level k <= d with coset data (:meth:`_holds`):
+        a word outside gamma_k is outside gamma_d; a word inside it needs
+        the next level, which has none and raises.
         """
         first = self._first_unmaterialized()
         deepest = self if first is None else first.parent_level
-        counts = {}
-        if deepest.parent_quotient.coset_of(w, counts) != 0 or any(
-            c % deepest.prime for c in counts.values()
-        ):
+        if not deepest._holds(w):
             return False
         if first is not None:
             first._require_materialized()
@@ -281,14 +357,20 @@ class VerbalLevel:
     def order_mod(self, w):
         """Order of the coset w*gamma_d in F/gamma_d.
 
-        The order k of w modulo gamma_{d-1} comes from walking w through
-        F/gamma_{d-1} until the walk closes.  Then w^k lies in gamma_{d-1},
-        whose factor modulo gamma_d is elementary abelian of exponent q_d,
-        so the order is k*q_d when the crossings summed over the k passes
-        are nonzero mod q_d, and k otherwise.
+        At rank 1 it is N / gcd(m, N), for N = q_1 .. q_d and m the exponent
+        sum of w.  Otherwise the order k of w modulo gamma_{d-1} comes from
+        walking w through F/gamma_{d-1} (:meth:`_walker`) until the walk
+        closes.  Then w^k lies in gamma_{d-1}, whose factor modulo gamma_d
+        is elementary abelian of exponent q_d, so the order is k*q_d when
+        the crossings summed over the k passes are nonzero mod q_d, and k
+        otherwise.
         """
-        quotient, counts = self._table(), {}
-        k = quotient.image_order(w, counts)
+        self._require_chain()
+        if self.rank == 1:
+            n = prod(self.primes_prefix)
+            return n // gcd(self._exponent_sum(w), n)
+        counts = {}
+        k = self._walker().image_order(w, counts)
         if any(x % self.prime for x in counts.values()):
             return k * self.prime
         return k
@@ -352,9 +434,52 @@ class VerbalLevel:
         lvl = self
         while c:
             below = lvl.parent_level
-            c = lvl.parent_quotient.elements[c] % below.parent_quotient.order
+            c = lvl.parent_quotient.elements[c] % below.parent_order
             lvl = below
         return lvl.depth - 1
+
+
+class HomologyCover(CosetGraph):
+    """F/gamma_d, for a level d of rank >= 2, walked as the mod-q_d
+    homology cover of the coset graph of F/gamma_{d-1}, with its rows filled
+    on demand.
+
+    A vertex is a key of :meth:`LayeredCoset.packed_action`, 0 for the
+    identity.  The row of a key, its 2r neighbours in the edge order a_1,
+    a_1^-1, a_2, .., is expanded on the first step from it, so a walk pays
+    only for the vertices it reaches, and no BFS numbering is formed.  A
+    crossing of the edge from key c along a_g counts at the slot
+    c * rank + g - 1.  Since H_1 of a graph is its cycle space, a closed
+    walk lies in gamma_{d+1} iff every slot's count vanishes mod q_{d+1}.
+    ``order`` is |F/gamma_d|, what the table of built quotients charges it.
+    """
+
+    def __init__(self, level):
+        self.rank = level.rank
+        self.order = level.quotient_order
+        images = level._generator_cosets()
+        _, self._expand = LayeredCoset.packed_action(
+            images, [u.inverse() for u in images])
+        # every key x * |F/gamma_{d-1}| + v lies below |F/gamma_d|
+        self._rows = [None] * self.order
+
+    def _walk(self, c, letters, counts=None):
+        rows, expand, rank = self._rows, self._expand, self.rank
+        if counts is None:
+            counts = {}
+        get = counts.get
+        for gen, exp in letters:
+            row = rows[c]
+            if row is None:
+                row = rows[c] = expand(c)
+            if exp == 1:
+                slot = c * rank + gen - 1
+                c = row[2 * gen - 2]
+            else:
+                c = row[2 * gen - 1]
+                slot = c * rank + gen - 1
+            counts[slot] = get(slot, 0) + exp
+        return c
 
 
 class LayeredCoset:
@@ -510,10 +635,10 @@ def _depth_checked(primes, rank, depth):
 def _iter_levels(primes, rank, coset_cap):
     """Yield levels 1, 2, .. lazily.
 
-    The coset graph of F/gamma_d is built only when level d+1 is pulled, so
-    consumers that stop early never pay for enumerations they do not use,
-    and it comes from the table of built quotients when it was built before.
-    Level d's order is computed then too, if nothing read it before.
+    No coset graph is built here but F/gamma_0's one coset: level d+1 reads
+    F/gamma_d's order, computed when it is pulled if nothing read it before,
+    and builds F/gamma_d's table only on the first read of its
+    ``parent_quotient``.
     """
     primes = _as_primeseq(primes)
     check_int(rank, LEVEL_RANK_TEXT, 1)
@@ -525,7 +650,7 @@ def _iter_levels(primes, rank, coset_cap):
     # F/gamma_0 is one coset, every edge a loop: what the BFS over trivial
     # residue vectors builds, without its 2 * rank products
     trivial = ModVector(1, (0,))
-    parent_quotient = FiniteQuotient(
+    base = FiniteQuotient(
         rank, [trivial] * rank, [trivial], [[0] * rank], [[0] * rank], [None],
         kind="modvec", params={"modulus": 1, "dim": 1})
     parent_order = 1
@@ -533,22 +658,15 @@ def _iter_levels(primes, rank, coset_cap):
     for d, q in enumerate(primes.primes, 1):
         if d > 1:
             parent_order = parent_level._order()
-            parent_quotient = None
-            # orders grow along the series, so every lower level fits too
-            if parent_order is not None and parent_order <= coset_cap:
-                parent_quotient = BUILT_QUOTIENTS.get(
-                    ("verbal", rank) + parent_level.primes_prefix,
-                    lambda: build_quotient(rank, [
-                        LayeredCoset(parent_level, Word.generator(rank, g))
-                        for g in range(1, rank + 1)], cap=coset_cap))
         level = VerbalLevel(
             rank=rank,
             depth=d,
             prime=q,
             primes_prefix=primes.primes[:d],
             parent_level=parent_level,
-            parent_quotient=parent_quotient,
             parent_order=parent_order,
+            coset_cap=coset_cap,
+            parent_quotient=base if d == 1 else None,
         )
         yield level
         parent_level = level

@@ -89,11 +89,13 @@ class Word:
         letters = tuple(letters)
         for letter in letters:
             gen, exp = letter
-            if not 1 <= gen <= rank:
+            # check_int only on refusal: parse_word builds every word here
+            if type(gen) is not int or not 1 <= gen <= rank:
+                check_int(gen, "generator index must be an integer")
                 raise ValueError(
                     f"generator index {gen} out of range for rank {rank}"
                 )
-            if exp not in (1, -1):
+            if type(exp) is not int or exp not in (1, -1):
                 raise ValueError(f"letter exponent must be +1 or -1, got {exp!r}")
         self.rank = rank
         self.letters = _reduce_letters(letters)
@@ -167,11 +169,16 @@ class Word:
         return t.inverse() * self * t
 
     def exponent_sums(self):
-        """Abelianized exponent vector, one integer per generator."""
+        """Abelianized exponent vector, one integer per generator.
+
+        A power t * c^n * t^-1 sums n times the letters of c, read off its
+        record, so its letters are never spelled out."""
+        record = self.power_record
+        letters, n = (self.letters, 1) if record is None else record[1:]
         sums = [0] * self.rank
-        for gen, exp in self.letters:
+        for gen, exp in letters:
             sums[gen - 1] += exp
-        return tuple(sums)
+        return tuple(n * s for s in sums)
 
     def cyclic_decomposition(self):
         """Split as (t, c) with self == t * c * t^-1 and c cyclically reduced."""

@@ -1,7 +1,8 @@
 """Test oracles the package does not ship: the mod-q abelianization, the
 abelian invariants of a rewritten presentation, verbal cosets multiplied
-as words and compared by their layered normal form, and Magnus valuations
-found by embedding a word at one truncation after another.
+as words and compared by their layered normal form, verbal membership and
+orders by a walk through the BFS table of F/gamma_{d-1}, and Magnus
+valuations found by embedding a word at one truncation after another.
 
 Each is a slower or independent route to what the package computes another
 way, so the tests check the shipped path against it.  Subprocess tests
@@ -81,6 +82,34 @@ class VerbalCoset:
 
     def __hash__(self):
         return hash(self._series() + (self.nf,))
+
+
+def table_member(level, w):
+    """:meth:`largequot.verbal.VerbalLevel.member` by one walk through the
+    BFS table of F/gamma_{k-1}, at the deepest level k <= d with coset data:
+    w lies in gamma_k iff the walk closes and every non-tree crossing count
+    vanishes mod q_k.  Inside gamma_k, the level past it raises."""
+    first = level._first_unmaterialized()
+    deepest = level if first is None else first.parent_level
+    counts = {}
+    if deepest.parent_quotient.coset_of(w, counts) != 0 or any(
+        c % deepest.prime for c in counts.values()
+    ):
+        return False
+    if first is not None:
+        first._require_materialized()
+    return True
+
+
+def table_order_mod(level, w):
+    """:meth:`largequot.verbal.VerbalLevel.order_mod` by walking w through
+    the BFS table of F/gamma_{d-1} until it closes after k passes: k * q_d
+    when the summed non-tree crossings are nonzero mod q_d, else k."""
+    quotient, counts = level._table(), {}
+    k = quotient.image_order(w, counts)
+    if any(x % level.prime for x in counts.values()):
+        return k * level.prime
+    return k
 
 
 def magnus_valuation(w, p, limit, start=2):

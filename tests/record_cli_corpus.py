@@ -182,6 +182,12 @@ def _entries():
         "gamma_exponent_tower": (["gamma", "--primes", "2", "--rank",
                                   str(10**18), "--depth", "1", "--member",
                                   "a"], None, {}),
+        "gamma_depth_three_order": (["gamma", "--primes", "3,2,5", "--rank",
+                                     "2", "--depth", "3", "--order", "abAAB"],
+                                    None, {}),
+        "gamma_depth_three_member": (["gamma", "--primes", "3,2,5", "--rank",
+                                      "2", "--depth", "3", "--member",
+                                      "abAAB"], None, {}),
         # levi
         "levi": (["levi", "--set", "aa,ab", "--primes", "2,3"], None, {}),
         "levi_depth_cap": (["levi", "--set", "aa,ab", "--primes", "2,3"],
@@ -194,6 +200,9 @@ def _entries():
         "construct_periodic_rank_one": (["construct-periodic", "--primes",
                                          "2,3,5", "--steps", "2", "--rank",
                                          "1"], None, {}),
+        "construct_periodic_rank_one_deep": (["construct-periodic", "--primes",
+                                              "2,3,5,7,11,13", "--steps", "4",
+                                              "--rank", "1"], None, {}),
         # usage errors
         "usage_missing_arguments": (["certify-large", "-g", "a"], None, {}),
         "usage_not_an_int": (["certify-large", "-g", "a", "-q", "x"], None, {}),

@@ -13,7 +13,7 @@ from largequot.periodic import (
 from largequot.quotients import ModVector
 from largequot.series import TruncSeries, embed
 from largequot.verbal import build_series
-from largequot.words import parse_word, power
+from largequot.words import Word, parse_word, power
 
 
 def test_check_int_returns_the_value_or_refuses_it():
@@ -45,6 +45,9 @@ ENTRY_POINTS = [
     ("format_order", format_order, "orders are positive", 1),
     ("ModVector", lambda v: ModVector(v, [1]),
      "modulus must be a positive integer", 1),
+    # every int is a residue
+    ("ModVector.values", lambda v: ModVector(2, [v, 0]),
+     "residue vector entries must be integers", None),
     ("ModVector.from_payload.modulus",
      lambda v: ModVector.from_payload({"modulus": v, "dim": 1}, [1]),
      "modulus must be a positive integer", 1),
@@ -66,6 +69,11 @@ ENTRY_POINTS = [
      "exponent must be an integer", None),
     ("embed", lambda v: embed(A, v), "degree bound must be a positive integer", 1),
     ("power", lambda v: power(A, v), "exponent must be an integer", None),
+    # an int out of range, or an exponent other than +-1, keeps its own text
+    ("Word.generator", lambda v: Word(2, [(v, 1)]),
+     "generator index must be an integer", None),
+    ("Word.exponent", lambda v: Word(2, [(1, v)]),
+     "letter exponent must be +1 or -1", None),
     ("build_series.depth", lambda v: build_series([2, 3], 2, v),
      "depth must be a nonnegative integer", 0),
     ("check_pigraded_properties",
@@ -89,3 +97,23 @@ def test_entry_points_refuse_what_is_no_int_or_too_small(call, text, value):
     with pytest.raises(ValueError) as err:
         call(value)
     assert str(err.value) == f"{text}, got {value!r}"
+
+
+def test_letters_and_residues_that_are_no_ints_are_refused():
+    # each was accepted: 1 <= 1.0 <= 2 and 1.0 in (1, -1) both hold
+    for letters, text in (
+            ([(1.0, 1.0)], "generator index must be an integer, got 1.0"),
+            ([(True, 1)], "generator index must be an integer, got True"),
+            ([(1, True)], "letter exponent must be +1 or -1, got True"),
+            ([(3, 1)], "generator index 3 out of range for rank 2"),
+            ([(0, 1)], "generator index 0 out of range for rank 2"),
+            ([(1, 2)], "letter exponent must be +1 or -1, got 2")):
+        with pytest.raises(ValueError) as err:
+            Word(2, letters)
+        assert str(err.value) == text
+    with pytest.raises(ValueError) as err:
+        ModVector(2, [1.5, 0])
+    assert str(err.value) == "residue vector entries must be integers, got 1.5"
+    assert ModVector(3, [4, -1]).values == (1, 2)
+    assert (ModVector(3, [1, 2]) * ModVector(3, [2, 2])).values == (0, 1)
+    assert ModVector(3, [1, 2]).inverse().values == (2, 1)

@@ -212,6 +212,31 @@ def test_replay_refuses_primes_that_are_not_ints():
             replay_matches({**one, "pi": pi})
 
 
+@pytest.mark.parametrize("pi, error", [
+    (None, "trace pi must be a list of primes, got None"),
+    (7, "trace pi must be a list of primes, got 7"),
+    ("2,3", "trace pi must be a list of primes, got '2,3'"),
+    ({"2": 3}, "trace pi must be a list of primes, got {'2': 3}"),
+])
+def test_replay_refuses_a_pi_that_is_no_list(pi, error):
+    # None raised TypeError from the prime sequence's tuple(primes)
+    one = run_construction([2, 3, 5, 7], 1)
+    with pytest.raises(ValueError) as err:
+        replay_matches({**one, "pi": pi})
+    assert str(err.value) == error
+
+
+@pytest.mark.parametrize("trace, name", [
+    ([], "list"), ("trace", "str"), (None, "NoneType"), (3, "int"),
+    ([("rank", 2)], "list"),
+])
+def test_replay_refuses_a_trace_that_is_no_mapping(trace, name):
+    # each raised TypeError or AttributeError
+    with pytest.raises(ValueError) as err:
+        replay_matches(trace)
+    assert str(err.value) == f"a construction trace is a mapping, got {name}"
+
+
 def test_trace_runs_are_deterministic():
     a = run_construction([2, 3, 5, 7], 2)
     b = run_construction([2, 3, 5, 7], 2)

@@ -619,9 +619,10 @@ def test_verbal_and_unit_quotients_share_one_budget(empty_quotient_table,
                                                     monkeypatch):
     table = empty_quotient_table
     monkeypatch.setattr(table, "cosets", 1000)
-    build_series((2, 3, 5), 2, 3)  # F/gamma_1, 4 cosets, and F/gamma_2, 972
+    # F/gamma_1, 4 cosets, and F/gamma_2, 972
+    build_series((2, 3, 5), 2, 3)[2].parent_quotient
     _unit(3, 2, 2)  # 9 cosets
-    build_series((2, 2), 2, 2)  # uses F/gamma_1 over (2,) again
+    build_series((2, 2), 2, 2)[1].parent_quotient  # F/gamma_1 over (2,) again
     assert list(table.quotients) == [
         ("verbal", 2, 2, 3), ("magnus_unit", 3, 2, 2), ("verbal", 2, 2)]
     assert table.held == 4 + 972 + 9
@@ -632,7 +633,7 @@ def test_verbal_and_unit_quotients_share_one_budget(empty_quotient_table,
     assert table.held == 9 + 4 + 25
     # and a verbal build evicts the least recently used unit quotient
     _unit(3, 2, 2)
-    build_series((2, 3, 5), 2, 3)
+    build_series((2, 3, 5), 2, 3)[2].parent_quotient
     assert list(table.quotients) == [
         ("magnus_unit", 3, 2, 2), ("verbal", 2, 2), ("verbal", 2, 2, 3)]
     assert table.held == sum(q.order for q in table.quotients.values()) == 985

@@ -27,7 +27,12 @@ from largequot.verbal import (
     quotient_order_factors,
 )
 from largequot.words import Word, parse_word, power, random_reduced_word
-from oracles import VerbalCoset, mod_abelianization
+from oracles import (
+    VerbalCoset,
+    mod_abelianization,
+    table_member,
+    table_order_mod,
+)
 
 
 def test_primeseq_validation():
@@ -462,14 +467,23 @@ def _same_tables(a, b):
     assert a.serialize() == b.serialize()
 
 
+def _built_series(primes, rank, depth, **caps):
+    """build_series, with every table it has coset data for read, and so
+    built or taken from the table of built quotients."""
+    levels = build_series(primes, rank, depth, **caps)
+    for level in levels:
+        level.parent_quotient
+    return levels
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3])
 @pytest.mark.parametrize("primes", [(2, 3, 5), (2, 2, 3), (3, 2, 5)])
 def test_levels_from_the_table_match_fresh_builds(empty_quotient_table, primes,
                                                   rank):
-    first = build_series(primes, rank, len(primes))
-    served = build_series(primes, rank, len(primes))
+    first = _built_series(primes, rank, len(primes))
+    served = _built_series(primes, rank, len(primes))
     empty_quotient_table.clear()
-    fresh = build_series(primes, rank, len(primes))
+    fresh = _built_series(primes, rank, len(primes))
     rng = random.Random(f"{primes}-{rank}")
     words = [random_reduced_word(rng, rank, rng.randint(0, 8)) for _ in range(30)]
     words += [power(w, e) for w, e in zip(words, (2, 3, 5, 6, 30))]
@@ -491,16 +505,18 @@ def test_levels_from_the_table_match_fresh_builds(empty_quotient_table, primes,
 
 def test_a_level_is_built_once_per_process(empty_quotient_table, monkeypatch):
     aa = parse_word("aa", 2)
-    build_series((2, 3, 5), 2, 3)
-    levels = build_series((2, 3, 5), 2, 3)
+    _built_series((2, 3, 5), 2, 3)
+    levels = _built_series((2, 3, 5), 2, 3)
     assert levi_bound([aa], (2, 3, 5)) == 2
-    assert set(empty_quotient_table.quotients) == {("verbal", 2, 2),
-                                                   ("verbal", 2, 2, 3)}
+    # levi_bound's membership walks the homology cover of F/gamma_1
+    assert set(empty_quotient_table.quotients) == {
+        ("verbal", 2, 2), ("verbal", 2, 2, 3), ("verbal cover", 2, 2)}
 
     def refuse(*args, **kwargs):
         raise AssertionError("a tabled quotient was rebuilt")
 
     monkeypatch.setattr(verbal, "build_quotient", refuse)
+    monkeypatch.setattr(verbal, "HomologyCover", refuse)
     again = build_series((2, 3, 5, 7), 2, 3)
     assert again[2].parent_quotient is levels[2].parent_quotient
     assert levi_bound([aa], (2, 3, 5)) == 2
@@ -532,10 +548,12 @@ def test_a_smaller_cap_after_a_larger_one_refuses_as_before(empty_quotient_table
         ]
 
     before = refusals()
-    build_series((2, 3, 5), 2, 3, coset_cap=10**4)
+    # the cover walked at depth 3 under the larger cap is held as well
+    assert _built_series((2, 3, 5), 2, 3, coset_cap=10**4)[2].order_mod(a6) == 5
     run_construction([2, 3, 5, 7], 1, coset_cap=10**4)
-    assert set(empty_quotient_table.quotients) == {("verbal", 2, 2),
-                                                   ("verbal", 2, 2, 3)}
+    assert set(empty_quotient_table.quotients) == {
+        ("verbal", 2, 2), ("verbal", 2, 2, 3), ("verbal cover", 2, 2),
+        ("verbal cover", 2, 2, 3)}
     assert refusals() == before
     assert before == [
         [True, True, False],
@@ -554,11 +572,11 @@ def _held(table):
 def test_the_table_evicts_the_least_recently_used_past_its_bound(
         empty_quotient_table, monkeypatch):
     monkeypatch.setattr(empty_quotient_table, "cosets", 1000)
-    build_series((2, 3, 5), 2, 3)
+    _built_series((2, 3, 5), 2, 3)
     evicted = empty_quotient_table.quotients[("verbal", 2, 2, 3)]
     assert empty_quotient_table.held == _held(empty_quotient_table) == 4 + 972
     # (2,) is used again, so the 128 cosets over (2, 2) evict (2, 3)
-    build_series((2, 2, 3), 2, 3)
+    _built_series((2, 2, 3), 2, 3)
     assert list(empty_quotient_table.quotients) == [("verbal", 2, 2),
                                                     ("verbal", 2, 2, 2)]
     assert empty_quotient_table.held == _held(empty_quotient_table) == 4 + 128
@@ -579,3 +597,89 @@ def test_a_quotient_past_the_bound_is_never_stored(empty_quotient_table,
     _same_tables(again, first)
     assert list(empty_quotient_table.quotients) == [("verbal", 2, 2)]
     assert empty_quotient_table.held == 4
+
+
+# -- member and order_mod against the table walk -----------------------------
+
+DIFFERENTIAL = [(rank, primes, depth)
+                for rank in (1, 2, 3)
+                for primes in ((2, 3), (3, 2), (3, 3), (2, 2, 3), (2, 3, 5))
+                for depth in range(1, len(primes) + 1)]
+
+
+def _differential_words(rng, rank, primes, count=200):
+    """Random words, their powers by exponents up to 10^6, and powers by
+    multiples of the exponent q_1 .. q_d of F/gamma_d, members all."""
+    words = [random_reduced_word(rng, rank, rng.randint(0, 10))
+             for _ in range(count)]
+    words += [power(w, rng.randint(1, 10**6)) for w in words[:count // 2]]
+    words += [power(w, 10**6) for w in words[:20]]
+    words += [power(w, prod(primes) * rng.randint(1, 10**4))
+              for w in words[:20]]
+    return words
+
+
+def _answer_or_refusal(fn, w):
+    """fn(w), or the type and text of what it raised; unlike _answer, a
+    word refused with ValueError is an answer here too."""
+    try:
+        return ("value", fn(w))
+    except (NotMaterializedError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("rank, primes, depth", DIFFERENTIAL)
+def test_member_and_order_mod_match_the_table_walk(rank, primes, depth):
+    level = build_series(primes, rank, depth)[-1]
+    rng = random.Random(f"{rank}-{primes}-{depth}")
+    words = _differential_words(rng, rank, primes[:depth])
+    # a word of another rank and no word at all are refused alike
+    words += [Word.generator(rank + 1, 1), "a"]
+    # the shipped answers first, before the oracle builds any table
+    found = [(_answer_or_refusal(level.member, w),
+              _answer_or_refusal(level.order_mod, w)) for w in words]
+    expected = [(_answer_or_refusal(lambda u: table_member(level, u), w),
+                 _answer_or_refusal(lambda u: table_order_mod(level, u), w))
+                for w in words]
+    assert found == expected
+    # both answers occur, or the refusal of the level past the cap
+    assert {member for member, _ in found} >= {
+        ("value", False), ("value", True) if level.materialized else
+        ("NotMaterializedError", f"level {depth} has no coset data: "
+         f"|F/gamma_{depth - 1}| = {level.parent_order} exceeded the "
+         "materialization cap")}
+
+
+def test_a_depth_three_query_builds_no_table_of_f_mod_gamma_2(
+        empty_quotient_table):
+    abaab = parse_word("abAAB", 2)
+    level = build_series((3, 2, 5), 2, 3)[-1]
+    assert level.order_mod(abaab) == 30
+    assert not level.member(abaab)
+    assert ("verbal", 2, 3, 2) not in empty_quotient_table.quotients
+    # the cover walked in its place is held, charged |F/gamma_2| cosets
+    cover = empty_quotient_table.quotients[("verbal cover", 2, 3, 2)]
+    assert set(empty_quotient_table.quotients) == {
+        ("verbal", 2, 3), ("verbal cover", 2, 3, 2)}
+    assert cover.order == 9216 == level.parent_order
+    assert empty_quotient_table.held == 9 + 9216
+    # and it reaches only the vertices its walks visit
+    assert 0 < len(cover._rows) - cover._rows.count(None) < 100
+    rng = random.Random(325)
+    words = _differential_words(rng, 2, (3, 2, 5), 40)
+    found = [(level.member(w), level.order_mod(w)) for w in words]
+    assert ("verbal", 2, 3, 2) not in empty_quotient_table.quotients
+    assert found == [(table_member(level, w), table_order_mod(level, w))
+                     for w in words]
+
+
+def test_rank_one_queries_build_no_table(empty_quotient_table):
+    primes = (2, 3, 5, 7, 11, 13)
+    a = Word.generator(1, 1)
+    level = build_series(primes, 1, 6)[-1]
+    assert level.order_mod(a) == prod(primes)
+    assert level.order_mod(power(a, 7 * 11**30)) == 2 * 3 * 5 * 13
+    assert level.member(power(a, 30030 * 10**20))
+    assert not level.member(power(a, 30030 * 10**20 + 1))
+    assert empty_quotient_table.quotients == {}
+    assert level._parent_quotient is None

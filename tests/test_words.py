@@ -97,6 +97,9 @@ def test_lazy_powers_agree_with_eager_words(case, n, k):
     assert other * lazy() == other * eager
     assert lazy().cyclic_decomposition() == eager.cyclic_decomposition()
     assert lazy().exponent_sums() == eager.exponent_sums()
+    summed = lazy()
+    summed.exponent_sums()
+    assert summed._letters is None  # read off the record
     assert lazy().is_identity == eager.is_identity is False
     inner = lazy()
     nested = power(inner, k)
@@ -224,6 +227,9 @@ def test_exponent_sums():
     w = parse_word("aabAB", 2)
     assert w.exponent_sums() == (1, 0)
     assert Word.identity(2).exponent_sums() == (0, 0)
+    # a power's sums come from its record, whatever its length
+    assert power(parse_word("abaBB", 2), -10**30).exponent_sums() == (
+        -2 * 10**30, 10**30)
 
 
 def test_cyclic_decomposition_roundtrip():
