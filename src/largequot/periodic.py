@@ -40,7 +40,7 @@ from .verbal import (
     _as_primeseq,
     _escape_level,
 )
-from .words import indexed_word, power, random_reduced_indices, shortlex_words
+from .words import indexed_word, power, random_reduced_sample, shortlex_words
 
 TRACE_SCHEMA = "periodic-construction-trace/1"
 
@@ -323,21 +323,23 @@ def check_pigraded_properties(level, sample_count=1000, seed=0):
     reported as such rather than re-proved.
 
     The ``sample_count`` words are random reduced words of lengths
-    ``rng.randint(1, SAMPLE_MAX_LENGTH)``, drawn as
+    ``rng.randint(1, SAMPLE_MAX_LENGTH)``, drawn by
+    :func:`largequot.words.random_reduced_sample` as
     :func:`largequot.words.random_reduced_word` draws them but kept as
-    tuples of alphabet indices, each distinct one walked once through
-    F/gamma_{d-1} (:meth:`largequot.verbal.VerbalLevel._orders_and_depths`):
-    the walk gives its order, and its depth (the deepest i with w in
-    gamma_i) is read off the cover key of the coset it reaches, with no walk
-    through the levels below.  A ``Word`` is built only to name a violation,
-    and the checks run once per distinct (order, depth) pair.  A
+    tuples of alphabet indices, and answered by
+    :meth:`largequot.verbal.VerbalLevel._orders_and_depths`: most by their
+    exponent sums alone, the rest by one walk through a homology cover each,
+    which gives the order and, off the cover key it reaches, the depth (the
+    deepest i with w in gamma_i).  No table is built for the sample.  The
+    checks run once per distinct (order, depth) pair.  A
     ``sample_count`` that is no int of at least 0 is refused; 0 checks
     nothing.
     """
     check_int(sample_count, "sample count must be a nonnegative integer", 0)
     if len(set(level.primes_prefix)) != len(level.primes_prefix):
         raise ValueError("graded order properties need pairwise distinct primes")
-    keys = _sample_indices(random.Random(seed), level.rank, sample_count)
+    keys = random_reduced_sample(random.Random(seed), level.rank, sample_count,
+                                 SAMPLE_MAX_LENGTH)
     found = level._orders_and_depths(keys)
     full_product = prod(level.primes_prefix)
     tally = Counter(found)  # words per distinct (order, depth)
@@ -374,20 +376,3 @@ def _graded_failures(n, depth, primes, full_product):
         failed.append(f"{{w}} lies in gamma_{depth} but its order {n} shares "
                       f"a factor with p_1..p_{depth}")
     return failed
-
-
-def _sample_indices(rng, rank, count):
-    """The index tuples of ``count`` random reduced words, each of length
-    ``rng.randint(1, SAMPLE_MAX_LENGTH)`` by randint's own loop, inlined:
-    ``getrandbits`` of the bound's bit length until the value is below the
-    bound.  So the tuples and the generator's state afterwards are those of
-    ``rng.randint`` and :func:`largequot.words.random_reduced_word`."""
-    bits, bound = rng.getrandbits, SAMPLE_MAX_LENGTH
-    k = bound.bit_length()
-    keys = []
-    for _ in range(count):
-        length = bits(k)
-        while length >= bound:
-            length = bits(k)
-        keys.append(random_reduced_indices(rng, rank, length + 1))
-    return keys

@@ -21,6 +21,8 @@ PSI_13 = 3317044064679887385961981
 
 # trial division stops at the primes up to here
 TRIAL_LIMIT = 2**16
+# a prime p is past TRIAL_LIMIT iff p * p is past this
+_LIMIT_SQUARE = TRIAL_LIMIT * (TRIAL_LIMIT + 2)
 
 # the primes in increasing order, as far as any caller has read them
 _PRIMES = [2, 3]
@@ -88,17 +90,25 @@ def trial_division(n):
     """({prime: exponent} over the primes up to TRIAL_LIMIT, cofactor) of an
     integer n >= 1.  The cofactor has no prime factor up to TRIAL_LIMIT; it
     is 1 or a prime whenever division stopped early, at a prime past its
-    square root."""
+    square root.  ``_PRIMES`` is read by index, and extended past its end
+    one prime at a time, as far as :func:`primes_up_to` would."""
     found = {}
-    for p in primes_up_to(TRIAL_LIMIT):
-        if p * p > n:
-            break
+    # p > TRIAL_LIMIT or p * p > n, in one test
+    bound = min(n, _LIMIT_SQUARE)
+    primes, i = _PRIMES, 0
+    while True:
+        if i == len(primes):
+            primes.append(_next_prime(primes))
+        p = primes[i]
+        if p * p > bound:
+            return found, n
+        i += 1
         if n % p == 0:
             n, e = n // p, 1
             while n % p == 0:
                 n, e = n // p, e + 1
             found[p] = e
-    return found, n
+            bound = min(n, bound)
 
 
 def factor(n):

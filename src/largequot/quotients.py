@@ -207,12 +207,16 @@ class CosetGraph:
         """Order k of the image of w in the quotient group.
 
         A dict ``counts`` gets the crossings of the closed walk of w^k."""
-        c = self.coset_of(w, counts)
+        return self.image_and_order(w, counts)[1]
+
+    def image_and_order(self, w, counts=None):
+        """(:meth:`coset_of`, :meth:`image_order`) of w, in one walk."""
+        image = c = self.coset_of(w, counts)
         k = 1
         while c != 0:
             c = self.walk(c, w, counts)
             k += 1
-        return k
+        return image, k
 
 
 # -- the quotient itself -----------------------------------------------------
@@ -245,7 +249,6 @@ class FiniteQuotient(CosetGraph):
         self._transversal = None
         self._nontree = None
         self._crossing = None
-        self._steps = None
         self._payload = None
 
     @property
@@ -323,34 +326,6 @@ class FiniteQuotient(CosetGraph):
                     labels.append((slot // rank, slot % rank + 1))
             self._crossing, self._nontree = table, tuple(labels)
         return self._crossing
-
-    def step_table(self):
-        """Flat table of single steps over alphabet indices, built once per
-        quotient.
-
-        Slot ``c*2r + i`` is for the letter at index i of the alphabet
-        a_1 < .. < a_r < a_1^-1 < .. < a_r^-1 (see
-        :func:`largequot.words.random_reduced_indices`) read from coset c.
-        It holds the pair ``(c'*2r, x)``: the slot base of the coset c' the
-        letter reaches, and x = pos + 1 when the step crosses the non-tree
-        edge at position pos of :meth:`schreier_generators` forward, -(pos
-        + 1) when backward, 0 on the tree.  So a walk over indices steps
-        ``c, x = table[c + i]`` from c = 0, as :meth:`_walk` steps the
-        letters.
-        """
-        if self._steps is None:
-            rank, width = self.rank, 2 * self.rank
-            crossing = self.crossing_table()
-            steps = []
-            for c in range(self.order):
-                for g, d in enumerate(self.mult[c]):
-                    at = crossing[c * rank + g]
-                    steps.append((d * width, 0 if at is None else at + 1))
-                for g, d in enumerate(self.inv_mult[c]):
-                    at = crossing[d * rank + g]
-                    steps.append((d * width, 0 if at is None else -at - 1))
-            self._steps = steps
-        return self._steps
 
     def schreier_generator_word(self, label):
         """The subgroup element t_c * a_g * t_{c.g}^-1 of a non-tree edge."""

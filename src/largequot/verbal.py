@@ -17,24 +17,24 @@ packed action of the ``verbal`` element kind, so
 :func:`largequot.quotients.build_quotient` enumerates it on int keys,
 whether the images come from the series or from a document.
 
-``member`` and ``order_mod`` at level d walk a word through F/gamma_{d-1}
-without enumerating it: at depth 1 through F/gamma_0's one coset, deeper
-through the :class:`HomologyCover` of F/gamma_{d-2}'s table, whose rows are
-expanded from that packed action as the walk reaches them.  A power built
-by :func:`largequot.words.power` is walked by the period of its core.  At
-rank 1 they walk nothing: F/gamma_d is cyclic of order N = q_1 .. q_d, so w
-lies in gamma_d iff N divides its exponent sum m, and its order is
-N / gcd(m, N), with m read off a power's record.
+Exponent sums answer most queries without a walk.  Each layer
+gamma_{i-1}/gamma_i has exponent q_i, so the exponent-sum map F -> Z^r
+sends gamma_i into q_1 .. q_i Z^r (H. Neumann, *Varieties of Groups*,
+1967; see :meth:`VerbalLevel._answering_level`), and where F/gamma_k is
+abelian, at rank 1 or depth 1, they answer alone.  The rest is walked:
+``member``, ``order_mod`` and the graded sampler of
+:func:`largequot.periodic.check_pigraded_properties` walk a word through
+F/gamma_{d-1} as the :class:`HomologyCover` of F/gamma_{d-2}'s table, whose
+rows are expanded from that packed action as the walk reaches them, and a
+power built by :func:`largequot.words.power` by the period of its core.
 
 A level builds the BFS table of F/gamma_{d-1} (its ``parent_quotient``)
 only when something needs its numbering: the Schreier basis, component
-vectors and normal forms, the graded sampler of
-:func:`largequot.periodic.check_pigraded_properties` (which walks all passes
-of each word in one loop over the table's flat step table, see
-:meth:`VerbalLevel._orders_and_depths`), the cover of the level above, and
-witnesses serialized from it.  Tables and covers come from
-:data:`largequot.quotients.BUILT_QUOTIENTS`, so each is made once per
-process while that table keeps it, inside its one coset budget.
+vectors and normal forms, the depths the sampler reads off cover keys, the
+cover of the level above, and witnesses serialized from it.  Tables and
+covers come from :data:`largequot.quotients.BUILT_QUOTIENTS`, so each is
+made once per process while that table keeps it, inside its one coset
+budget.
 F/gamma_{d-1} has coset data only while its order fits the materialization
 cap; deeper levels still know their order and Schreier rank through the
 closed product formula
@@ -68,7 +68,7 @@ from .quotients import (
     build_quotient,
     check_word,
 )
-from .words import Word, parse_word, power
+from .words import Word, indexed_word, parse_word, power
 
 DEFAULT_COSET_CAP = 10**4
 DEFAULT_DEPTH_CAP = 16
@@ -129,9 +129,10 @@ class VerbalLevel:
     numbering (``None`` when the materialization cap was passed), built on
     its first read, and ``basis_words`` its Schreier generators as words of
     F, i.e. a free basis of gamma_{d-1}, built on first use.  ``member`` and
-    ``order_mod`` read neither: see :meth:`_walker`.  ``materialized`` says
-    whether the level has coset data, |F/gamma_{d-1}| <= the coset cap,
-    without building any.
+    ``order_mod`` read neither: see :meth:`_walker`.  ``abelian`` says
+    whether F/gamma_d is, at rank 1 or depth 1, where exponent sums answer
+    every query.  ``materialized`` says whether the level has coset data,
+    |F/gamma_{d-1}| <= the coset cap, without building any.
     ``schreier_rank`` and ``quotient_order`` outlive materialization, but
     once they pass ORDER_EXPONENT_CAP digits-wise they are not represented
     and accessing them raises :class:`CapExceeded`.  ``parent_order`` is
@@ -155,6 +156,8 @@ class VerbalLevel:
         # orders grow along the series, so every lower level fits too
         self.materialized = depth == 1 or (
             parent_order is not None and parent_order <= coset_cap)
+        # F/gamma_d is abelian, so exponent sums decide every query
+        self.abelian = rank == 1 or depth == 1
         self._basis_words = None
         self._graph = None
         self.parent_order = parent_order
@@ -166,8 +169,9 @@ class VerbalLevel:
         on the first read, or taken from BUILT_QUOTIENTS; None past the cap.
 
         Its readers are those that need the BFS numbering: the Schreier
-        basis and normal forms, the graded sampler's step table and depths,
-        and the witnesses serialized from it."""
+        basis and normal forms, the cover of the level above, the depths
+        the graded sampler reads off the keys of that cover, and the
+        witnesses serialized from it."""
         if self._parent_quotient is None and self.materialized:
             below, rank = self.parent_level, self.rank
             self._parent_quotient = BUILT_QUOTIENTS.get(
@@ -260,9 +264,7 @@ class VerbalLevel:
 
     def _walker(self):
         """F/gamma_{d-1} as the coset graph ``member`` and ``order_mod`` walk,
-        for a level of rank >= 2 with coset data.
-
-        At depth 1 it is F/gamma_0's one-coset table.  Deeper, it is the
+        for a level of rank >= 2 and depth >= 2 with coset data: the
         :class:`HomologyCover` of level d-1, whose rows are filled as walks
         reach them, held in BUILT_QUOTIENTS under ``("verbal cover", rank,
         q_1, .., q_{d-1})`` and charged |F/gamma_{d-1}| cosets there, so no
@@ -270,29 +272,60 @@ class VerbalLevel:
         """
         if self._graph is None:
             below = self.parent_level
-            self._graph = self.parent_quotient if below is None else (
-                BUILT_QUOTIENTS.get(("verbal cover", self.rank) + below.primes_prefix,
-                                    lambda: HomologyCover(below)))
+            self._graph = BUILT_QUOTIENTS.get(
+                ("verbal cover", self.rank) + below.primes_prefix,
+                lambda: HomologyCover(below))
         return self._graph
 
-    def _exponent_sum(self, w):
-        """At rank 1, where F/gamma_d is cyclic of order q_1 .. q_d: the
-        exponent sum of w, which alone decides its coset."""
-        check_word(w, 1)
-        return w.exponent_sums()[0]
+    def _sums_gcd(self, w):
+        """The gcd of the exponent sums of w, 0 when they vanish, which a
+        power reads off its record."""
+        check_word(w, self.rank)
+        return gcd(*w.exponent_sums())
 
     def _holds(self, w):
         """Whether w lies in gamma_d, at a level with coset data.
 
-        At rank 1, iff q_1 .. q_d divides its exponent sum.  Otherwise iff
-        the walk of w through F/gamma_{d-1} (:meth:`_walker`) closes and
-        crosses every edge a net multiple of q_d times.
+        Not unless q_1 .. q_d divides :meth:`_sums_gcd`, which decides it
+        where F/gamma_d is abelian.  Else iff the walk of w through
+        F/gamma_{d-1} (:meth:`_walker`) closes and crosses every edge a net
+        multiple of q_d times.
         """
-        if self.rank == 1:
-            return self._exponent_sum(w) % prod(self.primes_prefix) == 0
+        inside = self._sums_gcd(w) % prod(self.primes_prefix) == 0
+        if not inside or self.abelian:
+            return inside
         counts = {}
         return self._walker().coset_of(w, counts) == 0 and not any(
             c % self.prime for c in counts.values())
+
+    def _answering_level(self, g):
+        """(level k <= d, q_{k+1} .. q_d, the answer or None) for a word w
+        whose exponent sums have gcd g: the order of w in F/gamma_d is the
+        product of that in F/gamma_k and q_{k+1} .. q_d, and its depth, the
+        deepest i with w in gamma_i, is that in F/gamma_k.
+
+        gamma_i maps into q_1 .. q_i Z^r under the exponent sums.  So when
+        q_d does not divide g, w lies outside gamma_d, and its order there
+        is q_d n for n its order in F/gamma_{d-1}: it is n or q_d n, and w^n
+        lies outside gamma_d, as n divides q_1 .. q_{d-1}, which q_d divides
+        fewer times than q_1 .. q_d.  This steps down to the first level
+        whose prime divides g, for any primes, or to one where F/gamma_k is
+        abelian: cyclic of order N = q_1 .. q_k, or (Z/q_1)^r.  There the
+        answer is (order, depth) in F/gamma_d: the order is N / gcd(g, N)
+        times q_{k+1} .. q_d, and the depth the largest i with q_1 .. q_i
+        dividing g.
+        """
+        lvl, scale = self, 1
+        while not lvl.abelian and g % lvl.prime:
+            lvl, scale = lvl.parent_level, scale * lvl.prime
+        if not lvl.abelian:
+            return lvl, scale, None
+        primes = lvl.primes_prefix
+        depth = 0
+        while depth < len(primes) and g % prod(primes[:depth + 1]) == 0:
+            depth += 1
+        n = prod(primes)
+        return lvl, scale, (n // gcd(g, n) * scale, depth)
 
     def _chain(self):
         levels = []
@@ -357,23 +390,30 @@ class VerbalLevel:
     def order_mod(self, w):
         """Order of the coset w*gamma_d in F/gamma_d.
 
-        At rank 1 it is N / gcd(m, N), for N = q_1 .. q_d and m the exponent
-        sum of w.  Otherwise the order k of w modulo gamma_{d-1} comes from
-        walking w through F/gamma_{d-1} (:meth:`_walker`) until the walk
-        closes.  Then w^k lies in gamma_{d-1}, whose factor modulo gamma_d
-        is elementary abelian of exponent q_d, so the order is k*q_d when
-        the crossings summed over the k passes are nonzero mod q_d, and k
+        The gcd of the exponent sums of w picks a level k <= d
+        (:meth:`_answering_level`), and the order is q_{k+1} .. q_d times
+        that in F/gamma_k, in closed form where F/gamma_k is abelian.
+        Otherwise the order j of w modulo gamma_{k-1} comes from walking w
+        through F/gamma_{k-1} (:meth:`_walker`) until the walk closes.  Then
+        w^j lies in gamma_{k-1}, whose factor modulo gamma_k is elementary
+        abelian of exponent q_k, so the order in F/gamma_k is j*q_k when
+        the crossings summed over the j passes are nonzero mod q_k, and j
         otherwise.
         """
         self._require_chain()
-        if self.rank == 1:
-            n = prod(self.primes_prefix)
-            return n // gcd(self._exponent_sum(w), n)
+        lvl, scale, answer = self._answering_level(self._sums_gcd(w))
+        if answer:
+            return answer[0]
+        return lvl._walk_order(w)[1] * scale
+
+    def _walk_order(self, w):
+        """(the cover key of w in F/gamma_{d-1}, the order of w in
+        F/gamma_d), by the walk of :meth:`order_mod`."""
         counts = {}
-        k = self._walker().image_order(w, counts)
+        key, k = self._walker().image_and_order(w, counts)
         if any(x % self.prime for x in counts.values()):
-            return k * self.prime
-        return k
+            k *= self.prime
+        return key, k
 
     def _orders_and_depths(self, sequences):
         """(:meth:`order_mod`, the deepest i <= d with w in gamma_i) of each
@@ -381,61 +421,58 @@ class VerbalLevel:
         :func:`largequot.words.random_reduced_indices`), once per distinct
         tuple.
 
-        One loop over the step table of F/gamma_{d-1}
-        (:meth:`largequot.quotients.FiniteQuotient.step_table`) walks the
-        k passes of w that close up, counting the signed crossings; the
-        order is k * q_d when some crossing count is nonzero mod q_d, and k
-        otherwise, as in :meth:`order_mod`.  The coset the first pass
-        reaches gives the depth (:meth:`_depth_of`).  An empty list asks
-        nothing of the table.
+        The gcd of the exponent sums of w picks the level k that answers it
+        (:meth:`_answering_level`), once per exponent-sum vector, in closed
+        form where F/gamma_k is abelian.  Otherwise w is walked
+        (:meth:`_walk_order`), and its depth read off the cover key its
+        first pass reaches (:meth:`_depth_of`).  An empty list asks nothing
+        of the series.
         """
         if not sequences:
             return []
-        steps = self._table().step_table()
-        width, q = 2 * self.rank, self.prime
-        answers, out = {}, []
+        self._require_chain()
+        rank = self.rank
+        # the exponent sums, read as one integer in a base past twice any
+        # sum: a key summed in C, so the letters are counted for the gcd
+        # once per distinct exponent-sum vector, not once per distinct word
+        base = 2 * max(map(len, sequences)) + 1
+        weight = [base**g for g in range(rank)]
+        weight = (weight + [-x for x in weight]).__getitem__
+        levels, answers, out = {}, {}, []
         for seq in sequences:
             answer = answers.get(seq)
             if answer is None:
-                counts = {}
-                get = counts.get
-                c = k = 0
-                while True:
-                    for i in seq:
-                        c, x = steps[c + i]
-                        if x:
-                            counts[x] = get(x, 0) + 1
-                    k += 1
-                    if k == 1:
-                        first = c // width
-                    if not c:
-                        break
-                # crossings are keyed +(pos + 1) forward, -(pos + 1) backward
-                for x, m in counts.items():
-                    if (m - get(-x, 0)) % q:
-                        k *= q
-                        break
-                answer = answers[seq] = (k, self._depth_of(first, k))
+                sums = sum(map(weight, seq))
+                if sums not in levels:
+                    count = seq.count
+                    levels[sums] = self._answering_level(gcd(
+                        *[count(i) - count(i + rank) for i in range(rank)]))
+                lvl, scale, answer = levels[sums]
+                if answer is None:
+                    key, k = lvl._walk_order(indexed_word(rank, seq))
+                    answer = (k * scale, lvl._depth_of(key, k))
+                answers[seq] = answer
             out.append(answer)
         return out
 
-    def _depth_of(self, c, n):
+    def _depth_of(self, key, n):
         """The deepest i <= d with w in gamma_i, for a word w of order n in
-        F/gamma_d whose walk from the trivial coset of F/gamma_{d-1} ends
-        at coset c.
+        F/gamma_d whose walk reaches ``key`` of the cover of F/gamma_{d-1}
+        (:meth:`_walker`), for d >= 2.
 
-        When c is trivial, w lies in gamma_d iff n is 1.  Otherwise c is
-        projected down the series: in F/gamma_{k-1} the key of c is
-        x * |F/gamma_{k-2}| + v, with v its coset of gamma_{k-2} (see
-        :meth:`LayeredCoset.packed_action`), until v is trivial.
+        When the key is 0, w lies in gamma_d iff n is 1.  Otherwise it is
+        projected down the series: a key of F/gamma_{k-1} is
+        x * |F/gamma_{k-2}| + v, with v the BFS index of its coset of
+        gamma_{k-2} (see :meth:`LayeredCoset.packed_action`), whose key is
+        read off that table, until v is 0.
         """
-        if c == 0:
+        if key == 0:
             return self.depth if n == 1 else self.depth - 1
-        lvl = self
+        lvl = self.parent_level
+        c = key % lvl.parent_order
         while c:
-            below = lvl.parent_level
-            c = lvl.parent_quotient.elements[c] % below.parent_order
-            lvl = below
+            c = lvl.parent_quotient.elements[c] % lvl.parent_level.parent_order
+            lvl = lvl.parent_level
         return lvl.depth - 1
 
 
@@ -542,10 +579,10 @@ class LayeredCoset:
         a key is x * |F/gamma_{d-1}| + v: a coset v of gamma_{d-1} and a chain
         x over the non-tree edges of its coset graph, read in base q_d, so
         key % |F/gamma_{d-1}| is the element's coset of gamma_{d-1}:
-        :meth:`VerbalLevel._depth_of` reads it for the depths of the graded
-        sampler of :func:`largequot.periodic.check_pigraded_properties`.  An
-        image word u acts on (v, x) by walking from v: the walk's end replaces
-        v and its crossings, summed mod q_d, add into the digits of x.  Both
+        :meth:`VerbalLevel._depth_of` reads it off the :class:`HomologyCover`
+        keys that the walks of the graded sampler reach.  An image word u
+        acts on (v, x) by walking from v: the walk's end replaces v and its
+        crossings, summed mod q_d, add into the digits of x.  Both
         are tabulated once per base coset and image, so any image words work,
         not only the generators.  Raises ``ValueError`` unless every image is a
         :class:`LayeredCoset` of one series, one per generator of the series'

@@ -1,7 +1,8 @@
 """Test oracles the package does not ship: the mod-q abelianization, the
 abelian invariants of a rewritten presentation, verbal cosets multiplied
 as words and compared by their layered normal form, verbal membership and
-orders by a walk through the BFS table of F/gamma_{d-1}, and Magnus
+orders by a walk through the BFS table of F/gamma_{d-1}, the graded
+sampler's orders and depths by one loop over that table's steps, and Magnus
 valuations found by embedding a word at one truncation after another.
 
 Each is a slower or independent route to what the package computes another
@@ -110,6 +111,73 @@ def table_order_mod(level, w):
     if any(x % level.prime for x in counts.values()):
         return k * level.prime
     return k
+
+
+def step_table(quotient):
+    """Flat table of single steps over alphabet indices of a BFS table.
+
+    Slot ``c*2r + i`` is for the letter at index i of the alphabet
+    a_1 < .. < a_r < a_1^-1 < .. < a_r^-1 (see
+    :func:`largequot.words.random_reduced_indices`) read from coset c.  It
+    holds the pair ``(c'*2r, x)``: the slot base of the coset c' the letter
+    reaches, and x = pos + 1 when the step crosses the non-tree edge at
+    position pos of ``schreier_generators()`` forward, -(pos + 1) when
+    backward, 0 on the tree.  So a walk over indices steps
+    ``c, x = table[c + i]`` from c = 0, as ``_walk`` steps the letters.
+    """
+    rank, width = quotient.rank, 2 * quotient.rank
+    crossing = quotient.crossing_table()
+    steps = []
+    for c in range(quotient.order):
+        for g, d in enumerate(quotient.mult[c]):
+            at = crossing[c * rank + g]
+            steps.append((d * width, 0 if at is None else at + 1))
+        for g, d in enumerate(quotient.inv_mult[c]):
+            at = crossing[d * rank + g]
+            steps.append((d * width, 0 if at is None else -at - 1))
+    return steps
+
+
+def table_orders_and_depths(level, sequences):
+    """:meth:`largequot.verbal.VerbalLevel._orders_and_depths` by one loop
+    over the :func:`step_table` of F/gamma_{d-1}'s BFS table, which walks
+    the k passes of each word that close up, counting the signed crossings:
+    the order is k * q_d when some count is nonzero mod q_d, else k.  The
+    BFS index the first pass reaches is projected down the series for the
+    depth: in F/gamma_{k-1} its key is x * |F/gamma_{k-2}| + v, with v its
+    BFS index in F/gamma_{k-2}, until v is 0."""
+    if not sequences:
+        return []
+    steps = step_table(level._table())
+    width, q = 2 * level.rank, level.prime
+    out = []
+    for seq in sequences:
+        counts = {}
+        c = k = 0
+        while True:
+            for i in seq:
+                c, x = steps[c + i]
+                if x:
+                    counts[x] = counts.get(x, 0) + 1
+            k += 1
+            if k == 1:
+                first = c // width
+            if not c:
+                break
+        # crossings are keyed +(pos + 1) forward, -(pos + 1) backward
+        if any((m - counts.get(-x, 0)) % q for x, m in counts.items()):
+            k *= q
+        if first == 0:
+            depth = level.depth if k == 1 else level.depth - 1
+        else:
+            lvl, c = level, first
+            while c:
+                below = lvl.parent_level
+                c = lvl.parent_quotient.elements[c] % below.parent_order
+                lvl = below
+            depth = lvl.depth - 1
+        out.append((k, depth))
+    return out
 
 
 def magnus_valuation(w, p, limit, start=2):

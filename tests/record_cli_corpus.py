@@ -188,6 +188,18 @@ def _entries():
         "gamma_depth_three_member": (["gamma", "--primes", "3,2,5", "--rank",
                                       "2", "--depth", "3", "--member",
                                       "abAAB"], None, {}),
+        # a commutator's exponent sums vanish, so its order needs the walk
+        "gamma_depth_three_order_commutator": (
+            ["gamma", "--primes", "3,2,5", "--rank", "2", "--depth", "3",
+             "--order", "abAB"], None, {}),
+        "gamma_depth_three_member_commutator": (
+            ["gamma", "--primes", "3,2,5", "--rank", "2", "--depth", "3",
+             "--member", "abAB"], None, {}),
+        # |F/gamma_2| = 12500 is past the cap: refused, although the exponent
+        # sums of a alone would give its order
+        "gamma_depth_three_over_cap": (
+            ["gamma", "--primes", "2,5,3", "--rank", "2", "--depth", "3",
+             "--order", "a"], None, {}),
         # levi
         "levi": (["levi", "--set", "aa,ab", "--primes", "2,3"], None, {}),
         "levi_depth_cap": (["levi", "--set", "aa,ab", "--primes", "2,3"],

@@ -28,8 +28,10 @@ from largequot.words import (
     indexed_word,
     parse_word,
     power,
+    random_reduced_sample,
     random_reduced_word,
 )
+from oracles import step_table, table_orders_and_depths
 
 
 def test_format_order_shapes():
@@ -451,10 +453,33 @@ def test_every_failing_word_keeps_its_own_violations(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("primes, rank, depth", SAMPLER_SPECS + [
+    ((3, 2, 5), 2, 3)])
+def test_orders_and_depths_match_the_step_table_walk(primes, rank, depth):
+    level = build_series(primes, rank, depth)[-1]
+    keys = random_reduced_sample(random.Random(len(primes) * depth), rank,
+                                 300, periodic.SAMPLE_MAX_LENGTH)
+    # words whose exponent sums leave order and depth open: commutators,
+    # squares and powers, spelled out
+    words = [indexed_word(rank, key) for key in keys[:40]]
+    gens = [Word.generator(rank, g) for g in range(1, rank + 1)]
+    words += [u * v * u.inverse() * v.inverse()
+              for u, v in zip(words, words[1:] + gens)]
+    words += [u * u for u in words[:40]]
+    words += [Word(rank, power(u, e).letters) for u in words[:20]
+              for e in (primes[-1], prod(primes[:depth - 1]), prod(primes))
+              if len(u) * e <= 120]
+    keys += [_indices(w) for w in words if not w.is_identity]
+    found = level._orders_and_depths(keys)
+    assert found == table_orders_and_depths(level, keys)
+    # the walked words reach every depth but d, which only the identity has
+    assert {d for _, d in found} >= set(range(depth))
+
+
 @pytest.mark.parametrize("primes, rank, depth", SAMPLER_SPECS)
 def test_step_table_matches_single_letter_walks(primes, rank, depth):
     quotient = build_series(primes, rank, depth)[-1]._table()
-    steps, width = quotient.step_table(), 2 * rank
+    steps, width = step_table(quotient), 2 * rank
     assert len(steps) == quotient.order * width
     alphabet = [(g, 1) for g in range(1, rank + 1)] + \
         [(g, -1) for g in range(1, rank + 1)]
@@ -484,14 +509,12 @@ def test_sampler_lengths_match_the_per_level_loop(primes, depth, max_length,
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
 @pytest.mark.parametrize("max_length", [1, 2, 3, 7, 8, 9, 16, 100])
-def test_inlined_length_draw_pins_the_randint_stream(rank, max_length,
-                                                     monkeypatch):
+def test_inlined_length_draw_pins_the_randint_stream(rank, max_length):
     # the frozen sampler histograms are built on this stream, on every
     # interpreter the package supports
-    monkeypatch.setattr(periodic, "SAMPLE_MAX_LENGTH", max_length)
     for seed in range(20):
         fast, slow = random.Random(seed), random.Random(seed)
-        keys = periodic._sample_indices(fast, rank, 50)
+        keys = random_reduced_sample(fast, rank, 50, max_length)
         words = [random_reduced_word(slow, rank, slow.randint(1, max_length))
                  for _ in range(50)]
         assert [indexed_word(rank, key) for key in keys] == words
@@ -504,7 +527,8 @@ def test_an_empty_sample_touches_no_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("an empty sample reads no table")
 
-    monkeypatch.setattr(type(unbuilt), "_table", refuse)
+    for name in ("_table", "_walker", "_require_chain"):
+        monkeypatch.setattr(type(unbuilt), name, refuse)
     assert check_pigraded_properties(unbuilt, sample_count=0) == \
         _oracle_graded_report(unbuilt, sample_count=0)
 

@@ -99,3 +99,28 @@ def test_modulus_primes_match_the_limited_sympy_search():
 
 def test_format_order_of_a_long_order():
     assert format_order(972 * 5**973) == {"factored": "2^2 * 3^5 * 5^973"}
+
+
+def _generator_trial_division(n):
+    """trial_division as it once ran, through the lazy generator: its
+    answer, and how far the prime list reaches after it."""
+    found = {}
+    for p in primes.primes_up_to(primes.TRIAL_LIMIT):
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            found[p] = found.get(p, 0) + 1
+    return found, n, primes._PRIMES[-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 97, 2**60, 3**30, 2 * 1000003,
+                               10**12 + 39, 2**31 - 1, 65537**2 * 3,
+                               (2**61 - 1) * (2**31 - 1)])
+def test_trial_division_lists_primes_as_lazily_as_the_generator(monkeypatch,
+                                                                 n):
+    monkeypatch.setattr(primes, "_PRIMES", [2, 3])
+    found, cofactor = primes.trial_division(n)
+    reached = primes._PRIMES[-1]
+    monkeypatch.setattr(primes, "_PRIMES", [2, 3])
+    assert (found, cofactor, reached) == _generator_trial_division(n)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from largequot import verbal
 from largequot.errors import CapExceeded, NotMaterializedError
-from largequot.periodic import run_construction
+from largequot.periodic import check_pigraded_properties, run_construction
 from largequot.quotients import (
     FiniteQuotient,
     ModVector,
@@ -504,10 +504,11 @@ def test_levels_from_the_table_match_fresh_builds(empty_quotient_table, primes,
 
 
 def test_a_level_is_built_once_per_process(empty_quotient_table, monkeypatch):
-    aa = parse_word("aa", 2)
+    # its exponent sums vanish, so membership needs the walk
+    commutator = parse_word("abAB", 2)
     _built_series((2, 3, 5), 2, 3)
     levels = _built_series((2, 3, 5), 2, 3)
-    assert levi_bound([aa], (2, 3, 5)) == 2
+    assert levi_bound([commutator], (2, 3, 5)) == 2
     # levi_bound's membership walks the homology cover of F/gamma_1
     assert set(empty_quotient_table.quotients) == {
         ("verbal", 2, 2), ("verbal", 2, 2, 3), ("verbal cover", 2, 2)}
@@ -519,7 +520,7 @@ def test_a_level_is_built_once_per_process(empty_quotient_table, monkeypatch):
     monkeypatch.setattr(verbal, "HomologyCover", refuse)
     again = build_series((2, 3, 5, 7), 2, 3)
     assert again[2].parent_quotient is levels[2].parent_quotient
-    assert levi_bound([aa], (2, 3, 5)) == 2
+    assert levi_bound([commutator], (2, 3, 5)) == 2
     assert run_construction([2, 3, 5, 7], 1)["steps_completed"] == 1
     # a witness over F/gamma_2 parses its images against the tabled levels
     spec = FiniteQuotient.from_spec(levels[2].parent_quotient.serialize())
@@ -535,21 +536,23 @@ def _refusal(fn, *args, **kwargs):
 
 
 def test_a_smaller_cap_after_a_larger_one_refuses_as_before(empty_quotient_table):
-    a6 = power(Word.generator(2, 1), 6)
+    # its exponent sums vanish, so its order at depth 3 needs the walk
+    commutator6 = power(parse_word("abAB", 2), 6)
 
     def refusals():
         levels = build_series((2, 3, 5), 2, 3, coset_cap=100)
         return [
             [level.materialized for level in levels],
             _refusal(levels[2]._require_fits, 100),
-            _refusal(levels[2].member, a6),
+            _refusal(levels[2].member, commutator6),
             _refusal(levi_bound, [parse_word("aa", 2)], (2, 3), coset_cap=2),
             run_construction([2, 3, 5, 7], 2, coset_cap=100)["halt_reason"],
         ]
 
     before = refusals()
     # the cover walked at depth 3 under the larger cap is held as well
-    assert _built_series((2, 3, 5), 2, 3, coset_cap=10**4)[2].order_mod(a6) == 5
+    deep = _built_series((2, 3, 5), 2, 3, coset_cap=10**4)[2]
+    assert deep.order_mod(commutator6) == 5
     run_construction([2, 3, 5, 7], 1, coset_cap=10**4)
     assert set(empty_quotient_table.quotients) == {
         ("verbal", 2, 2), ("verbal", 2, 2, 3), ("verbal cover", 2, 2),
@@ -605,13 +608,19 @@ DIFFERENTIAL = [(rank, primes, depth)
                 for rank in (1, 2, 3)
                 for primes in ((2, 3), (3, 2), (3, 3), (2, 2, 3), (2, 3, 5))
                 for depth in range(1, len(primes) + 1)]
+# a repeated prime throughout, after the cases above so their ids stay
+DIFFERENTIAL += [(rank, (2, 2, 2), depth)
+                 for rank in (1, 2, 3) for depth in (1, 2, 3)]
 
 
 def _differential_words(rng, rank, primes, count=200):
-    """Random words, their powers by exponents up to 10^6, and powers by
-    multiples of the exponent q_1 .. q_d of F/gamma_d, members all."""
+    """Random words, their powers by exponents up to 10^6, powers by
+    multiples of the exponent q_1 .. q_d of F/gamma_d, members all, and
+    commutators, whose exponent sums vanish and so decide nothing."""
     words = [random_reduced_word(rng, rank, rng.randint(0, 10))
              for _ in range(count)]
+    words += [u * v * u.inverse() * v.inverse()
+              for u, v in zip(words[:count // 4], words[count // 4:])]
     words += [power(w, rng.randint(1, 10**6)) for w in words[:count // 2]]
     words += [power(w, 10**6) for w in words[:20]]
     words += [power(w, prod(primes) * rng.randint(1, 10**4))
@@ -652,10 +661,11 @@ def test_member_and_order_mod_match_the_table_walk(rank, primes, depth):
 
 def test_a_depth_three_query_builds_no_table_of_f_mod_gamma_2(
         empty_quotient_table):
-    abaab = parse_word("abAAB", 2)
+    # its exponent sums vanish, so its order and membership need the walk
+    commutator = parse_word("abAB", 2)
     level = build_series((3, 2, 5), 2, 3)[-1]
-    assert level.order_mod(abaab) == 30
-    assert not level.member(abaab)
+    assert level.order_mod(commutator) == 10
+    assert not level.member(commutator)
     assert ("verbal", 2, 3, 2) not in empty_quotient_table.quotients
     # the cover walked in its place is held, charged |F/gamma_2| cosets
     cover = empty_quotient_table.quotients[("verbal cover", 2, 3, 2)]
@@ -671,6 +681,44 @@ def test_a_depth_three_query_builds_no_table_of_f_mod_gamma_2(
     assert ("verbal", 2, 3, 2) not in empty_quotient_table.quotients
     assert found == [(table_member(level, w), table_order_mod(level, w))
                      for w in words]
+
+
+def test_a_prime_off_the_exponent_sums_is_stepped_past_without_a_walk(
+        empty_quotient_table):
+    # a^6 has exponent sums (6, 0): q_3 = 5 does not divide them, so its
+    # order in F/gamma_3 is 5 times that in F/gamma_2, where q_2 = 3 does,
+    # and only F/gamma_1's cover is walked
+    level = build_series((2, 3, 5), 2, 3)[-1]
+    a6 = power(Word.generator(2, 1), 6)
+    assert level.order_mod(a6) == 5
+    assert set(empty_quotient_table.quotients) == {("verbal cover", 2, 2)}
+    keys = [(0,) * 6, (0, 1, 2, 3)]  # a^6 and abAB
+    assert level._orders_and_depths(keys) == [(5, 2), (15, 1)]
+    assert ("verbal cover", 2, 2, 3) in empty_quotient_table.quotients
+    assert table_order_mod(level, a6) == 5
+
+
+@pytest.mark.parametrize("primes", [(3, 5, 2), (2, 5, 3)])
+def test_past_the_cap_the_exponent_sums_answer_nothing_refused(
+        empty_quotient_table, primes):
+    # |F/gamma_2| is past the cap, so level 3 refuses before reading a's
+    # exponent sums (1, 0), which alone would give its order q_1 q_2 q_3
+    level = build_series(primes, 2, 3)[-1]
+    a, c = Word.generator(2, 1), Word.generator(3, 1)
+    refused = ("NotMaterializedError", "level 3 has no coset data: "
+               f"|F/gamma_2| = {level.parent_order} exceeded the "
+               "materialization cap")
+    assert level.parent_order in (87890625, 12500)
+    assert _answer_or_refusal(check_pigraded_properties, level) == refused
+    assert _answer_or_refusal(level.order_mod, a) == refused
+    assert _answer_or_refusal(level.order_mod, "a") == refused
+    # membership is decided at level 2, where a lies outside gamma_1
+    assert level.member(a) is False
+    assert _answer_or_refusal(level.member, "a") == (
+        "ValueError", "expected a Word, got 'a'")
+    assert _answer_or_refusal(level.member, c) == (
+        "ValueError", "rank mismatch: word has 3, quotient has 2")
+    assert empty_quotient_table.quotients == {}
 
 
 def test_rank_one_queries_build_no_table(empty_quotient_table):

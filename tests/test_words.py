@@ -18,6 +18,7 @@ from largequot.words import (
     parse_word,
     power,
     random_reduced_indices,
+    random_reduced_sample,
     random_reduced_word,
     shortlex_words,
 )
@@ -478,10 +479,12 @@ def test_a_large_rank_builds_no_successor_table():
     try:
         w = random_reduced_word(random.Random(0), 2000, 5)
         first = next(shortlex_words(2000))
+        sample = random_reduced_sample(random.Random(0), 2000, 3, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(w) == 5 and first == Word(2000, [(1, 1)])
+    assert len(sample) == 3 and all(1 <= len(key) <= 5 for key in sample)
     assert peak < 3 * 2**20, peak
 
 
