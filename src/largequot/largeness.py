@@ -48,9 +48,9 @@ from .primes import factor, primes_up_to
 from .quotients import (
     DEFAULT_ENUM_CAP,
     FiniteQuotient,
+    _spec_images,
     build_quotient,
     coset_representatives,
-    element_kind,
 )
 from .series import (
     UnitCounts,
@@ -183,11 +183,10 @@ def _witness_counts(images, cap, serialize, quotient):
 
 
 def _spec_counts(spec, cap):
-    """Count a serialized witness by :func:`_witness_counts`.  The payloads are
-    parsed once, so a malformed spec raises what :meth:`FiniteQuotient.from_spec`
-    raises, and the counts serialize to what the rebuilt quotient would."""
-    kind, params = element_kind(spec["kind"]), spec["params"]
-    images = [kind.from_payload(params, payload) for payload in spec["gen_images"]]
+    """Count a serialized witness by :func:`_witness_counts`.  Its reader is
+    :meth:`FiniteQuotient.from_spec`'s, so a malformed spec raises the same,
+    and the counts serialize to what the rebuilt quotient would."""
+    params, images = _spec_images(spec)
     if not images:
         raise ValueError("witness has no generator images")
     return _witness_counts(images, cap, lambda: {

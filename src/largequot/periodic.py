@@ -324,9 +324,9 @@ def check_pigraded_properties(level, sample_count=1000, seed=0):
 
     The ``sample_count`` words are random reduced words of lengths
     ``rng.randint(1, SAMPLE_MAX_LENGTH)``, drawn by
-    :func:`largequot.words.random_reduced_sample` as
-    :func:`largequot.words.random_reduced_word` draws them but kept as
-    tuples of alphabet indices, and answered by
+    :func:`largequot.words.random_reduced_sample`, the drawn-length case
+    of the one kernel that draws every random reduced word, and kept as
+    tuples of alphabet indices.  They are answered by
     :meth:`largequot.verbal.VerbalLevel._orders_and_depths`: most by their
     exponent sums alone, the rest by one walk through a homology cover each,
     which gives the order and, off the cover key it reaches, the depth (the

@@ -137,6 +137,13 @@ def element_kind(name):
     return KINDS[name]
 
 
+def _spec_images(doc):
+    """The params and generator images of a serialized witness, parsed once."""
+    kind, params = element_kind(doc["kind"]), doc["params"]
+    return params, [kind.from_payload(params, payload)
+                    for payload in doc["gen_images"]]
+
+
 # -- walking a coset graph ---------------------------------------------------
 
 
@@ -355,11 +362,9 @@ class FiniteQuotient(CosetGraph):
 
     @classmethod
     def from_spec(cls, doc, cap=DEFAULT_ENUM_CAP):
-        kind = element_kind(doc["kind"])
-        params = doc["params"]
-        images = [kind.from_payload(params, payload) for payload in doc["gen_images"]]
-        rank = len(images)
-        return build_quotient(rank, images, cap=cap, kind=doc["kind"], params=params)
+        params, images = _spec_images(doc)
+        return build_quotient(len(images), images, cap=cap, kind=doc["kind"],
+                              params=params)
 
 
 def build_quotient(rank, gen_images, cap=DEFAULT_ENUM_CAP, kind=None, params=None):

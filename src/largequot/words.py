@@ -16,9 +16,9 @@ reduced operands, an inverse of a reduced word is reduced, and
 build their result through ``Word._reduced``, which neither checks nor
 reduces, so each word is built once in time linear in its length.  So do
 :func:`shortlex_words` and :func:`random_reduced_word`, which extend words
-by index over one letter tuple per rank (``_alphabet``); the index sequence
-itself is :func:`random_reduced_indices`, and :func:`random_reduced_sample`
-draws many at once.
+by index over one letter tuple per rank (``_alphabet``).  One kernel,
+``_reduced_draws``, draws every random reduced word, and refuses a bad
+rank, length, count or ``max_length`` before its first draw.
 
 A word built by :func:`power` is symbolic: it holds its record
 ``power_record = (t, c, n)``, the letters of t and of c and the count n >= 1
@@ -355,61 +355,45 @@ def shortlex_words(rank):
         frontier = next_frontier
 
 
-def random_reduced_indices(rng, rank, length):
-    """The alphabet indices (see :func:`_alphabet`) of a uniformly random
-    reduced word of exactly the given length: one uniform draw from the
-    alphabet, then from each letter's successors.
+def _reduced_draws(rng, rank, count, length, max_length):
+    """The alphabet indices (see :func:`_alphabet`) of ``count`` uniformly
+    random reduced words, each of exactly ``length`` letters or, with
+    ``length`` None, of ``rng.randint(1, max_length)`` letters: one uniform
+    draw from the alphabet, then from each letter's successors.
 
-    A draw below n is the loop ``rng.choice`` runs, ``getrandbits`` of n's
-    bit length until the value is below n, inlined: the indices and the
-    generator's state afterwards are exactly those of ``rng.choice``.
-    :func:`random_reduced_sample` inlines this draw, so a change here is a
-    change there.
+    A rank or ``max_length`` below 1, a negative length or count, and any
+    of them that is no int are refused by :func:`largequot.errors.check_int`
+    before the first draw, which leaves the generator as it was.  A draw
+    below n, ``getrandbits`` of n's bit length until it is below n, is the
+    loop of ``rng.choice`` and ``rng.randint`` inlined, so the indices and
+    the generator's state afterwards are exactly theirs.  It makes no call
+    per word: one would cost the verbal benchmark a tenth of its speed.
     """
-    if length == 0:
-        return ()
-    bits = rng.getrandbits
-    n, k = 2 * rank, (2 * rank).bit_length()
-    i = bits(k)
-    while i >= n:
-        i = bits(k)
-    indices = [i]
-    n, k = n - 1, (n - 1).bit_length()
-    for _ in range(length - 1):
-        skip = i + rank if i < rank else i - rank
-        i = bits(k)
-        while i >= n:
-            i = bits(k)
-        if i >= skip:
-            i += 1
-        indices.append(i)
-    return tuple(indices)
-
-
-def random_reduced_sample(rng, rank, count, max_length):
-    """The index tuples of ``count`` random reduced words, each of length
-    ``rng.randint(1, max_length)``: the tuples, and the generator's state
-    afterwards, of ``count`` calls of :func:`random_reduced_indices` with
-    that length.
-
-    randint's loop (a draw below b, here b = max_length, as above) and the
-    body of :func:`random_reduced_indices` are inlined, because a call per
-    word costs the graded sampler about a tenth of the verbal benchmark's
-    requests per second.
-    """
+    check_int(rank, RANK_TEXT, 1)
+    check_int(count, "count must be a nonnegative integer", 0)
+    drawn = length is None
+    if drawn:
+        k = check_int(max_length, "max_length must be a positive integer",
+                      1).bit_length()
+    elif check_int(length, "length must be a nonnegative integer", 0) == 0:
+        return [()] * count
+    else:
+        rest = length - 1
     bits = rng.getrandbits
     n, m = 2 * rank, 2 * rank - 1
-    k, kn, km = max_length.bit_length(), n.bit_length(), m.bit_length()
+    kn, km = n.bit_length(), m.bit_length()
     keys = []
     for _ in range(count):
-        length = bits(k)
-        while length >= max_length:
-            length = bits(k)
+        if drawn:
+            # randint(1, max_length) is 1 + a draw below max_length
+            rest = bits(k)
+            while rest >= max_length:
+                rest = bits(k)
         i = bits(kn)
         while i >= n:
             i = bits(kn)
         indices = [i]
-        for _ in range(length):
+        for _ in range(rest):
             skip = i + rank if i < rank else i - rank
             i = bits(km)
             while i >= m:
@@ -421,6 +405,19 @@ def random_reduced_sample(rng, rank, count, max_length):
     return keys
 
 
+def random_reduced_indices(rng, rank, length):
+    """The alphabet indices of a uniformly random reduced word of exactly
+    the given length, drawn and checked by :func:`_reduced_draws`."""
+    return _reduced_draws(rng, rank, 1, length, None)[0]
+
+
+def random_reduced_sample(rng, rank, count, max_length):
+    """The index tuples, and the generator's state afterwards, of ``count``
+    calls ``random_reduced_indices(rng, rank, rng.randint(1, max_length))``,
+    drawn and checked by :func:`_reduced_draws` with no call per word."""
+    return _reduced_draws(rng, rank, count, None, max_length)
+
+
 def indexed_word(rank, indices):
     """The word spelled by alphabet indices of a reduced word, unchecked."""
     alphabet = _alphabet(rank)
@@ -429,7 +426,5 @@ def indexed_word(rank, indices):
 
 def random_reduced_word(rng, rank, length):
     """A uniformly random reduced word of exactly the given length, drawn
-    by :func:`random_reduced_indices`."""
-    # a draw below 2 * rank <= 0 would never end
-    check_int(rank, RANK_TEXT, 1)
+    and checked by :func:`random_reduced_indices`."""
     return indexed_word(rank, random_reduced_indices(rng, rank, length))

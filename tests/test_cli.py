@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from largequot.cli import main
+from largequot.config import parse_config_text
 from largequot.quotients import FiniteQuotient
 from largequot.series import unit_image_quotient, unit_image_spec
 from largequot.verbal import build_series
@@ -959,3 +960,15 @@ def test_verify_front_door_is_total(mutation, word_texts):
     report = json.loads(out.getvalue())
     assert report["command"] == "verify"
     assert isinstance(report["ok"], bool)
+
+
+@pytest.mark.parametrize("text, refusal", [
+    ("enumeration_cap 3", "<config>:1: expected key=value, got 'enumeration_cap 3'"),
+    ("coset_cap =", "<config>:1: expected key=value, got 'coset_cap ='"),
+    ("= 3", "<config>:1: expected key=value, got '= 3'"),
+    ("\n# caps\ncoset_cap = x", "<config>:3: coset_cap needs an integer, got 'x'"),
+])
+def test_malformed_config_lines_are_refused_with_their_line(text, refusal):
+    with pytest.raises(ValueError) as err:
+        parse_config_text(text)
+    assert str(err.value) == refusal

@@ -1449,3 +1449,39 @@ def test_avoiding_unit_matches_the_full_factorization(case, t, r, enum_cap):
         fast = _outcome(lambda: chosen(q))
         slow = _outcome(lambda: _oracle_avoiding_unit(bound, q, enum_cap))
         assert fast == slow, ([str(w) for w in words], m, q, enum_cap)
+
+
+MODVEC = {"kind": "modvec", "params": {"dim": 2, "modulus": 5}}
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "no-such-kind", "params": {}, "gen_images": [[1, 0]]},
+    {"kind": "modvec", "gen_images": [[1, 0]]},
+    dict(MODVEC),
+    {**MODVEC, "gen_images": [[1, 0, 0]]},
+    {**MODVEC, "gen_images": [[1, 0], "x"]},
+    {**MODVEC, "params": {"dim": 2}, "gen_images": [[1, 0]]},
+    {"kind": "magnus_unit", "params": {"modulus": 5, "rank": 2},
+     "gen_images": ["1 + x1"]},
+    {"kind": "magnus_unit", "params": {"modulus": 5, "rank": 2, "degree_bound": 3},
+     "gen_images": ["1 + x3"]},
+    {"kind": "verbal", "params": {"primes": [2, 3], "rank": 2}, "gen_images": [[0]]},
+])
+def test_counts_and_rebuild_read_a_malformed_spec_alike(spec):
+    # one reader parses a witness spec for both, so each refuses alike
+    with pytest.raises(Exception) as rebuilt:
+        FiniteQuotient.from_spec(spec)
+    with pytest.raises(Exception) as counted:
+        largeness._spec_counts(spec, quotients.DEFAULT_ENUM_CAP)
+    assert type(counted.value) is type(rebuilt.value)
+    assert str(counted.value) == str(rebuilt.value)
+
+
+def test_a_spec_without_images_is_refused_by_its_own_text():
+    spec = {**MODVEC, "gen_images": []}
+    with pytest.raises(ValueError) as err:
+        largeness._spec_counts(spec, quotients.DEFAULT_ENUM_CAP)
+    assert str(err.value) == "witness has no generator images"
+    with pytest.raises(ValueError) as err:
+        FiniteQuotient.from_spec(spec)
+    assert str(err.value) == "rank must be at least 1"

@@ -567,3 +567,9 @@ def test_sampler_refuses_as_the_per_level_loop():
     repeated = build_series([2, 3, 2], 2, 3)[-1]
     assert _refusal_text(check_pigraded_properties, repeated) == _refusal_text(
         _oracle_graded_report, repeated)
+
+
+def test_parse_order_reads_a_factored_one():
+    # format_order(1) also writes the decimal; a document may carry only
+    # the factored form
+    assert parse_order({"factored": "1"}) == 1

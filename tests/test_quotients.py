@@ -637,3 +637,13 @@ def test_verbal_and_unit_quotients_share_one_budget(empty_quotient_table,
     assert list(table.quotients) == [
         ("magnus_unit", 3, 2, 2), ("verbal", 2, 2), ("verbal", 2, 2, 3)]
     assert table.held == sum(q.order for q in table.quotients.values()) == 985
+
+
+def test_build_quotient_refuses_a_wrong_image_count_and_rank_zero():
+    image = generator_image(2, 3, 5, 1, 1)
+    with pytest.raises(ValueError) as err:
+        build_quotient(2, [image])
+    assert str(err.value) == "expected 2 generator images, got 1"
+    with pytest.raises(ValueError) as err:
+        build_quotient(0, [])
+    assert str(err.value) == "rank must be at least 1"

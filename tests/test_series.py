@@ -434,3 +434,15 @@ def test_payload_memo_reads_what_parse_reads(params):
             payload
         assert _outcome(TruncSeries.from_payload, params, payload) == expected, \
             payload
+
+
+def test_series_entry_points_refuse_what_they_cannot_read():
+    with pytest.raises(ValueError) as err:
+        series.UnitCounts(2, 2, 5, 10**4).image_order(parse_word("ab", 3))
+    assert str(err.value) == "rank mismatch: word has 3, quotient has 2"
+    with pytest.raises(ValueError) as err:
+        embed("ab", 3)
+    assert str(err.value) == "embed expects a Word, got 'ab'"
+    with pytest.raises(ValueError) as err:
+        unit_image_quotient(None, 2, 3)
+    assert str(err.value) == "unit image quotients need a prime modulus"

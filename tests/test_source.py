@@ -47,3 +47,17 @@ def test_the_isinstance_int_walk_finds_every_form():
         call = ast.parse(text).body[0].value
         assert _names_int(call.args[1]), text
     assert not _names_int(ast.parse("isinstance(x, Word)").body[0].value.args[1])
+
+
+def test_one_function_body_draws_random_letters():
+    # the frozen draw behind every sampler report and pool digest lives in
+    # one kernel, so no second copy can drift from it
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(inner, ast.Attribute) and inner.attr == "getrandbits"
+                    for inner in ast.walk(node)):
+                found.append(f"{path.name}:{node.name}")
+    assert found == ["words.py:_reduced_draws"]

@@ -731,3 +731,13 @@ def test_rank_one_queries_build_no_table(empty_quotient_table):
     assert not level.member(power(a, 30030 * 10**20 + 1))
     assert empty_quotient_table.quotients == {}
     assert level._parent_quotient is None
+
+
+def test_a_basis_rank_past_an_exponent_tower_is_refused():
+    # |F/gamma_4| over (2, 3, 5, 7) is a tower, so level 5 has no parent order
+    deepest = build_series([2, 3, 5, 7, 11], 2, 5)[-1]
+    assert deepest.parent_order is None
+    with pytest.raises(CapExceeded) as err:
+        deepest.schreier_rank
+    assert str(err.value) == ("depth-5 basis rank: reached an exponent tower "
+                              f"with cap {ORDER_EXPONENT_CAP}")

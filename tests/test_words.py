@@ -1,6 +1,7 @@
 import functools
 import random
 import re
+import time
 import tracemalloc
 from itertools import islice
 
@@ -432,12 +433,46 @@ def test_indices_spell_the_sampled_words(rank):
         assert fast.getstate() == slow.getstate()
 
 
-@pytest.mark.parametrize("length", [0, 3])
-def test_random_reduced_word_refuses_a_rank_below_one(length):
-    # a draw below 2 * rank = 0 never ends, so the rank is checked first
-    for rank in (0, -1):
-        with pytest.raises(ValueError, match="rank must be a positive integer"):
-            random_reduced_word(random.Random(0), rank, length)
+class _NoDraws(random.Random):
+    """A generator whose every draw fails: a refusal must come first."""
+
+    def getrandbits(self, k):
+        raise AssertionError(f"drew getrandbits({k}) before refusing")
+
+
+# (draw, its arguments after the generator, the whole refusal)
+KERNEL_REFUSALS = [
+    *[(draw, (rank, *rest), f"rank must be a positive integer, got {rank!r}")
+      for rank in (0, -1, True)
+      for draw, rest in ((random_reduced_indices, (3,)),
+                         (random_reduced_word, (0,)),
+                         (random_reduced_word, (3,)),
+                         (random_reduced_sample, (1, 8)))],
+    *[(draw, (2, length), f"length must be a nonnegative integer, got {length!r}")
+      for length in (-1, 2.0)
+      for draw in (random_reduced_indices, random_reduced_word)],
+    *[(random_reduced_sample, (2, 5, max_length),
+       f"max_length must be a positive integer, got {max_length!r}")
+      for max_length in (0, 8.0)],
+    (random_reduced_sample, (2, -1, 8), "count must be a nonnegative integer, got -1"),
+]
+
+
+@pytest.mark.parametrize("draw, args, refusal", [
+    pytest.param(*case, id=f"{case[0].__name__}{case[1]}") for case in KERNEL_REFUSALS])
+def test_the_draw_kernel_refuses_before_it_draws(draw, args, refusal):
+    # a rank or max_length of 0 asks for a draw below 0, which never ends;
+    # a negative or float length used to give a word or fail mid-draw
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        draw(_NoDraws(0), *args)
+    assert str(err.value) == refusal
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        draw(rng, *args)
+    assert rng.getstate() == state
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("rank", [0, -1, True, 2.0, [2], "3"])
@@ -536,3 +571,14 @@ def word_texts(draw):
 def test_parse_matches_the_two_loop_oracle(text, rank):
     assert _parse_outcome(text, rank, parse_word) == \
         _parse_outcome(text, rank, _oracle_parse_word), text
+
+
+def test_the_text_forms_at_their_edges():
+    # letter form stops at rank 26; the indexed form prints the identity as
+    # 1 and folds a run of one letter into a power
+    with pytest.raises(ValueError) as err:
+        Word(27, [(1, 1)]).letter_str()
+    assert str(err.value) == "letter form only covers ranks up to 26"
+    assert Word(27).indexed_str() == "1"
+    assert Word(27, [(1, 1), (1, 1)]).indexed_str() == "g1^2"
+    assert str(Word(27, [(1, -1), (1, -1), (2, 1)])) == "g1^-2*g2"
