@@ -22,9 +22,7 @@ from .periodic import (
     ConstructionState,
     check_pigraded_properties,
     format_factors,
-    format_order,
     next_step,
-    parse_order,
     replay_matches,
     run_construction,
     trace_to_jsonl,
@@ -86,13 +84,11 @@ __all__ = [
     "embed",
     "find_avoiding_quotient",
     "format_factors",
-    "format_order",
     "lemma0_conjugates",
     "lemma_fi_bound",
     "levi_bound",
     "load_config",
     "next_step",
-    "parse_order",
     "parse_word",
     "quotient_order",
     "quotient_order_factors",

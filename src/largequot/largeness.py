@@ -183,9 +183,9 @@ def _witness_counts(images, cap, serialize, quotient):
 
 
 def _spec_counts(spec, cap):
-    """Count a serialized witness by :func:`_witness_counts`.  Its reader is
-    :meth:`FiniteQuotient.from_spec`'s, so a malformed spec raises the same,
-    and the counts serialize to what the rebuilt quotient would."""
+    """Count a serialized witness by :func:`_witness_counts`.  The spec is
+    read by :func:`largequot.quotients._spec_images`, and the counts
+    serialize to what the quotient rebuilt from it would."""
     params, images = _spec_images(spec)
     if not images:
         raise ValueError("witness has no generator images")
@@ -212,6 +212,8 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
     """
     words, rank = _check_base_words(words)
     check_int(m, "m must be a positive integer", 1)
+    check_int(truncation_cap, "truncation_cap must be a positive integer", 1)
+    check_int(enum_cap, "enum_cap must be a positive integer", 1)
     # each word's integer image at truncation v_Z + 1, by position: a word
     # is never a key, as hashing a power spells out its letters
     images = [None] * len(words)
@@ -306,6 +308,7 @@ def find_avoiding_quotient(words, m, q, bound=None, enum_cap=DEFAULT_ENUM_CAP):
     words through it.  Both postcondition halves are checked on return.
     """
     words, _ = _check_base_words(words)
+    check_int(enum_cap, "enum_cap must be a positive integer", 1)
     if bound is None:
         bound = lemma_fi_bound(words, m, enum_cap=enum_cap)
     elif bound.words != tuple(words) or bound.m != m:
@@ -372,6 +375,8 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
     """
     words, rank = _check_base_words(words)
     check_int(q, "exponent must be a positive integer", 1)
+    check_int(enum_cap, "enum_cap must be a positive integer", 1)
+    check_int(truncation_cap, "truncation_cap must be a positive integer", 1)
     k = len(words)
     if witness is None:
         bound = lemma_fi_bound(words, k, truncation_cap=truncation_cap,
@@ -440,6 +445,7 @@ def verify_certificate(doc, enum_cap=DEFAULT_ENUM_CAP):
     raises: a malformed spec, or one past ``enum_cap``, with the error its
     enumeration would give.
     """
+    check_int(enum_cap, "enum_cap must be a positive integer", 1)
     problems = []
     target = doc["target"]
     if doc.get("schema") != CERTIFICATE_SCHEMA:

@@ -39,6 +39,7 @@ from .verbal import (
     PrimeSeq,
     _as_primeseq,
     _escape_level,
+    quotient_order_factors,
 )
 from .words import indexed_word, power, random_reduced_sample, shortlex_words
 
@@ -82,21 +83,14 @@ class ConstructionState:
         }
 
 
-def format_order(n):
-    """Factored form of a positive integer, with decimal only when it fits.
-
-    Quotient orders grow beyond anything a decimal string should carry
-    around, so the canonical form is ``{"factored": "2^2 * 3^5"}``; the
-    ``decimal`` field is attached while the value stays below 2**64.
-    """
-    return format_factors(factor(check_int(n, "orders are positive", 1)))
-
-
 def format_factors(factors):
     """Order document from a known {prime: exponent} factorization.
 
-    Same shape as :func:`format_order` without refactoring the value, which
-    matters for orders whose decimal expansion is long.
+    Quotient orders grow beyond anything a decimal string should carry
+    around, so the canonical form is ``{"factored": "2^2 * 3^5"}``; the
+    ``decimal`` field is attached while the value stays below 2**64.  The
+    value is never factored, which matters for orders whose decimal
+    expansion is long.
     """
     factors = {p: e for p, e in factors.items() if e}
     if not factors:
@@ -111,19 +105,6 @@ def format_factors(factors):
         if value < 2**64:
             doc["decimal"] = value
     return doc
-
-
-def parse_order(doc):
-    """Inverse of :func:`format_order`."""
-    if "decimal" in doc:
-        return doc["decimal"]
-    if doc["factored"] == "1":
-        return 1
-    n = 1
-    for part in doc["factored"].split("*"):
-        base, _, exponent = part.strip().partition("^")
-        n *= int(base) ** int(exponent or 1)
-    return n
 
 
 def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
@@ -164,7 +145,7 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
             f"prime sequence has {len(pi)} terms, cannot reach depth {new_depth}"
         )
     target = next(levels)
-    target._require_fits(coset_cap)
+    target._require_fits()
 
     n = target.order_mod(g)
     relator_exponent = prefix_exponent * n
@@ -181,13 +162,10 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
         raise AssertionError("level orders must strictly grow along the series")
     if level_orders[-1] <= state.quotient_order:
         raise AssertionError("quotient order must strictly grow")
-    # the orders' factorizations by the product formula, never by factoring:
-    # |F/gamma_d| = |F/gamma_{d-1}| q_d^(Schreier rank of gamma_{d-1})
-    factors, level_factors = {}, []
-    for lvl in chain:
-        factors = {**factors,
-                   lvl.prime: factors.get(lvl.prime, 0) + lvl.schreier_rank}
-        level_factors.append(factors)
+    # the orders' factorizations by the product formula, never by factoring
+    level_factors = [quotient_order_factors(pi, state.rank, lvl.depth)
+                     for lvl in chain]
+    factors = level_factors[-1]
 
     step_index = state.step + 1
     new_assumptions = (
@@ -238,6 +216,9 @@ def run_construction(primes, steps, rank=2, coset_cap=DEFAULT_COSET_CAP,
     """
     pi = _as_primeseq(primes)
     check_int(steps, "steps must be a positive integer", 1)
+    # checked here too, as the steps' refusals land in halt_reason
+    check_int(coset_cap, "coset_cap must be a positive integer", 1)
+    check_int(depth_cap, "depth_cap must be a positive integer", 1)
     state = ConstructionState(rank=rank, pi=pi)
     states = [state.to_doc()]
     records = []
@@ -332,10 +313,11 @@ def check_pigraded_properties(level, sample_count=1000, seed=0):
     which gives the order and, off the cover key it reaches, the depth (the
     deepest i with w in gamma_i).  No table is built for the sample.  The
     checks run once per distinct (order, depth) pair.  A
-    ``sample_count`` that is no int of at least 0 is refused; 0 checks
-    nothing.
+    ``sample_count`` that is no int of at least 0, or a ``seed`` that is
+    no int, is refused; 0 checks nothing.
     """
     check_int(sample_count, "sample count must be a nonnegative integer", 0)
+    check_int(seed, "seed must be an integer")
     if len(set(level.primes_prefix)) != len(level.primes_prefix):
         raise ValueError("graded order properties need pairwise distinct primes")
     keys = random_reduced_sample(random.Random(seed), level.rank, sample_count,

@@ -360,12 +360,6 @@ class FiniteQuotient(CosetGraph):
             "gen_images": [copy.copy(payload) for payload in self._payload],
         }
 
-    @classmethod
-    def from_spec(cls, doc, cap=DEFAULT_ENUM_CAP):
-        params, images = _spec_images(doc)
-        return build_quotient(len(images), images, cap=cap, kind=doc["kind"],
-                              params=params)
-
 
 def build_quotient(rank, gen_images, cap=DEFAULT_ENUM_CAP, kind=None, params=None):
     """BFS closure of the generator images into a FiniteQuotient.
@@ -522,7 +516,7 @@ def lemma0_conjugates(quotient, base, q):
     t_words = [quotient.transversal_word(i)
                for i in coset_representatives(quotient, base)]
     gq = base ** q
-    z_words = [gq.conjugate(t) for t in t_words]
+    z_words = [t.inverse() * gq * t for t in t_words]
     return t_words, z_words
 
 

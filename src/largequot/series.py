@@ -134,16 +134,8 @@ class TruncSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, rank, degree_bound, modulus=None):
-        return cls(rank, degree_bound, modulus)
-
-    @classmethod
     def one(cls, rank, degree_bound, modulus=None):
         return cls(rank, degree_bound, modulus, {(): 1})
-
-    @classmethod
-    def variable(cls, rank, degree_bound, modulus, index):
-        return cls(rank, degree_bound, modulus, {(index,): 1})
 
     # -- structure ---------------------------------------------------------
 
@@ -265,9 +257,6 @@ class TruncSeries:
                 base = base.mul(base)
         return result
 
-    def __pow__(self, n):
-        return self.power(n)
-
     def inverse(self):
         """Inverse of a series with constant term 1 (truncated Neumann sum)."""
         if self.constant_term != 1:
@@ -318,7 +307,7 @@ class TruncSeries:
             raise ValueError(f"a series is given as a string, got {text!r}")
         cleaned = text.strip()
         if cleaned == "0":
-            return cls.zero(rank, degree_bound, modulus)
+            return cls(rank, degree_bound, modulus)
         cleaned = cleaned.replace("-", "+-").replace(" ", "")
         terms = {}
         for chunk in cleaned.split("+"):
@@ -722,9 +711,7 @@ class UnitCounts:
         self._valuations = valuations or ()
 
     def image_order(self, w):
-        if w.rank != self.rank:
-            raise ValueError(
-                f"rank mismatch: word has {w.rank}, quotient has {self.rank}")
+        quotients.check_word(w, self.rank)
         if self.rank == 1:
             return self.order // math.gcd(w.exponent_sums()[0], self.order)
         v = next((v for u, v in self._valuations if u is w), None)

@@ -36,8 +36,8 @@ covers come from :data:`largequot.quotients.BUILT_QUOTIENTS`, so each is
 made once per process while that table keeps it, inside its one coset
 budget.
 F/gamma_{d-1} has coset data only while its order fits the materialization
-cap; deeper levels still know their order and Schreier rank through the
-closed product formula
+cap; deeper levels still know their order through the closed product
+formula
 
     |F/gamma_d| = |F/gamma_{d-1}| * q_d ^ (1 + (r-1)|F/gamma_{d-1}|),
 
@@ -133,9 +133,9 @@ class VerbalLevel:
     whether F/gamma_d is, at rank 1 or depth 1, where exponent sums answer
     every query.  ``materialized`` says whether the level has coset data,
     |F/gamma_{d-1}| <= the coset cap, without building any.
-    ``schreier_rank`` and ``quotient_order`` outlive materialization, but
-    once they pass ORDER_EXPONENT_CAP digits-wise they are not represented
-    and accessing them raises :class:`CapExceeded`.  ``parent_order`` is
+    ``quotient_order`` outlives materialization, but once it passes
+    ORDER_EXPONENT_CAP digits-wise it is not represented and reading it
+    raises :class:`CapExceeded`.  ``parent_order`` is
     |F/gamma_{d-1}| (None past the cap).  The level's own order is computed
     on its first read, or when level d+1 is pulled, and then kept in
     ``_quotient_order``, which holds ``_UNREAD`` until then: the deepest
@@ -195,15 +195,6 @@ class VerbalLevel:
             )
         return self._basis_words
 
-    @property
-    def schreier_rank(self):
-        if self.parent_order is None:
-            raise CapExceeded(
-                f"depth-{self.depth} basis rank", "an exponent tower",
-                ORDER_EXPONENT_CAP,
-            )
-        return _schreier_rank(self.rank, self.parent_order)
-
     def _order(self):
         """|F/gamma_d|, or None once it is an exponent tower; kept once read."""
         if self._quotient_order is _UNREAD:
@@ -236,11 +227,11 @@ class VerbalLevel:
                 "materialization cap"
             )
 
-    def _require_fits(self, coset_cap):
+    def _require_fits(self):
         """Raise the materialization cap's text when the level has no coset data."""
         if not self.materialized:
             raise CapExceeded("verbal materialization",
-                              _order_repr(self.parent_order), coset_cap)
+                              _order_repr(self.parent_order), self._coset_cap)
 
     def _first_unmaterialized(self):
         """The lowest level of the chain up to this one without coset data."""
@@ -255,12 +246,6 @@ class VerbalLevel:
         chain without coset data, if any."""
         if not self.materialized:
             self._first_unmaterialized()._require_materialized()
-
-    def _table(self):
-        """The coset table of F/gamma_{d-1}, with its BFS numbering; raises
-        as :meth:`_require_chain` does."""
-        self._require_chain()
-        return self.parent_quotient
 
     def _walker(self):
         """F/gamma_{d-1} as the coset graph ``member`` and ``order_mod`` walk,
@@ -587,7 +572,7 @@ class LayeredCoset:
         not only the generators.  Raises ``ValueError`` unless every image is a
         :class:`LayeredCoset` of one series, one per generator of the series'
         free group, and the :class:`NotMaterializedError` of
-        :meth:`VerbalLevel._table` when the series has no table for
+        :meth:`VerbalLevel._require_chain` when the series has no table for
         F/gamma_{d-1}.
         """
         first = images[0]
@@ -598,7 +583,8 @@ class LayeredCoset:
         if len(images) != level.rank:
             raise ValueError(f"a verbal quotient over rank {level.rank} needs "
                              f"{level.rank} generator images, got {len(images)}")
-        base, q = level._table(), level.prime
+        level._require_chain()
+        base, q = level.parent_quotient, level.prime
         n = base.order
         # digit units n q^pos, formed only for the non-tree edges a walk crosses:
         # a base has 1 + (R - 1) n of them at rank R, their units ~(R n)^2 bits
@@ -679,6 +665,7 @@ def _iter_levels(primes, rank, coset_cap):
     """
     primes = _as_primeseq(primes)
     check_int(rank, LEVEL_RANK_TEXT, 1)
+    check_int(coset_cap, "coset_cap must be a positive integer", 1)
     if rank > ORDER_EXPONENT_CAP:
         # |F/gamma_1| = q_1^rank is already an exponent tower: refuse before
         # F/gamma_0 allocates tables of rank entries
@@ -767,6 +754,7 @@ def _escape_level(primes, rank, start, inside, exhausted, depth_cap, coset_cap):
     ``ValueError`` whose text ends in ``exhausted``; running out of depth,
     or a level past ``coset_cap``, raises :class:`CapExceeded`.
     """
+    check_int(depth_cap, "depth_cap must be a positive integer", 1)
     max_depth = min(depth_cap, len(primes))
     if start >= max_depth:
         if len(primes) < depth_cap:
@@ -777,7 +765,7 @@ def _escape_level(primes, rank, start, inside, exhausted, depth_cap, coset_cap):
     for level in islice(levels, max_depth):
         if level.depth <= start:
             continue
-        level._require_fits(coset_cap)
+        level._require_fits()
         if not inside(level):
             return level, levels
     if len(primes) < depth_cap:

@@ -9,10 +9,10 @@ mutates ``letters`` after construction.
 
 The public constructor ``Word(rank, letters)`` (and :func:`parse_word` on top
 of it) takes letters from outside the package, so it validates every letter
-and freely reduces.  Products, inverses, powers and cyclic decompositions are
-reduced by construction: ``*`` cancels only at the seam between its two
-reduced operands, an inverse of a reduced word is reduced, and
-``t * c^n * t^-1`` with ``c`` cyclically reduced is reduced as written.  These
+and freely reduces.  Products, inverses and powers are reduced by
+construction: ``*`` cancels only at the seam between its two reduced
+operands, an inverse of a reduced word is reduced, and ``t * c^n * t^-1``
+with ``c`` cyclically reduced is reduced as written.  These
 build their result through ``Word._reduced``, which neither checks nor
 reduces, so each word is built once in time linear in its length.  So do
 :func:`shortlex_words` and :func:`random_reduced_word`, which extend words
@@ -165,10 +165,6 @@ class Word:
     def __pow__(self, n):
         return power(self, n)
 
-    def conjugate(self, t):
-        """Right conjugation action: self^t = t^-1 * self * t."""
-        return t.inverse() * self * t
-
     def exponent_sums(self):
         """Abelianized exponent vector, one integer per generator.
 
@@ -180,11 +176,6 @@ class Word:
         for gen, exp in letters:
             sums[gen - 1] += exp
         return tuple(n * s for s in sums)
-
-    def cyclic_decomposition(self):
-        """Split as (t, c) with self == t * c * t^-1 and c cyclically reduced."""
-        t, core = _cyclic_split(self.letters)
-        return Word._reduced(self.rank, t), Word._reduced(self.rank, core)
 
     def __str__(self):
         if self.rank <= 26:

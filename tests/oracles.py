@@ -1,9 +1,10 @@
-"""Test oracles the package does not ship: the mod-q abelianization, the
-abelian invariants of a rewritten presentation, verbal cosets multiplied
-as words and compared by their layered normal form, verbal membership and
-orders by a walk through the BFS table of F/gamma_{d-1}, the graded
-sampler's orders and depths by one loop over that table's steps, and Magnus
-valuations found by embedding a word at one truncation after another.
+"""Test oracles the package does not ship: the mod-q abelianization, a
+quotient rebuilt from its serialized spec, the integer an order document
+spells, the abelian invariants of a rewritten presentation, verbal cosets
+multiplied as words and compared by their layered normal form, verbal
+membership and orders by a walk through the BFS table of F/gamma_{d-1}, the
+graded sampler's orders and depths by one loop over that table's steps, and
+Magnus valuations found by embedding a word at one truncation after another.
 
 Each is a slower or independent route to what the package computes another
 way, so the tests check the shipped path against it.  Subprocess tests
@@ -14,7 +15,12 @@ import this module too: the test environment puts ``tests/`` on
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from largequot.quotients import DEFAULT_ENUM_CAP, ModVector, build_quotient
+from largequot.quotients import (
+    DEFAULT_ENUM_CAP,
+    ModVector,
+    _spec_images,
+    build_quotient,
+)
 from largequot.series import embed
 
 
@@ -25,6 +31,27 @@ def mod_abelianization(rank, modulus, cap=DEFAULT_ENUM_CAP):
         for g in range(rank)
     ]
     return build_quotient(rank, images, cap=cap)
+
+
+def quotient_from_spec(doc, cap=DEFAULT_ENUM_CAP):
+    """The quotient a serialized witness spec describes, rebuilt by the BFS."""
+    params, images = _spec_images(doc)
+    return build_quotient(len(images), images, cap=cap, kind=doc["kind"],
+                          params=params)
+
+
+def parse_order(doc):
+    """The integer an order document of
+    :func:`largequot.periodic.format_factors` spells."""
+    if "decimal" in doc:
+        return doc["decimal"]
+    if doc["factored"] == "1":
+        return 1
+    n = 1
+    for part in doc["factored"].split("*"):
+        base, _, exponent = part.strip().partition("^")
+        n *= int(base) ** int(exponent or 1)
+    return n
 
 
 def exponent_matrix(presentation):
@@ -106,7 +133,8 @@ def table_order_mod(level, w):
     """:meth:`largequot.verbal.VerbalLevel.order_mod` by walking w through
     the BFS table of F/gamma_{d-1} until it closes after k passes: k * q_d
     when the summed non-tree crossings are nonzero mod q_d, else k."""
-    quotient, counts = level._table(), {}
+    level._require_chain()
+    quotient, counts = level.parent_quotient, {}
     k = quotient.image_order(w, counts)
     if any(x % level.prime for x in counts.values()):
         return k * level.prime
@@ -148,7 +176,8 @@ def table_orders_and_depths(level, sequences):
     BFS index in F/gamma_{k-2}, until v is 0."""
     if not sequences:
         return []
-    steps = step_table(level._table())
+    level._require_chain()
+    steps = step_table(level.parent_quotient)
     width, q = 2 * level.rank, level.prime
     out = []
     for seq in sequences:

@@ -20,12 +20,17 @@ from largequot.largeness import (
     lemma_fi_bound,
     verify_certificate,
 )
-from largequot.periodic import check_pigraded_properties, parse_order
+from largequot.periodic import check_pigraded_properties
 from largequot.quotients import lemma0_conjugates, reidemeister_schreier
 from largequot.series import embed, unit_image_quotient
 from largequot.verbal import build_series, quotient_order
 from largequot.words import parse_word, random_reduced_word, shortlex_words
-from oracles import abelian_invariants, exponent_matrix, mod_abelianization
+from oracles import (
+    abelian_invariants,
+    exponent_matrix,
+    mod_abelianization,
+    parse_order,
+)
 
 
 def _report(capsys, name, problems):

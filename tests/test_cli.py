@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from largequot.cli import main
 from largequot.config import parse_config_text
-from largequot.quotients import FiniteQuotient
 from largequot.series import unit_image_quotient, unit_image_spec
 from largequot.verbal import build_series
+from oracles import quotient_from_spec
 
 
 def run(capsys, argv):
@@ -75,7 +75,7 @@ def test_certify_large_witness_file_keeps_its_serialization(capsys, tmp_path):
     code, doc = run_doc(
         capsys, ["certify-large", "-g", "a", "-q", "3", "--witness", str(path)])
     assert code == 0
-    assert doc["witness"] == FiniteQuotient.from_spec(spec).serialize()
+    assert doc["witness"] == quotient_from_spec(spec).serialize()
     assert doc["witness"]["params"]["note"] == "kept"
 
 

@@ -4,15 +4,21 @@ import pytest
 
 from largequot.config import Config
 from largequot.errors import check_int
-from largequot.largeness import certify_power_quotient, lemma_fi_bound
+from largequot.largeness import (
+    certify_power_quotient,
+    find_avoiding_quotient,
+    lemma_fi_bound,
+    verify_certificate,
+)
 from largequot.periodic import (
+    ConstructionState,
     check_pigraded_properties,
-    format_order,
+    next_step,
     run_construction,
 )
 from largequot.quotients import ModVector
 from largequot.series import TruncSeries, embed
-from largequot.verbal import build_series
+from largequot.verbal import PrimeSeq, build_series, levi_bound
 from largequot.words import Word, parse_word, power
 
 
@@ -28,6 +34,8 @@ def test_check_int_returns_the_value_or_refuses_it():
 
 
 A = parse_word("a", 2)
+AA = parse_word("aa", 2)
+CERTIFICATE = certify_power_quotient([A], 4)
 
 # (entry point, a call with the value where the entry point reads its
 # integer, the frozen refusal text, the least value it accepts or None)
@@ -42,7 +50,6 @@ ENTRY_POINTS = [
      "exponent must be a positive integer", 1),
     ("run_construction", lambda v: run_construction([2, 3], v),
      "steps must be a positive integer", 1),
-    ("format_order", format_order, "orders are positive", 1),
     ("ModVector", lambda v: ModVector(v, [1]),
      "modulus must be a positive integer", 1),
     # every int is a residue
@@ -80,6 +87,36 @@ ENTRY_POINTS = [
      lambda v: check_pigraded_properties(build_series([2, 3], 2, 1)[-1],
                                          sample_count=v),
      "sample count must be a nonnegative integer", 0),
+    ("check_pigraded_properties.seed",
+     lambda v: check_pigraded_properties(build_series([2, 3], 2, 1)[-1], 10,
+                                         seed=v),
+     "seed must be an integer", None),
+    # the caps of the library entry points, each read before any work
+    *[(f"{name}.{cap}", lambda v, call=call, cap=cap: call(**{cap: v}),
+       f"{cap} must be a positive integer", 1)
+      for name, call, caps in (
+          ("build_series", lambda **c: build_series([2, 3], 2, 2, **c),
+           ("coset_cap",)),
+          ("levi_bound", lambda **c: levi_bound([AA], [2, 3], **c),
+           ("coset_cap", "depth_cap")),
+          ("next_step", lambda **c: next_step(
+              ConstructionState(rank=2, pi=PrimeSeq([2, 3])), A, **c),
+           ("coset_cap", "depth_cap")),
+          # a bad cap raises, and does not land in halt_reason
+          ("run_construction",
+           lambda **c: run_construction([2, 3, 5, 7], 1, **c),
+           ("coset_cap", "depth_cap")),
+          ("lemma_fi_bound", lambda **c: lemma_fi_bound([A], 1, **c),
+           ("enum_cap", "truncation_cap")),
+          ("find_avoiding_quotient",
+           lambda **c: find_avoiding_quotient([A], 1, 4, **c),
+           ("enum_cap",)),
+          ("certify_power_quotient",
+           lambda **c: certify_power_quotient([A], 4, **c),
+           ("enum_cap", "truncation_cap")),
+          ("verify_certificate",
+           lambda **c: verify_certificate(CERTIFICATE, **c), ("enum_cap",)))
+      for cap in caps],
 ]
 
 

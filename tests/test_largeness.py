@@ -37,7 +37,8 @@ from largequot.words import (
     random_reduced_word,
     shortlex_words,
 )
-from oracles import mod_abelianization
+import oracles
+from oracles import mod_abelianization, quotient_from_spec
 
 
 # -- the search over powers, kept as the oracle of the valuations ------------
@@ -331,7 +332,7 @@ def test_certify_and_verify_build_no_conjugates_or_rewrites(
     # the witness search builds powers g^s, so it runs before the patches
     if unit is None:
         searched = certify_power_quotient(base, q)["witness"]
-        witness = FiniteQuotient.from_spec(searched)
+        witness = quotient_from_spec(searched)
     else:
         witness = unit_image_quotient(*unit)
 
@@ -375,7 +376,7 @@ def test_standard_unit_witnesses_are_counted_without_a_quotient(
 
 
 def _magnus(p, l, images):
-    return FiniteQuotient.from_spec({
+    return quotient_from_spec({
         "kind": "magnus_unit",
         "params": {"modulus": p, "rank": 2, "degree_bound": l},
         "gen_images": images,
@@ -583,7 +584,7 @@ def test_bounds_and_certificates_embed_only_base_words(monkeypatch,
         longest = max(map(len, base))
         witnesses = [None] if unit is None else [unit_image_quotient(*unit)]
         if unit is None:
-            witnesses.append(FiniteQuotient.from_spec(
+            witnesses.append(quotient_from_spec(
                 certify_power_quotient(base, q)["witness"]))
         for witness in witnesses:
             cert = certify_power_quotient(base, q, witness=witness)
@@ -658,7 +659,7 @@ def test_a_bound_for_other_words_is_refused():
 def test_witness_survives_serialization():
     a = parse_word("a", 2)
     quotient = find_avoiding_quotient([a], 1, 5)
-    again = FiniteQuotient.from_spec(quotient.serialize())
+    again = quotient_from_spec(quotient.serialize())
     assert again.order == 25
     assert again.image_order(a) == 5
 
@@ -1146,7 +1147,7 @@ def _oracle_spec_counts(spec, cap):
                 unit = _oracle_standard_unit({**params, "modulus": p}, reduced)
                 if unit is not None:
                     series.UnitCounts(*unit, cap)
-    return largeness._GraphCounts(FiniteQuotient.from_spec(spec, cap=cap))
+    return largeness._GraphCounts(quotient_from_spec(spec, cap=cap))
 
 
 def _oracle_quotient_counts(quotient):
@@ -1254,6 +1255,7 @@ def shared_graphs(monkeypatch):
 
     monkeypatch.setattr(quotients, "build_quotient", build_quotient)
     monkeypatch.setattr(largeness, "build_quotient", build_quotient)
+    monkeypatch.setattr(oracles, "build_quotient", build_quotient)
 
 
 _ROUTE_MODULI = [None, 2, 3, 4, 6, 9, 12, 1000003, 2**61 - 1, 2 * 1000003]
@@ -1297,7 +1299,7 @@ def test_one_route_counts_as_the_routes_it_replaced(shared_graphs, modulus):
                     if new[0] == "CapExceeded":
                         continue
                     try:
-                        built = FiniteQuotient.from_spec(spec, cap=cap)
+                        built = quotient_from_spec(spec, cap=cap)
                     except Exception:
                         continue
                     # certify's branch for a built witness, counted with no cap
@@ -1470,7 +1472,7 @@ MODVEC = {"kind": "modvec", "params": {"dim": 2, "modulus": 5}}
 def test_counts_and_rebuild_read_a_malformed_spec_alike(spec):
     # one reader parses a witness spec for both, so each refuses alike
     with pytest.raises(Exception) as rebuilt:
-        FiniteQuotient.from_spec(spec)
+        quotient_from_spec(spec)
     with pytest.raises(Exception) as counted:
         largeness._spec_counts(spec, quotients.DEFAULT_ENUM_CAP)
     assert type(counted.value) is type(rebuilt.value)
@@ -1483,5 +1485,5 @@ def test_a_spec_without_images_is_refused_by_its_own_text():
         largeness._spec_counts(spec, quotients.DEFAULT_ENUM_CAP)
     assert str(err.value) == "witness has no generator images"
     with pytest.raises(ValueError) as err:
-        FiniteQuotient.from_spec(spec)
+        quotient_from_spec(spec)
     assert str(err.value) == "rank must be at least 1"

@@ -15,13 +15,12 @@ from largequot.periodic import (
     ConstructionState,
     check_pigraded_properties,
     format_factors,
-    format_order,
     next_step,
-    parse_order,
     replay_matches,
     run_construction,
     trace_to_jsonl,
 )
+from largequot.primes import factor
 from largequot.verbal import PrimeSeq, build_series
 from largequot.words import (
     Word,
@@ -31,22 +30,22 @@ from largequot.words import (
     random_reduced_sample,
     random_reduced_word,
 )
-from oracles import step_table, table_orders_and_depths
+from oracles import parse_order, step_table, table_orders_and_depths
 
 
 def test_format_order_shapes():
-    assert format_order(1) == {"factored": "1", "decimal": 1}
-    assert format_order(972) == {"factored": "2^2 * 3^5", "decimal": 972}
-    assert format_order(30) == {"factored": "2 * 3 * 5", "decimal": 30}
-    big = format_order(2**64)
-    assert big == {"factored": "2^64"}
-    assert "decimal" in format_order(2**64 - 1)
-    with pytest.raises(ValueError):
-        format_order(0)
+    # an order document, from the factorization of the order
+    assert format_factors({}) == {"factored": "1", "decimal": 1}
+    assert format_factors({2: 2, 3: 5}) == {"factored": "2^2 * 3^5",
+                                            "decimal": 972}
+    assert format_factors({5: 1, 3: 1, 2: 1, 7: 0}) == {"factored": "2 * 3 * 5",
+                                                        "decimal": 30}
+    assert format_factors({2: 64}) == {"factored": "2^64"}
+    assert "decimal" in format_factors(factor(2**64 - 1))
 
 
 def _format_order_reference(n):
-    # format_order's former body, which factored and formatted on its own
+    # an order document made from the value alone, factored by sympy
     if n == 1:
         factored = "1"
     else:
@@ -66,12 +65,12 @@ def test_format_order_matches_its_reference():
     values += [2**64 - 1, 2**64, 2**64 + 1, sympy.prevprime(2**64)]
     values += [rng.randrange(2**60, 2**68) for _ in range(40)]
     for n in values:
-        assert format_order(n) == _format_order_reference(n), n
+        assert format_factors(factor(n)) == _format_order_reference(n), n
 
 
 def test_parse_order_inverts_format():
     for n in (1, 2, 12, 972, 2**63, 2**64, 3**100, 972 * 5**20):
-        assert parse_order(format_order(n)) == n
+        assert parse_order(format_factors(factor(n))) == n
 
 
 def test_format_factors_matches_format_order():
@@ -83,7 +82,7 @@ def test_format_factors_matches_format_order():
         (3**40, {3: 40}),
         (3**41, {3: 41}),
     ]:
-        assert format_factors(factors) == format_order(n)
+        assert format_factors(factors) == _format_order_reference(n)
     # no-factorint path must survive orders far past any decimal budget
     tower = format_factors({5: 973, 2: 2, 3: 5})
     assert "decimal" not in tower
@@ -262,8 +261,12 @@ def test_next_step_input_validation():
     deep = ConstructionState(rank=2, pi=PrimeSeq([2, 3]), depth=2)
     with pytest.raises(ValueError):
         next_step(deep, parse_word("b", 2))  # primes too short to scan on
-    with pytest.raises(CapExceeded):
+    with pytest.raises(ValueError) as zero:
         next_step(state, parse_word("a", 2), depth_cap=0)
+    assert str(zero.value) == "depth_cap must be a positive integer, got 0"
+    scanned = ConstructionState(rank=2, pi=PrimeSeq([2, 3, 5]), depth=1)
+    with pytest.raises(CapExceeded):
+        next_step(scanned, parse_word("a", 2), depth_cap=1)
 
 
 
@@ -478,7 +481,7 @@ def test_orders_and_depths_match_the_step_table_walk(primes, rank, depth):
 
 @pytest.mark.parametrize("primes, rank, depth", SAMPLER_SPECS)
 def test_step_table_matches_single_letter_walks(primes, rank, depth):
-    quotient = build_series(primes, rank, depth)[-1]._table()
+    quotient = build_series(primes, rank, depth)[-1].parent_quotient
     steps, width = step_table(quotient), 2 * rank
     assert len(steps) == quotient.order * width
     alphabet = [(g, 1) for g in range(1, rank + 1)] + \
@@ -527,8 +530,9 @@ def test_an_empty_sample_touches_no_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("an empty sample reads no table")
 
-    for name in ("_table", "_walker", "_require_chain"):
+    for name in ("_walker", "_require_chain"):
         monkeypatch.setattr(type(unbuilt), name, refuse)
+    monkeypatch.setattr(type(unbuilt), "parent_quotient", property(refuse))
     assert check_pigraded_properties(unbuilt, sample_count=0) == \
         _oracle_graded_report(unbuilt, sample_count=0)
 
@@ -570,6 +574,6 @@ def test_sampler_refuses_as_the_per_level_loop():
 
 
 def test_parse_order_reads_a_factored_one():
-    # format_order(1) also writes the decimal; a document may carry only
+    # format_factors({}) also writes the decimal; a document may carry only
     # the factored form
     assert parse_order({"factored": "1"}) == 1

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from largequot import primes, series
-from largequot.periodic import format_order
+from largequot.periodic import format_factors
 from largequot.primes import PSI_13, factor, is_prime, strong_probable_prime
 
 BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -98,7 +98,8 @@ def test_modulus_primes_match_the_limited_sympy_search():
 
 
 def test_format_order_of_a_long_order():
-    assert format_order(972 * 5**973) == {"factored": "2^2 * 3^5 * 5^973"}
+    assert format_factors(factor(972 * 5**973)) == {
+        "factored": "2^2 * 3^5 * 5^973"}
 
 
 def _generator_trial_division(n):

@@ -48,15 +48,15 @@ def test_mul_matches_naive_oracle():
 
 
 def test_mul_is_noncommutative():
-    x1 = TruncSeries.variable(2, 4, None, 1)
-    x2 = TruncSeries.variable(2, 4, None, 2)
+    x1 = TruncSeries(2, 4, None, {(1,): 1})
+    x2 = TruncSeries(2, 4, None, {(2,): 1})
     assert x1.mul(x2) != x2.mul(x1)
     assert x1.mul(x2).coefficient((1, 2)) == 1
     assert x1.mul(x2).coefficient((2, 1)) == 0
 
 
 def test_truncation_drops_degree_bound_and_above():
-    x = TruncSeries.variable(1, 3, None, 1)
+    x = TruncSeries(1, 3, None, {(1,): 1})
     sq = x.mul(x)
     assert sq.coefficient((1, 1)) == 1
     assert sq.mul(x).is_zero  # degree 3 monomial dies at bound 3
@@ -75,7 +75,7 @@ def test_addition_and_negation():
         s = random_series(rng, 2, 4, None)
         t = random_series(rng, 2, 4, None)
         assert (s + t) - t == s
-        assert s + (-s) == TruncSeries.zero(2, 4, None)
+        assert s + (-s) == TruncSeries(2, 4, None)
 
 
 def test_one_is_multiplicative_identity():
@@ -87,7 +87,7 @@ def test_one_is_multiplicative_identity():
 
 
 def test_power_square_and_multiply():
-    s = TruncSeries.one(2, 5, None) + TruncSeries.variable(2, 5, None, 1)
+    s = TruncSeries.one(2, 5, None) + TruncSeries(2, 5, None, {(1,): 1})
     p = s.power(4)
     # binomial coefficients on the single-variable part
     assert p.coefficient(()) == 1
@@ -118,7 +118,7 @@ def test_inverse_requires_constant_term_one():
 
 
 def test_negative_power_is_inverse_power():
-    u = TruncSeries.one(2, 4, 3) + TruncSeries.variable(2, 4, 3, 2)
+    u = TruncSeries.one(2, 4, 3) + TruncSeries(2, 4, 3, {(2,): 1})
     assert u.power(-2) == u.inverse().power(2)
     assert u.power(-1).mul(u).is_one
 
@@ -286,9 +286,9 @@ def test_incompatible_series_rejected():
 
 
 def test_valuation():
-    assert TruncSeries.zero(2, 5, None).valuation() == 5
+    assert TruncSeries(2, 5, None).valuation() == 5
     assert TruncSeries.one(2, 5, None).valuation() == 0
-    x = TruncSeries.variable(2, 5, None, 1)
+    x = TruncSeries(2, 5, None, {(1,): 1})
     assert x.mul(x).valuation() == 2
 
 
@@ -440,6 +440,11 @@ def test_series_entry_points_refuse_what_they_cannot_read():
     with pytest.raises(ValueError) as err:
         series.UnitCounts(2, 2, 5, 10**4).image_order(parse_word("ab", 3))
     assert str(err.value) == "rank mismatch: word has 3, quotient has 2"
+    # a word that is no Word gets check_word's text, at rank 1 too
+    for rank in (2, 1):
+        with pytest.raises(ValueError) as err:
+            series.UnitCounts(2, rank, 3, None).image_order("a")
+        assert str(err.value) == "expected a Word, got 'a'"
     with pytest.raises(ValueError) as err:
         embed("ab", 3)
     assert str(err.value) == "embed expects a Word, got 'ab'"

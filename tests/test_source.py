@@ -1,9 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import largequot
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "largequot")
                  .glob("*.py"))
@@ -61,3 +64,37 @@ def test_one_function_body_draws_random_letters():
                     for inner in ast.walk(node)):
                 found.append(f"{path.name}:{node.name}")
     assert found == ["words.py:_reduced_draws"]
+
+
+# public names deleted because no command, benchmark run or oracle reached
+# them: (module, class or None, name)
+REMOVED = [
+    ("periodic", None, "format_order"),
+    ("periodic", None, "parse_order"),
+    ("quotients", "FiniteQuotient", "from_spec"),
+    ("series", "TruncSeries", "zero"),
+    ("series", "TruncSeries", "variable"),
+    ("series", "TruncSeries", "__pow__"),
+    ("words", "Word", "conjugate"),
+    ("words", "Word", "cyclic_decomposition"),
+    ("verbal", "VerbalLevel", "schreier_rank"),
+]
+
+
+def test_every_exported_name_resolves_once():
+    assert len(set(largequot.__all__)) == len(largequot.__all__)
+    missing = [name for name in largequot.__all__
+               if not hasattr(largequot, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module, owner, name", REMOVED,
+                         ids=[f"{owner or module}.{name}"
+                              for module, owner, name in REMOVED])
+def test_a_removed_name_is_neither_defined_nor_exported(module, owner, name):
+    assert name not in largequot.__all__
+    assert not hasattr(largequot, name)
+    scope = importlib.import_module(f"largequot.{module}")
+    if owner is not None:
+        scope = getattr(scope, owner)
+    assert name not in vars(scope)

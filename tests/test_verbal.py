@@ -30,6 +30,7 @@ from largequot.words import Word, parse_word, power, random_reduced_word
 from oracles import (
     VerbalCoset,
     mod_abelianization,
+    quotient_from_spec,
     table_member,
     table_order_mod,
 )
@@ -76,8 +77,9 @@ def test_order_formula_matches_bfs_enumeration():
     levels = build_series([2, 3, 5], 2, 3)
     assert levels[2].parent_quotient.order == 972
     assert levels[2].parent_order == 972
-    assert levels[1].schreier_rank == 1 + 1 * 4
-    assert levels[2].schreier_rank == 1 + 1 * 972
+    # so is each basis rank, 1 + (r-1)|F/gamma_{d-1}|, as BFS counts it
+    assert len(levels[1].parent_quotient.schreier_generators()) == 1 + 1 * 4
+    assert len(levels[2].parent_quotient.schreier_generators()) == 1 + 1 * 972
 
 
 def test_order_formula_depth_zero_and_rank_one():
@@ -178,7 +180,7 @@ def test_verbal_quotient_serialization_roundtrip():
     doc = q.serialize()
     assert doc["kind"] == "verbal"
     assert doc["params"] == {"primes": [2], "rank": 2, "depth": 1}
-    again = FiniteQuotient.from_spec(doc)
+    again = quotient_from_spec(doc)
     assert again.order == 4
     assert again.mult == q.mult
 
@@ -196,8 +198,9 @@ def test_exponent_cap_cuts_off_tower_orders():
     d3 = levels[2]
     assert d3.quotient_order == 972 * 5 ** 973
     d4 = levels[3]
-    # the rank is one more than the depth-3 order: huge but representable
-    assert d4.schreier_rank == 1 + 972 * 5 ** 973
+    # the basis rank of gamma_3, the exponent of q_4 in the factored depth-4
+    # order, is one more than the depth-3 order: huge but representable
+    assert quotient_order_factors([2, 3, 5, 7], 2, 4)[7] == 1 + 972 * 5 ** 973
     with pytest.raises(CapExceeded):
         d4.quotient_order
     with pytest.raises(CapExceeded):
@@ -228,7 +231,8 @@ def test_a_level_order_is_computed_on_first_read(primes):
         assert deepest.quotient_order == expected
         assert deepest._quotient_order == expected
         assert repr(deepest).endswith(f"order={_order_repr(expected)})")
-    assert deepest.schreier_rank == 1 + levels[1].quotient_order
+    assert quotient_order_factors(primes, 2, 3)[primes[2]] == \
+        1 + levels[1].quotient_order
 
 
 def test_repr_never_computes_a_tower():
@@ -385,6 +389,14 @@ def _scan_inputs(draw):
 @given(_scan_inputs())
 def test_one_escape_scan_matches_both_former_scans(inputs):
     rank, words, primes, start, depth_cap, coset_cap = inputs
+    if depth_cap == 0:
+        # the former scans read a depth cap of 0 as a depth reached; the
+        # shared scan refuses it before it scans
+        refused = (ValueError, "depth_cap must be a positive integer, got 0")
+        assert _outcome(levi_bound, words, primes, 0, coset_cap) == refused
+        assert _outcome(_driver_scan, primes, rank, start, words[0], 0,
+                        coset_cap) == refused
+        return
     assert _outcome(levi_bound, words, primes, depth_cap, coset_cap) == \
         _outcome(_oracle_levi_bound, words, primes, depth_cap, coset_cap)
     f_word = words[0]
@@ -523,7 +535,7 @@ def test_a_level_is_built_once_per_process(empty_quotient_table, monkeypatch):
     assert levi_bound([commutator], (2, 3, 5)) == 2
     assert run_construction([2, 3, 5, 7], 1)["steps_completed"] == 1
     # a witness over F/gamma_2 parses its images against the tabled levels
-    spec = FiniteQuotient.from_spec(levels[2].parent_quotient.serialize())
+    spec = quotient_from_spec(levels[2].parent_quotient.serialize())
     assert spec.order == 972
 
 
@@ -543,7 +555,7 @@ def test_a_smaller_cap_after_a_larger_one_refuses_as_before(empty_quotient_table
         levels = build_series((2, 3, 5), 2, 3, coset_cap=100)
         return [
             [level.materialized for level in levels],
-            _refusal(levels[2]._require_fits, 100),
+            _refusal(levels[2]._require_fits),
             _refusal(levels[2].member, commutator6),
             _refusal(levi_bound, [parse_word("aa", 2)], (2, 3), coset_cap=2),
             run_construction([2, 3, 5, 7], 2, coset_cap=100)["halt_reason"],
@@ -735,9 +747,10 @@ def test_rank_one_queries_build_no_table(empty_quotient_table):
 
 def test_a_basis_rank_past_an_exponent_tower_is_refused():
     # |F/gamma_4| over (2, 3, 5, 7) is a tower, so level 5 has no parent order
+    # by the factored order, whose exponent at depth 5 is that basis rank
     deepest = build_series([2, 3, 5, 7, 11], 2, 5)[-1]
     assert deepest.parent_order is None
     with pytest.raises(CapExceeded) as err:
-        deepest.schreier_rank
-    assert str(err.value) == ("depth-5 basis rank: reached an exponent tower "
-                              f"with cap {ORDER_EXPONENT_CAP}")
+        quotient_order_factors([2, 3, 5, 7, 11], 2, 5)
+    assert str(err.value) == ("depth-4 quotient order exponent: reached about "
+                              f"10^683 with cap {ORDER_EXPONENT_CAP}")
