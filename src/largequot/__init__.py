@@ -48,7 +48,6 @@ from .verbal import (
     VerbalLevel,
     build_series,
     levi_bound,
-    quotient_order,
     quotient_order_factors,
 )
 from .words import (
@@ -90,7 +89,6 @@ __all__ = [
     "load_config",
     "next_step",
     "parse_word",
-    "quotient_order",
     "quotient_order_factors",
     "random_reduced_word",
     "reidemeister_schreier",

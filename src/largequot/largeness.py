@@ -9,15 +9,14 @@ image order exceeds k the relator count stays below j while the generator
 count grows linearly in j, so the deficiency criterion (n generators and at
 most n-2 relators) certifies largeness.
 
-The counts need only j and the image orders.  One dispatch,
-:func:`_witness_counts`, picks their route for a spec and a built witness
-alike, so a certificate is recounted by the route that made it: closed
-forms where the images' kind has ``counts`` (:data:`largequot.quotients.KINDS`;
-the magnus kind's unit witnesses, see :mod:`largequot.series`), else the
-coset graph, whose non-tree edges are the generators and whose cosets of
-<g_i>N the relators.  The presentation itself (conjugate sets and
-Reidemeister-Schreier rewriting) stays library API in
-:mod:`largequot.quotients`, which the tests check the counts against.
+The counts need only j and the image orders.  A witness arrives as a
+spec, counted by :func:`_spec_counts`, so a certificate is recounted by
+the route that made it: closed forms where the images' kind has ``counts``
+(:data:`largequot.quotients.KINDS`; the magnus kind's unit witnesses, see
+:mod:`largequot.series`), else the coset graph, whose non-tree edges are
+the generators and whose cosets of <g_i>N the relators.  The presentation
+itself (conjugate sets and Reidemeister-Schreier rewriting) stays library
+API in :mod:`largequot.quotients`, which the tests check the counts against.
 
 The avoiding quotients come from the truncated series units: any word with a
 nonzero integer coefficient below the truncation keeps it mod p for p past
@@ -47,7 +46,6 @@ from .errors import BelowBoundError, CapExceeded, check_int
 from .primes import factor, primes_up_to
 from .quotients import (
     DEFAULT_ENUM_CAP,
-    FiniteQuotient,
     _spec_images,
     build_quotient,
     coset_representatives,
@@ -174,25 +172,24 @@ class _GraphCounts:
         return self.quotient.serialize()
 
 
-def _witness_counts(images, cap, serialize, quotient):
-    """Closed-form counts where the images' kind has ``counts`` and it answers
-    (as ``build_quotient`` reads ``packed_action``), else ``quotient()``'s graph."""
-    kind = type(images[0]) if images else None
-    counts = hasattr(kind, "counts") and kind.counts(images, cap, serialize)
-    return counts or _GraphCounts(quotient())
-
-
 def _spec_counts(spec, cap):
-    """Count a serialized witness by :func:`_witness_counts`.  The spec is
-    read by :func:`largequot.quotients._spec_images`, and the counts
-    serialize to what the quotient rebuilt from it would."""
+    """The counts of a serialized witness, read by
+    :func:`largequot.quotients._spec_images`: closed forms where the images'
+    kind has ``counts`` and it answers (as ``build_quotient`` reads
+    ``packed_action``), else the graph of the quotient rebuilt under
+    ``cap``.  Either serializes to what that quotient would."""
     params, images = _spec_images(spec)
     if not images:
         raise ValueError("witness has no generator images")
-    return _witness_counts(images, cap, lambda: {
-        "kind": spec["kind"], "params": dict(params),
-        "gen_images": [g.payload() for g in images]}, lambda: build_quotient(
-            len(images), images, cap=cap, kind=spec["kind"], params=params))
+    kind = type(images[0])
+
+    def serialize():
+        return {"kind": spec["kind"], "params": dict(params),
+                "gen_images": [g.payload() for g in images]}
+
+    counts = hasattr(kind, "counts") and kind.counts(images, cap, serialize)
+    return counts or _GraphCounts(build_quotient(
+        len(images), images, cap=cap, kind=spec["kind"], params=params))
 
 
 def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
@@ -364,10 +361,10 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
                            truncation_cap=DEFAULT_TRUNCATION_CAP):
     """Build a largeness certificate for F/<<g_1^q, .., g_k^q>>.
 
-    ``witness`` is an optional user-supplied FiniteQuotient, or a witness
-    spec already counted by :func:`_spec_counts` (so a spec read from a file
-    is never enumerated when closed forms count it); by default the
-    avoiding quotient comes from the bound machinery with m = k, falling
+    ``witness`` is optional: a witness spec as :func:`_spec_counts` counts
+    it (so a spec is never enumerated when closed forms count it), and any
+    other object raises ``ValueError`` before a count is read.  By default
+    the avoiding quotient comes from the bound machinery with m = k, falling
     back to a direct search when q sits below the bound M, and is counted
     without being built, its image orders read off the bound's valuations.
     The certificate is a plain JSON-ready dict; `verify_certificate`
@@ -388,9 +385,9 @@ def certify_power_quotient(words, q, witness=None, enum_cap=DEFAULT_ENUM_CAP,
                                             enum_cap)
             if counts is None:
                 raise
-    elif isinstance(witness, FiniteQuotient):
-        counts = _witness_counts(witness.gen_images, None, witness.serialize,
-                                 lambda: witness)
+    elif not callable(getattr(witness, "cosets", None)):
+        raise ValueError("witness must be the counts of a spec, as _spec_counts "
+                         f"gives them, got {type(witness).__name__}")
     else:
         counts = witness
     orders = [counts.image_order(w) for w in words]

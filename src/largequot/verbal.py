@@ -630,19 +630,6 @@ def _next_order(order, q, rank):
     return None if exponent > ORDER_EXPONENT_CAP else order * q**exponent
 
 
-def _level_orders(primes, rank):
-    """Yield (d, q_d, Schreier rank of gamma_{d-1}, |F/gamma_d|) for d = 1, 2, ..
-
-    The order is None once its exponent passes ORDER_EXPONENT_CAP, and both
-    are None after that level.
-    """
-    order = 1
-    for d, q in enumerate(primes, 1):
-        exponent = None if order is None else _schreier_rank(rank, order)
-        order = _next_order(order, q, rank)
-        yield d, q, exponent, order
-
-
 def _depth_checked(primes, rank, depth):
     """The primes as a PrimeSeq, with the rank and the depth checked."""
     primes = _as_primeseq(primes)
@@ -656,9 +643,9 @@ def _depth_checked(primes, rank, depth):
 
 
 def _iter_levels(primes, rank, coset_cap):
-    """Yield levels 1, 2, .. lazily.
+    """The stream of levels 1, 2, .., its arguments checked as it is made.
 
-    No coset graph is built here but F/gamma_0's one coset: level d+1 reads
+    No coset graph is built but F/gamma_0's one coset: level d+1 reads
     F/gamma_d's order, computed when it is pulled if nothing read it before,
     and builds F/gamma_d's table only on the first read of its
     ``parent_quotient``.
@@ -666,6 +653,10 @@ def _iter_levels(primes, rank, coset_cap):
     primes = _as_primeseq(primes)
     check_int(rank, LEVEL_RANK_TEXT, 1)
     check_int(coset_cap, "coset_cap must be a positive integer", 1)
+    return _levels(primes, rank, coset_cap)
+
+
+def _levels(primes, rank, coset_cap):
     if rank > ORDER_EXPONENT_CAP:
         # |F/gamma_1| = q_1^rank is already an exponent tower: refuse before
         # F/gamma_0 allocates tables of rank entries
@@ -707,27 +698,12 @@ def build_series(primes, rank, depth, coset_cap=DEFAULT_COSET_CAP):
     return list(islice(_iter_levels(primes, rank, coset_cap), depth))
 
 
-def quotient_order(primes, rank, depth):
-    """|F/gamma_depth| by the closed product formula (no materialization).
-
-    Raises :class:`CapExceeded` once the running exponent passes
-    ORDER_EXPONENT_CAP; by then the value is an exponent tower.
-    """
-    primes = _depth_checked(primes, rank, depth)
-    order = 1
-    for d, _, exponent, order in islice(_level_orders(primes, rank), depth):
-        if order is None:
-            raise CapExceeded(f"depth-{d} quotient order exponent",
-                              _order_repr(exponent), ORDER_EXPONENT_CAP)
-    return order
-
-
 def quotient_order_factors(primes, rank, depth):
     """{prime: exponent} factorization of |F/gamma_depth|.
 
-    The factored form outlives :func:`quotient_order` by one level: the
-    exponents are the Schreier ranks, which stay representable until the
-    order itself already is not.
+    The factored form outlives :attr:`VerbalLevel.quotient_order` by one
+    level: the exponents are the Schreier ranks, which stay representable
+    until the order itself already is not.
     """
     primes = _depth_checked(primes, rank, depth)
     if depth == 0:
@@ -735,8 +711,10 @@ def quotient_order_factors(primes, rank, depth):
     # the deepest level's order is never read, and can be a power of
     # hundreds of thousands of digits: stop the recurrence one level short
     factors, order = {}, 1
-    for d, q, exponent, order in islice(_level_orders(primes, rank), depth - 1):
+    for d, q in enumerate(primes.primes[:depth - 1], 1):
+        exponent = _schreier_rank(rank, order)
         factors[q] = factors.get(q, 0) + exponent
+        order = _next_order(order, q, rank)
         if order is None:
             raise CapExceeded(f"depth-{d} quotient order exponent",
                               _order_repr(exponent), ORDER_EXPONENT_CAP)
@@ -755,13 +733,13 @@ def _escape_level(primes, rank, start, inside, exhausted, depth_cap, coset_cap):
     or a level past ``coset_cap``, raises :class:`CapExceeded`.
     """
     check_int(depth_cap, "depth_cap must be a positive integer", 1)
+    levels = _iter_levels(primes, rank, coset_cap)
     max_depth = min(depth_cap, len(primes))
     if start >= max_depth:
         if len(primes) < depth_cap:
             raise ValueError(f"prime sequence has {len(primes)} terms, too short "
                              f"to scan past depth {start}")
         raise CapExceeded("verbal depth", start + 1, depth_cap)
-    levels = _iter_levels(primes, rank, coset_cap)
     for level in islice(levels, max_depth):
         if level.depth <= start:
             continue

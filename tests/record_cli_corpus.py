@@ -117,6 +117,11 @@ def _entries():
         "witness_unit_integer": (
             witness + ["3", "--witness", "w.json"], None,
             {"w.json": _json(_unit_spec(None, 2, 2, ["1 + x1", "1 + x2"]))}),
+        # trivial over Z: the packed action declines it, so the BFS takes
+        # the series product `*`
+        "witness_unit_integer_trivial": (
+            witness + ["3", "--witness", "w.json"], None,
+            {"w.json": _json(_unit_spec(None, 2, 2, ["1", "1"]))}),
         "witness_unit_extra_param": (
             witness + ["3", "--witness", "w.json"], None,
             {"w.json": _json(_unit_spec(3, 2, 2, ["x1 + 1", "x2+1"],

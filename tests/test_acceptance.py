@@ -10,20 +10,26 @@ import json
 import random
 import time
 from itertools import takewhile
+from math import prod
 
 import sympy
 
 from largequot.cli import main
 from largequot.largeness import (
+    _spec_counts,
     certify_power_quotient,
     find_avoiding_quotient,
     lemma_fi_bound,
     verify_certificate,
 )
 from largequot.periodic import check_pigraded_properties
-from largequot.quotients import lemma0_conjugates, reidemeister_schreier
+from largequot.quotients import (
+    DEFAULT_ENUM_CAP,
+    lemma0_conjugates,
+    reidemeister_schreier,
+)
 from largequot.series import embed, unit_image_quotient
-from largequot.verbal import build_series, quotient_order
+from largequot.verbal import build_series, quotient_order_factors
 from largequot.words import parse_word, random_reduced_word, shortlex_words
 from oracles import (
     abelian_invariants,
@@ -212,6 +218,8 @@ def test_certificate_end_to_end(capsys):
         ([parse_word("a", 2), parse_word("b", 2)], 3, mod_abelianization(2, 3)),
     ]
     for words, q, witness in cases:
+        if witness is not None:
+            witness = _spec_counts(witness.serialize(), DEFAULT_ENUM_CAP)
         cert = certify_power_quotient(words, q, witness=witness)
         k = len(words)
         counts = cert["counts"]
@@ -232,7 +240,7 @@ def test_verbal_order_and_nesting(capsys):
     # closed order formula against honest BFS enumeration, the frozen order
     # of a modulo gamma_2 over (2,3), and nesting on 1000 sampled words
     problems = []
-    formula = quotient_order([2, 3], 2, 2)
+    formula = prod(p**e for p, e in quotient_order_factors([2, 3], 2, 2).items())
     levels = build_series([2, 3, 5], 2, 3)
     enumerated = levels[2].parent_quotient.order
     if formula != 972 or enumerated != 972:

@@ -41,6 +41,11 @@ import oracles
 from oracles import mod_abelianization, quotient_from_spec
 
 
+def _counted(quotient, cap=quotients.DEFAULT_ENUM_CAP):
+    """A built witness as certify takes it: its spec, counted."""
+    return largeness._spec_counts(quotient.serialize(), cap)
+
+
 # -- the search over powers, kept as the oracle of the valuations ------------
 
 
@@ -222,14 +227,14 @@ def test_certificate_below_bound_falls_back_to_direct_search():
 
 def test_certificate_with_explicit_witnesses():
     cert = certify_power_quotient(
-        [parse_word("a", 2)], 3, witness=unit_image_quotient(3, 2, 2)
+        [parse_word("a", 2)], 3, witness=_counted(unit_image_quotient(3, 2, 2))
     )
     assert cert["counts"] == {"j": 9, "gens": 10, "rels": 3, "deficiency": 7}
     assert cert["verdict"] == VERDICT_LARGE
 
     cert2 = certify_power_quotient(
         [parse_word("a", 2), parse_word("b", 2)], 3,
-        witness=mod_abelianization(2, 3),
+        witness=_counted(mod_abelianization(2, 3)),
     )
     assert cert2["counts"] == {"j": 9, "gens": 10, "rels": 6, "deficiency": 4}
     assert cert2["verdict"] == VERDICT_LARGE
@@ -240,8 +245,9 @@ def test_certificate_relator_count_inequality():
     cases = [
         ([parse_word("a", 2)], 4, None),
         ([parse_word("a", 2)], 2, None),
-        ([parse_word("a", 2)], 3, unit_image_quotient(3, 2, 2)),
-        ([parse_word("a", 2), parse_word("b", 2)], 3, mod_abelianization(2, 3)),
+        ([parse_word("a", 2)], 3, _counted(unit_image_quotient(3, 2, 2))),
+        ([parse_word("a", 2), parse_word("b", 2)], 3,
+         _counted(mod_abelianization(2, 3))),
     ]
     for words, q, witness in cases:
         cert = certify_power_quotient(words, q, witness=witness)
@@ -255,11 +261,25 @@ def test_certificate_rejects_unusable_witness():
     a = parse_word("a", 2)
     with pytest.raises(ValueError):
         # image order 2 does not divide 3
-        certify_power_quotient([a], 3, witness=mod_abelianization(2, 2))
+        certify_power_quotient([a], 3, witness=_counted(mod_abelianization(2, 2)))
     with pytest.raises(ValueError):
         # image order 2 is not above the word count k=2
         certify_power_quotient([a, parse_word("b", 2)], 2,
-                               witness=mod_abelianization(2, 2))
+                               witness=_counted(mod_abelianization(2, 2)))
+
+
+def test_certify_refuses_a_witness_that_is_no_spec_count(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no count is read from a refused witness")
+
+    monkeypatch.setattr(FiniteQuotient, "image_order", refuse)
+    a = parse_word("a", 2)
+    for witness in (mod_abelianization(2, 3), mod_abelianization(2, 3).serialize()):
+        with pytest.raises(ValueError) as refused:
+            certify_power_quotient([a], 3, witness=witness)
+        assert str(refused.value) == (
+            "witness must be the counts of a spec, as _spec_counts gives them, "
+            f"got {type(witness).__name__}")
 
 
 def test_certificate_below_bound_without_witness_reraises():
@@ -344,7 +364,7 @@ def test_certify_and_verify_build_no_conjugates_or_rewrites(
     monkeypatch.setattr(Word, "__pow__", refuse)
     # coset counts follow the Schreier tree, with no transversal word
     monkeypatch.setattr(FiniteQuotient, "transversal_word", refuse)
-    cert = certify_power_quotient(base, q, witness=witness)
+    cert = certify_power_quotient(base, q, witness=_counted(witness))
     report = verify_certificate(cert)
     assert report["ok"]
     assert _digest(cert) == cert_digest
@@ -368,7 +388,8 @@ def test_standard_unit_witnesses_are_counted_without_a_quotient(
     monkeypatch.setattr(quotients, "coset_representatives", refuse)
     monkeypatch.setattr(largeness, "coset_representatives", refuse)
     monkeypatch.setattr(FiniteQuotient, "schreier_generators", refuse)
-    cert = certify_power_quotient(base, q, witness=witness)
+    cert = certify_power_quotient(
+        base, q, witness=None if witness is None else _counted(witness))
     report = verify_certificate(json.loads(json.dumps(cert)))
     assert report["ok"]
     assert _digest(cert) == cert_digest
@@ -408,7 +429,7 @@ def test_other_witnesses_are_counted_on_their_coset_graph(
         monkeypatch, name, build, texts, q, cert_digest, report_digest):
     witness = build()
     base = [parse_word(t, 2) for t in texts.split(",")]
-    cert = certify_power_quotient(base, q, witness=witness)
+    cert = certify_power_quotient(base, q, witness=_counted(witness))
     built = []
     original = quotients.build_quotient
 
@@ -587,7 +608,8 @@ def test_bounds_and_certificates_embed_only_base_words(monkeypatch,
             witnesses.append(quotient_from_spec(
                 certify_power_quotient(base, q)["witness"]))
         for witness in witnesses:
-            cert = certify_power_quotient(base, q, witness=witness)
+            cert = certify_power_quotient(
+                base, q, witness=None if witness is None else _counted(witness))
             report = verify_certificate(json.loads(json.dumps(cert)))
             assert _digest(cert) == cert_digest
             assert _digest(report) == report_digest
@@ -756,7 +778,8 @@ def test_closed_form_counts_match_the_coset_graph(p, r, l):
         words = [parse_word(t, r) for t in texts]
         for q in (j, p):
             fast, slow = _on_both_routes(
-                lambda: certify_power_quotient(words, q, witness=witness))
+                lambda: certify_power_quotient(
+                    words, q, witness=_counted(witness, 10**5)))
             assert fast == slow, (texts, q)
     # reports, on a certificate as made and on one whose words and exponent
     # make problems
@@ -865,7 +888,8 @@ def refuse(*args, **kwargs):
 quotients.build_quotient = largeness.build_quotient = refuse
 words = [parse_word("a", 2), parse_word("b", 2)]
 try:
-    largeness.certify_power_quotient(words, 2, witness=witness)
+    largeness.certify_power_quotient(
+        words, 2, witness=largeness._spec_counts(witness.serialize(), 10**6))
 except ValueError as exc:
     print("refused:", exc)
 else:
@@ -1302,16 +1326,14 @@ def test_one_route_counts_as_the_routes_it_replaced(shared_graphs, modulus):
                         built = quotient_from_spec(spec, cap=cap)
                     except Exception:
                         continue
-                    # certify's branch for a built witness, counted with no cap
-                    new = _route_outcome(lambda: largeness._witness_counts(
-                        built.gen_images, None, built.serialize,
-                        lambda: built), words)
+                    # the witness built, counted from its own spec
+                    new = _route_outcome(lambda: _counted(built, cap), words)
                     old = _route_outcome(
                         lambda: _oracle_quotient_counts(built), words)
                     assert new == old, case
                     q = built.order * 2
                     assert _outcome(lambda: certify_power_quotient(
-                        words[:1], q, witness=built)) == _outcome(
+                        words[:1], q, witness=_counted(built, cap))) == _outcome(
                         lambda: certify_power_quotient(
                             words[:1], q, witness=_oracle_quotient_counts(built)))
 
@@ -1366,8 +1388,6 @@ def test_every_kind_with_counts_is_asked_for_them(monkeypatch):
     assert _CountedVector.calls == [cap]
     graph = certify_power_quotient(
         words, q, witness=largeness._spec_counts(plain, cap))
-    built = quotients.build_quotient(
-        2, [_CountedVector(5, (1, 0)), _CountedVector(5, (0, 1))])
 
     def refuse(*args, **kwargs):
         raise AssertionError("a kind that counts its witness is not enumerated")
@@ -1377,11 +1397,9 @@ def test_every_kind_with_counts_is_asked_for_them(monkeypatch):
         monkeypatch.setattr(largeness, name, refuse)
     from_spec = largeness._spec_counts(counted, cap)
     assert type(from_spec) is _ClosedCounts
-    for witness in (from_spec, built):
-        cert = certify_power_quotient(words, q, witness=witness)
-        assert cert == {**graph, "witness": counted}
-    # the built witness is counted with no cap
-    assert _CountedVector.calls == [cap, cap, None]
+    cert = certify_power_quotient(words, q, witness=from_spec)
+    assert cert == {**graph, "witness": counted}
+    assert _CountedVector.calls == [cap, cap]
     report = verify_certificate(json.loads(json.dumps(cert)), enum_cap=cap)
     assert report["ok"], report
 

@@ -78,6 +78,8 @@ REMOVED = [
     ("words", "Word", "conjugate"),
     ("words", "Word", "cyclic_decomposition"),
     ("verbal", "VerbalLevel", "schreier_rank"),
+    ("verbal", None, "quotient_order"),
+    ("largeness", None, "_witness_counts"),
 ]
 
 

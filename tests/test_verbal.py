@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from largequot import verbal
 from largequot.errors import CapExceeded, NotMaterializedError
-from largequot.periodic import check_pigraded_properties, run_construction
+from largequot.periodic import (
+    ConstructionState,
+    check_pigraded_properties,
+    next_step,
+    run_construction,
+)
 from largequot.quotients import (
     FiniteQuotient,
     ModVector,
@@ -23,7 +28,6 @@ from largequot.verbal import (
     _order_repr,
     build_series,
     levi_bound,
-    quotient_order,
     quotient_order_factors,
 )
 from largequot.words import Word, parse_word, power, random_reduced_word
@@ -54,8 +58,19 @@ def test_build_series_argument_checks():
     assert build_series([2, 3], 2, 0) == []
 
 
-@pytest.mark.parametrize("read", [build_series, quotient_order,
-                                  quotient_order_factors])
+@pytest.mark.parametrize("call", [
+    lambda: build_series([2, 3], 2, 0, coset_cap=True),
+    # a state the scan refuses as too short still has its cap checked first
+    lambda: next_step(ConstructionState(rank=2, pi=PrimeSeq([2, 3]), depth=2),
+                      parse_word("b", 2), coset_cap=True),
+], ids=["build_series", "next_step"])
+def test_the_level_stream_checks_its_coset_cap_when_it_is_made(call):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == "coset_cap must be a positive integer, got True"
+
+
+@pytest.mark.parametrize("read", [build_series, quotient_order_factors])
 def test_order_formulas_check_the_depth_as_build_series_does(read):
     with pytest.raises(ValueError) as deep:
         read([2, 3], 2, 3)
@@ -72,8 +87,8 @@ def test_order_formulas_check_the_depth_as_build_series_does(read):
 def test_order_formula_matches_bfs_enumeration():
     # |F_2/gamma_2| over (2, 3): 4 * 3^(1+4) = 972, and the coset graph of
     # F/gamma_2 (the parent of level 3) must enumerate to the same count.
-    assert quotient_order([2, 3], 2, 1) == 4
-    assert quotient_order([2, 3], 2, 2) == 972
+    assert quotient_order_factors([2, 3], 2, 1) == {2: 2}
+    assert quotient_order_factors([2, 3], 2, 2) == {2: 2, 3: 5}  # 972
     levels = build_series([2, 3, 5], 2, 3)
     assert levels[2].parent_quotient.order == 972
     assert levels[2].parent_order == 972
@@ -83,9 +98,9 @@ def test_order_formula_matches_bfs_enumeration():
 
 
 def test_order_formula_depth_zero_and_rank_one():
-    assert quotient_order([5], 3, 0) == 1
+    assert quotient_order_factors([5], 3, 0) == {}
     # rank 1: every Schreier rank is 1, so the tower is just a product
-    assert quotient_order([2, 3, 5], 1, 3) == 2 * 3 * 5
+    assert quotient_order_factors([2, 3, 5], 1, 3) == {2: 1, 3: 1, 5: 1}
 
 
 def test_level_one_vectors_and_membership():
@@ -203,8 +218,10 @@ def test_exponent_cap_cuts_off_tower_orders():
     assert quotient_order_factors([2, 3, 5, 7], 2, 4)[7] == 1 + 972 * 5 ** 973
     with pytest.raises(CapExceeded):
         d4.quotient_order
-    with pytest.raises(CapExceeded):
-        quotient_order([2, 3, 5, 7], 2, 4)
+    # one level further even the factored form is refused
+    with pytest.raises(CapExceeded) as refused:
+        quotient_order_factors([2, 3, 5, 7, 11], 2, 5)
+    assert str(refused.value).startswith("depth-4 quotient order exponent: ")
 
 
 @pytest.mark.parametrize("primes", [(3, 3, 2), (5, 2, 3)])
@@ -215,11 +232,11 @@ def test_a_level_order_is_computed_on_first_read(primes):
     deepest = levels[-1]
     assert deepest._quotient_order is verbal._UNREAD
     # pulling level 3 read level 2's order, which it needs for its own
-    assert levels[1]._quotient_order == quotient_order(primes, 2, 2)
+    assert levels[1]._quotient_order == prod(
+        p**e for p, e in quotient_order_factors(primes, 2, 2).items())
     assert deepest.parent_order == levels[1].quotient_order
-    try:
-        expected = quotient_order(primes, 2, 3)
-    except CapExceeded:
+    factors = quotient_order_factors(primes, 2, 3)
+    if factors[primes[2]] > ORDER_EXPONENT_CAP:
         with pytest.raises(CapExceeded) as refused:
             deepest.quotient_order
         assert str(refused.value) == (
@@ -228,11 +245,11 @@ def test_a_level_order_is_computed_on_first_read(primes):
         assert deepest._quotient_order is None
         assert repr(deepest).endswith("order=beyond representation)")
     else:
+        expected = prod(p**e for p, e in factors.items())
         assert deepest.quotient_order == expected
         assert deepest._quotient_order == expected
         assert repr(deepest).endswith(f"order={_order_repr(expected)})")
-    assert quotient_order_factors(primes, 2, 3)[primes[2]] == \
-        1 + levels[1].quotient_order
+    assert factors[primes[2]] == 1 + levels[1].quotient_order
 
 
 def test_repr_never_computes_a_tower():
@@ -249,12 +266,10 @@ def test_factored_order_survives_one_more_level():
     assert factors[5] == 973
     assert factors[7] == 1 + 972 * 5 ** 973
     # while both forms exist they agree
+    levels = build_series([2, 3, 5, 7], 2, 3)
     for depth in (1, 2, 3):
         f = quotient_order_factors([2, 3, 5, 7], 2, depth)
-        n = 1
-        for p, e in f.items():
-            n *= p ** e
-        assert n == quotient_order([2, 3, 5, 7], 2, depth)
+        assert prod(p**e for p, e in f.items()) == levels[depth - 1].quotient_order
 
 
 def test_factored_order_with_a_huge_deepest_level():
@@ -433,8 +448,7 @@ def test_a_rank_below_one_is_refused(rank):
 def test_every_verbal_order_route_refuses_a_rank_that_is_no_positive_int(rank):
     # -1 used to give the order 0.5, 2.0 the order 972.0, and True levels of
     # rank True
-    for call in (lambda: quotient_order([2, 3], rank, 2),
-                 lambda: quotient_order_factors([2, 3], rank, 2),
+    for call in (lambda: quotient_order_factors([2, 3], rank, 2),
                  lambda: build_series([2, 3], rank, 2)):
         with pytest.raises(ValueError, match="rank must be at least 1"):
             call()
