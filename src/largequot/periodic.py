@@ -21,15 +21,25 @@ silently assumed.
 All verbal computations run against free-group preimages: each imposed
 relator is a proven member of its level, so the reported orders
 |G_i / gamma_r(G_i)| = |F / gamma_r(F)| are exact.
+
+A run does each piece of its bookkeeping once.  It builds one stream of
+levels and hands it from state to state, so each step's escape scan goes on
+from the level after the previous step's target: every level, and its order,
+is built once per run.  The factorizations of a step's chain of levels come
+from one pass of the product formula, each order document is formatted once
+per factorization, and each enumerated word is spelled once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice, starmap
 from math import gcd, prod
+from operator import itemgetter
 
 from .errors import CapExceeded, check_int
 from .primes import factor
@@ -39,9 +49,16 @@ from .verbal import (
     PrimeSeq,
     _as_primeseq,
     _escape_level,
-    quotient_order_factors,
+    _iter_levels,
+    _order_factors,
 )
-from .words import indexed_word, power, random_reduced_sample, shortlex_words
+from .words import (
+    RANK_TEXT,
+    indexed_word,
+    power,
+    random_reduced_sample,
+    shortlex_words,
+)
 
 TRACE_SCHEMA = "periodic-construction-trace/1"
 
@@ -53,20 +70,32 @@ SAMPLE_MAX_LENGTH = 8  # the graded sampler's words have lengths 1 .. 8
 
 @dataclass(frozen=True)
 class ConstructionState:
-    """State after a number of steps: depth, relators, orders, assumptions."""
+    """State after a number of steps: depth, relators, orders, assumptions.
+
+    ``pi`` may be any sequence of primes; it is kept as a
+    :class:`largequot.verbal.PrimeSeq`.  ``levels`` is the level stream of
+    the run the state belongs to, positioned at depth ``depth + 1`` (see
+    :func:`run_construction`); a state made without one has each
+    :func:`next_step` from it build its own levels.
+    """
 
     rank: int
     pi: PrimeSeq
     step: int = 0
     depth: int = 0
-    relators: tuple = ()  # pairs (base word, exponent)
-    # each quotient order so far as its (prime, exponent) pairs
+    relators: tuple = ()  # pairs (base word as spelled, exponent)
+    # each quotient order so far as its sorted (prime, exponent) pairs,
+    # every exponent nonzero
     order_history: tuple = ((),)
     assumptions: tuple = ()
+    levels: object = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pi", _as_primeseq(self.pi))
 
     @property
     def quotient_order(self):
-        return prod(p**e for p, e in self.order_history[-1])
+        return prod(starmap(pow, self.order_history[-1]))
 
     def to_doc(self):
         return {
@@ -77,8 +106,7 @@ class ConstructionState:
             "relators": [
                 {"base": str(base), "exponent": e} for base, e in self.relators
             ],
-            "order_history": [format_factors(dict(f))
-                              for f in self.order_history],
+            "order_history": _order_docs(self.order_history),
             "assumptions": list(self.assumptions),
         }
 
@@ -90,18 +118,38 @@ def format_factors(factors):
     around, so the canonical form is ``{"factored": "2^2 * 3^5"}``; the
     ``decimal`` field is attached while the value stays below 2**64.  The
     value is never factored, which matters for orders whose decimal
-    expansion is long.
+    expansion is long.  Each call returns a new dict.
     """
-    factors = {p: e for p, e in factors.items() if e}
-    if not factors:
+    nonzero = filter(itemgetter(1), factors.items())
+    return dict(_order_doc(tuple(sorted(nonzero))))
+
+
+@functools.lru_cache(maxsize=256)
+def _chain_factors(primes, rank, depth):
+    """The sorted (prime, exponent) items of |F/gamma_1| .. |F/gamma_depth|
+    over a tuple of primes: one pass of the product formula, never
+    factoring, once per series and depth."""
+    return tuple(tuple(sorted(f.items()))
+                 for f in islice(_order_factors(primes, rank), depth))
+
+
+def _order_docs(factorizations):
+    """A new order document for each factorization of sorted items."""
+    return list(map(dict, map(_order_doc, factorizations)))
+
+
+@functools.lru_cache(maxsize=256)
+def _order_doc(items):
+    """:func:`format_factors` of nonzero sorted (prime, exponent) items, once
+    per factorization: a run formats every level's order on each step and
+    each state after it.  Callers copy the document."""
+    if not items:
         return {"factored": "1", "decimal": 1}
-    parts = []
-    for p, e in sorted(factors.items()):
-        parts.append(f"{p}^{e}" if e > 1 else str(p))
-    doc = {"factored": " * ".join(parts)}
+    doc = {"factored": " * ".join(f"{p}^{e}" if e > 1 else str(p)
+                                  for p, e in items)}
     # cheap exact smallness test: sum of e*(bits(p)-1) underestimates log2
-    if sum(e * (p.bit_length() - 1) for p, e in factors.items()) < 64:
-        value = prod(p**e for p, e in factors.items())
+    if sum(e * (p.bit_length() - 1) for p, e in items) < 64:
+        value = prod(starmap(pow, items))
         if value < 2**64:
             doc["decimal"] = value
     return doc
@@ -111,9 +159,11 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
               depth_cap=DEFAULT_DEPTH_CAP):
     """Impose the relator for one enumerated word; returns (state, record).
 
-    Raises :class:`CapExceeded` when the escape scan runs past ``depth_cap``
-    or a needed level cannot be materialized, and ``ValueError`` when the
-    prime sequence is too short to hold the new depth.
+    The escape scan and the target read the levels of ``state.levels``, or
+    of a stream made for this step when the state has none.  Raises
+    :class:`CapExceeded` when the escape scan runs past ``depth_cap`` or a
+    needed level cannot be materialized, and ``ValueError`` when the prime
+    sequence is too short to hold the new depth.
     """
     if f_word.is_identity:
         raise ValueError("enumerated words must be nontrivial")
@@ -123,7 +173,7 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
         )
     pi = state.pi
     r = state.depth
-    prefix_exponent = prod(pi[i] for i in range(r))
+    prefix_exponent = prod(pi.primes[:r])
     g = None
 
     def inside(level):
@@ -134,11 +184,10 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
 
     escape, levels = _escape_level(
         pi, state.rank, r, inside,
-        f"with {f_word}^{prefix_exponent} still inside the series",
-        depth_cap, coset_cap,
+        lambda: f"with {f_word}^{prefix_exponent} still inside the series",
+        depth_cap, coset_cap, state.levels,
     )
     escape_depth = escape.depth
-    levi_depth = escape_depth - r
     new_depth = escape_depth + 1
     if new_depth > len(pi):
         raise ValueError(
@@ -151,26 +200,26 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
     relator_exponent = prefix_exponent * n
     if not target.member(power(g, n)):
         raise AssertionError("relator must lie in the target level")
-    if pi.distinct and any(e > 1 for e in factor(relator_exponent).values()):
+    # a divisor of a product of distinct primes is square-free as it is
+    if pi.distinct and prod(pi.primes[:new_depth]) % relator_exponent and any(
+            e > 1 for e in factor(relator_exponent).values()):
         raise AssertionError(
             f"relator exponent {relator_exponent} not square-free despite "
             "distinct primes"
         )
-    chain = target._chain()
-    level_orders = [lvl.quotient_order for lvl in chain]
-    if any(a >= b for a, b in zip(level_orders, level_orders[1:])):
+    level_orders = [lvl.quotient_order for lvl in target._chain()]
+    # strictly growing iff no order repeats and none is out of order
+    if level_orders != sorted(set(level_orders)):
         raise AssertionError("level orders must strictly grow along the series")
     if level_orders[-1] <= state.quotient_order:
         raise AssertionError("quotient order must strictly grow")
-    # the orders' factorizations by the product formula, never by factoring
-    level_factors = [quotient_order_factors(pi, state.rank, lvl.depth)
-                     for lvl in chain]
-    factors = level_factors[-1]
+    level_factors = _chain_factors(pi.primes, state.rank, new_depth)
 
+    text = str(f_word)
     step_index = state.step + 1
     new_assumptions = (
         f"step {step_index} [{ASSUMPTION_SURJECTION}]: after imposing "
-        f"{f_word}^{relator_exponent}, the depth-{new_depth} verbal level of "
+        f"{text}^{relator_exponent}, the depth-{new_depth} verbal level of "
         "the new quotient is assumed to still surject onto a non-abelian "
         "free group; not machine-checked",
         f"step {step_index} [{ASSUMPTION_MARGIN}]: the single level of "
@@ -182,24 +231,25 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
         pi=pi,
         step=step_index,
         depth=new_depth,
-        relators=state.relators + ((f_word, relator_exponent),),
-        order_history=state.order_history + (tuple(sorted(factors.items())),),
+        relators=state.relators + ((text, relator_exponent),),
+        order_history=state.order_history + (level_factors[-1],),
         assumptions=state.assumptions + new_assumptions,
+        levels=state.levels,
     )
     record = {
         "step": step_index,
-        "word": str(f_word),
+        "word": text,
         "prefix_exponent": prefix_exponent,
         "escape_depth": escape_depth,
-        "levi_depth": levi_depth,
+        "levi_depth": escape_depth - r,
         "new_depth": new_depth,
         "order_at_level": n,
-        "relator": {"base": str(f_word), "exponent": relator_exponent},
+        "relator": {"base": text, "exponent": relator_exponent},
         "relator_in_level": True,
-        "level_orders": [format_factors(f) for f in level_factors],
+        "level_orders": _order_docs(level_factors),
         "growth": {
-            "from": format_factors(dict(state.order_history[-1])),
-            "to": format_factors(factors),
+            "from": dict(_order_doc(state.order_history[-1])),
+            "to": dict(_order_doc(level_factors[-1])),
         },
         "assumptions_added": list(new_assumptions),
     }
@@ -210,21 +260,26 @@ def run_construction(primes, steps, rank=2, coset_cap=DEFAULT_COSET_CAP,
                      depth_cap=DEFAULT_DEPTH_CAP):
     """Run the driver for the given number of steps; returns a trace dict.
 
-    Enumerated words come in shortlex order.  Hitting a cap does not raise:
-    the trace comes back with ``halted`` set, the reason verbatim, and the
-    steps completed so far, so a partial run is still a usable document.
+    Enumerated words come in shortlex order.  A run makes one stream of
+    levels and hands it on through its states: each step's escape scan
+    starts where the previous step's target left the stream, so every level
+    is built, and its order computed, once per run.  Hitting a cap does not
+    raise: the trace comes back with ``halted`` set, the reason verbatim,
+    and the steps completed so far, so a partial run is still a usable
+    document.
     """
     pi = _as_primeseq(primes)
     check_int(steps, "steps must be a positive integer", 1)
     # checked here too, as the steps' refusals land in halt_reason
     check_int(coset_cap, "coset_cap must be a positive integer", 1)
     check_int(depth_cap, "depth_cap must be a positive integer", 1)
-    state = ConstructionState(rank=rank, pi=pi)
+    check_int(rank, RANK_TEXT, 1)
+    state = ConstructionState(rank=rank, pi=pi,
+                              levels=_iter_levels(pi, rank, coset_cap))
     states = [state.to_doc()]
     records = []
     halted = False
     halt_reason = None
-    # its first pull, before any step, refuses a rank that is no positive int
     word_stream = shortlex_words(rank)
     for _ in range(steps):
         f_word = next(word_stream)

@@ -111,9 +111,6 @@ class PrimeSeq:
     def __len__(self):
         return len(self.primes)
 
-    def __getitem__(self, i):
-        return self.primes[i]
-
     def __repr__(self):
         return f"PrimeSeq({list(self.primes)})"
 
@@ -703,51 +700,66 @@ def quotient_order_factors(primes, rank, depth):
 
     The factored form outlives :attr:`VerbalLevel.quotient_order` by one
     level: the exponents are the Schreier ranks, which stay representable
-    until the order itself already is not.
+    until the order itself already is not.  It is the last of the
+    factorizations :func:`_order_factors` gives in one pass down the series.
     """
     primes = _depth_checked(primes, rank, depth)
     if depth == 0:
         return {}
-    # the deepest level's order is never read, and can be a power of
-    # hundreds of thousands of digits: stop the recurrence one level short
+    return next(islice(_order_factors(primes.primes, rank), depth - 1, None))
+
+
+def _order_factors(primes, rank):
+    """Yield the factorizations of |F/gamma_1|, |F/gamma_2|, .. over a tuple
+    of primes, each a new dict, in one pass of the product formula.
+
+    Level d's order is computed only when level d+1 is pulled: the deepest
+    level's order is never read, and can be a power of hundreds of thousands
+    of digits.  Pulling past an order that is an exponent tower raises
+    :class:`CapExceeded`.
+    """
     factors, order = {}, 1
-    for d, q in enumerate(primes.primes[:depth - 1], 1):
+    for d, q in enumerate(primes, 1):
         exponent = _schreier_rank(rank, order)
-        factors[q] = factors.get(q, 0) + exponent
+        factors = {**factors, q: factors.get(q, 0) + exponent}
+        yield factors
         order = _next_order(order, q, rank)
         if order is None:
             raise CapExceeded(f"depth-{d} quotient order exponent",
                               _order_repr(exponent), ORDER_EXPONENT_CAP)
-    q = primes[depth - 1]
-    factors[q] = factors.get(q, 0) + _schreier_rank(rank, order)
-    return factors
 
 
-def _escape_level(primes, rank, start, inside, exhausted, depth_cap, coset_cap):
+def _escape_level(primes, rank, start, inside, exhausted, depth_cap, coset_cap,
+                  levels=None):
     """The first level past depth ``start`` that ``inside`` rejects, and the
     stream of the levels after it.
 
     Levels start+1 .. min(depth_cap, len(primes)) are tested in order; none
-    is built when there is none to test.  Running out of primes raises a
-    ``ValueError`` whose text ends in ``exhausted``; running out of depth,
+    is built when there is none to test.  ``levels`` is a stream made by
+    :func:`_iter_levels` over the same series whose next level is at most
+    start+1, or None for a new one.  Running out of primes raises a
+    ``ValueError`` whose text ends in ``exhausted()``; running out of depth,
     or a level past ``coset_cap``, raises :class:`CapExceeded`.
     """
     check_int(depth_cap, "depth_cap must be a positive integer", 1)
-    levels = _iter_levels(primes, rank, coset_cap)
+    if levels is None:
+        levels = _iter_levels(primes, rank, coset_cap)
     max_depth = min(depth_cap, len(primes))
     if start >= max_depth:
         if len(primes) < depth_cap:
             raise ValueError(f"prime sequence has {len(primes)} terms, too short "
                              f"to scan past depth {start}")
         raise CapExceeded("verbal depth", start + 1, depth_cap)
-    for level in islice(levels, max_depth):
-        if level.depth <= start:
-            continue
-        level._require_fits()
-        if not inside(level):
-            return level, levels
+    for level in levels:
+        if level.depth > start:
+            level._require_fits()
+            if not inside(level):
+                return level, levels
+            if level.depth == max_depth:
+                break
     if len(primes) < depth_cap:
-        raise ValueError(f"prime sequence exhausted at depth {max_depth} {exhausted}")
+        raise ValueError(
+            f"prime sequence exhausted at depth {max_depth} {exhausted()}")
     raise CapExceeded("verbal depth", max_depth, depth_cap)
 
 
@@ -772,7 +784,7 @@ def levi_bound(words, primes, depth_cap=DEFAULT_DEPTH_CAP,
             raise ValueError("words of mixed rank")
     level, _ = _escape_level(
         primes, rank, 0, lambda level: any(level.member(w) for w in words),
-        "before avoiding the set", depth_cap, coset_cap,
+        lambda: "before avoiding the set", depth_cap, coset_cap,
     )
     return level.depth
 

@@ -175,7 +175,7 @@ class Word:
         sums = [0] * self.rank
         for gen, exp in letters:
             sums[gen - 1] += exp
-        return tuple(n * s for s in sums)
+        return tuple(sums if n == 1 else [n * s for s in sums])
 
     def __str__(self):
         if self.rank <= 26:

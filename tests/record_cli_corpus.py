@@ -209,6 +209,10 @@ def _entries():
         "levi": (["levi", "--set", "aa,ab", "--primes", "2,3"], None, {}),
         "levi_depth_cap": (["levi", "--set", "aa,ab", "--primes", "2,3"],
                            "depth_cap = 1\n", {}),
+        # a^6 lies in gamma_2 over (2, 3): the primes run out before the
+        # scan escapes, and the refusal spells the text it was handed
+        "levi_primes_exhausted": (["levi", "--set", "a^6", "--primes", "2,3"],
+                                  None, {}),
         # construct-periodic
         "construct_periodic": (["construct-periodic", "--primes", "2,3",
                                 "--steps", "1"], None, {}),
@@ -220,6 +224,20 @@ def _entries():
         "construct_periodic_rank_one_deep": (["construct-periodic", "--primes",
                                               "2,3,5,7,11,13", "--steps", "4",
                                               "--rank", "1"], None, {}),
+        # the second step of a multi-step run reads the levels the first
+        # one pulled, and halts at the materialization cap
+        "construct_periodic_rank_two_halt": (["construct-periodic", "--primes",
+                                              "2,3,5,7", "--steps", "2"],
+                                             None, {}),
+        "construct_periodic_rank_three": (["construct-periodic", "--primes",
+                                           "2,3,5,7", "--steps", "2",
+                                           "--rank", "3"], None, {}),
+        # the third step's (aa)^210 lies in gamma_5 over a last prime 2: the
+        # primes run out before the scan escapes
+        "construct_periodic_primes_exhausted": (["construct-periodic",
+                                                 "--primes", "2,3,5,7,2",
+                                                 "--steps", "3", "--rank",
+                                                 "1"], None, {}),
         # usage errors
         "usage_missing_arguments": (["certify-large", "-g", "a"], None, {}),
         "usage_not_an_int": (["certify-large", "-g", "a", "-q", "x"], None, {}),

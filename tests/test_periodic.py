@@ -5,7 +5,7 @@ from math import gcd, prod
 import pytest
 import sympy
 
-from largequot import periodic
+from largequot import periodic, verbal
 from largequot.cli import main
 from largequot.errors import CapExceeded, NotMaterializedError
 from largequot.periodic import (
@@ -21,7 +21,12 @@ from largequot.periodic import (
     trace_to_jsonl,
 )
 from largequot.primes import factor
-from largequot.verbal import PrimeSeq, build_series
+from largequot.verbal import (
+    DEFAULT_COSET_CAP,
+    PrimeSeq,
+    _iter_levels,
+    build_series,
+)
 from largequot.words import (
     Word,
     indexed_word,
@@ -29,6 +34,7 @@ from largequot.words import (
     power,
     random_reduced_sample,
     random_reduced_word,
+    shortlex_words,
 )
 from oracles import parse_order, step_table, table_orders_and_depths
 
@@ -42,6 +48,16 @@ def test_format_order_shapes():
                                                         "decimal": 30}
     assert format_factors({2: 64}) == {"factored": "2^64"}
     assert "decimal" in format_factors(factor(2**64 - 1))
+    # documents are formatted once per factorization, and each call gets its
+    # own: a caller that edits one leaves the next call's intact
+    doc = format_factors({2: 2, 3: 5})
+    doc["factored"] = "edited"
+    del doc["decimal"]
+    assert format_factors({3: 5, 2: 2}) == {"factored": "2^2 * 3^5",
+                                            "decimal": 972}
+    # a zero exponent and the order of the keys change nothing
+    assert format_factors({5: 1, 3: 1, 2: 1, 7: 0}) == \
+        format_factors({2: 1, 3: 1, 5: 1})
 
 
 def _format_order_reference(n):
@@ -133,6 +149,74 @@ def test_second_step_halts_at_materialization_cap():
     # the partial trace still carries the completed step
     assert trace["steps"][0]["relator"] == {"base": "a", "exponent": 6}
     assert len(trace["states"]) == 2
+
+
+def _fold_of_steps(primes, steps, rank, coset_cap=DEFAULT_COSET_CAP):
+    """The trace of :func:`run_construction`, as a fold of the public
+    next_step from a fresh state: no state carries levels, so every step
+    builds its own."""
+    state = ConstructionState(rank=rank, pi=primes)
+    states, records, halt_reason = [state.to_doc()], [], None
+    words = shortlex_words(rank)
+    for _ in range(steps):
+        try:
+            state, record = next_step(state, next(words), coset_cap=coset_cap)
+        except (CapExceeded, ValueError) as exc:
+            halt_reason = str(exc)
+            break
+        assert state.levels is None
+        states.append(state.to_doc())
+        records.append(record)
+    return {"schema": TRACE_SCHEMA, "rank": rank, "pi": list(primes),
+            "steps_requested": steps, "steps_completed": len(records),
+            "halted": halt_reason is not None, "halt_reason": halt_reason,
+            "states": states, "steps": records,
+            "assumptions": list(state.assumptions)}
+
+
+@pytest.mark.parametrize("primes, steps, rank, coset_cap", [
+    *[((2, 3, 5, 7), steps, rank, DEFAULT_COSET_CAP)
+      for rank in (1, 2, 3) for steps in (1, 2, 3)],
+    ((2, 3, 5, 7, 11, 13), 4, 1, DEFAULT_COSET_CAP),
+    # F/gamma_2 of order 6 fits the cap, F/gamma_3 of order 30 does not: the
+    # second step halts at its target level 4
+    ((2, 3, 5, 7), 3, 1, 10),
+])
+def test_one_stream_per_run_matches_a_fold_of_steps(monkeypatch, primes, steps,
+                                                     rank, coset_cap):
+    fold = _fold_of_steps(primes, steps, rank, coset_cap)
+    streams = []
+
+    def counted(*args):
+        streams.append(args)
+        return _iter_levels(*args)
+
+    monkeypatch.setattr(periodic, "_iter_levels", counted)
+    monkeypatch.setattr(verbal, "_iter_levels", counted)
+    trace = run_construction(primes, steps, rank=rank, coset_cap=coset_cap)
+    assert len(streams) == 1
+    assert trace == fold
+    assert replay_matches(trace, coset_cap=coset_cap)
+
+
+@pytest.mark.parametrize("pi", [(2, 3), [2, 3], PrimeSeq([2, 3])])
+def test_a_state_takes_any_prime_sequence(pi):
+    # a tuple or list of primes raised AttributeError on .distinct
+    state = ConstructionState(rank=2, pi=pi)
+    assert type(state.pi) is PrimeSeq and state.pi.primes == (2, 3)
+    assert state.to_doc()["pi"] == [2, 3]
+    stepped, record = next_step(state, Word.generator(2, 1))
+    assert stepped.to_doc() == run_construction([2, 3], 1)["states"][1]
+    assert record["relator"] == {"base": "a", "exponent": 6}
+
+
+def test_a_state_refuses_what_a_prime_sequence_refuses():
+    with pytest.raises(ValueError) as refused:
+        ConstructionState(rank=2, pi=(2, 4))
+    assert str(refused.value) == "4 is not prime"
+    with pytest.raises(ValueError) as empty:
+        ConstructionState(rank=2, pi=[])
+    assert str(empty.value) == "prime sequence must be nonempty"
 
 
 def test_halts_when_prime_sequence_runs_out():

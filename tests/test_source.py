@@ -80,6 +80,7 @@ REMOVED = [
     ("verbal", "VerbalLevel", "schreier_rank"),
     ("verbal", None, "quotient_order"),
     ("largeness", None, "_witness_counts"),
+    ("verbal", "PrimeSeq", "__getitem__"),
 ]
 
 

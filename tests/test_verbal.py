@@ -339,7 +339,7 @@ def _oracle_driver_scan(pi, rank, r, f_word, depth_cap, coset_cap):
                 f"depth {r}"
             )
         raise CapExceeded("verbal depth", r + 1, depth_cap)
-    prefix_exponent = prod(pi[i] for i in range(r))
+    prefix_exponent = prod(pi.primes[:r])
     g = power(f_word, prefix_exponent)
     stream = _iter_levels(pi, rank, coset_cap)
     for level in stream:
@@ -368,7 +368,7 @@ def _driver_scan(pi, rank, r, f_word, depth_cap, coset_cap):
     g = power(f_word, prefix_exponent)
     level, levels = _escape_level(
         PrimeSeq(pi), rank, r, lambda level: level.member(g),
-        f"with {f_word}^{prefix_exponent} still inside the series",
+        lambda: f"with {f_word}^{prefix_exponent} still inside the series",
         depth_cap, coset_cap,
     )
     target = next(levels, None)
