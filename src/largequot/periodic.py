@@ -22,12 +22,12 @@ All verbal computations run against free-group preimages: each imposed
 relator is a proven member of its level, so the reported orders
 |G_i / gamma_r(G_i)| = |F / gamma_r(F)| are exact.
 
-A run does each piece of its bookkeeping once.  It builds one stream of
-levels and hands it from state to state, so each step's escape scan goes on
-from the level after the previous step's target: every level, and its order,
-is built once per run.  The factorizations of a step's chain of levels come
-from one pass of the product formula, each order document is formatted once
-per factorization, and each enumerated word is spelled once.
+A run does each piece of its bookkeeping once.  A state is a value that
+holds the level its last step reached, and the next step's escape scan makes
+its levels past that one, so no level of a run is built twice, and stepping
+one state twice gives equal results.  The factorizations of a step's chain
+of levels come from one pass of the product formula, each order document is
+formatted once per factorization, and each enumerated word is spelled once.
 """
 
 from __future__ import annotations
@@ -49,11 +49,9 @@ from .verbal import (
     PrimeSeq,
     _as_primeseq,
     _escape_level,
-    _iter_levels,
     _order_factors,
 )
 from .words import (
-    RANK_TEXT,
     indexed_word,
     power,
     random_reduced_sample,
@@ -73,10 +71,11 @@ class ConstructionState:
     """State after a number of steps: depth, relators, orders, assumptions.
 
     ``pi`` may be any sequence of primes; it is kept as a
-    :class:`largequot.verbal.PrimeSeq`.  ``levels`` is the level stream of
-    the run the state belongs to, positioned at depth ``depth + 1`` (see
-    :func:`run_construction`); a state made without one has each
-    :func:`next_step` from it build its own levels.
+    :class:`largequot.verbal.PrimeSeq`.  ``level``, set by :func:`next_step`
+    and left out of equality and repr, is the level at depth ``depth`` that
+    the last step reached: the next step makes its levels past it with that
+    step's coset cap, while ``level`` and those below it keep the cap they
+    were made with.  A state made here holds none.
     """
 
     rank: int
@@ -88,7 +87,7 @@ class ConstructionState:
     # every exponent nonzero
     order_history: tuple = ((),)
     assumptions: tuple = ()
-    levels: object = field(default=None, compare=False, repr=False)
+    level: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pi", _as_primeseq(self.pi))
@@ -106,7 +105,8 @@ class ConstructionState:
             "relators": [
                 {"base": str(base), "exponent": e} for base, e in self.relators
             ],
-            "order_history": _order_docs(self.order_history),
+            "order_history": [dict(_order_doc(items))
+                              for items in self.order_history],
             "assumptions": list(self.assumptions),
         }
 
@@ -133,11 +133,6 @@ def _chain_factors(primes, rank, depth):
                  for f in islice(_order_factors(primes, rank), depth))
 
 
-def _order_docs(factorizations):
-    """A new order document for each factorization of sorted items."""
-    return list(map(dict, map(_order_doc, factorizations)))
-
-
 @functools.lru_cache(maxsize=256)
 def _order_doc(items):
     """:func:`format_factors` of nonzero sorted (prime, exponent) items, once
@@ -159,11 +154,13 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
               depth_cap=DEFAULT_DEPTH_CAP):
     """Impose the relator for one enumerated word; returns (state, record).
 
-    The escape scan and the target read the levels of ``state.levels``, or
-    of a stream made for this step when the state has none.  Raises
-    :class:`CapExceeded` when the escape scan runs past ``depth_cap`` or a
-    needed level cannot be materialized, and ``ValueError`` when the prime
-    sequence is too short to hold the new depth.
+    The escape scan and the target are levels made past ``state.level``
+    with this step's ``coset_cap``, and the new state holds the target.
+    ``state`` is not changed, so stepping it again with the same word gives
+    an equal state and record.  Raises :class:`CapExceeded` when the escape
+    scan runs past ``depth_cap`` or a needed level cannot be materialized,
+    and ``ValueError`` when the prime sequence is too short to hold the new
+    depth.
     """
     if f_word.is_identity:
         raise ValueError("enumerated words must be nontrivial")
@@ -174,18 +171,13 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
     pi = state.pi
     r = state.depth
     prefix_exponent = prod(pi.primes[:r])
-    g = None
-
-    def inside(level):
-        nonlocal g
-        if g is None:  # a state the scan refuses never spells out f^prefix
-            g = power(f_word, prefix_exponent)
-        return level.member(g)
-
+    text = str(f_word)
+    # a symbolic power, spelled out by no walk
+    g = power(f_word, prefix_exponent)
     escape, levels = _escape_level(
-        pi, state.rank, r, inside,
-        lambda: f"with {f_word}^{prefix_exponent} still inside the series",
-        depth_cap, coset_cap, state.levels,
+        pi, state.rank, r, lambda level: level.member(g),
+        f"with {text}^{prefix_exponent} still inside the series",
+        depth_cap, coset_cap, state.level,
     )
     escape_depth = escape.depth
     new_depth = escape_depth + 1
@@ -215,7 +207,6 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
         raise AssertionError("quotient order must strictly grow")
     level_factors = _chain_factors(pi.primes, state.rank, new_depth)
 
-    text = str(f_word)
     step_index = state.step + 1
     new_assumptions = (
         f"step {step_index} [{ASSUMPTION_SURJECTION}]: after imposing "
@@ -234,8 +225,8 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
         relators=state.relators + ((text, relator_exponent),),
         order_history=state.order_history + (level_factors[-1],),
         assumptions=state.assumptions + new_assumptions,
-        levels=state.levels,
     )
+    object.__setattr__(new_state, "level", target)
     record = {
         "step": step_index,
         "word": text,
@@ -246,7 +237,7 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
         "order_at_level": n,
         "relator": {"base": text, "exponent": relator_exponent},
         "relator_in_level": True,
-        "level_orders": _order_docs(level_factors),
+        "level_orders": [dict(_order_doc(items)) for items in level_factors],
         "growth": {
             "from": dict(_order_doc(state.order_history[-1])),
             "to": dict(_order_doc(level_factors[-1])),
@@ -260,22 +251,19 @@ def run_construction(primes, steps, rank=2, coset_cap=DEFAULT_COSET_CAP,
                      depth_cap=DEFAULT_DEPTH_CAP):
     """Run the driver for the given number of steps; returns a trace dict.
 
-    Enumerated words come in shortlex order.  A run makes one stream of
-    levels and hands it on through its states: each step's escape scan
-    starts where the previous step's target left the stream, so every level
-    is built, and its order computed, once per run.  Hitting a cap does not
-    raise: the trace comes back with ``halted`` set, the reason verbatim,
-    and the steps completed so far, so a partial run is still a usable
-    document.
+    Enumerated words come in shortlex order, and the run is a fold of
+    :func:`next_step` from a fresh state: each step makes its levels past
+    the one its state holds, so every level is built, and its order
+    computed, once per run.  Hitting a cap does not raise: the trace comes
+    back with ``halted`` set, the reason verbatim, and the steps completed
+    so far, so a partial run is still a usable document.
     """
     pi = _as_primeseq(primes)
     check_int(steps, "steps must be a positive integer", 1)
     # checked here too, as the steps' refusals land in halt_reason
     check_int(coset_cap, "coset_cap must be a positive integer", 1)
     check_int(depth_cap, "depth_cap must be a positive integer", 1)
-    check_int(rank, RANK_TEXT, 1)
-    state = ConstructionState(rank=rank, pi=pi,
-                              levels=_iter_levels(pi, rank, coset_cap))
+    state = ConstructionState(rank=rank, pi=pi)
     states = [state.to_doc()]
     records = []
     halted = False

@@ -111,6 +111,14 @@ class PrimeSeq:
     def __len__(self):
         return len(self.primes)
 
+    def __eq__(self, other):
+        if not isinstance(other, PrimeSeq):
+            return NotImplemented
+        return self.primes == other.primes
+
+    def __hash__(self):
+        return hash(self.primes)
+
     def __repr__(self):
         return f"PrimeSeq({list(self.primes)})"
 
@@ -639,49 +647,48 @@ def _depth_checked(primes, rank, depth):
     return primes
 
 
-def _iter_levels(primes, rank, coset_cap):
-    """The stream of levels 1, 2, .., its arguments checked as it is made.
+def _iter_levels(primes, rank, coset_cap, after=None):
+    """The stream of levels after ``after``, a level of this series, or of
+    levels 1, 2, .. when it is None, its arguments checked as it is made.
 
-    No coset graph is built but F/gamma_0's one coset: level d+1 reads
-    F/gamma_d's order, computed when it is pulled if nothing read it before,
-    and builds F/gamma_d's table only on the first read of its
-    ``parent_quotient``.
+    The levels it makes hold ``coset_cap``; ``after`` and the levels below
+    it keep the cap they were made with.  No coset graph is built but
+    F/gamma_0's one coset: level d+1 reads F/gamma_d's order, computed when
+    it is pulled if nothing read it before, and builds F/gamma_d's table
+    only on the first read of its ``parent_quotient``.
     """
     primes = _as_primeseq(primes)
     check_int(rank, LEVEL_RANK_TEXT, 1)
     check_int(coset_cap, "coset_cap must be a positive integer", 1)
-    return _levels(primes, rank, coset_cap)
+    return _levels(primes, rank, coset_cap, after)
 
 
-def _levels(primes, rank, coset_cap):
-    if rank > ORDER_EXPONENT_CAP:
-        # |F/gamma_1| = q_1^rank is already an exponent tower: refuse before
-        # F/gamma_0 allocates tables of rank entries
-        raise CapExceeded("depth-1 quotient order", "an exponent tower",
-                          ORDER_EXPONENT_CAP)
-    # F/gamma_0 is one coset, every edge a loop: what the BFS over trivial
-    # residue vectors builds, without its 2 * rank products
-    trivial = ModVector(1, (0,))
-    base = FiniteQuotient(
-        rank, [trivial] * rank, [trivial], [[0] * rank], [[0] * rank], [None],
-        kind="modvec", params={"modulus": 1, "dim": 1})
-    parent_order = 1
-    parent_level = None
-    for d, q in enumerate(primes.primes, 1):
-        if d > 1:
-            parent_order = parent_level._order()
+def _levels(primes, rank, coset_cap, level):
+    base = None
+    if level is None:
+        if rank > ORDER_EXPONENT_CAP:
+            # |F/gamma_1| = q_1^rank is already an exponent tower: refuse
+            # before F/gamma_0 allocates tables of rank entries
+            raise CapExceeded("depth-1 quotient order", "an exponent tower",
+                              ORDER_EXPONENT_CAP)
+        # F/gamma_0 is one coset, every edge a loop: what the BFS over
+        # trivial residue vectors builds, without its 2 * rank products
+        trivial = ModVector(1, (0,))
+        base = FiniteQuotient(
+            rank, [trivial] * rank, [trivial], [[0] * rank], [[0] * rank],
+            [None], kind="modvec", params={"modulus": 1, "dim": 1})
+    for d in range(1 if level is None else level.depth + 1, len(primes) + 1):
         level = VerbalLevel(
             rank=rank,
             depth=d,
-            prime=q,
+            prime=primes.primes[d - 1],
             primes_prefix=primes.primes[:d],
-            parent_level=parent_level,
-            parent_order=parent_order,
+            parent_level=level,
+            parent_order=1 if d == 1 else level._order(),
             coset_cap=coset_cap,
             parent_quotient=base if d == 1 else None,
         )
         yield level
-        parent_level = level
 
 
 def build_series(primes, rank, depth, coset_cap=DEFAULT_COSET_CAP):
@@ -730,20 +737,20 @@ def _order_factors(primes, rank):
 
 
 def _escape_level(primes, rank, start, inside, exhausted, depth_cap, coset_cap,
-                  levels=None):
+                  after=None):
     """The first level past depth ``start`` that ``inside`` rejects, and the
     stream of the levels after it.
 
     Levels start+1 .. min(depth_cap, len(primes)) are tested in order; none
-    is built when there is none to test.  ``levels`` is a stream made by
-    :func:`_iter_levels` over the same series whose next level is at most
-    start+1, or None for a new one.  Running out of primes raises a
-    ``ValueError`` whose text ends in ``exhausted()``; running out of depth,
-    or a level past ``coset_cap``, raises :class:`CapExceeded`.
+    is built when there is none to test.  They come from a new stream of
+    :func:`_iter_levels` past ``after``, a level of the series at depth at
+    most ``start``, or from level 1 when it is None, and are made with
+    ``coset_cap``.  Running out of primes raises a ``ValueError`` whose text
+    ends in ``exhausted``; running out of depth, or a level past
+    ``coset_cap``, raises :class:`CapExceeded`.
     """
     check_int(depth_cap, "depth_cap must be a positive integer", 1)
-    if levels is None:
-        levels = _iter_levels(primes, rank, coset_cap)
+    levels = _iter_levels(primes, rank, coset_cap, after)
     max_depth = min(depth_cap, len(primes))
     if start >= max_depth:
         if len(primes) < depth_cap:
@@ -759,7 +766,7 @@ def _escape_level(primes, rank, start, inside, exhausted, depth_cap, coset_cap,
                 break
     if len(primes) < depth_cap:
         raise ValueError(
-            f"prime sequence exhausted at depth {max_depth} {exhausted()}")
+            f"prime sequence exhausted at depth {max_depth} {exhausted}")
     raise CapExceeded("verbal depth", max_depth, depth_cap)
 
 
@@ -784,7 +791,7 @@ def levi_bound(words, primes, depth_cap=DEFAULT_DEPTH_CAP,
             raise ValueError("words of mixed rank")
     level, _ = _escape_level(
         primes, rank, 0, lambda level: any(level.member(w) for w in words),
-        lambda: "before avoiding the set", depth_cap, coset_cap,
+        "before avoiding the set", depth_cap, coset_cap,
     )
     return level.depth
 

@@ -170,11 +170,23 @@ def _entries():
                          None, {}),
         "magnus_integer": (["magnus", "-w", "aB", "-l", "4"], None, {}),
         "magnus_bad_word": (["magnus", "-w", "a%", "-l", "3"], None, {}),
+        # the indexed form past rank 26, with a cancelling pair
+        "magnus_indexed_rank_27": (["magnus", "-r", "27", "-w",
+                                    "g27^2*g1*g1^-1*g3^-1", "-l", "3"],
+                                   None, {}),
+        # the identity's image is 1, of unit order 1
+        "magnus_identity_mod_p": (["magnus", "-r", "2", "-w", "1", "-l", "3",
+                                   "-p", "5"], None, {}),
         # gamma
         "gamma_order": (["gamma", "--primes", "2,3", "--rank", "2", "--depth",
                          "2", "--order", "a"], None, {}),
         "gamma_member": (["gamma", "--primes", "2,3", "--rank", "2", "--depth",
                           "2", "--member", "abAB"], None, {}),
+        # a prime past trial division is tested by Miller-Rabin
+        "gamma_large_prime": (["gamma", "--primes", "1000003", "--rank", "1",
+                               "--depth", "1", "--order", "a"], None, {}),
+        "gamma_member_identity": (["gamma", "--primes", "2,3", "--rank", "2",
+                                   "--depth", "2", "--member", "1"], None, {}),
         "gamma_plain_order": (["gamma", "--primes", "3,3,7", "--rank", "2",
                                "--depth", "3"], None, {}),
         "gamma_depth_zero": (["gamma", "--primes", "2", "--rank", "2",

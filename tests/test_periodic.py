@@ -1,11 +1,12 @@
 import json
 import random
+from collections import Counter
 from math import gcd, prod
 
 import pytest
 import sympy
 
-from largequot import periodic, verbal
+from largequot import periodic
 from largequot.cli import main
 from largequot.errors import CapExceeded, NotMaterializedError
 from largequot.periodic import (
@@ -24,11 +25,12 @@ from largequot.primes import factor
 from largequot.verbal import (
     DEFAULT_COSET_CAP,
     PrimeSeq,
-    _iter_levels,
+    VerbalLevel,
     build_series,
 )
 from largequot.words import (
     Word,
+    _Power,
     indexed_word,
     parse_word,
     power,
@@ -153,8 +155,7 @@ def test_second_step_halts_at_materialization_cap():
 
 def _fold_of_steps(primes, steps, rank, coset_cap=DEFAULT_COSET_CAP):
     """The trace of :func:`run_construction`, as a fold of the public
-    next_step from a fresh state: no state carries levels, so every step
-    builds its own."""
+    next_step from a fresh state."""
     state = ConstructionState(rank=rank, pi=primes)
     states, records, halt_reason = [state.to_doc()], [], None
     words = shortlex_words(rank)
@@ -164,7 +165,6 @@ def _fold_of_steps(primes, steps, rank, coset_cap=DEFAULT_COSET_CAP):
         except (CapExceeded, ValueError) as exc:
             halt_reason = str(exc)
             break
-        assert state.levels is None
         states.append(state.to_doc())
         records.append(record)
     return {"schema": TRACE_SCHEMA, "rank": rank, "pi": list(primes),
@@ -185,16 +185,18 @@ def _fold_of_steps(primes, steps, rank, coset_cap=DEFAULT_COSET_CAP):
 def test_one_stream_per_run_matches_a_fold_of_steps(monkeypatch, primes, steps,
                                                      rank, coset_cap):
     fold = _fold_of_steps(primes, steps, rank, coset_cap)
-    streams = []
+    built = Counter()
+    made = VerbalLevel.__init__
 
-    def counted(*args):
-        streams.append(args)
-        return _iter_levels(*args)
+    def counted(self, *args, **kwargs):
+        made(self, *args, **kwargs)
+        built[self.depth] += 1
 
-    monkeypatch.setattr(periodic, "_iter_levels", counted)
-    monkeypatch.setattr(verbal, "_iter_levels", counted)
+    monkeypatch.setattr(VerbalLevel, "__init__", counted)
     trace = run_construction(primes, steps, rank=rank, coset_cap=coset_cap)
-    assert len(streams) == 1
+    # each step goes on past the level the last one reached: no depth's
+    # level is built twice in a run
+    assert built and max(built.values()) == 1
     assert trace == fold
     assert replay_matches(trace, coset_cap=coset_cap)
 
@@ -208,6 +210,34 @@ def test_a_state_takes_any_prime_sequence(pi):
     stepped, record = next_step(state, Word.generator(2, 1))
     assert stepped.to_doc() == run_construction([2, 3], 1)["states"][1]
     assert record["relator"] == {"base": "a", "exponent": 6}
+
+
+def test_states_over_equal_primes_compare_equal():
+    states = [ConstructionState(rank=2, pi=pi)
+              for pi in ((2, 3), [2, 3], PrimeSeq([2, 3]))]
+    assert states[0] == states[1] == states[2]
+    assert len(set(states)) == 1
+    assert PrimeSeq([2, 3]) == PrimeSeq((2, 3)) != PrimeSeq([3, 2])
+    assert ConstructionState(rank=2, pi=(2, 3)) != \
+        ConstructionState(rank=2, pi=(2, 3, 5))
+
+
+@pytest.mark.parametrize("primes, rank, before", [
+    ((2, 3, 5, 7), 1, 0), ((2, 3, 5, 7), 2, 0), ((2, 3, 5, 7), 3, 0),
+    ((2, 3, 5, 7, 11, 13), 1, 2),
+])
+def test_stepping_one_state_twice_gives_equal_results(primes, rank, before):
+    # a fold of next_step reaches the state, ``before`` steps in
+    state, words = ConstructionState(rank=rank, pi=primes), shortlex_words(rank)
+    for _ in range(before):
+        state, _ = next_step(state, next(words))
+    f_word, held = next(words), state.level
+    first, second = next_step(state, f_word), next_step(state, f_word)
+    assert first == second
+    assert first[0].to_doc() == second[0].to_doc()
+    assert first[0].level.depth == first[0].depth
+    # the state a step goes on from is left as it was
+    assert state.level is held
 
 
 def test_a_state_refuses_what_a_prime_sequence_refuses():
@@ -357,9 +387,9 @@ def test_next_step_input_validation():
 def test_a_state_the_scan_refuses_builds_no_power(monkeypatch):
     # f^(2 * 1000000007) would be two billion letters
     def refuse(*args):
-        raise AssertionError("built a power")
+        raise AssertionError("spelled out a power")
 
-    monkeypatch.setattr(periodic, "power", refuse)
+    monkeypatch.setattr(_Power, "letters", property(refuse))
     deep = ConstructionState(rank=2, pi=PrimeSeq([2, 1000000007]), depth=2)
     with pytest.raises(ValueError) as short:
         next_step(deep, parse_word("b", 2))

@@ -368,7 +368,7 @@ def _driver_scan(pi, rank, r, f_word, depth_cap, coset_cap):
     g = power(f_word, prefix_exponent)
     level, levels = _escape_level(
         PrimeSeq(pi), rank, r, lambda level: level.member(g),
-        lambda: f"with {f_word}^{prefix_exponent} still inside the series",
+        f"with {f_word}^{prefix_exponent} still inside the series",
         depth_cap, coset_cap,
     )
     target = next(levels, None)
@@ -419,6 +419,40 @@ def test_one_escape_scan_matches_both_former_scans(inputs):
                     coset_cap) == \
         _outcome(_oracle_driver_scan, primes, rank, start, f_word, depth_cap,
                  coset_cap)
+
+
+def _level_facts(level):
+    try:
+        order = level.quotient_order
+    except CapExceeded as exc:  # an exponent tower
+        order = str(exc)
+    return (level.depth, level.primes_prefix, level.parent_order,
+            level.materialized, order)
+
+
+@pytest.mark.parametrize("primes, rank, coset_cap, after_cap", [
+    *[((2, 3, 5, 7), rank, 10**4, 10**4) for rank in (1, 2, 3)],
+    # a lowered cap: F/gamma_2 of order 972 at rank 2 does not fit
+    ((2, 3, 5, 7), 2, 100, 100),
+    # the new levels hold the stream's cap, not that of the level they
+    # go on from
+    ((2, 3, 5, 7), 2, 100, 10**4),
+    ((2, 3, 5, 7), 1, 10, 10**4),
+    # level 4 is an exponent tower, and the levels past it have no order
+    ([2] * 6, 2, 10**4, 10**4),
+])
+def test_a_stream_past_a_level_matches_a_fresh_stream(primes, rank, coset_cap,
+                                                       after_cap):
+    made = list(_iter_levels(primes, rank, after_cap))
+    for k, after in enumerate(made, 1):
+        past = list(_iter_levels(primes, rank, coset_cap, after=after))
+        fresh = list(islice(_iter_levels(primes, rank, coset_cap), k, None))
+        assert len(past) == len(primes) - k
+        assert [_level_facts(lvl) for lvl in past] == \
+            [_level_facts(lvl) for lvl in fresh]
+        # the stream goes on from ``after`` itself
+        assert all(lvl.parent_level is below
+                   for lvl, below in zip(past, [after] + past))
 
 
 def test_exponent_cap_is_sane():
