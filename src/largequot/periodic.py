@@ -350,12 +350,17 @@ def check_pigraded_properties(level, sample_count=1000, seed=0):
     ``rng.randint(1, SAMPLE_MAX_LENGTH)``, drawn by
     :func:`largequot.words.random_reduced_sample`, the drawn-length case
     of the one kernel that draws every random reduced word, and kept as
-    tuples of alphabet indices.  They are answered by
-    :meth:`largequot.verbal.VerbalLevel._orders_and_depths`: most by their
-    exponent sums alone, the rest by one walk through a homology cover each,
-    which gives the order and, off the cover key it reaches, the depth (the
-    deepest i with w in gamma_i).  No table is built for the sample.  The
-    checks run once per distinct (order, depth) pair.  A
+    tuples of alphabet indices, each with its exponent sums packed into one
+    int as it is drawn.  They are answered by exponent-sum class
+    (:meth:`largequot.verbal.VerbalLevel._tally_classes`): a thousand
+    words fall in about a hundred classes, each answered once, most by the
+    gcd of their sums alone; only the words of the rest are walked, each
+    distinct word once through a homology cover, which gives the order and,
+    off the cover key it reaches, the depth (the deepest i with w in
+    gamma_i).  No table is built for the sample.  The histogram comes from
+    the tally, the checks run once per distinct (order, depth) pair, and
+    only when one fails is each word's answer read back, from its class or
+    its walk, to name it in its violations in sample order.  A
     ``sample_count`` that is no int of at least 0, or a ``seed`` that is
     no int, is refused; 0 checks nothing.
     """
@@ -363,24 +368,28 @@ def check_pigraded_properties(level, sample_count=1000, seed=0):
     check_int(seed, "seed must be an integer")
     if len(set(level.primes_prefix)) != len(level.primes_prefix):
         raise ValueError("graded order properties need pairwise distinct primes")
-    keys = random_reduced_sample(random.Random(seed), level.rank, sample_count,
-                                 SAMPLE_MAX_LENGTH)
-    found = level._orders_and_depths(keys)
+    keys, sums = random_reduced_sample(random.Random(seed), level.rank,
+                                       sample_count, SAMPLE_MAX_LENGTH,
+                                       sums=True)
+    tally, classes, walked = level._tally_classes(keys, sums,
+                                                   SAMPLE_MAX_LENGTH)
     full_product = prod(level.primes_prefix)
-    tally = Counter(found)  # words per distinct (order, depth)
     order_counts = Counter()
     for (n, _), count in tally.items():
         order_counts[n] += count
     failures = {answer: _graded_failures(*answer, level.primes_prefix,
                                          full_product) for answer in tally}
-    violations = [text.format(w=indexed_word(level.rank, keys[i]))
-                  for i, answer in enumerate(found)
-                  for text in failures[answer]]
+    violations = []
+    if any(failures.values()):
+        # each word named in its own answer's texts, in sample order
+        violations = [text.format(w=indexed_word(level.rank, key))
+                      for key, packed in zip(keys, sums)
+                      for text in failures[classes[packed] or walked[key]]]
     return {
         "rank": level.rank,
         "depth": level.depth,
         "primes": list(level.primes_prefix),
-        "checked": len(found),
+        "checked": len(keys),
         "order_histogram": {str(n): c for n, c in sorted(order_counts.items())},
         "violations": violations,
         "solvable": True,

@@ -21,12 +21,15 @@ Exponent sums answer most queries without a walk.  Each layer
 gamma_{i-1}/gamma_i has exponent q_i, so the exponent-sum map F -> Z^r
 sends gamma_i into q_1 .. q_i Z^r (H. Neumann, *Varieties of Groups*,
 1967; see :meth:`VerbalLevel._answering_level`), and where F/gamma_k is
-abelian, at rank 1 or depth 1, they answer alone.  The rest is walked:
-``member``, ``order_mod`` and the graded sampler of
-:func:`largequot.periodic.check_pigraded_properties` walk a word through
-F/gamma_{d-1} as the :class:`HomologyCover` of F/gamma_{d-2}'s table, whose
-rows are expanded from that packed action as the walk reaches them, and a
-power built by :func:`largequot.words.power` by the period of its core.
+abelian, at rank 1 or depth 1, they answer alone.  The graded sampler of
+:func:`largequot.periodic.check_pigraded_properties` asks this once per
+exponent-sum class of its sample, not once per word
+(:meth:`VerbalLevel._tally_classes`).  The rest is walked: ``member``,
+``order_mod`` and the sampler, for the words of the classes the sums leave
+open, walk a word through F/gamma_{d-1} as the :class:`HomologyCover` of
+F/gamma_{d-2}'s table, whose rows are expanded from that packed action as
+the walk reaches them, and a power built by :func:`largequot.words.power`
+by the period of its core.
 
 A level builds the BFS table of F/gamma_{d-1} (its ``parent_quotient``)
 only when something needs its numbering: the Schreier basis, component
@@ -54,7 +57,8 @@ F/gamma_d is built from such images.
 from __future__ import annotations
 
 import functools
-from itertools import islice
+from collections import Counter
+from itertools import compress, islice
 from math import gcd, prod
 
 from .errors import CapExceeded, NotMaterializedError, check_int
@@ -68,7 +72,7 @@ from .quotients import (
     build_quotient,
     check_word,
 )
-from .words import Word, indexed_word, parse_word, power
+from .words import Word, indexed_word, packed_sums_gcd, parse_word, power
 
 DEFAULT_COSET_CAP = 10**4
 DEFAULT_DEPTH_CAP = 16
@@ -405,45 +409,46 @@ class VerbalLevel:
             k *= self.prime
         return key, k
 
-    def _orders_and_depths(self, sequences):
-        """(:meth:`order_mod`, the deepest i <= d with w in gamma_i) of each
-        word w given by a tuple of its alphabet indices (see
-        :func:`largequot.words.random_reduced_indices`), once per distinct
-        tuple.
+    def _tally_classes(self, sequences, sums, longest):
+        """Answer a sample of words by exponent-sum class.
 
-        The gcd of the exponent sums of w picks the level k that answers it
-        (:meth:`_answering_level`), once per exponent-sum vector, in closed
-        form where F/gamma_k is abelian.  Otherwise w is walked
-        (:meth:`_walk_order`), and its depth read off the cover key its
-        first pass reaches (:meth:`_depth_of`).  An empty list asks nothing
-        of the series.
+        Each word w is a tuple of its alphabet indices, and ``sums`` holds
+        its exponent sums packed into one int as
+        :func:`largequot.words.random_reduced_sample` draws words of at most
+        ``longest`` letters: equal ints are equal sums.  Returns (a Counter
+        of the words per (:meth:`order_mod`, the deepest i <= d with w in
+        gamma_i), the answer of each class by its packed sums, None for an
+        open class, and the answer of each distinct word of an open class).
+
+        The gcd of a class's sums picks the level k that answers it
+        (:meth:`_answering_level`, called once per distinct gcd), in closed
+        form where F/gamma_k is abelian: such a class adds its count, and
+        none of its words is read.  Each distinct word of an open class is
+        walked once (:meth:`_walk_order`), and its depth read off the cover
+        key its first pass reaches (:meth:`_depth_of`).  An empty sample
+        asks nothing of the series.
         """
-        if not sequences:
-            return []
-        self._require_chain()
-        rank = self.rank
-        # the exponent sums, read as one integer in a base past twice any
-        # sum: a key summed in C, so the letters are counted for the gcd
-        # once per distinct exponent-sum vector, not once per distinct word
-        base = 2 * max(map(len, sequences)) + 1
-        weight = [base**g for g in range(rank)]
-        weight = (weight + [-x for x in weight]).__getitem__
-        levels, answers, out = {}, {}, []
-        for seq in sequences:
-            answer = answers.get(seq)
-            if answer is None:
-                sums = sum(map(weight, seq))
-                if sums not in levels:
-                    count = seq.count
-                    levels[sums] = self._answering_level(gcd(
-                        *[count(i) - count(i + rank) for i in range(rank)]))
-                lvl, scale, answer = levels[sums]
-                if answer is None:
-                    key, k = lvl._walk_order(indexed_word(rank, seq))
-                    answer = (k * scale, lvl._depth_of(key, k))
-                answers[seq] = answer
-            out.append(answer)
-        return out
+        if sequences:
+            self._require_chain()
+        tally, classes, opened, levels = Counter(), {}, {}, {}
+        for packed, count in Counter(sums).items():
+            g = packed_sums_gcd(packed, self.rank, longest)
+            if g not in levels:
+                levels[g] = self._answering_level(g)
+            lvl, scale, answer = levels[g]
+            classes[packed] = answer
+            if answer:
+                tally[answer] += count
+            else:
+                opened[packed] = lvl, scale
+        walked = {}
+        for (seq, packed), count in Counter(compress(
+                zip(sequences, sums), map(opened.__contains__, sums))).items():
+            lvl, scale = opened[packed]
+            key, k = lvl._walk_order(indexed_word(self.rank, seq))
+            answer = walked[seq] = (k * scale, lvl._depth_of(key, k))
+            tally[answer] += count
+        return tally, classes, walked
 
     def _depth_of(self, key, n):
         """The deepest i <= d with w in gamma_i, for a word w of order n in

@@ -17,8 +17,9 @@ build their result through ``Word._reduced``, which neither checks nor
 reduces, so each word is built once in time linear in its length.  So do
 :func:`shortlex_words` and :func:`random_reduced_word`, which extend words
 by index over one letter tuple per rank (``_alphabet``).  One kernel,
-``_reduced_draws``, draws every random reduced word, and refuses a bad
-rank, length, count or ``max_length`` before its first draw.
+``_reduced_draws``, draws every random reduced word, refuses a bad
+rank, length, count or ``max_length`` before its first draw, and packs each
+drawn word's exponent sums into one int for a caller that asks.
 
 A word built by :func:`power` is symbolic: it holds its record
 ``power_record = (t, c, n)``, the letters of t and of c and the count n >= 1
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import re
+from math import gcd
 
 from .errors import check_int
 
@@ -346,11 +348,13 @@ def shortlex_words(rank):
         frontier = next_frontier
 
 
-def _reduced_draws(rng, rank, count, length, max_length):
+def _reduced_draws(rng, rank, count, length, max_length, sums=False):
     """The alphabet indices (see :func:`_alphabet`) of ``count`` uniformly
     random reduced words, each of exactly ``length`` letters or, with
     ``length`` None, of ``rng.randint(1, max_length)`` letters: one uniform
-    draw from the alphabet, then from each letter's successors.
+    draw from the alphabet, then from each letter's successors.  With
+    ``sums`` true, the list of each word's exponent sums packed as one int
+    comes along, as ``(indices, sums)``.
 
     A rank or ``max_length`` below 1, a negative length or count, and any
     of them that is no int are refused by :func:`largequot.errors.check_int`
@@ -359,21 +363,30 @@ def _reduced_draws(rng, rank, count, length, max_length):
     loop of ``rng.choice`` and ``rng.randint`` inlined, so the indices and
     the generator's state afterwards are exactly theirs.  It makes no call
     per word: one would cost the verbal benchmark a tenth of its speed.
+
+    The letter loop adds up the packed sums as it draws: the sums s_1 ..
+    s_r of a word as s_1 + s_2 B + .. + s_r B^(r-1), in the base B = 2L + 1
+    for L the longest length a word may have (``length``, or
+    ``max_length``).  Every |s_g| <= L, so equal packed ints are equal sums.
     """
     check_int(rank, RANK_TEXT, 1)
     check_int(count, "count must be a nonnegative integer", 0)
     drawn = length is None
     if drawn:
-        k = check_int(max_length, "max_length must be a positive integer",
-                      1).bit_length()
+        longest = check_int(max_length, "max_length must be a positive integer",
+                            1)
+        k = longest.bit_length()
     elif check_int(length, "length must be a nonnegative integer", 0) == 0:
-        return [()] * count
+        return ([()] * count, [0] * count) if sums else [()] * count
     else:
-        rest = length - 1
+        longest, rest = length, length - 1
     bits = rng.getrandbits
     n, m = 2 * rank, 2 * rank - 1
     kn, km = n.bit_length(), m.bit_length()
-    keys = []
+    # unasked, the sums stay 0 and no power of the base is made
+    weight = [(2 * longest + 1)**g if sums else 0 for g in range(rank)]
+    weight += [-x for x in weight]
+    keys, packed = [], []
     for _ in range(count):
         if drawn:
             # randint(1, max_length) is 1 + a draw below max_length
@@ -384,6 +397,7 @@ def _reduced_draws(rng, rank, count, length, max_length):
         while i >= n:
             i = bits(kn)
         indices = [i]
+        total = weight[i]
         for _ in range(rest):
             skip = i + rank if i < rank else i - rank
             i = bits(km)
@@ -392,8 +406,10 @@ def _reduced_draws(rng, rank, count, length, max_length):
             if i >= skip:
                 i += 1
             indices.append(i)
+            total += weight[i]
         keys.append(tuple(indices))
-    return keys
+        packed.append(total)
+    return (keys, packed) if sums else keys
 
 
 def random_reduced_indices(rng, rank, length):
@@ -402,11 +418,26 @@ def random_reduced_indices(rng, rank, length):
     return _reduced_draws(rng, rank, 1, length, None)[0]
 
 
-def random_reduced_sample(rng, rank, count, max_length):
-    """The index tuples, and the generator's state afterwards, of ``count``
-    calls ``random_reduced_indices(rng, rank, rng.randint(1, max_length))``,
-    drawn and checked by :func:`_reduced_draws` with no call per word."""
-    return _reduced_draws(rng, rank, count, None, max_length)
+def random_reduced_sample(rng, rank, count, max_length, sums=False):
+    """The index tuples of ``count`` calls ``random_reduced_indices(rng,
+    rank, rng.randint(1, max_length))``, drawn and checked by
+    :func:`_reduced_draws` with no call per word, which leaves the generator
+    in the state those calls would.  With ``sums`` true, ``(indices,
+    sums)``: each word's exponent sums packed as one int, as that kernel
+    packs them."""
+    return _reduced_draws(rng, rank, count, None, max_length, sums)
+
+
+def packed_sums_gcd(packed, rank, longest):
+    """The gcd of the exponent sums that :func:`_reduced_draws` packed into
+    one int for a word of at most ``longest`` letters, 0 when they vanish."""
+    base, g = 2 * longest + 1, 0
+    for _ in range(rank):
+        # the lowest digit, balanced: in -longest .. longest
+        digit = (packed + longest) % base - longest
+        packed = (packed - digit) // base
+        g = gcd(g, digit)
+    return g
 
 
 def indexed_word(rank, indices):

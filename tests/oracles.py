@@ -3,8 +3,9 @@ quotient rebuilt from its serialized spec, the integer an order document
 spells, the abelian invariants of a rewritten presentation, verbal cosets
 multiplied as words and compared by their layered normal form, verbal
 membership and orders by a walk through the BFS table of F/gamma_{d-1}, the
-graded sampler's orders and depths by one loop over that table's steps, and
-Magnus valuations found by embedding a word at one truncation after another.
+graded sampler's orders and depths by one loop over that table's steps, a
+word's exponent sums packed as the draw packs them, and Magnus valuations
+found by embedding a word at one truncation after another.
 
 Each is a slower or independent route to what the package computes another
 way, so the tests check the shipped path against it.  Subprocess tests
@@ -167,13 +168,15 @@ def step_table(quotient):
 
 
 def table_orders_and_depths(level, sequences):
-    """:meth:`largequot.verbal.VerbalLevel._orders_and_depths` by one loop
-    over the :func:`step_table` of F/gamma_{d-1}'s BFS table, which walks
-    the k passes of each word that close up, counting the signed crossings:
-    the order is k * q_d when some count is nonzero mod q_d, else k.  The
-    BFS index the first pass reaches is projected down the series for the
-    depth: in F/gamma_{k-1} its key is x * |F/gamma_{k-2}| + v, with v its
-    BFS index in F/gamma_{k-2}, until v is 0."""
+    """The (order, depth) of each word that
+    :meth:`largequot.verbal.VerbalLevel._tally_classes` answers by class,
+    word by word in one loop over the :func:`step_table` of F/gamma_{d-1}'s
+    BFS table, which walks the k passes of each word that close up,
+    counting the signed crossings: the order is k * q_d when some count is
+    nonzero mod q_d, else k.  The BFS index the first pass reaches is
+    projected down the series for the depth: in F/gamma_{k-1} its key is
+    x * |F/gamma_{k-2}| + v, with v its BFS index in F/gamma_{k-2}, until v
+    is 0."""
     if not sequences:
         return []
     level._require_chain()
@@ -207,6 +210,15 @@ def table_orders_and_depths(level, sequences):
             depth = lvl.depth - 1
         out.append((k, depth))
     return out
+
+
+def packed_sums(w, longest):
+    """The exponent sums of w (:meth:`largequot.words.Word.exponent_sums`)
+    packed into one int in the base 2 * longest + 1, as
+    :func:`largequot.words._reduced_draws` packs those of a word it draws
+    with at most ``longest`` letters."""
+    base = 2 * longest + 1
+    return sum(s * base**g for g, s in enumerate(w.exponent_sums()))
 
 
 def magnus_valuation(w, p, limit, start=2):

@@ -38,7 +38,12 @@ from largequot.words import (
     random_reduced_word,
     shortlex_words,
 )
-from oracles import parse_order, step_table, table_orders_and_depths
+from oracles import (
+    packed_sums,
+    parse_order,
+    step_table,
+    table_orders_and_depths,
+)
 
 
 def test_format_order_shapes():
@@ -526,6 +531,17 @@ def _indices(w):
     return tuple(g - 1 if e == 1 else g - 1 + w.rank for g, e in w.letters)
 
 
+def _class_answers(level, keys):
+    """:meth:`VerbalLevel._tally_classes` of index tuples, their sums packed
+    as the draw packs them: its tally, and each word's answer, read off its
+    class or else off the walked words."""
+    longest = max(map(len, keys), default=0)
+    sums = [packed_sums(indexed_word(level.rank, key), longest)
+            for key in keys]
+    tally, classes, walked = level._tally_classes(keys, sums, longest)
+    return tally, [classes[s] or walked[key] for key, s in zip(keys, sums)]
+
+
 @pytest.mark.parametrize("primes, rank, depth", SAMPLER_SPECS + [
     ((5, 2, 3), 2, 2), ((3, 2, 5), 2, 3)])
 def test_depth_from_the_cover_keys_matches_membership(primes, rank, depth):
@@ -541,7 +557,7 @@ def test_depth_from_the_cover_keys_matches_membership(primes, rank, depth):
               if len(w) * e <= 200]
     words.append(Word.identity(rank))
     depths = set()
-    found = level._orders_and_depths([_indices(w) for w in words])
+    _, found = _class_answers(level, [_indices(w) for w in words])
     for w, answer in zip(words, found):
         depth_reached = _oracle_depth(level, w)
         assert answer == (level.order_mod(w), depth_reached), w
@@ -551,11 +567,19 @@ def test_depth_from_the_cover_keys_matches_membership(primes, rank, depth):
 
 def test_every_failing_word_keeps_its_own_violations(monkeypatch):
     # no level fails the checks, so forged answers stand in for failing
-    # ones: each word is named in its own answer's violation, in order
+    # ones: each word is named in its own answer's violation, in order,
+    # whether its class answered it or its walk did
     level = build_series([2, 3], 2, 2)[-1]
     forged = [(5, 0), (2, 1), (5, 0), (3, 2)]
-    monkeypatch.setattr(level, "_orders_and_depths",
-                        lambda keys: forged[:len(keys)])
+
+    def forge(keys, sums, longest):
+        assert len(set(keys)) == len(set(sums)) == 4
+        classes = {sums[0]: forged[0], sums[1]: None, sums[2]: forged[2],
+                   sums[3]: None}
+        walked = {keys[1]: forged[1], keys[3]: forged[3]}
+        return Counter(forged), classes, walked
+
+    monkeypatch.setattr(level, "_tally_classes", forge)
     rng = random.Random(5)
     words = [random_reduced_word(rng, 2, rng.randint(1, 8)) for _ in range(4)]
     report = check_pigraded_properties(level, sample_count=4, seed=5)
@@ -587,10 +611,46 @@ def test_orders_and_depths_match_the_step_table_walk(primes, rank, depth):
               for e in (primes[-1], prod(primes[:depth - 1]), prod(primes))
               if len(u) * e <= 120]
     keys += [_indices(w) for w in words if not w.is_identity]
-    found = level._orders_and_depths(keys)
-    assert found == table_orders_and_depths(level, keys)
+    tally, found = _class_answers(level, keys)
+    expected = table_orders_and_depths(level, keys)
+    assert tally == Counter(expected)
+    assert found == expected
     # the walked words reach every depth but d, which only the identity has
     assert {d for _, d in found} >= set(range(depth))
+
+
+@pytest.mark.parametrize("primes, rank, depth", SAMPLER_SPECS + [
+    ((3, 2, 5), 2, 3)])
+def test_each_gcd_is_answered_once_and_each_open_word_walked_once(
+        primes, rank, depth, monkeypatch):
+    level = build_series(primes, rank, depth)[-1]
+    keys, sums = random_reduced_sample(random.Random(depth), rank, 1000,
+                                       periodic.SAMPLE_MAX_LENGTH, sums=True)
+    answering, walk = VerbalLevel._answering_level, VerbalLevel._walk_order
+    gcds = [gcd(*indexed_word(rank, key).exponent_sums()) for key in keys]
+    open_words = {key for key, g in zip(keys, gcds)
+                  if answering(level, g)[2] is None}
+    asked, walked_words = Counter(), Counter()
+
+    def spy_answering(self, g):
+        asked[g] += 1
+        return answering(self, g)
+
+    def spy_walk(self, w):
+        walked_words[_indices(w)] += 1
+        return walk(self, w)
+
+    monkeypatch.setattr(VerbalLevel, "_answering_level", spy_answering)
+    monkeypatch.setattr(VerbalLevel, "_walk_order", spy_walk)
+    tally, classes, walked = level._tally_classes(
+        keys, sums, periodic.SAMPLE_MAX_LENGTH)
+    assert asked == Counter(set(gcds))
+    assert walked_words == Counter(open_words)
+    assert set(walked) == open_words
+    assert sum(tally.values()) == len(keys)
+    assert len(classes) == len(set(sums)) < len(keys)
+    # an abelian F/gamma_d answers every class by its sums alone
+    assert bool(open_words) == (rank > 1 and depth > 1)
 
 
 @pytest.mark.parametrize("primes, rank, depth", SAMPLER_SPECS)
@@ -653,8 +713,8 @@ def test_an_empty_sample_touches_no_table(monkeypatch):
 
 def test_a_failing_sampled_word_is_named_by_its_letters(monkeypatch):
     level = build_series([2, 3], 2, 2)[-1]
-    monkeypatch.setattr(level, "_orders_and_depths",
-                        lambda keys: [(4, 1)] * len(keys))
+    monkeypatch.setattr(level, "_tally_classes", lambda keys, sums, longest: (
+        Counter({(4, 1): len(keys)}), dict.fromkeys(sums, (4, 1)), {}))
     rng = random.Random(3)
     words = [random_reduced_word(rng, 2, rng.randint(1, 8)) for _ in range(4)]
     report = check_pigraded_properties(level, sample_count=4, seed=3)

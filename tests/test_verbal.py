@@ -35,6 +35,7 @@ from oracles import (
     VerbalCoset,
     mod_abelianization,
     quotient_from_spec,
+    packed_sums,
     table_member,
     table_order_mod,
 )
@@ -753,7 +754,12 @@ def test_a_prime_off_the_exponent_sums_is_stepped_past_without_a_walk(
     assert level.order_mod(a6) == 5
     assert set(empty_quotient_table.quotients) == {("verbal cover", 2, 2)}
     keys = [(0,) * 6, (0, 1, 2, 3)]  # a^6 and abAB
-    assert level._orders_and_depths(keys) == [(5, 2), (15, 1)]
+    sums = [packed_sums(a6, 6), packed_sums(parse_word("abAB", 2), 6)]
+    tally, classes, walked = level._tally_classes(keys, sums, 6)
+    assert tally == {(5, 2): 1, (15, 1): 1}
+    # neither class is closed by its sums, so each word is walked
+    assert classes == dict.fromkeys(sums)
+    assert walked == dict(zip(keys, [(5, 2), (15, 1)]))
     assert ("verbal cover", 2, 2, 3) in empty_quotient_table.quotients
     assert table_order_mod(level, a6) == 5
 

@@ -4,6 +4,7 @@ import re
 import time
 import tracemalloc
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,6 +26,7 @@ from largequot.words import (
     random_reduced_word,
     shortlex_words,
 )
+from oracles import packed_sums
 
 
 # -- differential tests: each operation against the reducing constructor ----
@@ -443,6 +445,32 @@ class _NoDraws(random.Random):
 
     def getrandbits(self, k):
         raise AssertionError(f"drew getrandbits({k}) before refusing")
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 300])
+def test_the_kernel_packs_each_drawn_words_exponent_sums(rank):
+    # the graded sampler answers its words by these packed sums; asking
+    # for them leaves the indices and the generator's state as they were
+    lengths = range(1, 101) if rank < 300 else (1, 2, 8, 100)
+    cases = [(None, n) for n in lengths] + \
+        [(n, None) for n in (0, 1, 2, 7, 30)]
+    count = 40 if rank < 300 else 5
+    for seed, (length, max_length) in enumerate(cases):
+        rng, plain = random.Random(seed), random.Random(seed)
+        keys, sums = words._reduced_draws(rng, rank, count, length, max_length,
+                                          sums=True)
+        assert keys == words._reduced_draws(plain, rank, count, length,
+                                            max_length)
+        assert rng.getstate() == plain.getstate()
+        longest = max_length or length
+        found = [indexed_word(rank, key) for key in keys]
+        assert sums == [packed_sums(w, longest) for w in found]
+        assert [words.packed_sums_gcd(s, rank, longest)
+                for s in sums] == [gcd(*w.exponent_sums()) for w in found]
+    keys, sums = random_reduced_sample(random.Random(7), rank, 30, 9,
+                                       sums=True)
+    assert keys == random_reduced_sample(random.Random(7), rank, 30, 9)
+    assert sums == [packed_sums(indexed_word(rank, key), 9) for key in keys]
 
 
 # (draw, its arguments after the generator, the whole refusal)
