@@ -25,9 +25,9 @@ relator is a proven member of its level, so the reported orders
 A run does each piece of its bookkeeping once.  A state is a value that
 holds the level its last step reached, and the next step's escape scan makes
 its levels past that one, so no level of a run is built twice, and stepping
-one state twice gives equal results.  The factorizations of a step's chain
-of levels come from one pass of the product formula, each order document is
-formatted once per factorization, and each enumerated word is spelled once.
+one state twice gives equal results.  Each level holds its factored order,
+each order document is formatted once per factorization, and each
+enumerated word is spelled once.
 """
 
 from __future__ import annotations
@@ -37,19 +37,20 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice, starmap
+from itertools import starmap
 from math import gcd, prod
 from operator import itemgetter
 
 from .errors import CapExceeded, check_int
 from .primes import factor
+from .quotients import check_word
 from .verbal import (
     DEFAULT_COSET_CAP,
     DEFAULT_DEPTH_CAP,
     PrimeSeq,
+    VerbalLevel,
     _as_primeseq,
     _escape_level,
-    _order_factors,
 )
 from .words import (
     indexed_word,
@@ -125,15 +126,6 @@ def format_factors(factors):
 
 
 @functools.lru_cache(maxsize=256)
-def _chain_factors(primes, rank, depth):
-    """The sorted (prime, exponent) items of |F/gamma_1| .. |F/gamma_depth|
-    over a tuple of primes: one pass of the product formula, never
-    factoring, once per series and depth."""
-    return tuple(tuple(sorted(f.items()))
-                 for f in islice(_order_factors(primes, rank), depth))
-
-
-@functools.lru_cache(maxsize=256)
 def _order_doc(items):
     """:func:`format_factors` of nonzero sorted (prime, exponent) items, once
     per factorization: a run formats every level's order on each step and
@@ -159,9 +151,10 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
     ``state`` is not changed, so stepping it again with the same word gives
     an equal state and record.  Raises :class:`CapExceeded` when the escape
     scan runs past ``depth_cap`` or a needed level cannot be materialized,
-    and ``ValueError`` when the prime sequence is too short to hold the new
-    depth.
+    and ``ValueError`` for anything but a nontrivial Word of the state's
+    rank, and when the prime sequence is too short to hold the new depth.
     """
+    check_word(f_word)
     if f_word.is_identity:
         raise ValueError("enumerated words must be nontrivial")
     if f_word.rank != state.rank:
@@ -174,7 +167,7 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
     text = str(f_word)
     # a symbolic power, spelled out by no walk
     g = power(f_word, prefix_exponent)
-    escape, levels = _escape_level(
+    escape = _escape_level(
         pi, state.rank, r, lambda level: level.member(g),
         f"with {text}^{prefix_exponent} still inside the series",
         depth_cap, coset_cap, state.level,
@@ -185,7 +178,7 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
         raise ValueError(
             f"prime sequence has {len(pi)} terms, cannot reach depth {new_depth}"
         )
-    target = next(levels)
+    target = VerbalLevel(escape, pi.primes[escape_depth], coset_cap, state.rank)
     target._require_fits()
 
     n = target.order_mod(g)
@@ -199,13 +192,14 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
             f"relator exponent {relator_exponent} not square-free despite "
             "distinct primes"
         )
-    level_orders = [lvl.quotient_order for lvl in target._chain()]
+    chain = target._chain()
+    level_orders = [lvl.quotient_order for lvl in chain]
     # strictly growing iff no order repeats and none is out of order
     if level_orders != sorted(set(level_orders)):
         raise AssertionError("level orders must strictly grow along the series")
     if level_orders[-1] <= state.quotient_order:
         raise AssertionError("quotient order must strictly grow")
-    level_factors = _chain_factors(pi.primes, state.rank, new_depth)
+    level_factors = [tuple(sorted(lvl._factors().items())) for lvl in chain]
 
     step_index = state.step + 1
     new_assumptions = (

@@ -147,11 +147,12 @@ def _spec_images(doc):
 # -- walking a coset graph ---------------------------------------------------
 
 
-def check_word(w, rank):
-    """Refuse anything but a Word of the given rank."""
+def check_word(w, rank=None):
+    """Refuse anything but a Word, and one of another rank when a rank is
+    given."""
     if not isinstance(w, Word):
         raise ValueError(f"expected a Word, got {w!r}")
-    if w.rank != rank:
+    if rank is not None and w.rank != rank:
         raise ValueError(f"rank mismatch: word has {w.rank}, quotient has {rank}")
 
 

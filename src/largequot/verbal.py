@@ -38,13 +38,15 @@ cover of the level above, and witnesses serialized from it.  Tables and
 covers come from :data:`largequot.quotients.BUILT_QUOTIENTS`, so each is
 made once per process while that table keeps it, inside its one coset
 budget.
-F/gamma_{d-1} has coset data only while its order fits the materialization
-cap; deeper levels still know their order through the closed product
-formula
+
+Each level is made from the one below it and holds the exponent of the
+series' one product formula, the Schreier rank of gamma_{d-1}:
 
     |F/gamma_d| = |F/gamma_{d-1}| * q_d ^ (1 + (r-1)|F/gamma_{d-1}|),
 
-but raise :class:`NotMaterializedError` for queries that need coset data.
+so a level past the materialization cap, where F/gamma_{d-1} has no coset
+data, still knows its order and factored order, but raises
+:class:`NotMaterializedError` for queries that need coset data.
 
 The layered normal form of a coset w*gamma_d is one vector per level,
 computed by repeatedly subtracting the canonical representative (the product
@@ -134,43 +136,51 @@ def _as_primeseq(primes):
 class VerbalLevel:
     """Level d of the series, holding the coset data of F/gamma_{d-1}.
 
-    ``parent_quotient`` is the finite quotient F/gamma_{d-1} with its BFS
-    numbering (``None`` when the materialization cap was passed), built on
-    its first read, and ``basis_words`` its Schreier generators as words of
-    F, i.e. a free basis of gamma_{d-1}, built on first use.  ``member`` and
-    ``order_mod`` read neither: see :meth:`_walker`.  ``abelian`` says
-    whether F/gamma_d is, at rank 1 or depth 1, where exponent sums answer
-    every query.  ``materialized`` says whether the level has coset data,
-    |F/gamma_{d-1}| <= the coset cap, without building any.
-    ``quotient_order`` outlives materialization, but once it passes
-    ORDER_EXPONENT_CAP digits-wise it is not represented and reading it
-    raises :class:`CapExceeded`.  ``parent_order`` is
-    |F/gamma_{d-1}| (None past the cap).  The level's own order is computed
-    on its first read, or when level d+1 is pulled, and then kept in
-    ``_quotient_order``, which holds ``_UNREAD`` until then: the deepest
-    level of a series can be of hundreds of thousands of digits, and most
-    requests never read it.
+    It is made from ``below``, level d-1 (None for level 1), and sets what
+    the chain decides once: ``depth``, ``primes_prefix``, ``parent_order``
+    = |F/gamma_{d-1}| and ``exponent`` = 1 + (r-1)|F/gamma_{d-1}|, both None
+    past an exponent tower; ``materialized``, whether it has coset data
+    (|F/gamma_{d-1}| <= the coset cap), and ``first_unmaterialized``, the
+    lowest level of its chain without them, if any; and ``abelian``, whether
+    F/gamma_d is, at rank 1 or depth 1, where exponent sums answer every
+    query.
+
+    ``parent_quotient`` is F/gamma_{d-1} with its BFS numbering, built on
+    its first read (None past the cap), and ``basis_words`` its Schreier
+    generators as words of F, a free basis of gamma_{d-1}, built on first
+    use; ``member`` and ``order_mod`` read neither (:meth:`_walker`).  The
+    level's order and its factorization (:meth:`_factors`) are computed on
+    their first read, or when level d+1 is made, and kept: the deepest level
+    can be of hundreds of thousands of digits, and most requests never read
+    it.  Reading ``quotient_order`` past ORDER_EXPONENT_CAP raises
+    :class:`CapExceeded`.
     """
 
-    def __init__(self, rank, depth, prime, primes_prefix, parent_level,
-                 parent_order, coset_cap, parent_quotient=None):
+    def __init__(self, below, prime, coset_cap, rank):
         self.rank = rank
-        self.depth = depth
         self.prime = prime
-        self.primes_prefix = primes_prefix
-        self.parent_level = parent_level
-        # level 1 is handed F/gamma_0; deeper tables are built on first read
-        self._parent_quotient = parent_quotient
+        self.parent_level = below
         self._coset_cap = coset_cap
+        if below is None:
+            self.depth, self.primes_prefix, self.parent_order = 1, (prime,), 1
+        else:
+            self.depth = below.depth + 1
+            self.primes_prefix = below.primes_prefix + (prime,)
+            self.parent_order = below._order()
+        order = self.parent_order
+        self.exponent = None if order is None else 1 + (rank - 1) * order
         # orders grow along the series, so every lower level fits too
-        self.materialized = depth == 1 or (
-            parent_order is not None and parent_order <= coset_cap)
+        self.materialized = self.depth == 1 or (
+            order is not None and order <= coset_cap)
+        self.first_unmaterialized = None if self.materialized else (
+            below.first_unmaterialized or self)
         # F/gamma_d is abelian, so exponent sums decide every query
-        self.abelian = rank == 1 or depth == 1
+        self.abelian = rank == 1 or self.depth == 1
+        self._parent_quotient = None
         self._basis_words = None
         self._graph = None
-        self.parent_order = parent_order
         self._quotient_order = _UNREAD
+        self._factorization = None
 
     @property
     def parent_quotient(self):
@@ -183,10 +193,20 @@ class VerbalLevel:
         witnesses serialized from it."""
         if self._parent_quotient is None and self.materialized:
             below, rank = self.parent_level, self.rank
-            self._parent_quotient = BUILT_QUOTIENTS.get(
-                ("verbal", rank) + below.primes_prefix,
-                lambda: build_quotient(rank, below._generator_cosets(),
-                                       cap=self._coset_cap))
+            if below is None:
+                # F/gamma_0 is one coset, every edge a loop: what the BFS
+                # over trivial residue vectors builds, without its 2 * rank
+                # products
+                trivial = ModVector(1, (0,))
+                self._parent_quotient = FiniteQuotient(
+                    rank, [trivial] * rank, [trivial], [[0] * rank],
+                    [[0] * rank], [None], kind="modvec",
+                    params={"modulus": 1, "dim": 1})
+            else:
+                self._parent_quotient = BUILT_QUOTIENTS.get(
+                    ("verbal", rank) + below.primes_prefix,
+                    lambda: build_quotient(rank, below._generator_cosets(),
+                                           cap=self._coset_cap))
         return self._parent_quotient
 
     def _generator_cosets(self):
@@ -207,9 +227,28 @@ class VerbalLevel:
     def _order(self):
         """|F/gamma_d|, or None once it is an exponent tower; kept once read."""
         if self._quotient_order is _UNREAD:
-            self._quotient_order = _next_order(self.parent_order, self.prime,
-                                               self.rank)
+            e = self.exponent
+            self._quotient_order = (
+                None if e is None or e > ORDER_EXPONENT_CAP
+                else self.parent_order * self.prime**e)
         return self._quotient_order
+
+    def _factors(self):
+        """{prime: exponent} of |F/gamma_d|, kept once read: the level
+        below's with q_d raised by ``exponent``.  It outlives
+        :attr:`quotient_order` by one level, while the order below is
+        represented; a level further raises :class:`CapExceeded`."""
+        if self._factorization is None:
+            factors = {}
+            for lvl in self._chain():
+                if lvl.exponent is None:
+                    raise CapExceeded(
+                        f"depth-{lvl.depth - 1} quotient order exponent",
+                        _order_repr(lvl.parent_level.exponent),
+                        ORDER_EXPONENT_CAP)
+                factors[lvl.prime] = factors.get(lvl.prime, 0) + lvl.exponent
+            self._factorization = factors
+        return self._factorization
 
     @property
     def quotient_order(self):
@@ -242,19 +281,11 @@ class VerbalLevel:
             raise CapExceeded("verbal materialization",
                               _order_repr(self.parent_order), self._coset_cap)
 
-    def _first_unmaterialized(self):
-        """The lowest level of the chain up to this one without coset data."""
-        first = None
-        lvl = self
-        while not lvl.materialized:
-            first, lvl = lvl, lvl.parent_level
-        return first
-
     def _require_chain(self):
         """Raise the :class:`NotMaterializedError` of the lowest level of the
         chain without coset data, if any."""
         if not self.materialized:
-            self._first_unmaterialized()._require_materialized()
+            self.first_unmaterialized._require_materialized()
 
     def _walker(self):
         """F/gamma_{d-1} as the coset graph ``member`` and ``order_mod`` walk,
@@ -373,7 +404,7 @@ class VerbalLevel:
         a word outside gamma_k is outside gamma_d; a word inside it needs
         the next level, which has none and raises.
         """
-        first = self._first_unmaterialized()
+        first = self.first_unmaterialized
         deepest = self if first is None else first.parent_level
         if not deepest._holds(w):
             return False
@@ -625,21 +656,6 @@ class LayeredCoset:
         return 0, expand
 
 
-def _schreier_rank(rank, order):
-    """Rank of a subgroup of index ``order`` in the free group of ``rank``."""
-    return 1 + (rank - 1) * order
-
-
-def _next_order(order, q, rank):
-    """|F/gamma_d| = order * q ^ (Schreier rank of gamma_{d-1}), from
-    order = |F/gamma_{d-1}|; None once the exponent passes
-    ORDER_EXPONENT_CAP, and for order None."""
-    if order is None:
-        return None
-    exponent = _schreier_rank(rank, order)
-    return None if exponent > ORDER_EXPONENT_CAP else order * q**exponent
-
-
 def _depth_checked(primes, rank, depth):
     """The primes as a PrimeSeq, with the rank and the depth checked."""
     primes = _as_primeseq(primes)
@@ -657,10 +673,10 @@ def _iter_levels(primes, rank, coset_cap, after=None):
     levels 1, 2, .. when it is None, its arguments checked as it is made.
 
     The levels it makes hold ``coset_cap``; ``after`` and the levels below
-    it keep the cap they were made with.  No coset graph is built but
-    F/gamma_0's one coset: level d+1 reads F/gamma_d's order, computed when
-    it is pulled if nothing read it before, and builds F/gamma_d's table
-    only on the first read of its ``parent_quotient``.
+    it keep the cap they were made with.  No coset graph is built: each
+    level is made from the one before it, which computes that one's order
+    if nothing read it before, and builds F/gamma_{d-1}'s table only on the
+    first read of its ``parent_quotient``.
     """
     primes = _as_primeseq(primes)
     check_int(rank, LEVEL_RANK_TEXT, 1)
@@ -669,30 +685,13 @@ def _iter_levels(primes, rank, coset_cap, after=None):
 
 
 def _levels(primes, rank, coset_cap, level):
-    base = None
-    if level is None:
-        if rank > ORDER_EXPONENT_CAP:
-            # |F/gamma_1| = q_1^rank is already an exponent tower: refuse
-            # before F/gamma_0 allocates tables of rank entries
-            raise CapExceeded("depth-1 quotient order", "an exponent tower",
-                              ORDER_EXPONENT_CAP)
-        # F/gamma_0 is one coset, every edge a loop: what the BFS over
-        # trivial residue vectors builds, without its 2 * rank products
-        trivial = ModVector(1, (0,))
-        base = FiniteQuotient(
-            rank, [trivial] * rank, [trivial], [[0] * rank], [[0] * rank],
-            [None], kind="modvec", params={"modulus": 1, "dim": 1})
-    for d in range(1 if level is None else level.depth + 1, len(primes) + 1):
-        level = VerbalLevel(
-            rank=rank,
-            depth=d,
-            prime=primes.primes[d - 1],
-            primes_prefix=primes.primes[:d],
-            parent_level=level,
-            parent_order=1 if d == 1 else level._order(),
-            coset_cap=coset_cap,
-            parent_quotient=base if d == 1 else None,
-        )
+    if level is None and rank > ORDER_EXPONENT_CAP:
+        # |F/gamma_1| = q_1^rank is already an exponent tower: refuse
+        # before any level's F/gamma_0 allocates tables of rank entries
+        raise CapExceeded("depth-1 quotient order", "an exponent tower",
+                          ORDER_EXPONENT_CAP)
+    for q in primes.primes[0 if level is None else level.depth:]:
+        level = VerbalLevel(level, q, coset_cap, rank)
         yield level
 
 
@@ -708,46 +707,23 @@ def build_series(primes, rank, depth, coset_cap=DEFAULT_COSET_CAP):
 
 
 def quotient_order_factors(primes, rank, depth):
-    """{prime: exponent} factorization of |F/gamma_depth|.
-
-    The factored form outlives :attr:`VerbalLevel.quotient_order` by one
-    level: the exponents are the Schreier ranks, which stay representable
-    until the order itself already is not.  It is the last of the
-    factorizations :func:`_order_factors` gives in one pass down the series.
-    """
+    """{prime: exponent} factorization of |F/gamma_depth|, the
+    :meth:`VerbalLevel._factors` of levels made in a loop of its own, so it
+    answers for a rank whose levels :func:`build_series` refuses to make:
+    they build no table."""
     primes = _depth_checked(primes, rank, depth)
-    if depth == 0:
-        return {}
-    return next(islice(_order_factors(primes.primes, rank), depth - 1, None))
-
-
-def _order_factors(primes, rank):
-    """Yield the factorizations of |F/gamma_1|, |F/gamma_2|, .. over a tuple
-    of primes, each a new dict, in one pass of the product formula.
-
-    Level d's order is computed only when level d+1 is pulled: the deepest
-    level's order is never read, and can be a power of hundreds of thousands
-    of digits.  Pulling past an order that is an exponent tower raises
-    :class:`CapExceeded`.
-    """
-    factors, order = {}, 1
-    for d, q in enumerate(primes, 1):
-        exponent = _schreier_rank(rank, order)
-        factors = {**factors, q: factors.get(q, 0) + exponent}
-        yield factors
-        order = _next_order(order, q, rank)
-        if order is None:
-            raise CapExceeded(f"depth-{d} quotient order exponent",
-                              _order_repr(exponent), ORDER_EXPONENT_CAP)
+    level = None
+    for q in primes.primes[:depth]:
+        level = VerbalLevel(level, q, DEFAULT_COSET_CAP, rank)
+    return {} if level is None else level._factors()
 
 
 def _escape_level(primes, rank, start, inside, exhausted, depth_cap, coset_cap,
                   after=None):
-    """The first level past depth ``start`` that ``inside`` rejects, and the
-    stream of the levels after it.
+    """The first level past depth ``start`` that ``inside`` rejects.
 
     Levels start+1 .. min(depth_cap, len(primes)) are tested in order; none
-    is built when there is none to test.  They come from a new stream of
+    is made when there is none to test.  They come from a new stream of
     :func:`_iter_levels` past ``after``, a level of the series at depth at
     most ``start``, or from level 1 when it is None, and are made with
     ``coset_cap``.  Running out of primes raises a ``ValueError`` whose text
@@ -766,7 +742,7 @@ def _escape_level(primes, rank, start, inside, exhausted, depth_cap, coset_cap,
         if level.depth > start:
             level._require_fits()
             if not inside(level):
-                return level, levels
+                return level
             if level.depth == max_depth:
                 break
     if len(primes) < depth_cap:
@@ -780,22 +756,24 @@ def levi_bound(words, primes, depth_cap=DEFAULT_DEPTH_CAP,
     """Least D <= depth_cap with no word of S in gamma_D.
 
     By the nesting gamma_{D+1} <= gamma_D this single D works for every
-    deeper level as well.  Raises ``ValueError`` for an identity word (it
-    lies in every level) and :class:`CapExceeded` when depth_cap is reached
-    without success or a required level cannot be materialized.
+    deeper level as well.  Raises ``ValueError`` for anything but a Word,
+    for an identity word (it lies in every level) and for words of mixed
+    rank, and :class:`CapExceeded` when depth_cap is reached without
+    success or a required level cannot be materialized.
     """
     primes = _as_primeseq(primes)
     words = list(words)
     if not words:
         raise ValueError("need at least one word")
-    rank = words[0].rank
     for w in words:
+        check_word(w)
         if w.is_identity:
             raise ValueError("the identity word lies in every verbal level")
-        if w.rank != rank:
+        if w.rank != words[0].rank:
             raise ValueError("words of mixed rank")
-    level, _ = _escape_level(
-        primes, rank, 0, lambda level: any(level.member(w) for w in words),
+    level = _escape_level(
+        primes, words[0].rank, 0,
+        lambda level: any(level.member(w) for w in words),
         "before avoiding the set", depth_cap, coset_cap,
     )
     return level.depth

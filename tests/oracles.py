@@ -118,7 +118,7 @@ def table_member(level, w):
     BFS table of F/gamma_{k-1}, at the deepest level k <= d with coset data:
     w lies in gamma_k iff the walk closes and every non-tree crossing count
     vanishes mod q_k.  Inside gamma_k, the level past it raises."""
-    first = level._first_unmaterialized()
+    first = level.first_unmaterialized
     deepest = level if first is None else first.parent_level
     counts = {}
     if deepest.parent_quotient.coset_of(w, counts) != 0 or any(

@@ -5,6 +5,8 @@ The entries live in ``tests/cli_corpus/`` and are recorded by
 """
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -41,6 +43,19 @@ def test_corpus_entries_under_O(run_under_O):
         "corpus = load_corpus(); "
         f"print(json.dumps({{n: run_entry(corpus[n]) for n in {UNDER_O!r}}}))"))
     assert found == {name: _expected(CORPUS[name]) for name in UNDER_O}
+
+
+def test_corpus_entries_without_sympy(package_env):
+    # sympy is optional: every entry, run again in one fresh process where
+    # importing it fails, gives the same documents, texts and exit codes
+    code = ("import json, sys; sys.modules['sympy'] = None; "
+            "from record_cli_corpus import load_corpus, run_entry; "
+            "corpus = load_corpus(); "
+            "print(json.dumps({n: run_entry(e) for n, e in corpus.items()}))")
+    found = json.loads(subprocess.run(
+        [sys.executable, "-c", code], env=package_env, capture_output=True,
+        text=True, timeout=600, check=True).stdout)
+    assert found == {name: _expected(entry) for name, entry in CORPUS.items()}
 
 
 def test_corpus_holds_every_defined_entry():

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import islice
 from math import prod
 
@@ -284,6 +285,70 @@ def test_factored_order_with_a_huge_deepest_level():
         quotient_order_factors([2, 3, 5, 7, 11], 2, 5)
 
 
+@pytest.mark.parametrize("primes, rank", [
+    *[(primes, rank) for primes in ((3, 3, 7), (2, 2, 3), (3, 3, 3))
+      for rank in (1, 2, 3)],
+    # level 4's order is an exponent tower, so level 5 has no factored order
+    ((2, 3, 5, 7, 11), 2),
+])
+def test_a_level_holds_the_factored_order_of_the_formula(primes, rank):
+    refused = []
+    for depth, level in enumerate(build_series(primes, rank, len(primes)), 1):
+        try:
+            factors = quotient_order_factors(primes, rank, depth)
+        except CapExceeded as exc:
+            with pytest.raises(CapExceeded) as held:
+                level._factors()
+            assert str(held.value) == str(exc)
+            refused.append(str(exc))
+            continue
+        assert level._factors() == factors
+        try:
+            order = level.quotient_order
+        except CapExceeded:  # an exponent tower
+            continue
+        assert prod(p**e for p, e in factors.items()) == order
+    assert refused == ([] if len(primes) < 5 else [
+        "depth-4 quotient order exponent: reached about 10^683 with cap "
+        f"{ORDER_EXPONENT_CAP}"])
+
+
+def test_a_series_longer_than_the_recursion_limit_is_read():
+    # at rank 1 every order stays representable, so nothing caps the depth
+    depth = sys.getrecursionlimit() + 100
+    assert quotient_order_factors([2] * depth, 1, depth) == {2: depth}
+    deepest = build_series([2] * depth, 1, depth)[-1]
+    assert deepest._factors() == {2: depth}
+    assert len(deepest._chain()) == depth
+
+
+def test_the_factored_order_answers_a_rank_whose_levels_are_refused():
+    # |F/gamma_1| = 2^(10^18) has one factor, but build_series refuses
+    # levels whose F/gamma_0 table would hold 10^18 entries per row
+    assert quotient_order_factors([2], 10**18, 1) == {2: 10**18}
+    with pytest.raises(CapExceeded) as refused:
+        build_series([2], 10**18, 1)
+    assert str(refused.value) == (
+        "depth-1 quotient order: reached an exponent tower with cap "
+        f"{ORDER_EXPONENT_CAP}")
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: levi_bound(["ab"], [2, 3]), "expected a Word, got 'ab'"),
+    (lambda: levi_bound([None], [2, 3]), "expected a Word, got None"),
+    (lambda: levi_bound([parse_word("a", 2), "b"], [2, 3]),
+     "expected a Word, got 'b'"),
+    (lambda: next_step(ConstructionState(2, (2, 3)), "ab"),
+     "expected a Word, got 'ab'"),
+], ids=["levi_bound_text", "levi_bound_none", "levi_bound_second",
+        "next_step"])
+def test_a_non_word_is_refused_before_it_is_read(call, text):
+    # these used to raise AttributeError on .rank or .is_identity
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == text
+
+
 def test_levi_bound_examples_and_errors():
     a = parse_word("a", 2)
     aa = parse_word("aa", 2)
@@ -367,12 +432,12 @@ def _driver_scan(pi, rank, r, f_word, depth_cap, coset_cap):
     """The shared scan, called as next_step calls it."""
     prefix_exponent = prod(pi[:r])
     g = power(f_word, prefix_exponent)
-    level, levels = _escape_level(
+    level = _escape_level(
         PrimeSeq(pi), rank, r, lambda level: level.member(g),
         f"with {f_word}^{prefix_exponent} still inside the series",
         depth_cap, coset_cap,
     )
-    target = next(levels, None)
+    target = next(_iter_levels(pi, rank, coset_cap, after=level), None)
     return level.depth, target and target.depth
 
 
