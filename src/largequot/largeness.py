@@ -48,6 +48,7 @@ from .quotients import (
     DEFAULT_ENUM_CAP,
     _spec_images,
     build_quotient,
+    check_word,
     coset_representatives,
 )
 from .series import (
@@ -56,7 +57,7 @@ from .series import (
     power_over_cap,
     unit_image_exponent,
 )
-from .words import Word, parse_word
+from .words import parse_word
 
 CERTIFICATE_SCHEMA = "largeness-certificate/1"
 DEFAULT_TRUNCATION_CAP = 64
@@ -80,8 +81,7 @@ def _check_base_words(words):
         raise ValueError("need at least one base word")
     for w in words:
         # words[0] is checked on the first pass, before its rank is read
-        if not isinstance(w, Word):
-            raise ValueError(f"expected a Word, got {w!r}")
+        check_word(w)
         if w.rank != words[0].rank:
             raise ValueError("base words of mixed rank")
         if w.is_identity:

@@ -48,9 +48,9 @@ from .verbal import (
     DEFAULT_COSET_CAP,
     DEFAULT_DEPTH_CAP,
     PrimeSeq,
-    VerbalLevel,
     _as_primeseq,
     _escape_level,
+    _level,
 )
 from .words import (
     indexed_word,
@@ -178,7 +178,7 @@ def next_step(state, f_word, coset_cap=DEFAULT_COSET_CAP,
         raise ValueError(
             f"prime sequence has {len(pi)} terms, cannot reach depth {new_depth}"
         )
-    target = VerbalLevel(escape, pi.primes[escape_depth], coset_cap, state.rank)
+    target = _level(escape, pi.primes[escape_depth], coset_cap, state.rank)
     target._require_fits()
 
     n = target.order_mod(g)
@@ -247,8 +247,9 @@ def run_construction(primes, steps, rank=2, coset_cap=DEFAULT_COSET_CAP,
 
     Enumerated words come in shortlex order, and the run is a fold of
     :func:`next_step` from a fresh state: each step makes its levels past
-    the one its state holds, so every level is built, and its order
-    computed, once per run.  Hitting a cap does not raise: the trace comes
+    the one its state holds, so no level is built twice in a run, and
+    levels an earlier run or request made are taken from the level cache
+    of :mod:`largequot.verbal`.  Hitting a cap does not raise: the trace comes
     back with ``halted`` set, the reason verbatim, and the steps completed
     so far, so a partial run is still a usable document.
     """

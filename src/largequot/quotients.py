@@ -257,6 +257,7 @@ class FiniteQuotient(CosetGraph):
         self._transversal = None
         self._nontree = None
         self._crossing = None
+        self._basis = None
         self._payload = None
 
     @property
@@ -344,6 +345,14 @@ class FiniteQuotient(CosetGraph):
             * Word.generator(self.rank, g)
             * self.transversal_word(target).inverse()
         )
+
+    def schreier_basis(self):
+        """The Schreier generator words, in :meth:`schreier_generators`
+        order: a free basis of the kernel, built once per quotient."""
+        if self._basis is None:
+            self._basis = tuple(map(self.schreier_generator_word,
+                                    self.schreier_generators()))
+        return self._basis
 
     # -- serialization ----------------------------------------------------
 
@@ -436,9 +445,11 @@ class QuotientTable:
     budget.  It holds at most ``cosets`` cosets in all,
     evicts the least recently used quotient first, and never stores one larger
     than that.  It checks no cap: callers ask it only where their own cap admits
-    the build, so a smaller cap after a larger one refuses with the same text.  A
-    verbal quotient's images keep the levels below it alive, with fewer cosets in
-    all, so under twice ``held`` stays alive.  Not locked: one thread.
+    the build, so a smaller cap after a larger one refuses with the same text.
+    Verbal levels, kept by the bounded cache of :func:`largequot.verbal._level`,
+    read their tables from here on each use and hold none but F/gamma_0's one
+    coset and one larger than ``cosets``, so a quotient evicted here is freed
+    once its callers drop it.  Not locked: one thread.
     """
 
     def __init__(self, cosets):

@@ -35,12 +35,18 @@ A level builds the BFS table of F/gamma_{d-1} (its ``parent_quotient``)
 only when something needs its numbering: the Schreier basis, component
 vectors and normal forms, the depths the sampler reads off cover keys, the
 cover of the level above, and witnesses serialized from it.  Tables and
-covers come from :data:`largequot.quotients.BUILT_QUOTIENTS`, so each is
-made once per process while that table keeps it, inside its one coset
-budget.
+covers come from :data:`largequot.quotients.BUILT_QUOTIENTS` on each read,
+so each is made once per process while that table keeps it, inside its one
+coset budget, and what is derived from a table, such as the Schreier basis,
+is kept on the table.
 
-Each level is made from the one below it and holds the exponent of the
-series' one product formula, the Schreier rank of gamma_{d-1}:
+Levels are hash-consed: each comes from :func:`_level`, one per (level
+below, prime, coset cap, rank) while its cache of 256 levels keeps it, and
+each prime sequence is checked once while the cache of :func:`_as_primeseq`
+keeps it.  So requests over one series share its levels, and each level's
+order and factored order are computed once.  Each level is made from the
+one below it and holds the exponent of the series' one product formula,
+the Schreier rank of gamma_{d-1}:
 
     |F/gamma_d| = |F/gamma_{d-1}| * q_d ^ (1 + (r-1)|F/gamma_{d-1}|),
 
@@ -129,8 +135,19 @@ class PrimeSeq:
         return f"PrimeSeq({list(self.primes)})"
 
 
+# one PrimeSeq per tuple of ints, its primes checked once while kept
+_primeseq = functools.lru_cache(maxsize=256)(PrimeSeq)
+
+
 def _as_primeseq(primes):
-    return primes if isinstance(primes, PrimeSeq) else PrimeSeq(primes)
+    if isinstance(primes, PrimeSeq):
+        return primes
+    primes = tuple(primes)
+    # (2.0, 3) == (2, 3) and (True, 3) == (1, 3) as keys: such a sequence
+    # goes to the constructor for its refusal, never to the cache
+    if all(type(p) is int for p in primes):
+        return _primeseq(primes)
+    return PrimeSeq(primes)
 
 
 class VerbalLevel:
@@ -145,15 +162,20 @@ class VerbalLevel:
     F/gamma_d is, at rank 1 or depth 1, where exponent sums answer every
     query.
 
-    ``parent_quotient`` is F/gamma_{d-1} with its BFS numbering, built on
-    its first read (None past the cap), and ``basis_words`` its Schreier
-    generators as words of F, a free basis of gamma_{d-1}, built on first
-    use; ``member`` and ``order_mod`` read neither (:meth:`_walker`).  The
-    level's order and its factorization (:meth:`_factors`) are computed on
-    their first read, or when level d+1 is made, and kept: the deepest level
-    can be of hundreds of thousands of digits, and most requests never read
-    it.  Reading ``quotient_order`` past ORDER_EXPONENT_CAP raises
-    :class:`CapExceeded`.
+    ``parent_quotient`` is F/gamma_{d-1} with its BFS numbering (None past
+    the cap), and ``basis_words`` its Schreier generators as words of F, a
+    free basis of gamma_{d-1}; ``member`` and ``order_mod`` read neither
+    (:meth:`_walker`).  The level holds no table: each read takes it from
+    BUILT_QUOTIENTS, which builds it when it holds none, so a table that
+    BUILT_QUOTIENTS evicts is not kept alive by the levels :func:`_level`
+    keeps.  Two kinds of table stay on the level: F/gamma_0's one coset at
+    level 1, and one larger than the budget of BUILT_QUOTIENTS, which it
+    never stores (:meth:`_tabled`), possible only under a ``coset_cap`` past
+    :data:`largequot.quotients.TABLE_COSETS`.  The level's order and its
+    factorization (:meth:`_factors`) are computed on their first read, or
+    when level d+1 is made, and kept: the deepest level can be of hundreds
+    of thousands of digits, and most requests never read it.  Reading
+    ``quotient_order`` past ORDER_EXPONENT_CAP raises :class:`CapExceeded`.
     """
 
     def __init__(self, below, prime, coset_cap, rank):
@@ -176,38 +198,49 @@ class VerbalLevel:
             below.first_unmaterialized or self)
         # F/gamma_d is abelian, so exponent sums decide every query
         self.abelian = rank == 1 or self.depth == 1
-        self._parent_quotient = None
-        self._basis_words = None
-        self._graph = None
+        self._kept = {}
         self._quotient_order = _UNREAD
         self._factorization = None
 
+    def _tabled(self, key, build):
+        """The table under ``key`` of BUILT_QUOTIENTS, made by ``build()``
+        when it holds none.  One larger than the budget of BUILT_QUOTIENTS,
+        which never stores it, is kept on the level instead."""
+        table = self._kept.get(key)
+        if table is None:
+            table = BUILT_QUOTIENTS.get(key, build)
+            if table.order > BUILT_QUOTIENTS.cosets:
+                self._kept[key] = table
+        return table
+
     @property
     def parent_quotient(self):
-        """F/gamma_{d-1}, built by the BFS over the cover of the table below
-        on the first read, or taken from BUILT_QUOTIENTS; None past the cap.
+        """F/gamma_{d-1}, built by the BFS over the cover of the table below,
+        or taken from BUILT_QUOTIENTS; None past the cap.
 
         Its readers are those that need the BFS numbering: the Schreier
         basis and normal forms, the cover of the level above, the depths
         the graded sampler reads off the keys of that cover, and the
         witnesses serialized from it."""
-        if self._parent_quotient is None and self.materialized:
-            below, rank = self.parent_level, self.rank
-            if below is None:
-                # F/gamma_0 is one coset, every edge a loop: what the BFS
-                # over trivial residue vectors builds, without its 2 * rank
-                # products
+        if not self.materialized:
+            return None
+        below, rank = self.parent_level, self.rank
+        if below is None:
+            # F/gamma_0 is one coset, every edge a loop: what the BFS over
+            # trivial residue vectors builds, without its 2 * rank products;
+            # it is kept on level 1, not tabled
+            table = self._kept.get(None)
+            if table is None:
                 trivial = ModVector(1, (0,))
-                self._parent_quotient = FiniteQuotient(
+                table = self._kept[None] = FiniteQuotient(
                     rank, [trivial] * rank, [trivial], [[0] * rank],
                     [[0] * rank], [None], kind="modvec",
                     params={"modulus": 1, "dim": 1})
-            else:
-                self._parent_quotient = BUILT_QUOTIENTS.get(
-                    ("verbal", rank) + below.primes_prefix,
-                    lambda: build_quotient(rank, below._generator_cosets(),
-                                           cap=self._coset_cap))
-        return self._parent_quotient
+            return table
+        return self._tabled(
+            ("verbal", rank) + below.primes_prefix,
+            lambda: build_quotient(rank, below._generator_cosets(),
+                                   cap=self._coset_cap))
 
     def _generator_cosets(self):
         """The images a_1 .. a_r of F/gamma_d, as cosets of this level."""
@@ -216,13 +249,8 @@ class VerbalLevel:
 
     @property
     def basis_words(self):
-        if self._basis_words is None and self.materialized:
-            quotient = self.parent_quotient
-            self._basis_words = tuple(
-                quotient.schreier_generator_word(label)
-                for label in quotient.schreier_generators()
-            )
-        return self._basis_words
+        quotient = self.parent_quotient
+        return None if quotient is None else quotient.schreier_basis()
 
     def _order(self):
         """|F/gamma_d|, or None once it is an exponent tower; kept once read."""
@@ -295,12 +323,9 @@ class VerbalLevel:
         q_1, .., q_{d-1})`` and charged |F/gamma_{d-1}| cosets there, so no
         BFS of F/gamma_{d-1} runs for them.
         """
-        if self._graph is None:
-            below = self.parent_level
-            self._graph = BUILT_QUOTIENTS.get(
-                ("verbal cover", self.rank) + below.primes_prefix,
-                lambda: HomologyCover(below))
-        return self._graph
+        below = self.parent_level
+        return self._tabled(("verbal cover", self.rank) + below.primes_prefix,
+                            lambda: HomologyCover(below))
 
     def _sums_gcd(self, w):
         """The gcd of the exponent sums of w, 0 when they vanish, which a
@@ -674,9 +699,9 @@ def _iter_levels(primes, rank, coset_cap, after=None):
 
     The levels it makes hold ``coset_cap``; ``after`` and the levels below
     it keep the cap they were made with.  No coset graph is built: each
-    level is made from the one before it, which computes that one's order
-    if nothing read it before, and builds F/gamma_{d-1}'s table only on the
-    first read of its ``parent_quotient``.
+    level comes from :func:`_level` over the one before it, whose order is
+    computed if nothing read it before, and F/gamma_{d-1}'s table is built
+    only when its ``parent_quotient`` is read.
     """
     primes = _as_primeseq(primes)
     check_int(rank, LEVEL_RANK_TEXT, 1)
@@ -691,8 +716,20 @@ def _levels(primes, rank, coset_cap, level):
         raise CapExceeded("depth-1 quotient order", "an exponent tower",
                           ORDER_EXPONENT_CAP)
     for q in primes.primes[0 if level is None else level.depth:]:
-        level = VerbalLevel(level, q, coset_cap, rank)
+        level = _level(level, q, coset_cap, rank)
         yield level
+
+
+@functools.lru_cache(maxsize=256)
+def _level(below, prime, coset_cap, rank):
+    """The level over ``below`` (None for level 1), made once while this
+    cache keeps it: every level of the package comes from here, so a
+    request reuses the orders, factorizations and table reads of the levels
+    an earlier one made.  The bound is on the levels kept, not on what they
+    hold: a level keeps the levels below it, its order, which past the cap
+    can run to hundreds of thousands of digits, and a table too large for
+    BUILT_QUOTIENTS.  Its arguments are checked by the caller."""
+    return VerbalLevel(below, prime, coset_cap, rank)
 
 
 def build_series(primes, rank, depth, coset_cap=DEFAULT_COSET_CAP):
@@ -707,15 +744,15 @@ def build_series(primes, rank, depth, coset_cap=DEFAULT_COSET_CAP):
 
 
 def quotient_order_factors(primes, rank, depth):
-    """{prime: exponent} factorization of |F/gamma_depth|, the
+    """{prime: exponent} factorization of |F/gamma_depth|, a copy of the
     :meth:`VerbalLevel._factors` of levels made in a loop of its own, so it
     answers for a rank whose levels :func:`build_series` refuses to make:
     they build no table."""
     primes = _depth_checked(primes, rank, depth)
     level = None
     for q in primes.primes[:depth]:
-        level = VerbalLevel(level, q, DEFAULT_COSET_CAP, rank)
-    return {} if level is None else level._factors()
+        level = _level(level, q, DEFAULT_COSET_CAP, rank)
+    return {} if level is None else dict(level._factors())
 
 
 def _escape_level(primes, rank, start, inside, exhausted, depth_cap, coset_cap,

@@ -9,6 +9,7 @@ from math import comb, gcd
 import pytest
 
 import largequot
+from largequot import verbal
 from largequot.quotients import BUILT_QUOTIENTS
 
 
@@ -69,10 +70,19 @@ def schreier_tables_oracle():
 @pytest.fixture
 def empty_quotient_table():
     """The process-level table of built quotients, emptied before the test
-    and after it, for tests that count, refuse or evict builds."""
-    BUILT_QUOTIENTS.clear()
+    and after it, for tests that count, refuse or evict builds, with the
+    caches of verbal levels and prime sequences, for tests that read a
+    level's lazy state."""
+    clear_caches()
     yield BUILT_QUOTIENTS
+    clear_caches()
+
+
+def clear_caches():
+    """Empty the table of built quotients and the verbal level caches."""
     BUILT_QUOTIENTS.clear()
+    verbal._level.cache_clear()
+    verbal._primeseq.cache_clear()
 
 
 def _det(m):

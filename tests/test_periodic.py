@@ -6,7 +6,7 @@ from math import gcd, prod
 import pytest
 import sympy
 
-from largequot import periodic
+from largequot import periodic, verbal
 from largequot.cli import main
 from largequot.errors import CapExceeded, NotMaterializedError
 from largequot.periodic import (
@@ -190,6 +190,8 @@ def _fold_of_steps(primes, steps, rank, coset_cap=DEFAULT_COSET_CAP):
 def test_one_stream_per_run_matches_a_fold_of_steps(monkeypatch, primes, steps,
                                                      rank, coset_cap):
     fold = _fold_of_steps(primes, steps, rank, coset_cap)
+    # the fold's levels are cached: the run below makes its own
+    verbal._level.cache_clear()
     built = Counter()
     made = VerbalLevel.__init__
 

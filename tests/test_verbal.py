@@ -1,5 +1,7 @@
+import operator
 import random
 import sys
+import weakref
 from itertools import islice
 from math import prod
 
@@ -103,6 +105,34 @@ def test_order_formula_depth_zero_and_rank_one():
     assert quotient_order_factors([5], 3, 0) == {}
     # rank 1: every Schreier rank is 1, so the tower is just a product
     assert quotient_order_factors([2, 3, 5], 1, 3) == {2: 1, 3: 1, 5: 1}
+
+
+def test_a_caller_changing_the_factored_order_changes_no_later_answer():
+    factors = quotient_order_factors([2, 3], 2, 2)
+    factors[3] = 0
+    factors[7] = 1
+    assert quotient_order_factors([2, 3], 2, 2) == {2: 2, 3: 5}
+    assert build_series([2, 3], 2, 2)[-1]._factors() == {2: 2, 3: 5}
+
+
+@pytest.mark.parametrize("primes, text", [
+    # (2.0, 3) == (2, 3) and (True, 3) == (1, 3) as keys, and a refusal is
+    # not cached
+    ((2.0, 3), "primes must be integers, got 2.0"),
+    ((True, 3), "primes must be integers, got True"),
+    ((4,), "4 is not prime"),
+])
+@pytest.mark.parametrize("read", [build_series, quotient_order_factors])
+def test_a_warm_prime_cache_refuses_as_a_cold_one(read, primes, text):
+    for warm in ((2, 3), (1, 3), (4,)):
+        try:
+            read(warm, 2, 1)
+        except ValueError:
+            pass
+    with pytest.raises(ValueError) as refused:
+        read(primes, 2, 1)
+    assert str(refused.value) == text
+    assert verbal._as_primeseq((2, 3)) is verbal._as_primeseq([2, 3])
 
 
 def test_level_one_vectors_and_membership():
@@ -227,7 +257,7 @@ def test_exponent_cap_cuts_off_tower_orders():
 
 
 @pytest.mark.parametrize("primes", [(3, 3, 2), (5, 2, 3)])
-def test_a_level_order_is_computed_on_first_read(primes):
+def test_a_level_order_is_computed_on_first_read(empty_quotient_table, primes):
     # |F/gamma_3| is 3^12 * 2^531442 over (3, 3, 2) and an exponent tower
     # over (5, 2, 3); a request that never reads it never computes it
     levels = build_series(primes, 2, 3)
@@ -606,26 +636,37 @@ def _built_series(primes, rank, depth, **caps):
 @pytest.mark.parametrize("primes", [(2, 3, 5), (2, 2, 3), (3, 2, 5)])
 def test_levels_from_the_table_match_fresh_builds(empty_quotient_table, primes,
                                                   rank):
-    first = _built_series(primes, rank, len(primes))
-    served = _built_series(primes, rank, len(primes))
-    empty_quotient_table.clear()
-    fresh = _built_series(primes, rank, len(primes))
     rng = random.Random(f"{primes}-{rank}")
     words = [random_reduced_word(rng, rank, rng.randint(0, 8)) for _ in range(30)]
     words += [power(w, e) for w, e in zip(words, (2, 3, 5, 6, 30))]
+    queries = ("member", "order_mod", "normal_form")
+
+    def tables_and_answers():
+        levels = _built_series(primes, rank, len(primes))
+        return levels, [level.parent_quotient for level in levels], [
+            [[_answer(getattr(level, query), w) for w in words]
+             for query in queries] for level in levels]
+
+    first, first_tables, _ = tables_and_answers()
+    served, served_tables, served_answers = tables_and_answers()
+    # the tables are captured here: a level reads its table from the table
+    # of built quotients on each use, so after the clear it reads the new one
+    empty_quotient_table.clear()
+    verbal._level.cache_clear()
+    fresh, fresh_tables, fresh_answers = tables_and_answers()
     tabled = 0
-    for old, level, new in zip(first, served, fresh):
+    for old, level, new, old_table, table, new_table in zip(
+            first, served, fresh, first_tables, served_tables, fresh_tables):
+        assert level is old and new is not level
         assert level.materialized == new.materialized
         if level.depth > 1 and level.materialized:
             # level 1's one-coset base is no BFS and is not tabled
-            assert level.parent_quotient is old.parent_quotient
-            assert new.parent_quotient is not level.parent_quotient
+            assert table is old_table
+            assert new_table is not table
             tabled += 1
         if level.materialized:
-            _same_tables(level.parent_quotient, new.parent_quotient)
-        for query in ("member", "order_mod", "normal_form"):
-            assert [_answer(getattr(level, query), w) for w in words] == [
-                _answer(getattr(new, query), w) for w in words], query
+            _same_tables(table, new_table)
+    assert served_answers == fresh_answers
     assert tabled >= 1
 
 
@@ -721,11 +762,45 @@ def test_a_quotient_past_the_bound_is_never_stored(empty_quotient_table,
                                                    monkeypatch):
     monkeypatch.setattr(empty_quotient_table, "cosets", 500)
     first = build_series((2, 3, 5), 2, 3)[2].parent_quotient
+    # the level that built it keeps it, as nothing else does
+    assert build_series((2, 3, 5), 2, 3)[2].parent_quotient is first
+    verbal._level.cache_clear()
     again = build_series((2, 3, 5), 2, 3)[2].parent_quotient
     assert first.order == 972 and again is not first
     _same_tables(again, first)
     assert list(empty_quotient_table.quotients) == [("verbal", 2, 2)]
     assert empty_quotient_table.held == 4
+
+
+def test_an_evicted_table_is_freed_while_its_levels_are_kept(
+        empty_quotient_table, monkeypatch):
+    monkeypatch.setattr(empty_quotient_table, "cosets", 1000)
+    level = build_series((2, 3, 5), 2, 3)[2]
+    table = weakref.ref(level.parent_quotient)
+    # the Schreier basis is kept on the table, not on the level
+    assert level.basis_words is table().schreier_basis()
+    assert level.order_mod(parse_word("abAB", 2)) == 15
+    cover = weakref.ref(empty_quotient_table.quotients[("verbal cover", 2, 2, 3)])
+    # the cover evicted the table, and the table, read again, the cover
+    assert table() is None
+    assert level.parent_quotient.order == 972
+    assert cover() is None
+    assert build_series((2, 3, 5), 2, 3)[2] is level
+
+
+def _uncached_level(primes, rank, depth):
+    """Level ``depth`` of a chain made without the level cache."""
+    level = None
+    for q in primes[:depth]:
+        level = verbal.VerbalLevel(level, q, verbal.DEFAULT_COSET_CAP, rank)
+    return level
+
+
+def _factors_or_refusal(level):
+    try:
+        return ("value", level._factors())
+    except CapExceeded as exc:
+        return "CapExceeded", str(exc)
 
 
 # -- member and order_mod against the table walk -----------------------------
@@ -783,6 +858,28 @@ def test_member_and_order_mod_match_the_table_walk(rank, primes, depth):
         ("NotMaterializedError", f"level {depth} has no coset data: "
          f"|F/gamma_{depth - 1}| = {level.parent_order} exceeded the "
          "materialization cap")}
+
+
+@pytest.mark.parametrize("rank, primes, depth", DIFFERENTIAL)
+def test_cached_levels_answer_as_an_uncached_chain(empty_quotient_table, rank,
+                                                   primes, depth):
+    levels = build_series(primes, rank, depth)
+    assert all(map(operator.is_, build_series(primes, rank, depth), levels))
+    rng = random.Random(f"cached-{rank}-{primes}-{depth}")
+    words = _differential_words(rng, rank, primes[:depth], 40)
+
+    def answers(chain):
+        return [(_factors_or_refusal(level),
+                 [(_answer_or_refusal(level.member, w),
+                   _answer_or_refusal(level.order_mod, w)) for w in words])
+                for level in chain]
+
+    cached = answers(levels)
+    # the uncached chain builds its tables again too
+    empty_quotient_table.clear()
+    fresh = [_uncached_level(primes, rank, d) for d in range(1, depth + 1)]
+    assert not any(a is b for a, b in zip(fresh, levels))
+    assert answers(fresh) == cached
 
 
 def test_a_depth_three_query_builds_no_table_of_f_mod_gamma_2(
@@ -861,7 +958,7 @@ def test_rank_one_queries_build_no_table(empty_quotient_table):
     assert level.member(power(a, 30030 * 10**20))
     assert not level.member(power(a, 30030 * 10**20 + 1))
     assert empty_quotient_table.quotients == {}
-    assert level._parent_quotient is None
+    assert level._kept == {}
 
 
 def test_a_basis_rank_past_an_exponent_tower_is_refused():
