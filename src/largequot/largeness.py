@@ -37,7 +37,7 @@ leading part of g^s is s times g's, so v_Z(g^s) = v_Z(g) and g^s's least
 monomial carries s c_g; over F_p, (1 + u)^(p^a) = 1 + u^(p^a), so
 v_p(g^s) = p^a v_p(g) for s = p^a t with p not dividing t.  No power g^s
 is built or embedded, and no base word is: its valuation is graded over
-its prefixes, one pass per degree up to v (see :mod:`largequot.series`).
+its prefixes, or a power's over its core (see :mod:`largequot.series`).
 """
 
 from __future__ import annotations
@@ -204,8 +204,9 @@ def lemma_fi_bound(words, m, truncation_cap=DEFAULT_TRUNCATION_CAP,
     primes in increasing order, each prime's truncation before its j(p): a
     power past ``truncation_cap`` raises as soon as its valuation shows it,
     and a p^{j(p)} over ``enum_cap`` raises the error its enumeration would.
-    No power is built, so the series term cap, which a search over the
-    powers can meet first, is never met here.
+    No power is built, and a power given as a base word is valued off its
+    core, so the series term cap, which a search over the powers can meet
+    first, is never met here.
     """
     words, rank = _check_base_words(words)
     check_int(m, "m must be a positive integer", 1)

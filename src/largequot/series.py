@@ -13,9 +13,10 @@ it forms without validating them again; it only reduces the coefficients
 and drops the zeros.
 
 The group embedding sends the i-th free generator to 1 + x_i and its inverse
-to the truncated geometric series sum_{k<l} (-x_i)^k.  Over F_p every series
-with constant term 1 is a unit of p-power order (:func:`unit_order`, read
-off the valuation of s - 1), which is what the avoiding quotients in
+to (1 + x_i)^-1 = sum_{k<l} (-x_i)^k: every power, inverses included, is one
+truncated binomial sum (:meth:`TruncSeries.power`).  Over F_p every
+series with constant term 1 is a unit of p-power order (:func:`unit_order`,
+read off the valuation of s - 1), which is what the avoiding quotients in
 :mod:`largequot.largeness` are built from.
 
 A unit witness is r units g_i of F_p<x_1..x_r>/X^l, p prime, with linear
@@ -75,10 +76,6 @@ from .words import RANK_TEXT, Word
 DEFAULT_TERM_CAP = 10**6
 
 
-def _normalize_coeff(c, modulus):
-    return c % modulus if modulus is not None else c
-
-
 class TruncSeries:
     """An element of R<x_1..x_r>/X^l with sparse term storage.
 
@@ -107,7 +104,7 @@ class TruncSeries:
                     raise ValueError(
                         f"variable index {var} out of range for rank {rank}"
                     )
-            c = _normalize_coeff(coeff, modulus)
+            c = coeff % modulus if modulus is not None else coeff
             if c:
                 stored[mono] = c
         self._terms = stored
@@ -152,10 +149,6 @@ class TruncSeries:
     @property
     def constant_term(self):
         return self._terms.get((), 0)
-
-    @property
-    def is_zero(self):
-        return not self._terms
 
     @property
     def is_one(self):
@@ -244,34 +237,33 @@ class TruncSeries:
         return self.mul(other)
 
     def power(self, n):
-        """self**n by square and multiply; n < 0 inverts first."""
-        if check_int(n, "exponent must be an integer") < 0:
-            return self.inverse().power(-n)
-        result = TruncSeries.one(self.rank, self.degree_bound, self.modulus)
-        base = self
-        while n:
-            if n & 1:
-                result = result.mul(base)
-            n >>= 1
-            if n:
-                base = base.mul(base)
-        return result
+        """self**n for any integer n, as the truncated binomial sum: for c
+        the constant term and u = self - c, u^k is 0 once k v(u) reaches the
+        degree bound l, so self^n = sum_{k v(u) < l} C(n, k) c^(n-k) u^k, at
+        most l - 2 products whatever n is.  A negative n needs c = 1, and
+        C(n, k) is then the generalized binomial."""
+        c = self.constant_term
+        if check_int(n, "exponent must be an integer") < 0 and c != 1:
+            raise ValueError(f"series inverse requires constant term 1, got {c}")
+        rank, bound, m = self.rank, self.degree_bound, self.modulus
+        u = TruncSeries._trusted(rank, bound, m, {mono: x for mono, x in self._terms.items() if mono})
+        terms = {(): 1 if c == 1 else pow(c, n, m)}
+        piece, binomial = u, 1
+        # the pieces past -(-bound // v(u)) - 1 vanish, and are not formed
+        for k in range(1, -(-bound // u.valuation())):
+            binomial = binomial * (n - k + 1) // k
+            if not binomial:
+                break
+            if k > 1:
+                piece = piece.mul(u)
+            scale = binomial if c == 1 else binomial * pow(c, n - k, m)
+            for mono, x in piece._terms.items():
+                terms[mono] = terms.get(mono, 0) + scale * x
+        return TruncSeries._trusted(rank, bound, m, terms)
 
     def inverse(self):
-        """Inverse of a series with constant term 1 (truncated Neumann sum)."""
-        if self.constant_term != 1:
-            raise ValueError(
-                f"series inverse requires constant term 1, got {self.constant_term}"
-            )
-        u = self - TruncSeries.one(self.rank, self.degree_bound, self.modulus)
-        result = TruncSeries.one(self.rank, self.degree_bound, self.modulus)
-        piece = TruncSeries.one(self.rank, self.degree_bound, self.modulus)
-        for _ in range(1, self.degree_bound):
-            piece = piece.mul(-u)
-            if piece.is_zero:
-                break
-            result = result + piece
-        return result
+        """Inverse of a series with constant term 1: ``power(-1)``."""
+        return self.power(-1)
 
     # -- text form ---------------------------------------------------------
 
@@ -497,11 +489,7 @@ def generator_image(rank, degree_bound, modulus, gen, exp):
 
     Series are immutable, so each image is built once and shared.
     """
-    if exp == 1:
-        terms = {(): 1, (gen,): 1}
-    else:
-        terms = {(gen,) * k: (-1) ** k for k in range(degree_bound)}
-    return TruncSeries(rank, degree_bound, modulus, terms)
+    return TruncSeries(rank, degree_bound, modulus, {(): 1, (gen,): 1}).power(exp)
 
 
 def _embed_letters(rank, letters, degree_bound, modulus):
@@ -519,7 +507,7 @@ def embed(word, degree_bound, modulus=None):
     of the integer image, which the tests check explicitly.  A power
     t * c^n * t^-1 built by :func:`largequot.words.power` is embedded
     through its record, as embed(t) * embed(c)^n * embed(t)^-1 with
-    square and multiply, without spelling out its letters.
+    :meth:`TruncSeries.power`, without spelling out its letters.
     """
     if not isinstance(word, Word):
         raise ValueError(f"embed expects a Word, got {word!r}")
@@ -616,22 +604,32 @@ def _next_parts(letters, lower, p):
 
 def magnus_valuation(w, p, limit, start=2):
     """(min(v_p(w), limit), w's image at truncation v + 1 or None at the
-    limit), where v_None is v_Z.  The caller knows w's image at truncation
-    start - 1 to be 1 (v >= 1 for the default start), so v is read from
-    degree start - 1 on; the image returned is 1 + C_1 + .. + C_v.
+    limit), for p prime or None (v_None is v_Z).  The caller knows w's image
+    at truncation start - 1 to be 1 (v >= 1 for the default start), so v is
+    read from degree start - 1 on; the image returned is 1 + C_1 + .. + C_v.
 
     The parts C_k are graded over w's prefixes (see the module docstring),
     degree 1 first through the exponent sums.  A power t * c^n * t^-1 built
-    by :func:`largequot.words.power` keeps its record: it is embedded at
-    truncations start, start + 1, .. until its image is not 1.
+    by :func:`largequot.words.power` is read off its core c, graded once:
+    conjugation keeps the leading part and leading parts multiply, so for
+    n = p^a s with p not dividing s (a = 0 over Z) v is p^a v(c), and the
+    image is (1 + L)^n for L the leading part of c, which is 1 + n L over Z
+    and, by Lucas' theorem, 1 + s L^(p^a) mod p.
     """
     rank = w.rank
     if w.power_record is not None:
-        for L in range(start, limit + 1):
-            image = embed(w, L, p)
-            if not image.is_one:
-                return L - 1, image
-        return limit, None
+        _, core, n = w.power_record
+        if p is not None and not is_prime(p):
+            raise ValueError(f"a power's valuation needs a prime modulus, got {p}")
+        step = 1  # p^a, for n = p^a s with p not dividing s
+        while p is not None and n % (step * p) == 0:
+            step *= p
+        # p^a v(c) < limit iff v(c) < ceil(limit / p^a)
+        v, image = magnus_valuation(Word._reduced(rank, core), p, -(-limit // step))
+        if image is None:
+            return limit, None
+        v *= step
+        return v, TruncSeries._trusted(rank, v + 1, p, image._terms).power(n)
     letters = w.letters
     if start <= 2 <= limit:
         sums = {}

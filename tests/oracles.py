@@ -4,8 +4,9 @@ spells, the abelian invariants of a rewritten presentation, verbal cosets
 multiplied as words and compared by their layered normal form, verbal
 membership and orders by a walk through the BFS table of F/gamma_{d-1}, the
 graded sampler's orders and depths by one loop over that table's steps, a
-word's exponent sums packed as the draw packs them, and Magnus valuations
-found by embedding a word at one truncation after another.
+word's exponent sums packed as the draw packs them, Magnus valuations
+found by embedding a word at one truncation after another, and series
+powers by square and multiply and inverses by the Neumann sum.
 
 Each is a slower or independent route to what the package computes another
 way, so the tests check the shipped path against it.  Subprocess tests
@@ -22,7 +23,8 @@ from largequot.quotients import (
     _spec_images,
     build_quotient,
 )
-from largequot.series import embed
+from largequot.series import TruncSeries, embed
+from largequot.words import Word
 
 
 def mod_abelianization(rank, modulus, cap=DEFAULT_ENUM_CAP):
@@ -223,9 +225,50 @@ def packed_sums(w, longest):
 
 def magnus_valuation(w, p, limit, start=2):
     """:func:`largequot.series.magnus_valuation` by embedding: w's image at
-    truncations start, start + 1, .. up to ``limit`` until it is not 1."""
+    truncations start, start + 1, .. up to ``limit`` until it is not 1.  A
+    power t * c^n * t^-1 is embedded as embed(t) * embed(c)^n * embed(t)^-1
+    by :func:`square_and_multiply` and :func:`neumann_inverse`."""
+    record = w.power_record
     for L in range(start, limit + 1):
-        image = embed(w, L, p)
+        if record is None:
+            image = embed(w, L, p)
+        else:
+            t, core, n = record
+            head = embed(Word(w.rank, t), L, p)
+            image = head.mul(square_and_multiply(
+                embed(Word(w.rank, core), L, p), n)).mul(neumann_inverse(head))
         if not image.is_one:
             return L - 1, image
     return limit, None
+
+
+def neumann_inverse(s):
+    """:meth:`largequot.series.TruncSeries.inverse` as the truncated Neumann
+    sum 1 - u + u^2 - .., for s = 1 + u, adding one product at a time."""
+    if s.constant_term != 1:
+        raise ValueError(
+            f"series inverse requires constant term 1, got {s.constant_term}")
+    one = TruncSeries.one(s.rank, s.degree_bound, s.modulus)
+    u = s - one
+    result = piece = one
+    for _ in range(1, s.degree_bound):
+        piece = piece.mul(-u)
+        if not piece.terms():
+            break
+        result = result + piece
+    return result
+
+
+def square_and_multiply(s, n):
+    """:meth:`largequot.series.TruncSeries.power` by square and multiply;
+    a negative n takes the :func:`neumann_inverse` first."""
+    if n < 0:
+        return square_and_multiply(neumann_inverse(s), -n)
+    result = TruncSeries.one(s.rank, s.degree_bound, s.modulus)
+    while n:
+        if n & 1:
+            result = result.mul(s)
+        n >>= 1
+        if n:
+            s = s.mul(s)
+    return result

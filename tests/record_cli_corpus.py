@@ -132,6 +132,24 @@ def _entries():
         "witness_unit_empty_images": (
             witness + ["3", "--witness", "w.json"], None,
             {"w.json": _json(_unit_spec(3, 2, 2, []))}),
+        # series refusals: the inverse the BFS takes, a variable past the
+        # rank, a term that is no monomial, a payload that is no string,
+        # and too few images for the rank
+        "witness_unit_constant_two": (
+            witness + ["3", "--witness", "w.json"], None,
+            {"w.json": _json(_unit_spec(3, 2, 2, ["2 + x1", "1 + x2"]))}),
+        "witness_unit_variable_past_rank": (
+            witness + ["3", "--witness", "w.json"], None,
+            {"w.json": _json(_unit_spec(3, 2, 2, ["1 + x3", "1 + x2"]))}),
+        "witness_unit_bad_term": (
+            witness + ["3", "--witness", "w.json"], None,
+            {"w.json": _json(_unit_spec(3, 2, 2, ["1 + y1", "1 + x2"]))}),
+        "witness_unit_payload_not_a_string": (
+            witness + ["3", "--witness", "w.json"], None,
+            {"w.json": _json(_unit_spec(3, 2, 2, [1, "1 + x2"]))}),
+        "witness_unit_one_image": (
+            witness + ["3", "--witness", "w.json"], None,
+            {"w.json": _json(_unit_spec(3, 2, 2, ["1 + x1"]))}),
         "witness_modvec": (
             witness + ["5", "--witness", "w.json"], None,
             {"w.json": _json({"kind": "modvec",
@@ -170,6 +188,9 @@ def _entries():
                          None, {}),
         "magnus_integer": (["magnus", "-w", "aB", "-l", "4"], None, {}),
         "magnus_bad_word": (["magnus", "-w", "a%", "-l", "3"], None, {}),
+        # unit_order takes a prime modulus only
+        "magnus_mod_4": (["magnus", "-w", "ab", "-p", "4", "-l", "3"], None,
+                         {}),
         # the indexed form past rank 26, with a cancelling pair
         "magnus_indexed_rank_27": (["magnus", "-r", "27", "-w",
                                     "g27^2*g1*g1^-1*g3^-1", "-l", "3"],

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from largequot import series
+from largequot import series, words
 from largequot.errors import CapExceeded
+from largequot.largeness import lemma_fi_bound
 from largequot.series import (
     TruncSeries,
     embed,
@@ -16,6 +17,7 @@ from largequot.series import (
 )
 from largequot.words import Word, parse_word, power, random_reduced_word
 from oracles import magnus_valuation as embedded_valuation
+from oracles import neumann_inverse, square_and_multiply
 
 
 def naive_mul(s, t):
@@ -59,14 +61,15 @@ def test_truncation_drops_degree_bound_and_above():
     x = TruncSeries(1, 3, None, {(1,): 1})
     sq = x.mul(x)
     assert sq.coefficient((1, 1)) == 1
-    assert sq.mul(x).is_zero  # degree 3 monomial dies at bound 3
+    # the degree 3 monomial dies at bound 3
+    assert sq.mul(x) == TruncSeries(1, 3, None)
 
 
 def test_coefficients_normalized_mod_p():
     s = TruncSeries(1, 3, 3, {(): 4, (1,): -1})
     assert s.constant_term == 1
     assert s.coefficient((1,)) == 2
-    assert TruncSeries(1, 3, 3, {(1,): 3}).is_zero
+    assert TruncSeries(1, 3, 3, {(1,): 3}) == TruncSeries(1, 3, 3)
 
 
 def test_addition_and_negation():
@@ -107,6 +110,7 @@ def test_inverse_neumann_sum():
                 2, 5, modulus, {(): s.constant_term}
             )
             assert u.constant_term == 1
+            assert u.inverse() == neumann_inverse(u)
             assert u.mul(u.inverse()).is_one
             assert u.inverse().mul(u).is_one
 
@@ -123,6 +127,33 @@ def test_negative_power_is_inverse_power():
     assert u.power(-1).mul(u).is_one
 
 
+HUGE_EXPONENTS = (2**70 + 3, -3**40)
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 4, 6, 7])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_binomial_power_matches_square_and_multiply(rank, modulus):
+    rng = random.Random(rank * 10 + (modulus or 0))
+    for bound in range(1, 7):
+        u = random_series(rng, rank, bound, modulus, terms=3)
+        u -= TruncSeries(rank, bound, modulus, {(): u.constant_term})
+        exponents = list(range(-12, 13)) + ([*HUGE_EXPONENTS] if bound <= 4 else [])
+        for c in (1, 0, 2, 3):
+            s = u + TruncSeries(rank, bound, modulus, {(): c})
+            for n in exponents:
+                if s.constant_term != 1 and (
+                        n < 0 or (modulus is None and n > 12)):
+                    # n < 0 needs constant term 1, and over Z c^(2^70)
+                    # has no room in memory
+                    continue
+                assert s.power(n) == square_and_multiply(s, n), (str(s), n)
+            if s.constant_term != 1:
+                with pytest.raises(ValueError) as err:
+                    s.power(-1)
+                assert str(err.value) == ("series inverse requires constant "
+                                          f"term 1, got {s.constant_term}")
+
+
 def test_embed_generator_and_inverse():
     a = parse_word("a", 2)
     s = embed(a, 3)
@@ -136,13 +167,14 @@ def test_embed_generator_and_inverse():
 
 @pytest.mark.parametrize("modulus", [None, 2, 3, 4, 5])
 def test_inverse_generator_image_is_the_neumann_inverse(modulus):
-    # the geometric series is built directly; the Neumann sum is its oracle
+    # the inverse letter's image is the binomial power; the Neumann sum is
+    # its oracle
     for r in (1, 2, 3):
         for l in range(1, 13):
             for g in range(1, r + 1):
                 forward = generator_image(r, l, modulus, g, 1)
                 backward = generator_image(r, l, modulus, g, -1)
-                assert backward == forward.inverse()
+                assert backward == neumann_inverse(forward)
                 assert (forward * backward).is_one
 
 
@@ -360,8 +392,12 @@ def _valuation_words(rank):
         for depth in range(2, 7):
             c = _commutator(c, gens[(depth - 1) % rank])
             found.append(c)
-        found += [found[-5] ** 2, found[-5] ** 3, found[-4] ** 2,
-                  found[-5] * found[-4], gens[0] * gens[-1] * gens[0].inverse()]
+        c = found[-5]
+        found += [c ** 2, c ** 3, found[-4] ** 2, c * found[-4],
+                  gens[0] * gens[-1] * gens[0].inverse()]
+        # p^a-th powers for Lucas' theorem at p = 2 and 3, and a negative one
+        found += [c ** 4, c ** 6, c ** -9, c ** 12]
+    found.append(gens[0] ** -8)
     # each power again with its letters spelled out, so both routes are read
     found += [parse_word(str(w), rank) for w in found if w.power_record]
     return found
@@ -385,14 +421,47 @@ def test_graded_valuations_match_the_embedding_oracle(rank, p):
 
 def test_graded_valuations_embed_no_parsed_word(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a parsed word is graded, not embedded")
+        raise AssertionError("a word is graded, not embedded")
 
     monkeypatch.setattr(series, "embed", refuse)
     c = parse_word("abABaBAb", 2)  # [[a, b], a], of valuation 3
     assert magnus_valuation(c, None, 8)[0] == 3
     assert magnus_valuation(parse_word("aa", 2), 2, 8)[0] == 2
-    with pytest.raises(AssertionError):
-        magnus_valuation(power(c, 2), None, 8)
+    # a power is read off its core, graded once
+    assert magnus_valuation(power(c, 2), None, 8)[0] == 3
+
+
+def test_huge_powers_are_valued_without_a_product(monkeypatch):
+    # each answer needs no series product, and no power spells its letters
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed a product or spelled out a power")
+
+    monkeypatch.setattr(TruncSeries, "mul", refuse)
+    monkeypatch.setattr(words._Power, "letters", property(refuse))
+    ab, commutator = parse_word("ab", 2), parse_word("abAB", 2)
+    assert magnus_valuation(power(commutator, 3**5), 3, 64) == (64, None)
+    for base, n, m in ((commutator, 2**20, 1), (ab, 10**30, 2)):
+        with pytest.raises(CapExceeded) as err:
+            lemma_fi_bound([power(base, n)], m)
+        assert str(err.value) == "series truncation: reached 64 with cap 64"
+    # over Z the leading part of g^n is n times g's
+    n = -10**30
+    assert magnus_valuation(power(ab, n), None, 64) == (
+        1, TruncSeries(2, 2, None, {(): 1, (1,): n, (2,): n}))
+
+
+def test_a_power_is_valued_by_lucas_theorem():
+    a, c = Word.generator(2, 1), parse_word("abAB", 2)
+    # (1 + x1)^12 = 1 + 3 x1^4 mod 2 at truncation 5
+    assert str(magnus_valuation(a ** 12, 2, 8)[1]) == "1 + x1x1x1x1"
+    # [a, b] has leading part L = x1x2 - x2x1, so [a, b]^6 = 1 + 2 L^3 mod 3
+    L = TruncSeries(2, 7, 3, {(1, 2): 1, (2, 1): -1})
+    cube = L * L * L
+    assert magnus_valuation(c ** 6, 3, 8) == (
+        6, TruncSeries.one(2, 7, 3) + cube + cube)
+    with pytest.raises(ValueError) as err:
+        magnus_valuation(c ** 2, 4, 8)
+    assert str(err.value) == "a power's valuation needs a prime modulus, got 4"
 
 
 def _read_payload(params, payload):
